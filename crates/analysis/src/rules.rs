@@ -62,10 +62,9 @@ pub fn run_rules(path: &str, file: &LexedFile, all_test: bool) -> Vec<RawDiagnos
 }
 
 /// Locations where spawning OS threads is the module's actual job:
-/// the serving runtime (persistent pool + admission workers) and the
-/// scoped build pool.
+/// the serving runtime (persistent pool + admission workers).
 fn in_thread_sanctioned_location(path: &str) -> bool {
-    path.contains("/runtime/") || path.starts_with("runtime/") || path.ends_with("pool.rs")
+    path.contains("/runtime/") || path.starts_with("runtime/")
 }
 
 /// Identifiers that precede `[` without it being an index expression
@@ -313,9 +312,8 @@ fn relaxed_justified(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
 }
 
 /// **thread-discipline** — OS threads are spawned only by the serving
-/// runtime (`runtime/`), the scoped build pool (`pool.rs`), and tests.
-/// Everything else must submit work to `PersistentPool` / `WorkerPool`
-/// so thread counts stay bounded and observable.
+/// runtime (`runtime/`) and tests. Everything else must submit work to
+/// `PersistentPool` so thread counts stay bounded and observable.
 fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
     const RULE: &str = "thread-discipline";
     let toks = &file.tokens;
@@ -344,7 +342,7 @@ fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
                 out,
                 RULE,
                 line,
-                format!("{what} outside runtime//pool.rs — route work through PersistentPool/WorkerPool"),
+                format!("{what} outside runtime/ — route work through PersistentPool"),
             );
         }
     }

@@ -5,7 +5,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use amcad_manifold::{ProductManifold, SubspaceSpec};
-use amcad_mnn::{build_exact_index, HnswConfig, HnswIndex, IvfConfig, IvfIndex, MixedPointSet};
+use amcad_mnn::{
+    build_exact_index, AnnIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, MixedPointSet,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

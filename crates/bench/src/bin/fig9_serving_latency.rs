@@ -11,21 +11,21 @@
 //! annotated with the recall@k of its ad-side posting lists against the
 //! exact engine's — so the recall/latency trade-off of approximate
 //! indexing shows up next to the paper's shape.
-//! Workers serve through an `EngineHandle` snapshot (the production
-//! entry point), and the latency ladder reports p50 / p90 / p95 / p99:
-//! the saturation knee shows in the upper deciles before the median.
+//! `ServingRuntime` workers serve through an `EngineHandle` snapshot (the
+//! production entry point), and the latency ladder reports p50 / p90 / p95
+//! / p99: the saturation knee shows in the upper deciles before the median.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use amcad_bench::json::{write_bench_json, Json};
-use amcad_bench::Scale;
+use amcad_bench::{sustained_ladder, Scale};
 use amcad_core::{build_index_inputs, Pipeline, PipelineConfig};
 use amcad_eval::TextTable;
 use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig};
 use amcad_retrieval::{
-    EngineHandle, LoadReport, Request, RetrievalEngine, RuntimeConfig, Scenario, ServingConfig,
-    ServingRuntime, ServingSimulator, ShardedEngine, TrafficPattern,
+    EngineHandle, LoadReport, Request, RetrievalEngine, RuntimeConfig, Scenario, ServingRuntime,
+    ShardedEngine, TrafficPattern,
 };
 
 fn latency_table(reports: &[LoadReport]) -> TextTable {
@@ -128,11 +128,7 @@ fn main() {
     let qps_levels = [
         1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0, 100_000.0,
     ];
-    let serving = ServingConfig {
-        workers: 4,
-        requests_per_level: if scale == Scale::Tiny { 2_000 } else { 5_000 },
-        batch_size: 8,
-    };
+    let requests_per_level = if scale == Scale::Tiny { 2_000 } else { 5_000 };
 
     let mut approx_engine: Option<RetrievalEngine> = None;
     let mut backends_json: Vec<Json> = Vec::new();
@@ -170,9 +166,8 @@ fn main() {
 
         // serve the production way: workers hit the hot-swappable handle,
         // each request pinning the current snapshot
-        let handle = EngineHandle::new(engine.clone());
-        let sim = ServingSimulator::new(&handle, serving);
-        let reports = sim.sweep(&requests, &qps_levels);
+        let handle = Arc::new(EngineHandle::new(engine.clone()));
+        let reports = sustained_ladder(handle, &requests, &qps_levels, requests_per_level);
         println!("{}", latency_table(&reports).render());
         backends_json.push(Json::obj(vec![
             ("backend", Json::from(backend.label())),
@@ -186,7 +181,7 @@ fn main() {
     // hash-partitioned, per-shard builds on the worker pool, replicated
     // serving with round-robin — including the degraded case where one
     // replica per shard has been killed and traffic has failed over.
-    let sharded = std::sync::Arc::new(
+    let sharded = Arc::new(
         ShardedEngine::builder()
             .shards(2)
             .replicas(2)
@@ -203,8 +198,8 @@ fn main() {
     );
     // the handle shares (not clones) the engine, so the replica kills
     // below hit the instance actually serving traffic
-    let handle = EngineHandle::from_arc(sharded.clone());
-    let reports = ServingSimulator::new(&handle, serving).sweep(&requests, &qps_levels);
+    let handle = Arc::new(EngineHandle::from_arc(sharded.clone()));
+    let reports = sustained_ladder(handle.clone(), &requests, &qps_levels, requests_per_level);
     println!("{}", latency_table(&reports).render());
     // the healthy low-load tail seeds the hedge delay below (p9x-derived)
     let healthy_p95_ms = reports.first().map_or(1.0, |r| r.p95_ms);
@@ -214,7 +209,7 @@ fn main() {
         sharded.fail_replica(shard, 1);
     }
     println!("-- same topology, one replica per shard killed (failover)");
-    let reports = ServingSimulator::new(&handle, serving).sweep(&requests, &qps_levels);
+    let reports = sustained_ladder(handle, &requests, &qps_levels, requests_per_level);
     println!("{}", latency_table(&reports).render());
     // delta since the kill, not cumulative totals: the killed replicas'
     // healthy-sweep traffic would otherwise mask that they went silent

@@ -19,12 +19,12 @@
 //!
 //! The second half models the paper's *cluster* dimension along its three
 //! axes: the largest rung's inputs are rebuilt as a `ShardedEngine` at
-//! 1 / 2 / 4 shards with the per-shard builds running on a scoped worker
-//! pool 1 / 2 / 4 threads wide (reporting the measured build-time
+//! 1 / 2 / 4 shards with the per-shard builds running on a build pool
+//! 1 / 2 / 4 threads wide (reporting the measured build-time
 //! speedup — each shard's build is independent, so more build threads cut
 //! wall clock without changing a single byte of the result), and each
 //! serving topology (shards × replicas × fan-out threads) is load-tested
-//! through the serving simulator with its p50 / p95 / p99 tail — the
+//! through the serving runtime with its p50 / p95 / p99 tail — the
 //! Table IX ⇄ Fig. 9 bridge. A final sweep measures the incremental path:
 //! a ~10% corpus churn applied as a delta publish
 //! (`EngineHandle::publish_delta`) versus rebuilding the post-delta
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use amcad_bench::json::{write_bench_json, Json};
-use amcad_bench::Scale;
+use amcad_bench::{sustained_ladder, Scale};
 use amcad_core::build_index_inputs;
 use amcad_datagen::{Dataset, WorldConfig};
 use amcad_eval::TextTable;
@@ -42,8 +42,8 @@ use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig, QuantIndex};
 use amcad_model::{AmcadConfig, AmcadModel, Trainer, TrainerConfig};
 use amcad_retrieval::{
     EngineHandle, IndexBuildConfig, IndexBuildInputs, IndexDelta, IndexSet, Request,
-    RetrievalEngine, Retrieve, RuntimeConfig, Scenario, ServingConfig, ServingRuntime,
-    ServingSimulator, ShardedDeltaBuilder, ShardedEngine, TrafficPattern,
+    RetrievalEngine, Retrieve, RuntimeConfig, Scenario, ServingRuntime, ShardedDeltaBuilder,
+    ShardedEngine, TrafficPattern,
 };
 
 fn main() {
@@ -169,11 +169,7 @@ fn main() {
             preclick_items: dataset.preclick_items(s).iter().map(|n| n.0).collect(),
         })
         .collect();
-    let serving = ServingConfig {
-        workers: 4,
-        requests_per_level: if scale == Scale::Tiny { 1_500 } else { 4_000 },
-        batch_size: 8,
-    };
+    let requests_per_level = if scale == Scale::Tiny { 1_500 } else { 4_000 };
     let qps = 20_000.0;
 
     // -- Backend × knob: the recall/latency frontier ----------------------
@@ -224,19 +220,21 @@ fn main() {
     ]);
     // the exact row doubles as the recall reference, so the most
     // expensive build in the sweep happens exactly once
-    let mut exact_engine: Option<RetrievalEngine> = None;
+    let mut exact_engine: Option<Arc<RetrievalEngine>> = None;
     let mut hnsw_widest_recall = 0.0f64;
     let mut frontier_json: Vec<Json> = Vec::new();
     for (knob, backend) in frontier_backends {
         let start = Instant::now();
-        let engine = RetrievalEngine::builder()
-            .index(IndexBuildConfig {
-                top_k,
-                threads: 1,
-                backend,
-            })
-            .build(&inputs)
-            .expect("ladder inputs always build a valid engine");
+        let engine = Arc::new(
+            RetrievalEngine::builder()
+                .index(IndexBuildConfig {
+                    top_k,
+                    threads: 1,
+                    backend,
+                })
+                .build(&inputs)
+                .expect("ladder inputs always build a valid engine"),
+        );
         let build_secs = start.elapsed().as_secs_f64();
         let recall = match &exact_engine {
             None => 1.0, // the exact reference against itself
@@ -251,7 +249,7 @@ fn main() {
         if knob == widest_knob {
             hnsw_widest_recall = recall;
         }
-        let report = ServingSimulator::new(&engine, serving).run_level(&requests, qps);
+        let report = sustained_ladder(engine.clone(), &requests, &[qps], requests_per_level)[0];
         frontier.row(vec![
             backend.label().to_string(),
             knob.to_string(),
@@ -287,7 +285,7 @@ fn main() {
     println!("distributed-MNN stage — at a measured recall cost.\n");
 
     // -- Parallel sharded build: shards × build-pool width ----------------
-    // Per-shard index builds are independent, so the scoped worker pool
+    // Per-shard index builds are independent, so the build pool
     // cuts wall clock (up to the core count — speedups on a single-core
     // runner honestly report ≈1x) while producing byte-identical engines.
     println!("\n== Parallel sharded build (largest rung, single-threaded per shard) ==\n");
@@ -363,16 +361,18 @@ fn main() {
         (4, 2, 2),
     ] {
         let start = Instant::now();
-        let engine = ShardedEngine::builder()
-            .shards(shards)
-            .replicas(replicas)
-            .fanout_threads(fanout_threads)
-            .top_k(20)
-            .threads(1)
-            .build(&inputs)
-            .expect("ladder inputs always build a valid sharded engine");
+        let engine = Arc::new(
+            ShardedEngine::builder()
+                .shards(shards)
+                .replicas(replicas)
+                .fanout_threads(fanout_threads)
+                .top_k(20)
+                .threads(1)
+                .build(&inputs)
+                .expect("ladder inputs always build a valid sharded engine"),
+        );
         let build_secs = start.elapsed().as_secs_f64();
-        let report = ServingSimulator::new(&engine, serving).run_level(&requests, qps);
+        let report = sustained_ladder(engine, &requests, &[qps], requests_per_level)[0];
         shard_table.row(vec![
             shards.to_string(),
             replicas.to_string(),
@@ -397,9 +397,9 @@ fn main() {
         ]));
     }
     println!("{}", shard_table.render());
-    println!("Fan-out note: the per-request pool spawns scoped threads, a cost that only");
-    println!("amortises across real cores — with few cores, fanout threads > 1 trades");
-    println!("latency for nothing (rankings stay identical either way).");
+    println!("Fan-out note: handing a request's gathers to the parked fan-out pool costs a");
+    println!("wake-up that only amortises across real cores — with few cores, fanout");
+    println!("threads > 1 trades latency for nothing (rankings stay identical either way).");
     println!("Sharding note: every shard rebuilds the replicated key indices, so total build work");
     println!("grows with shard count while each shard's ad-side build (the part the paper");
     println!("distributes) shrinks; rankings are bit-identical at every shard count, replica");

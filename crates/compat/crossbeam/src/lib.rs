@@ -1,8 +1,5 @@
 //! Minimal offline stand-in for the `crossbeam` crate: scoped threads
-//! (delegating to `std::thread::scope`, stable since Rust 1.63) and a
-//! concurrent FIFO queue.
-
-pub mod queue;
+//! (delegating to `std::thread::scope`, stable since Rust 1.63).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

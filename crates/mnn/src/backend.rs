@@ -2,9 +2,10 @@
 //!
 //! The paper's MNN module is one fixed algorithm (a parallel exact scan);
 //! this module turns index construction into a seam: [`AnnIndex`] abstracts
-//! "a searchable candidate set", [`ExactBackend`] wraps the multi-threaded
-//! brute-force scan, [`IvfBackend`] wraps the tangent-space IVF quantiser,
-//! [`HnswBackend`] wraps the incremental navigable-small-world graph, and
+//! "a searchable candidate set", [`ExactBackend`] is the multi-threaded
+//! brute-force scan, [`IvfIndex`] (the tangent-space IVF quantiser),
+//! [`HnswIndex`] (the incremental navigable-small-world graph) and
+//! [`QuantIndex`] (quantised postings) implement the trait themselves, and
 //! [`IndexBackend`] is the configuration enum callers use to pick one.
 //! Everything downstream — `IndexSet`, the retrieval engine, the serving
 //! benchmarks — works against the trait, so exact and approximate backends
@@ -15,7 +16,7 @@ use crate::brute::{build_exact_index, InvertedIndex, Postings};
 use crate::hnsw::{HnswConfig, HnswIndex, HnswState};
 use crate::ivf::{IvfConfig, IvfIndex, IvfState};
 use crate::points::MixedPointSet;
-use crate::quant::{QuantBackend, QuantConfig, QuantIndex, QuantState};
+use crate::quant::{QuantConfig, QuantIndex, QuantState};
 
 /// A searchable index over one candidate point set.
 ///
@@ -146,52 +147,20 @@ impl AnnIndex for ExactBackend {
     }
 }
 
-/// The IVF backend: tangent-space coarse quantisation with exact
-/// re-ranking inside the probed clusters.
-#[derive(Debug, Clone)]
-pub struct IvfBackend {
-    index: IvfIndex,
-}
-
-impl IvfBackend {
-    /// Cluster a candidate set under the given IVF configuration.
-    pub fn new(candidates: MixedPointSet, config: IvfConfig) -> Self {
-        IvfBackend {
-            index: IvfIndex::build(candidates, config),
-        }
-    }
-
-    /// The underlying IVF index (cluster diagnostics, tangent coords).
-    pub fn ivf(&self) -> &IvfIndex {
-        &self.index
-    }
-
-    /// Wrap an already-built (e.g. snapshot-restored) IVF index.
-    pub fn from_index(index: IvfIndex) -> Self {
-        IvfBackend { index }
-    }
-
-    /// Export the resident state for a durable snapshot (see
-    /// [`IvfState`]).
-    pub fn export_state(&self) -> AnnBackendState {
-        AnnBackendState::Ivf(self.index.export_state())
-    }
-}
-
-impl AnnIndex for IvfBackend {
+impl AnnIndex for IvfIndex {
     fn backend_name(&self) -> &'static str {
         "ivf"
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        IvfIndex::len(self)
     }
 
     /// IVF inserts by assigning each new candidate to its nearest
     /// existing centroid — the coarse quantisation stays fixed (see
     /// [`IvfIndex::insert`]).
     fn insert(&mut self, added: &MixedPointSet) -> bool {
-        self.index.insert(added);
+        IvfIndex::insert(self, added);
         true
     }
 
@@ -202,59 +171,28 @@ impl AnnIndex for IvfBackend {
         k: usize,
         exclude_id: Option<u32>,
     ) -> Postings {
-        self.index.search(query, query_weight, k, exclude_id)
+        IvfIndex::search(self, query, query_weight, k, exclude_id)
     }
 }
 
-/// The HNSW backend: a hierarchical navigable-small-world graph whose
-/// insertion path *is* its construction path — the one backend whose
-/// [`AnnIndex::insert`] genuinely extends the resident index structure
-/// instead of appending to a rescanned buffer or a frozen quantisation.
-#[derive(Debug, Clone)]
-pub struct HnswBackend {
-    index: HnswIndex,
-}
-
-impl HnswBackend {
-    /// Build a graph over a candidate set by streaming every point through
-    /// the insert path.
-    pub fn new(candidates: MixedPointSet, config: HnswConfig) -> Self {
-        HnswBackend {
-            index: HnswIndex::build(candidates, config),
-        }
-    }
-
-    /// The underlying graph (level diagnostics, link inspection).
-    pub fn hnsw(&self) -> &HnswIndex {
-        &self.index
-    }
-
-    /// Wrap an already-built (e.g. snapshot-restored) HNSW graph.
-    pub fn from_index(index: HnswIndex) -> Self {
-        HnswBackend { index }
-    }
-
-    /// Export the resident state for a durable snapshot (see
-    /// [`HnswState`]).
-    pub fn export_state(&self) -> AnnBackendState {
-        AnnBackendState::Hnsw(self.index.export_state())
-    }
-}
-
-impl AnnIndex for HnswBackend {
+/// HNSW is the one backend whose [`AnnIndex::insert`] genuinely extends
+/// the resident index structure instead of appending to a rescanned
+/// buffer or a frozen quantisation: its insertion path *is* its
+/// construction path.
+impl AnnIndex for HnswIndex {
     fn backend_name(&self) -> &'static str {
         "hnsw"
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        HnswIndex::len(self)
     }
 
     /// HNSW inserts natively: each point is wired into the resident graph
     /// through the same code path a bulk build uses (see
     /// [`HnswIndex::insert`]).
     fn insert(&mut self, added: &MixedPointSet) -> bool {
-        self.index.insert(added);
+        HnswIndex::insert(self, added);
         true
     }
 
@@ -265,7 +203,7 @@ impl AnnIndex for HnswBackend {
         k: usize,
         exclude_id: Option<u32>,
     ) -> Postings {
-        self.index.search(query, query_weight, k, exclude_id)
+        HnswIndex::search(self, query, query_weight, k, exclude_id)
     }
 }
 
@@ -309,9 +247,9 @@ impl IndexBackend {
     pub fn instantiate(&self, candidates: MixedPointSet, threads: usize) -> Box<dyn AnnIndex> {
         match *self {
             IndexBackend::Exact => Box::new(ExactBackend::new(candidates, threads)),
-            IndexBackend::Ivf(config) => Box::new(IvfBackend::new(candidates, config)),
-            IndexBackend::Hnsw(config) => Box::new(HnswBackend::new(candidates, config)),
-            IndexBackend::Quant(config) => Box::new(QuantBackend::new(candidates, config)),
+            IndexBackend::Ivf(config) => Box::new(IvfIndex::build(candidates, config)),
+            IndexBackend::Hnsw(config) => Box::new(HnswIndex::build(candidates, config)),
+            IndexBackend::Quant(config) => Box::new(QuantIndex::build(candidates, config)),
         }
     }
 
@@ -388,15 +326,9 @@ impl AnnBackendState {
                 candidates,
                 threads,
             } => Box::new(ExactBackend::new(candidates, threads)),
-            AnnBackendState::Ivf(state) => {
-                Box::new(IvfBackend::from_index(IvfIndex::from_state(state)))
-            }
-            AnnBackendState::Hnsw(state) => {
-                Box::new(HnswBackend::from_index(HnswIndex::from_state(state)))
-            }
-            AnnBackendState::Quant(state) => {
-                Box::new(QuantBackend::from_index(QuantIndex::from_state(state)))
-            }
+            AnnBackendState::Ivf(state) => Box::new(IvfIndex::from_state(state)),
+            AnnBackendState::Hnsw(state) => Box::new(HnswIndex::from_state(state)),
+            AnnBackendState::Quant(state) => Box::new(QuantIndex::from_state(state)),
         }
     }
 }
@@ -598,9 +530,15 @@ mod tests {
             let mut live = config.instantiate(base.clone(), 2);
             let state = match (&config, live.as_ref()) {
                 (IndexBackend::Exact, _) => ExactBackend::new(base.clone(), 2).export_state(),
-                (IndexBackend::Ivf(c), _) => IvfBackend::new(base.clone(), *c).export_state(),
-                (IndexBackend::Hnsw(c), _) => HnswBackend::new(base.clone(), *c).export_state(),
-                (IndexBackend::Quant(c), _) => QuantBackend::new(base.clone(), *c).export_state(),
+                (IndexBackend::Ivf(c), _) => {
+                    AnnBackendState::Ivf(IvfIndex::build(base.clone(), *c).export_state())
+                }
+                (IndexBackend::Hnsw(c), _) => {
+                    AnnBackendState::Hnsw(HnswIndex::build(base.clone(), *c).export_state())
+                }
+                (IndexBackend::Quant(c), _) => {
+                    AnnBackendState::Quant(QuantIndex::build(base.clone(), *c).export_state())
+                }
             };
             assert_eq!(state.label(), config.label());
             let mut revived = state.instantiate();

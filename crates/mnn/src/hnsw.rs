@@ -44,7 +44,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::brute::{InvertedIndex, Postings, TopK};
+use crate::brute::{Postings, TopK};
 use crate::points::MixedPointSet;
 
 /// Configuration of the HNSW graph.
@@ -583,28 +583,12 @@ impl HnswIndex {
         }
         topk.into_sorted()
     }
-
-    /// Build a full inverted index by searching every key of `keys`
-    /// (delegates to the shared per-key loop in `brute`).
-    pub fn build_index(
-        &self,
-        keys: &MixedPointSet,
-        k: usize,
-        exclude_same_id: bool,
-    ) -> InvertedIndex {
-        crate::brute::build_index_with(
-            |q, w, k, e| self.search(q, w, k, e),
-            self.is_empty(),
-            keys,
-            k,
-            exclude_same_id,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::AnnIndex;
     use crate::brute::build_exact_index;
     use crate::ivf::recall_at_k;
     use crate::test_util::random_set;

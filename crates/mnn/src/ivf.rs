@@ -300,23 +300,6 @@ impl IvfIndex {
         topk.into_sorted()
     }
 
-    /// Build a full inverted index by searching every key of `keys`
-    /// (delegates to the shared per-key loop in `brute`).
-    pub fn build_index(
-        &self,
-        keys: &MixedPointSet,
-        k: usize,
-        exclude_same_id: bool,
-    ) -> InvertedIndex {
-        crate::brute::build_index_with(
-            |q, w, k, e| self.search(q, w, k, e),
-            self.is_empty(),
-            keys,
-            k,
-            exclude_same_id,
-        )
-    }
-
     /// Tangent coordinates of candidate `i` (exposed for diagnostics).
     pub fn tangent(&self, i: usize) -> &[f64] {
         &self.tangents[i]
@@ -351,6 +334,7 @@ pub fn recall_at_k(approx: &InvertedIndex, exact: &InvertedIndex, k: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::AnnIndex;
     use crate::brute::build_exact_index;
     use crate::test_util::random_set;
     use amcad_manifold::{ProductManifold, SubspaceSpec};

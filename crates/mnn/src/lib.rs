@@ -11,14 +11,14 @@
 //!   incremental-insert seam (`insert`) for streaming corpus updates,
 //! * [`ExactBackend`] / [`build_exact_index`] — multi-threaded exact top-K
 //!   scan (the paper's OpenMP + SIMD parallel brute force),
-//! * [`IvfBackend`] / [`IvfIndex`] — an inverted-file approximate index
-//!   whose coarse quantiser lives in the shared tangent space, with recall
-//!   measurement against the exact index ([`recall_at_k`]),
-//! * [`HnswBackend`] / [`HnswIndex`] — a hierarchical navigable-small-world
-//!   graph over the mixed-curvature metric itself: sub-linear search with a
-//!   tunable beam (`ef_search`), and the one backend whose incremental
-//!   `insert` is literally its construction path,
-//! * [`QuantBackend`] / [`QuantIndex`] — quantised postings: per-component
+//! * [`IvfIndex`] — an inverted-file approximate index whose coarse
+//!   quantiser lives in the shared tangent space, with recall measurement
+//!   against the exact index ([`recall_at_k`]),
+//! * [`HnswIndex`] — a hierarchical navigable-small-world graph over the
+//!   mixed-curvature metric itself: sub-linear search with a tunable beam
+//!   (`ef_search`), and the one backend whose incremental `insert` is
+//!   literally its construction path,
+//! * [`QuantIndex`] — quantised postings: per-component
 //!   product-quantisation sub-codebooks trained in tangent space, one-byte
 //!   codes scanned through a per-query asymmetric distance table over the
 //!   mixed-curvature geodesic, and an exact top-`rerank_k` rerank,
@@ -54,12 +54,12 @@ pub mod ivf;
 pub mod points;
 pub mod quant;
 
-pub use backend::{AnnBackendState, AnnIndex, ExactBackend, HnswBackend, IndexBackend, IvfBackend};
+pub use backend::{AnnBackendState, AnnIndex, ExactBackend, IndexBackend};
 pub use brute::{build_exact_index, InvertedIndex, Postings};
 pub use hnsw::{HnswConfig, HnswIndex, HnswState};
 pub use ivf::{recall_at_k, IvfConfig, IvfIndex, IvfState};
 pub use points::MixedPointSet;
-pub use quant::{QuantBackend, QuantConfig, QuantIndex, QuantState};
+pub use quant::{QuantConfig, QuantIndex, QuantState};
 
 /// Shared fixture for this crate's unit-test modules: `n` random points
 /// on one hyperbolic x spherical product manifold. (The integration test

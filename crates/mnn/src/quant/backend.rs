@@ -24,7 +24,7 @@
 
 use amcad_manifold::{distance_gram, dot, norm_sq, ProductManifold};
 
-use crate::backend::{AnnBackendState, AnnIndex};
+use crate::backend::AnnIndex;
 use crate::brute::{Postings, TopK, SCAN_CHUNK};
 use crate::points::MixedPointSet;
 use crate::quant::codebook::Codebook;
@@ -404,70 +404,21 @@ impl QuantIndex {
         }
         topk.into_sorted()
     }
-
-    /// Build a full inverted index by searching every key of `keys`
-    /// (delegates to the shared per-key loop in `brute`).
-    pub fn build_index(
-        &self,
-        keys: &MixedPointSet,
-        k: usize,
-        exclude_same_id: bool,
-    ) -> crate::InvertedIndex {
-        crate::brute::build_index_with(
-            |q, w, k, e| self.search(q, w, k, e),
-            self.is_empty(),
-            keys,
-            k,
-            exclude_same_id,
-        )
-    }
 }
 
-/// The quantised-postings backend behind the [`AnnIndex`] seam.
-#[derive(Debug, Clone)]
-pub struct QuantBackend {
-    index: QuantIndex,
-}
-
-impl QuantBackend {
-    /// Quantise a candidate set under the given configuration.
-    pub fn new(candidates: MixedPointSet, config: QuantConfig) -> Self {
-        QuantBackend {
-            index: QuantIndex::build(candidates, config),
-        }
-    }
-
-    /// The underlying quantised index (codebooks, code lanes, memory
-    /// accounting).
-    pub fn quant(&self) -> &QuantIndex {
-        &self.index
-    }
-
-    /// Wrap an already-built (e.g. snapshot-restored) quantised index.
-    pub fn from_index(index: QuantIndex) -> Self {
-        QuantBackend { index }
-    }
-
-    /// Export the resident state for a durable snapshot (see
-    /// [`QuantState`]).
-    pub fn export_state(&self) -> AnnBackendState {
-        AnnBackendState::Quant(self.index.export_state())
-    }
-}
-
-impl AnnIndex for QuantBackend {
+impl AnnIndex for QuantIndex {
     fn backend_name(&self) -> &'static str {
         "quant"
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        QuantIndex::len(self)
     }
 
     /// Quant inserts by encoding each new candidate against the frozen
     /// sub-codebooks (see [`QuantIndex::insert`]).
     fn insert(&mut self, added: &MixedPointSet) -> bool {
-        self.index.insert(added);
+        QuantIndex::insert(self, added);
         true
     }
 
@@ -478,7 +429,7 @@ impl AnnIndex for QuantBackend {
         k: usize,
         exclude_id: Option<u32>,
     ) -> Postings {
-        self.index.search(query, query_weight, k, exclude_id)
+        QuantIndex::search(self, query, query_weight, k, exclude_id)
     }
 }
 
@@ -665,9 +616,9 @@ mod tests {
     }
 
     #[test]
-    fn the_backend_wrapper_exposes_the_trait_surface() {
+    fn the_index_exposes_the_trait_surface() {
         let cands = random_set(30, 17);
-        let mut backend = QuantBackend::new(cands.clone(), QuantConfig::default());
+        let mut backend = QuantIndex::build(cands.clone(), QuantConfig::default());
         assert_eq!(backend.backend_name(), "quant");
         assert_eq!(backend.len(), 30);
         let extra = {
@@ -678,9 +629,12 @@ mod tests {
             }
             e
         };
-        assert!(backend.insert(&extra), "quant supports incremental inserts");
+        assert!(
+            AnnIndex::insert(&mut backend, &extra),
+            "quant supports incremental inserts"
+        );
         assert_eq!(backend.len(), 35);
-        let state = backend.export_state();
+        let state = crate::AnnBackendState::Quant(backend.export_state());
         assert_eq!(state.label(), "quant");
         let revived = state.instantiate();
         let keys = random_set(8, 18);

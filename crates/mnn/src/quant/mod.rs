@@ -16,7 +16,7 @@
 //!   `f32` attention weight per component per ad, scanned against a
 //!   per-query asymmetric distance table built over the mixed-curvature
 //!   geodesic,
-//! * [`backend`] — [`QuantBackend`], the fourth [`crate::AnnIndex`]
+//! * [`backend`] — [`QuantIndex`], the fourth [`crate::AnnIndex`]
 //!   implementation: approximate table scan, exact top-`rerank_k` rerank
 //!   (corpus-wide `rerank_k` makes it bit-identical to the exact backend),
 //!   incremental insert by nearest-sub-centroid encoding, and snapshot
@@ -27,6 +27,6 @@ pub mod codebook;
 pub mod codes;
 pub mod soa;
 
-pub use backend::{QuantBackend, QuantConfig, QuantIndex, QuantState};
+pub use backend::{QuantConfig, QuantIndex, QuantState};
 pub use codebook::Codebook;
 pub use codes::{AsymmetricTable, CodeBlocks};

@@ -65,7 +65,7 @@ use amcad_mnn::{InvertedIndex, MixedPointSet, Postings};
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
-use crate::pool::WorkerPool;
+use crate::runtime::park_pool::PersistentPool;
 use crate::shard::{ad_shard, shard_inputs, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
@@ -339,16 +339,46 @@ fn delta_ad_index(
     next
 }
 
-/// Per-shard delta state: the shard's [`DeltaBuilder`] plus exactly one
-/// holder of the current generation's [`IndexSet`] — the serving engine
-/// when the shard has ads (the engine owns its indices, so storing them
-/// again would double every shard's resident index memory), or the bare
-/// (ad-free, key-indices-only) set while the shard is adless.
+/// The one holder of a shard's current-generation [`IndexSet`]: the
+/// serving engine when the shard has ads (the engine owns its indices, so
+/// storing them again would double every shard's resident index memory),
+/// or the bare (ad-free, key-indices-only) set while the shard is adless.
+#[derive(Debug, Clone)]
+enum ShardIndexes {
+    Serving(Arc<RetrievalEngine>),
+    Adless(IndexSet),
+}
+
+impl ShardIndexes {
+    /// Wrap a shard's freshly built, decoded or delta-updated indices in
+    /// a serving engine — or park them while the shard holds no ads (at
+    /// build time the hash left it empty, or a delta retired its last ad;
+    /// a later delta can populate it again).
+    fn new(indexes: IndexSet, topology: &ShardedEngineBuilder) -> Result<Self, RetrievalError> {
+        if indexes.q2a.is_empty() && indexes.i2a.is_empty() {
+            return Ok(ShardIndexes::Adless(indexes));
+        }
+        let engine = RetrievalEngine::builder()
+            .index(topology.index)
+            .retrieval(topology.retrieval)
+            .build_from_indexes(indexes)?;
+        Ok(ShardIndexes::Serving(Arc::new(engine)))
+    }
+
+    fn get(&self) -> &IndexSet {
+        match self {
+            ShardIndexes::Serving(engine) => engine.indexes(),
+            ShardIndexes::Adless(indexes) => indexes,
+        }
+    }
+}
+
+/// Per-shard delta state: the shard's [`DeltaBuilder`] plus its
+/// current-generation indices.
 #[derive(Debug, Clone)]
 struct ShardSlot {
     builder: DeltaBuilder,
-    adless_indexes: Option<IndexSet>,
-    engine: Option<Arc<RetrievalEngine>>,
+    indexes: ShardIndexes,
 }
 
 /// Incremental index maintenance for a sharded deployment: one
@@ -372,57 +402,34 @@ pub struct ShardedDeltaBuilder {
 }
 
 impl ShardedDeltaBuilder {
-    /// Split `inputs` across the topology's shards (validated: duplicate
-    /// ids rejected, zero-sized topology knobs rejected) and seed every
-    /// shard's first-generation index state, building the per-shard index
-    /// sets in parallel on the topology's build pool. Unlike
-    /// [`ShardedEngineBuilder::build`], adless shards still get their
-    /// (ad-free) key indices built, so a later delta can populate them
-    /// incrementally.
+    /// Split `inputs` across the topology's shards and seed every shard's
+    /// first-generation index state, building the per-shard index sets
+    /// [`ShardedEngineBuilder::build_threads`] at a time. Zero-sized
+    /// topology, index or retrieval knobs and duplicate ids are rejected
+    /// before any index work. Adless shards still get their (ad-free) key
+    /// indices built, so a later delta can populate them incrementally.
     pub fn new(
         inputs: &IndexBuildInputs,
-        mut topology: ShardedEngineBuilder,
+        topology: ShardedEngineBuilder,
     ) -> Result<Self, RetrievalError> {
-        topology.validate_topology()?;
-        // one persistent fan-out pool for the whole deployment: every
-        // generation this builder assembles serves on the same resident
-        // threads instead of spawning a pool per publish
-        topology.ensure_fanout_pool();
+        topology.validate()?;
         inputs.validate()?;
         let parts = shard_inputs(inputs, topology.shards);
-        let pool = if topology.build_threads == 0 {
-            WorkerPool::sized_for(topology.shards)
-        } else {
-            WorkerPool::new(topology.build_threads)
+        // build_threads 0 = auto: one thread per shard up to the core count
+        let width = match topology.build_threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
         };
-        let index = topology.index;
-        let retrieval = topology.retrieval;
-        let built: Vec<Result<ShardSlot, RetrievalError>> = pool.run(parts.len(), |s| {
-            let part = parts[s].clone();
-            let indexes = IndexSet::build(&part, index)?;
-            let (adless_indexes, engine) = if indexes.q2a.is_empty() && indexes.i2a.is_empty() {
-                (Some(indexes), None)
-            } else {
-                let engine = RetrievalEngine::builder()
-                    .index(index)
-                    .retrieval(retrieval)
-                    .build_from_indexes(indexes)?;
-                (None, Some(Arc::new(engine)))
-            };
-            Ok(ShardSlot {
-                builder: DeltaBuilder::new(part, index)?,
-                adless_indexes,
-                engine,
-            })
-        });
-        let mut slots = Vec::with_capacity(topology.shards);
-        for result in built {
-            slots.push(result?);
+        // a pool for the duration of the build: claims shards by index and
+        // returns the sets in shard order, so the parallel build reports
+        // the sequential loop's results — and its first error
+        let built = PersistentPool::new(width.min(topology.shards))
+            .run(parts.len(), |s| IndexSet::build(&parts[s], topology.index));
+        let mut slot_parts = Vec::with_capacity(parts.len());
+        for (part, indexes) in parts.into_iter().zip(built) {
+            slot_parts.push((part, indexes?));
         }
-        if slots.iter().all(|slot| slot.engine.is_none()) {
-            return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
-        }
-        Ok(ShardedDeltaBuilder { topology, slots })
+        Self::from_slot_parts(topology, slot_parts)
     }
 
     /// The configured shard count.
@@ -443,55 +450,39 @@ impl ShardedDeltaBuilder {
     pub(crate) fn slot_parts(&self) -> Vec<(&IndexBuildInputs, &IndexSet)> {
         self.slots
             .iter()
-            .map(|slot| {
-                let indexes = match &slot.engine {
-                    Some(engine) => engine.indexes(),
-                    None => slot
-                        .adless_indexes
-                        .as_ref()
-                        .expect("a slot always holds its indices in exactly one place"),
-                };
-                (slot.builder.inputs(), indexes)
-            })
+            .map(|slot| (slot.builder.inputs(), slot.indexes.get()))
             .collect()
     }
 
-    /// Reassemble a builder from persisted per-shard state — the warm
-    /// path [`crate::store`] reloads through: the expensive index
-    /// construction is already done, so each slot only re-validates its
-    /// inputs and wraps the decoded [`IndexSet`] in a serving engine.
-    /// `parts` must be in shard order, one entry per configured shard
-    /// (the snapshot writer guarantees both).
+    /// Assemble a builder from per-shard inputs and their already-built
+    /// index sets — freshly built by [`ShardedDeltaBuilder::new`], or
+    /// decoded by [`crate::store`] on the warm path, where the expensive
+    /// index construction is skipped: each slot only re-validates its
+    /// inputs and wraps its [`IndexSet`] in a serving engine. `parts` must
+    /// be in shard order, one entry per configured shard (the snapshot
+    /// writer guarantees both).
     pub(crate) fn from_slot_parts(
         mut topology: ShardedEngineBuilder,
         parts: Vec<(IndexBuildInputs, IndexSet)>,
     ) -> Result<Self, RetrievalError> {
-        topology.validate_topology()?;
+        topology.validate()?;
+        // one persistent fan-out pool for the whole deployment: every
+        // generation this builder assembles serves on the same resident
+        // threads instead of spawning a pool per publish
         topology.ensure_fanout_pool();
         debug_assert_eq!(parts.len(), topology.shards, "one slot part per shard");
-        let index = topology.index;
-        let retrieval = topology.retrieval;
         let mut slots = Vec::with_capacity(parts.len());
         for (inputs, indexes) in parts {
-            let (adless_indexes, engine) = if indexes.q2a.is_empty() && indexes.i2a.is_empty() {
-                (Some(indexes), None)
-            } else {
-                let engine = RetrievalEngine::builder()
-                    .index(index)
-                    .retrieval(retrieval)
-                    .build_from_indexes(indexes)?;
-                (None, Some(Arc::new(engine)))
-            };
             slots.push(ShardSlot {
-                builder: DeltaBuilder::new(inputs, index)?,
-                adless_indexes,
-                engine,
+                builder: DeltaBuilder::new(inputs, topology.index)?,
+                indexes: ShardIndexes::new(indexes, &topology)?,
             });
         }
-        if slots.iter().all(|slot| slot.engine.is_none()) {
-            return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
-        }
-        Ok(ShardedDeltaBuilder { topology, slots })
+        let builder = ShardedDeltaBuilder { topology, slots };
+        // an all-adless corpus cannot serve: fail the build, not the
+        // first request
+        builder.engine()?;
+        Ok(builder)
     }
 
     /// Total ads currently in the corpus (across all shards).
@@ -510,7 +501,10 @@ impl ShardedDeltaBuilder {
         let engines: Vec<Arc<RetrievalEngine>> = self
             .slots
             .iter()
-            .filter_map(|slot| slot.engine.as_ref().map(Arc::clone))
+            .filter_map(|slot| match &slot.indexes {
+                ShardIndexes::Serving(engine) => Some(Arc::clone(engine)),
+                ShardIndexes::Adless(_) => None,
+            })
             .collect();
         if engines.is_empty() {
             return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
@@ -566,8 +560,6 @@ impl ShardedDeltaBuilder {
         for &ad in &retired {
             retired_by_shard[ad_shard(ad, shards)].push(ad);
         }
-        let index = self.topology.index;
-        let retrieval = self.topology.retrieval;
         for (s, (added_ads_qa, added_ads_ia)) in added_qa.into_iter().zip(added_ia).enumerate() {
             let sub = IndexDelta {
                 added_ads_qa,
@@ -578,26 +570,8 @@ impl ShardedDeltaBuilder {
                 continue; // untouched shard: its Arc is reused verbatim
             }
             let slot = &mut self.slots[s];
-            let prev = match &slot.engine {
-                Some(engine) => engine.indexes(),
-                None => slot
-                    .adless_indexes
-                    .as_ref()
-                    .expect("a slot always holds its indices in exactly one place"),
-            };
-            let next = slot.builder.apply(prev, &sub)?;
-            if next.q2a.is_empty() && next.i2a.is_empty() {
-                // the delta retired the shard's last ad: leave rotation
-                slot.adless_indexes = Some(next);
-                slot.engine = None;
-            } else {
-                let engine = RetrievalEngine::builder()
-                    .index(index)
-                    .retrieval(retrieval)
-                    .build_from_indexes(next)?;
-                slot.engine = Some(Arc::new(engine));
-                slot.adless_indexes = None;
-            }
+            let next = slot.builder.apply(slot.indexes.get(), &sub)?;
+            slot.indexes = ShardIndexes::new(next, &self.topology)?;
         }
         self.engine()
     }

@@ -136,14 +136,28 @@ impl RetrievalResponse {
         self.stats = self.stats.logical();
         self
     }
+
+    /// The tail every serving path ends with: a request that reached no
+    /// ad is the typed [`RetrievalError::NoCoverage`] (carrying the work
+    /// it performed), never a silent empty response.
+    pub(crate) fn finish(
+        query: u32,
+        ads: Vec<RetrievedAd>,
+        stats: RetrievalStats,
+    ) -> Result<Self, RetrievalError> {
+        if ads.is_empty() {
+            return Err(RetrievalError::NoCoverage { query, stats });
+        }
+        Ok(RetrievalResponse { ads, stats })
+    }
 }
 
 /// The object-safe serving interface every engine flavour implements:
 /// single-node [`RetrievalEngine`], fan-out [`crate::ShardedEngine`], and
 /// the hot-swappable [`crate::EngineHandle`] / [`crate::EngineSnapshot`].
 ///
-/// Callers (the serving simulator, benchmark binaries, transport layers)
-/// hold `&dyn Retrieve` and stay oblivious to the deployment topology
+/// Callers (the serving runtime, benchmark binaries, transport layers)
+/// hold `dyn Retrieve` and stay oblivious to the deployment topology
 /// behind it. `Send + Sync` is part of the contract: serving fans requests
 /// across worker threads.
 pub trait Retrieve: Send + Sync {
@@ -210,7 +224,10 @@ impl RetrievalEngineBuilder {
         self
     }
 
-    fn validate(&self) -> Result<(), RetrievalError> {
+    /// Reject zero-sized index and retrieval knobs. Crate-visible so the
+    /// sharded build validates the per-shard configuration once, before
+    /// any index work, instead of per shard after it.
+    pub(crate) fn validate(&self) -> Result<(), RetrievalError> {
         if self.index.top_k == 0 {
             return Err(RetrievalError::InvalidConfig(
                 "index top_k must be positive".into(),
@@ -300,13 +317,7 @@ impl RetrievalEngine {
         let (ads, stats) = self
             .retriever
             .retrieve_with_stats(request.query, &request.preclick_items);
-        if ads.is_empty() {
-            return Err(RetrievalError::NoCoverage {
-                query: request.query,
-                stats,
-            });
-        }
-        Ok(RetrievalResponse { ads, stats })
+        RetrievalResponse::finish(request.query, ads, stats)
     }
 
     /// Serve a batch of requests in one call — the entry point for
@@ -318,8 +329,8 @@ impl RetrievalEngine {
     /// calls. Rankings are identical to the single path; a shared scan is
     /// attributed to the first request that needed it. Each request gets
     /// its own result so partial coverage failures don't poison the batch.
-    /// Note that [`crate::ServingSimulator`] serves per request to keep its
-    /// latency measurement faithful; it batches only the queue draining.
+    /// [`crate::ServingRuntime`] workers serve queued neighbours through
+    /// this path.
     pub fn retrieve_batch(
         &self,
         requests: &[Request],
@@ -328,16 +339,7 @@ impl RetrievalEngine {
             .retrieve_batch_with_stats(requests)
             .into_iter()
             .zip(requests)
-            .map(|((ads, stats), request)| {
-                if ads.is_empty() {
-                    Err(RetrievalError::NoCoverage {
-                        query: request.query,
-                        stats,
-                    })
-                } else {
-                    Ok(RetrievalResponse { ads, stats })
-                }
-            })
+            .map(|((ads, stats), request)| RetrievalResponse::finish(request.query, ads, stats))
             .collect()
     }
 

@@ -1,8 +1,8 @@
 //! # amcad-retrieval
 //!
 //! The two-layer online advertisement retrieval framework of AMCAD
-//! (Section IV-C) behind a sharded, hot-swappable serving API, plus a
-//! serving-load simulator.
+//! (Section IV-C) behind a sharded, hot-swappable serving API and an
+//! admission-controlled serving runtime.
 //!
 //! ## The serving triad
 //!
@@ -15,8 +15,8 @@
 //!   scan-deduplicated batches with typed errors ([`RetrievalError`]) and
 //!   per-request [`RetrievalStats`],
 //! * [`ShardedEngine`] — the corpus hash-partitioned **by ad** across N
-//!   shards ([`shard::ad_shard`]), each shard built concurrently on a
-//!   scoped [`WorkerPool`] and served by R replicas ([`ReplicatedShard`]:
+//!   shards ([`shard::ad_shard`]), the shards built concurrently and
+//!   each served by R replicas ([`ReplicatedShard`]:
 //!   round-robin with health marking and failover, degrading to the typed
 //!   [`RetrievalError::ShardUnavailable`] only when a shard loses every
 //!   replica); requests fan out to every shard — in parallel when
@@ -56,10 +56,8 @@
 //! [`amcad_mnn::AnnIndex`] backend — exact scan, IVF, HNSW or quantised
 //! postings; duplicate
 //! input ids are rejected with the typed
-//! [`RetrievalError::DuplicateId`]), [`TwoLayerRetriever`] (the bare
-//! layer logic), and [`ServingSimulator`] (an open-loop load generator
-//! measuring response time versus offered QPS, Fig. 9, over any
-//! [`Retrieve`] implementation). See `src/README.md` for the backend
+//! [`RetrievalError::DuplicateId`]) and [`TwoLayerRetriever`] (the bare
+//! layer logic). See `src/README.md` for the backend
 //! taxonomy (when to pick which, tuning knobs, incremental-insert
 //! support). The unchanging key side is `Arc`-shared everywhere it is
 //! replicated: [`IndexBuildInputs`] hands every shard the same key
@@ -67,9 +65,10 @@
 //! delta generations pointer-identically.
 //!
 //! In front of it all sits the **persistent serving runtime** (the
-//! [`runtime`] module): all serving fan-out runs on long-lived
-//! condvar-parked [`PersistentPool`] workers instead of per-request
-//! thread spawns, and [`ServingRuntime`] adds a bounded admission queue
+//! [`runtime`] module): shard builds and all serving fan-out run on
+//! condvar-parked [`PersistentPool`] workers — resident for a
+//! deployment's lifetime on the serving side, never spawned per request
+//! — and [`ServingRuntime`] adds a bounded admission queue
 //! with per-request deadlines — overload sheds with the typed
 //! [`RetrievalError::Overloaded`] instead of queueing without bound,
 //! queued neighbours batch into one scan-deduplicated `retrieve_batch`,
@@ -80,8 +79,10 @@
 //! time from a snapshot, so a deployment keeps serving generation G
 //! while G+1 warms. [`Scenario`] traffic (flash crowds, Zipf-skewed
 //! sustained load) drives it open-loop through
-//! [`ServingRuntime::run_scenario`], extending [`LoadReport`] with
-//! shed / timeout / hedge counters and goodput.
+//! [`ServingRuntime::run_scenario`] — the one load driver, measuring
+//! response time versus offered QPS (Fig. 9) over any [`Retrieve`]
+//! implementation — and each phase reports a [`LoadReport`]: the latency
+//! ladder plus shed / timeout / hedge counters and goodput.
 //!
 //! ## Serving with shards, replicas and zero-downtime updates
 //!
@@ -153,7 +154,6 @@ pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod index_set;
-pub mod pool;
 pub mod retriever;
 pub mod runtime;
 pub mod serving;
@@ -168,13 +168,10 @@ pub use engine::{
 };
 pub use error::RetrievalError;
 pub use index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
-pub use pool::WorkerPool;
 pub use retriever::{RetrievalConfig, RetrievedAd, TwoLayerRetriever};
 pub use runtime::park_pool::PersistentPool;
 pub use runtime::{warm_rollout, RuntimeConfig, RuntimeStats, ServingRuntime, Ticket};
-pub use serving::{
-    LoadReport, Scenario, ScenarioPhase, ServingConfig, ServingSimulator, TrafficPattern,
-};
+pub use serving::{LoadReport, Scenario, ScenarioPhase, TrafficPattern};
 pub use shard::{
     ad_shard, shard_inputs, HedgeControl, ReplicatedShard, ShardedEngine, ShardedEngineBuilder,
 };

@@ -2,8 +2,7 @@
 //! shedding and warm generation rollout in front of any [`Retrieve`]
 //! implementation.
 //!
-//! The [`ServingSimulator`](crate::ServingSimulator) measures an engine;
-//! this module *is* the serving tier. A [`ServingRuntime`] owns a bounded
+//! This module *is* the serving tier. A [`ServingRuntime`] owns a bounded
 //! admission queue and a fixed set of resident worker threads (parked on
 //! a condvar when idle — spawned once, reused for every request):
 //!
@@ -368,6 +367,9 @@ impl ServingRuntime {
         let mut pending: Vec<(Duration, Ticket)> = Vec::with_capacity(phase.requests);
         let mut shed = 0usize;
         for i in 0..phase.requests {
+            // f64 multiply, not `interval * i as u32`: the cast would
+            // silently truncate the request index and the u32 multiply can
+            // panic on Duration overflow at low QPS × many requests
             let scheduled = interval.mul_f64(i as f64);
             let now = start.elapsed();
             if scheduled > now {
@@ -396,7 +398,7 @@ impl ServingRuntime {
                 _ => {}
             }
             // latency from scheduled arrival to this request's own
-            // completion: queueing + service, like the simulator
+            // completion: queueing + service
             let latency = finished.duration_since(start).saturating_sub(scheduled);
             if latency <= deadline {
                 good += 1;
@@ -898,6 +900,124 @@ mod tests {
         assert_eq!(reports[0].shed, 0);
         assert_eq!(reports[0].no_coverage, 0);
         assert!(reports[0].p50_ms <= reports[0].p99_ms + 1e-9);
+    }
+
+    /// The runtime is the one load driver for every engine flavour: a
+    /// single engine, a sharded fan-out and a hot-swappable handle all
+    /// serve a scenario through `dyn Retrieve`, complete every request and
+    /// report a sane latency ladder.
+    #[test]
+    fn run_scenario_serves_every_engine_flavour_through_the_trait() {
+        let sharded = ShardedEngine::builder()
+            .shards(2)
+            .top_k(8)
+            .threads(1)
+            .build(&tiny_inputs())
+            .expect("tiny inputs build a valid sharded engine");
+        let flavours: Vec<Arc<dyn Retrieve>> = vec![
+            engine(),
+            Arc::new(sharded.clone()),
+            Arc::new(EngineHandle::new(sharded)),
+        ];
+        for flavour in flavours {
+            let runtime = ServingRuntime::new(
+                flavour,
+                RuntimeConfig {
+                    workers: 2,
+                    queue_depth: 256,
+                    deadline: Duration::from_secs(5),
+                    batch_size: 4,
+                },
+            )
+            .unwrap();
+            let reports = runtime.run_scenario(&requests(), &Scenario::sustained(10_000.0, 120));
+            assert_eq!(reports.len(), 1);
+            let report = &reports[0];
+            assert_eq!(report.offered_qps, 10_000.0);
+            assert_eq!(report.completed, 120);
+            assert_eq!(report.no_coverage, 0);
+            assert_eq!(report.shed, 0);
+            assert!(report.mean_ms >= 0.0);
+            // the percentile ladder must be monotone
+            assert!(report.p50_ms <= report.p90_ms + 1e-9);
+            assert!(report.p90_ms <= report.p95_ms + 1e-9);
+            assert!(report.p95_ms <= report.p99_ms + 1e-9);
+            assert!(report.achieved_qps > 0.0);
+        }
+    }
+
+    #[test]
+    fn uncovered_requests_are_counted_not_dropped() {
+        let runtime = ServingRuntime::new(
+            engine(),
+            RuntimeConfig {
+                workers: 2,
+                queue_depth: 64,
+                deadline: Duration::from_secs(5),
+                batch_size: 4,
+            },
+        )
+        .unwrap();
+        let uncovered = vec![Request {
+            query: 99_999,
+            preclick_items: vec![],
+        }];
+        let reports = runtime.run_scenario(&uncovered, &Scenario::sustained(10_000.0, 50));
+        assert_eq!(reports[0].completed, 50);
+        assert_eq!(reports[0].no_coverage, 50);
+        assert_eq!(reports[0].shed, 0);
+    }
+
+    /// The uniform pattern offers the templates round-robin: one worker
+    /// drains the FIFO queue in submission order, so the engine sees
+    /// exactly the cycle.
+    #[test]
+    fn uniform_scenario_cycles_through_the_templates_in_order() {
+        struct Recorder {
+            inner: Arc<RetrievalEngine>,
+            seen: Mutex<Vec<u32>>,
+        }
+        impl Retrieve for Recorder {
+            fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
+                lock(&self.seen).push(request.query);
+                self.inner.retrieve(request)
+            }
+        }
+        let recorder = Arc::new(Recorder {
+            inner: engine(),
+            seen: Mutex::new(Vec::new()),
+        });
+        let runtime = ServingRuntime::new(
+            recorder.clone() as Arc<dyn Retrieve>,
+            RuntimeConfig {
+                workers: 1,
+                queue_depth: 64,
+                deadline: Duration::from_secs(5),
+                batch_size: 4,
+            },
+        )
+        .unwrap();
+        let templates = &requests()[..3];
+        let reports = runtime.run_scenario(templates, &Scenario::sustained(10_000.0, 7));
+        assert_eq!(reports[0].completed, 7);
+        assert_eq!(*lock(&recorder.seen), vec![0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn open_loop_schedule_survives_low_qps_and_large_request_indices() {
+        // arrivals 1000 s apart: the first is due immediately, so a
+        // one-request phase completes without ever sleeping an interval
+        let runtime = ServingRuntime::new(engine(), RuntimeConfig::default()).unwrap();
+        let reports = runtime.run_scenario(&requests(), &Scenario::sustained(0.001, 1));
+        assert_eq!(reports[0].completed, 1);
+        // the schedule expression itself: `interval * i as u32` panicked on
+        // Duration overflow once interval × index exceeded Duration::MAX
+        // (and silently truncated the index first); mul_f64 must keep the
+        // schedule monotone
+        let interval = Duration::from_secs_f64(1.0 / 0.001);
+        let far = interval.mul_f64(10_000_000.0);
+        assert!(far > interval.mul_f64(9_999_999.0));
+        assert_eq!(interval.mul_f64(0.0), Duration::ZERO);
     }
 
     /// Warm rollout over the snapshot store: replicas drain one at a

@@ -1,20 +1,20 @@
 //! Persistent parked worker pool.
 //!
-//! [`PersistentPool`] is the long-lived successor to the scoped
-//! [`WorkerPool`](crate::pool::WorkerPool): instead of spawning a fresh
-//! set of scoped threads for every call, it spawns its workers once and
-//! parks them on a condvar between requests.  The serving path
-//! ([`ShardedEngine`](crate::shard::ShardedEngine) fan-out, batch dedup
-//! gathers, and hedged sub-requests) submits work to the resident
-//! threads, so steady-state request processing performs zero thread
-//! spawns.  The scoped pool remains in use for offline builds, where a
-//! burst of construction parallelism per call is exactly right.
+//! [`PersistentPool`] spawns its workers once and parks them on a condvar
+//! between batches instead of spawning threads per call.  The serving
+//! path ([`ShardedEngine`](crate::shard::ShardedEngine) fan-out, batch
+//! dedup gathers, and hedged sub-requests) submits work to a deployment's
+//! resident threads, so steady-state request processing performs zero
+//! thread spawns.  Offline shard builds run on the same pool type, created
+//! for the duration of one build: jobs borrow the caller's locals (no
+//! clones, no `'static` bound) and come back in job order, which is what
+//! makes a parallel build byte-identical to the sequential loop.
 //!
 //! Two submission shapes are supported:
 //!
-//! - [`PersistentPool::run`] — the fork/join shape the scoped pool
-//!   offered: `jobs` indexed closures stolen atomically by index, the
-//!   results re-assembled in job order.  The caller participates in the
+//! - [`PersistentPool::run`] — fork/join: `jobs` indexed closures stolen
+//!   atomically by index (so a long job never serialises its siblings
+//!   behind a static partition), the results re-assembled in job order.  The caller participates in the
 //!   work itself (it is one more worker for the duration of the call),
 //!   which both guarantees progress on a single-threaded pool and makes
 //!   nested `run` calls from inside a pool job deadlock-free.

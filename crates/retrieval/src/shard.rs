@@ -18,9 +18,9 @@
 //!
 //! * **Parallel shard builds** ([`ShardedEngineBuilder::build_threads`],
 //!   default auto): every shard's index build depends only on that shard's
-//!   input slice, so [`ShardedEngineBuilder::build`] runs the per-shard
-//!   builds on a scoped [`WorkerPool`]. Results are re-assembled in shard
-//!   order, which makes the parallel build byte-identical to the
+//!   input slice, so the per-shard builds run as one fork/join batch on a
+//!   [`PersistentPool`] that lives for the build. Results are re-assembled
+//!   in shard order, which makes the parallel build byte-identical to the
 //!   sequential loop — including which error is reported when several
 //!   shards fail.
 //! * **Parallel request fan-out** ([`ShardedEngineBuilder::fanout_threads`],
@@ -32,9 +32,7 @@
 //!   steady-state serving path performs zero thread spawns — and are
 //!   merged back in key order, byte-identical to the sequential path
 //!   (the property test in this module pins both axes for shard counts
-//!   1 / 2 / 4 / 7). The scoped [`WorkerPool`] remains the *build*
-//!   executor: offline shard builds want a burst of threads per call,
-//!   not resident ones.
+//!   1 / 2 / 4 / 7).
 //! * **Per-shard replication** ([`ShardedEngineBuilder::replicas`],
 //!   default 1): each shard is served by a [`ReplicatedShard`] — R
 //!   serving replicas behind round-robin selection with health marking.
@@ -96,12 +94,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::delta::ShardedDeltaBuilder;
 use crate::engine::{
     ReplicaId, Request, RetrievalEngine, RetrievalResponse, RetrievalStats, Retrieve,
 };
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs};
-use crate::pool::WorkerPool;
 use crate::retriever::{score_candidates, Key, RetrievalConfig};
 use crate::runtime::park_pool::PersistentPool;
 
@@ -126,8 +124,7 @@ pub fn ad_shard(ad: u32, shards: usize) -> usize {
 /// keys locally — the replication is an [`Arc`] bump per shard, every
 /// shard's key-side fields point at the *same* point sets (asserted by
 /// the tests in this module). A shard may end up with no ads at all (tiny
-/// corpora); [`ShardedEngineBuilder::build`] skips such shards at build
-/// time.
+/// corpora); such shards stay out of the serving rotation.
 pub fn shard_inputs(inputs: &IndexBuildInputs, shards: usize) -> Vec<IndexBuildInputs> {
     let ads_qa = inputs
         .ads_qa
@@ -231,11 +228,11 @@ impl ShardedEngineBuilder {
     }
 
     /// Create the persistent fan-out pool this topology serves on, if it
-    /// needs one and does not have one yet. Called by every construction
-    /// path ([`ShardedEngineBuilder::build`], the delta builder, the
-    /// snapshot reader) so all generations of one deployment share a
-    /// single resident pool. Hedging needs at least width 2 even with an
-    /// inline fan-out: the hedged gathers run as background tasks.
+    /// needs one and does not have one yet. Called where a deployment's
+    /// shard state is assembled (fresh build or snapshot reload) so all
+    /// generations of one deployment share a single resident pool.
+    /// Hedging needs at least width 2 even with an inline fan-out: the
+    /// hedged gathers run as background tasks.
     pub(crate) fn ensure_fanout_pool(&mut self) {
         let hedging = self.hedge_delay.is_some() && self.replicas > 1;
         let width = if hedging {
@@ -281,54 +278,16 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Partition the inputs and build one [`RetrievalEngine`] per
-    /// non-empty shard, running the independent per-shard builds on a
-    /// scoped [`WorkerPool`] ([`ShardedEngineBuilder::build_threads`]
-    /// wide). Results are re-assembled in shard order, so the parallel
-    /// build produces exactly what the sequential loop would — the same
-    /// engines *and* the same first error when a shard's build fails.
-    /// Shards that receive no ads are skipped (their engines could never
-    /// serve); if *every* shard is empty the build fails with the same
-    /// [`RetrievalError::EmptyIndex`] a single engine over the whole
-    /// inputs would report.
-    pub fn build(mut self, inputs: &IndexBuildInputs) -> Result<ShardedEngine, RetrievalError> {
-        self.validate_topology()?;
-        self.ensure_fanout_pool();
-        let parts = shard_inputs(inputs, self.shards);
-        let build_pool = if self.build_threads == 0 {
-            WorkerPool::sized_for(self.shards)
-        } else {
-            WorkerPool::new(self.build_threads)
-        };
-        let index = self.index;
-        let retrieval = self.retrieval;
-        let built: Vec<Result<Option<RetrievalEngine>, RetrievalError>> =
-            build_pool.run(parts.len(), |s| {
-                let part = &parts[s];
-                if part.ads_qa.is_empty() && part.ads_ia.is_empty() {
-                    return Ok(None); // the hash left this shard adless — skip it
-                }
-                RetrievalEngine::builder()
-                    .index(index)
-                    .retrieval(retrieval)
-                    .build(part)
-                    .map(Some)
-            });
-        let mut engines = Vec::with_capacity(self.shards);
-        // consume in shard order: the first error reported matches the
-        // sequential build's short-circuit exactly
-        for result in built {
-            if let Some(engine) = result? {
-                engines.push(engine);
-            }
-        }
-        if engines.is_empty() {
-            return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
-        }
-        Ok(ShardedEngine::from_shard_engines(
-            engines.into_iter().map(std::sync::Arc::new).collect(),
-            &self,
-        ))
+    /// Partition the inputs, build every shard's indices
+    /// ([`ShardedEngineBuilder::build_threads`] shards at a time) and
+    /// assemble the serving engine over the shards that hold ads — the
+    /// first generation of a [`ShardedDeltaBuilder`], without keeping the
+    /// delta state. Invalid configuration and duplicate ids are rejected
+    /// before any index work; if *every* shard is adless the build fails
+    /// with the same [`RetrievalError::EmptyIndex`] a single engine over
+    /// the whole inputs would report.
+    pub fn build(self, inputs: &IndexBuildInputs) -> Result<ShardedEngine, RetrievalError> {
+        ShardedDeltaBuilder::new(inputs, self)?.engine()
     }
 
     /// Cold-start a sharded deployment from a snapshot file written by
@@ -345,9 +304,10 @@ impl ShardedEngineBuilder {
         builder.engine()
     }
 
-    /// Reject zero-sized topology knobs (shared by the builder and the
-    /// delta builder).
-    pub(crate) fn validate_topology(&self) -> Result<(), RetrievalError> {
+    /// Reject zero-sized knobs — the cluster topology and the index /
+    /// retrieval configuration every shard is built under — once per
+    /// deployment, before any index work.
+    pub(crate) fn validate(&self) -> Result<(), RetrievalError> {
         if self.shards == 0 {
             return Err(RetrievalError::InvalidConfig(
                 "shard count must be positive".into(),
@@ -358,7 +318,10 @@ impl ShardedEngineBuilder {
                 "replica count must be positive".into(),
             ));
         }
-        Ok(())
+        RetrievalEngine::builder()
+            .index(self.index)
+            .retrieval(self.retrieval)
+            .validate()
     }
 }
 
@@ -842,6 +805,22 @@ fn spawn_gather(
     }
 }
 
+/// Merge per-shard posting-list prefixes of one key into the whole-corpus
+/// prefix: the index build's posting order (distance, then id — NaN
+/// distances were normalised to +inf at build time), re-cut to `cut`.
+fn merge_prefixes<'a>(
+    lists: impl Iterator<Item = &'a [(u32, f64)]>,
+    cut: usize,
+) -> Vec<(u32, f64)> {
+    let mut merged: Vec<(u32, f64)> = Vec::new();
+    for list in lists {
+        merged.extend_from_slice(list);
+    }
+    merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    merged.truncate(cut);
+    merged
+}
+
 /// An ad corpus hash-partitioned across N replicated single-node engines,
 /// served by fanning each request out to every shard (in parallel when
 /// configured) and merging per-key candidate prefixes back into the
@@ -1094,21 +1073,40 @@ impl ShardedEngine {
     }
 
     /// The globally correct candidate prefix of one key: every shard's
-    /// local prefix, merged in the index build's posting order (distance,
-    /// then id — NaN distances were normalised to +inf at build time) and
-    /// re-cut to the whole-corpus prefix length. A whole-corpus posting
-    /// list is at most `top_k` long, so the global cut is
-    /// `min(ads_per_key, top_k)`.
+    /// local prefix, merged ([`merge_prefixes`]) and re-cut to the
+    /// whole-corpus prefix length. A whole-corpus posting list is at most
+    /// `top_k` long, so the global cut is `min(ads_per_key, top_k)`.
     fn merged_candidates(&self, key: &Key) -> Vec<(u32, f64)> {
         let per_key = self.retrieval.ads_per_key;
-        let global_cut = per_key.min(self.index_config.top_k);
-        let mut list: Vec<(u32, f64)> = Vec::new();
-        for shard in &self.shards {
-            list.extend_from_slice(shard.engine().retriever().key_candidates(key, per_key));
-        }
-        list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        list.truncate(global_cut);
-        list
+        merge_prefixes(
+            self.shards
+                .iter()
+                .map(|shard| shard.engine().retriever().key_candidates(key, per_key)),
+            per_key.min(self.index_config.top_k),
+        )
+    }
+
+    /// The tail of every serving path: score the per-key candidate
+    /// prefixes through the shared second-layer path, record the physical
+    /// route and finish the response (or the typed no-coverage error).
+    fn finish(
+        &self,
+        request: &Request,
+        keys: &[Key],
+        candidates: &[&[(u32, f64)]],
+        route: Vec<ReplicaId>,
+        mut stats: RetrievalStats,
+        scratch: &mut HashMap<u32, f64>,
+    ) -> Result<RetrievalResponse, RetrievalError> {
+        let ads = score_candidates(
+            keys,
+            candidates,
+            self.retrieval.final_top_n,
+            scratch,
+            &mut stats,
+        );
+        stats.served_by = route;
+        RetrievalResponse::finish(request.query, ads, stats)
     }
 
     /// Serve one request: route to one healthy replica per shard (or fail
@@ -1140,21 +1138,7 @@ impl ShardedEngine {
         }
         let candidates: Vec<&[(u32, f64)]> = merged.iter().map(Vec::as_slice).collect();
         let mut scratch = HashMap::new();
-        let ads = score_candidates(
-            &keys,
-            &candidates,
-            self.retrieval.final_top_n,
-            &mut scratch,
-            &mut stats,
-        );
-        stats.served_by = route;
-        if ads.is_empty() {
-            return Err(RetrievalError::NoCoverage {
-                query: request.query,
-                stats,
-            });
-        }
-        Ok(RetrievalResponse { ads, stats })
+        self.finish(request, &keys, &candidates, route, stats, &mut scratch)
     }
 
     /// The hedged serving path: per shard, contact one picked replica as
@@ -1164,10 +1148,10 @@ impl ShardedEngine {
     /// [`RetrievalStats::served_by`] records the winner — the loser's
     /// gather finishes harmlessly in the background (it owns its data).
     ///
-    /// The per-key merge re-implements [`ShardedEngine::merged_candidates`]
-    /// over the gathered per-shard lists — same `(distance, id)` order,
-    /// same global cut — so the hedged path is *logically* byte-identical
-    /// to the unhedged one (parity-tested below): replicas serve
+    /// The per-key merge is [`ShardedEngine::merged_candidates`]' own
+    /// [`merge_prefixes`] over the gathered per-shard lists, so the hedged
+    /// path is *logically* byte-identical to the unhedged one
+    /// (parity-tested below): replicas serve
     /// identical data, so hedging can only change the route, never the
     /// ranking. Batches do not hedge: [`ShardedEngine::retrieve_batch`]
     /// amortises gathers across requests, which already bounds the
@@ -1219,14 +1203,10 @@ impl ShardedEngine {
         }
         let merged: Vec<Vec<(u32, f64)>> = (0..keys.len())
             .map(|k| {
-                // amcad-lint: allow(alloc-in-hot-loop) — each merged list is an owned per-key output collected into `merged` and borrowed by scoring below; it cannot be a reused scratch buffer
-                let mut list: Vec<(u32, f64)> = Vec::new();
-                for lists in &per_shard {
-                    list.extend_from_slice(&lists[k]);
-                }
-                list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                list.truncate(global_cut);
-                list
+                merge_prefixes(
+                    per_shard.iter().map(|lists| lists[k].as_slice()),
+                    global_cut,
+                )
             })
             .collect();
         for list in &merged {
@@ -1234,21 +1214,7 @@ impl ShardedEngine {
         }
         let candidates: Vec<&[(u32, f64)]> = merged.iter().map(Vec::as_slice).collect();
         let mut scratch = HashMap::new();
-        let ads = score_candidates(
-            &keys,
-            &candidates,
-            self.retrieval.final_top_n,
-            &mut scratch,
-            &mut stats,
-        );
-        stats.served_by = route;
-        if ads.is_empty() {
-            return Err(RetrievalError::NoCoverage {
-                query: request.query,
-                stats,
-            });
-        }
-        Ok(RetrievalResponse { ads, stats })
+        self.finish(request, &keys, &candidates, route, stats, &mut scratch)
     }
 
     /// Serve a batch with the same cross-request scan dedup as
@@ -1320,22 +1286,7 @@ impl ShardedEngine {
                 .iter()
                 .map(|key| fetched[&(key.is_item, key.id)].1.as_slice())
                 .collect();
-            let ads = score_candidates(
-                &keys,
-                &candidates,
-                self.retrieval.final_top_n,
-                &mut scratch,
-                &mut stats,
-            );
-            stats.served_by = route;
-            out.push(if ads.is_empty() {
-                Err(RetrievalError::NoCoverage {
-                    query: request.query,
-                    stats,
-                })
-            } else {
-                Ok(RetrievalResponse { ads, stats })
-            });
+            out.push(self.finish(request, &keys, &candidates, route, stats, &mut scratch));
         }
         out
     }
@@ -1674,13 +1625,85 @@ mod tests {
         }
     }
 
+    /// One table, both entry points: every zero-sized knob, duplicate ids
+    /// and an all-adless corpus are rejected by
+    /// [`ShardedEngineBuilder::build`] and [`ShardedDeltaBuilder::new`]
+    /// with the same typed error — the single-node builder's own error
+    /// wherever a single node has the knob — at any build-pool width.
     #[test]
-    fn adless_inputs_and_zero_topology_knobs_fail_like_the_single_builder() {
+    fn adless_inputs_and_zero_knobs_fail_like_the_single_builder_through_both_entry_points() {
         let manifold = tiny_inputs().ads_qa.manifold().clone();
         let empty = MixedPointSet::new(manifold);
         let mut no_ads = tiny_inputs();
         no_ads.ads_qa = empty.clone();
         no_ads.ads_ia = empty;
+        let mut duplicated = tiny_inputs();
+        let i = duplicated.ads_ia.index_of(210).unwrap();
+        let (point, weight) = (
+            duplicated.ads_ia.point(i).to_vec(),
+            duplicated.ads_ia.weight(i).to_vec(),
+        );
+        duplicated.ads_ia.push(210, &point, &weight);
+        let valid = tiny_inputs();
+        let two = || ShardedEngine::builder().shards(2);
+        // (case, topology, inputs, whether a single node has the knob)
+        let table: Vec<(&str, ShardedEngineBuilder, &IndexBuildInputs, bool)> = vec![
+            (
+                "shards = 0",
+                ShardedEngine::builder().shards(0),
+                &valid,
+                false,
+            ),
+            ("replicas = 0", two().replicas(0), &valid, false),
+            ("top_k = 0", two().top_k(0), &valid, true),
+            ("threads = 0", two().threads(0), &valid, true),
+            (
+                "ads_per_key = 0",
+                two().retrieval(RetrievalConfig {
+                    ads_per_key: 0,
+                    ..Default::default()
+                }),
+                &valid,
+                true,
+            ),
+            (
+                "final_top_n = 0",
+                two().retrieval(RetrievalConfig {
+                    final_top_n: 0,
+                    ..Default::default()
+                }),
+                &valid,
+                true,
+            ),
+            ("duplicate ids", two(), &duplicated, true),
+            (
+                "all-adless corpus",
+                ShardedEngine::builder().shards(4),
+                &no_ads,
+                true,
+            ),
+        ];
+        for (case, topology, inputs, single_node_knob) in table {
+            for build_threads in [1usize, 4] {
+                let topology = topology.clone().build_threads(build_threads);
+                let via_build = topology.clone().build(inputs).unwrap_err();
+                let via_delta = ShardedDeltaBuilder::new(inputs, topology.clone()).unwrap_err();
+                assert_eq!(via_build, via_delta, "{case}: the entry points disagree");
+                if single_node_knob {
+                    let single = RetrievalEngine::builder()
+                        .index(topology.index)
+                        .retrieval(topology.retrieval)
+                        .build(inputs)
+                        .unwrap_err();
+                    assert_eq!(via_build, single, "{case}");
+                } else {
+                    assert!(
+                        matches!(via_build, RetrievalError::InvalidConfig(_)),
+                        "{case}: got {via_build:?}"
+                    );
+                }
+            }
+        }
         assert_eq!(
             ShardedEngine::builder()
                 .shards(4)
@@ -1688,34 +1711,6 @@ mod tests {
                 .unwrap_err(),
             RetrievalError::EmptyIndex { indices: "q2a+i2a" }
         );
-        assert!(matches!(
-            ShardedEngine::builder()
-                .shards(0)
-                .build(&tiny_inputs())
-                .unwrap_err(),
-            RetrievalError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            ShardedEngine::builder()
-                .shards(2)
-                .replicas(0)
-                .build(&tiny_inputs())
-                .unwrap_err(),
-            RetrievalError::InvalidConfig(_)
-        ));
-        // invalid per-shard configuration surfaces through the same path,
-        // and the parallel build reports the same first error
-        for build_threads in [1usize, 4] {
-            assert!(matches!(
-                ShardedEngine::builder()
-                    .shards(2)
-                    .top_k(0)
-                    .build_threads(build_threads)
-                    .build(&tiny_inputs())
-                    .unwrap_err(),
-                RetrievalError::InvalidConfig(_)
-            ));
-        }
     }
 
     #[test]

@@ -780,7 +780,7 @@ pub(crate) fn decode_backend_state(
 mod tests {
     use super::*;
     use crate::test_fixtures::random_points;
-    use amcad_mnn::{AnnIndex, QuantBackend};
+    use amcad_mnn::QuantIndex;
 
     #[test]
     fn the_envelope_round_trips_and_localises_damage() {
@@ -934,8 +934,8 @@ mod tests {
 
     #[test]
     fn quant_state_round_trips_and_reencodes_byte_identically() {
-        let backend = QuantBackend::new(random_points(0..40, 21), QuantConfig::default());
-        let state = backend.export_state();
+        let backend = QuantIndex::build(random_points(0..40, 21), QuantConfig::default());
+        let state = AnnBackendState::Quant(backend.export_state());
         let mut enc = Encoder::new();
         encode_backend_state(&mut enc, &state);
         let bytes = enc.into_bytes();
@@ -960,9 +960,9 @@ mod tests {
 
     #[test]
     fn hostile_quant_bytes_are_typed_corruption_never_panics() {
-        let backend = QuantBackend::new(random_points(0..24, 23), QuantConfig::default());
+        let backend = QuantIndex::build(random_points(0..24, 23), QuantConfig::default());
         let mut enc = Encoder::new();
-        encode_backend_state(&mut enc, &backend.export_state());
+        encode_backend_state(&mut enc, &AnnBackendState::Quant(backend.export_state()));
         let good = enc.into_bytes();
 
         // truncation at every byte boundary: typed corruption, no panic,

@@ -68,7 +68,10 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::Arc;
 
-    use amcad_mnn::{AnnIndex, HnswBackend, HnswConfig, IndexBackend, IvfConfig, QuantConfig};
+    use amcad_mnn::{
+        AnnBackendState, AnnIndex, HnswConfig, HnswIndex, IndexBackend, IvfConfig, QuantConfig,
+        QuantIndex,
+    };
 
     use super::*;
     use crate::engine::{Request, RetrievalResponse};
@@ -381,8 +384,9 @@ mod tests {
             ef_search: 10,
             seed: 99,
         };
-        let mut live = HnswBackend::new(base.clone(), config);
-        save_backend_state(file.path(), &live.export_state()).unwrap();
+        let live = HnswIndex::build(base.clone(), config);
+        save_backend_state(file.path(), &AnnBackendState::Hnsw(live.export_state())).unwrap();
+        let mut live: Box<dyn AnnIndex> = Box::new(live);
         let mut revived = load_backend_state(file.path()).unwrap().instantiate();
         assert_eq!(revived.len(), live.len());
         // post-reload inserts extend both graphs identically: the level
@@ -407,7 +411,7 @@ mod tests {
         // the quant case: codebooks and code lanes travel with the file,
         // so post-reload inserts encode against the same frozen codebooks
         let quant_file = TmpFile::new("quant-backend-state");
-        let mut quant_live = amcad_mnn::QuantBackend::new(
+        let quant_live = QuantIndex::build(
             base,
             QuantConfig {
                 ksub: 8,
@@ -416,7 +420,12 @@ mod tests {
                 seed: 31,
             },
         );
-        save_backend_state(quant_file.path(), &quant_live.export_state()).unwrap();
+        save_backend_state(
+            quant_file.path(),
+            &AnnBackendState::Quant(quant_live.export_state()),
+        )
+        .unwrap();
+        let mut quant_live: Box<dyn AnnIndex> = Box::new(quant_live);
         let mut quant_revived = load_backend_state(quant_file.path()).unwrap().instantiate();
         let growth = random_points(30..42, 13);
         assert!(quant_revived.insert(&growth));

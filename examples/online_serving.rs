@@ -5,12 +5,12 @@
 //! This exercises the production-facing half of the system (Section IV-C of
 //! the paper): MNN index construction behind the pluggable `AnnIndex`
 //! backend seam, the Q2Q/Q2I/I2Q/I2I first layer, the Q2A/I2A second
-//! layer, ad-hash sharding with an exact merge (shards built concurrently
-//! on the scoped worker pool, fanned out in parallel at serving time),
-//! per-shard replication with round-robin failover, batched serving
-//! workers, and an open-loop load test like Fig. 9 — every topology
-//! served through the same `&dyn Retrieve` the transport layer would
-//! hold.
+//! layer, ad-hash sharding with an exact merge (shards built
+//! concurrently, fanned out in parallel at serving time), per-shard
+//! replication with round-robin failover, batched serving workers, and an
+//! open-loop load test like Fig. 9 — every topology served by the
+//! `ServingRuntime` through the same `dyn Retrieve` the transport layer
+//! would hold.
 //!
 //! ```bash
 //! cargo run --release --example online_serving
@@ -23,9 +23,40 @@ use amcad::core::{build_index_inputs, Pipeline, PipelineConfig};
 use amcad::eval::TextTable;
 use amcad::mnn::{HnswConfig, IndexBackend, IvfConfig};
 use amcad::retrieval::{
-    CoverageSource, Request, RetrievalEngine, Retrieve, RuntimeConfig, Scenario, ServingConfig,
-    ServingRuntime, ServingSimulator, ShardedEngine,
+    CoverageSource, LoadReport, Request, RetrievalEngine, Retrieve, RuntimeConfig, Scenario,
+    ServingRuntime, ShardedEngine,
 };
+
+/// Requests offered per load level.
+const REQUESTS_PER_LEVEL: usize = 1_500;
+
+/// Drive `engine` through a sustained open-loop ladder, one report per
+/// offered-QPS level, on a runtime sized so nothing sheds (the queue
+/// holds a whole level, the deadline outlasts it): the ladder shows
+/// latency versus offered load, the flash-crowd section below shows
+/// admission control.
+fn load_ladder(
+    engine: Arc<dyn Retrieve>,
+    requests: &[Request],
+    qps_levels: &[f64],
+) -> Vec<LoadReport> {
+    let runtime = ServingRuntime::new(
+        engine,
+        RuntimeConfig {
+            workers: 4,
+            queue_depth: REQUESTS_PER_LEVEL,
+            deadline: Duration::from_secs(3600),
+            batch_size: 8,
+        },
+    )
+    .expect("a positive worker count and queue depth are valid");
+    qps_levels
+        .iter()
+        .flat_map(|&qps| {
+            runtime.run_scenario(requests, &Scenario::sustained(qps, REQUESTS_PER_LEVEL))
+        })
+        .collect()
+}
 
 fn main() {
     let result = Pipeline::new(PipelineConfig::small(11)).run();
@@ -88,58 +119,67 @@ fn main() {
 
     // Load test: latency vs offered QPS per serving topology — exact and
     // IVF single-node engines plus 2- and 4-shard deployments, all served
-    // through the same `&dyn Retrieve` a transport layer would hold. The
+    // through the same `dyn Retrieve` a transport layer would hold. The
     // pipeline already built the single exact engine; everything else
     // comes from the same embeddings through the builders.
     let inputs = build_index_inputs(&result.export, &result.dataset);
-    let ivf_engine = RetrievalEngine::builder()
-        .index(*result.engine.index_config())
-        .backend(IndexBackend::Ivf(IvfConfig::default()))
-        .build(&inputs)
-        .expect("pipeline inputs build a valid engine");
-    let hnsw_engine = RetrievalEngine::builder()
-        .index(*result.engine.index_config())
-        .backend(IndexBackend::Hnsw(HnswConfig::default()))
-        .build(&inputs)
-        .expect("pipeline inputs build a valid engine");
-    let sharded: Vec<ShardedEngine> = [2usize, 4]
+    let exact_engine = Arc::new(result.engine.clone());
+    let single_node = |backend: IndexBackend| {
+        Arc::new(
+            RetrievalEngine::builder()
+                .index(*result.engine.index_config())
+                .backend(backend)
+                .build(&inputs)
+                .expect("pipeline inputs build a valid engine"),
+        )
+    };
+    let ivf_engine = single_node(IndexBackend::Ivf(IvfConfig::default()));
+    let hnsw_engine = single_node(IndexBackend::Hnsw(HnswConfig::default()));
+    let sharded: Vec<Arc<ShardedEngine>> = [2usize, 4]
         .into_iter()
         .map(|shards| {
-            ShardedEngine::builder()
-                .shards(shards)
-                .build_threads(shards) // independent per-shard builds run concurrently
-                .index(*result.engine.index_config())
-                .build(&inputs)
-                .expect("pipeline inputs build a valid sharded engine")
+            Arc::new(
+                ShardedEngine::builder()
+                    .shards(shards)
+                    .build_threads(shards) // independent per-shard builds run concurrently
+                    .index(*result.engine.index_config())
+                    .build(&inputs)
+                    .expect("pipeline inputs build a valid sharded engine"),
+            )
         })
         .collect();
     // the replicated deployment: 2 serving replicas per shard, requests
     // fanned out on a 2-thread pool — availability and fan-out knobs only,
     // rankings stay bit-identical to the single exact engine
-    let replicated = ShardedEngine::builder()
-        .shards(2)
-        .replicas(2)
-        .fanout_threads(2)
-        .index(*result.engine.index_config())
-        .build(&inputs)
-        .expect("pipeline inputs build a valid replicated engine");
-    let topologies: Vec<(String, &dyn Retrieve)> = vec![
+    let replicated = Arc::new(
+        ShardedEngine::builder()
+            .shards(2)
+            .replicas(2)
+            .fanout_threads(2)
+            .index(*result.engine.index_config())
+            .build(&inputs)
+            .expect("pipeline inputs build a valid replicated engine"),
+    );
+    let topologies: Vec<(String, Arc<dyn Retrieve>)> = vec![
         (
-            format!("{} x1", result.engine.backend().label()),
-            &result.engine,
+            format!("{} x1", exact_engine.backend().label()),
+            exact_engine.clone(),
         ),
-        (format!("{} x1", ivf_engine.backend().label()), &ivf_engine),
+        (
+            format!("{} x1", ivf_engine.backend().label()),
+            ivf_engine.clone(),
+        ),
         (
             format!("{} x1", hnsw_engine.backend().label()),
-            &hnsw_engine,
+            hnsw_engine.clone(),
         ),
         (
             format!("exact x{} shards", sharded[0].num_shards()),
-            &sharded[0],
+            sharded[0].clone(),
         ),
         (
             format!("exact x{} shards", sharded[1].num_shards()),
-            &sharded[1],
+            sharded[1].clone(),
         ),
         (
             format!(
@@ -147,17 +187,11 @@ fn main() {
                 replicated.num_shards(),
                 replicated.replicas()
             ),
-            &replicated,
+            replicated.clone(),
         ),
     ];
-    let serving = ServingConfig {
-        workers: 4,
-        requests_per_level: 1_500,
-        batch_size: 8,
-    };
     for (label, engine) in topologies {
-        let sim = ServingSimulator::new(engine, serving);
-        let reports = sim.sweep(&requests, &[1_000.0, 5_000.0, 20_000.0, 80_000.0]);
+        let reports = load_ladder(engine, &requests, &[1_000.0, 5_000.0, 20_000.0, 80_000.0]);
         let mut table = TextTable::new(vec![
             "Offered QPS",
             "Mean (ms)",
@@ -192,21 +226,17 @@ fn main() {
         "Mean (ms)",
         "p95 (ms)",
     ]);
-    let narrow_hnsw = RetrievalEngine::builder()
-        .index(*result.engine.index_config())
-        .backend(IndexBackend::Hnsw(HnswConfig::default().with_ef_search(4)))
-        .build(&inputs)
-        .expect("pipeline inputs build a valid engine");
-    let comparisons: [(&str, &str, &RetrievalEngine); 3] = [
-        ("exact", "-", &result.engine),
-        ("hnsw", "ef=4", &narrow_hnsw),
-        ("hnsw", "ef=48", &hnsw_engine),
+    let narrow_hnsw = single_node(IndexBackend::Hnsw(HnswConfig::default().with_ef_search(4)));
+    let comparisons: [(&str, &str, Arc<RetrievalEngine>); 3] = [
+        ("exact", "-", exact_engine),
+        ("hnsw", "ef=4", narrow_hnsw),
+        ("hnsw", "ef=48", hnsw_engine),
     ];
     for (label, knob, engine) in comparisons {
         let recall = engine
             .indexes()
             .ad_recall_against(result.engine.indexes(), top_k);
-        let report = ServingSimulator::new(engine, serving).run_level(&requests, 20_000.0);
+        let report = load_ladder(engine, &requests, &[20_000.0])[0];
         backend_table.row(vec![
             label.to_string(),
             knob.to_string(),

@@ -67,7 +67,7 @@
 //! assert_eq!(exact.indexes().total_keys(), ivf.indexes().total_keys());
 //!
 //! // ... or the paper's cluster shape: ads hash-partitioned across 4
-//! // shards (each shard's index built concurrently on a scoped worker
+//! // shards (each shard's index built concurrently on the build
 //! // pool), 2 serving replicas per shard with round-robin failover, and
 //! // the per-request fan-out gathered in parallel — all returning
 //! // bit-identical rankings to the single exact engine
@@ -162,8 +162,8 @@
 //! reporting shed / timeout / hedge counts and goodput per phase.
 //!
 //! The `PipelineConfig::with_backend` knob threads the backend selection
-//! through the one-call pipeline, and `ServingSimulator` load-tests any
-//! [`retrieval::Retrieve`] implementation (see
+//! through the one-call pipeline, and `ServingRuntime::run_scenario`
+//! load-tests any [`retrieval::Retrieve`] implementation (see
 //! `examples/online_serving.rs` for the topology sweep plus the
 //! flash-crowd shedding and hedged-recovery runtime demo,
 //! `examples/incremental_training.rs` for the rebuild-and-publish loop,
