@@ -19,9 +19,10 @@
 //!
 //! The second half models the paper's *cluster* dimension along its three
 //! axes: the largest rung's inputs are rebuilt as a `ShardedEngine` at
-//! 1 / 2 / 4 shards with the per-shard builds running on a build pool
-//! 1 / 2 / 4 threads wide (reporting the measured build-time
-//! speedup — each shard's build is independent, so more build threads cut
+//! 1 / 2 / 4 shards with the cold build's `4 + 2·shards` index builds — the
+//! key-side indices once, each shard's Q2A and I2A — running on a build
+//! pool 1 / 2 / 4 threads wide (reporting the measured build-time
+//! speedup — every index build is independent, so more build threads cut
 //! wall clock without changing a single byte of the result), and each
 //! serving topology (shards × replicas × fan-out threads) is load-tested
 //! through the serving runtime with its p50 / p95 / p99 tail — the
@@ -285,10 +286,11 @@ fn main() {
     println!("distributed-MNN stage — at a measured recall cost.\n");
 
     // -- Parallel sharded build: shards × build-pool width ----------------
-    // Per-shard index builds are independent, so the build pool
-    // cuts wall clock (up to the core count — speedups on a single-core
-    // runner honestly report ≈1x) while producing byte-identical engines.
-    println!("\n== Parallel sharded build (largest rung, single-threaded per shard) ==\n");
+    // The 4 + 2·shards index builds of a cold build are independent, so
+    // the build pool cuts wall clock (up to the core count — speedups on a
+    // single-core runner honestly report ≈1x) while producing
+    // byte-identical engines.
+    println!("\n== Parallel sharded build (largest rung, single-threaded per index) ==\n");
     let build_widths = [1usize, 2, 4];
     let mut build_table = TextTable::new(vec![
         "Shards",
@@ -306,7 +308,7 @@ fn main() {
             let engine = ShardedEngine::builder()
                 .shards(shards)
                 .top_k(20)
-                .threads(1) // single-threaded per shard: the sweep isolates the build pool
+                .threads(1) // single-threaded per index: the sweep isolates the build pool
                 .build_threads(build_threads)
                 .build(&inputs)
                 .expect("ladder inputs always build a valid sharded engine");
@@ -400,10 +402,11 @@ fn main() {
     println!("Fan-out note: handing a request's gathers to the parked fan-out pool costs a");
     println!("wake-up that only amortises across real cores — with few cores, fanout");
     println!("threads > 1 trades latency for nothing (rankings stay identical either way).");
-    println!("Sharding note: every shard rebuilds the replicated key indices, so total build work");
-    println!("grows with shard count while each shard's ad-side build (the part the paper");
-    println!("distributes) shrinks; rankings are bit-identical at every shard count, replica");
-    println!("count and pool width — replication buys failover, never a ranking change.\n");
+    println!("Sharding note: the key indices are built once per deployment and shared by every");
+    println!("shard, and the ad-side builds (the part the paper distributes) split the same ads,");
+    println!("so total build work does not grow with shard count — only the per-task overhead");
+    println!("does; rankings are bit-identical at every shard count, replica count and pool");
+    println!("width — replication buys failover, never a ranking change.\n");
 
     // -- Serving runtime: offered-QPS ladder × topology -------------------
     // The persistent ServingRuntime (bounded admission queue, deadlines,

@@ -11,10 +11,11 @@
 //! * [`DeltaBuilder`] owns one corpus's [`IndexBuildInputs`] and turns the
 //!   previous generation's [`IndexSet`] plus a delta into the next
 //!   generation's `IndexSet` without re-running the full neighbour build.
-//! * [`ShardedDeltaBuilder`] runs one [`DeltaBuilder`] per shard and
-//!   routes each delta only to the shards [`ad_shard`] assigns its ads
-//!   to; untouched shards keep their [`Arc`]'d engines byte-identical
-//!   (pointer-identical) across generations.
+//! * [`ShardedDeltaBuilder`] cold-builds a deployment (the key-side
+//!   indices once, shared by every shard), runs one [`DeltaBuilder`] per
+//!   shard and routes each delta only to the shards [`ad_shard`] assigns
+//!   its ads to; untouched shards keep their [`Arc`]'d engines
+//!   pointer-identical across generations.
 //! * [`crate::EngineHandle::publish_delta`] applies a delta through a
 //!   builder and publishes the resulting generation with one snapshot
 //!   swap — the zero-downtime incremental index update.
@@ -52,9 +53,9 @@
 //! re-clustered full rebuild exactly as two IVF builds may differ —
 //! full-probe IVF remains exact.
 //!
-//! The key-side indices (Q2Q, Q2I, I2Q, I2I) contain no ads; a delta
-//! clones them from the previous generation untouched. Key churn still
-//! requires a full rebuild — that is the daily retrain path, while delta
+//! The key-side indices (Q2Q, Q2I, I2Q, I2I) contain no ads: a deployment
+//! holds one copy, which every shard and every delta generation shares.
+//! Key churn still requires a full rebuild — the daily retrain path; delta
 //! publishes cover the much more frequent corpus churn in between.
 
 use std::collections::HashSet;
@@ -151,13 +152,6 @@ impl DeltaBuilder {
         self.config
     }
 
-    /// Build the current generation from scratch (used to seed the first
-    /// generation; every later generation should go through
-    /// [`DeltaBuilder::apply`]).
-    pub fn build(&self) -> Result<IndexSet, RetrievalError> {
-        IndexSet::build(&self.inputs, self.config)
-    }
-
     /// Produce the next generation's [`IndexSet`] from the previous
     /// generation's `prev` plus `delta`, updating the held inputs. `prev`
     /// must be the set built from this builder's current inputs under its
@@ -203,16 +197,8 @@ impl DeltaBuilder {
         );
         self.inputs.ads_qa.append(&delta.added_ads_qa);
         self.inputs.ads_ia.append(&delta.added_ads_ia);
-        // the key-side indices contain no ads: the next generation shares
-        // them pointer-identically (an Arc bump, not four index copies)
-        Ok(IndexSet {
-            q2q: Arc::clone(&prev.q2q),
-            q2i: Arc::clone(&prev.q2i),
-            i2q: Arc::clone(&prev.i2q),
-            i2i: Arc::clone(&prev.i2i),
-            q2a,
-            i2a,
-        })
+        // the key-side indices contain no ads: the next generation shares them
+        Ok(prev.with_ad_side(q2a, i2a))
     }
 
     fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
@@ -403,11 +389,12 @@ pub struct ShardedDeltaBuilder {
 
 impl ShardedDeltaBuilder {
     /// Split `inputs` across the topology's shards and seed every shard's
-    /// first-generation index state, building the per-shard index sets
-    /// [`ShardedEngineBuilder::build_threads`] at a time. Zero-sized
-    /// topology, index or retrieval knobs and duplicate ids are rejected
-    /// before any index work. Adless shards still get their (ad-free) key
-    /// indices built, so a later delta can populate them incrementally.
+    /// first-generation index state with `4 + 2·shards` independent index
+    /// builds, [`ShardedEngineBuilder::build_threads`] at a time: the four
+    /// key-side indices once — every shard shares that copy, adless ones
+    /// too, so a later delta can populate them — plus each shard's Q2A
+    /// and I2A. Zero-sized topology, index or retrieval knobs and duplicate
+    /// ids are rejected before any index work; the builds cannot fail.
     pub fn new(
         inputs: &IndexBuildInputs,
         topology: ShardedEngineBuilder,
@@ -415,21 +402,17 @@ impl ShardedDeltaBuilder {
         topology.validate()?;
         inputs.validate()?;
         let parts = shard_inputs(inputs, topology.shards);
-        // build_threads 0 = auto: one thread per shard up to the core count
+        // build_threads 0 = auto: one thread per task up to the core count
         let width = match topology.build_threads {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             n => n,
         };
-        // a pool for the duration of the build: claims shards by index and
-        // returns the sets in shard order, so the parallel build reports
-        // the sequential loop's results — and its first error
-        let built = PersistentPool::new(width.min(topology.shards))
-            .run(parts.len(), |s| IndexSet::build(&parts[s], topology.index));
-        let mut slot_parts = Vec::with_capacity(parts.len());
-        for (part, indexes) in parts.into_iter().zip(built) {
-            slot_parts.push((part, indexes?));
-        }
-        Self::from_slot_parts(topology, slot_parts)
+        // a pool for the duration of the build: it returns the indices in
+        // task order, so any width gives the sequential loop's result
+        let built = IndexSet::build_sharing_key_side(&parts, topology.index, |tasks, task| {
+            PersistentPool::new(width.min(tasks)).run(tasks, task)
+        });
+        Self::from_slot_parts(topology, parts.into_iter().zip(built).collect())
     }
 
     /// The configured shard count.
@@ -581,7 +564,9 @@ impl ShardedDeltaBuilder {
 mod tests {
     use super::*;
     use crate::engine::{Request, RetrievalResponse};
-    use crate::test_fixtures::{random_points, shared_points, tiny_inputs};
+    use crate::test_fixtures::{
+        random_points, shared_points, tiny_inputs, tiny_inputs_leaving_shard_adless,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -603,14 +588,104 @@ mod tests {
         }
     }
 
+    /// A delta retiring `retired` and adding two fresh ads (ids from
+    /// `from` up) that both hash to shard `target` of `shards`.
+    fn delta_into_shard(
+        inputs: &IndexBuildInputs,
+        (target, shards): (usize, usize),
+        from: u32,
+        seed: u64,
+        retired: Vec<u32>,
+    ) -> IndexDelta {
+        let mut delta = IndexDelta::retire_only(inputs, retired);
+        let points = random_points(0..2, seed);
+        let ids = (from..).filter(|&id| ad_shard(id, shards) == target);
+        for (i, id) in ids.take(2).enumerate() {
+            delta
+                .added_ads_qa
+                .push(id, points.point(i), points.weight(i));
+            delta
+                .added_ads_ia
+                .push(id, points.point(i), points.weight(i));
+        }
+        delta
+    }
+
+    /// Bit for bit: posting ids and the `f64::to_bits` of their distances.
     fn assert_indices_identical(a: &InvertedIndex, b: &InvertedIndex, name: &str) {
         assert_eq!(a.len(), b.len(), "{name}: key counts differ");
+        let bits = |p: &Postings| -> Vec<(u32, u64)> {
+            p.iter().map(|(id, d)| (*id, d.to_bits())).collect()
+        };
         for (key, postings) in b.iter() {
             assert_eq!(
-                a.get(*key),
-                Some(postings),
+                a.get(*key).map(bits),
+                Some(bits(postings)),
                 "{name}: postings of key {key} differ (ids or distances)"
             );
+        }
+    }
+
+    /// The cold-build acceptance property: building the key side once per
+    /// deployment and every index as its own pool task changes no bit.
+    /// For each backend at its exactness point, shard counts 1 / 2 / 4
+    /// (with and without an adless shard) and build widths 1 and 4, every
+    /// shard's six indices equal that shard's own full [`IndexSet::build`].
+    #[test]
+    fn cold_build_gives_every_shard_the_six_indices_of_its_own_full_build() {
+        use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig};
+        let backends = [
+            IndexBackend::Exact,
+            IndexBackend::Ivf(IvfConfig {
+                num_clusters: 4,
+                kmeans_iters: 4,
+                nprobe: 4,
+                seed: 7,
+            }),
+            IndexBackend::Hnsw(HnswConfig::saturated(64)),
+            IndexBackend::Quant(QuantConfig {
+                ksub: 8,
+                train_iters: 4,
+                rerank_k: 64,
+                seed: 9,
+            }),
+        ];
+        for inputs in [tiny_inputs(), tiny_inputs_leaving_shard_adless(4, 3)] {
+            for backend in backends {
+                let config = IndexBuildConfig {
+                    top_k: 6,
+                    threads: 1,
+                    backend,
+                };
+                for shards in [1usize, 2, 4] {
+                    let parts = shard_inputs(&inputs, shards);
+                    for build_threads in [1usize, 4] {
+                        let topology = ShardedEngine::builder()
+                            .shards(shards)
+                            .index(config)
+                            .build_threads(build_threads);
+                        let cold = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
+                        for (s, (_, got)) in cold.slot_parts().into_iter().enumerate() {
+                            let want = IndexSet::build(&parts[s], config).unwrap();
+                            for (name, got, want) in [
+                                ("q2q", &*got.q2q, &*want.q2q),
+                                ("q2i", &*got.q2i, &*want.q2i),
+                                ("i2q", &*got.i2q, &*want.i2q),
+                                ("i2i", &*got.i2i, &*want.i2i),
+                                ("q2a", &got.q2a, &want.q2a),
+                                ("i2a", &got.i2a, &want.i2a),
+                            ] {
+                                let label = backend.label();
+                                assert_indices_identical(
+                                    got,
+                                    want,
+                                    &format!("{label}, shard {s} of {shards}, width {build_threads}: {name}"),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -779,22 +854,7 @@ mod tests {
         // a delta confined to one shard: retire one of its ads, add ads
         // that hash to the same shard
         let target = ad_shard(200, shards);
-        let added: Vec<u32> = (300..400)
-            .filter(|&id| ad_shard(id, shards) == target)
-            .take(2)
-            .collect();
-        let mut added_qa = MixedPointSet::new(inputs.ads_qa.manifold().clone());
-        let mut added_ia = MixedPointSet::new(inputs.ads_ia.manifold().clone());
-        let points = random_points(0..2, 99);
-        for (i, &id) in added.iter().enumerate() {
-            added_qa.push(id, points.point(i), points.weight(i));
-            added_ia.push(id, points.point(i), points.weight(i));
-        }
-        let delta = IndexDelta {
-            added_ads_qa: added_qa,
-            added_ads_ia: added_ia,
-            retired_ads: vec![200],
-        };
+        let delta = delta_into_shard(&inputs, (target, shards), 300, 99, vec![200]);
         let gen2 = builder.apply(&delta).unwrap();
         assert_eq!(gen2.active_shards(), shards);
         for s in 0..shards {
@@ -846,33 +906,44 @@ mod tests {
         ));
         assert!(Arc::ptr_eq(&inputs.items_ia, &builder.inputs().items_ia));
 
-        // sharded: every shard's delta state points at the same key-side
-        // point sets — one copy per deployment, not one per shard
-        let shards = 4usize;
+        // sharded: one copy of the key side per deployment, not one per
+        // shard — the six point sets are the caller's and the four indices
+        // are built once, for every slot, the adless one included
+        let (shards, adless) = (4usize, 3usize);
+        let inputs = tiny_inputs_leaving_shard_adless(shards, adless);
         let mut sharded = ShardedDeltaBuilder::new(
             &inputs,
             ShardedEngine::builder().shards(shards).top_k(6).threads(1),
         )
         .unwrap();
-        for slot in &sharded.slots {
-            assert!(
-                Arc::ptr_eq(&inputs.queries_qq, &slot.builder.inputs().queries_qq),
-                "every shard must share the deployment's key point sets"
-            );
-            assert!(Arc::ptr_eq(
-                &inputs.items_ii,
-                &slot.builder.inputs().items_ii
-            ));
-        }
-        // ... and a delta keeps it that way on the shards it touches
-        let delta = make_delta(310..314, 13, Vec::new());
-        sharded.apply(&delta).unwrap();
-        for slot in &sharded.slots {
-            assert!(Arc::ptr_eq(
-                &inputs.queries_qa,
-                &slot.builder.inputs().queries_qa
-            ));
-        }
+        let is_adless = |sharded: &ShardedDeltaBuilder| {
+            matches!(sharded.slots[adless].indexes, ShardIndexes::Adless(_))
+        };
+        let assert_one_key_side = |sharded: &ShardedDeltaBuilder, when: &str| {
+            let first = sharded.slots[0].indexes.get();
+            for (s, slot) in sharded.slots.iter().enumerate() {
+                assert!(
+                    slot.builder.inputs().shares_key_side_with(&inputs),
+                    "{when}: shard {s} must share the deployment's key point sets"
+                );
+                assert!(
+                    slot.indexes.get().shares_key_side_with(first),
+                    "{when}: shard {s} must share the deployment's key indices"
+                );
+            }
+        };
+        assert!(is_adless(&sharded), "precondition: shard 3 holds no ads");
+        assert_one_key_side(&sharded, "cold build");
+        // ... a delta that touches a strict subset of the shards keeps it
+        // that way, on the shards it rewrites and the ones it skips
+        let one_shard = delta_into_shard(&inputs, (1, shards), 310, 13, vec![200]);
+        sharded.apply(&one_shard).unwrap();
+        assert_one_key_side(&sharded, "after a one-shard delta");
+        // ... and so does the delta that populates the adless shard
+        let populate = delta_into_shard(&inputs, (adless, shards), 330, 17, Vec::new());
+        sharded.apply(&populate).unwrap();
+        assert!(!is_adless(&sharded), "the delta populated shard 3");
+        assert_one_key_side(&sharded, "after populating the adless shard");
     }
 
     /// The HNSW acceptance property: at its saturation point the graph
@@ -1174,23 +1245,14 @@ mod tests {
             );
         }
         // a later delta can repopulate the emptied shard
-        let back: Vec<u32> = (500..700)
-            .filter(|&id| ad_shard(id, shards) == target)
-            .take(2)
-            .collect();
-        let mut added_qa = MixedPointSet::new(inputs.ads_qa.manifold().clone());
-        let mut added_ia = MixedPointSet::new(inputs.ads_ia.manifold().clone());
-        let points = random_points(0..2, 123);
-        for (i, &id) in back.iter().enumerate() {
-            added_qa.push(id, points.point(i), points.weight(i));
-            added_ia.push(id, points.point(i), points.weight(i));
-        }
         let engine = sharded
-            .apply(&IndexDelta {
-                added_ads_qa: added_qa,
-                added_ads_ia: added_ia,
-                retired_ads: Vec::new(),
-            })
+            .apply(&delta_into_shard(
+                &inputs,
+                (target, shards),
+                500,
+                123,
+                Vec::new(),
+            ))
             .unwrap();
         assert_eq!(engine.active_shards(), before, "the shard re-entered");
         // and the replica-loss path on a delta-built generation stays the

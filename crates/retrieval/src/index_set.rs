@@ -4,7 +4,9 @@
 //! MNN module and ships them to the serving engine.  [`IndexSet`] holds the
 //! six indices; [`IndexBuildInputs`] carries the per-edge-space point sets
 //! (queries / items / ads projected into the Q-Q, Q-I, Q-A, I-I and I-A
-//! spaces with their precomputed attention weights).
+//! spaces with their precomputed attention weights). Only the ads are
+//! distributed: a sharded deployment builds Q2Q / Q2I / I2Q / I2I once and
+//! every shard's [`IndexSet`] shares them.
 
 use std::sync::Arc;
 
@@ -60,6 +62,17 @@ impl IndexBuildInputs {
         ]
     }
 
+    /// Whether the six key-side sets are `other`'s, pointer-identically —
+    /// what a shard split, a delta and a snapshot reload all preserve.
+    pub(crate) fn shares_key_side_with(&self, other: &IndexBuildInputs) -> bool {
+        Arc::ptr_eq(&self.queries_qq, &other.queries_qq)
+            && Arc::ptr_eq(&self.queries_qi, &other.queries_qi)
+            && Arc::ptr_eq(&self.items_qi, &other.items_qi)
+            && Arc::ptr_eq(&self.queries_qa, &other.queries_qa)
+            && Arc::ptr_eq(&self.items_ii, &other.items_ii)
+            && Arc::ptr_eq(&self.items_ia, &other.items_ia)
+    }
+
     /// Reject inputs that would corrupt index construction: a duplicate
     /// id within any point set silently overwrites that key's posting
     /// list (and duplicates candidate postings), and would corrupt delta
@@ -97,13 +110,13 @@ impl Default for IndexBuildConfig {
 
 /// The six inverted indices of the two-layer online retrieval system.
 ///
-/// The four key-side indices (Q2Q, Q2I, I2Q, I2I) contain no ads, so a
-/// delta publish carries them across generations untouched — they are
-/// behind [`Arc`]s so "carries across" is a reference-count bump, not a
-/// deep copy of four inverted indices per touched shard per delta (the
-/// pointer identity is asserted by the delta test suite). The ad-side
-/// indices (Q2A, I2A) are the ones deltas genuinely rewrite and stay
-/// plain.
+/// The four key-side indices (Q2Q, Q2I, I2Q, I2I) contain no ads, so
+/// every shard of a deployment holds the same ones and a delta publish
+/// carries them across generations untouched — they are behind [`Arc`]s
+/// so both are a reference-count bump, not a copy of four inverted
+/// indices per shard or per delta (the pointer identity is asserted by
+/// the delta test suite). The ad-side indices (Q2A, I2A) are the ones
+/// shards partition and deltas rewrite, and stay plain.
 #[derive(Debug, Clone)]
 pub struct IndexSet {
     /// Query → related queries.
@@ -121,32 +134,85 @@ pub struct IndexSet {
 }
 
 impl IndexSet {
-    /// Build all six indices with the configured ANN backend (exact
-    /// multi-threaded MNN scan by default, IVF or HNSW when selected).
-    /// Inputs are
-    /// validated first: duplicate ids within any point set — which would
-    /// silently overwrite posting lists and corrupt delta merges — are
-    /// rejected as [`RetrievalError::DuplicateId`].
+    /// Build all six indices, one after the other, with the configured ANN
+    /// backend (exact multi-threaded MNN scan by default; IVF, HNSW or
+    /// quantised postings when selected). Inputs are validated first:
+    /// duplicate ids within any point set — which would silently overwrite
+    /// posting lists and corrupt delta merges — are rejected as
+    /// [`RetrievalError::DuplicateId`].
     pub fn build(
         inputs: &IndexBuildInputs,
         config: IndexBuildConfig,
     ) -> Result<IndexSet, RetrievalError> {
         inputs.validate()?;
-        let k = config.top_k;
-        let t = config.threads;
-        let build = |keys: &MixedPointSet, candidates: &MixedPointSet, exclude_same: bool| {
-            config
-                .backend
-                .build_index(keys, candidates, k, exclude_same, t)
+        let parts = std::slice::from_ref(inputs);
+        let mut built =
+            Self::build_sharing_key_side(parts, config, |n, task| (0..n).map(task).collect());
+        Ok(built.pop().expect("one part in, one index set out"))
+    }
+
+    /// A deployment's cold build as one flat list of `4 + 2·parts`
+    /// independent index builds: the four key-side indices once, over the
+    /// key sets every part of a validated [`crate::shard::shard_inputs`]
+    /// split shares, then each part's Q2A and I2A. `run(n, task)` returns
+    /// `task(0..n)` in task order, so every set returned shares one copy
+    /// of the key side and equals its part's own [`IndexSet::build`].
+    pub(crate) fn build_sharing_key_side(
+        parts: &[IndexBuildInputs],
+        config: IndexBuildConfig,
+        run: impl FnOnce(usize, &(dyn Fn(usize) -> InvertedIndex + Sync)) -> Vec<InvertedIndex>,
+    ) -> Vec<IndexSet> {
+        let keys = &parts[0];
+        // (keys, candidates, exclude the key itself)
+        let mut tasks: Vec<(&MixedPointSet, &MixedPointSet, bool)> = vec![
+            (&keys.queries_qq, &keys.queries_qq, true),
+            (&keys.queries_qi, &keys.items_qi, false),
+            (&keys.items_qi, &keys.queries_qi, false),
+            (&keys.items_ii, &keys.items_ii, true),
+        ];
+        for part in parts {
+            tasks.push((&keys.queries_qa, &part.ads_qa, false));
+            tasks.push((&keys.items_ia, &part.ads_ia, false));
+        }
+        let backend = config.backend;
+        let task = |t: usize| {
+            let (keys, candidates, exclude_same) = tasks[t];
+            backend.build_index(keys, candidates, config.top_k, exclude_same, config.threads)
         };
-        Ok(IndexSet {
-            q2q: Arc::new(build(&inputs.queries_qq, &inputs.queries_qq, true)),
-            q2i: Arc::new(build(&inputs.queries_qi, &inputs.items_qi, false)),
-            i2q: Arc::new(build(&inputs.items_qi, &inputs.queries_qi, false)),
-            i2i: Arc::new(build(&inputs.items_ii, &inputs.items_ii, true)),
-            q2a: build(&inputs.queries_qa, &inputs.ads_qa, false),
-            i2a: build(&inputs.items_ia, &inputs.ads_ia, false),
-        })
+        let mut built = run(tasks.len(), &task).into_iter();
+        let mut next = || built.next().expect("run returns one index per task");
+        let key_side = IndexSet {
+            q2q: Arc::new(next()),
+            q2i: Arc::new(next()),
+            i2q: Arc::new(next()),
+            i2i: Arc::new(next()),
+            q2a: InvertedIndex::default(),
+            i2a: InvertedIndex::default(),
+        };
+        let shard = |_| key_side.with_ad_side(next(), next());
+        parts.iter().map(shard).collect()
+    }
+
+    /// This set's key side — shared pointer-identically, no index copied —
+    /// with those ad-side indices: a shard's next delta generation, or
+    /// another shard of the same deployment.
+    pub(crate) fn with_ad_side(&self, q2a: InvertedIndex, i2a: InvertedIndex) -> IndexSet {
+        IndexSet {
+            q2q: Arc::clone(&self.q2q),
+            q2i: Arc::clone(&self.q2i),
+            i2q: Arc::clone(&self.i2q),
+            i2i: Arc::clone(&self.i2i),
+            q2a,
+            i2a,
+        }
+    }
+
+    /// Whether the four key-side indices are `other`'s, pointer-identically.
+    pub(crate) fn shares_key_side_with(&self, other: &IndexSet) -> bool {
+        Arc::ptr_eq(&self.q2q, &other.q2q)
+            && Arc::ptr_eq(&self.q2i, &other.q2i)
+            && Arc::ptr_eq(&self.i2q, &other.i2q)
+            && Arc::ptr_eq(&self.i2i, &other.i2i)
     }
 
     /// Total number of posting lists across the six indices.

@@ -208,6 +208,20 @@ pub(crate) mod test_fixtures {
         std::sync::Arc::new(random_points(ids, seed))
     }
 
+    /// [`tiny_inputs`] minus the ads that hash to shard `adless` of
+    /// `shards` — the hash itself spreads the 20 ads over every shard at
+    /// counts 2, 4 and 7, so an adless shard has to be arranged.
+    pub(crate) fn tiny_inputs_leaving_shard_adless(
+        shards: usize,
+        adless: usize,
+    ) -> IndexBuildInputs {
+        let mut inputs = tiny_inputs();
+        let stays = |ad| crate::shard::ad_shard(ad, shards) != adless;
+        inputs.ads_qa = inputs.ads_qa.filtered(stays);
+        inputs.ads_ia = inputs.ads_ia.filtered(stays);
+        inputs
+    }
+
     pub(crate) fn tiny_inputs() -> IndexBuildInputs {
         IndexBuildInputs {
             queries_qq: shared_points(0..10, 1),

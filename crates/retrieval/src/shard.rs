@@ -7,22 +7,23 @@
 //! cluster; one monolithic [`RetrievalEngine`] cannot model that. Here the
 //! [`IndexBuildInputs`] are split **by ad** with a deterministic hash
 //! ([`ad_shard`]): each shard receives the full query / item point sets
-//! (so every shard builds identical first-layer key indices and expands a
-//! request to the same key set) but only its slice of the ads (so the
-//! expensive second-layer Q2A / I2A builds and scans are divided N ways).
+//! and shares the deployment's one copy of the first-layer key indices
+//! (so every shard expands a request to the same key set) but only its
+//! slice of the ads (so the expensive second-layer Q2A / I2A builds and
+//! scans are divided N ways).
 //!
 //! ## The cluster topology: build pool, fan-out pool, replica sets
 //!
 //! Three independent axes, three independent knobs on
 //! [`ShardedEngineBuilder`]:
 //!
-//! * **Parallel shard builds** ([`ShardedEngineBuilder::build_threads`],
-//!   default auto): every shard's index build depends only on that shard's
-//!   input slice, so the per-shard builds run as one fork/join batch on a
+//! * **Parallel index builds** ([`ShardedEngineBuilder::build_threads`],
+//!   default auto): a deployment's cold build is `4 + 2·shards`
+//!   independent index builds — the four key-side indices once, plus each
+//!   shard's Q2A and I2A — run as one fork/join batch on a
 //!   [`PersistentPool`] that lives for the build. Results are re-assembled
-//!   in shard order, which makes the parallel build byte-identical to the
-//!   sequential loop — including which error is reported when several
-//!   shards fail.
+//!   in task order, which makes the parallel build byte-identical to the
+//!   sequential loop.
 //! * **Parallel request fan-out** ([`ShardedEngineBuilder::fanout_threads`],
 //!   default 1): serving a request gathers, for every expanded key, each
 //!   shard's posting-list prefix. Those per-key gathers are independent,
@@ -173,7 +174,7 @@ impl Default for ShardedEngineBuilder {
         ShardedEngineBuilder {
             shards: 1,
             replicas: 1,
-            build_threads: 0, // auto: min(shards, available cores)
+            build_threads: 0, // auto: min(build tasks, available cores)
             fanout_threads: 1,
             hedge_delay: None,
             fanout_pool: None,
@@ -199,9 +200,10 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Worker threads the per-shard index builds run on (default 0 =
-    /// auto: one per shard up to the machine's core count). The parallel
-    /// build is byte-identical to the sequential one at any width.
+    /// Worker threads the cold build's `4 + 2·shards` index builds run
+    /// on (default 0 = auto: one per build up to the machine's core
+    /// count). The parallel build is byte-identical to the sequential one
+    /// at any width.
     pub fn build_threads(mut self, build_threads: usize) -> Self {
         self.build_threads = build_threads;
         self
@@ -257,9 +259,9 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Worker threads per shard build (default 4). This is the *inner*
-    /// parallelism of one shard's index construction;
-    /// [`ShardedEngineBuilder::build_threads`] is how many shards build
+    /// Worker threads per index build (default 4). This is the *inner*
+    /// parallelism of one index's construction;
+    /// [`ShardedEngineBuilder::build_threads`] is how many indices build
     /// concurrently.
     pub fn threads(mut self, threads: usize) -> Self {
         self.index.threads = threads;
@@ -278,14 +280,15 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Partition the inputs, build every shard's indices
-    /// ([`ShardedEngineBuilder::build_threads`] shards at a time) and
-    /// assemble the serving engine over the shards that hold ads — the
-    /// first generation of a [`ShardedDeltaBuilder`], without keeping the
-    /// delta state. Invalid configuration and duplicate ids are rejected
-    /// before any index work; if *every* shard is adless the build fails
-    /// with the same [`RetrievalError::EmptyIndex`] a single engine over
-    /// the whole inputs would report.
+    /// Partition the inputs, build the shared key-side indices and every
+    /// shard's ad-side indices ([`ShardedEngineBuilder::build_threads`]
+    /// at a time) and assemble the serving engine over the shards that
+    /// hold ads — the first generation of a [`ShardedDeltaBuilder`],
+    /// without keeping the delta state. Invalid configuration and
+    /// duplicate ids are rejected before any index work; if *every* shard
+    /// is adless the build fails with the same
+    /// [`RetrievalError::EmptyIndex`] a single engine over the whole
+    /// inputs would report.
     pub fn build(self, inputs: &IndexBuildInputs) -> Result<ShardedEngine, RetrievalError> {
         ShardedDeltaBuilder::new(inputs, self)?.engine()
     }
@@ -1383,12 +1386,7 @@ mod tests {
             assert_eq!(part.items_ii.ids(), inputs.items_ii.ids());
             // the replication is an Arc bump: every shard's key-side
             // fields alias the caller's point sets, no copies
-            assert!(Arc::ptr_eq(&part.queries_qq, &inputs.queries_qq));
-            assert!(Arc::ptr_eq(&part.queries_qi, &inputs.queries_qi));
-            assert!(Arc::ptr_eq(&part.items_qi, &inputs.items_qi));
-            assert!(Arc::ptr_eq(&part.queries_qa, &inputs.queries_qa));
-            assert!(Arc::ptr_eq(&part.items_ii, &inputs.items_ii));
-            assert!(Arc::ptr_eq(&part.items_ia, &inputs.items_ia));
+            assert!(part.shares_key_side_with(&inputs));
             // both ad spaces of one shard hold the same ad ids
             let mut qa: Vec<u32> = part.ads_qa.ids().to_vec();
             let mut ia: Vec<u32> = part.ads_ia.ids().to_vec();

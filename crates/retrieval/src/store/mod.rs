@@ -66,7 +66,6 @@ pub(crate) use writer::write_snapshot;
 #[cfg(test)]
 mod tests {
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     use amcad_mnn::{
         AnnBackendState, AnnIndex, HnswConfig, HnswIndex, IndexBackend, IvfConfig, QuantConfig,
@@ -76,9 +75,10 @@ mod tests {
     use super::*;
     use crate::engine::{Request, RetrievalResponse};
     use crate::error::RetrievalError;
-    use crate::test_fixtures::{random_points, tiny_inputs};
+    use crate::shard::shard_inputs;
+    use crate::test_fixtures::{random_points, tiny_inputs, tiny_inputs_leaving_shard_adless};
     use crate::{
-        EngineHandle, IndexDelta, Retrieve, ShardedDeltaBuilder, ShardedEngine,
+        EngineHandle, IndexDelta, IndexSet, Retrieve, ShardedDeltaBuilder, ShardedEngine,
         ShardedEngineBuilder,
     };
 
@@ -244,30 +244,87 @@ mod tests {
         assert_eq!(serve_all(&cold), before);
     }
 
-    /// The reader must re-establish the Arc sharing the writer
-    /// collapsed: key-side point sets and key-side indices are decoded
-    /// once and shared by every reconstructed shard, not duplicated per
-    /// shard.
+    /// One copy of the key side per deployment, before and after a
+    /// restart: a cold build shares the key-side point sets and indices
+    /// across every shard (an adless one included), the writer persists
+    /// that one copy, and the reader re-establishes the sharing — which a
+    /// delta applied after the reload keeps.
     #[test]
     fn reload_shares_key_side_state_across_shards_instead_of_duplicating_it() {
+        let assert_one_key_side = |builder: &ShardedDeltaBuilder, when: &str| {
+            let parts = builder.slot_parts();
+            assert_eq!(parts.len(), 4);
+            let (first_inputs, first_indexes) = parts[0];
+            for (s, (inputs, indexes)) in parts.into_iter().enumerate() {
+                assert!(
+                    inputs.shares_key_side_with(first_inputs),
+                    "{when}: shard {s} duplicates the key point sets"
+                );
+                assert!(
+                    indexes.shares_key_side_with(first_indexes),
+                    "{when}: shard {s} duplicates the key indices"
+                );
+            }
+        };
         let file = TmpFile::new("arc-sharing");
-        let live = ShardedDeltaBuilder::new(
-            &tiny_inputs(),
+        // shard 3 starts adless; ads 303 and 304 hash to it
+        let mut live = ShardedDeltaBuilder::new(
+            &tiny_inputs_leaving_shard_adless(4, 3),
             ShardedEngine::builder().shards(4).top_k(6).threads(1),
         )
         .unwrap();
+        assert!(live.slot_parts()[3].1.q2a.is_empty());
+        assert_one_key_side(&live, "cold build");
         let handle = EngineHandle::new(live.engine().unwrap());
+        // ad 200 lives on shard 1: a delta confined to one shard
+        let retire = IndexDelta::retire_only(&tiny_inputs(), vec![200]);
+        handle.publish_delta(&mut live, &retire).unwrap();
+        assert_one_key_side(&live, "after a one-shard delta");
         handle.save_snapshot(&live, file.path()).unwrap();
-        let (_, rebuilt) = EngineHandle::load(file.path()).unwrap();
-        let parts = rebuilt.slot_parts();
-        assert_eq!(parts.len(), 4);
-        let (first_inputs, first_indexes) = &parts[0];
-        for (inputs, indexes) in &parts[1..] {
-            assert!(Arc::ptr_eq(&inputs.queries_qq, &first_inputs.queries_qq));
-            assert!(Arc::ptr_eq(&inputs.queries_qa, &first_inputs.queries_qa));
-            assert!(Arc::ptr_eq(&inputs.items_ia, &first_inputs.items_ia));
-            assert!(Arc::ptr_eq(&indexes.q2q, &first_indexes.q2q));
-            assert!(Arc::ptr_eq(&indexes.i2i, &first_indexes.i2i));
+        let (restarted, mut rebuilt) = EngineHandle::load(file.path()).unwrap();
+        assert_one_key_side(&rebuilt, "after the reload");
+        restarted
+            .publish_delta(&mut rebuilt, &make_delta(303..305, 9, Vec::new()))
+            .unwrap();
+        assert!(!rebuilt.slot_parts()[3].1.q2a.is_empty());
+        assert_one_key_side(&rebuilt, "after populating the adless shard");
+    }
+
+    /// What keeps `snapshot_mb` exact: a cold-built deployment — key side
+    /// built once, every index its own pool task — seals to the very bytes
+    /// of a deployment assembled from independent full builds of every
+    /// shard (whose key sides agree bit for bit, see the cold-build parity
+    /// test in `delta.rs`; shard 0's is the one the writer persists).
+    #[test]
+    fn cold_build_snapshot_bytes_equal_those_of_independent_per_shard_full_builds() {
+        for inputs in [tiny_inputs(), tiny_inputs_leaving_shard_adless(4, 3)] {
+            for backend in backends() {
+                for shards in [1usize, 2, 4] {
+                    let topology = ShardedEngine::builder()
+                        .shards(shards)
+                        .top_k(6)
+                        .threads(1)
+                        .build_threads(4)
+                        .backend(backend);
+                    let cold = ShardedDeltaBuilder::new(&inputs, topology.clone()).unwrap();
+                    let mut first: Option<IndexSet> = None;
+                    let parts = shard_inputs(&inputs, shards)
+                        .into_iter()
+                        .map(|part| {
+                            let full = IndexSet::build(&part, topology.index).unwrap();
+                            let first = first.get_or_insert_with(|| full.clone());
+                            (part, first.with_ad_side(full.q2a, full.i2a))
+                        })
+                        .collect();
+                    let reference = ShardedDeltaBuilder::from_slot_parts(topology, parts).unwrap();
+                    assert!(
+                        writer::snapshot_bytes(&cold, 1).unwrap()
+                            == writer::snapshot_bytes(&reference, 1).unwrap(),
+                        "{} backend, {shards} shards: snapshot bytes differ",
+                        backend.label()
+                    );
+                }
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! The reader is the warm-restart path: it decodes the key-side state
 //! once, re-establishes the [`Arc`] sharing the writer collapsed (every
 //! reconstructed shard's key sets and key indices point at the *same*
-//! allocations, exactly like a fresh [`crate::shard::shard_inputs`]
-//! split would arrange), and hands the per-shard parts to
+//! allocations, exactly as a cold [`ShardedDeltaBuilder::new`] shares
+//! them), and hands the per-shard parts to
 //! [`ShardedDeltaBuilder::from_slot_parts`] — which only re-wraps the
 //! decoded indices in serving engines, skipping the O(keys × ads)
 //! neighbour build entirely. That skip is what makes a restart I/O-bound
@@ -14,7 +14,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use amcad_mnn::AnnBackendState;
+use amcad_mnn::{AnnBackendState, InvertedIndex};
 
 use crate::delta::ShardedDeltaBuilder;
 use crate::error::RetrievalError;
@@ -52,10 +52,14 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
     let queries_qa = Arc::new(decode_point_set(&mut dec)?);
     let items_ii = Arc::new(decode_point_set(&mut dec)?);
     let items_ia = Arc::new(decode_point_set(&mut dec)?);
-    let q2q = Arc::new(decode_index(&mut dec)?);
-    let q2i = Arc::new(decode_index(&mut dec)?);
-    let i2q = Arc::new(decode_index(&mut dec)?);
-    let i2i = Arc::new(decode_index(&mut dec)?);
+    let key_side = IndexSet {
+        q2q: Arc::new(decode_index(&mut dec)?),
+        q2i: Arc::new(decode_index(&mut dec)?),
+        i2q: Arc::new(decode_index(&mut dec)?),
+        i2i: Arc::new(decode_index(&mut dec)?),
+        q2a: InvertedIndex::default(),
+        i2a: InvertedIndex::default(),
+    };
     let mut parts: Vec<(IndexBuildInputs, IndexSet)> = Vec::with_capacity(manifest.shards);
     for s in 0..manifest.shards {
         let ads_qa = decode_point_set(&mut dec)?;
@@ -102,15 +106,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
             items_ia: Arc::clone(&items_ia),
             ads_ia,
         };
-        let indexes = IndexSet {
-            q2q: Arc::clone(&q2q),
-            q2i: Arc::clone(&q2i),
-            i2q: Arc::clone(&i2q),
-            i2i: Arc::clone(&i2i),
-            q2a,
-            i2a,
-        };
-        parts.push((inputs, indexes));
+        parts.push((inputs, key_side.with_ad_side(q2a, i2a)));
     }
     dec.finish()?;
     let topology = ShardedEngineBuilder::default()

@@ -32,13 +32,19 @@ pub(crate) fn snapshot_bytes(
     let parts = builder.slot_parts();
     let mut enc = Encoder::new();
     manifest.encode(&mut enc);
-    // key-side state once per deployment: every shard holds the same
-    // Arc'd sets and builds identical key indices from them
+    // key-side state once per deployment: every shard shares shard 0's
+    // Arc'd key sets and key indices
     let Some((inputs, indexes)) = parts.first() else {
         return Err(RetrievalError::SnapshotCorrupt {
             detail: "deployment has zero shards, nothing to snapshot".to_string(),
         });
     };
+    debug_assert!(
+        parts
+            .iter()
+            .all(|(i, x)| i.shares_key_side_with(inputs) && x.shares_key_side_with(indexes)),
+        "a shard holds its own copy of the key side: persisting shard 0's would lose it"
+    );
     encode_point_set(&mut enc, &inputs.queries_qq);
     encode_point_set(&mut enc, &inputs.queries_qi);
     encode_point_set(&mut enc, &inputs.items_qi);
