@@ -206,7 +206,7 @@ fn main() {
     let healthy_levels = levels_json(&reports);
     let healthy_serves = sharded.replica_serves();
     for shard in 0..sharded.active_shards() {
-        sharded.fail_replica(shard, 1);
+        sharded.shard(shard).fail_replica(1);
     }
     println!("-- same topology, one replica per shard killed (failover)");
     let reports = sustained_ladder(handle, &requests, &qps_levels, requests_per_level);
@@ -244,7 +244,7 @@ fn main() {
             .expect("pipeline inputs always build a valid sharded engine"),
     );
     // one straggling replica, an order of magnitude past the hedge delay
-    hedged.delay_replica(0, 0, hedge_delay * 10);
+    hedged.shard(0).delay_replica(0, hedge_delay * 10);
     let runtime_config = RuntimeConfig {
         workers: 2,
         queue_depth: 64,

@@ -458,7 +458,7 @@ fn main() {
         );
         if replicas > 1 {
             // a straggling replica far past the hedge delay: hedges engage
-            engine.delay_replica(0, 0, hedge_delay * 10);
+            engine.shard(0).delay_replica(0, hedge_delay * 10);
         }
         let mut runtime =
             ServingRuntime::new(engine.clone(), runtime_config).expect("a valid runtime config");

@@ -67,7 +67,7 @@ use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
 use crate::runtime::park_pool::PersistentPool;
-use crate::shard::{ad_shard, shard_inputs, ShardedEngine, ShardedEngineBuilder};
+use crate::shard::{ad_shard, shard_inputs, ServingState, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
 /// between two generations. Added ads carry their projected points (and
@@ -385,6 +385,9 @@ struct ShardSlot {
 pub struct ShardedDeltaBuilder {
     topology: ShardedEngineBuilder,
     slots: Vec<ShardSlot>,
+    /// The deployment's pool and hedge control: every generation this
+    /// builder (or a clone of it) assembles serves on the same ones.
+    serving: Arc<ServingState>,
 }
 
 impl ShardedDeltaBuilder {
@@ -445,14 +448,10 @@ impl ShardedDeltaBuilder {
     /// be in shard order, one entry per configured shard (the snapshot
     /// writer guarantees both).
     pub(crate) fn from_slot_parts(
-        mut topology: ShardedEngineBuilder,
+        topology: ShardedEngineBuilder,
         parts: Vec<(IndexBuildInputs, IndexSet)>,
     ) -> Result<Self, RetrievalError> {
         topology.validate()?;
-        // one persistent fan-out pool for the whole deployment: every
-        // generation this builder assembles serves on the same resident
-        // threads instead of spawning a pool per publish
-        topology.ensure_fanout_pool();
         debug_assert_eq!(parts.len(), topology.shards, "one slot part per shard");
         let mut slots = Vec::with_capacity(parts.len());
         for (inputs, indexes) in parts {
@@ -461,7 +460,12 @@ impl ShardedDeltaBuilder {
                 indexes: ShardIndexes::new(indexes, &topology)?,
             });
         }
-        let builder = ShardedDeltaBuilder { topology, slots };
+        let serving = Arc::new(ServingState::new(&topology));
+        let builder = ShardedDeltaBuilder {
+            topology,
+            slots,
+            serving,
+        };
         // an all-adless corpus cannot serve: fail the build, not the
         // first request
         builder.engine()?;
@@ -492,7 +496,11 @@ impl ShardedDeltaBuilder {
         if engines.is_empty() {
             return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
         }
-        Ok(ShardedEngine::from_shard_engines(engines, &self.topology))
+        Ok(ShardedEngine::from_shard_engines(
+            engines,
+            &self.topology,
+            Arc::clone(&self.serving),
+        ))
     }
 
     /// Apply one corpus delta and return the next generation's engine.
@@ -1257,7 +1265,7 @@ mod tests {
         assert_eq!(engine.active_shards(), before, "the shard re-entered");
         // and the replica-loss path on a delta-built generation stays the
         // familiar typed ShardUnavailable error
-        engine.fail_replica(0, 0);
+        engine.shard(0).fail_replica(0);
         assert!(matches!(
             engine
                 .retrieve(&Request {
@@ -1267,5 +1275,53 @@ mod tests {
                 .unwrap_err(),
             RetrievalError::ShardUnavailable { shard: 0, .. }
         ));
+    }
+
+    /// One hedge control per deployment, not per generation: an operator's
+    /// `set_delay` and the `issued` / `wins` a runtime reports must survive
+    /// a delta publish.
+    #[test]
+    fn hedge_control_and_its_tuning_survive_a_delta_publish() {
+        use std::time::Duration;
+        let inputs = tiny_inputs();
+        let mut sharded = ShardedDeltaBuilder::new(
+            &inputs,
+            ShardedEngine::builder()
+                .shards(2)
+                .replicas(2)
+                .top_k(6)
+                .threads(1)
+                .hedge_delay(Duration::from_millis(50)),
+        )
+        .unwrap();
+        let first = sharded.engine().unwrap();
+        let control = Arc::clone(first.hedge_control().unwrap());
+        control.set_delay(Duration::from_millis(2));
+        // a straggler far past the re-tuned delay makes a hedge fire
+        first.shard(0).delay_replica(0, Duration::from_millis(40));
+        let request = Request {
+            query: 3,
+            preclick_items: vec![103],
+        };
+        for _ in 0..2 {
+            first.retrieve(&request).unwrap();
+        }
+        let issued = control.issued();
+        assert!(
+            issued > 0,
+            "one of two round-robin picks hits the straggler"
+        );
+        let next = sharded.apply(&make_delta(300..303, 7, vec![200])).unwrap();
+        let after = next.hedge_control().unwrap();
+        assert!(
+            Arc::ptr_eq(&control, after),
+            "every generation of a deployment shares one hedge control"
+        );
+        assert_eq!(
+            after.delay(),
+            Duration::from_millis(2),
+            "set_delay survived"
+        );
+        assert!(after.issued() >= issued, "the counters did not reset");
     }
 }

@@ -136,20 +136,6 @@ impl RetrievalResponse {
         self.stats = self.stats.logical();
         self
     }
-
-    /// The tail every serving path ends with: a request that reached no
-    /// ad is the typed [`RetrievalError::NoCoverage`] (carrying the work
-    /// it performed), never a silent empty response.
-    pub(crate) fn finish(
-        query: u32,
-        ads: Vec<RetrievedAd>,
-        stats: RetrievalStats,
-    ) -> Result<Self, RetrievalError> {
-        if ads.is_empty() {
-            return Err(RetrievalError::NoCoverage { query, stats });
-        }
-        Ok(RetrievalResponse { ads, stats })
-    }
 }
 
 /// The object-safe serving interface every engine flavour implements:
@@ -305,19 +291,19 @@ impl RetrievalEngine {
     }
 
     /// The bare two-layer retriever — crate-visible so the sharded engine
-    /// can expand keys once and merge per-shard candidate prefixes.
+    /// can run the request loop and read per-shard candidate prefixes.
     pub(crate) fn retriever(&self) -> &TwoLayerRetriever {
         &self.retriever
     }
 
-    /// Serve one request. `Err(NoCoverage)` replaces the old silent empty
-    /// result when neither the query nor its pre-click context reaches any
-    /// ad.
+    /// Serve one request — the batch of one of
+    /// [`RetrievalEngine::retrieve_batch`]. `Err(NoCoverage)` replaces the
+    /// old silent empty result when neither the query nor its pre-click
+    /// context reaches any ad.
     pub fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
-        let (ads, stats) = self
-            .retriever
-            .retrieve_with_stats(request.query, &request.preclick_items);
-        RetrievalResponse::finish(request.query, ads, stats)
+        self.retrieve_batch(std::slice::from_ref(request))
+            .pop()
+            .expect("the request loop answers every request")
     }
 
     /// Serve a batch of requests in one call — the entry point for
@@ -335,12 +321,7 @@ impl RetrievalEngine {
         &self,
         requests: &[Request],
     ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
-        self.retriever
-            .retrieve_batch_with_stats(requests)
-            .into_iter()
-            .zip(requests)
-            .map(|((ads, stats), request)| RetrievalResponse::finish(request.query, ads, stats))
-            .collect()
+        self.retriever.serve_local(requests)
     }
 
     /// Single-layer baseline (raw query's Q2A only) — kept for coverage

@@ -74,7 +74,7 @@
 //! queued neighbours batch into one scan-deduplicated `retrieve_batch`,
 //! and with [`ShardedEngineBuilder::hedge_delay`] a straggling shard
 //! gather is hedged to a sibling replica, first response winning.
-//! Per-replica weights ([`ShardedEngine::set_replica_weight`]) and the
+//! Per-replica weights ([`ReplicatedShard::set_replica_weight`]) and the
 //! [`warm_rollout`] helper drain, warm and relabel one replica at a
 //! time from a snapshot, so a deployment keeps serving generation G
 //! while G+1 warms. [`Scenario`] traffic (flash crowds, Zipf-skewed
@@ -114,7 +114,7 @@
 //!
 //! // availability: a lost replica reroutes traffic, rankings unchanged;
 //! // only a shard with zero replicas left degrades to a typed error
-//! sharded.fail_replica(0, 1);
+//! sharded.shard(0).fail_replica(1);
 //! assert_eq!(sharded.shard(0).healthy_replicas(), 1);
 //!
 //! // update: rebuild offline, then swap — zero downtime

@@ -8,14 +8,19 @@
 //! queries and items lets the system serve requests whose raw query has a
 //! thin (or empty) Q2A posting list.
 //!
-//! [`TwoLayerRetriever`] is the layer logic; production callers go through
-//! [`crate::RetrievalEngine`], which adds backend selection, typed errors,
-//! batching and per-request statistics on top.
+//! [`TwoLayerRetriever`] is the layer logic, and its crate-internal
+//! `serve` is the one request loop of the crate: expansion, the
+//! batch-scope fetch cache, scoring and the per-request result live there
+//! once, and every engine flavour — single node, sharded, hedged — passes
+//! in only how a key's candidate prefix is fetched. Production callers go
+//! through [`crate::RetrievalEngine`] / [`crate::ShardedEngine`], which add
+//! backend selection and the deployment topology on top.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Deref;
 
-use crate::engine::{CoverageSource, Request, RetrievalStats};
+use crate::engine::{CoverageSource, ReplicaId, Request, RetrievalResponse, RetrievalStats};
+use crate::error::RetrievalError;
 use crate::index_set::IndexSet;
 
 /// Configuration of the two-layer retrieval.
@@ -54,8 +59,8 @@ pub(crate) enum KeyOrigin {
 /// An expanded retrieval key: a query or item node, the weight it
 /// contributes to ads retrieved through it, and its provenance.
 ///
-/// Crate-visible so the sharded engine can expand keys once and fan the
-/// same key set out to every shard's second layer.
+/// Crate-visible because the fetch strategies of
+/// [`TwoLayerRetriever::serve`] are handed the keys to fetch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Key {
     pub(crate) id: u32,
@@ -73,9 +78,14 @@ pub struct RetrievedAd {
     pub score: f64,
 }
 
-/// Batch-scope fetch cache: `(is_item, key id)` → (index of the request
-/// that first fetched it, the borrowed candidate prefix).
-type FetchCache<'a> = HashMap<(bool, u32), (usize, &'a [(u32, f64)])>;
+/// What a fetch strategy returns for one request: the physical route it
+/// took (empty on a single node) and the candidate prefix of every key it
+/// was asked for, in the order asked.
+pub(crate) type Fetched<L> = (Vec<ReplicaId>, Vec<L>);
+
+/// Batch-scope fetch cache: `(is_item, key id)` → the key's slot in the
+/// batch's list of fetched candidate prefixes.
+type FetchCache = HashMap<(bool, u32), usize>;
 
 /// The two-layer retriever over a built [`IndexSet`].
 #[derive(Debug, Clone)]
@@ -116,7 +126,7 @@ impl TwoLayerRetriever {
     /// key set, appended to the caller-owned `keys` scratch buffer (cleared
     /// first) so batch callers reuse one allocation. Counts postings scanned
     /// into `stats`.
-    pub(crate) fn expand_keys_into(
+    fn expand_keys_into(
         &self,
         query: u32,
         preclick_items: &[u32],
@@ -204,56 +214,47 @@ impl TwoLayerRetriever {
         }
     }
 
-    /// Serve one request, reporting per-request statistics: query +
-    /// pre-click items → (ranked ads, stats).
-    pub fn retrieve_with_stats(
-        &self,
-        query: u32,
-        preclick_items: &[u32],
-    ) -> (Vec<RetrievedAd>, RetrievalStats) {
-        let mut stats = RetrievalStats::default();
-        let mut keys = Vec::new();
-        self.expand_keys_into(query, preclick_items, &mut stats, &mut keys);
-        let per_key = self.config.ads_per_key;
-        let candidates: Vec<&[(u32, f64)]> = keys
-            .iter()
-            .map(|key| {
-                let c = self.key_candidates(key, per_key);
-                stats.postings_scanned += c.len();
-                c
-            })
-            .collect();
-        let mut scratch = HashMap::new();
-        let ads = score_candidates(
-            &keys,
-            &candidates,
-            self.config.final_top_n,
-            &mut scratch,
-            &mut stats,
-        );
-        (ads, stats)
-    }
-
-    /// Serve a whole batch, deduplicating second-layer work across
-    /// requests: the candidate prefix of each distinct `(layer, key)` is
-    /// fetched (and its scan counted) once per batch, and the key / score
-    /// scratch buffers are reused across requests. Per-request rankings are
-    /// identical to [`TwoLayerRetriever::retrieve_with_stats`]; only
-    /// `postings_scanned` differs — a scan shared with an *earlier* request
-    /// in the batch is attributed to that earlier request, so the batch's
-    /// summed scan count is the true deduplicated work.
-    pub(crate) fn retrieve_batch_with_stats(
+    /// The request loop — the one place a request is served, whatever the
+    /// deployment. Per request: layer 1 expands the keys, `fetch` supplies
+    /// the candidate prefixes of the keys no earlier request of the batch
+    /// fetched (and the route it took to get them), layer 2 scores.
+    ///
+    /// The candidate prefix of each distinct `(layer, key)` is fetched once
+    /// per batch, and its scan is billed to the request that first needed
+    /// it — once per occurrence there, so a key repeated *within* that
+    /// request re-counts exactly as an uncached lookup would, and the
+    /// batch's summed `postings_scanned` is the true deduplicated work of
+    /// the later requests. Rankings never depend on the batch around a
+    /// request.
+    ///
+    /// `fetch` runs once per request, also when every key is cached
+    /// (routing is per request), and its error is that request's result
+    /// alone. The three strategies: a single node borrows its own posting
+    /// prefixes ([`TwoLayerRetriever::serve_local`]); the sharded engine
+    /// merges every shard's prefix on its fan-out pool; the hedged engine
+    /// merges hedged per-shard gathers.
+    pub(crate) fn serve<L: Deref<Target = [(u32, f64)]>>(
         &self,
         requests: &[Request],
-    ) -> Vec<(Vec<RetrievedAd>, RetrievalStats)> {
-        let per_key = self.config.ads_per_key;
-        let mut fetched: FetchCache<'_> = HashMap::new();
-        let mut keys: Vec<Key> = Vec::new();
-        // one posting slice per expanded key; pre-sized for the common
-        // fan-out (raw query + expansions) and reused across the batch
-        let mut candidates: Vec<&[(u32, f64)]> =
-            Vec::with_capacity(2 * (1 + self.config.expansion_per_index));
-        let mut scratch: HashMap<u32, f64> = HashMap::new();
+        mut fetch: impl FnMut(&[Key]) -> Result<Fetched<L>, RetrievalError>,
+    ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
+        // scratch reused across the batch, pre-sized for its widest request
+        // (a raw key and its two expansions, per query and pre-click item)
+        // so that serving a lone request never regrows a buffer
+        let per_raw_key = 1 + 2 * self.config.expansion_per_index;
+        let widest = requests
+            .iter()
+            .map(|r| (1 + r.preclick_items.len()) * per_raw_key)
+            .max()
+            .unwrap_or(0);
+        let mut cache: FetchCache = HashMap::with_capacity(widest);
+        // slot → (index of the request that fetched it, the prefix)
+        let mut lists: Vec<(usize, L)> = Vec::with_capacity(widest);
+        let mut keys: Vec<Key> = Vec::with_capacity(widest);
+        let mut slots: Vec<usize> = Vec::with_capacity(widest);
+        let mut missing: Vec<Key> = Vec::with_capacity(widest);
+        let mut scratch: HashMap<u32, f64> =
+            HashMap::with_capacity(widest * self.config.ads_per_key);
         let mut out = Vec::with_capacity(requests.len());
         for (r, request) in requests.iter().enumerate() {
             let mut stats = RetrievalStats::default();
@@ -263,36 +264,91 @@ impl TwoLayerRetriever {
                 &mut stats,
                 &mut keys,
             );
-            candidates.clear();
+            // a key nobody fetched yet takes the next free slot, which the
+            // fetch below fills in the same order
+            slots.clear();
+            missing.clear();
             for key in &keys {
-                let slice = match fetched.entry((key.is_item, key.id)) {
-                    Entry::Occupied(e) => {
-                        let &(first, slice) = e.get();
-                        // a repeat within the *same* request re-scans in the
-                        // single-request path too — keep the counts aligned
-                        if first == r {
-                            stats.postings_scanned += slice.len();
-                        }
-                        slice
+                let next = lists.len() + missing.len();
+                let slot = *cache.entry((key.is_item, key.id)).or_insert(next);
+                if slot == next {
+                    missing.push(*key);
+                }
+                slots.push(slot);
+            }
+            let route = match fetch(&missing) {
+                Ok((route, fetched)) => {
+                    debug_assert_eq!(fetched.len(), missing.len());
+                    lists.extend(fetched.into_iter().map(|list| (r, list)));
+                    route
+                }
+                Err(e) => {
+                    for key in &missing {
+                        cache.remove(&(key.is_item, key.id));
                     }
-                    Entry::Vacant(v) => {
-                        let slice = self.key_candidates(key, per_key);
-                        stats.postings_scanned += slice.len();
-                        v.insert((r, slice)).1
-                    }
-                };
-                candidates.push(slice);
+                    out.push(Err(e));
+                    continue;
+                }
+            };
+            for &slot in &slots {
+                let (first, list) = &lists[slot];
+                if *first == r {
+                    stats.postings_scanned += list.len();
+                }
             }
             let ads = score_candidates(
-                &keys,
-                &candidates,
+                keys.iter().zip(slots.iter().map(|&slot| &*lists[slot].1)),
                 self.config.final_top_n,
                 &mut scratch,
                 &mut stats,
             );
-            out.push((ads, stats));
+            stats.served_by = route;
+            // a request that reached no ad is a typed error carrying the
+            // work it performed, never a silent empty response
+            out.push(if ads.is_empty() {
+                Err(RetrievalError::NoCoverage {
+                    query: request.query,
+                    stats,
+                })
+            } else {
+                Ok(RetrievalResponse { ads, stats })
+            });
         }
         out
+    }
+
+    /// The single-node fetch strategy: every key's candidate prefix is
+    /// borrowed straight from this node's own Q2A / I2A — no copy, no
+    /// route, no way to fail.
+    pub(crate) fn serve_local(
+        &self,
+        requests: &[Request],
+    ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
+        let per_key = self.config.ads_per_key;
+        self.serve(requests, |keys| {
+            let prefixes = keys.iter().map(|key| self.key_candidates(key, per_key));
+            Ok((Vec::new(), prefixes.collect()))
+        })
+    }
+
+    /// Serve one request, reporting per-request statistics: query +
+    /// pre-click items → (ranked ads, stats). The single-node request
+    /// loop's batch of one; at this level an uncovered request is an empty
+    /// ranking, not an error.
+    pub fn retrieve_with_stats(
+        &self,
+        query: u32,
+        preclick_items: &[u32],
+    ) -> (Vec<RetrievedAd>, RetrievalStats) {
+        let request = Request {
+            query,
+            preclick_items: preclick_items.to_vec(),
+        };
+        match self.serve_local(std::slice::from_ref(&request)).pop() {
+            Some(Ok(response)) => (response.ads, response.stats),
+            Some(Err(RetrievalError::NoCoverage { stats, .. })) => (Vec::new(), stats),
+            other => unreachable!("a node cannot fail to borrow its own postings: {other:?}"),
+        }
     }
 
     /// Serve one request: query + pre-click items → ranked ads.
@@ -324,29 +380,26 @@ impl TwoLayerRetriever {
     }
 }
 
-/// Second-layer scoring shared by every serving path (single request,
-/// deduplicated batch, sharded fan-out): merge per-key candidate lists into
-/// a ranked ad list. The score of an ad reached through several keys is the
-/// maximum of its per-key scores — rewriting should not double-count
-/// popularity. Tracks which key origins contributed candidates, so the
-/// reported coverage source answers "would this request be covered without
-/// the expansion / pre-click channels?".
+/// Second-layer scoring: merge per-key candidate lists into a ranked ad
+/// list. The score of an ad reached through several keys is the maximum
+/// of its per-key scores — rewriting should not double-count popularity.
+/// Tracks which key origins contributed candidates, so the reported
+/// coverage source answers "would this request be covered without the
+/// expansion / pre-click channels?".
 ///
-/// `candidates` is aligned with `keys` (one list per key occurrence).
+/// `keyed` yields one `(key, candidate list)` pair per key occurrence.
 /// Scan counting is the *caller's* job — done where the candidates are
 /// fetched, so deduplicated fetches are not double-counted here.
 /// `merged_scratch` is a reusable accumulator (cleared on entry).
-pub(crate) fn score_candidates(
-    keys: &[Key],
-    candidates: &[&[(u32, f64)]],
+fn score_candidates<'k>(
+    keyed: impl Iterator<Item = (&'k Key, &'k [(u32, f64)])>,
     final_top_n: usize,
     merged_scratch: &mut HashMap<u32, f64>,
     stats: &mut RetrievalStats,
 ) -> Vec<RetrievedAd> {
-    debug_assert_eq!(keys.len(), candidates.len());
     let mut origins: (bool, bool, bool) = (false, false, false);
     merged_scratch.clear();
-    for (key, list) in keys.iter().zip(candidates) {
+    for (key, list) in keyed {
         if !list.is_empty() {
             match key.origin {
                 KeyOrigin::RawQuery => origins.0 = true,
@@ -400,6 +453,17 @@ mod tests {
         )
         .unwrap();
         TwoLayerRetriever::new(indexes, RetrievalConfig::default())
+    }
+
+    /// Unwrap a covered batch into the `(ads, stats)` pairs
+    /// `retrieve_with_stats` reports.
+    fn served(
+        batch: Vec<Result<RetrievalResponse, RetrievalError>>,
+    ) -> Vec<(Vec<RetrievedAd>, RetrievalStats)> {
+        batch
+            .into_iter()
+            .map(|result| result.map(|r| (r.ads, r.stats)).unwrap())
+            .collect()
     }
 
     #[test]
@@ -481,7 +545,7 @@ mod tests {
                 preclick_items: vec![101, 115],
             })
             .collect();
-        let batch = r.retrieve_batch_with_stats(&requests);
+        let batch = served(r.serve_local(&requests));
         let (single_ads, single_stats) = r.retrieve_with_stats(3, &[101, 115]);
         assert!(single_stats.postings_scanned > single_stats.keys_expanded);
         for (ads, stats) in &batch {
@@ -518,7 +582,7 @@ mod tests {
                 preclick_items: vec![100 + q],
             })
             .collect();
-        let batch = r.retrieve_batch_with_stats(&requests);
+        let batch = served(r.serve_local(&requests));
         for (request, (ads, stats)) in requests.iter().zip(&batch) {
             let (single_ads, single_stats) =
                 r.retrieve_with_stats(request.query, &request.preclick_items);

@@ -18,9 +18,10 @@
 //!   wasting service capacity on an answer nobody is waiting for.
 //! * **Batch dedup for free** — workers drain up to
 //!   [`RuntimeConfig::batch_size`] queued requests per wakeup and serve
-//!   them through [`Retrieve::retrieve_batch`], so the engine-level
-//!   cross-request scan dedup engages exactly when load (and therefore
-//!   key overlap) is highest.
+//!   them through [`Retrieve::retrieve_batch`] — always, because an
+//!   engine's batch of one *is* its `retrieve` (the one that hedges on a
+//!   hedged deployment) — so the engine-level cross-request scan dedup
+//!   engages exactly when load (and therefore key overlap) is highest.
 //! * **Traffic scenarios** — [`ServingRuntime::run_scenario`] drives the
 //!   runtime with open-loop [`Scenario`]s (sustained load, flash crowds,
 //!   Zipf-skewed template popularity) and reports
@@ -75,9 +76,9 @@ pub struct RuntimeConfig {
     /// submission is shed instead of served, and a completion later than
     /// this counts toward `timed_out` rather than goodput.
     pub deadline: Duration,
-    /// Requests a worker drains per wakeup; several live requests are
-    /// served through [`Retrieve::retrieve_batch`], engaging the
-    /// engine-level cross-request scan dedup.
+    /// Requests a worker drains per wakeup and serves through one
+    /// [`Retrieve::retrieve_batch`] call; several live requests engage
+    /// the engine-level cross-request scan dedup.
     pub batch_size: usize,
 }
 
@@ -509,36 +510,27 @@ fn worker_loop(shared: &RuntimeShared) {
                 live.push(item);
             }
         }
-        match live.len() {
-            0 => {}
-            1 => {
-                let item = live.pop().expect("len checked");
-                let result = shared.engine.retrieve(&item.request);
-                // monotonic telemetry only; the ticket fulfil below carries
-                // the actual result synchronisation
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                item.ticket.fulfill(result);
-            }
-            _ => {
-                // several live requests: serve through the batch path so
-                // the engine's cross-request scan dedup engages. Move the
-                // requests out of the queued items (instead of cloning
-                // them) — after dispatch only the tickets are needed to
-                // fulfil, so the split is free.
-                requests.clear();
-                tickets.clear();
-                for item in live.drain(..) {
-                    requests.push(item.request);
-                    tickets.push(item.ticket);
-                }
-                let results = shared.engine.retrieve_batch(&requests);
-                debug_assert_eq!(results.len(), tickets.len());
-                for (ticket, result) in tickets.drain(..).zip(results) {
-                    // monotonic telemetry only, as above
-                    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    ticket.fulfill(result);
-                }
-            }
+        if live.is_empty() {
+            continue;
+        }
+        // one path whatever the count: the engine's batch of one *is* its
+        // single-request path, and several live requests engage its
+        // cross-request scan dedup. Move the requests out of the queued
+        // items (instead of cloning them) — after dispatch only the
+        // tickets are needed to fulfil, so the split is free.
+        requests.clear();
+        tickets.clear();
+        for item in live.drain(..) {
+            requests.push(item.request);
+            tickets.push(item.ticket);
+        }
+        let results = shared.engine.retrieve_batch(&requests);
+        debug_assert_eq!(results.len(), tickets.len());
+        for (ticket, result) in tickets.drain(..).zip(results) {
+            // monotonic telemetry only; the ticket fulfil carries the
+            // actual result synchronisation
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            ticket.fulfill(result);
         }
     }
 }
@@ -552,11 +544,12 @@ fn worker_loop(shared: &RuntimeShared) {
 /// 1. the snapshot is decoded into the next-generation engine (the
 ///    expensive part — no index rebuild, but a full file read),
 /// 2. each replica of the *current* deployment is drained
-///    ([`ShardedEngine::begin_warmup`]: weight 0 — siblings keep serving
-///    generation G), labeled with the incoming data generation and
-///    restored ([`ShardedEngine::finish_warmup`]); `on_stage(shard,
-///    replica)` runs while the replica is drained, which is where tests
-///    issue probe requests to prove old-generation serving continues,
+///    ([`crate::ReplicatedShard::begin_warmup`]: weight 0 — siblings keep
+///    serving generation G), labeled with the incoming data generation
+///    and restored ([`crate::ReplicatedShard::finish_warmup`]);
+///    `on_stage(shard, replica)` runs while the replica is drained, which
+///    is where tests issue probe requests to prove old-generation serving
+///    continues,
 /// 3. the new engine is published atomically through the handle.
 ///
 /// In this in-process model data visibility flips at the publish — there
@@ -576,9 +569,9 @@ pub fn warm_rollout(
     next.label_generations(generation);
     for shard in 0..current.active_shards() {
         for replica in 0..current.replicas() {
-            current.begin_warmup(shard, replica);
+            current.shard(shard).begin_warmup(replica);
             on_stage(shard, replica);
-            current.finish_warmup(shard, replica, generation);
+            current.shard(shard).finish_warmup(replica, generation);
         }
     }
     Ok(handle.publish_arc(Arc::new(next)))

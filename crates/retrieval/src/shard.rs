@@ -39,11 +39,11 @@
 //!   serving replicas behind round-robin selection with health marking.
 //!   A replica that surfaces an internal error at contact, or is
 //!   administratively killed through the
-//!   [`ShardedEngine::fail_replica`] hook, is marked down and skipped;
+//!   [`ReplicatedShard::fail_replica`] hook, is marked down and skipped;
 //!   traffic fails over to its siblings. Only when a shard loses *all*
 //!   replicas does serving degrade to the typed
 //!   [`RetrievalError::ShardUnavailable`]. Every response records the
-//!   physical route taken in [`RetrievalStats::served_by`], so tests (and
+//!   physical route taken in [`crate::RetrievalStats::served_by`], so tests (and
 //!   operators) can prove failover actually rerouted traffic. In this
 //!   in-process model the replicas of one shard share the shard's
 //!   immutable index storage — what a real deployment copies per machine
@@ -56,14 +56,29 @@
 //! * **Hedged requests** ([`ShardedEngineBuilder::hedge_delay`], default
 //!   off): with replicas ≥ 2, a per-shard gather that has not answered
 //!   within the configured delay is re-issued to a sibling replica and
-//!   the first response wins — [`RetrievalStats::served_by`] records the
+//!   the first response wins — [`crate::RetrievalStats::served_by`] records the
 //!   winner, and [`HedgeControl`] counts issued hedges and hedge wins.
 //!   The delay is runtime-adjustable through
 //!   [`ShardedEngine::hedge_control`], so operators can measure a p95
-//!   first and derive the hedge delay from it without rebuilding.
-//!   Because replicas serve identical data, hedging is a tail-latency
-//!   knob, never a ranking change (parity-tested against the unhedged
-//!   path).
+//!   first and derive the hedge delay from it without rebuilding; the
+//!   control belongs to the deployment, so the tuning and the counters
+//!   survive delta publishes. Because replicas serve identical data,
+//!   hedging is a tail-latency knob, never a ranking change
+//!   (parity-tested against the unhedged path).
+//!
+//! ## Serving: one loop, this module's two fetch strategies
+//!
+//! The request loop itself — key expansion, the batch-scope fetch cache
+//! with its scan attribution, scoring, the per-request result — is
+//! [`crate::TwoLayerRetriever`]'s crate-internal `serve`, shared with the
+//! single-node engine. [`ShardedEngine::retrieve_batch`] hands it the one
+//! thing a topology changes: where the candidate prefixes of a request's
+//! not-yet-cached keys come from. Unhedged, that is a per-request route
+//! plus `merge_prefixes` over every shard's local prefix, per key on
+//! the fan-out pool. Hedged, it is the same merge over hedged per-shard
+//! gathers. [`ShardedEngine::retrieve`] is the batch of one, and a batch
+//! of one is what hedges: a larger batch does not, because its dedup
+//! already amortises the gathers hedging exists to shorten.
 //!
 //! ## Why the merge is exactly right, not approximately right
 //!
@@ -82,31 +97,23 @@
 //! prefix a whole-corpus index would have produced — parity holds for the
 //! ads, the scores, the logical stats and the coverage attribution alike
 //! (the property tests in this module assert all four; only the physical
-//! [`RetrievalStats::served_by`] route reflects the topology).
+//! [`crate::RetrievalStats::served_by`] route reflects the topology).
 //!
 //! With the (deterministic) exact backend this parity is unconditional.
 //! With IVF it holds only under full probing: per-shard clustering is a
 //! different quantisation than whole-corpus clustering, so partial probes
 //! may recall different candidates per shard.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-// amcad-lint: allow(no-std-sync-primitives) — the hedge rendezvous parks on std::sync::Condvar, which only pairs with std MutexGuard; poison is recovered via PoisonError::into_inner
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use crate::delta::ShardedDeltaBuilder;
-use crate::engine::{
-    ReplicaId, Request, RetrievalEngine, RetrievalResponse, RetrievalStats, Retrieve,
-};
+use crate::engine::{ReplicaId, Request, RetrievalEngine, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs};
-use crate::retriever::{score_candidates, Key, RetrievalConfig};
+use crate::retriever::{Fetched, Key, RetrievalConfig};
 use crate::runtime::park_pool::PersistentPool;
-
-/// Batch-scope gather cache: `(is_item, key id)` → (index of the request
-/// that first gathered it, the merged whole-corpus candidate prefix).
-type MergedCache = HashMap<(bool, u32), (usize, Vec<(u32, f64)>)>;
 
 /// Deterministic shard assignment for an ad id (Fibonacci hashing): the
 /// same ad always lands on the same shard, independent of shard build
@@ -159,12 +166,6 @@ pub struct ShardedEngineBuilder {
     pub(crate) build_threads: usize,
     pub(crate) fanout_threads: usize,
     pub(crate) hedge_delay: Option<Duration>,
-    /// The persistent fan-out/hedge pool, created once per deployment by
-    /// [`ShardedEngineBuilder::ensure_fanout_pool`] and shared (`Arc`)
-    /// across every generation built from this topology — delta publishes
-    /// and warm restarts reuse the resident threads instead of spawning
-    /// new ones per generation.
-    pub(crate) fanout_pool: Option<Arc<PersistentPool>>,
     pub(crate) index: IndexBuildConfig,
     pub(crate) retrieval: RetrievalConfig,
 }
@@ -177,7 +178,6 @@ impl Default for ShardedEngineBuilder {
             build_threads: 0, // auto: min(build tasks, available cores)
             fanout_threads: 1,
             hedge_delay: None,
-            fanout_pool: None,
             index: IndexBuildConfig::default(),
             retrieval: RetrievalConfig::default(),
         }
@@ -227,24 +227,6 @@ impl ShardedEngineBuilder {
     pub fn hedge_delay(mut self, delay: Duration) -> Self {
         self.hedge_delay = Some(delay);
         self
-    }
-
-    /// Create the persistent fan-out pool this topology serves on, if it
-    /// needs one and does not have one yet. Called where a deployment's
-    /// shard state is assembled (fresh build or snapshot reload) so all
-    /// generations of one deployment share a single resident pool.
-    /// Hedging needs at least width 2 even with an inline fan-out: the
-    /// hedged gathers run as background tasks.
-    pub(crate) fn ensure_fanout_pool(&mut self) {
-        let hedging = self.hedge_delay.is_some() && self.replicas > 1;
-        let width = if hedging {
-            self.fanout_threads.max(2)
-        } else {
-            self.fanout_threads
-        };
-        if width > 1 && self.fanout_pool.is_none() {
-            self.fanout_pool = Some(Arc::new(PersistentPool::new(width)));
-        }
     }
 
     /// Select the ANN backend every shard builds its indices with.
@@ -642,9 +624,10 @@ impl ReplicatedShard {
 
 /// Shared observability and tuning surface of the hedged-request path.
 ///
-/// One instance per [`ShardedEngine`] deployment (shared by clones and
-/// delta generations through the builder's pool `Arc`). The delay is a
-/// live knob: measure a p95 on real traffic first, then
+/// One instance per [`ShardedEngine`] deployment: clones and every delta
+/// generation share it through the deployment's serving state, so a
+/// re-tuned delay and the counters survive a publish. The delay is a live
+/// knob: measure a p95 on real traffic first, then
 /// [`HedgeControl::set_delay`] the p9x-derived value without rebuilding
 /// the engine.
 #[derive(Debug)]
@@ -689,87 +672,49 @@ impl HedgeControl {
     }
 }
 
-/// The hedging machinery of one deployment: the shared control/counters
-/// plus the persistent pool the hedged gathers run on.
-#[derive(Debug, Clone)]
-struct HedgeRuntime {
-    control: Arc<HedgeControl>,
-    pool: Arc<PersistentPool>,
+/// What one deployment serves on, created once where its shard state is
+/// assembled (fresh build or snapshot reload) and handed to every
+/// generation as one [`Arc`]: delta publishes and clones reuse the
+/// resident threads instead of spawning a pool per generation, and an
+/// operator's hedge tuning outlives the generation it was set on.
+#[derive(Debug)]
+pub(crate) struct ServingState {
+    /// The fan-out and hedged gathers run here. A width-1 pool spawns no
+    /// thread and runs every job inline on the caller.
+    pool: PersistentPool,
+    /// Present when hedging is configured and there is a sibling replica
+    /// to hedge to.
+    hedge: Option<Arc<HedgeControl>>,
 }
 
-/// First-response-wins rendezvous between a request and its (up to two)
-/// replica gathers for one shard.
-struct GatherSlot {
-    outcome: Mutex<Option<GatherOutcome>>,
-    ready: Condvar,
-}
-
-/// What a replica gather delivers: who answered, and that shard's local
-/// posting-list prefix for every expanded key.
-struct GatherOutcome {
-    replica: u32,
-    lists: Vec<Vec<(u32, f64)>>,
-}
-
-impl GatherSlot {
-    fn new() -> Self {
-        GatherSlot {
-            outcome: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Deliver a gather result; only the first delivery is kept.
-    fn deliver(&self, replica: u32, lists: Vec<Vec<(u32, f64)>>) {
-        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(GatherOutcome { replica, lists });
-            self.ready.notify_all();
-        }
-    }
-
-    /// Wait up to `timeout` for a delivery; `None` means the gather is
-    /// straggling and the caller should consider hedging.
-    fn wait_for(&self, timeout: Duration) -> Option<GatherOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        // amcad-lint: allow(unbounded-fanout) — condvar wait loop: bounded by the deadline (checked every wakeup) or a gather delivery
-        loop {
-            if guard.is_some() {
-                return guard.take();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (g, _) = self
-                .ready
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
-        }
-    }
-
-    /// Block until some gather delivers.
-    fn wait(&self) -> GatherOutcome {
-        let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        // amcad-lint: allow(unbounded-fanout) — condvar wait loop: bounded by gather delivery; callers only block here after at least one gather was spawned
-        loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
+impl ServingState {
+    pub(crate) fn new(topology: &ShardedEngineBuilder) -> Self {
+        let hedge = topology
+            .hedge_delay
+            .filter(|_| topology.replicas > 1)
+            .map(|delay| Arc::new(HedgeControl::new(delay)));
+        // hedged gathers are background tasks: they need a resident worker
+        // even when the fan-out itself is inline
+        let width = match hedge {
+            Some(_) => topology.fanout_threads.max(2),
+            None => topology.fanout_threads,
+        };
+        ServingState {
+            pool: PersistentPool::new(width),
+            hedge,
         }
     }
 }
+
+/// One shard's local posting-list prefix of every key of a gather, in
+/// key order.
+type ShardLists = Vec<Vec<(u32, f64)>>;
 
 /// Launch one replica gather as a background task on the persistent
-/// pool. The task owns everything it touches (`Arc`s and copies), so an
-/// abandoned straggler — its sibling already won — finishes harmlessly
-/// in the background.
+/// pool: that shard's [`ShardLists`], sent with the answering replica's
+/// index. The task owns everything it touches (`Arc`s and copies), so an
+/// abandoned straggler — its sibling already won, the receiver is gone —
+/// finishes harmlessly in the background.
 ///
 /// A gather against an artificially delayed replica (the
 /// [`ReplicatedShard::delay_replica`] fault hook) runs on a throwaway
@@ -783,22 +728,23 @@ fn spawn_gather(
     replica: u32,
     keys: &Arc<Vec<Key>>,
     per_key: usize,
-    slot: &Arc<GatherSlot>,
+    deliver: &mpsc::Sender<(u32, ShardLists)>,
 ) {
     let engine = Arc::clone(shard.engine_shared());
     let delay = shard.contact_delay(replica);
     let keys = Arc::clone(keys);
-    let slot = Arc::clone(slot);
+    let deliver = deliver.clone();
     let gather = move || {
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        let lists: Vec<Vec<(u32, f64)>> = keys
+        let lists: ShardLists = keys
             .iter()
             // amcad-lint: allow(alloc-in-hot-loop) — the gather must own its lists: an abandoned straggler outlives every borrow of the engine's postings (see the fn doc), so copying out is the safety contract, not an oversight
             .map(|key| engine.retriever().key_candidates(key, per_key).to_vec())
             .collect();
-        slot.deliver(replica, lists);
+        // the loser of a hedge race sends to nobody
+        let _ = deliver.send((replica, lists));
     };
     if delay.is_zero() {
         pool.spawn(gather);
@@ -830,11 +776,11 @@ fn merge_prefixes<'a>(
 /// globally correct ranking (see the module docs for why the merge is
 /// exact and how replication fails over).
 ///
-/// The merged [`RetrievalStats`] describe the *logical* request — they
+/// The merged [`crate::RetrievalStats`] describe the *logical* request — they
 /// are identical to what a single whole-corpus engine would report, which
 /// is what makes shard count, replica count and pool widths pure
 /// deployment knobs. The one physical field is
-/// [`RetrievalStats::served_by`]: the replica route this request actually
+/// [`crate::RetrievalStats::served_by`]: the replica route this request actually
 /// took, one entry per active shard. The raw cluster-wide work (each
 /// shard scans its own first layer) is `active_shards()` times the
 /// first-layer share of the counters.
@@ -845,34 +791,10 @@ pub struct ShardedEngine {
     replicas: usize,
     index_config: IndexBuildConfig,
     retrieval: RetrievalConfig,
-    fanout: FanoutExec,
-    /// Configured fan-out width, reported truthfully even when hedging
-    /// widened the shared pool (hedging needs width ≥ 2 for its
-    /// background gathers).
+    serving: Arc<ServingState>,
+    /// Configured fan-out width (1 = inline). The pool may be wider:
+    /// hedging needs a resident worker for its background gathers.
     fanout_threads: usize,
-    hedge: Option<HedgeRuntime>,
-}
-
-/// How a request's per-key shard gathers execute: inline on the calling
-/// thread (width 1), or stolen by the deployment's persistent parked
-/// pool. The enum keeps the width-1 path free of any queue interaction.
-#[derive(Debug, Clone)]
-enum FanoutExec {
-    Inline,
-    Pooled(Arc<PersistentPool>),
-}
-
-impl FanoutExec {
-    fn run<T, F>(&self, jobs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self {
-            FanoutExec::Inline => (0..jobs).map(f).collect(),
-            FanoutExec::Pooled(pool) => pool.run(jobs, f),
-        }
-    }
 }
 
 impl ShardedEngine {
@@ -891,34 +813,9 @@ impl ShardedEngine {
     pub(crate) fn from_shard_engines(
         engines: Vec<Arc<RetrievalEngine>>,
         topology: &ShardedEngineBuilder,
+        serving: Arc<ServingState>,
     ) -> ShardedEngine {
         debug_assert!(!engines.is_empty(), "callers reject all-empty builds");
-        // the persistent pool arrives through the topology so every
-        // generation of one deployment shares the same resident threads;
-        // the unwrap_or_else covers callers that construct topologies by
-        // hand without ensure_fanout_pool
-        let fanout = if topology.fanout_threads > 1 {
-            FanoutExec::Pooled(
-                topology
-                    .fanout_pool
-                    .as_ref()
-                    .map(Arc::clone)
-                    .unwrap_or_else(|| Arc::new(PersistentPool::new(topology.fanout_threads))),
-            )
-        } else {
-            FanoutExec::Inline
-        };
-        let hedge = topology
-            .hedge_delay
-            .filter(|_| topology.replicas > 1)
-            .map(|delay| HedgeRuntime {
-                control: Arc::new(HedgeControl::new(delay)),
-                pool: topology
-                    .fanout_pool
-                    .as_ref()
-                    .map(Arc::clone)
-                    .unwrap_or_else(|| Arc::new(PersistentPool::new(2))),
-            });
         ShardedEngine {
             shards: engines
                 .into_iter()
@@ -928,9 +825,8 @@ impl ShardedEngine {
             replicas: topology.replicas,
             index_config: topology.index,
             retrieval: topology.retrieval,
-            fanout,
+            serving,
             fanout_threads: topology.fanout_threads,
-            hedge,
         }
     }
 
@@ -965,24 +861,6 @@ impl ShardedEngine {
         self.shards.iter().map(ReplicatedShard::engine)
     }
 
-    /// Administratively kill one replica (active-shard index, replica
-    /// index) — the failover test hook. Traffic reroutes to the shard's
-    /// remaining replicas; rankings never change.
-    pub fn fail_replica(&self, shard: usize, replica: usize) {
-        self.shards[shard].fail_replica(replica);
-    }
-
-    /// Bring a killed (or poisoned) replica back into rotation.
-    pub fn restore_replica(&self, shard: usize, replica: usize) {
-        self.shards[shard].restore_replica(replica);
-    }
-
-    /// Test hook: the replica's next contact surfaces an internal error,
-    /// which marks it down and fails the request over to a sibling.
-    pub fn poison_replica(&self, shard: usize, replica: usize) {
-        self.shards[shard].poison_replica(replica);
-    }
-
     /// Requests served per replica per active shard — routing
     /// attribution for tests and operators.
     pub fn replica_serves(&self) -> Vec<Vec<u64>> {
@@ -992,37 +870,12 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Set one replica's routing weight (0 drains it — see
-    /// [`ReplicatedShard::set_replica_weight`]).
-    pub fn set_replica_weight(&self, shard: usize, replica: usize, weight: u64) {
-        self.shards[shard].set_replica_weight(replica, weight);
-    }
-
     /// Routing weights per replica per active shard.
     pub fn replica_weights(&self) -> Vec<Vec<u64>> {
         self.shards
             .iter()
             .map(ReplicatedShard::replica_weights)
             .collect()
-    }
-
-    /// Test hook: add artificial contact latency to one replica's hedged
-    /// gathers (models a degraded machine).
-    pub fn delay_replica(&self, shard: usize, replica: usize, delay: Duration) {
-        self.shards[shard].delay_replica(replica, delay);
-    }
-
-    /// Start warming one replica: drain its routing weight so it stops
-    /// taking fresh traffic while the next generation loads (see
-    /// [`crate::runtime::warm_rollout`]).
-    pub fn begin_warmup(&self, shard: usize, replica: usize) {
-        self.shards[shard].begin_warmup(replica);
-    }
-
-    /// Finish warming one replica: label it with `generation` and restore
-    /// its routing weight.
-    pub fn finish_warmup(&self, shard: usize, replica: usize, generation: u64) {
-        self.shards[shard].finish_warmup(replica, generation);
     }
 
     /// Per-replica generation labels per active shard (0 = unlabeled).
@@ -1044,7 +897,7 @@ impl ShardedEngine {
     /// The hedging control surface, when hedged requests are enabled
     /// (requires [`ShardedEngineBuilder::hedge_delay`] and replicas ≥ 2).
     pub fn hedge_control(&self) -> Option<&Arc<HedgeControl>> {
-        self.hedge.as_ref().map(|h| &h.control)
+        self.serving.hedge.as_ref()
     }
 
     /// The index-construction configuration every shard was built with.
@@ -1059,9 +912,7 @@ impl ShardedEngine {
 
     /// Choose the serving replica of every active shard for one request
     /// (round-robin with failover). `Err(ShardUnavailable)` when any
-    /// shard has no healthy replica left — checked before any serving
-    /// work, so a degraded cluster rejects requests instead of silently
-    /// serving a corpus with a hole in it.
+    /// shard has no healthy replica left — before any gather.
     fn route(&self) -> Result<Vec<ReplicaId>, RetrievalError> {
         self.shards
             .iter()
@@ -1075,223 +926,128 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// The globally correct candidate prefix of one key: every shard's
-    /// local prefix, merged ([`merge_prefixes`]) and re-cut to the
-    /// whole-corpus prefix length. A whole-corpus posting list is at most
-    /// `top_k` long, so the global cut is `min(ads_per_key, top_k)`.
-    fn merged_candidates(&self, key: &Key) -> Vec<(u32, f64)> {
-        let per_key = self.retrieval.ads_per_key;
-        merge_prefixes(
-            self.shards
-                .iter()
-                .map(|shard| shard.engine().retriever().key_candidates(key, per_key)),
-            per_key.min(self.index_config.top_k),
-        )
-    }
-
-    /// The tail of every serving path: score the per-key candidate
-    /// prefixes through the shared second-layer path, record the physical
-    /// route and finish the response (or the typed no-coverage error).
-    fn finish(
-        &self,
-        request: &Request,
-        keys: &[Key],
-        candidates: &[&[(u32, f64)]],
-        route: Vec<ReplicaId>,
-        mut stats: RetrievalStats,
-        scratch: &mut HashMap<u32, f64>,
-    ) -> Result<RetrievalResponse, RetrievalError> {
-        let ads = score_candidates(
-            keys,
-            candidates,
-            self.retrieval.final_top_n,
-            scratch,
-            &mut stats,
-        );
-        stats.served_by = route;
-        RetrievalResponse::finish(request.query, ads, stats)
-    }
-
-    /// Serve one request: route to one healthy replica per shard (or fail
-    /// with [`RetrievalError::ShardUnavailable`]), expand keys once
-    /// (first-layer indices are replicated, so any shard's expansion is
-    /// *the* expansion), gather each key's merged whole-corpus candidate
-    /// prefix — on the fan-out pool when one is configured — then score
-    /// through the shared path. Scan counters are accumulated in key
-    /// order after the gather, so the parallel fan-out reports exactly
-    /// the sequential stats.
-    pub fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
-        if let Some(hedge) = &self.hedge {
-            return self.retrieve_hedged(request, hedge);
-        }
+    /// The unhedged fetch strategy: route to one healthy replica per
+    /// shard, then merge every shard's local prefix of each key
+    /// ([`merge_prefixes`]) into the globally correct one — on the fan-out
+    /// pool when one is configured; results come back in key order, so
+    /// the parallel fan-out is the sequential one.
+    fn fetch_merged(&self, keys: &[Key]) -> Result<Fetched<Vec<(u32, f64)>>, RetrievalError> {
         let route = self.route()?;
-        let mut stats = RetrievalStats::default();
-        let mut keys = Vec::new();
-        self.shards[0].engine().retriever().expand_keys_into(
-            request.query,
-            &request.preclick_items,
-            &mut stats,
-            &mut keys,
-        );
-        let merged: Vec<Vec<(u32, f64)>> = self
-            .fanout
-            .run(keys.len(), |i| self.merged_candidates(&keys[i]));
-        for list in &merged {
-            stats.postings_scanned += list.len();
-        }
-        let candidates: Vec<&[(u32, f64)]> = merged.iter().map(Vec::as_slice).collect();
-        let mut scratch = HashMap::new();
-        self.finish(request, &keys, &candidates, route, stats, &mut scratch)
+        let per_key = self.retrieval.ads_per_key;
+        // a whole-corpus posting list is at most `top_k` long
+        let cut = per_key.min(self.index_config.top_k);
+        let merged = |k: usize| {
+            let shards = self.shards.iter();
+            let local = shards.map(|s| s.engine().retriever().key_candidates(&keys[k], per_key));
+            merge_prefixes(local, cut)
+        };
+        let lists = if self.fanout_threads > 1 {
+            self.serving.pool.run(keys.len(), merged)
+        } else {
+            (0..keys.len()).map(merged).collect()
+        };
+        Ok((route, lists))
     }
 
-    /// The hedged serving path: per shard, contact one picked replica as
-    /// a background gather on the persistent pool; if it has not
+    /// The hedged fetch strategy: per shard, contact one picked replica
+    /// as a background gather on the persistent pool; if it has not
     /// answered within the hedge delay, re-issue the gather to a sibling
-    /// replica and take whichever delivers first.
-    /// [`RetrievalStats::served_by`] records the winner — the loser's
-    /// gather finishes harmlessly in the background (it owns its data).
+    /// replica and take whichever delivers first. The route records the
+    /// winner — the loser's gather finishes harmlessly in the background
+    /// (it owns its data).
     ///
-    /// The per-key merge is [`ShardedEngine::merged_candidates`]' own
+    /// The per-key merge is [`ShardedEngine::fetch_merged`]'s own
     /// [`merge_prefixes`] over the gathered per-shard lists, so the hedged
     /// path is *logically* byte-identical to the unhedged one
-    /// (parity-tested below): replicas serve
-    /// identical data, so hedging can only change the route, never the
-    /// ranking. Batches do not hedge: [`ShardedEngine::retrieve_batch`]
-    /// amortises gathers across requests, which already bounds the
-    /// per-request straggler cost hedging exists to cut.
-    fn retrieve_hedged(
+    /// (parity-tested below): replicas serve identical data, so hedging
+    /// can only change the route, never the ranking.
+    fn fetch_hedged(
         &self,
-        request: &Request,
-        hedge: &HedgeRuntime,
-    ) -> Result<RetrievalResponse, RetrievalError> {
-        let mut stats = RetrievalStats::default();
-        let mut keys = Vec::new();
-        self.shards[0].engine().retriever().expand_keys_into(
-            request.query,
-            &request.preclick_items,
-            &mut stats,
-            &mut keys,
-        );
-        let keys = Arc::new(keys);
+        keys: &[Key],
+        control: &HedgeControl,
+    ) -> Result<Fetched<Vec<(u32, f64)>>, RetrievalError> {
+        let pool = &self.serving.pool;
+        let keys = Arc::new(keys.to_vec());
         let per_key = self.retrieval.ads_per_key;
-        let global_cut = per_key.min(self.index_config.top_k);
         let mut route = Vec::with_capacity(self.shards.len());
-        let mut per_shard: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(self.shards.len());
+        let mut per_shard: Vec<ShardLists> = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter().enumerate() {
             let primary = shard.pick(s)?;
-            let slot = Arc::new(GatherSlot::new());
-            spawn_gather(&hedge.pool, shard, primary, &keys, per_key, &slot);
-            let outcome = match slot.wait_for(hedge.control.delay()) {
-                Some(outcome) => outcome,
-                None => {
+            // first response wins: both gathers send, one is received
+            let (deliver, delivered) = mpsc::channel();
+            spawn_gather(pool, shard, primary, &keys, per_key, &deliver);
+            let (replica, lists) = match delivered.recv_timeout(control.delay()) {
+                Ok(outcome) => outcome,
+                Err(_) => {
                     // the primary is straggling: hedge to a sibling and
                     // take the first response (no sibling → keep waiting)
                     if let Some(sibling) = shard.pick_sibling(primary) {
                         // monotonic telemetry counter — Relaxed
-                        hedge.control.issued.fetch_add(1, Ordering::Relaxed);
-                        spawn_gather(&hedge.pool, shard, sibling, &keys, per_key, &slot);
+                        control.issued.fetch_add(1, Ordering::Relaxed);
+                        spawn_gather(pool, shard, sibling, &keys, per_key, &deliver);
                     }
-                    slot.wait()
+                    // only the gathers hold senders now: losing them all
+                    // is a panic here, not a hang
+                    drop(deliver);
+                    delivered
+                        .recv()
+                        .expect("a gather holds its sender until it delivers")
                 }
             };
-            if outcome.replica != primary {
+            if replica != primary {
                 // monotonic telemetry counter — Relaxed
-                hedge.control.won.fetch_add(1, Ordering::Relaxed);
+                control.won.fetch_add(1, Ordering::Relaxed);
             }
             route.push(ReplicaId {
                 shard: s as u32,
-                replica: outcome.replica,
+                replica,
             });
-            per_shard.push(outcome.lists);
+            per_shard.push(lists);
         }
-        let merged: Vec<Vec<(u32, f64)>> = (0..keys.len())
-            .map(|k| {
-                merge_prefixes(
-                    per_shard.iter().map(|lists| lists[k].as_slice()),
-                    global_cut,
-                )
-            })
+        let cut = per_key.min(self.index_config.top_k);
+        let lists = (0..keys.len())
+            .map(|k| merge_prefixes(per_shard.iter().map(|lists| lists[k].as_slice()), cut))
             .collect();
-        for list in &merged {
-            stats.postings_scanned += list.len();
-        }
-        let candidates: Vec<&[(u32, f64)]> = merged.iter().map(Vec::as_slice).collect();
-        let mut scratch = HashMap::new();
-        self.finish(request, &keys, &candidates, route, stats, &mut scratch)
+        Ok((route, lists))
     }
 
-    /// Serve a batch with the same cross-request scan dedup as
-    /// [`RetrievalEngine::retrieve_batch`]: the merged candidate prefix of
-    /// each distinct `(layer, key)` is gathered from the shards once per
-    /// batch — each request's *new* keys gathered on the fan-out pool —
-    /// and attributed to the first request that needed it. Rankings and
-    /// logical stats are identical to what the single-node batch path
-    /// reports over the whole corpus — batching semantics are
-    /// topology-invariant. Each request is routed (and can fail over)
-    /// independently, so one request hitting a dead shard yields its own
-    /// [`RetrievalError::ShardUnavailable`] without poisoning the batch.
+    /// Serve one request — the batch of one of
+    /// [`ShardedEngine::retrieve_batch`], so with hedging enabled this is
+    /// the hedged path.
+    pub fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
+        self.retrieve_batch(std::slice::from_ref(request))
+            .pop()
+            .expect("the request loop answers every request")
+    }
+
+    /// Serve a batch through the one request loop
+    /// ([`crate::TwoLayerRetriever`]'s `serve`), which expands each
+    /// request's keys once (first-layer indices are replicated, so any
+    /// shard's expansion is *the* expansion) and asks this engine only for
+    /// the merged whole-corpus candidate prefixes of the keys no earlier
+    /// request of the batch gathered. Rankings and logical stats —
+    /// deduplicated scan attribution included — are identical to what the
+    /// single-node engine reports over the whole corpus: batching
+    /// semantics are topology-invariant. Each request is routed (and can
+    /// fail over) independently, so one request hitting a dead shard
+    /// yields its own [`RetrievalError::ShardUnavailable`] — a degraded
+    /// cluster rejects requests instead of silently serving a corpus with
+    /// a hole in it — without poisoning the batch.
+    ///
+    /// With hedging enabled a lone request hedges its gathers; a larger
+    /// batch does not — its dedup already amortises the gathers, which
+    /// bounds the per-request straggler cost hedging exists to cut.
     pub fn retrieve_batch(
         &self,
         requests: &[Request],
     ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
-        let mut fetched: MergedCache = HashMap::new();
-        // per-request scratch, pre-sized for the common fan-out (raw
-        // query + expansions) and reused across the batch
-        let mut keys: Vec<Key> = Vec::new();
-        let mut missing: Vec<Key> =
-            Vec::with_capacity(2 * (1 + self.retrieval.expansion_per_index));
-        let mut scratch = HashMap::new();
-        let mut out = Vec::with_capacity(requests.len());
-        for (r, request) in requests.iter().enumerate() {
-            let route = match self.route() {
-                Ok(route) => route,
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            let mut stats = RetrievalStats::default();
-            self.shards[0].engine().retriever().expand_keys_into(
-                request.query,
-                &request.preclick_items,
-                &mut stats,
-                &mut keys,
-            );
-            // gather pass: this request's not-yet-cached keys fan out on
-            // the pool, then land in the cache in key order
-            missing.clear();
-            for key in &keys {
-                let cached = fetched.contains_key(&(key.is_item, key.id));
-                let queued = missing
-                    .iter()
-                    .any(|m| m.is_item == key.is_item && m.id == key.id);
-                if !cached && !queued {
-                    missing.push(*key);
-                }
+        let retriever = self.shards[0].engine().retriever();
+        match &self.serving.hedge {
+            Some(control) if requests.len() == 1 => {
+                retriever.serve(requests, |keys| self.fetch_hedged(keys, control))
             }
-            let gathered = self
-                .fanout
-                .run(missing.len(), |i| self.merged_candidates(&missing[i]));
-            for (key, list) in missing.iter().zip(gathered) {
-                fetched.insert((key.is_item, key.id), (r, list));
-            }
-            // count pass: scans of a key first gathered by this request
-            // are attributed here (a repeat within the *same* request
-            // re-counts, mirroring the single path)
-            for key in &keys {
-                let (first, list) = &fetched[&(key.is_item, key.id)];
-                if *first == r {
-                    stats.postings_scanned += list.len();
-                }
-            }
-            // score pass: borrow the now-stable cache entries
-            let candidates: Vec<&[(u32, f64)]> = keys
-                .iter()
-                .map(|key| fetched[&(key.is_item, key.id)].1.as_slice())
-                .collect();
-            out.push(self.finish(request, &keys, &candidates, route, stats, &mut scratch));
+            _ => retriever.serve(requests, |keys| self.fetch_merged(keys)),
         }
-        out
     }
 }
 
@@ -1711,14 +1467,44 @@ mod tests {
         );
     }
 
+    /// `postings_scanned` of `request` served alone, computed from the
+    /// indices rather than by the request loop: one scan per first-layer
+    /// expansion, plus the candidate prefix of every key *occurrence* —
+    /// a key the request reaches twice is counted twice.
+    fn recounted_scans(single: &RetrievalEngine, request: &Request) -> usize {
+        use amcad_mnn::InvertedIndex;
+        let (idx, config) = (single.indexes(), single.config());
+        let firsts = |index: &InvertedIndex, key: u32| -> Vec<u32> {
+            let postings = index.get(key).into_iter().flatten();
+            let firsts = postings.take(config.expansion_per_index);
+            firsts.map(|(id, _)| *id).collect()
+        };
+        let mut queries = vec![request.query];
+        queries.extend(firsts(&idx.q2q, request.query));
+        let mut items = firsts(&idx.q2i, request.query);
+        for &item in &request.preclick_items {
+            items.push(item);
+            queries.extend(firsts(&idx.i2q, item));
+            items.extend(firsts(&idx.i2i, item));
+        }
+        let expansions = queries.len() + items.len() - 1 - request.preclick_items.len();
+        let prefix = |index: &InvertedIndex, key: &u32| {
+            index
+                .get(*key)
+                .map_or(0, |p| p.len().min(config.ads_per_key))
+        };
+        expansions
+            + queries.iter().map(|q| prefix(&idx.q2a, q)).sum::<usize>()
+            + items.iter().map(|i| prefix(&idx.i2a, i)).sum::<usize>()
+    }
+
     #[test]
     fn batched_serving_is_topology_invariant_including_dedup_attribution() {
-        // the sharded batch path must report exactly what the single-node
-        // batch path reports — rankings AND deduplicated scan counts — so
-        // batching semantics don't depend on the deployment topology
+        // every flavour must report exactly what the single-node engine
+        // reports — rankings AND deduplicated scan counts — so batching
+        // semantics don't depend on the deployment topology
         let inputs = tiny_inputs();
         let single = single_engine(&inputs, 8);
-        let sharded = sharded_engine(&inputs, 2, 8);
         let mut requests: Vec<Request> = (0..6u32)
             .map(|q| Request {
                 query: q,
@@ -1728,23 +1514,92 @@ mod tests {
         // repeats make the cross-request dedup actually fire
         requests.push(requests[0].clone());
         requests.push(requests[2].clone());
-        let serving: &dyn Retrieve = &sharded;
-        let sharded_batch: Vec<_> = serving
-            .retrieve_batch(&requests)
-            .into_iter()
-            .map(logical)
-            .collect();
+        // a key repeated inside ONE request: the same pre-click item twice,
+        // and a pre-click item that is also a Q2I expansion of its query
+        let expansion_of_4 = single.indexes().q2i.get(4).unwrap()[0].0;
+        let repeating = [
+            Request {
+                query: 7,
+                preclick_items: vec![107, 107],
+            },
+            Request {
+                query: 4,
+                preclick_items: vec![expansion_of_4],
+            },
+        ];
+        requests.extend(repeating.iter().cloned());
         let single_batch: Vec<_> = single
             .retrieve_batch(&requests)
             .into_iter()
             .map(logical)
             .collect();
-        assert_eq!(sharded_batch, single_batch);
         // and the dedup really saved scans on the repeated requests
         let scans = |r: &Result<RetrievalResponse, RetrievalError>| {
             r.as_ref().unwrap().stats.postings_scanned
         };
-        assert!(scans(&sharded_batch[6]) < scans(&sharded_batch[0]));
+        assert!(scans(&single_batch[6]) < scans(&single_batch[0]));
+
+        let mut flavours: Vec<(String, Box<dyn Retrieve>)> =
+            vec![("single".into(), Box::new(single.clone()))];
+        for shards in [1usize, 2, 4] {
+            for hedged in [false, true] {
+                let mut builder = ShardedEngine::builder()
+                    .shards(shards)
+                    .top_k(8)
+                    .threads(1)
+                    .build_threads(1);
+                if hedged {
+                    // generous delay: no hedge is expected to fire
+                    builder = builder.replicas(2).hedge_delay(Duration::from_millis(50));
+                }
+                let engine = builder.build(&inputs).unwrap();
+                assert_eq!(engine.hedge_control().is_some(), hedged);
+                flavours.push((
+                    format!("{shards} shards, hedged {hedged}"),
+                    Box::new(engine),
+                ));
+            }
+        }
+        for (flavour, engine) in &flavours {
+            let batch: Vec<_> = engine
+                .retrieve_batch(&requests)
+                .into_iter()
+                .map(logical)
+                .collect();
+            assert_eq!(batch, single_batch, "{flavour}");
+            for request in &repeating {
+                let alone = engine.retrieve(request).unwrap();
+                let batch_of_one = engine
+                    .retrieve_batch(std::slice::from_ref(request))
+                    .pop()
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(
+                    alone.stats.served_by.len(),
+                    batch_of_one.stats.served_by.len(),
+                    "{flavour}: a batch of one takes the route of a lone request"
+                );
+                assert_eq!(
+                    alone.stats.postings_scanned,
+                    recounted_scans(&single, request),
+                    "{flavour}: a repeat within one request re-counts"
+                );
+                assert_eq!(alone.clone().logical(), batch_of_one.logical(), "{flavour}");
+                assert_eq!(
+                    logical(Ok(alone)),
+                    logical(single.retrieve(request)),
+                    "{flavour}"
+                );
+            }
+        }
+        // the bare retriever is the same loop without the typed error
+        for request in &repeating {
+            let response = single.retrieve(request).unwrap();
+            let bare = single
+                .retriever()
+                .retrieve_with_stats(request.query, &request.preclick_items);
+            assert_eq!(bare, (response.ads, response.stats));
+        }
     }
 
     #[test]
@@ -1796,7 +1651,7 @@ mod tests {
         assert!(healthy.iter().all(Result::is_ok));
         for shard in 0..engine.active_shards() {
             for replica in 0..engine.replicas() {
-                engine.fail_replica(shard, replica);
+                engine.shard(shard).fail_replica(replica);
                 assert_eq!(engine.shard(shard).healthy_replicas(), 2);
                 let before_serves = engine.replica_serves();
                 for (request, expected) in requests.iter().zip(&healthy) {
@@ -1822,7 +1677,7 @@ mod tests {
                     requests.len() as u64,
                     "siblings must absorb the killed replica's share"
                 );
-                engine.restore_replica(shard, replica);
+                engine.shard(shard).restore_replica(replica);
                 assert_eq!(engine.shard(shard).healthy_replicas(), 3);
             }
         }
@@ -1845,7 +1700,7 @@ mod tests {
         // fresh cursor position would pick replica 1 next on both shards;
         // poison it on shard 0 — the internal error must surface as a
         // transparent failover, not as a request failure
-        engine.poison_replica(0, 1);
+        engine.shard(0).poison_replica(1);
         let response = engine.retrieve(&request).unwrap();
         assert_eq!(
             response.stats.served_by[0].replica, 0,
@@ -1858,7 +1713,7 @@ mod tests {
         );
         assert_eq!(logical(Ok(response)), expected, "the ranking never changes");
         // restore clears both the fault and the down marking
-        engine.restore_replica(0, 1);
+        engine.shard(0).restore_replica(1);
         assert_eq!(engine.shard(0).healthy_replicas(), 2);
     }
 
@@ -1871,8 +1726,8 @@ mod tests {
             .threads(1)
             .build(&tiny_inputs())
             .unwrap();
-        engine.fail_replica(1, 0);
-        engine.fail_replica(1, 1);
+        engine.shard(1).fail_replica(0);
+        engine.shard(1).fail_replica(1);
         let requests = fixed_requests(3);
         assert_eq!(
             engine.retrieve(&requests[0]).unwrap_err(),
@@ -1892,7 +1747,7 @@ mod tests {
             );
         }
         // one restored replica brings the whole cluster back
-        engine.restore_replica(1, 0);
+        engine.shard(1).restore_replica(0);
         assert!(engine.retrieve(&requests[0]).is_ok());
     }
 
@@ -1963,7 +1818,7 @@ mod tests {
         let engine = hedged_engine(&inputs, Duration::from_millis(2));
         // shard 0, replica 0 turns into a straggler: every contact takes
         // 20x the hedge delay
-        engine.delay_replica(0, 0, Duration::from_millis(40));
+        engine.shard(0).delay_replica(0, Duration::from_millis(40));
         let requests = fixed_requests(6);
         for request in &requests {
             let response = engine.retrieve(request).unwrap();
@@ -2006,7 +1861,7 @@ mod tests {
         };
         let expected = logical(reference.retrieve(&request));
         // fresh cursor picks replica 0 first on shard 0 — poison it
-        engine.poison_replica(0, 0);
+        engine.shard(0).poison_replica(0);
         let response = engine.retrieve(&request).unwrap();
         assert_eq!(
             response.stats.served_by[0].replica, 1,
@@ -2020,7 +1875,7 @@ mod tests {
         );
         // now lose the last replica of shard 0: a typed error, no panic,
         // no hang waiting on gathers that can never arrive
-        engine.fail_replica(0, 1);
+        engine.shard(0).fail_replica(1);
         assert_eq!(
             engine.retrieve(&request).unwrap_err(),
             RetrievalError::ShardUnavailable {
@@ -2029,7 +1884,7 @@ mod tests {
             }
         );
         // restoring any replica resumes identical serving
-        engine.restore_replica(0, 0);
+        engine.shard(0).restore_replica(0);
         assert_eq!(logical(engine.retrieve(&request)), expected);
     }
 
@@ -2048,7 +1903,7 @@ mod tests {
             .threads(1)
             .build(&inputs)
             .unwrap();
-        engine.set_replica_weight(0, 0, 3);
+        engine.shard(0).set_replica_weight(0, 3);
         assert_eq!(engine.replica_weights()[0], vec![3, 1]);
         let requests = fixed_requests(8);
         for request in &requests {
@@ -2061,7 +1916,7 @@ mod tests {
         // weights 3:1 over a cursor of 8 requests = exactly 6:2
         assert_eq!(engine.replica_serves()[0], vec![6, 2]);
         // draining one replica (weight 0) sends everything to its sibling
-        engine.set_replica_weight(0, 0, 0);
+        engine.shard(0).set_replica_weight(0, 0);
         for request in &requests {
             let response = engine.retrieve(request).unwrap();
             assert_eq!(
@@ -2071,7 +1926,7 @@ mod tests {
         }
         // draining *every* replica: availability beats draining — plain
         // round-robin over the healthy set takes over
-        engine.set_replica_weight(0, 1, 0);
+        engine.shard(0).set_replica_weight(1, 0);
         let before = engine.replica_serves()[0].clone();
         for request in &requests {
             assert!(engine.retrieve(request).is_ok());
@@ -2106,7 +1961,7 @@ mod tests {
             .replica_generations()
             .iter()
             .all(|shard| shard.iter().all(|&g| g == 0)));
-        engine.begin_warmup(0, 1);
+        engine.shard(0).begin_warmup(1);
         assert_eq!(engine.replica_weights()[0], vec![1, 0]);
         for (request, expected) in requests.iter().zip(&healthy) {
             let result = engine.retrieve(request);
@@ -2117,7 +1972,7 @@ mod tests {
             );
             assert_eq!(&logical(result), expected, "warm-up changed a response");
         }
-        engine.finish_warmup(0, 1, 7);
+        engine.shard(0).finish_warmup(1, 7);
         assert_eq!(engine.replica_weights()[0], vec![1, 1]);
         assert_eq!(engine.replica_generations()[0], vec![0, 7]);
         assert_eq!(engine.replica_generations()[1], vec![0, 0]);

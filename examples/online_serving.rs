@@ -262,19 +262,19 @@ fn main() {
         .cloned()
         .expect("eval sessions cover at least one request");
     let healthy = replicated.retrieve(&probe).unwrap();
-    replicated.fail_replica(0, 0);
+    replicated.shard(0).fail_replica(0);
     let failed_over = replicated.retrieve(&probe).unwrap();
     assert_eq!(healthy.ads, failed_over.ads);
     println!(
         "failover demo: killed replica 0 of shard 0; route {:?} -> {:?}, ads unchanged",
         healthy.stats.served_by, failed_over.stats.served_by
     );
-    replicated.fail_replica(0, 1);
+    replicated.shard(0).fail_replica(1);
     match replicated.retrieve(&probe) {
         Err(e) => println!("both replicas of shard 0 down -> typed degradation: {e}"),
         Ok(_) => unreachable!("a shard with zero replicas cannot serve"),
     }
-    replicated.restore_replica(0, 0);
+    replicated.shard(0).restore_replica(0);
     println!(
         "one replica restored -> serving again: {}",
         replicated.retrieve(&probe).is_ok()
@@ -356,7 +356,7 @@ fn main() {
         .map(|r| hedged.retrieve(r).map(|resp| resp.ads))
         .collect();
     let (issued_before, wins_before) = (hedge.issued(), hedge.wins());
-    hedged.delay_replica(0, 0, Duration::from_millis(10));
+    hedged.shard(0).delay_replica(0, Duration::from_millis(10));
     for (r, healthy_ads) in requests.iter().take(8).zip(&reference) {
         let degraded = runtime.retrieve_blocking(r).map(|resp| resp.ads);
         assert_eq!(
@@ -373,7 +373,7 @@ fn main() {
         "{issued} hedge sub-requests issued, {wins} won by the sibling replica — all 8 \
          rankings identical to the healthy run."
     );
-    hedged.delay_replica(0, 0, Duration::ZERO);
+    hedged.shard(0).delay_replica(0, Duration::ZERO);
     let stats = runtime.stats();
     println!(
         "runtime counters: {} admitted, {} completed, {} shed at the queue, {} shed past deadline",

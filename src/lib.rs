@@ -81,7 +81,7 @@
 //! // availability: a killed (or erroring) replica reroutes traffic to
 //! // its siblings — every response records the route it took — and only
 //! // a shard with zero healthy replicas degrades to a typed error
-//! sharded.fail_replica(0, 1);
+//! sharded.shard(0).fail_replica(1);
 //! let response = sharded.retrieve(&amcad::retrieval::Request {
 //!     query: 7,
 //!     preclick_items: vec![],

@@ -331,7 +331,7 @@ fn replica_failover_preserves_every_ranking_over_real_pipeline_output() {
         .collect();
     for shard in 0..sharded.active_shards() {
         for replica in 0..sharded.replicas() {
-            sharded.fail_replica(shard, replica);
+            sharded.shard(shard).fail_replica(replica);
             for (request, expected) in requests.iter().zip(&healthy) {
                 let served = sharded.retrieve(request);
                 if let Ok(response) = &served {
@@ -342,12 +342,12 @@ fn replica_failover_preserves_every_ranking_over_real_pipeline_output() {
                 }
                 assert_eq!(&logical(served), expected, "failover changed a response");
             }
-            sharded.restore_replica(shard, replica);
+            sharded.shard(shard).restore_replica(replica);
         }
     }
     // shard 0 loses both replicas: typed degradation, then full recovery
-    sharded.fail_replica(0, 0);
-    sharded.fail_replica(0, 1);
+    sharded.shard(0).fail_replica(0);
+    sharded.shard(0).fail_replica(1);
     assert!(matches!(
         sharded.retrieve(&requests[0]),
         Err(RetrievalError::ShardUnavailable {
@@ -355,7 +355,7 @@ fn replica_failover_preserves_every_ranking_over_real_pipeline_output() {
             replicas: 2
         })
     ));
-    sharded.restore_replica(0, 0);
+    sharded.shard(0).restore_replica(0);
     assert_eq!(logical(sharded.retrieve(&requests[0])), healthy[0]);
 }
 
@@ -421,8 +421,8 @@ fn persistent_pool_fanout_is_byte_identical_to_sequential_across_topologies() {
                 "{shards} shards x {replicas} replicas: pooled batch diverged"
             );
             // error case: a dead shard types identically through the pool
-            sequential.fail_replica(0, 0);
-            pooled.fail_replica(0, 0);
+            sequential.shard(0).fail_replica(0);
+            pooled.shard(0).fail_replica(0);
             if replicas == 1 {
                 for request in &requests {
                     assert_eq!(
@@ -432,8 +432,8 @@ fn persistent_pool_fanout_is_byte_identical_to_sequential_across_topologies() {
                     );
                 }
             }
-            sequential.restore_replica(0, 0);
-            pooled.restore_replica(0, 0);
+            sequential.shard(0).restore_replica(0);
+            pooled.shard(0).restore_replica(0);
         }
     }
     // the same engine behind the ServingRuntime: admitted tickets serve
