@@ -29,11 +29,11 @@ pub mod scalar;
 pub mod space;
 
 pub use ops::{
-    distance, distance_gram, exp_map, exp_map_origin, kappa_activation, kappa_matmul, lambda_x,
-    log_map, log_map_origin, mobius_add, mobius_neg, project_to_ball,
+    diff_norm_gram, distance, distance_gram, exp_map, exp_map_origin, kappa_activation,
+    kappa_matmul, lambda_x, log_map, log_map_origin, mobius_add, mobius_neg, project_to_ball,
 };
 pub use product::{ProductManifold, ProductPoint, SubspaceSpec};
-pub use scalar::{atan_kappa, cos_kappa, sin_kappa, tan_kappa, KAPPA_EPS};
+pub use scalar::{atan_kappa, atan_kappa_minorant, cos_kappa, sin_kappa, tan_kappa, KAPPA_EPS};
 pub use space::{Curvature, SpaceKind, UnifiedSpace};
 
 /// Numerical guard used when projecting points back inside the Poincaré ball

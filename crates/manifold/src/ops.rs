@@ -130,9 +130,13 @@ pub fn distance(x: &[f64], y: &[f64], kappa: f64) -> f64 {
     2.0 * atan_kappa(norm(&w), kappa)
 }
 
-/// Geodesic distance from the Gram quantities `x2 = ‖x‖²`, `y2 = ‖y‖²`
-/// and `xy = ⟨x, y⟩` alone — the allocation-free form of [`distance`]
-/// the SoA scan kernels in `amcad-mnn` evaluate per candidate.
+/// `‖(−x) ⊕_κ y‖` from the Gram quantities `x2 = ‖x‖²`, `y2 = ‖y‖²` and
+/// `xy = ⟨x, y⟩` alone — the arithmetic half of [`distance_gram`]: a few
+/// multiplies, one division and one square root, no transcendental. The
+/// bound-and-prune scan in `amcad-mnn` stops here for every candidate,
+/// bounds the distance from this norm with
+/// [`atan_kappa_minorant`](crate::scalar::atan_kappa_minorant), and calls
+/// [`atan_kappa`] on it only for the candidates the bound cannot reject.
 ///
 /// Expanding `w = (-x) ⊕_κ y` (see [`mobius_add`]) coordinate-free with
 /// `num_x = 1 + 2κ·xy − κ·y2` (the −x flips the sign of xy) and
@@ -150,14 +154,15 @@ pub fn distance(x: &[f64], y: &[f64], kappa: f64) -> f64 {
 /// ‖w‖²  = dd · (num_y² − 2κ·num_y·xd + κ²·dd·x2) / denom²
 /// ```
 ///
-/// so the distance needs only three dot products over the operands —
+/// so the norm needs only three dot products over the operands —
 /// `x2`/`y2` can be precomputed once per stored point — and identical
-/// Gram inputs (`x2 == xy == y2` bitwise) make `dd` and the distance
+/// Gram inputs (`x2 == xy == y2` bitwise) make `dd` and the norm
 /// *exactly* zero: `x2 − 2·xy` and the final `+ y2` both round exactly.
-/// Squared norms are clamped at 0 before the square root (the bracket
-/// can round a tiny-but-true-zero norm negative).
+/// The squared norm is clamped at 0 before the square root (the bracket
+/// can round a tiny-but-true-zero norm negative), so the result is never
+/// negative — nor `NaN`: `f64::max` answers 0 for a `NaN` squared norm.
 #[inline]
-pub fn distance_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
+pub fn diff_norm_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
     let dd = x2 - 2.0 * xy + y2;
     let xd = x2 - xy;
     let num_y = 1.0 + kappa * x2;
@@ -169,7 +174,19 @@ pub fn distance_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
     };
     let w_sq =
         dd * (num_y * num_y - 2.0 * kappa * num_y * xd + kappa * kappa * dd * x2) / (denom * denom);
-    2.0 * atan_kappa(w_sq.max(0.0).sqrt(), kappa)
+    w_sq.max(0.0).sqrt()
+}
+
+/// Geodesic distance `2 · tan⁻¹_κ(‖(−x) ⊕_κ y‖)` from the Gram quantities
+/// alone — the allocation-free form of [`distance`] every scattered
+/// evaluation in `amcad-mnn` calls per candidate. It is exactly
+/// [`diff_norm_gram`] followed by [`atan_kappa`] and a doubling, so a
+/// kernel that runs the two halves at different times (norm now,
+/// `tan⁻¹_κ` only if the candidate survives a bound) produces the same
+/// bits as this call.
+#[inline]
+pub fn distance_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
+    2.0 * atan_kappa(diff_norm_gram(x2, y2, xy, kappa), kappa)
 }
 
 /// κ-matrix multiplication `M ⊗_κ x = exp^κ_0(M · log^κ_0(x))` (Table II).

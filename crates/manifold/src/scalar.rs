@@ -49,6 +49,54 @@ pub fn atan_kappa(y: f64, kappa: f64) -> f64 {
     }
 }
 
+/// A cheap minorant of [`atan_kappa`] on `y ≥ 0` — no transcendental, the
+/// same three curvature branches — for bound-and-prune scans that only
+/// need to know a distance is *at least* something:
+///
+/// * `κ < 0`, `s = √(−κ)`: `artanh(s·y)/s ≥ min(y, 1/s)`. `artanh(t) ≥ t`
+///   gives the first arm; past the clamp [`atan_kappa`] returns
+///   `artanh(1 − 1e-15)/s ≈ 17.6/s ≥ 1/s`, which the second arm covers.
+/// * `κ > 0`, `s = √κ`: `arctan(s·y)/s ≥ y/√(1 + κ·y²)` — with
+///   `θ = arctan(s·y)`, `sin θ ≤ θ` and `sin θ = s·y/√(1 + κ·y²)`.
+/// * `|κ| ≤ KAPPA_EPS`: the Taylor value [`atan_kappa`] itself returns,
+///   where that is non-negative.
+///
+/// The result is `≥ 0`, or `−∞` ("no bound") where the Taylor value is
+/// negative — a sum of these therefore never cancels — and a `NaN`
+/// argument comes back `NaN`.
+///
+/// The inequalities are exact over the reals; in `f64` each side rounds a
+/// few times, so what holds (and what the sweep test below pins) is
+/// `atan_kappa(y, κ) ≥ minorant·(1 − 1e-13)` for `y = 0` and every
+/// `y ≥ 1e-300` — measured, the shortfall stays under two ulps, so a
+/// caller that sums weighted bounds and shrinks the sum by `1e-12` (the
+/// scan kernel's margin) has room for its own roundings. A smaller
+/// positive `y` makes `s·y` subnormal, where [`atan_kappa`] rounds in
+/// absolute steps and may return anything down to 0; the norms a scan
+/// feeds both functions are square roots of `f64`s, so never a positive
+/// number below `2.2e-162`.
+#[inline]
+pub fn atan_kappa_minorant(y: f64, kappa: f64) -> f64 {
+    if kappa < -KAPPA_EPS {
+        let inv_s = 1.0 / (-kappa).sqrt();
+        // written so that a NaN `y` falls through as NaN (f64::min drops it)
+        if y > inv_s {
+            inv_s
+        } else {
+            y
+        }
+    } else if kappa > KAPPA_EPS {
+        y / (1.0 + kappa * y * y).sqrt()
+    } else {
+        let taylor = y - kappa * y * y * y / 3.0;
+        if taylor < 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            taylor
+        }
+    }
+}
+
 /// Curvature-dependent sine `sin_κ(x)` (used by a few geometric helpers and
 /// by tests as an independent cross-check of `tan_κ = sin_κ / cos_κ`).
 #[inline]
@@ -195,6 +243,81 @@ mod tests {
                 let y = tan_kappa(x, kappa);
                 assert_close(atan_kappa(y, kappa), x, 1e-9);
             }
+        }
+    }
+
+    #[test]
+    fn minorant_never_exceeds_atan_kappa() {
+        let kappas: [f64; 15] = [
+            -2.0,
+            2.0,
+            -0.8,
+            0.8,
+            -0.6,
+            0.6,
+            -1e-3,
+            1e-3,
+            -1.0000001e-7,
+            1.0000001e-7,
+            -1e-7,
+            1e-7,
+            -9e-8,
+            9e-8,
+            0.0,
+        ];
+        // 0, subnormals, the smallest norms a scan can produce (square roots
+        // of subnormal squares), then a dense geometric ladder up to 1e6
+        let mut ys = vec![
+            0.0,
+            5e-324,
+            3.5e-323,
+            1e-310,
+            f64::MIN_POSITIVE,
+            2.3e-162,
+            1e-160,
+            1e-150,
+        ];
+        let mut y = 1e-140;
+        while y < 1e6 {
+            ys.push(y);
+            y *= 1.003;
+        }
+        ys.push(1e6);
+        for &kappa in &kappas {
+            let mut sweep = ys.clone();
+            if kappa.abs() > KAPPA_EPS {
+                // s·y within 1e-15 of 1 from both sides, and on it: the
+                // artanh clamp for κ < 0, nothing special for κ > 0
+                let edge = 1.0 / kappa.abs().sqrt();
+                for ulps in -8i64..=8 {
+                    sweep.push(f64::from_bits((edge.to_bits() as i64 + ulps) as u64));
+                }
+                sweep.extend([edge * (1.0 - 1e-15), edge * (1.0 + 1e-15), edge * 1e3]);
+            }
+            for &y in &sweep {
+                let bound = atan_kappa_minorant(y, kappa);
+                let value = atan_kappa(y, kappa);
+                assert!(
+                    bound >= 0.0 || bound == f64::NEG_INFINITY,
+                    "kappa={kappa} y={y:e}: bound {bound:e} is neither ≥ 0 nor −∞"
+                );
+                if y == 0.0 || y >= 1e-300 {
+                    assert!(
+                        value >= bound * (1.0 - 1e-13),
+                        "kappa={kappa} y={y:e}: atan_kappa {value:e} < minorant {bound:e}"
+                    );
+                } else {
+                    // s·y underflows: whatever atan_kappa makes of it, it is
+                    // short of the bound by less than 1e-300
+                    assert!(
+                        value >= 0.0 && bound <= y,
+                        "kappa={kappa} y={y:e}: atan_kappa {value:e}, minorant {bound:e}"
+                    );
+                }
+            }
+        }
+        for kappa in kappas {
+            assert!(atan_kappa_minorant(f64::NAN, kappa).is_nan(), "{kappa}");
         }
     }
 

@@ -139,7 +139,15 @@ impl AnnIndex for ExactBackend {
         if self.candidates.is_empty() || k == 0 {
             return Vec::new();
         }
-        crate::brute::scan_top_k(&self.candidates, query, query_weight, k, exclude_id)
+        let mut norm_lanes = self.candidates.blocks().norm_lanes();
+        crate::brute::scan_top_k(
+            &self.candidates,
+            query,
+            query_weight,
+            k,
+            exclude_id,
+            &mut norm_lanes,
+        )
     }
 
     fn build_index(&self, keys: &MixedPointSet, k: usize, exclude_same_id: bool) -> InvertedIndex {

@@ -5,10 +5,20 @@
 //! level) and SIMD (instruction level).  Here the data-level parallelism is
 //! provided by crossbeam scoped threads over key shards, and the inner
 //! distance loops are simple slice arithmetic the compiler can vectorise.
+//!
+//! The scan is exact and most of it is rejection: of a key's thousands of
+//! candidates all but ≈ `k·ln(n/k)` never enter its top-K. `TopK`
+//! therefore keeps its worst entry cached and declines a candidate in one
+//! comparison, and `scan_top_k` hands that worst distance to the SoA
+//! chunk kernel as a threshold, so a candidate whose cheap lower bound is
+//! already above it costs three dot products and no `ln_1p` / `atan`
+//! (see [`crate::quant::soa`]). Posting lists are the same ids and the
+//! same distance bits as a per-candidate `distance_to` followed by a sort.
 
 use std::collections::HashMap;
 
 use crate::points::MixedPointSet;
+use crate::quant::soa::SCAN_CHUNK;
 
 /// One inverted-index posting list: the K nearest candidates of a key, with
 /// their mixed-curvature distances, sorted by increasing distance.
@@ -47,58 +57,93 @@ impl InvertedIndex {
     }
 }
 
-/// Keep the `k` smallest (distance, id) pairs while scanning candidates.
+/// Keep the `k` smallest `(distance, id)` pairs of a candidate stream —
+/// the cut every backend's search ends in. `NaN` distances count as `+∞`;
+/// ties at the cut go to the smaller id, so the kept list does not depend
+/// on the order candidates are offered in.
+///
+/// The entries sit unordered in a `k`-long buffer allocated once, with the
+/// position of the worst one cached: an offer that cannot enter — almost
+/// every offer of a long scan — is one comparison, and the `k`-entry
+/// search for the new worst runs only after a replacement, ≈ `k·ln(n/k)`
+/// times over `n` offers in random order.
 #[derive(Debug)]
 pub(crate) struct TopK {
-    k: usize,
-    heap: Vec<(f64, u32)>, // max-heap by distance (linear: k is small)
+    entries: Vec<(f64, u32)>,
+    len: usize,
+    /// Index of the largest `(distance, id)` entry; meaningful once full.
+    worst: usize,
 }
 
 impl TopK {
     pub(crate) fn new(k: usize) -> Self {
         TopK {
-            k,
-            heap: Vec::with_capacity(k + 1),
+            entries: vec![(0.0, 0); k],
+            len: 0,
+            worst: 0,
         }
     }
 
-    pub(crate) fn push(&mut self, distance: f64, id: u32) {
+    /// The distance a candidate must not exceed to be kept: `+∞` until `k`
+    /// entries are held, then the largest kept distance. A scan may skip
+    /// any candidate whose distance is above it without offering it.
+    #[inline]
+    pub(crate) fn threshold(&self) -> f64 {
+        match self.entries.get(self.worst) {
+            Some(worst) if self.len == self.entries.len() => worst.0,
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// Offer one candidate; it is kept if it is among the `k` smallest
+    /// `(distance, id)` pairs offered so far.
+    #[inline]
+    pub(crate) fn offer(&mut self, distance: f64, id: u32) {
         // Normalise corrupt (NaN) distances to +inf up front: total_cmp
         // would order a sign-bit-set NaN (the hardware default for 0/0)
         // BELOW every real number, letting it head posting lists and
-        // squat in the heap. As +inf it sorts last and any real distance
+        // squat in the buffer. As +inf it sorts last and any real distance
         // evicts it.
         let distance = if distance.is_nan() {
             f64::INFINITY
         } else {
             distance
         };
-        if self.heap.len() < self.k {
-            self.heap.push((distance, id));
-        } else if let Some((worst_idx, worst)) = self
-            .heap
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0).then(a.1 .1.cmp(&b.1 .1)))
-            .map(|(i, v)| (i, *v))
-        {
+        if self.len < self.entries.len() {
+            self.entries[self.len] = (distance, id);
+            self.len += 1;
+            if self.len == self.entries.len() {
+                self.find_worst();
+            }
+        } else if let Some(&worst) = self.entries.get(self.worst) {
             // The kept set is the k smallest by (distance, id) — the id
             // tie-break makes the result independent of candidate scan
             // order, so exact and full-probe IVF scans (which visit
             // candidates in different orders) keep identical sets even
             // when distances tie at the boundary.
-            if distance.total_cmp(&worst.0).then(id.cmp(&worst.1)).is_lt() {
-                self.heap[worst_idx] = (distance, id);
+            if Self::order(&(distance, id), &worst).is_lt() {
+                self.entries[self.worst] = (distance, id);
+                self.find_worst();
             }
         }
     }
 
+    // total_cmp keeps the order total and panic-free for any f64 (offer
+    // already normalised NaN distances to +inf, so they rank last)
+    fn order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    }
+
+    fn find_worst(&mut self) {
+        self.worst = (0..self.entries.len())
+            .max_by(|&a, &b| Self::order(&self.entries[a], &self.entries[b]))
+            .unwrap_or(0);
+    }
+
     pub(crate) fn into_sorted(mut self) -> Postings {
-        // total_cmp keeps the sort panic-free for any f64 (push already
-        // normalised NaN distances to +inf, so they rank last)
-        self.heap
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.heap.into_iter().map(|(d, id)| (id, d)).collect()
+        self.entries.truncate(self.len);
+        self.entries.sort_by(Self::order);
+        self.entries.into_iter().map(|(d, id)| (id, d)).collect()
     }
 }
 
@@ -126,24 +171,22 @@ pub(crate) fn build_index_with(
     index
 }
 
-/// Candidates evaluated per chunk of the exact scan: small enough that a
-/// chunk's distance lane lives on the stack, large enough that the
-/// component-outer SoA loops amortise their setup. Shared with the
-/// quantised backend's table scan.
-pub(crate) const SCAN_CHUNK: usize = 128;
-
 /// One exact top-K scan of a query point over a candidate set — the
 /// kernel shared by the bulk builder below and the per-query
 /// `ExactBackend::search` path, so the two can never diverge. The scan
-/// walks the SoA component blocks in fixed-size chunks with the query's
-/// Gram context and the distance lane hoisted out of the loop, so the
-/// inner loops are allocation-free unit-stride dot products.
+/// walks the SoA component blocks in [`SCAN_CHUNK`]-sized chunks, passing
+/// each chunk the worst distance kept so far: the kernel writes `+∞` for
+/// a candidate it could bound above that threshold, and the loop below
+/// skips every distance above it without touching the candidate's id.
+/// `norm_lanes` is the kernel's scratch (`ComponentBlocks::norm_lanes`),
+/// owned by the caller so one allocation serves every key of a build.
 pub(crate) fn scan_top_k(
     candidates: &MixedPointSet,
     query: &[f64],
     query_weight: &[f64],
     k: usize,
     exclude_id: Option<u32>,
+    norm_lanes: &mut [f64],
 ) -> Postings {
     let blocks = candidates.blocks();
     let grams = blocks.query_grams(query);
@@ -153,14 +196,25 @@ pub(crate) fn scan_top_k(
     let mut start = 0;
     while start < n {
         let len = SCAN_CHUNK.min(n - start);
-        blocks.scan_range_into(&grams, query, query_weight, start, &mut distances[..len]);
+        blocks.scan_chunk_into(
+            &grams,
+            query,
+            query_weight,
+            start,
+            topk.threshold(),
+            norm_lanes,
+            &mut distances[..len],
+        );
         for (jj, &d) in distances[..len].iter().enumerate() {
+            // written so that a NaN distance is offered (it ranks as +inf)
+            if d > topk.threshold() {
+                continue;
+            }
             let cand_id = candidates.id(start + jj);
             if exclude_id == Some(cand_id) {
                 continue;
             }
-            // amcad-lint: allow(alloc-in-hot-loop) — TopK's heap is pre-sized to k+1 at construction and never grows past it
-            topk.push(d, cand_id);
+            topk.offer(d, cand_id);
         }
         start += len;
     }
@@ -187,12 +241,14 @@ pub fn build_exact_index(
 
     let search_range = |start: usize, end: usize| -> Vec<(u32, Postings)> {
         let mut out = Vec::with_capacity(end - start);
+        let mut norm_lanes = candidates.blocks().norm_lanes();
         for i in start..end {
             let key_id = keys.id(i);
             let exclude = if exclude_same_id { Some(key_id) } else { None };
+            let (point, weight) = (keys.point(i), keys.weight(i));
             out.push((
                 key_id,
-                scan_top_k(candidates, keys.point(i), keys.weight(i), k, exclude),
+                scan_top_k(candidates, point, weight, k, exclude, &mut norm_lanes),
             ));
         }
         out
@@ -299,10 +355,10 @@ mod tests {
     #[test]
     fn topk_keeps_the_smallest_distances() {
         let mut topk = TopK::new(2);
-        topk.push(3.0, 1);
-        topk.push(1.0, 2);
-        topk.push(2.0, 3);
-        topk.push(0.5, 4);
+        topk.offer(3.0, 1);
+        topk.offer(1.0, 2);
+        topk.offer(2.0, 3);
+        topk.offer(0.5, 4);
         let sorted = topk.into_sorted();
         assert_eq!(
             sorted.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
@@ -323,11 +379,97 @@ mod tests {
         for order in permutations {
             let mut topk = TopK::new(2);
             for (d, id) in order {
-                topk.push(d, id);
+                topk.offer(d, id);
             }
             let ids: Vec<u32> = topk.into_sorted().iter().map(|(id, _)| *id).collect();
             assert_eq!(ids, vec![5, 3], "kept set must not depend on scan order");
         }
+    }
+
+    /// What `TopK` must equal: sort everything by `(distance with NaN →
+    /// +∞, id)` and take `k`.
+    fn sort_and_take(stream: &[(f64, u32)], k: usize) -> Postings {
+        let mut all: Vec<(f64, u32)> = stream
+            .iter()
+            .map(|&(d, id)| (if d.is_nan() { f64::INFINITY } else { d }, id))
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.truncate(k);
+        all.into_iter().map(|(d, id)| (id, d)).collect()
+    }
+
+    fn bits(postings: &Postings) -> Vec<(u32, u64)> {
+        postings.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+    }
+
+    #[test]
+    fn topk_equals_sort_and_take_and_threshold_is_the_largest_kept_distance() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // few distinct values (heavy ties), both NaN signs, both infinities
+        // and both zeros
+        let values = [
+            0.0,
+            -0.0,
+            0.25,
+            0.5,
+            0.5000000000000001,
+            1.0,
+            3.0,
+            -2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(15);
+        for len in [0usize, 1, 7, 40, 300] {
+            let mut stream: Vec<(f64, u32)> = (0..len)
+                .map(|i| (values[rng.gen_range(0..values.len())], i as u32))
+                .collect();
+            for _permutation in 0..4 {
+                for i in (1..stream.len()).rev() {
+                    stream.swap(i, rng.gen_range(0..=i));
+                }
+                for k in [0, 1, 5, 20, len + 3] {
+                    let mut topk = TopK::new(k);
+                    assert_eq!(topk.threshold(), f64::INFINITY);
+                    for (seen, &(d, id)) in stream.iter().enumerate() {
+                        topk.offer(d, id);
+                        let want = match sort_and_take(&stream[..=seen], k).last() {
+                            Some(&(_, worst)) if seen + 1 >= k => worst,
+                            _ => f64::INFINITY,
+                        };
+                        assert_eq!(
+                            topk.threshold().to_bits(),
+                            want.to_bits(),
+                            "len {len}, k {k}, after {} offers",
+                            seen + 1
+                        );
+                    }
+                    assert_eq!(
+                        bits(&topk.into_sorted()),
+                        bits(&sort_and_take(&stream, k)),
+                        "len {len}, k {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topk_with_k_zero_keeps_nothing_and_a_short_stream_is_returned_whole() {
+        let mut none = TopK::new(0);
+        none.offer(1.0, 1);
+        none.offer(f64::NAN, 2);
+        assert_eq!(none.threshold(), f64::INFINITY);
+        assert!(none.into_sorted().is_empty());
+
+        let mut short = TopK::new(5);
+        short.offer(2.0, 7);
+        short.offer(1.0, 9);
+        assert_eq!(short.threshold(), f64::INFINITY, "not full yet");
+        assert_eq!(short.into_sorted(), vec![(9, 1.0), (7, 2.0)]);
     }
 
     #[test]
@@ -337,9 +479,9 @@ mod tests {
         // heap, or outrank any real candidate
         for nan in [f64::NAN, -f64::NAN] {
             let mut topk = TopK::new(2);
-            topk.push(5.0, 1);
-            topk.push(nan, 2);
-            topk.push(0.1, 3);
+            topk.offer(5.0, 1);
+            topk.offer(nan, 2);
+            topk.offer(0.1, 3);
             let sorted = topk.into_sorted();
             assert_eq!(
                 sorted.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
@@ -348,9 +490,9 @@ mod tests {
             );
             // all-NaN input still yields a full, non-panicking posting list
             let mut all_nan = TopK::new(2);
-            all_nan.push(nan, 7);
-            all_nan.push(nan, 8);
-            all_nan.push(1.0, 9);
+            all_nan.offer(nan, 7);
+            all_nan.offer(nan, 8);
+            all_nan.offer(1.0, 9);
             let sorted = all_nan.into_sorted();
             assert_eq!(sorted.first().unwrap().0, 9, "real candidate ranks first");
         }

@@ -578,8 +578,7 @@ impl HnswIndex {
             if exclude_id == Some(id) {
                 continue;
             }
-            // amcad-lint: allow(alloc-in-hot-loop) — TopK's heap is pre-sized to k+1 at construction and never grows past it
-            topk.push(c.dist, id);
+            topk.offer(c.dist, id);
         }
         topk.into_sorted()
     }

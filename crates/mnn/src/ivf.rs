@@ -293,8 +293,7 @@ impl IvfIndex {
                 if exclude_id == Some(cand_id) {
                     continue;
                 }
-                // amcad-lint: allow(alloc-in-hot-loop) — TopK's heap is pre-sized to k+1 at construction and never grows past it
-                topk.push(distances[jj], cand_id);
+                topk.offer(distances[jj], cand_id);
             }
         }
         topk.into_sorted()

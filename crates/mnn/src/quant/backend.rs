@@ -25,10 +25,11 @@
 use amcad_manifold::{distance_gram, dot, norm_sq, ProductManifold};
 
 use crate::backend::AnnIndex;
-use crate::brute::{Postings, TopK, SCAN_CHUNK};
+use crate::brute::{Postings, TopK};
 use crate::points::MixedPointSet;
 use crate::quant::codebook::Codebook;
 use crate::quant::codes::{AsymmetricTable, CodeBlocks};
+use crate::quant::soa::SCAN_CHUNK;
 
 /// Configuration of the quantised-postings index.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -381,8 +382,7 @@ impl QuantIndex {
                 if exclude_id == Some(self.candidates.id(slot)) {
                     continue;
                 }
-                // amcad-lint: allow(alloc-in-hot-loop) — TopK's heap is pre-sized to k+1 at construction and never grows past it
-                pool.push(approx, slot as u32);
+                pool.offer(approx, slot as u32);
             }
             start += len;
         }
@@ -399,8 +399,7 @@ impl QuantIndex {
         blocks.scan_indices_into(&grams, query, query_weight, &slots, &mut exact);
         let mut topk = TopK::new(k);
         for (jj, &slot) in slots.iter().enumerate() {
-            // amcad-lint: allow(alloc-in-hot-loop) — TopK's heap is pre-sized to k+1 at construction and never grows past it
-            topk.push(exact[jj], self.candidates.id(slot));
+            topk.offer(exact[jj], self.candidates.id(slot));
         }
         topk.into_sorted()
     }
@@ -454,11 +453,12 @@ mod tests {
                 seed: 3,
             },
         );
+        let mut lanes = cands.blocks().norm_lanes();
         for i in 0..keys.len() {
             for exclude in [None, Some(keys.id(i))] {
-                let got = quant.search(keys.point(i), keys.weight(i), 6, exclude);
-                let want =
-                    crate::brute::scan_top_k(&cands, keys.point(i), keys.weight(i), 6, exclude);
+                let (point, weight) = (keys.point(i), keys.weight(i));
+                let got = quant.search(point, weight, 6, exclude);
+                let want = crate::brute::scan_top_k(&cands, point, weight, 6, exclude, &mut lanes);
                 assert_eq!(got, want, "key {i}, exclude {exclude:?}");
             }
         }
@@ -537,10 +537,11 @@ mod tests {
         assert_eq!(quant.len(), 62);
         assert_eq!(quant.codebooks(), &frozen[..], "codebooks must not retrain");
         let keys = random_set(12, 12);
+        let mut lanes = extra_full.blocks().norm_lanes();
         for i in 0..keys.len() {
-            let got = quant.search(keys.point(i), keys.weight(i), 5, None);
-            let want =
-                crate::brute::scan_top_k(&extra_full, keys.point(i), keys.weight(i), 5, None);
+            let (point, weight) = (keys.point(i), keys.weight(i));
+            let got = quant.search(point, weight, 5, None);
+            let want = crate::brute::scan_top_k(&extra_full, point, weight, 5, None, &mut lanes);
             assert_eq!(got, want, "corpus-wide rerank over the union is exact");
         }
     }

@@ -1,9 +1,11 @@
 //! Backend-parity properties: the approximate backends degrade gracefully
 //! from "identical to exact" (full probing / saturated graphs) to "high
-//! recall" (partial probing / narrow beams), and the HNSW graph built
-//! incrementally is the graph built in bulk.
+//! recall" (partial probing / narrow beams), the HNSW graph built
+//! incrementally is the graph built in bulk, and the exact scan's
+//! bound-and-prune kernel returns the bits of the unbounded reference.
 
 use amcad_manifold::{ProductManifold, SubspaceSpec};
+use amcad_mnn::quant::soa::SCAN_CHUNK;
 use amcad_mnn::{
     recall_at_k, AnnIndex, ExactBackend, HnswConfig, IndexBackend, IvfConfig, MixedPointSet,
     QuantConfig,
@@ -317,5 +319,198 @@ fn hnsw_insert_one_at_a_time_equals_bulk_build() {
             bulk.search(keys.point(i), keys.weight(i), 10, None),
             "streamed and bulk-built graphs must answer identically (key {i})"
         );
+    }
+}
+
+/// Every branch of the curvature trigonometry and both sides of each of
+/// its seams (`KAPPA_EPS` is 1e-7).
+const CURVATURES: [f64; 15] = [
+    -2.0,
+    2.0,
+    -0.8,
+    0.8,
+    -0.6,
+    0.6,
+    -1e-3,
+    1e-3,
+    -1.0000001e-7,
+    1.0000001e-7,
+    -1e-7,
+    1e-7,
+    -9e-8,
+    9e-8,
+    0.0,
+];
+
+/// A candidate set built to stress the bounded scan: a random product
+/// manifold (1–4 components, dims 1–9, curvatures from the list above),
+/// clustered or not, with points pushed onto the ball boundary (few or
+/// many) or off the manifold, duplicated points under fresh ids (distance
+/// ties) and, on odd seeds, one candidate with a `NaN` coordinate.
+/// Returns the set and its tangents.
+fn pruning_scene(seed: u64, n: usize, clustered: bool) -> (MixedPointSet, Vec<Vec<f64>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let specs: Vec<SubspaceSpec> = (0..rng.gen_range(1..=4usize))
+        .map(|_| {
+            let kappa = CURVATURES[rng.gen_range(0..CURVATURES.len())];
+            SubspaceSpec::new(rng.gen_range(1..=9usize), kappa)
+        })
+        .collect();
+    let manifold = ProductManifold::new(specs);
+    let (dim, comps) = (manifold.total_dim(), manifold.num_subspaces());
+    let centres: Vec<Vec<f64>> = (0..6)
+        .map(|_| (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect())
+        .collect();
+    let mut set = MixedPointSet::new(manifold.clone());
+    let mut tangents: Vec<Vec<f64>> = Vec::with_capacity(n);
+    let nan_slot = (seed % 2 == 1).then(|| rng.gen_range(0..n));
+    let far_share = if rng.gen_bool(0.5) { 0.05 } else { 0.35 };
+    // ids in shuffled order, so a tie at the cut can arrive after the
+    // entry it must displace
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    for (i, &id) in ids.iter().enumerate() {
+        if i > 0 && rng.gen_bool(0.2) {
+            // a duplicate of an earlier point, weights and all
+            let j = rng.gen_range(0..i);
+            let (point, weight) = (set.point(j).to_vec(), set.weight(j).to_vec());
+            set.push(id, &point, &weight);
+            tangents.push(tangents[j].clone());
+            continue;
+        }
+        let mut tangent: Vec<f64> = if clustered {
+            let centre = &centres[rng.gen_range(0..centres.len())];
+            centre
+                .iter()
+                .map(|c| c + rng.gen_range(-0.02..0.02))
+                .collect()
+        } else {
+            (0..dim).map(|_| rng.gen_range(-0.6..0.6)).collect()
+        };
+        if rng.gen_bool(far_share) {
+            // far out: exp0 lands on the ball boundary (κ < 0) or next to
+            // the pole (κ > 0), where the bound is at its loosest
+            tangent.iter_mut().for_each(|t| *t *= 50.0);
+        }
+        let mut point = manifold.exp0(&tangent);
+        if rng.gen_bool(0.03) {
+            // not on the manifold at all (outside the ball for κ < 0)
+            point = tangent.iter().map(|t| t * 5.0).collect();
+        }
+        if nan_slot == Some(i) {
+            point[rng.gen_range(0..dim)] = f64::NAN;
+        }
+        let weight: Vec<f64> = (0..comps).map(|_| rng.gen_range(0.1..0.8)).collect();
+        set.push(id, &point, &weight);
+        tangents.push(tangent);
+    }
+    (set, tangents)
+}
+
+/// Per-candidate `distance_to`, NaN → +∞, sorted by `(distance, id)`, cut
+/// at `k` — what every exact scan must equal, ids and distance bits.
+fn scan_reference(
+    cands: &MixedPointSet,
+    query: &[f64],
+    query_weight: &[f64],
+    k: usize,
+    exclude_id: Option<u32>,
+) -> Vec<(u32, u64)> {
+    let mut all: Vec<(f64, u32)> = (0..cands.len())
+        .filter(|&j| exclude_id != Some(cands.id(j)))
+        .map(|j| {
+            let d = cands.blocks().distance_to(query, query_weight, j);
+            (if d.is_nan() { f64::INFINITY } else { d }, cands.id(j))
+        })
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all.truncate(k);
+    all.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bounded scan — threshold from `TopK`, candidates dismissed on a
+    /// lower bound — returns the ids and the distance bits of the
+    /// unbounded reference, whatever the geometry, the weights' signs or
+    /// the ties at the cut.
+    #[test]
+    fn bounded_exact_scan_equals_the_per_candidate_reference(
+        seed in 0u64..1_000_000,
+        n in 130usize..420,
+        clustered_bit in 0u32..2,
+        k in 1usize..26,
+        exclude_bit in 0u32..2,
+        negative_weight_bit in 0u32..2,
+    ) {
+        let (cands, tangents) = pruning_scene(seed, n, clustered_bit == 1);
+        let manifold = cands.manifold().clone();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+        // the query sits on a candidate (a zero distance, and its
+        // duplicates tie) or just beside one
+        let anchor = rng.gen_range(0..n);
+        let query = if rng.gen_bool(0.5) {
+            cands.point(anchor).to_vec()
+        } else {
+            let beside: Vec<f64> = tangents[anchor]
+                .iter()
+                .map(|t| t + rng.gen_range(-0.01..0.01))
+                .collect();
+            manifold.exp0(&beside)
+        };
+        let mut query_weight: Vec<f64> = (0..manifold.num_subspaces())
+            .map(|_| rng.gen_range(0.1..0.6))
+            .collect();
+        if negative_weight_bit == 0 {
+            // summed with stored weights in 0.1..0.8: negative for some
+            // candidates, positive for others
+            let m = rng.gen_range(0..query_weight.len());
+            query_weight[m] = -0.45;
+        }
+        let exclude = (exclude_bit == 1).then(|| cands.id(anchor));
+
+        let want = scan_reference(&cands, &query, &query_weight, k, exclude);
+        let got: Vec<(u32, u64)> = ExactBackend::new(cands, 1)
+            .search(&query, &query_weight, k, exclude)
+            .into_iter()
+            .map(|(id, d)| (id, d.to_bits()))
+            .collect();
+        prop_assert_eq!(got, want, "seed {}, n {}, k {}", seed, n, k);
+    }
+}
+
+/// `scan_range_into` is the chunk kernel at threshold +∞ cut into
+/// `SCAN_CHUNK`s: whatever the length and wherever it starts, every lane
+/// holds the bits of `distance_to`.
+#[test]
+fn scan_range_into_is_bit_identical_to_distance_to_across_chunk_edges() {
+    for seed in [3u64, 8] {
+        let (cands, _) = pruning_scene(seed, 1_100, seed == 8);
+        let blocks = cands.blocks();
+        let query = cands.point(500).to_vec();
+        let query_weight = vec![0.3; cands.manifold().num_subspaces()];
+        let grams = blocks.query_grams(&query);
+        for (start, len) in [
+            (7, 1),
+            (7, SCAN_CHUNK - 1),
+            (7, SCAN_CHUNK),
+            (7, SCAN_CHUNK + 1),
+            (93, 1_000),
+        ] {
+            let mut out = vec![-1.0; len];
+            blocks.scan_range_into(&grams, &query, &query_weight, start, &mut out);
+            for (jj, d) in out.iter().enumerate() {
+                assert_eq!(
+                    d.to_bits(),
+                    blocks
+                        .distance_to(&query, &query_weight, start + jj)
+                        .to_bits(),
+                    "seed {seed}, start {start}, len {len}, lane {jj}"
+                );
+            }
+        }
     }
 }
