@@ -1,8 +1,7 @@
 //! # amcad-bench
 //!
-//! Benchmark harness for the AMCAD reproduction: Criterion micro-benchmarks
-//! (manifold ops, training step, MNN index build, retrieval latency) and one
-//! experiment binary per table / figure of the paper's evaluation section.
+//! Benchmark harness for the AMCAD reproduction: one experiment binary per
+//! table / figure of the paper's evaluation section.
 //!
 //! Every experiment binary accepts the `AMCAD_SCALE` environment variable:
 //!

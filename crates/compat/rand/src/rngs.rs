@@ -18,23 +18,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl StdRng {
-    /// The generator's internal xoshiro256++ state. Together with
-    /// [`StdRng::from_state`] this lets a durable snapshot resume the
-    /// exact output stream a saved generator would have produced next —
-    /// re-seeding would instead restart the stream from the beginning.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a state captured by [`StdRng::state`].
-    /// The restored generator continues the original output stream
-    /// bit-for-bit.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        StdRng { s }
-    }
-}
-
 impl SeedableRng for StdRng {
     fn seed_from_u64(seed: u64) -> Self {
         let mut state = seed;
@@ -63,20 +46,5 @@ impl RngCore for StdRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn state_round_trip_resumes_the_stream() {
-        let mut rng = StdRng::seed_from_u64(42);
-        rng.next_u64();
-        let mut resumed = StdRng::from_state(rng.state());
-        for _ in 0..8 {
-            assert_eq!(resumed.next_u64(), rng.next_u64());
-        }
     }
 }

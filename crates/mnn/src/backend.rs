@@ -4,7 +4,7 @@
 //! this module turns index construction into a seam: [`AnnIndex`] abstracts
 //! "a searchable candidate set", [`ExactBackend`] is the multi-threaded
 //! brute-force scan, [`IvfIndex`] (the tangent-space IVF quantiser),
-//! [`HnswIndex`] (the incremental navigable-small-world graph) and
+//! [`HnswIndex`] (the navigable-small-world graph) and
 //! [`QuantIndex`] (quantised postings) implement the trait themselves, and
 //! [`IndexBackend`] is the configuration enum callers use to pick one.
 //! Everything downstream — `IndexSet`, the retrieval engine, the serving
@@ -13,10 +13,10 @@
 //! sharded scans) only have to implement `AnnIndex`.
 
 use crate::brute::{build_exact_index, InvertedIndex, Postings};
-use crate::hnsw::{HnswConfig, HnswIndex, HnswState};
-use crate::ivf::{IvfConfig, IvfIndex, IvfState};
+use crate::hnsw::{HnswConfig, HnswIndex};
+use crate::ivf::{IvfConfig, IvfIndex};
 use crate::points::MixedPointSet;
-use crate::quant::{QuantConfig, QuantIndex, QuantState};
+use crate::quant::{QuantConfig, QuantIndex};
 
 /// A searchable index over one candidate point set.
 ///
@@ -44,21 +44,6 @@ pub trait AnnIndex: Send + Sync {
         k: usize,
         exclude_id: Option<u32>,
     ) -> Postings;
-
-    /// Incrementally index additional candidates in place — the seam for
-    /// long-lived indices over a streaming corpus. Returns `true` when
-    /// the backend applied the insert; the default returns `false`,
-    /// telling the caller the backend has no incremental path and a
-    /// rebuild is required. Implementations must make inserted candidates
-    /// immediately visible to [`AnnIndex::search`]. Note that the
-    /// serving-side delta publishes materialise posting lists instead
-    /// (bulk `build_index` over just the added candidates), so today this
-    /// seam serves resident-index use cases and future online backends,
-    /// not `EngineHandle::publish_delta`.
-    fn insert(&mut self, added: &MixedPointSet) -> bool {
-        let _ = added;
-        false
-    }
 
     /// Build the full inverted index for a key set: one posting list per
     /// key. The default implementation searches key by key through the
@@ -101,16 +86,6 @@ impl ExactBackend {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Export the resident state for a durable snapshot. The exact scan
-    /// carries no auxiliary structure, so its state is the candidate set
-    /// plus the thread knob.
-    pub fn export_state(&self) -> AnnBackendState {
-        AnnBackendState::Exact {
-            candidates: self.candidates.clone(),
-            threads: self.threads,
-        }
-    }
 }
 
 impl AnnIndex for ExactBackend {
@@ -120,13 +95,6 @@ impl AnnIndex for ExactBackend {
 
     fn len(&self) -> usize {
         self.candidates.len()
-    }
-
-    /// The exact scan inserts by appending: every new candidate joins the
-    /// flat buffers and is scanned like any other.
-    fn insert(&mut self, added: &MixedPointSet) -> bool {
-        self.candidates.append(added);
-        true
     }
 
     fn search(
@@ -164,14 +132,6 @@ impl AnnIndex for IvfIndex {
         IvfIndex::len(self)
     }
 
-    /// IVF inserts by assigning each new candidate to its nearest
-    /// existing centroid — the coarse quantisation stays fixed (see
-    /// [`IvfIndex::insert`]).
-    fn insert(&mut self, added: &MixedPointSet) -> bool {
-        IvfIndex::insert(self, added);
-        true
-    }
-
     fn search(
         &self,
         query: &[f64],
@@ -183,10 +143,6 @@ impl AnnIndex for IvfIndex {
     }
 }
 
-/// HNSW is the one backend whose [`AnnIndex::insert`] genuinely extends
-/// the resident index structure instead of appending to a rescanned
-/// buffer or a frozen quantisation: its insertion path *is* its
-/// construction path.
 impl AnnIndex for HnswIndex {
     fn backend_name(&self) -> &'static str {
         "hnsw"
@@ -194,14 +150,6 @@ impl AnnIndex for HnswIndex {
 
     fn len(&self) -> usize {
         HnswIndex::len(self)
-    }
-
-    /// HNSW inserts natively: each point is wired into the resident graph
-    /// through the same code path a bulk build uses (see
-    /// [`HnswIndex::insert`]).
-    fn insert(&mut self, added: &MixedPointSet) -> bool {
-        HnswIndex::insert(self, added);
-        true
     }
 
     fn search(
@@ -231,7 +179,7 @@ pub enum IndexBackend {
     /// Approximate inverted-file search with the given configuration.
     Ivf(IvfConfig),
     /// Approximate hierarchical navigable-small-world graph search with
-    /// the given configuration — the natively incremental backend.
+    /// the given configuration.
     Hnsw(HnswConfig),
     /// Quantised postings: per-component sub-codebooks, asymmetric table
     /// scan and exact top-`rerank_k` rerank — the memory backend.
@@ -284,59 +232,6 @@ impl IndexBackend {
                 self.instantiate(candidates.clone(), threads)
                     .build_index(keys, k, exclude_same_id)
             }
-        }
-    }
-}
-
-/// The exported resident state of any [`AnnIndex`] backend — the
-/// snapshot-side mirror of [`IndexBackend`]: where the enum *configures*
-/// a backend to be built, this enum *carries* one that already was. A
-/// durable snapshot stores it so a restarted process resumes searching —
-/// and, crucially, inserting — exactly where the saved process stopped:
-/// the IVF variant keeps the frozen quantisation instead of re-running
-/// k-means, and the HNSW variant keeps the graph plus the mid-stream RNG
-/// state so post-restart inserts draw the same level sequence.
-#[derive(Debug, Clone)]
-pub enum AnnBackendState {
-    /// Exact scan: the candidate buffers and the bulk-build thread knob.
-    Exact {
-        /// The indexed candidate set.
-        candidates: MixedPointSet,
-        /// Worker threads for bulk index builds.
-        threads: usize,
-    },
-    /// IVF: candidates plus the frozen coarse quantisation.
-    Ivf(IvfState),
-    /// HNSW: candidates, graph and level-sampling RNG state.
-    Hnsw(HnswState),
-    /// Quant: candidates plus the frozen sub-codebooks and code lanes.
-    Quant(QuantState),
-}
-
-impl AnnBackendState {
-    /// Short label matching [`IndexBackend::label`].
-    pub fn label(&self) -> &'static str {
-        match self {
-            AnnBackendState::Exact { .. } => "exact",
-            AnnBackendState::Ivf(_) => "ivf",
-            AnnBackendState::Hnsw(_) => "hnsw",
-            AnnBackendState::Quant(_) => "quant",
-        }
-    }
-
-    /// Revive the backend this state was exported from. The restored
-    /// backend searches — and keeps inserting — exactly like the saved
-    /// one (tested per backend in `hnsw`/`ivf` and end to end by the
-    /// snapshot-store suite in `amcad-retrieval`).
-    pub fn instantiate(self) -> Box<dyn AnnIndex> {
-        match self {
-            AnnBackendState::Exact {
-                candidates,
-                threads,
-            } => Box::new(ExactBackend::new(candidates, threads)),
-            AnnBackendState::Ivf(state) => Box::new(IvfIndex::from_state(state)),
-            AnnBackendState::Hnsw(state) => Box::new(HnswIndex::from_state(state)),
-            AnnBackendState::Quant(state) => Box::new(QuantIndex::from_state(state)),
         }
     }
 }
@@ -416,159 +311,6 @@ mod tests {
             assert_eq!(direct.len(), via_trait.len());
             for (key, postings) in direct.iter() {
                 assert_eq!(postings, via_trait.get(*key).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_insert_matches_a_rebuild_over_the_union() {
-        // split one candidate set (same seed → identical prefixes) into a
-        // base and an increment, insert through the trait seam, and the
-        // result must be indistinguishable from indexing the union
-        let union = random_set(60, 20);
-        let base = union.filtered(|id| id < 40);
-        let mut increment = MixedPointSet::new(union.manifold().clone());
-        for i in 40..union.len() {
-            increment.push(union.id(i), union.point(i), union.weight(i));
-        }
-        let keys = random_set(15, 21);
-
-        let mut exact: Box<dyn AnnIndex> = IndexBackend::Exact.instantiate(base.clone(), 2);
-        assert!(exact.insert(&increment), "the exact scan supports inserts");
-        assert_eq!(exact.len(), union.len());
-        let rebuilt = IndexBackend::Exact.instantiate(union.clone(), 2);
-        for i in 0..keys.len() {
-            assert_eq!(
-                exact.search(keys.point(i), keys.weight(i), 6, None),
-                rebuilt.search(keys.point(i), keys.weight(i), 6, None),
-                "inserted candidates must be scanned exactly like rebuilt ones"
-            );
-        }
-
-        // IVF under full probing: streaming insert is exact too
-        let full_probe = IndexBackend::Ivf(IvfConfig {
-            num_clusters: 5,
-            kmeans_iters: 4,
-            nprobe: 5,
-            seed: 8,
-        });
-        let mut ivf = full_probe.instantiate(base.clone(), 1);
-        assert!(ivf.insert(&increment));
-        assert_eq!(ivf.len(), union.len());
-        for i in 0..keys.len() {
-            let got = ivf.search(keys.point(i), keys.weight(i), 6, None);
-            let want = rebuilt.search(keys.point(i), keys.weight(i), 6, None);
-            assert_eq!(
-                got.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-                want.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-                "full-probe IVF inserts must recall exactly"
-            );
-        }
-
-        // HNSW under saturation: the streaming insert extends the resident
-        // graph through the bulk-build code path, so inserted candidates
-        // are recalled exactly like rebuilt ones
-        let saturated = IndexBackend::Hnsw(HnswConfig::saturated(union.len()));
-        let mut hnsw = saturated.instantiate(base.clone(), 1);
-        assert!(hnsw.insert(&increment), "HNSW supports native inserts");
-        assert_eq!(hnsw.len(), union.len());
-        for i in 0..keys.len() {
-            assert_eq!(
-                hnsw.search(keys.point(i), keys.weight(i), 6, None),
-                rebuilt.search(keys.point(i), keys.weight(i), 6, None),
-                "saturated HNSW inserts must recall exactly"
-            );
-        }
-
-        // Quant under a corpus-wide rerank: the frozen codebooks only
-        // steer the approximate pool, and the pool is everything, so the
-        // exact rerank makes streamed inserts bit-identical to a rebuild
-        let corpus_wide = IndexBackend::Quant(QuantConfig {
-            ksub: 8,
-            train_iters: 4,
-            rerank_k: union.len(),
-            seed: 8,
-        });
-        let mut quant = corpus_wide.instantiate(base, 1);
-        assert!(quant.insert(&increment), "quant supports inserts");
-        assert_eq!(quant.len(), union.len());
-        for i in 0..keys.len() {
-            assert_eq!(
-                quant.search(keys.point(i), keys.weight(i), 6, None),
-                rebuilt.search(keys.point(i), keys.weight(i), 6, None),
-                "corpus-wide-rerank quant inserts must recall exactly"
-            );
-        }
-    }
-
-    #[test]
-    fn backend_state_export_revives_every_backend_identically() {
-        let base = random_set(40, 30);
-        let keys = random_set(10, 31);
-        let increment = {
-            let full = random_set(52, 30); // same seed: first 40 identical
-            let mut inc = MixedPointSet::new(base.manifold().clone());
-            for i in 40..full.len() {
-                inc.push(full.id(i), full.point(i), full.weight(i));
-            }
-            inc
-        };
-        let backends = [
-            IndexBackend::Exact,
-            IndexBackend::Ivf(IvfConfig {
-                num_clusters: 5,
-                kmeans_iters: 4,
-                nprobe: 2,
-                seed: 8,
-            }),
-            IndexBackend::Hnsw(HnswConfig {
-                m: 6,
-                ef_construction: 16,
-                ef_search: 12,
-                seed: 9,
-            }),
-            IndexBackend::Quant(QuantConfig {
-                ksub: 8,
-                train_iters: 4,
-                rerank_k: 10, // partial rerank: the code lanes must survive
-                seed: 10,
-            }),
-        ];
-        for config in backends {
-            let mut live = config.instantiate(base.clone(), 2);
-            let state = match (&config, live.as_ref()) {
-                (IndexBackend::Exact, _) => ExactBackend::new(base.clone(), 2).export_state(),
-                (IndexBackend::Ivf(c), _) => {
-                    AnnBackendState::Ivf(IvfIndex::build(base.clone(), *c).export_state())
-                }
-                (IndexBackend::Hnsw(c), _) => {
-                    AnnBackendState::Hnsw(HnswIndex::build(base.clone(), *c).export_state())
-                }
-                (IndexBackend::Quant(c), _) => {
-                    AnnBackendState::Quant(QuantIndex::build(base.clone(), *c).export_state())
-                }
-            };
-            assert_eq!(state.label(), config.label());
-            let mut revived = state.instantiate();
-            assert_eq!(revived.len(), live.len());
-            // searches agree before and after a post-restart insert
-            for i in 0..keys.len() {
-                assert_eq!(
-                    revived.search(keys.point(i), keys.weight(i), 5, None),
-                    live.search(keys.point(i), keys.weight(i), 5, None),
-                    "{} revived search diverged",
-                    config.label()
-                );
-            }
-            assert!(revived.insert(&increment));
-            assert!(live.insert(&increment));
-            for i in 0..keys.len() {
-                assert_eq!(
-                    revived.search(keys.point(i), keys.weight(i), 5, None),
-                    live.search(keys.point(i), keys.weight(i), 5, None),
-                    "{} post-restart insert diverged",
-                    config.label()
-                );
             }
         }
     }

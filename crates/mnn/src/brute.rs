@@ -3,7 +3,7 @@
 //! The paper's MNN module distributes index construction over a fleet of
 //! workers and parallelises the per-worker computation with OpenMP (data
 //! level) and SIMD (instruction level).  Here the data-level parallelism is
-//! provided by crossbeam scoped threads over key shards, and the inner
+//! provided by `std::thread::scope` threads over key shards, and the inner
 //! distance loops are simple slice arithmetic the compiler can vectorise.
 //!
 //! The scan is exact and most of it is rejection: of a key's thousands of
@@ -261,8 +261,8 @@ pub fn build_exact_index(
         }
     } else {
         let chunk = n_keys.div_ceil(threads);
-        // amcad-lint: allow(thread-discipline) — build-time scoped fan-out in a leaf crate: amcad-mnn sits below amcad-retrieval in the dependency graph, so it cannot borrow the serving crate's pools without a cycle
-        let results: Vec<Vec<(u32, Postings)>> = crossbeam::scope(|scope| {
+        // amcad-lint: allow(thread-discipline) — build-time scoped fan-out in a leaf crate (joined before return): amcad-mnn sits below amcad-retrieval in the dependency graph, so it cannot borrow the serving crate's pools without a cycle
+        let results: Vec<Vec<(u32, Postings)>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let start = t * chunk;
@@ -271,11 +271,13 @@ pub fn build_exact_index(
                     continue;
                 }
                 let search = &search_range;
-                handles.push(scope.spawn(move |_| search(start, end)));
+                handles.push(scope.spawn(move || search(start, end)));
             }
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("index-building threads must not panic");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("index-building threads must not panic"))
+                .collect()
+        });
         for shard in results {
             for (key, postings) in shard {
                 entries.insert(key, postings);
@@ -331,14 +333,13 @@ mod tests {
         let keys = random_set(40, 5);
         let cands = random_set(80, 6);
         let seq = build_exact_index(&keys, &cands, 4, false, 1);
-        let par = build_exact_index(&keys, &cands, 4, false, 4);
-        assert_eq!(seq.len(), par.len());
-        for (key, postings) in seq.iter() {
-            let other = par.get(*key).unwrap();
-            assert_eq!(postings.len(), other.len());
-            for (a, b) in postings.iter().zip(other) {
-                assert_eq!(a.0, b.0);
-                assert!((a.1 - b.1).abs() < 1e-12);
+        // 2 and 4 split the keys, 41 exceeds them (clamped to one key per
+        // thread), 7 leaves the last chunk short
+        for threads in [2, 4, 7, 41] {
+            let par = build_exact_index(&keys, &cands, 4, false, threads);
+            assert_eq!(seq.len(), par.len(), "threads={threads}");
+            for (key, postings) in seq.iter() {
+                assert_eq!(par.get(*key), Some(postings), "threads={threads}");
             }
         }
     }

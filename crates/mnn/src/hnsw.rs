@@ -3,12 +3,9 @@
 //!
 //! The exact backend scans every candidate per query; IVF prunes the scan
 //! with a coarse tangent-space quantisation built once, offline. HNSW is
-//! the third point on that frontier and the first backend that is
-//! *natively incremental*: the index is a layered proximity graph and
-//! **insertion is construction** — a bulk build is nothing but a sequence
-//! of single-point inserts, so the streaming [`HnswIndex::insert`] seam
-//! and the offline build share one code path (and are tested to produce
-//! the same graph).
+//! the third point on that frontier: the index is a layered proximity
+//! graph, and [`HnswIndex::build`] wires the candidates into it one point
+//! at a time, in slot order.
 //!
 //! The structure follows Malkov & Yashunin (2018), with the mixed-curvature
 //! attention-weighted distance of [`MixedPointSet`] as the metric
@@ -162,41 +159,11 @@ impl VisitedSet {
     }
 }
 
-/// The full resident state of an [`HnswIndex`], exported for durable
-/// snapshots: the candidate set, the configuration, the level-sampling
-/// RNG state, and the graph itself (entry point, node levels, links).
-///
-/// The RNG *state* — not the seed — is what makes the round trip exact
-/// for a live index: the resident generator has already advanced past
-/// one draw per inserted node, so a restored index continues the same
-/// level sequence and post-restart [`HnswIndex::insert`]s build the
-/// graph an uninterrupted process would have built, bit for bit.
-#[derive(Debug, Clone)]
-pub struct HnswState {
-    /// The indexed candidate set.
-    pub candidates: MixedPointSet,
-    /// The configuration the graph was built with.
-    pub config: HnswConfig,
-    /// The level-sampling RNG's internal state (xoshiro256++ words).
-    pub rng_state: [u64; 4],
-    /// Slot of the entry point; `None` iff the index is empty.
-    pub entry: Option<usize>,
-    /// Top layer of each node, one entry per candidate.
-    pub node_level: Vec<usize>,
-    /// `links[slot][layer]` — neighbour slots per node per layer.
-    pub links: Vec<Vec<Vec<u32>>>,
-}
-
 /// An HNSW graph over a candidate point set (see the module docs).
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
     candidates: MixedPointSet,
     config: HnswConfig,
-    /// Level-sampling RNG. Lives in the index so a bulk build and a later
-    /// stream of [`HnswIndex::insert`] calls draw one deterministic
-    /// sequence — building over a corpus and building over a prefix then
-    /// inserting the rest produce the *same graph*.
-    rng: StdRng,
     /// Slot of the entry point (the highest-level node); `None` iff empty.
     entry: Option<usize>,
     /// Top layer of each node.
@@ -207,86 +174,25 @@ pub struct HnswIndex {
 }
 
 impl HnswIndex {
-    /// Build a graph over a candidate set by streaming every point through
-    /// the insert path — bulk construction *is* incremental insertion (the
-    /// owned set is installed wholesale instead of re-copied point by
-    /// point; a not-yet-wired slot is unreachable until `insert_slot`
-    /// links it, so the wiring order is identical to streaming inserts).
+    /// Build a graph over a candidate set by wiring every point in, in
+    /// slot order (the owned set is installed wholesale; a not-yet-wired
+    /// slot is unreachable until `insert_slot` links it). Node levels are
+    /// drawn from one RNG seeded by [`HnswConfig::seed`], so equal seeds
+    /// and candidate order reproduce the graph bit for bit.
     pub fn build(candidates: MixedPointSet, config: HnswConfig) -> Self {
         let n = candidates.len();
         let mut index = HnswIndex {
             candidates,
             config,
-            rng: StdRng::seed_from_u64(config.seed),
             entry: None,
             node_level: Vec::with_capacity(n),
             links: Vec::with_capacity(n),
         };
+        let mut rng = StdRng::seed_from_u64(config.seed);
         for slot in 0..n {
-            index.insert_slot(slot);
+            index.insert_slot(slot, &mut rng);
         }
         index
-    }
-
-    /// Incrementally index additional candidates: each point is inserted
-    /// through exactly the construction code path, so inserted candidates
-    /// are immediately searchable and indistinguishable from bulk-built
-    /// ones (given the same overall insertion order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manifolds differ.
-    pub fn insert(&mut self, added: &MixedPointSet) {
-        assert_eq!(
-            self.candidates.manifold(),
-            added.manifold(),
-            "inserted points must live on the indexed manifold"
-        );
-        for p in 0..added.len() {
-            let slot = self.candidates.len();
-            self.candidates
-                .push(added.id(p), added.point(p), added.weight(p));
-            self.insert_slot(slot);
-        }
-    }
-
-    /// Export the full resident state for a durable snapshot — see
-    /// [`HnswState`] for why the RNG state (not the seed) is captured.
-    pub fn export_state(&self) -> HnswState {
-        HnswState {
-            candidates: self.candidates.clone(),
-            config: self.config,
-            rng_state: self.rng.state(),
-            entry: self.entry,
-            node_level: self.node_level.clone(),
-            links: self.links.clone(),
-        }
-    }
-
-    /// Rebuild an index from an exported [`HnswState`]. The restored
-    /// index searches identically to the saved one, and — because the
-    /// RNG resumes mid-stream — subsequent [`HnswIndex::insert`]s extend
-    /// the graph exactly as the never-saved index would have.
-    ///
-    /// The graph arrays are trusted as-given (a checksummed snapshot
-    /// format guards the bytes); only the structural invariants needed
-    /// for memory safety are asserted.
-    pub fn from_state(state: HnswState) -> Self {
-        let n = state.candidates.len();
-        assert_eq!(state.node_level.len(), n, "one level per candidate");
-        assert_eq!(state.links.len(), n, "one link table per candidate");
-        assert!(
-            state.entry.is_none() == (n == 0) && state.entry.is_none_or(|e| e < n),
-            "entry point must name a stored slot exactly when non-empty"
-        );
-        HnswIndex {
-            candidates: state.candidates,
-            config: state.config,
-            rng: StdRng::from_state(state.rng_state),
-            entry: state.entry,
-            node_level: state.node_level,
-            links: state.links,
-        }
     }
 
     /// Number of indexed candidates.
@@ -350,11 +256,11 @@ impl HnswIndex {
         }
     }
 
-    /// Draw the level of the next inserted node: geometric with rate
-    /// `1 / ln(m)`, from the index-resident deterministic RNG.
-    fn sample_level(&mut self) -> usize {
+    /// Draw the level of the next wired node: geometric with rate
+    /// `1 / ln(m)`, from the build's deterministic RNG.
+    fn sample_level(&self, rng: &mut StdRng) -> usize {
         let mult = 1.0 / (self.config.m.max(2) as f64).ln();
-        let u: f64 = self.rng.gen(); // in [0, 1), so 1 - u is in (0, 1]
+        let u: f64 = rng.gen(); // in [0, 1), so 1 - u is in (0, 1]
         (-(1.0 - u).ln() * mult) as usize
     }
 
@@ -489,10 +395,9 @@ impl HnswIndex {
         self.links[node][layer] = self.select_neighbours(&cands, cap);
     }
 
-    /// Wire the (already stored) point at `slot` into the graph — the one
-    /// code path behind both bulk builds and streaming inserts.
-    fn insert_slot(&mut self, slot: usize) {
-        let level = self.sample_level();
+    /// Wire the (already stored) point at `slot` into the graph.
+    fn insert_slot(&mut self, slot: usize, rng: &mut StdRng) {
+        let level = self.sample_level(rng);
         self.node_level.push(level);
         self.links.push(vec![Vec::new(); level + 1]);
         debug_assert_eq!(self.links.len(), slot + 1);
@@ -625,45 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_build_and_streaming_inserts_produce_the_same_graph() {
-        // same overall insertion order + same seed → the RNG draws the
-        // same level sequence → identical graphs, not merely similar ones
-        let union = random_set(80, 4);
-        let base = union.filtered(|id| id < 50);
-        let mut increment = MixedPointSet::new(union.manifold().clone());
-        for i in 50..union.len() {
-            increment.push(union.id(i), union.point(i), union.weight(i));
-        }
-        let config = HnswConfig {
-            m: 6,
-            ef_construction: 20,
-            ef_search: 20,
-            seed: 9,
-        };
-        let bulk = HnswIndex::build(union.clone(), config);
-        let mut streamed = HnswIndex::build(base, config);
-        streamed.insert(&increment);
-        assert_eq!(streamed.len(), bulk.len());
-        assert_eq!(streamed.max_level(), bulk.max_level());
-        for slot in 0..bulk.len() {
-            for layer in 0..=bulk.node_level[slot] {
-                assert_eq!(
-                    streamed.neighbours(slot, layer),
-                    bulk.neighbours(slot, layer),
-                    "graph diverged at slot {slot}, layer {layer}"
-                );
-            }
-        }
-        let keys = random_set(12, 5);
-        for i in 0..keys.len() {
-            assert_eq!(
-                streamed.search(keys.point(i), keys.weight(i), 5, None),
-                bulk.search(keys.point(i), keys.weight(i), 5, None),
-            );
-        }
-    }
-
-    #[test]
     fn default_config_keeps_high_recall_on_a_real_sized_corpus() {
         let cands = random_set(300, 6);
         let keys = random_set(30, 7);
@@ -707,68 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn exported_state_round_trips_and_post_restart_inserts_stay_deterministic() {
-        // build over a prefix, export/import, then insert the rest: the
-        // restored index must equal BOTH the uninterrupted streaming
-        // build and the bulk build over the union — graph and searches.
-        // The resident RNG state is what makes this hold; re-seeding
-        // would replay the level sequence from the start and diverge.
-        let union = random_set(80, 14);
-        let base = union.filtered(|id| id < 50);
-        let mut increment = MixedPointSet::new(union.manifold().clone());
-        for i in 50..union.len() {
-            increment.push(union.id(i), union.point(i), union.weight(i));
-        }
-        let config = HnswConfig {
-            m: 6,
-            ef_construction: 20,
-            ef_search: 20,
-            seed: 31,
-        };
-        let mut uninterrupted = HnswIndex::build(base.clone(), config);
-        let mut restored = HnswIndex::from_state(HnswIndex::build(base, config).export_state());
-        // restored searches match the saved index before any insert
-        let keys = random_set(12, 15);
-        for i in 0..keys.len() {
-            assert_eq!(
-                restored.search(keys.point(i), keys.weight(i), 5, None),
-                uninterrupted.search(keys.point(i), keys.weight(i), 5, None),
-            );
-        }
-        uninterrupted.insert(&increment);
-        restored.insert(&increment);
-        let bulk = HnswIndex::build(union, config);
-        assert_eq!(restored.len(), bulk.len());
-        assert_eq!(restored.max_level(), bulk.max_level());
-        for slot in 0..bulk.len() {
-            for layer in 0..=bulk.node_level[slot] {
-                assert_eq!(
-                    restored.neighbours(slot, layer),
-                    bulk.neighbours(slot, layer),
-                    "post-restart graph diverged at slot {slot}, layer {layer}"
-                );
-            }
-        }
-        for i in 0..keys.len() {
-            let want = uninterrupted.search(keys.point(i), keys.weight(i), 5, None);
-            assert_eq!(
-                restored.search(keys.point(i), keys.weight(i), 5, None),
-                want
-            );
-            assert_eq!(bulk.search(keys.point(i), keys.weight(i), 5, None), want);
-        }
-    }
-
-    #[test]
-    fn empty_index_state_round_trips() {
-        let manifold = ProductManifold::new(vec![SubspaceSpec::new(2, 0.0)]);
-        let empty = HnswIndex::build(MixedPointSet::new(manifold), HnswConfig::default());
-        let restored = HnswIndex::from_state(empty.export_state());
-        assert!(restored.is_empty());
-        assert!(restored.search(&[0.0, 0.0], &[1.0], 3, None).is_empty());
-    }
-
-    #[test]
     fn equal_seeds_reproduce_the_index_exactly() {
         let cands = random_set(70, 9);
         let keys = random_set(10, 10);
@@ -786,15 +590,15 @@ mod tests {
     fn degenerate_inputs_are_handled() {
         let manifold = ProductManifold::new(vec![SubspaceSpec::new(2, 0.0)]);
         let empty = MixedPointSet::new(manifold.clone());
-        let mut hnsw = HnswIndex::build(empty.clone(), HnswConfig::default());
+        let hnsw = HnswIndex::build(empty.clone(), HnswConfig::default());
         assert!(hnsw.is_empty());
         assert!(hnsw.search(&[0.0, 0.0], &[1.0], 3, None).is_empty());
         assert!(hnsw.build_index(&empty, 3, false).is_empty());
-        // inserting into an empty index seeds the entry point
+        // the first wired point seeds the entry point
         let mut points = MixedPointSet::new(manifold.clone());
         points.push(1, &[0.1, 0.0], &[1.0]);
         points.push(2, &[0.0, 0.2], &[1.0]);
-        hnsw.insert(&points);
+        let hnsw = HnswIndex::build(points, HnswConfig::default());
         assert_eq!(hnsw.len(), 2);
         let hits = hnsw.search(&[0.1, 0.0], &[1.0], 2, None);
         assert_eq!(hits.first().unwrap().0, 1);

@@ -6,9 +6,8 @@
 //!
 //! * [`MixedPointSet`] — flat storage of points of one edge space plus their
 //!   precomputed attention weights,
-//! * [`AnnIndex`] — the pluggable backend trait: per-query top-K search,
-//!   bulk inverted-index construction over any candidate set, and an
-//!   incremental-insert seam (`insert`) for streaming corpus updates,
+//! * [`AnnIndex`] — the pluggable backend trait: per-query top-K search
+//!   and bulk inverted-index construction over any candidate set,
 //! * [`ExactBackend`] / [`build_exact_index`] — multi-threaded exact top-K
 //!   scan (the paper's OpenMP + SIMD parallel brute force),
 //! * [`IvfIndex`] — an inverted-file approximate index whose coarse
@@ -16,8 +15,7 @@
 //!   against the exact index ([`recall_at_k`]),
 //! * [`HnswIndex`] — a hierarchical navigable-small-world graph over the
 //!   mixed-curvature metric itself: sub-linear search with a tunable beam
-//!   (`ef_search`), and the one backend whose incremental `insert` is
-//!   literally its construction path,
+//!   (`ef_search`),
 //! * [`QuantIndex`] — quantised postings: per-component
 //!   product-quantisation sub-codebooks trained in tangent space, one-byte
 //!   codes scanned through a per-query asymmetric distance table over the
@@ -28,12 +26,12 @@
 //!
 //! ## Choosing a backend
 //!
-//! | backend | search cost | recall | knobs | incremental `insert` |
-//! |---|---|---|---|---|
-//! | `Exact` | O(n) per query, threaded bulk builds | 1.0 by definition | `threads` | append + rescan (trivially exact) |
-//! | `Ivf` | O(n/clusters × nprobe) | high, tunable | `num_clusters`, `nprobe` | nearest-centroid assignment (quantisation frozen) |
-//! | `Hnsw` | ~O(log n) greedy + `ef_search` beam | high, tunable | `m`, `ef_construction`, `ef_search` | native — insertion *is* construction |
-//! | `Quant` | O(n) table lookups + `rerank_k` exact distances | high, tunable | `ksub`, `rerank_k` | nearest-sub-centroid encoding (codebooks frozen) |
+//! | backend | search cost | recall | knobs |
+//! |---|---|---|---|
+//! | `Exact` | O(n) per query, threaded bulk builds | 1.0 by definition | `threads` |
+//! | `Ivf` | O(n/clusters × nprobe) | high, tunable | `num_clusters`, `nprobe` |
+//! | `Hnsw` | ~O(log n) greedy + `ef_search` beam | high, tunable | `m`, `ef_construction`, `ef_search` |
+//! | `Quant` | O(n) table lookups + `rerank_k` exact distances | high, tunable | `ksub`, `rerank_k` |
 //!
 //! The approximate backends each have a saturation point at which they
 //! become exhaustive and bit-identical to the exact scan: probing every IVF
@@ -54,12 +52,12 @@ pub mod ivf;
 pub mod points;
 pub mod quant;
 
-pub use backend::{AnnBackendState, AnnIndex, ExactBackend, IndexBackend};
+pub use backend::{AnnIndex, ExactBackend, IndexBackend};
 pub use brute::{build_exact_index, InvertedIndex, Postings};
-pub use hnsw::{HnswConfig, HnswIndex, HnswState};
-pub use ivf::{recall_at_k, IvfConfig, IvfIndex, IvfState};
+pub use hnsw::{HnswConfig, HnswIndex};
+pub use ivf::{recall_at_k, IvfConfig, IvfIndex};
 pub use points::MixedPointSet;
-pub use quant::{QuantConfig, QuantIndex, QuantState};
+pub use quant::{QuantConfig, QuantIndex};
 
 /// Shared fixture for this crate's unit-test modules: `n` random points
 /// on one hyperbolic x spherical product manifold. (The integration test

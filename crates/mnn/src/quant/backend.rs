@@ -58,25 +58,6 @@ impl Default for QuantConfig {
     }
 }
 
-/// The resident state of a [`QuantIndex`], exported for durable snapshots:
-/// the candidate set, the configuration, the frozen tangent-space
-/// sub-codebooks (flat per component) and the per-component code lanes.
-/// Reconstructions, their norms and the `f32` weight lanes are *not* part
-/// of the state — they are deterministic functions of the codebooks and
-/// the stored points, recomputed on import.
-#[derive(Debug, Clone)]
-pub struct QuantState {
-    /// The indexed candidate set.
-    pub candidates: MixedPointSet,
-    /// The configuration the index was built with.
-    pub config: QuantConfig,
-    /// Per-component flat tangent-space centroid blocks
-    /// (`len_m × dim_m` each).
-    pub codebooks: Vec<Vec<f64>>,
-    /// Per-component code lanes, one code per candidate.
-    pub codes: Vec<Vec<u8>>,
-}
-
 /// A quantised-postings index over a candidate point set.
 #[derive(Debug, Clone)]
 pub struct QuantIndex {
@@ -149,9 +130,7 @@ fn derive_recons(
 impl QuantIndex {
     /// Build a quantised index over the candidate set: train the
     /// sub-codebooks, then encode every candidate. An empty candidate set
-    /// leaves the codebooks untrained; the first [`QuantIndex::insert`]
-    /// batch trains them (with the same seeds a bulk build over that batch
-    /// would use, so the two paths produce identical indices).
+    /// leaves the codebooks untrained (and every search empty).
     pub fn build(candidates: MixedPointSet, config: QuantConfig) -> Self {
         let manifold = candidates.manifold().clone();
         let tangents: Vec<Vec<f64>> = (0..candidates.len())
@@ -170,110 +149,6 @@ impl QuantIndex {
         QuantIndex {
             candidates,
             config,
-            codebooks,
-            recons,
-            recon_sq_norms,
-            codes,
-        }
-    }
-
-    /// Incrementally index additional candidates without retraining: each
-    /// new point is log-mapped and encoded against the *frozen*
-    /// sub-codebooks — the streaming-update path delta publishes use,
-    /// symmetric to [`crate::IvfIndex::insert`]'s frozen centroids. An
-    /// index built over an empty set trains its codebooks from the first
-    /// insert batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manifolds differ.
-    pub fn insert(&mut self, added: &MixedPointSet) {
-        assert_eq!(
-            self.candidates.manifold(),
-            added.manifold(),
-            "inserted points must live on the indexed manifold"
-        );
-        if added.is_empty() {
-            return;
-        }
-        let manifold = self.candidates.manifold().clone();
-        let tangents: Vec<Vec<f64>> = (0..added.len())
-            .map(|i| manifold.log0(added.point(i)))
-            .collect();
-        if self.codebooks.iter().any(|cb| !cb.is_trained()) {
-            self.codebooks = train_codebooks(&manifold, &tangents, self.config);
-            let (recons, recon_sq_norms) = derive_recons(&manifold, &self.codebooks);
-            self.recons = recons;
-            self.recon_sq_norms = recon_sq_norms;
-        }
-        let mut point_codes = vec![0u8; manifold.num_subspaces()];
-        for (i, t) in tangents.iter().enumerate() {
-            for (m, code) in point_codes.iter_mut().enumerate() {
-                *code = self.codebooks[m].encode(&t[manifold.range(m)]);
-            }
-            self.candidates
-                .push(added.id(i), added.point(i), added.weight(i));
-            self.codes.push(&point_codes, added.weight(i));
-        }
-    }
-
-    /// Export the resident state for a durable snapshot — see
-    /// [`QuantState`] for what is captured and what is recomputed.
-    pub fn export_state(&self) -> QuantState {
-        QuantState {
-            candidates: self.candidates.clone(),
-            config: self.config,
-            codebooks: self
-                .codebooks
-                .iter()
-                .map(|cb| cb.centroids_flat().to_vec())
-                .collect(),
-            codes: (0..self.codes.num_components())
-                .map(|m| self.codes.code_lane(m).to_vec())
-                .collect(),
-        }
-    }
-
-    /// Rebuild an index from an exported [`QuantState`], re-deriving the
-    /// centroid reconstructions and `f32` weight lanes. The restored index
-    /// searches identically to the saved one, and post-restart inserts
-    /// encode against the same frozen codebooks an uninterrupted process
-    /// would have used.
-    ///
-    /// The arrays are trusted as-given (a checksummed snapshot format
-    /// guards the bytes); only the invariants needed to keep search in
-    /// bounds are asserted.
-    pub fn from_state(state: QuantState) -> Self {
-        let manifold = state.candidates.manifold().clone();
-        let mcount = manifold.num_subspaces();
-        let n = state.candidates.len();
-        assert_eq!(state.codebooks.len(), mcount, "one codebook per component");
-        assert_eq!(state.codes.len(), mcount, "one code lane per component");
-        let codebooks: Vec<Codebook> = state
-            .codebooks
-            .into_iter()
-            .enumerate()
-            .map(|(m, flat)| Codebook::from_parts(manifold.range(m).len(), flat))
-            .collect();
-        for (m, lane) in state.codes.iter().enumerate() {
-            assert_eq!(lane.len(), n, "one code per candidate");
-            assert!(
-                lane.iter().all(|&c| (c as usize) < codebooks[m].len()),
-                "codes must name stored sub-centroids"
-            );
-        }
-        let (recons, recon_sq_norms) = derive_recons(&manifold, &codebooks);
-        let weights: Vec<Vec<f32>> = (0..mcount)
-            .map(|m| {
-                (0..n)
-                    .map(|j| state.candidates.weight(j)[m] as f32)
-                    .collect()
-            })
-            .collect();
-        let codes = CodeBlocks::from_parts(state.codes, weights);
-        QuantIndex {
-            candidates: state.candidates,
-            config: state.config,
             codebooks,
             recons,
             recon_sq_norms,
@@ -414,13 +289,6 @@ impl AnnIndex for QuantIndex {
         QuantIndex::len(self)
     }
 
-    /// Quant inserts by encoding each new candidate against the frozen
-    /// sub-codebooks (see [`QuantIndex::insert`]).
-    fn insert(&mut self, added: &MixedPointSet) -> bool {
-        QuantIndex::insert(self, added);
-        true
-    }
-
     fn search(
         &self,
         query: &[f64],
@@ -488,109 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn building_empty_then_inserting_matches_the_bulk_build() {
-        let points = random_set(60, 7);
-        let config = QuantConfig {
-            ksub: 8,
-            train_iters: 5,
-            rerank_k: 16,
-            seed: 9,
-        };
-        let bulk = QuantIndex::build(points.clone(), config);
-        let mut streamed = QuantIndex::build(MixedPointSet::new(points.manifold().clone()), config);
-        assert!(streamed.is_empty());
-        streamed.insert(&points);
-        assert_eq!(streamed.len(), bulk.len());
-        // the first insert batch trains the same codebooks a bulk build
-        // trains, so codes and searches are identical
-        assert_eq!(streamed.codebooks(), bulk.codebooks());
-        assert_eq!(streamed.codes(), bulk.codes());
-        let keys = random_set(12, 8);
-        for i in 0..keys.len() {
-            assert_eq!(
-                streamed.search(keys.point(i), keys.weight(i), 5, None),
-                bulk.search(keys.point(i), keys.weight(i), 5, None),
-            );
-        }
-    }
-
-    #[test]
-    fn inserts_encode_against_frozen_codebooks() {
-        let base = random_set(50, 11);
-        let extra_full = random_set(62, 11); // same seed: first 50 identical
-        let extra = {
-            let mut e = MixedPointSet::new(base.manifold().clone());
-            for i in 50..extra_full.len() {
-                e.push(extra_full.id(i), extra_full.point(i), extra_full.weight(i));
-            }
-            e
-        };
-        let config = QuantConfig {
-            ksub: 8,
-            train_iters: 5,
-            rerank_k: 62, // corpus-wide: inserts must be exactly searchable
-            seed: 2,
-        };
-        let mut quant = QuantIndex::build(base, config);
-        let frozen = quant.codebooks().to_vec();
-        quant.insert(&extra);
-        assert_eq!(quant.len(), 62);
-        assert_eq!(quant.codebooks(), &frozen[..], "codebooks must not retrain");
-        let keys = random_set(12, 12);
-        let mut lanes = extra_full.blocks().norm_lanes();
-        for i in 0..keys.len() {
-            let (point, weight) = (keys.point(i), keys.weight(i));
-            let got = quant.search(point, weight, 5, None);
-            let want = crate::brute::scan_top_k(&extra_full, point, weight, 5, None, &mut lanes);
-            assert_eq!(got, want, "corpus-wide rerank over the union is exact");
-        }
-    }
-
-    #[test]
-    fn exported_state_round_trips_and_post_restart_inserts_stay_deterministic() {
-        let base = random_set(50, 14);
-        let extra_full = random_set(62, 14); // same seed: first 50 identical
-        let extra = {
-            let mut e = MixedPointSet::new(base.manifold().clone());
-            for i in 50..extra_full.len() {
-                e.push(extra_full.id(i), extra_full.point(i), extra_full.weight(i));
-            }
-            e
-        };
-        let config = QuantConfig {
-            ksub: 8,
-            train_iters: 5,
-            rerank_k: 12, // partial rerank: code lanes must survive exactly
-            seed: 4,
-        };
-        let mut uninterrupted = QuantIndex::build(base.clone(), config);
-        let mut restored = QuantIndex::from_state(QuantIndex::build(base, config).export_state());
-        assert_eq!(restored.codebooks(), uninterrupted.codebooks());
-        assert_eq!(restored.codes(), uninterrupted.codes());
-        let keys = random_set(12, 15);
-        for i in 0..keys.len() {
-            assert_eq!(
-                restored.search(keys.point(i), keys.weight(i), 5, None),
-                uninterrupted.search(keys.point(i), keys.weight(i), 5, None),
-            );
-        }
-        uninterrupted.insert(&extra);
-        restored.insert(&extra);
-        assert_eq!(restored.len(), 62);
-        assert_eq!(
-            restored.codes(),
-            uninterrupted.codes(),
-            "post-restart inserts must encode identically"
-        );
-        for i in 0..keys.len() {
-            assert_eq!(
-                restored.search(keys.point(i), keys.weight(i), 5, None),
-                uninterrupted.search(keys.point(i), keys.weight(i), 5, None),
-            );
-        }
-    }
-
-    #[test]
     fn quantised_postings_are_at_least_four_times_smaller() {
         let quant = QuantIndex::build(random_set(30, 16), QuantConfig::default());
         let quantised = quant.quantised_bytes_per_ad();
@@ -618,30 +383,13 @@ mod tests {
 
     #[test]
     fn the_index_exposes_the_trait_surface() {
-        let cands = random_set(30, 17);
-        let mut backend = QuantIndex::build(cands.clone(), QuantConfig::default());
+        let backend = QuantIndex::build(random_set(30, 17), QuantConfig::default());
         assert_eq!(backend.backend_name(), "quant");
-        assert_eq!(backend.len(), 30);
-        let extra = {
-            let full = random_set(35, 17);
-            let mut e = MixedPointSet::new(cands.manifold().clone());
-            for i in 30..full.len() {
-                e.push(full.id(i), full.point(i), full.weight(i));
-            }
-            e
-        };
-        assert!(
-            AnnIndex::insert(&mut backend, &extra),
-            "quant supports incremental inserts"
-        );
-        assert_eq!(backend.len(), 35);
-        let state = crate::AnnBackendState::Quant(backend.export_state());
-        assert_eq!(state.label(), "quant");
-        let revived = state.instantiate();
+        assert_eq!(AnnIndex::len(&backend), 30);
         let keys = random_set(8, 18);
         for i in 0..keys.len() {
             assert_eq!(
-                revived.search(keys.point(i), keys.weight(i), 4, None),
+                AnnIndex::search(&backend, keys.point(i), keys.weight(i), 4, None),
                 backend.search(keys.point(i), keys.weight(i), 4, None),
             );
         }

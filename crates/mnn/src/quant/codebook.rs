@@ -5,8 +5,7 @@
 //! Lloyd k-means in the component's *tangent space* at the origin — the one
 //! place the mixed-curvature metric is Euclidean — from the deterministic
 //! compat `StdRng`, so identical inputs and seeds always yield identical
-//! codebooks (the property the snapshot and insert-vs-bulk parity tests
-//! pin). Encoding maps a tangent vector to its nearest sub-centroid, ties
+//! codebooks. Encoding maps a tangent vector to its nearest sub-centroid, ties
 //! broken toward the lowest index, which keeps codes deterministic too.
 
 use rand::rngs::StdRng;
@@ -98,23 +97,6 @@ impl Codebook {
         Codebook { dim, centroids }
     }
 
-    /// Rebuild a codebook from snapshot-decoded parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flat centroid block is not a multiple of `dim` or
-    /// holds more than [`MAX_SUB_CENTROIDS`] centroids — the snapshot
-    /// decoder validates both before calling, so this is a backstop.
-    pub fn from_parts(dim: usize, centroids: Vec<f64>) -> Self {
-        assert!(dim > 0, "components have at least one dimension");
-        assert_eq!(centroids.len() % dim, 0, "flat centroids must be len x dim");
-        assert!(
-            centroids.len() / dim <= MAX_SUB_CENTROIDS,
-            "codes are one byte: at most {MAX_SUB_CENTROIDS} sub-centroids"
-        );
-        Codebook { dim, centroids }
-    }
-
     /// Number of centroids.
     #[inline]
     pub fn len(&self) -> usize {
@@ -143,12 +125,6 @@ impl Codebook {
     #[inline]
     pub fn centroid(&self, c: usize) -> &[f64] {
         &self.centroids[c * self.dim..(c + 1) * self.dim]
-    }
-
-    /// The flat `len × dim` centroid block (snapshot encoding).
-    #[inline]
-    pub fn centroids_flat(&self) -> &[f64] {
-        &self.centroids
     }
 
     /// Code of a tangent vector: the index of its nearest centroid in the
@@ -206,7 +182,10 @@ mod tests {
 
     #[test]
     fn encode_picks_the_nearest_centroid_with_lowest_index_ties() {
-        let cb = Codebook::from_parts(1, vec![-1.0, 0.0, 1.0]);
+        let cb = Codebook {
+            dim: 1,
+            centroids: vec![-1.0, 0.0, 1.0],
+        };
         assert_eq!(cb.encode(&[-0.9]), 0);
         assert_eq!(cb.encode(&[0.1]), 1);
         assert_eq!(cb.encode(&[2.0]), 2);
@@ -231,17 +210,6 @@ mod tests {
         assert!(!cb.is_trained());
         assert!(cb.is_empty());
         assert_eq!(cb.len(), 0);
-    }
-
-    #[test]
-    fn centroids_round_trip_through_flat_parts() {
-        let data = flat(&[[0.1, 0.2], [0.3, -0.1], [0.0, 0.5], [-0.2, -0.2]]);
-        let cb = Codebook::train(&data, 2, 2, 5, 3);
-        let revived = Codebook::from_parts(cb.dim(), cb.centroids_flat().to_vec());
-        assert_eq!(cb, revived);
-        for probe in [[0.09, 0.21], [-0.19, -0.18], [0.4, 0.4]] {
-            assert_eq!(cb.encode(&probe), revived.encode(&probe));
-        }
     }
 
     #[test]

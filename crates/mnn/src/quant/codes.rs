@@ -82,28 +82,6 @@ impl CodeBlocks {
         }
     }
 
-    /// Rebuild from snapshot-decoded code lanes plus the stored attention
-    /// weights (weights are re-derived from the full-precision candidate
-    /// set, not persisted twice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes are ragged or `weights` disagrees on shape —
-    /// the snapshot decoder validates first; this is a backstop.
-    pub fn from_parts(codes: Vec<Vec<u8>>, weights: Vec<Vec<f32>>) -> Self {
-        assert_eq!(codes.len(), weights.len(), "one weight lane per code lane");
-        let len = codes.first().map_or(0, Vec::len);
-        for (c, w) in codes.iter().zip(&weights) {
-            assert_eq!(c.len(), len, "code lanes must be equally long");
-            assert_eq!(w.len(), len, "weight lanes must match the code lanes");
-        }
-        CodeBlocks {
-            codes,
-            weights,
-            len,
-        }
-    }
-
     /// Number of stored (encoded) points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -132,12 +110,6 @@ impl CodeBlocks {
     #[inline]
     pub fn weight(&self, m: usize, j: usize) -> f32 {
         self.weights[m][j]
-    }
-
-    /// The full code lane of component `m` (snapshot encoding).
-    #[inline]
-    pub fn code_lane(&self, m: usize) -> &[u8] {
-        &self.codes[m]
     }
 
     /// Append one encoded point: one code and one attention weight per
@@ -212,7 +184,7 @@ mod tests {
         assert_eq!(blocks.code(0, 2), 2);
         assert_eq!(blocks.code(1, 2), 1);
         assert_eq!(blocks.weight(0, 1), 0.3f32);
-        assert_eq!(blocks.code_lane(0), &[0, 1, 2]);
+        assert_eq!(blocks.code(0, 0), 0);
     }
 
     #[test]
@@ -248,23 +220,5 @@ mod tests {
     fn quantised_points_cost_five_bytes_per_component() {
         let blocks = sample();
         assert_eq!(blocks.bytes_per_point(), 2 * 5);
-    }
-
-    #[test]
-    fn parts_round_trip() {
-        let blocks = sample();
-        let revived = CodeBlocks::from_parts(
-            (0..2).map(|m| blocks.code_lane(m).to_vec()).collect(),
-            (0..2)
-                .map(|m| (0..3).map(|j| blocks.weight(m, j)).collect())
-                .collect(),
-        );
-        assert_eq!(blocks, revived);
-    }
-
-    #[test]
-    #[should_panic(expected = "equally long")]
-    fn ragged_lanes_are_rejected() {
-        CodeBlocks::from_parts(vec![vec![0, 1], vec![0]], vec![vec![0.5, 0.5], vec![0.5]]);
     }
 }

@@ -18,15 +18,13 @@
 //!   geodesic,
 //! * [`backend`] — [`QuantIndex`], the fourth [`crate::AnnIndex`]
 //!   implementation: approximate table scan, exact top-`rerank_k` rerank
-//!   (corpus-wide `rerank_k` makes it bit-identical to the exact backend),
-//!   incremental insert by nearest-sub-centroid encoding, and snapshot
-//!   state export.
+//!   (corpus-wide `rerank_k` makes it bit-identical to the exact backend).
 
 pub mod backend;
 pub mod codebook;
 pub mod codes;
 pub mod soa;
 
-pub use backend::{QuantConfig, QuantIndex, QuantState};
+pub use backend::{QuantConfig, QuantIndex};
 pub use codebook::Codebook;
 pub use codes::{AsymmetricTable, CodeBlocks};

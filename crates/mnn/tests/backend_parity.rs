@@ -235,93 +235,6 @@ fn serving_rerank_quant_recall_at_10_is_at_least_0_8() {
     }
 }
 
-/// The quant incremental seam: once the codebooks are trained they are
-/// frozen, so *how* later points arrive — one at a time or in one batch —
-/// cannot change the index. A corpus-wide rerank then pins both streamed
-/// variants to the exact scan over the union.
-#[test]
-fn quant_insert_one_at_a_time_equals_batch_insert_and_exact() {
-    let union = random_set(120, 46);
-    let keys = random_set(25, 47);
-    let manifold = union.manifold().clone();
-    let split = 60;
-    let base = {
-        let mut b = MixedPointSet::new(manifold.clone());
-        for i in 0..split {
-            b.push(union.id(i), union.point(i), union.weight(i));
-        }
-        b
-    };
-    let config = QuantConfig {
-        ksub: 8,
-        train_iters: 4,
-        rerank_k: 120, // corpus-wide: streamed indices must stay exact
-        seed: 48,
-    };
-    let mut one_at_a_time = IndexBackend::Quant(config).instantiate(base.clone(), 1);
-    let mut batched = IndexBackend::Quant(config).instantiate(base, 1);
-    let mut batch = MixedPointSet::new(manifold.clone());
-    for i in split..union.len() {
-        let mut one = MixedPointSet::new(manifold.clone());
-        one.push(union.id(i), union.point(i), union.weight(i));
-        assert!(
-            one_at_a_time.insert(&one),
-            "quant must accept streaming inserts"
-        );
-        batch.push(union.id(i), union.point(i), union.weight(i));
-    }
-    assert!(batched.insert(&batch));
-    assert_eq!(one_at_a_time.len(), union.len());
-    assert_eq!(batched.len(), union.len());
-    let exact = ExactBackend::new(union, 1);
-    for i in 0..keys.len() {
-        let want = exact.search(keys.point(i), keys.weight(i), 10, None);
-        assert_eq!(
-            one_at_a_time.search(keys.point(i), keys.weight(i), 10, None),
-            want,
-            "one-at-a-time streamed quant must answer exactly (key {i})"
-        );
-        assert_eq!(
-            batched.search(keys.point(i), keys.weight(i), 10, None),
-            want,
-            "batch-streamed quant must answer exactly (key {i})"
-        );
-    }
-}
-
-/// The incremental seam: a graph grown by `insert`ing points one at a time
-/// through the `AnnIndex` trait is *the same graph* a bulk build produces
-/// (same deterministic level draws, same code path), so every search — not
-/// just high-recall ones — returns identical results.
-#[test]
-fn hnsw_insert_one_at_a_time_equals_bulk_build() {
-    let union = random_set(120, 46);
-    let keys = random_set(25, 47);
-    let config = HnswConfig {
-        m: 8,
-        ef_construction: 32,
-        ef_search: 24,
-        seed: 48,
-    };
-    let bulk = IndexBackend::Hnsw(config).instantiate(union.clone(), 1);
-    let manifold = union.manifold().clone();
-    let mut streamed =
-        IndexBackend::Hnsw(config).instantiate(MixedPointSet::new(manifold.clone()), 1);
-    for i in 0..union.len() {
-        let mut one = MixedPointSet::new(manifold.clone());
-        one.push(union.id(i), union.point(i), union.weight(i));
-        assert!(streamed.insert(&one), "HNSW must accept streaming inserts");
-    }
-    assert_eq!(streamed.len(), bulk.len());
-    for i in 0..keys.len() {
-        assert_eq!(
-            streamed.search(keys.point(i), keys.weight(i), 10, None),
-            bulk.search(keys.point(i), keys.weight(i), 10, None),
-            "streamed and bulk-built graphs must answer identically (key {i})"
-        );
-    }
-}
-
 /// Every branch of the curvature trigonometry and both sides of each of
 /// its seams (`KAPPA_EPS` is 1e-7).
 const CURVATURES: [f64; 15] = [

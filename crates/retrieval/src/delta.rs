@@ -8,11 +8,12 @@
 //!
 //! * [`IndexDelta`] describes one churn step — ads added (with their
 //!   points in both ad edge spaces) and ads retired.
-//! * [`DeltaBuilder`] owns one corpus's [`IndexBuildInputs`] and turns the
-//!   previous generation's [`IndexSet`] plus a delta into the next
-//!   generation's `IndexSet` without re-running the full neighbour build.
+//! * `DeltaBuilder` (crate-private) owns one corpus's [`IndexBuildInputs`]
+//!   and turns the previous generation's [`IndexSet`] plus a delta into
+//!   the next generation's `IndexSet` without re-running the full
+//!   neighbour build.
 //! * [`ShardedDeltaBuilder`] cold-builds a deployment (the key-side
-//!   indices once, shared by every shard), runs one [`DeltaBuilder`] per
+//!   indices once, shared by every shard), runs one `DeltaBuilder` per
 //!   shard and routes each delta only to the shards [`ad_shard`] assigns
 //!   its ads to; untouched shards keep their [`Arc`]'d engines
 //!   pointer-identical across generations.
@@ -124,7 +125,7 @@ impl IndexDelta {
 /// plus an [`IndexDelta`] — see the module docs for the algorithm and the
 /// exactness argument.
 #[derive(Debug, Clone)]
-pub struct DeltaBuilder {
+pub(crate) struct DeltaBuilder {
     inputs: IndexBuildInputs,
     config: IndexBuildConfig,
 }
@@ -135,7 +136,10 @@ impl DeltaBuilder {
     /// configuration must match the one the previous generation's
     /// `IndexSet` was built with — a different `top_k` would make the
     /// filter/backfill boundary analysis wrong.
-    pub fn new(inputs: IndexBuildInputs, config: IndexBuildConfig) -> Result<Self, RetrievalError> {
+    pub(crate) fn new(
+        inputs: IndexBuildInputs,
+        config: IndexBuildConfig,
+    ) -> Result<Self, RetrievalError> {
         inputs.validate()?;
         Ok(DeltaBuilder { inputs, config })
     }
@@ -143,38 +147,47 @@ impl DeltaBuilder {
     /// The current (post-all-applied-deltas) build inputs. A from-scratch
     /// [`IndexSet::build`] over these is what every delta-built index is
     /// property-tested to equal.
-    pub fn inputs(&self) -> &IndexBuildInputs {
+    pub(crate) fn inputs(&self) -> &IndexBuildInputs {
         &self.inputs
     }
 
-    /// The index configuration deltas are applied under.
-    pub fn config(&self) -> IndexBuildConfig {
-        self.config
+    /// The delta checks that depend on this corpus:
+    /// [`RetrievalError::UnknownAd`] for retiring an id the corpus does
+    /// not contain, [`RetrievalError::DuplicateId`] for an added id the
+    /// corpus already holds without retiring it. Together with
+    /// [`validate_added_sets`] this is everything
+    /// [`DeltaBuilder::apply`] relies on; neither mutates, so a caller
+    /// can check every corpus a delta touches before changing any.
+    pub(crate) fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
+        for &ad in &delta.retired_ads {
+            if !self.inputs.ads_qa.contains_id(ad) || !self.inputs.ads_ia.contains_id(ad) {
+                return Err(RetrievalError::UnknownAd { ad });
+            }
+        }
+        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
+        for &id in delta.added_ads_qa.ids() {
+            if self.inputs.ads_qa.contains_id(id) && !retired.contains(&id) {
+                return Err(RetrievalError::DuplicateId {
+                    space: "delta added_ads (already in corpus)",
+                    id,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Produce the next generation's [`IndexSet`] from the previous
     /// generation's `prev` plus `delta`, updating the held inputs. `prev`
     /// must be the set built from this builder's current inputs under its
-    /// configuration (the seed build or the previous `apply` result).
-    ///
-    /// Validation happens before any mutation, so on `Err` the builder is
-    /// unchanged and still consistent with `prev`:
-    /// [`RetrievalError::DuplicateId`] for duplicate added ids (within a
-    /// space, or an added id the corpus already holds without retiring
-    /// it), [`RetrievalError::UnknownAd`] for retiring an id the corpus
-    /// does not contain, and [`RetrievalError::InvalidConfig`] when the
-    /// two added spaces disagree on the added id set.
+    /// configuration (the seed build or the previous `apply` result), and
+    /// `delta` must have passed [`validate_added_sets`] and
+    /// [`DeltaBuilder::validate_delta`] — nothing here can fail.
     ///
     /// Retiring *every* ad is valid at this level and yields empty ad
     /// indices (exactly like a full rebuild over an adless corpus);
     /// assembling an engine from that set then fails with the typed
     /// [`RetrievalError::EmptyIndex`] instead of panicking.
-    pub fn apply(
-        &mut self,
-        prev: &IndexSet,
-        delta: &IndexDelta,
-    ) -> Result<IndexSet, RetrievalError> {
-        self.validate_delta(delta)?;
+    pub(crate) fn apply(&mut self, prev: &IndexSet, delta: &IndexDelta) -> IndexSet {
         let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
         // retire in place; the survivors are the backfill candidate set
         self.inputs.ads_qa.retire(|id| retired.contains(&id));
@@ -198,26 +211,7 @@ impl DeltaBuilder {
         self.inputs.ads_qa.append(&delta.added_ads_qa);
         self.inputs.ads_ia.append(&delta.added_ads_ia);
         // the key-side indices contain no ads: the next generation shares them
-        Ok(prev.with_ad_side(q2a, i2a))
-    }
-
-    fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
-        validate_added_sets(delta)?;
-        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        for &ad in &delta.retired_ads {
-            if !self.inputs.ads_qa.contains_id(ad) || !self.inputs.ads_ia.contains_id(ad) {
-                return Err(RetrievalError::UnknownAd { ad });
-            }
-        }
-        for &id in delta.added_ads_qa.ids() {
-            if self.inputs.ads_qa.contains_id(id) && !retired.contains(&id) {
-                return Err(RetrievalError::DuplicateId {
-                    space: "delta added_ads (already in corpus)",
-                    id,
-                });
-            }
-        }
-        Ok(())
+        prev.with_ad_side(q2a, i2a)
     }
 }
 
@@ -368,7 +362,7 @@ struct ShardSlot {
 }
 
 /// Incremental index maintenance for a sharded deployment: one
-/// [`DeltaBuilder`] per configured shard, with each applied delta routed
+/// `DeltaBuilder` per configured shard, with each applied delta routed
 /// only to the shards [`ad_shard`] assigns its added / retired ads to.
 /// Shards a delta does not touch contribute the *same* [`Arc`]'d engine
 /// to the next generation — their index storage is reused
@@ -506,7 +500,7 @@ impl ShardedDeltaBuilder {
     /// Apply one corpus delta and return the next generation's engine.
     /// The delta is split by [`ad_shard`]; only the shards it actually
     /// touches rebuild their ad-side indices (incrementally, through
-    /// their [`DeltaBuilder`]), every other shard's engine [`Arc`] is
+    /// their `DeltaBuilder`), every other shard's engine [`Arc`] is
     /// reused unchanged.
     ///
     /// All validation — duplicate added ids, unknown retired ads,
@@ -517,51 +511,45 @@ impl ShardedDeltaBuilder {
     pub fn apply(&mut self, delta: &IndexDelta) -> Result<ShardedEngine, RetrievalError> {
         validate_added_sets(delta)?;
         let shards = self.topology.shards;
-        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        for &ad in &delta.retired_ads {
-            let slot = &self.slots[ad_shard(ad, shards)];
-            if !slot.builder.inputs().ads_qa.contains_id(ad)
-                || !slot.builder.inputs().ads_ia.contains_id(ad)
-            {
-                return Err(RetrievalError::UnknownAd { ad });
-            }
-        }
-        for &id in delta.added_ads_qa.ids() {
-            let slot = &self.slots[ad_shard(id, shards)];
-            if slot.builder.inputs().ads_qa.contains_id(id) && !retired.contains(&id) {
-                return Err(RetrievalError::DuplicateId {
-                    space: "delta added_ads (already in corpus)",
-                    id,
-                });
-            }
-        }
-        // refusing to retire the whole corpus keeps the failure atomic:
-        // nothing below this point can fail, so no shard commits a delta
-        // the others reject
-        if self.corpus_len() - retired.len() + delta.added_ads_qa.len() == 0 {
-            return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
-        }
         let added_qa = delta
             .added_ads_qa
             .partition_by(shards, |ad| ad_shard(ad, shards));
         let added_ia = delta
             .added_ads_ia
             .partition_by(shards, |ad| ad_shard(ad, shards));
+        let mut retired: HashSet<u32> = HashSet::with_capacity(delta.retired_ads.len());
         let mut retired_by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for &ad in &retired {
-            retired_by_shard[ad_shard(ad, shards)].push(ad);
+        for &ad in &delta.retired_ads {
+            if retired.insert(ad) {
+                retired_by_shard[ad_shard(ad, shards)].push(ad);
+            }
         }
-        for (s, (added_ads_qa, added_ads_ia)) in added_qa.into_iter().zip(added_ia).enumerate() {
-            let sub = IndexDelta {
+        // untouched shards (empty sub-deltas) drop out here: their engine
+        // Arcs are reused verbatim
+        let touched: Vec<(usize, IndexDelta)> = added_qa
+            .into_iter()
+            .zip(added_ia)
+            .zip(retired_by_shard)
+            .map(|((added_ads_qa, added_ads_ia), retired_ads)| IndexDelta {
                 added_ads_qa,
                 added_ads_ia,
-                retired_ads: std::mem::take(&mut retired_by_shard[s]),
-            };
-            if sub.is_empty() {
-                continue; // untouched shard: its Arc is reused verbatim
-            }
-            let slot = &mut self.slots[s];
-            let next = slot.builder.apply(slot.indexes.get(), &sub)?;
+                retired_ads,
+            })
+            .enumerate()
+            .filter(|(_, sub)| !sub.is_empty())
+            .collect();
+        for (s, sub) in &touched {
+            self.slots[*s].builder.validate_delta(sub)?;
+        }
+        // refusing to retire the whole corpus keeps the failure atomic:
+        // nothing below this point can fail on a validated delta, so no
+        // shard commits one the others reject
+        if self.corpus_len() - retired.len() + delta.added_ads_qa.len() == 0 {
+            return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
+        }
+        for (s, sub) in &touched {
+            let slot = &mut self.slots[*s];
+            let next = slot.builder.apply(slot.indexes.get(), sub);
             slot.indexes = ShardIndexes::new(next, &self.topology)?;
         }
         self.engine()
@@ -584,6 +572,18 @@ mod tests {
         result
             .map(RetrievalResponse::logical)
             .map_err(RetrievalError::logical)
+    }
+
+    /// The full single-corpus contract: every check, then the apply —
+    /// what `ShardedDeltaBuilder::apply` does across its touched slots.
+    fn checked_apply(
+        builder: &mut DeltaBuilder,
+        prev: &IndexSet,
+        delta: &IndexDelta,
+    ) -> Result<IndexSet, RetrievalError> {
+        validate_added_sets(delta)?;
+        builder.validate_delta(delta)?;
+        Ok(builder.apply(prev, delta))
     }
 
     /// A delta adding `ids` (fresh random points, deterministic per seed)
@@ -710,7 +710,7 @@ mod tests {
         // retire ads that sit in many full posting lists (top_k 6 < 20
         // ads, so lists are at the cap and the backfill rescan must fire)
         let delta = make_delta(300..306, 41, vec![200, 203, 219]);
-        let next = builder.apply(&prev, &delta).unwrap();
+        let next = checked_apply(&mut builder, &prev, &delta).unwrap();
         let rebuilt = IndexSet::build(builder.inputs(), config).unwrap();
         assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a");
         assert_indices_identical(&next.i2a, &rebuilt.i2a, "i2a");
@@ -724,7 +724,7 @@ mod tests {
         // and a second, chained delta stays exact (retire some of what
         // the first delta added)
         let delta2 = make_delta(310..313, 43, vec![301, 207]);
-        let next2 = builder.apply(&next, &delta2).unwrap();
+        let next2 = checked_apply(&mut builder, &next, &delta2).unwrap();
         let rebuilt2 = IndexSet::build(builder.inputs(), config).unwrap();
         assert_indices_identical(&next2.q2a, &rebuilt2.q2a, "q2a after chaining");
         assert_indices_identical(&next2.i2a, &rebuilt2.i2a, "i2a after chaining");
@@ -742,7 +742,7 @@ mod tests {
         let mut builder = DeltaBuilder::new(inputs, config).unwrap();
         // id 205 leaves and re-enters with new points in the same delta
         let delta = make_delta(205..206, 77, vec![205]);
-        let next = builder.apply(&prev, &delta).unwrap();
+        let next = checked_apply(&mut builder, &prev, &delta).unwrap();
         let rebuilt = IndexSet::build(builder.inputs(), config).unwrap();
         assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a");
         assert_indices_identical(&next.i2a, &rebuilt.i2a, "i2a");
@@ -901,7 +901,7 @@ mod tests {
         let prev = IndexSet::build(&inputs, config).unwrap();
         let mut builder = DeltaBuilder::new(inputs.clone(), config).unwrap();
         let delta = make_delta(300..304, 11, vec![201]);
-        let next = builder.apply(&prev, &delta).unwrap();
+        let next = checked_apply(&mut builder, &prev, &delta).unwrap();
         assert!(Arc::ptr_eq(&prev.q2q, &next.q2q), "q2q must be shared");
         assert!(Arc::ptr_eq(&prev.q2i, &next.q2i), "q2i must be shared");
         assert!(Arc::ptr_eq(&prev.i2q, &next.i2q), "i2q must be shared");
@@ -1123,7 +1123,7 @@ mod tests {
         dup.added_ads_qa.push(300, extra.point(0), extra.weight(0));
         dup.added_ads_ia.push(300, extra.point(0), extra.weight(0));
         assert!(matches!(
-            builder.apply(&prev, &dup).unwrap_err(),
+            checked_apply(&mut builder, &prev, &dup).unwrap_err(),
             RetrievalError::DuplicateId {
                 space: "delta added_ads_qa",
                 id: 300
@@ -1132,26 +1132,26 @@ mod tests {
         // adding an id the corpus already holds (without retiring it)
         let clash = make_delta(205..206, 3, Vec::new());
         assert!(matches!(
-            builder.apply(&prev, &clash).unwrap_err(),
+            checked_apply(&mut builder, &prev, &clash).unwrap_err(),
             RetrievalError::DuplicateId { id: 205, .. }
         ));
         // retiring an unknown ad
         let unknown = IndexDelta::retire_only(&inputs, vec![9000]);
         assert_eq!(
-            builder.apply(&prev, &unknown).unwrap_err(),
+            checked_apply(&mut builder, &prev, &unknown).unwrap_err(),
             RetrievalError::UnknownAd { ad: 9000 }
         );
         // the two added spaces must agree on the id set
         let mut skewed = make_delta(300..302, 4, Vec::new());
         skewed.added_ads_ia = random_points(300..301, 5);
         assert!(matches!(
-            builder.apply(&prev, &skewed).unwrap_err(),
+            checked_apply(&mut builder, &prev, &skewed).unwrap_err(),
             RetrievalError::InvalidConfig(_)
         ));
         // every rejection left the builder untouched: a valid apply still
         // matches the from-scratch rebuild exactly
         let valid = make_delta(300..303, 6, vec![201]);
-        let next = builder.apply(&prev, &valid).unwrap();
+        let next = checked_apply(&mut builder, &prev, &valid).unwrap();
         let rebuilt = IndexSet::build(builder.inputs(), config).unwrap();
         assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a after rejections");
         // ... and the sharded builder rejects with the same errors
@@ -1166,6 +1166,16 @@ mod tests {
             sharded.apply(&clash).unwrap_err(),
             RetrievalError::DuplicateId { id: 205, .. }
         ));
+        // ... for the whole delta before any shard changes: valid adds on
+        // shard 0 must not land when shard 1's half is rejected
+        let stranger = (9000..).find(|&id| ad_shard(id, 2) == 1).unwrap();
+        let straddling = delta_into_shard(&inputs, (0, 2), 400, 9, vec![stranger]);
+        let before = sharded.corpus_len();
+        assert_eq!(
+            sharded.apply(&straddling).unwrap_err(),
+            RetrievalError::UnknownAd { ad: stranger }
+        );
+        assert_eq!(sharded.corpus_len(), before);
     }
 
     /// The empty-after-delta regression tests: retiring every ad must
@@ -1187,7 +1197,7 @@ mod tests {
         let prev = IndexSet::build(&inputs, config).unwrap();
         let mut builder = DeltaBuilder::new(inputs.clone(), config).unwrap();
         let wipe = IndexDelta::retire_only(&inputs, all_ads.clone());
-        let emptied = builder.apply(&prev, &wipe).unwrap();
+        let emptied = checked_apply(&mut builder, &prev, &wipe).unwrap();
         assert!(emptied.q2a.is_empty() && emptied.i2a.is_empty());
         assert_eq!(
             RetrievalEngine::builder()

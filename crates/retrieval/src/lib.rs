@@ -33,7 +33,7 @@
 //!
 //! Between full rebuilds, **delta publishes** keep the corpus fresh
 //! incrementally: [`IndexDelta`] names the ads entering and leaving,
-//! [`DeltaBuilder`] / [`ShardedDeltaBuilder`] update only the ad-side
+//! [`ShardedDeltaBuilder`] updates only the ad-side
 //! indices of only the touched shards (untouched shards reuse their
 //! `Arc`'d storage pointer-identically), and
 //! [`EngineHandle::publish_delta`] swaps the result in as the next
@@ -58,8 +58,7 @@
 //! input ids are rejected with the typed
 //! [`RetrievalError::DuplicateId`]) and [`TwoLayerRetriever`] (the bare
 //! layer logic). See `src/README.md` for the backend
-//! taxonomy (when to pick which, tuning knobs, incremental-insert
-//! support). The unchanging key side is `Arc`-shared everywhere it is
+//! taxonomy (when to pick which, tuning knobs). The unchanging key side is `Arc`-shared everywhere it is
 //! replicated: [`IndexBuildInputs`] hands every shard the same key
 //! point sets, and [`IndexSet`] carries its key-side indices across
 //! delta generations pointer-identically.
@@ -161,7 +160,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod store;
 
-pub use delta::{DeltaBuilder, IndexDelta, ShardedDeltaBuilder};
+pub use delta::{IndexDelta, ShardedDeltaBuilder};
 pub use engine::{
     CoverageSource, ReplicaId, Request, RetrievalEngine, RetrievalEngineBuilder, RetrievalResponse,
     RetrievalStats, Retrieve,
@@ -176,7 +175,7 @@ pub use shard::{
     ad_shard, shard_inputs, HedgeControl, ReplicatedShard, ShardedEngine, ShardedEngineBuilder,
 };
 pub use snapshot::{EngineHandle, EngineSnapshot};
-pub use store::{load_backend_state, save_backend_state, SnapshotManifest, FORMAT_VERSION};
+pub use store::{SnapshotManifest, FORMAT_VERSION};
 
 /// Shared fixtures for this crate's test modules: one tiny deterministic
 /// world (queries 0..10, items 100..140, ads 200..220).

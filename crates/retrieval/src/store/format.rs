@@ -10,7 +10,7 @@
 //! ## Envelope
 //!
 //! ```text
-//! magic      8 bytes   b"AMCADSNP" (deployment) / b"AMCADANN" (backend)
+//! magic      8 bytes   b"AMCADSNP"
 //! version    u32 LE    FORMAT_VERSION
 //! length     u64 LE    payload byte count
 //! payload    length bytes
@@ -29,15 +29,13 @@
 //! validated against the bytes actually remaining before anything is
 //! allocated, so truncated, bit-flipped or adversarial inputs surface as
 //! [`RetrievalError::SnapshotCorrupt`] — never as a panic or an
-//! unbounded allocation. Structures with internal invariants (manifold
-//! shape, HNSW link targets, IVF cluster membership) are validated here,
-//! before the constructors that `assert!` those invariants ever run.
+//! unbounded allocation. Structures with internal invariants (the
+//! manifold's shape) are validated here, before the constructors that
+//! `assert!` those invariants ever run.
 
 use amcad_manifold::{ProductManifold, SubspaceSpec};
-use amcad_mnn::quant::codebook::MAX_SUB_CENTROIDS;
 use amcad_mnn::{
-    AnnBackendState, HnswConfig, HnswState, IndexBackend, InvertedIndex, IvfConfig, IvfState,
-    MixedPointSet, Postings, QuantConfig, QuantState,
+    HnswConfig, IndexBackend, InvertedIndex, IvfConfig, MixedPointSet, Postings, QuantConfig,
 };
 
 use crate::error::RetrievalError;
@@ -46,8 +44,6 @@ use crate::retriever::RetrievalConfig;
 
 /// Magic prefix of a deployment snapshot file.
 pub(crate) const MAGIC_SNAPSHOT: &[u8; 8] = b"AMCADSNP";
-/// Magic prefix of a standalone backend-state file.
-pub(crate) const MAGIC_BACKEND: &[u8; 8] = b"AMCADANN";
 /// The one format version this binary reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
@@ -401,7 +397,7 @@ pub(crate) fn decode_index(dec: &mut Decoder<'_>) -> Result<InvertedIndex, Retri
 }
 
 // ---------------------------------------------------------------------
-// Backend configurations and resident backend state
+// Backend configurations
 // ---------------------------------------------------------------------
 
 const BACKEND_EXACT: u8 = 0;
@@ -537,257 +533,17 @@ pub(crate) fn decode_pool_width(
     dec.usize_capped(MAX_THREADS, what)
 }
 
-// ---------------------------------------------------------------------
-// Resident ANN backend state (the standalone b"AMCADANN" payload)
-// ---------------------------------------------------------------------
-
-pub(crate) fn encode_backend_state(enc: &mut Encoder, state: &AnnBackendState) {
-    match state {
-        AnnBackendState::Exact {
-            candidates,
-            threads,
-        } => {
-            enc.u8(BACKEND_EXACT);
-            enc.usize(*threads);
-            encode_point_set(enc, candidates);
-        }
-        AnnBackendState::Ivf(state) => {
-            enc.u8(BACKEND_IVF);
-            encode_ivf_config(enc, &state.config);
-            encode_point_set(enc, &state.candidates);
-            enc.usize(state.centroids.len());
-            for centroid in &state.centroids {
-                for &x in centroid {
-                    enc.f64(x);
-                }
-            }
-            for cluster in &state.clusters {
-                enc.usize(cluster.len());
-                for &slot in cluster {
-                    enc.usize(slot);
-                }
-            }
-        }
-        AnnBackendState::Hnsw(state) => {
-            enc.u8(BACKEND_HNSW);
-            encode_hnsw_config(enc, &state.config);
-            encode_point_set(enc, &state.candidates);
-            for word in state.rng_state {
-                enc.u64(word);
-            }
-            match state.entry {
-                None => enc.u8(0),
-                Some(entry) => {
-                    enc.u8(1);
-                    enc.usize(entry);
-                }
-            }
-            for &level in &state.node_level {
-                enc.usize(level);
-            }
-            for node in &state.links {
-                // links[slot].len() == node_level[slot] + 1 by
-                // construction, so the layer count is implied
-                for layer in node {
-                    enc.usize(layer.len());
-                    for &neighbour in layer {
-                        enc.u32(neighbour);
-                    }
-                }
-            }
-        }
-        AnnBackendState::Quant(state) => {
-            enc.u8(BACKEND_QUANT);
-            encode_quant_config(enc, &state.config);
-            encode_point_set(enc, &state.candidates);
-            // one codebook + one code lane per manifold component, so the
-            // component count is implied by the manifold; each codebook
-            // carries its own centroid count (its tangent dimension is the
-            // component's), and each code lane holds exactly one byte per
-            // candidate
-            let specs = state.candidates.manifold().subspaces();
-            for (flat, spec) in state.codebooks.iter().zip(specs) {
-                enc.usize(flat.len() / spec.dim);
-                for &x in flat {
-                    enc.f64(x);
-                }
-            }
-            for lane in &state.codes {
-                for &code in lane {
-                    enc.u8(code);
-                }
-            }
-        }
-    }
-}
-
-/// Decode a backend state, validating every structural invariant the
-/// `from_state` constructors assert — out-of-range entry points, link
-/// targets or cluster slots surface as [`RetrievalError::SnapshotCorrupt`]
-/// here, never as a downstream panic.
-pub(crate) fn decode_backend_state(
-    dec: &mut Decoder<'_>,
-) -> Result<AnnBackendState, RetrievalError> {
-    match dec.u8("backend-state tag")? {
-        BACKEND_EXACT => {
-            let threads = dec.usize_capped(MAX_THREADS, "exact backend threads")?;
-            let candidates = decode_point_set(dec)?;
-            Ok(AnnBackendState::Exact {
-                candidates,
-                threads,
-            })
-        }
-        BACKEND_IVF => {
-            let config = decode_ivf_config(dec)?;
-            let candidates = decode_point_set(dec)?;
-            let n = candidates.len();
-            let dim = candidates.manifold().total_dim();
-            let k = dec.count(dim * 8, "ivf centroid count")?;
-            let mut centroids = Vec::with_capacity(k);
-            for _ in 0..k {
-                let mut centroid = vec![0.0f64; dim];
-                for x in centroid.iter_mut() {
-                    *x = dec.f64("ivf centroid coordinate")?;
-                }
-                centroids.push(centroid);
-            }
-            let mut clusters = Vec::with_capacity(k);
-            let mut assigned = vec![false; n];
-            for _ in 0..k {
-                let len = dec.count(8, "ivf cluster size")?;
-                let mut cluster = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let slot = dec.usize_capped(usize::MAX, "ivf cluster member")?;
-                    match assigned.get_mut(slot) {
-                        Some(seen) if !*seen => *seen = true,
-                        _ => {
-                            return Err(corrupt(format!(
-                                "ivf cluster member {slot} is out of range or assigned twice ({n} candidates)"
-                            )))
-                        }
-                    }
-                    cluster.push(slot);
-                }
-                clusters.push(cluster);
-            }
-            if assigned.iter().any(|&a| !a) {
-                return Err(corrupt("ivf clusters do not cover every candidate"));
-            }
-            Ok(AnnBackendState::Ivf(IvfState {
-                candidates,
-                config,
-                centroids,
-                clusters,
-            }))
-        }
-        BACKEND_HNSW => {
-            let config = decode_hnsw_config(dec)?;
-            let candidates = decode_point_set(dec)?;
-            let n = candidates.len();
-            let mut rng_state = [0u64; 4];
-            for word in rng_state.iter_mut() {
-                *word = dec.u64("hnsw rng state")?;
-            }
-            let entry = match dec.u8("hnsw entry tag")? {
-                0 => None,
-                1 => Some(dec.usize_capped(usize::MAX, "hnsw entry slot")?),
-                tag => return Err(corrupt(format!("unknown hnsw entry tag {tag}"))),
-            };
-            if entry.is_none() != (n == 0) || entry.is_some_and(|e| e >= n) {
-                return Err(corrupt(format!(
-                    "hnsw entry {entry:?} is inconsistent with {n} candidates"
-                )));
-            }
-            let mut node_level = Vec::with_capacity(n);
-            for _ in 0..n {
-                // each layer below costs at least 8 bytes, which bounds
-                // plausible levels by the payload size
-                node_level.push(dec.usize_capped(dec.remaining() / 8 + 1, "hnsw node level")?);
-            }
-            let mut links = Vec::with_capacity(n);
-            for &level in &node_level {
-                let mut node = Vec::with_capacity(level + 1);
-                for _ in 0..=level {
-                    let len = dec.count(4, "hnsw layer degree")?;
-                    let mut layer = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let neighbour = dec.u32("hnsw link target")?;
-                        if neighbour as usize >= n {
-                            return Err(corrupt(format!(
-                                "hnsw link target {neighbour} is out of range ({n} candidates)"
-                            )));
-                        }
-                        layer.push(neighbour);
-                    }
-                    node.push(layer);
-                }
-                links.push(node);
-            }
-            Ok(AnnBackendState::Hnsw(HnswState {
-                candidates,
-                config,
-                rng_state,
-                entry,
-                node_level,
-                links,
-            }))
-        }
-        BACKEND_QUANT => {
-            let config = decode_quant_config(dec)?;
-            let candidates = decode_point_set(dec)?;
-            let n = candidates.len();
-            let subspaces: Vec<_> = candidates.manifold().subspaces().to_vec();
-            let mut codebooks = Vec::with_capacity(subspaces.len());
-            for spec in &subspaces {
-                // codes are one byte, so a codebook beyond 256 centroids
-                // could never have been written by the encoder — reject it
-                // here instead of letting `Codebook::from_parts` assert
-                let k = dec.count(spec.dim * 8, "quant codebook centroid count")?;
-                if k > MAX_SUB_CENTROIDS {
-                    return Err(corrupt(format!(
-                        "quant codebook claims {k} sub-centroids, above the one-byte cap {MAX_SUB_CENTROIDS}"
-                    )));
-                }
-                let mut flat = vec![0.0f64; k * spec.dim];
-                for x in flat.iter_mut() {
-                    *x = dec.f64("quant centroid coordinate")?;
-                }
-                codebooks.push(flat);
-            }
-            let mut codes = Vec::with_capacity(subspaces.len());
-            for (m, (spec, flat)) in subspaces.iter().zip(&codebooks).enumerate() {
-                let ksub = flat.len() / spec.dim.max(1);
-                let lane = dec.take(n, "quant code lane")?;
-                if let Some(&bad) = lane.iter().find(|&&c| c as usize >= ksub) {
-                    return Err(corrupt(format!(
-                        "quant code {bad} in component {m} names no stored sub-centroid ({ksub} exist)"
-                    )));
-                }
-                codes.push(lane.to_vec());
-            }
-            Ok(AnnBackendState::Quant(QuantState {
-                candidates,
-                config,
-                codebooks,
-                codes,
-            }))
-        }
-        tag => Err(corrupt(format!("unknown backend-state tag {tag}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_fixtures::random_points;
-    use amcad_mnn::QuantIndex;
 
     #[test]
     fn the_envelope_round_trips_and_localises_damage() {
         let sealed = seal(MAGIC_SNAPSHOT, vec![1, 2, 3, 4, 5]);
         assert_eq!(unseal(MAGIC_SNAPSHOT, &sealed).unwrap(), &[1, 2, 3, 4, 5]);
         // wrong magic
-        let err = unseal(MAGIC_BACKEND, &sealed).unwrap_err();
+        let err = unseal(b"AMCADXXX", &sealed).unwrap_err();
         assert!(matches!(err, RetrievalError::SnapshotCorrupt { .. }));
         assert!(err.to_string().contains("magic"));
         // truncation, at every possible cut
@@ -914,94 +670,14 @@ mod tests {
         assert!(decode_index(&mut dec).is_err());
         let mut dec = Decoder::new(&bytes);
         assert!(decode_manifold(&mut dec).is_err());
-        // an IVF state whose cluster members point past the candidates
-        let state = AnnBackendState::Ivf(IvfState {
-            candidates: random_points(0..4, 1),
-            config: IvfConfig::default(),
-            centroids: vec![vec![0.0; 4]],
-            clusters: vec![vec![0, 1, 2, 3]],
-        });
+        // a point set checks its own count too: a valid manifold followed
+        // by the same absurd point count
         let mut enc = Encoder::new();
-        encode_backend_state(&mut enc, &state);
-        let mut bytes = enc.into_bytes();
-        // clusters are the trailing usizes; point the last slot at 99
-        let last = bytes.len() - 8;
-        bytes[last..].copy_from_slice(&99u64.to_le_bytes());
-        let mut dec = Decoder::new(&bytes);
-        let err = decode_backend_state(&mut dec).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn quant_state_round_trips_and_reencodes_byte_identically() {
-        let backend = QuantIndex::build(random_points(0..40, 21), QuantConfig::default());
-        let state = AnnBackendState::Quant(backend.export_state());
-        let mut enc = Encoder::new();
-        encode_backend_state(&mut enc, &state);
+        encode_manifold(&mut enc, random_points(0..0, 1).manifold());
+        enc.u64(u64::MAX);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let back = decode_backend_state(&mut dec).unwrap();
-        dec.finish().unwrap();
-        // decoded state re-encodes to the exact same bytes: codebooks and
-        // code lanes survived bit-for-bit, not approximately
-        let mut enc2 = Encoder::new();
-        encode_backend_state(&mut enc2, &back);
-        assert_eq!(enc2.into_bytes(), bytes);
-        // and the revived backend searches identically to the live one
-        let revived = back.instantiate();
-        let keys = random_points(100..106, 22);
-        for i in 0..keys.len() {
-            assert_eq!(
-                revived.search(keys.point(i), keys.weight(i), 4, None),
-                backend.search(keys.point(i), keys.weight(i), 4, None),
-            );
-        }
-    }
-
-    #[test]
-    fn hostile_quant_bytes_are_typed_corruption_never_panics() {
-        let backend = QuantIndex::build(random_points(0..24, 23), QuantConfig::default());
-        let mut enc = Encoder::new();
-        encode_backend_state(&mut enc, &AnnBackendState::Quant(backend.export_state()));
-        let good = enc.into_bytes();
-
-        // truncation at every byte boundary: typed corruption, no panic,
-        // no unbounded allocation
-        for cut in 0..good.len() {
-            let mut dec = Decoder::new(&good[..cut]);
-            let outcome = decode_backend_state(&mut dec).and_then(|_| dec.finish());
-            assert!(
-                matches!(outcome, Err(RetrievalError::SnapshotCorrupt { .. })),
-                "cut at {cut} must be typed corruption"
-            );
-        }
-
-        // the trailing bytes are the code lanes: an out-of-range code must
-        // be rejected before `QuantIndex::from_state` could assert on it
-        let mut bad_code = good.clone();
-        let last = bad_code.len() - 1;
-        bad_code[last] = u8::MAX;
-        let mut dec = Decoder::new(&bad_code);
-        let err = decode_backend_state(&mut dec).unwrap_err();
-        assert!(
-            err.to_string().contains("names no stored sub-centroid"),
-            "{err}"
-        );
-
-        // an oversized codebook centroid count (beyond the one-byte code
-        // space) is rejected even when enough payload bytes follow
-        let mut dec = Decoder::new(&good[1..]); // past the backend tag
-        decode_quant_config(&mut dec).unwrap();
-        decode_point_set(&mut dec).unwrap();
-        // absolute offset of the first codebook's centroid count
-        let count_at = good.len() - dec.remaining();
-        let mut oversized = good.clone();
-        // pad the payload so the claimed count survives the bytes-remaining
-        // check and reaches the explicit one-byte-code cap instead
-        oversized.resize(oversized.len() + (1 << 16), 0u8);
-        oversized[count_at..count_at + 8].copy_from_slice(&1000u64.to_le_bytes());
-        let mut dec = Decoder::new(&oversized);
-        let err = decode_backend_state(&mut dec).unwrap_err();
-        assert!(err.to_string().contains("one-byte cap"), "{err}");
+        let err = decode_point_set(&mut dec).unwrap_err();
+        assert!(err.to_string().contains("point count"), "{err}");
     }
 }

@@ -60,7 +60,7 @@ impl SnapshotManifest {
     }
 
     /// Short label of the ANN backend the snapshot's indices were built
-    /// with (`"exact"`, `"ivf"` or `"hnsw"`).
+    /// with (`"exact"`, `"ivf"`, `"hnsw"` or `"quant"`).
     pub fn backend(&self) -> &'static str {
         self.index.backend.label()
     }

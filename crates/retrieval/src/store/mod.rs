@@ -17,10 +17,6 @@
 //!   state: the Arc-shared key-side point sets and key-side indices
 //!   **once per deployment**, each shard's ad slices and ad-side
 //!   indices, and the topology + backend + retrieval configuration.
-//!   Standalone resident ANN backends round-trip through the same
-//!   envelope via [`save_backend_state`] / [`load_backend_state`] —
-//!   including IVF's frozen quantisation and HNSW's links, levels and
-//!   RNG state, so post-restart `insert`s stay deterministic.
 //!
 //! ## Lifecycle: save → restart → catch up
 //!
@@ -57,8 +53,6 @@ mod writer;
 
 pub use format::FORMAT_VERSION;
 pub use manifest::SnapshotManifest;
-pub use reader::load_backend_state;
-pub use writer::save_backend_state;
 
 pub(crate) use reader::read_snapshot;
 pub(crate) use writer::write_snapshot;
@@ -67,10 +61,7 @@ pub(crate) use writer::write_snapshot;
 mod tests {
     use std::path::PathBuf;
 
-    use amcad_mnn::{
-        AnnBackendState, AnnIndex, HnswConfig, HnswIndex, IndexBackend, IvfConfig, QuantConfig,
-        QuantIndex,
-    };
+    use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig};
 
     use super::*;
     use crate::engine::{Request, RetrievalResponse};
@@ -157,7 +148,7 @@ mod tests {
     /// disk, reloaded in fresh process state, and caught up via the
     /// deltas published after the snapshot serves **byte-identically**
     /// to the never-restarted deployment — rankings, full stats and
-    /// generation numbers — across all three backends and shard counts
+    /// generation numbers — across all four backends and shard counts
     /// 1 / 2 / 4.
     #[test]
     fn warm_restart_plus_delta_catch_up_is_byte_identical_to_never_restarting() {
@@ -425,74 +416,5 @@ mod tests {
         // and the intact bytes still load after all that abuse
         std::fs::write(file.path(), &good).unwrap();
         assert!(EngineHandle::load(file.path()).is_ok());
-    }
-
-    /// Standalone resident backends round-trip through their own file
-    /// envelope, and — the HNSW case — keep inserting deterministically
-    /// after the reload because the RNG state travelled with the graph.
-    #[test]
-    fn resident_backend_state_files_round_trip_and_resume_inserts() {
-        let file = TmpFile::new("backend-state");
-        let base = random_points(0..30, 13);
-        let keys = random_points(500..510, 14);
-        let config = HnswConfig {
-            m: 5,
-            ef_construction: 16,
-            ef_search: 10,
-            seed: 99,
-        };
-        let live = HnswIndex::build(base.clone(), config);
-        save_backend_state(file.path(), &AnnBackendState::Hnsw(live.export_state())).unwrap();
-        let mut live: Box<dyn AnnIndex> = Box::new(live);
-        let mut revived = load_backend_state(file.path()).unwrap().instantiate();
-        assert_eq!(revived.len(), live.len());
-        // post-reload inserts extend both graphs identically: the level
-        // RNG resumed mid-stream instead of restarting from the seed
-        let growth = random_points(30..42, 13);
-        assert!(revived.insert(&growth));
-        assert!(live.insert(&growth));
-        for i in 0..keys.len() {
-            assert_eq!(
-                revived.search(keys.point(i), keys.weight(i), 5, None),
-                live.search(keys.point(i), keys.weight(i), 5, None),
-                "post-reload insert diverged at key {i}"
-            );
-        }
-        // a backend-state file is not a deployment snapshot (and vice
-        // versa): the magic check keeps the two apart
-        assert!(matches!(
-            EngineHandle::load(file.path()).unwrap_err(),
-            RetrievalError::SnapshotCorrupt { .. }
-        ));
-
-        // the quant case: codebooks and code lanes travel with the file,
-        // so post-reload inserts encode against the same frozen codebooks
-        let quant_file = TmpFile::new("quant-backend-state");
-        let quant_live = QuantIndex::build(
-            base,
-            QuantConfig {
-                ksub: 8,
-                train_iters: 4,
-                rerank_k: 12, // partial rerank: the lanes themselves must match
-                seed: 31,
-            },
-        );
-        save_backend_state(
-            quant_file.path(),
-            &AnnBackendState::Quant(quant_live.export_state()),
-        )
-        .unwrap();
-        let mut quant_live: Box<dyn AnnIndex> = Box::new(quant_live);
-        let mut quant_revived = load_backend_state(quant_file.path()).unwrap().instantiate();
-        let growth = random_points(30..42, 13);
-        assert!(quant_revived.insert(&growth));
-        assert!(quant_live.insert(&growth));
-        for i in 0..keys.len() {
-            assert_eq!(
-                quant_revived.search(keys.point(i), keys.weight(i), 5, None),
-                quant_live.search(keys.point(i), keys.weight(i), 5, None),
-                "post-reload quant insert diverged at key {i}"
-            );
-        }
     }
 }

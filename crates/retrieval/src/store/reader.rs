@@ -1,5 +1,4 @@
-//! Reconstructing a deployment (or a standalone resident ANN backend)
-//! from snapshot bytes.
+//! Reconstructing a deployment from snapshot bytes.
 //!
 //! The reader is the warm-restart path: it decodes the key-side state
 //! once, re-establishes the [`Arc`] sharing the writer collapsed (every
@@ -14,17 +13,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use amcad_mnn::{AnnBackendState, InvertedIndex};
+use amcad_mnn::InvertedIndex;
 
 use crate::delta::ShardedDeltaBuilder;
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildInputs, IndexSet};
 use crate::shard::{ad_shard, ShardedEngineBuilder};
 
-use super::format::{
-    decode_backend_state, decode_index, decode_point_set, unseal, Decoder, MAGIC_BACKEND,
-    MAGIC_SNAPSHOT,
-};
+use super::format::{decode_index, decode_point_set, unseal, Decoder, MAGIC_SNAPSHOT};
 use super::manifest::SnapshotManifest;
 
 fn read_file(path: &Path) -> Result<Vec<u8>, RetrievalError> {
@@ -118,18 +114,4 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
         .retrieval(manifest.retrieval);
     let builder = ShardedDeltaBuilder::from_slot_parts(topology, parts)?;
     Ok((manifest.generation, builder))
-}
-
-/// Load a standalone resident ANN backend persisted by
-/// [`crate::store::save_backend_state`]. All structural invariants
-/// (entry points, link targets, cluster membership) are validated during
-/// decoding, so a corrupt file surfaces as a typed error — the returned
-/// state instantiates without panicking.
-pub fn load_backend_state(path: impl AsRef<Path>) -> Result<AnnBackendState, RetrievalError> {
-    let bytes = read_file(path.as_ref())?;
-    let payload = unseal(MAGIC_BACKEND, &bytes)?;
-    let mut dec = Decoder::new(payload);
-    let state = decode_backend_state(&mut dec)?;
-    dec.finish()?;
-    Ok(state)
 }

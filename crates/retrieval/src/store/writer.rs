@@ -1,5 +1,4 @@
-//! Serialising a live deployment (or a standalone resident ANN backend)
-//! into the on-disk format.
+//! Serialising a live deployment into the on-disk format.
 //!
 //! The writer persists a [`ShardedDeltaBuilder`]'s full serving state:
 //! manifest first, then the six Arc-shared key-side point sets and the
@@ -12,15 +11,10 @@
 
 use std::path::Path;
 
-use amcad_mnn::AnnBackendState;
-
 use crate::delta::ShardedDeltaBuilder;
 use crate::error::RetrievalError;
 
-use super::format::{
-    encode_backend_state, encode_index, encode_point_set, seal, Encoder, MAGIC_BACKEND,
-    MAGIC_SNAPSHOT,
-};
+use super::format::{encode_index, encode_point_set, seal, Encoder, MAGIC_SNAPSHOT};
 use super::manifest::SnapshotManifest;
 
 /// The sealed bytes of a deployment snapshot at `generation`.
@@ -72,25 +66,6 @@ pub(crate) fn write_snapshot(
     generation: u64,
 ) -> Result<(), RetrievalError> {
     std::fs::write(path, snapshot_bytes(builder, generation)?).map_err(|e| {
-        RetrievalError::SnapshotCorrupt {
-            detail: format!("cannot write {}: {e}", path.display()),
-        }
-    })
-}
-
-/// Persist a standalone resident ANN backend — an exported
-/// [`AnnBackendState`] — in the same envelope (own magic, same version
-/// and checksum discipline). The counterpart of
-/// [`crate::store::load_backend_state`]: a restored backend searches,
-/// and keeps inserting, exactly like the saved one.
-pub fn save_backend_state(
-    path: impl AsRef<Path>,
-    state: &AnnBackendState,
-) -> Result<(), RetrievalError> {
-    let path = path.as_ref();
-    let mut enc = Encoder::new();
-    encode_backend_state(&mut enc, state);
-    std::fs::write(path, seal(MAGIC_BACKEND, enc.into_bytes())).map_err(|e| {
         RetrievalError::SnapshotCorrupt {
             detail: format!("cannot write {}: {e}", path.display()),
         }

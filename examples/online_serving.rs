@@ -249,8 +249,7 @@ fn main() {
     println!("HNSW builds its posting lists by walking a small-world graph instead of");
     println!("scanning every ad per key: ef_search widens the walk — higher recall of the");
     println!("exact neighbours, more build work — while serving reads the same-shaped");
-    println!("posting lists either way. It is also the backend whose `insert` genuinely");
-    println!("extends a resident index (insertion *is* construction).\n");
+    println!("posting lists either way.\n");
 
     // Failover: kill one replica of shard 0 — traffic reroutes to its
     // sibling with the ranking untouched; kill the sibling too and the
