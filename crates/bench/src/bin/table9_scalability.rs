@@ -399,9 +399,9 @@ fn main() {
         ]));
     }
     println!("{}", shard_table.render());
-    println!("Fan-out note: handing a request's gathers to the parked fan-out pool costs a");
-    println!("wake-up that only amortises across real cores — with few cores, fanout");
-    println!("threads > 1 trades latency for nothing (rankings stay identical either way).");
+    println!("Fan-out note: an unhedged request gathers and merges its shards' prefixes inline");
+    println!("on the serving thread, so \"Fanout T\" (the width of the pool hedged gathers run");
+    println!("on) does not change these unhedged rows; rankings stay identical either way.");
     println!("Sharding note: the key indices are built once per deployment and shared by every");
     println!("shard, and the ad-side builds (the part the paper distributes) split the same ads,");
     println!("so total build work does not grow with shard count — only the per-task overhead");

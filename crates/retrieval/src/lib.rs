@@ -64,11 +64,12 @@
 //! delta generations pointer-identically.
 //!
 //! In front of it all sits the **persistent serving runtime** (the
-//! [`runtime`] module): shard builds and all serving fan-out run on
-//! condvar-parked [`PersistentPool`] workers — resident for a
-//! deployment's lifetime on the serving side, never spawned per request
-//! — and [`ServingRuntime`] adds a bounded admission queue
-//! with per-request deadlines — overload sheds with the typed
+//! [`runtime`] module): shard builds and hedged shard gathers run on
+//! condvar-parked [`PersistentPool`] workers — the hedge pool resident
+//! for a deployment's lifetime, never spawned per request; unhedged
+//! gathers run inline on the serving worker — and [`ServingRuntime`]
+//! adds a bounded admission queue with per-request deadlines — overload
+//! sheds with the typed
 //! [`RetrievalError::Overloaded`] instead of queueing without bound,
 //! queued neighbours batch into one scan-deduplicated `retrieve_batch`,
 //! and with [`ShardedEngineBuilder::hedge_delay`] a straggling shard
@@ -93,7 +94,8 @@
 //! # fn index_inputs() -> amcad_retrieval::IndexBuildInputs { unimplemented!() }
 //!
 //! // build: ads hash-partitioned across 4 shards (built concurrently on
-//! // 4 threads), 2 serving replicas per shard, parallel request fan-out
+//! // 4 threads), 2 serving replicas per shard; each request's gather is
+//! // inline (`fanout_threads` sizes the pool hedged gathers would use)
 //! let sharded = ShardedEngine::builder()
 //!     .shards(4)
 //!     .replicas(2)

@@ -231,8 +231,8 @@ impl TwoLayerRetriever {
     /// (routing is per request), and its error is that request's result
     /// alone. The three strategies: a single node borrows its own posting
     /// prefixes ([`TwoLayerRetriever::serve_local`]); the sharded engine
-    /// merges every shard's prefix on its fan-out pool; the hedged engine
-    /// merges hedged per-shard gathers.
+    /// k-way merges every shard's borrowed prefix inline; the hedged
+    /// engine runs the same merge over hedged per-shard gathers.
     pub(crate) fn serve<L: Deref<Target = [(u32, f64)]>>(
         &self,
         requests: &[Request],

@@ -39,7 +39,7 @@
 //!   [`ServingRuntime::with_hedge_metrics`] and scenario reports carry
 //!   hedge counts.
 //!
-//! The parked fork/join pool the sharded fan-out itself runs on lives in
+//! The parked pool hedged shard gathers (and cold builds) run on lives in
 //! [`park_pool`].
 
 pub mod park_pool;

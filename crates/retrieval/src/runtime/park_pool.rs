@@ -1,14 +1,15 @@
 //! Persistent parked worker pool.
 //!
 //! [`PersistentPool`] spawns its workers once and parks them on a condvar
-//! between batches instead of spawning threads per call.  The serving
-//! path ([`ShardedEngine`](crate::shard::ShardedEngine) fan-out, batch
-//! dedup gathers, and hedged sub-requests) submits work to a deployment's
-//! resident threads, so steady-state request processing performs zero
-//! thread spawns.  Offline shard builds run on the same pool type, created
-//! for the duration of one build: jobs borrow the caller's locals (no
-//! clones, no `'static` bound) and come back in job order, which is what
-//! makes a parallel build byte-identical to the sequential loop.
+//! between batches instead of spawning threads per call.  On the serving
+//! path a hedged [`ShardedEngine`](crate::shard::ShardedEngine) submits
+//! its shard gathers and hedged sub-requests to a deployment's resident
+//! threads, so steady-state request processing performs zero thread
+//! spawns (unhedged gathers run inline on the caller).  Offline shard
+//! builds run on the same pool type, created for the duration of one
+//! build: jobs borrow the caller's locals (no clones, no `'static`
+//! bound) and come back in job order, which is what makes a parallel
+//! build byte-identical to the sequential loop.
 //!
 //! Two submission shapes are supported:
 //!

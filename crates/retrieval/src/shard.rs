@@ -12,10 +12,9 @@
 //! slice of the ads (so the expensive second-layer Q2A / I2A builds and
 //! scans are divided N ways).
 //!
-//! ## The cluster topology: build pool, fan-out pool, replica sets
+//! ## The cluster topology: build pool, replica sets, hedge pool
 //!
-//! Three independent axes, three independent knobs on
-//! [`ShardedEngineBuilder`]:
+//! Independent axes, independent knobs on [`ShardedEngineBuilder`]:
 //!
 //! * **Parallel index builds** ([`ShardedEngineBuilder::build_threads`],
 //!   default auto): a deployment's cold build is `4 + 2·shards`
@@ -24,16 +23,14 @@
 //!   [`PersistentPool`] that lives for the build. Results are re-assembled
 //!   in task order, which makes the parallel build byte-identical to the
 //!   sequential loop.
-//! * **Parallel request fan-out** ([`ShardedEngineBuilder::fanout_threads`],
-//!   default 1): serving a request gathers, for every expanded key, each
-//!   shard's posting-list prefix. Those per-key gathers are independent,
-//!   so they run on a persistent, condvar-parked
-//!   [`PersistentPool`] —
-//!   spawned once at build time and reused across every request, so the
-//!   steady-state serving path performs zero thread spawns — and are
-//!   merged back in key order, byte-identical to the sequential path
-//!   (the property test in this module pins both axes for shard counts
-//!   1 / 2 / 4 / 7).
+//! * **The unhedged gather is inline.** Serving a request gathers, for
+//!   every expanded key, each shard's posting-list prefix and k-way merges
+//!   them on the calling thread: the shards' prefixes are borrowed, not
+//!   copied, and a per-key gather is microseconds of work, far less than
+//!   a pool dispatch. An unhedged deployment holds no serving thread.
+//!   [`ShardedEngineBuilder::fanout_threads`] sizes the pool the *hedged*
+//!   gathers run on (below); the property test in this module pins that
+//!   every width serves byte-identically at shard counts 1 / 2 / 4 / 7.
 //! * **Per-shard replication** ([`ShardedEngineBuilder::replicas`],
 //!   default 1): each shard is served by a [`ReplicatedShard`] — R
 //!   serving replicas behind round-robin selection with health marking.
@@ -58,6 +55,11 @@
 //!   within the configured delay is re-issued to a sibling replica and
 //!   the first response wins — [`crate::RetrievalStats::served_by`] records the
 //!   winner, and [`HedgeControl`] counts issued hedges and hedge wins.
+//!   Every shard's primary gather is issued before any is awaited, and
+//!   all share one hedge deadline, so a hedged request waits for its
+//!   slowest shard, not for the sum of them. The gathers run on a
+//!   resident [`PersistentPool`] of `fanout_threads.max(2)` threads,
+//!   created with the deployment only when hedging is configured.
 //!   The delay is runtime-adjustable through
 //!   [`ShardedEngine::hedge_control`], so operators can measure a p95
 //!   first and derive the hedge delay from it without rebuilding; the
@@ -74,9 +76,9 @@
 //! single-node engine. [`ShardedEngine::retrieve_batch`] hands it the one
 //! thing a topology changes: where the candidate prefixes of a request's
 //! not-yet-cached keys come from. Unhedged, that is a per-request route
-//! plus `merge_prefixes` over every shard's local prefix, per key on
-//! the fan-out pool. Hedged, it is the same merge over hedged per-shard
-//! gathers. [`ShardedEngine::retrieve`] is the batch of one, and a batch
+//! plus `merge_prefixes` over every shard's borrowed local prefix, per
+//! key, inline. Hedged, it is the same merge over the per-shard gathers'
+//! owned buffers. [`ShardedEngine::retrieve`] is the batch of one, and a batch
 //! of one is what hedges: a larger batch does not, because its dedup
 //! already amortises the gathers hedging exists to shorten.
 //!
@@ -89,9 +91,10 @@
 //! each shard's per-key `ads_per_key` cut admits ads the global cut would
 //! have rejected, and such an ad can sneak into the merged top-n. Instead
 //! the merge happens one level lower, per expanded key: every shard
-//! contributes its posting-list prefix for the key, the prefixes are
-//! merged in the index build's `(distance, id)` order and re-cut to the
-//! global prefix length, and only then does the shared scoring path run.
+//! contributes its posting-list prefix for the key, the prefixes — each
+//! already in the index build's `(distance, id)` order — are k-way merged
+//! up to the global prefix length, and only then does the shared scoring
+//! path run.
 //! Because posting lists are the k smallest `(distance, id)` pairs and
 //! shards partition the candidates, the merged prefix is bit-for-bit the
 //! prefix a whole-corpus index would have produced — parity holds for the
@@ -106,7 +109,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::delta::ShardedDeltaBuilder;
 use crate::engine::{ReplicaId, Request, RetrievalEngine, RetrievalResponse, Retrieve};
@@ -158,7 +161,7 @@ pub fn shard_inputs(inputs: &IndexBuildInputs, shards: usize) -> Vec<IndexBuildI
 
 /// Builder for [`ShardedEngine`] — the same knobs as
 /// [`crate::RetrievalEngineBuilder`] plus the cluster topology: shard
-/// count, replicas per shard, build-pool and fan-out-pool widths.
+/// count, replicas per shard, build-pool and hedge-pool widths.
 #[derive(Debug, Clone)]
 pub struct ShardedEngineBuilder {
     pub(crate) shards: usize,
@@ -209,9 +212,11 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Worker threads each request's shard fan-out gathers run on
-    /// (default 1 = inline). Parallel fan-out is byte-identical to the
-    /// sequential gather at any width.
+    /// Width of the pool the hedged gathers run on (default 1; the pool
+    /// is at least 2 wide, so a hedge always has a resident worker). The
+    /// pool exists only when [`ShardedEngineBuilder::hedge_delay`] is set
+    /// and replicas ≥ 2; the unhedged gather is inline on the caller at
+    /// any width. Persisted in snapshots with the rest of the topology.
     pub fn fanout_threads(mut self, fanout_threads: usize) -> Self {
         self.fanout_threads = fanout_threads.max(1);
         self
@@ -679,42 +684,43 @@ impl HedgeControl {
 /// operator's hedge tuning outlives the generation it was set on.
 #[derive(Debug)]
 pub(crate) struct ServingState {
-    /// The fan-out and hedged gathers run here. A width-1 pool spawns no
-    /// thread and runs every job inline on the caller.
-    pool: PersistentPool,
     /// Present when hedging is configured and there is a sibling replica
-    /// to hedge to.
-    hedge: Option<Arc<HedgeControl>>,
+    /// to hedge to: the control, and the pool the hedged gathers run on
+    /// (`fanout_threads.max(2)` wide). Unhedged deployments gather inline
+    /// and hold no serving thread.
+    hedge: Option<(Arc<HedgeControl>, PersistentPool)>,
 }
 
 impl ServingState {
     pub(crate) fn new(topology: &ShardedEngineBuilder) -> Self {
-        let hedge = topology
-            .hedge_delay
-            .filter(|_| topology.replicas > 1)
-            .map(|delay| Arc::new(HedgeControl::new(delay)));
-        // hedged gathers are background tasks: they need a resident worker
-        // even when the fan-out itself is inline
-        let width = match hedge {
-            Some(_) => topology.fanout_threads.max(2),
-            None => topology.fanout_threads,
-        };
+        let hedge = topology.hedge_delay.filter(|_| topology.replicas > 1);
         ServingState {
-            pool: PersistentPool::new(width),
-            hedge,
+            // hedged gathers are background tasks: the pool needs a
+            // resident worker, so it is at least 2 wide
+            hedge: hedge.map(|delay| {
+                let pool = PersistentPool::new(topology.fanout_threads.max(2));
+                (Arc::new(HedgeControl::new(delay)), pool)
+            }),
         }
     }
 }
 
-/// One shard's local posting-list prefix of every key of a gather, in
-/// key order.
-type ShardLists = Vec<Vec<(u32, f64)>>;
+/// One shard's local posting-list prefixes of every key of a gather, in
+/// key order, flattened: the entries, and `keys + 1` offsets into them
+/// (key `k` is `entries[offsets[k]..offsets[k + 1]]`).
+type ShardLists = (Vec<(u32, f64)>, Vec<usize>);
+
+/// Key `k`'s prefix in a [`ShardLists`].
+fn key_prefix((entries, offsets): &ShardLists, k: usize) -> &[(u32, f64)] {
+    &entries[offsets[k]..offsets[k + 1]]
+}
 
 /// Launch one replica gather as a background task on the persistent
-/// pool: that shard's [`ShardLists`], sent with the answering replica's
-/// index. The task owns everything it touches (`Arc`s and copies), so an
-/// abandoned straggler — its sibling already won, the receiver is gone —
-/// finishes harmlessly in the background.
+/// pool: that shard's [`ShardLists`], each key cut to `cut`, sent with
+/// the answering replica's id. The task owns everything it touches
+/// (`Arc`s and one copied-out buffer), so an abandoned straggler — its
+/// sibling already won, the receiver is gone — finishes harmlessly in the
+/// background.
 ///
 /// A gather against an artificially delayed replica (the
 /// [`ReplicatedShard::delay_replica`] fault hook) runs on a throwaway
@@ -725,26 +731,31 @@ type ShardLists = Vec<Vec<(u32, f64)>>;
 fn spawn_gather(
     pool: &PersistentPool,
     shard: &ReplicatedShard,
-    replica: u32,
+    id: ReplicaId,
     keys: &Arc<Vec<Key>>,
-    per_key: usize,
-    deliver: &mpsc::Sender<(u32, ShardLists)>,
+    cut: usize,
+    deliver: &mpsc::Sender<(ReplicaId, ShardLists)>,
 ) {
     let engine = Arc::clone(shard.engine_shared());
-    let delay = shard.contact_delay(replica);
+    let delay = shard.contact_delay(id.replica);
     let keys = Arc::clone(keys);
     let deliver = deliver.clone();
     let gather = move || {
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        let lists: ShardLists = keys
-            .iter()
-            // amcad-lint: allow(alloc-in-hot-loop) — the gather must own its lists: an abandoned straggler outlives every borrow of the engine's postings (see the fn doc), so copying out is the safety contract, not an oversight
-            .map(|key| engine.retriever().key_candidates(key, per_key).to_vec())
-            .collect();
+        // the gather must own its lists — an abandoned straggler outlives
+        // every borrow of the engine's postings — so it copies them out,
+        // into one buffer for all keys
+        let mut entries = Vec::with_capacity(keys.len() * cut);
+        let mut offsets = Vec::with_capacity(keys.len() + 1);
+        offsets.push(0);
+        for key in keys.iter() {
+            entries.extend_from_slice(engine.retriever().key_candidates(key, cut));
+            offsets.push(entries.len());
+        }
         // the loser of a hedge race sends to nobody
-        let _ = deliver.send((replica, lists));
+        let _ = deliver.send((id, (entries, offsets)));
     };
     if delay.is_zero() {
         pool.spawn(gather);
@@ -755,26 +766,36 @@ fn spawn_gather(
 }
 
 /// Merge per-shard posting-list prefixes of one key into the whole-corpus
-/// prefix: the index build's posting order (distance, then id — NaN
-/// distances were normalised to +inf at build time), re-cut to `cut`.
-fn merge_prefixes<'a>(
-    lists: impl Iterator<Item = &'a [(u32, f64)]>,
-    cut: usize,
-) -> Vec<(u32, f64)> {
-    let mut merged: Vec<(u32, f64)> = Vec::new();
-    for list in lists {
-        merged.extend_from_slice(list);
+/// prefix of at most `cut` entries, in the index build's posting order
+/// (distance by `total_cmp`, then id — NaN distances were normalised to
+/// +inf at build time). Every prefix is already in that order and shards
+/// partition the ads, so a k-way merge of the heads is exactly a sort of
+/// the concatenation: it takes the smallest head `cut` times, consuming
+/// `heads` as it goes, and allocates only the result.
+fn merge_prefixes(heads: &mut [&[(u32, f64)]], cut: usize) -> Vec<(u32, f64)> {
+    let precedes = |a: &(u32, f64), b: &(u32, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)).is_lt();
+    let mut merged = Vec::with_capacity(cut);
+    for _ in 0..cut {
+        let mut best: Option<usize> = None;
+        for (s, list) in heads.iter().enumerate() {
+            if let Some(head) = list.first() {
+                if best.is_none_or(|b| precedes(head, &heads[b][0])) {
+                    best = Some(s);
+                }
+            }
+        }
+        let Some(b) = best else { break };
+        merged.push(heads[b][0]);
+        heads[b] = &heads[b][1..];
     }
-    merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    merged.truncate(cut);
     merged
 }
 
 /// An ad corpus hash-partitioned across N replicated single-node engines,
-/// served by fanning each request out to every shard (in parallel when
-/// configured) and merging per-key candidate prefixes back into the
-/// globally correct ranking (see the module docs for why the merge is
-/// exact and how replication fails over).
+/// served by gathering each request's keys from every shard (inline, or
+/// on the hedge pool when hedging) and merging per-key candidate
+/// prefixes back into the globally correct ranking (see the module docs
+/// for why the merge is exact and how replication fails over).
 ///
 /// The merged [`crate::RetrievalStats`] describe the *logical* request — they
 /// are identical to what a single whole-corpus engine would report, which
@@ -792,8 +813,8 @@ pub struct ShardedEngine {
     index_config: IndexBuildConfig,
     retrieval: RetrievalConfig,
     serving: Arc<ServingState>,
-    /// Configured fan-out width (1 = inline). The pool may be wider:
-    /// hedging needs a resident worker for its background gathers.
+    /// Configured hedge-pool width, as persisted. The pool itself lives
+    /// in `serving`, exists only when hedging, and is at least 2 wide.
     fanout_threads: usize,
 }
 
@@ -845,7 +866,9 @@ impl ShardedEngine {
         self.replicas
     }
 
-    /// Threads each request's fan-out gathers run on (1 = inline).
+    /// The configured width of the hedged-gather pool
+    /// ([`ShardedEngineBuilder::fanout_threads`]); unhedged gathers run
+    /// inline whatever it is.
     pub fn fanout_threads(&self) -> usize {
         self.fanout_threads
     }
@@ -897,7 +920,7 @@ impl ShardedEngine {
     /// The hedging control surface, when hedged requests are enabled
     /// (requires [`ShardedEngineBuilder::hedge_delay`] and replicas ≥ 2).
     pub fn hedge_control(&self) -> Option<&Arc<HedgeControl>> {
-        self.serving.hedge.as_ref()
+        self.serving.hedge.as_ref().map(|(control, _)| control)
     }
 
     /// The index-construction configuration every shard was built with.
@@ -926,35 +949,42 @@ impl ShardedEngine {
             .collect()
     }
 
+    /// The length a merged prefix is cut to: `ads_per_key`, and a
+    /// whole-corpus posting list is at most `top_k` long. A shard's list
+    /// is never longer, so each shard's first `cut` entries are all the
+    /// merge can use.
+    fn prefix_cut(&self) -> usize {
+        self.retrieval.ads_per_key.min(self.index_config.top_k)
+    }
+
     /// The unhedged fetch strategy: route to one healthy replica per
-    /// shard, then merge every shard's local prefix of each key
-    /// ([`merge_prefixes`]) into the globally correct one — on the fan-out
-    /// pool when one is configured; results come back in key order, so
-    /// the parallel fan-out is the sequential one.
+    /// shard, then merge every shard's borrowed local prefix of each key
+    /// ([`merge_prefixes`]) into the globally correct one, inline on the
+    /// caller — a key's gather is far cheaper than a pool dispatch.
     fn fetch_merged(&self, keys: &[Key]) -> Result<Fetched<Vec<(u32, f64)>>, RetrievalError> {
         let route = self.route()?;
-        let per_key = self.retrieval.ads_per_key;
-        // a whole-corpus posting list is at most `top_k` long
-        let cut = per_key.min(self.index_config.top_k);
-        let merged = |k: usize| {
-            let shards = self.shards.iter();
-            let local = shards.map(|s| s.engine().retriever().key_candidates(&keys[k], per_key));
-            merge_prefixes(local, cut)
-        };
-        let lists = if self.fanout_threads > 1 {
-            self.serving.pool.run(keys.len(), merged)
-        } else {
-            (0..keys.len()).map(merged).collect()
-        };
+        let cut = self.prefix_cut();
+        let mut heads = Vec::with_capacity(self.shards.len());
+        let lists = keys
+            .iter()
+            .map(|key| {
+                heads.clear();
+                let shards = self.shards.iter();
+                heads.extend(shards.map(|s| s.engine().retriever().key_candidates(key, cut)));
+                merge_prefixes(&mut heads, cut)
+            })
+            .collect();
         Ok((route, lists))
     }
 
-    /// The hedged fetch strategy: per shard, contact one picked replica
-    /// as a background gather on the persistent pool; if it has not
-    /// answered within the hedge delay, re-issue the gather to a sibling
-    /// replica and take whichever delivers first. The route records the
-    /// winner — the loser's gather finishes harmlessly in the background
-    /// (it owns its data).
+    /// The hedged fetch strategy: contact one picked replica per shard,
+    /// every shard's gather issued as a background task on the hedge
+    /// pool before any is awaited. Shards that have not answered when the
+    /// hedge delay runs out get their gather re-issued to a sibling
+    /// replica, and each shard takes whichever of its gathers delivers
+    /// first — so a request waits for its slowest shard, not for the sum
+    /// of its shards. The route records the winners; a loser's gather
+    /// finishes harmlessly in the background (it owns its data).
     ///
     /// The per-key merge is [`ShardedEngine::fetch_merged`]'s own
     /// [`merge_prefixes`] over the gathered per-shard lists, so the hedged
@@ -965,48 +995,83 @@ impl ShardedEngine {
         &self,
         keys: &[Key],
         control: &HedgeControl,
+        pool: &PersistentPool,
     ) -> Result<Fetched<Vec<(u32, f64)>>, RetrievalError> {
-        let pool = &self.serving.pool;
+        let primaries = self.route()?;
         let keys = Arc::new(keys.to_vec());
-        let per_key = self.retrieval.ads_per_key;
-        let mut route = Vec::with_capacity(self.shards.len());
-        let mut per_shard: Vec<ShardLists> = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            let primary = shard.pick(s)?;
-            // first response wins: both gathers send, one is received
-            let (deliver, delivered) = mpsc::channel();
-            spawn_gather(pool, shard, primary, &keys, per_key, &deliver);
-            let (replica, lists) = match delivered.recv_timeout(control.delay()) {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    // the primary is straggling: hedge to a sibling and
-                    // take the first response (no sibling → keep waiting)
-                    if let Some(sibling) = shard.pick_sibling(primary) {
-                        // monotonic telemetry counter — Relaxed
-                        control.issued.fetch_add(1, Ordering::Relaxed);
-                        spawn_gather(pool, shard, sibling, &keys, per_key, &deliver);
-                    }
-                    // only the gathers hold senders now: losing them all
-                    // is a panic here, not a hang
-                    drop(deliver);
-                    delivered
-                        .recv()
-                        .expect("a gather holds its sender until it delivers")
-                }
+        let cut = self.prefix_cut();
+        let n = self.shards.len();
+        let (deliver, delivered) = mpsc::channel();
+        for (shard, &id) in self.shards.iter().zip(&primaries) {
+            spawn_gather(pool, shard, id, &keys, cut, &deliver);
+        }
+        let deadline = Instant::now() + control.delay();
+        let mut answers: Vec<Option<(ReplicaId, ShardLists)>> = (0..n).map(|_| None).collect();
+        let mut pending = n;
+        // until the hedge deadline only the primaries can deliver
+        for _ in 0..n {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let Ok((id, lists)) = delivered.recv_timeout(wait) else {
+                break;
             };
-            if replica != primary {
+            answers[id.shard as usize] = Some((id, lists));
+            pending -= 1;
+        }
+        // the stragglers: hedge each to a sibling (no sibling → keep
+        // waiting for the primary)
+        let mut outstanding = pending;
+        for (s, shard) in self.shards.iter().enumerate() {
+            if answers[s].is_some() {
+                continue;
+            }
+            if let Some(replica) = shard.pick_sibling(primaries[s].replica) {
+                // monotonic telemetry counter — Relaxed
+                control.issued.fetch_add(1, Ordering::Relaxed);
+                let sibling = ReplicaId {
+                    replica,
+                    ..primaries[s]
+                };
+                spawn_gather(pool, shard, sibling, &keys, cut, &deliver);
+                outstanding += 1;
+            }
+        }
+        // only the gathers hold senders now: losing them all is a panic
+        // here, not a hang
+        drop(deliver);
+        // every unanswered shard has a gather outstanding, so receiving
+        // them all answers every shard; the first answer per shard wins
+        for _ in 0..outstanding {
+            if pending == 0 {
+                break;
+            }
+            let (id, lists) = delivered
+                .recv()
+                .expect("a gather holds its sender until it delivers");
+            let answer = &mut answers[id.shard as usize];
+            if answer.is_none() {
+                *answer = Some((id, lists));
+                pending -= 1;
+            }
+        }
+        let answers: Vec<(ReplicaId, ShardLists)> = answers
+            .into_iter()
+            .map(|answer| answer.expect("every shard answered"))
+            .collect();
+        let mut route = Vec::with_capacity(n);
+        for ((id, _), primary) in answers.iter().zip(&primaries) {
+            if id != primary {
                 // monotonic telemetry counter — Relaxed
                 control.won.fetch_add(1, Ordering::Relaxed);
             }
-            route.push(ReplicaId {
-                shard: s as u32,
-                replica,
-            });
-            per_shard.push(lists);
+            route.push(*id);
         }
-        let cut = per_key.min(self.index_config.top_k);
+        let mut heads = Vec::with_capacity(n);
         let lists = (0..keys.len())
-            .map(|k| merge_prefixes(per_shard.iter().map(|lists| lists[k].as_slice()), cut))
+            .map(|k| {
+                heads.clear();
+                heads.extend(answers.iter().map(|(_, lists)| key_prefix(lists, k)));
+                merge_prefixes(&mut heads, cut)
+            })
             .collect();
         Ok((route, lists))
     }
@@ -1034,17 +1099,18 @@ impl ShardedEngine {
     /// cluster rejects requests instead of silently serving a corpus with
     /// a hole in it — without poisoning the batch.
     ///
-    /// With hedging enabled a lone request hedges its gathers; a larger
-    /// batch does not — its dedup already amortises the gathers, which
-    /// bounds the per-request straggler cost hedging exists to cut.
+    /// The gathers run inline on the calling thread. With hedging enabled
+    /// a lone request instead hedges its gathers on the hedge pool; a
+    /// larger batch does not — its dedup already amortises the gathers,
+    /// which bounds the per-request straggler cost hedging exists to cut.
     pub fn retrieve_batch(
         &self,
         requests: &[Request],
     ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
         let retriever = self.shards[0].engine().retriever();
         match &self.serving.hedge {
-            Some(control) if requests.len() == 1 => {
-                retriever.serve(requests, |keys| self.fetch_hedged(keys, control))
+            Some((control, pool)) if requests.len() == 1 => {
+                retriever.serve(requests, |keys| self.fetch_hedged(keys, control, pool))
             }
             _ => retriever.serve(requests, |keys| self.fetch_merged(keys)),
         }
@@ -1844,6 +1910,126 @@ mod tests {
         // the hedge delay is a live knob
         control.set_delay(Duration::from_millis(7));
         assert_eq!(control.delay(), Duration::from_millis(7));
+    }
+
+    /// Every shard's primary is issued before any is awaited, and the
+    /// stragglers are hedged together: with every replica of 4 shards
+    /// `D` slow, a lone request takes about `D`, not `4·D`.
+    #[test]
+    fn a_hedged_request_waits_for_its_slowest_shard_not_the_sum_of_them() {
+        let inputs = tiny_inputs();
+        let reference = sharded_engine(&inputs, 4, 8);
+        let slow = Duration::from_millis(100);
+        let engine = ShardedEngine::builder()
+            .shards(4)
+            .replicas(2)
+            .top_k(8)
+            .threads(1)
+            .build_threads(1)
+            .hedge_delay(slow / 2)
+            .build(&inputs)
+            .unwrap();
+        assert_eq!(engine.active_shards(), 4);
+        for shard in 0..4 {
+            for replica in 0..2 {
+                engine.shard(shard).delay_replica(replica, slow);
+            }
+        }
+        let request = Request {
+            query: 3,
+            preclick_items: vec![103],
+        };
+        let started = Instant::now();
+        let response = engine.retrieve(&request);
+        let took = started.elapsed();
+        assert!(
+            took < slow * 5 / 2,
+            "a hedged request took {took:?} against {slow:?} per shard"
+        );
+        // no primary can answer before its delay: every shard hedged
+        assert_eq!(engine.hedge_control().unwrap().issued(), 4);
+        assert_eq!(logical(response), logical(reference.retrieve(&request)));
+    }
+
+    /// Only hedging holds a serving thread: an unhedged deployment
+    /// gathers inline at any `fanout_threads`, and a hedged one runs its
+    /// gathers on a pool at least 2 wide.
+    #[test]
+    fn only_a_hedged_deployment_holds_a_serving_pool() {
+        let inputs = tiny_inputs();
+        let pool_width = |topology: ShardedEngineBuilder| {
+            let engine = topology.shards(2).top_k(8).threads(1).build(&inputs);
+            let serving = Arc::clone(&engine.unwrap().serving);
+            serving.hedge.as_ref().map(|(_, pool)| pool.threads())
+        };
+        let hedge = Duration::from_millis(5);
+        let builder = ShardedEngine::builder;
+        assert_eq!(pool_width(builder().replicas(2).fanout_threads(4)), None);
+        // one replica: no sibling to hedge to, so no hedging and no pool
+        assert_eq!(
+            pool_width(builder().fanout_threads(4).hedge_delay(hedge)),
+            None
+        );
+        assert_eq!(
+            pool_width(builder().replicas(2).hedge_delay(hedge)),
+            Some(2)
+        );
+        let wide = builder().replicas(2).fanout_threads(4).hedge_delay(hedge);
+        assert_eq!(pool_width(wide), Some(4));
+    }
+
+    /// The merge as it used to be written, kept as the oracle:
+    /// concatenate, sort in posting order, truncate.
+    fn sort_and_truncate(lists: &[Vec<(u32, f64)>], cut: usize) -> Vec<(u32, f64)> {
+        let mut merged = lists.concat();
+        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        merged.truncate(cut);
+        merged
+    }
+
+    /// The k-way merge is the sort: over 1–8 shards of sorted prefixes
+    /// with distance ties across shards, `+∞`, ±0 and empty lists, at
+    /// every cut around the total, ids and distance bits agree.
+    #[test]
+    fn k_way_merge_equals_sort_and_truncate_for_any_sorted_prefixes() {
+        let mut rng = StdRng::seed_from_u64(0x3e26e);
+        // few distinct distances, so ties across shards are common
+        let distances = [-0.0, 0.0, 0.5, 1.25, 3.0, f64::INFINITY];
+        let bits = |list: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            list.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+        };
+        for case in 0..2000 {
+            let shards = rng.gen_range(1..=8usize);
+            let mut next = 0u32;
+            let mut lists = Vec::with_capacity(shards);
+            for _ in 0..shards {
+                let mut list = Vec::new();
+                for _ in 0..rng.gen_range(0..=6usize) {
+                    // shards partition the ads: ids are unique, in an
+                    // order unrelated to the distances
+                    let id = next * 37 % 1009;
+                    next += 1;
+                    let d = if rng.gen_bool(0.2) {
+                        rng.gen_range(0.0..4.0)
+                    } else {
+                        distances[rng.gen_range(0..distances.len())]
+                    };
+                    list.push((id, d));
+                }
+                list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                lists.push(list);
+            }
+            let total = next as usize;
+            for cut in [0, 1, total.saturating_sub(1), total, total + 3] {
+                let mut heads: Vec<&[(u32, f64)]> = lists.iter().map(Vec::as_slice).collect();
+                let merged = merge_prefixes(&mut heads, cut);
+                assert_eq!(
+                    bits(&merged),
+                    bits(&sort_and_truncate(&lists, cut)),
+                    "case {case}, cut {cut}: {lists:?}"
+                );
+            }
+        }
     }
 
     /// Fault tests for the hedged path: a poisoned replica fails over at

@@ -39,7 +39,8 @@ pub struct SnapshotManifest {
     pub replicas: usize,
     /// Worker threads the per-shard builds ran on (0 = auto).
     pub build_threads: usize,
-    /// Worker threads each request's shard fan-out gathers run on.
+    /// Width of the pool hedged shard gathers run on (unhedged gathers
+    /// are inline).
     pub fanout_threads: usize,
     /// The index-construction configuration every shard was built with.
     pub index: IndexBuildConfig,

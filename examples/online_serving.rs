@@ -148,9 +148,10 @@ fn main() {
             )
         })
         .collect();
-    // the replicated deployment: 2 serving replicas per shard, requests
-    // fanned out on a 2-thread pool — availability and fan-out knobs only,
-    // rankings stay bit-identical to the single exact engine
+    // the replicated deployment: 2 serving replicas per shard, each
+    // request's shard prefixes merged inline (`fanout_threads` sizes the
+    // pool hedged gathers run on) — availability knobs only, rankings
+    // stay bit-identical to the single exact engine
     let replicated = Arc::new(
         ShardedEngine::builder()
             .shards(2)

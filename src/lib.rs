@@ -45,7 +45,7 @@
 //!
 //! Production callers program against the object-safe
 //! [`retrieval::Retrieve`] trait; the deployment topology behind it —
-//! shard count, replicas per shard, build-pool and fan-out-pool widths —
+//! shard count, replicas per shard, build-pool and hedge-pool widths —
 //! is a pure configuration choice that never changes a ranking:
 //!
 //! ```no_run
@@ -69,8 +69,9 @@
 //! // ... or the paper's cluster shape: ads hash-partitioned across 4
 //! // shards (each shard's index built concurrently on the build
 //! // pool), 2 serving replicas per shard with round-robin failover, and
-//! // the per-request fan-out gathered in parallel — all returning
-//! // bit-identical rankings to the single exact engine
+//! // each request's shard prefixes merged inline (`fanout_threads` sizes
+//! // the pool hedged gathers run on) — all returning bit-identical
+//! // rankings to the single exact engine
 //! let sharded = ShardedEngine::builder()
 //!     .shards(4)
 //!     .replicas(2)
@@ -149,11 +150,12 @@
 //! `RetrievalError::Overloaded { queue_depth, deadline }` instead of
 //! queueing without bound, requests that age past their deadline while
 //! queued are shed rather than answered late, and queued neighbours are
-//! drained into one scan-deduplicated `retrieve_batch` call. All serving
-//! fan-out (shard gathers, batch dedup) runs on the long-lived parked
-//! workers of [`retrieval::PersistentPool`] — no per-request thread
-//! spawns. With `ShardedEngineBuilder::hedge_delay` and replicas ≥ 2, a
-//! straggling shard gather is re-issued to a sibling replica after a
+//! drained into one scan-deduplicated `retrieve_batch` call. Unhedged
+//! shard gathers are merged inline on the serving worker; hedged ones
+//! run on the long-lived parked workers of [`retrieval::PersistentPool`]
+//! — no per-request thread spawns. With
+//! `ShardedEngineBuilder::hedge_delay` and replicas ≥ 2, a straggling
+//! shard gather is re-issued to a sibling replica after a
 //! p9x-derived delay and the first response wins; per-replica weights
 //! and `retrieval::warm_rollout` drain and relabel one replica at a
 //! time so a deployment keeps serving generation G while G+1 warms from
