@@ -61,10 +61,11 @@ pub fn run_rules(path: &str, file: &LexedFile, all_test: bool) -> Vec<RawDiagnos
     out
 }
 
-/// Locations where spawning OS threads is the module's actual job:
-/// the serving runtime (persistent pool + admission workers).
+/// The one location where spawning OS threads is the module's actual
+/// job: the persistent pool, whose workers are every resident thread
+/// (the serving runtime's included).
 fn in_thread_sanctioned_location(path: &str) -> bool {
-    path.contains("/runtime/") || path.starts_with("runtime/")
+    path.ends_with("runtime/park_pool.rs")
 }
 
 /// Identifiers that precede `[` without it being an index expression
@@ -311,9 +312,10 @@ fn relaxed_justified(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
     }
 }
 
-/// **thread-discipline** — OS threads are spawned only by the serving
-/// runtime (`runtime/`) and tests. Everything else must submit work to
-/// `PersistentPool` so thread counts stay bounded and observable.
+/// **thread-discipline** — OS threads are spawned only by the persistent
+/// pool (`runtime/park_pool.rs`) and tests. Everything else — the serving
+/// runtime included — must submit work to `PersistentPool` so thread
+/// counts stay bounded and observable.
 fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
     const RULE: &str = "thread-discipline";
     let toks = &file.tokens;
@@ -342,7 +344,7 @@ fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
                 out,
                 RULE,
                 line,
-                format!("{what} outside runtime/ — route work through PersistentPool"),
+                format!("{what} outside runtime/park_pool.rs — route work through PersistentPool"),
             );
         }
     }

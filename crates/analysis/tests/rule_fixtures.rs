@@ -217,11 +217,16 @@ fn fan_out() {
     std::thread::spawn(|| {});
 }
 "#;
+    let in_pool = "crates/retrieval/src/runtime/park_pool.rs";
     let in_runtime = "crates/retrieval/src/runtime/worker.rs";
     let outside = "crates/retrieval/src/pool.rs";
     assert!(
-        rules_hit(in_runtime, src).is_empty(),
-        "runtime/ owns its threads"
+        rules_hit(in_pool, src).is_empty(),
+        "the persistent pool owns its threads"
+    );
+    assert!(
+        !rules_hit(in_runtime, src).is_empty(),
+        "the rest of runtime/ is not exempt: its workers are pool workers"
     );
     assert!(
         !rules_hit(outside, src).is_empty(),

@@ -3,8 +3,15 @@
 //! implementation.
 //!
 //! This module *is* the serving tier. A [`ServingRuntime`] owns a bounded
-//! admission queue and a fixed set of resident worker threads (parked on
-//! a condvar when idle — spawned once, reused for every request):
+//! admission queue and a [`PersistentPool`] of exactly
+//! [`RuntimeConfig::workers`] resident threads — spawned once, parked in
+//! the pool when idle, reused for every request. The runtime's workers
+//! *are* pool workers: every resident thread in this crate is a
+//! [`PersistentPool`] worker, so the one park/wake protocol lives in
+//! [`park_pool`]. A submit that finds fewer than `workers` drains
+//! scheduled spawns one on the pool; a drain serves the queue batch by
+//! batch until it is empty. The caller waits on its [`Ticket`], a
+//! one-slot channel the drain sends the outcome through.
 //!
 //! * **Admission control** — [`ServingRuntime::submit`] rejects a request
 //!   with the typed [`RetrievalError::Overloaded`] the moment the queue
@@ -13,11 +20,11 @@
 //!   requests inside the SLO rather than answering all of them
 //!   arbitrarily late.
 //! * **Per-request deadlines** — a queued request that ages past
-//!   [`RuntimeConfig::deadline`] before a worker picks it up is shed with
+//!   [`RuntimeConfig::deadline`] before a drain picks it up is shed with
 //!   the same typed error; its ticket resolves immediately rather than
 //!   wasting service capacity on an answer nobody is waiting for.
-//! * **Batch dedup for free** — workers drain up to
-//!   [`RuntimeConfig::batch_size`] queued requests per wakeup and serve
+//! * **Batch dedup for free** — a drain takes up to
+//!   [`RuntimeConfig::batch_size`] queued requests at a time and serves
 //!   them through [`Retrieve::retrieve_batch`] — always, because an
 //!   engine's batch of one *is* its `retrieve` (the one that hedges on a
 //!   hedged deployment) — so the engine-level cross-request scan dedup
@@ -39,29 +46,26 @@
 //!   [`ServingRuntime::with_hedge_metrics`] and scenario reports carry
 //!   hedge counts.
 //!
-//! The parked pool hedged shard gathers (and cold builds) run on lives in
-//! [`park_pool`].
+//! The pool type — which also runs hedged shard gathers and cold builds —
+//! lives in [`park_pool`].
 
 pub mod park_pool;
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-// amcad-lint: allow(no-std-sync-primitives) — the admission queue parks workers on std::sync::Condvar, which only pairs with std MutexGuard; poison is recovered manually in lock() below
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+
+use self::park_pool::PersistentPool;
 use crate::engine::{Request, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
 use crate::serving::{percentile, LoadReport, Scenario, ScenarioPhase, TemplateSampler};
 use crate::shard::{HedgeControl, ShardedEngine};
 use crate::snapshot::EngineHandle;
-
-/// Lock a mutex, recovering from a poisoned guard (runtime invariants
-/// live in atomics, not the data under the mutexes).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration of a [`ServingRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,9 +80,9 @@ pub struct RuntimeConfig {
     /// submission is shed instead of served, and a completion later than
     /// this counts toward `timed_out` rather than goodput.
     pub deadline: Duration,
-    /// Requests a worker drains per wakeup and serves through one
-    /// [`Retrieve::retrieve_batch`] call; several live requests engage
-    /// the engine-level cross-request scan dedup.
+    /// Requests a drain takes from the queue at a time and serves
+    /// through one [`Retrieve::retrieve_batch`] call; several live
+    /// requests engage the engine-level cross-request scan dedup.
     pub batch_size: usize,
 }
 
@@ -108,84 +112,64 @@ pub struct RuntimeStats {
     pub queue_len: usize,
 }
 
-/// The pending outcome of one admitted request.
-struct TicketState {
-    outcome: Mutex<Option<(Result<RetrievalResponse, RetrievalError>, Instant)>>,
-    done: Condvar,
-}
-
-impl TicketState {
-    fn new() -> Self {
-        TicketState {
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Resolve the ticket (first resolution wins; later ones are
-    /// impossible by construction but harmless).
-    fn fulfill(&self, result: Result<RetrievalResponse, RetrievalError>) {
-        let mut slot = lock(&self.outcome);
-        if slot.is_none() {
-            *slot = Some((result, Instant::now()));
-            self.done.notify_all();
-        }
-    }
-}
+/// What a ticket resolves to: the result, and when it was produced.
+type Outcome = (Result<RetrievalResponse, RetrievalError>, Instant);
 
 /// A handle to one admitted request: redeem it with [`Ticket::wait`] for
 /// the response. Every admitted ticket resolves — served, deadline-shed,
-/// or shed at runtime shutdown — so waiting can never hang.
+/// or shed at runtime shutdown — or, if the engine panicked serving it,
+/// makes `wait` panic: waiting can never hang.
 pub struct Ticket {
-    state: Arc<TicketState>,
+    outcome: Receiver<Outcome>,
 }
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let resolved = lock(&self.state.outcome).is_some();
-        f.debug_struct("Ticket")
-            .field("resolved", &resolved)
-            .finish()
+        f.debug_struct("Ticket").finish_non_exhaustive()
     }
 }
 
 impl Ticket {
     /// Block until the request resolves.
+    ///
+    /// # Panics
+    ///
+    /// If the engine panicked while serving this request: the ticket can
+    /// then never resolve, and a panic beats blocking forever.
     pub fn wait(self) -> Result<RetrievalResponse, RetrievalError> {
         self.wait_full().0
     }
 
     /// Block until the request resolves; also return the completion
-    /// timestamp the worker stamped (the scenario driver computes
+    /// timestamp the drain stamped (the scenario driver computes
     /// per-request latency from it).
-    pub(crate) fn wait_full(self) -> (Result<RetrievalResponse, RetrievalError>, Instant) {
-        let mut guard = lock(&self.state.outcome);
-        // amcad-lint: allow(unbounded-fanout) — condvar wait loop: bounded by ticket fulfilment (or shed); spurious wakeups re-check the outcome slot
-        loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
-            }
-            guard = self
-                .state
-                .done
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    pub(crate) fn wait_full(self) -> Outcome {
+        self.outcome
+            .recv()
+            .expect("the request's serving panicked before resolving its ticket")
     }
+}
+
+/// Resolve a ticket, stamping the completion time. The channel has one
+/// slot and gets one send, so this never blocks; a caller that dropped
+/// its [`Ticket`] has nobody to tell.
+fn fulfil(ticket: SyncSender<Outcome>, result: Result<RetrievalResponse, RetrievalError>) {
+    let _ = ticket.send((result, Instant::now()));
 }
 
 /// One queued request.
 struct QueuedRequest {
     request: Request,
     enqueued: Instant,
-    ticket: Arc<TicketState>,
+    ticket: SyncSender<Outcome>,
 }
 
 struct RuntimeQueue {
     items: VecDeque<QueuedRequest>,
-    /// Inside the mutex (see `park_pool::PoolQueue`): a flag outside it
-    /// can miss the shutdown wakeup and park a worker forever.
-    shutdown: bool,
+    /// Drains scheduled on the pool, at most `workers`. Counted under
+    /// the same lock as `items`: a submit either sees a drain that will
+    /// still reach its request or schedules a new one — no lost wake-up.
+    drains: usize,
 }
 
 struct Counters {
@@ -198,17 +182,28 @@ struct Counters {
 struct RuntimeShared {
     engine: Arc<dyn Retrieve>,
     queue: Mutex<RuntimeQueue>,
-    ready: Condvar,
     config: RuntimeConfig,
     counters: Counters,
 }
 
+impl RuntimeShared {
+    /// The typed shed error, for every way a request can be shed.
+    fn overloaded(&self) -> RetrievalError {
+        RetrievalError::Overloaded {
+            queue_depth: self.config.queue_depth,
+            deadline: self.config.deadline,
+        }
+    }
+}
+
 /// A persistent serving tier around any [`Retrieve`] engine: a bounded
-/// admission queue drained by resident parked workers, with per-request
+/// admission queue drained on resident pool workers, with per-request
 /// deadlines and SLO-driven load shedding (see the module docs).
 pub struct ServingRuntime {
     shared: Arc<RuntimeShared>,
-    workers: Vec<JoinHandle<()>>,
+    /// Dropped after [`ServingRuntime`]'s own `drop` has emptied the
+    /// queue, so joining the workers waits only for in-flight batches.
+    pool: PersistentPool,
     hedge: Option<Arc<HedgeControl>>,
 }
 
@@ -242,9 +237,8 @@ impl ServingRuntime {
             engine,
             queue: Mutex::new(RuntimeQueue {
                 items: VecDeque::new(),
-                shutdown: false,
+                drains: 0,
             }),
-            ready: Condvar::new(),
             config,
             counters: Counters {
                 admitted: AtomicU64::new(0),
@@ -253,15 +247,11 @@ impl ServingRuntime {
                 shed_deadline: AtomicU64::new(0),
             },
         });
-        let workers = (0..config.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
         Ok(ServingRuntime {
             shared,
-            workers,
+            // a pool of width n keeps n - 1 resident workers (its caller
+            // is the n-th, but drains are only ever spawned)
+            pool: PersistentPool::new(config.workers.saturating_add(1)),
             hedge: None,
         })
     }
@@ -289,40 +279,37 @@ impl ServingRuntime {
             completed: c.completed.load(Ordering::Relaxed),
             shed_queue_full: c.shed_queue.load(Ordering::Relaxed),
             shed_deadline: c.shed_deadline.load(Ordering::Relaxed),
-            queue_len: lock(&self.shared.queue).items.len(),
+            queue_len: self.shared.queue.lock().items.len(),
         }
     }
 
     /// Admit one request. `Err(Overloaded)` when the admission queue is
-    /// at its configured depth (or the runtime is shutting down) — the
-    /// request was *not* queued and will never be served.
+    /// at its configured depth — the request was *not* queued and will
+    /// never be served.
     pub fn submit(&self, request: Request) -> Result<Ticket, RetrievalError> {
-        let overloaded = || RetrievalError::Overloaded {
-            queue_depth: self.shared.config.queue_depth,
-            deadline: self.shared.config.deadline,
-        };
-        let ticket = Arc::new(TicketState::new());
-        {
-            let mut queue = lock(&self.shared.queue);
-            if queue.shutdown || queue.items.len() >= self.shared.config.queue_depth {
-                self.shared
-                    .counters
-                    .shed_queue
-                    .fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
-                return Err(overloaded());
+        let shared = &self.shared;
+        let (ticket, outcome) = mpsc::sync_channel(1);
+        let schedule_drain = {
+            let mut queue = shared.queue.lock();
+            if queue.items.len() >= shared.config.queue_depth {
+                shared.counters.shed_queue.fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
+                return Err(shared.overloaded());
             }
             queue.items.push_back(QueuedRequest {
                 request,
                 enqueued: Instant::now(),
-                ticket: Arc::clone(&ticket),
+                ticket,
             });
+            let idle_slot = queue.drains < shared.config.workers;
+            queue.drains += usize::from(idle_slot);
+            idle_slot
+        };
+        shared.counters.admitted.fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
+        if schedule_drain {
+            let shared = Arc::clone(shared);
+            self.pool.spawn(move || drain_queue(&shared));
         }
-        self.shared
-            .counters
-            .admitted
-            .fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
-        self.shared.ready.notify_one();
-        Ok(Ticket { state: ticket })
+        Ok(Ticket { outcome })
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -440,97 +427,80 @@ impl ServingRuntime {
 
 impl Drop for ServingRuntime {
     fn drop(&mut self) {
-        let leftovers: Vec<QueuedRequest> = {
-            let mut queue = lock(&self.shared.queue);
-            queue.shutdown = true;
-            queue.items.drain(..).collect()
-        };
-        self.shared.ready.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         // resolve every still-queued ticket so no waiter hangs on a
-        // runtime that shut down under it
+        // runtime that shut down under it; a drain mid-batch then finds
+        // the queue empty and returns, and the pool joins its worker
+        let leftovers = std::mem::take(&mut self.shared.queue.lock().items);
         for item in leftovers {
             self.shared
                 .counters
                 .shed_queue
                 .fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
-            item.ticket.fulfill(Err(RetrievalError::Overloaded {
-                queue_depth: self.shared.config.queue_depth,
-                deadline: self.shared.config.deadline,
-            }));
+            fulfil(item.ticket, Err(self.shared.overloaded()));
         }
     }
 }
 
-fn worker_loop(shared: &RuntimeShared) {
-    // all dispatch-shell scratch is pre-sized to the batch cap and reused
-    // for the worker's lifetime: the steady-state loop below allocates
-    // nothing of its own — only the engine call does real work
-    let batch_cap = shared.config.batch_size.max(1);
+/// One drain, run as a task on the runtime's pool: take up to
+/// `batch_size` requests, shed the ones past their deadline, serve the
+/// rest with one `retrieve_batch`, fulfil their tickets — until the
+/// queue is empty.
+fn drain_queue(shared: &RuntimeShared) {
+    // scratch pre-sized to the batch cap and reused for every batch of
+    // this drain: only the engine call does real work
+    let batch_cap = shared.config.batch_size;
     let mut batch: Vec<QueuedRequest> = Vec::with_capacity(batch_cap);
-    let mut live: Vec<QueuedRequest> = Vec::with_capacity(batch_cap);
     let mut requests: Vec<Request> = Vec::with_capacity(batch_cap);
-    let mut tickets: Vec<Arc<TicketState>> = Vec::with_capacity(batch_cap);
-    // amcad-lint: allow(unbounded-fanout) — worker lifetime loop: exits via the shutdown flag checked under the queue lock; each iteration serves one admission-bounded batch
+    let mut tickets: Vec<SyncSender<Outcome>> = Vec::with_capacity(batch_cap);
+    // amcad-lint: allow(unbounded-fanout) — drain loop: returns once the admission queue (at most queue_depth deep) is empty; each iteration removes up to batch_size requests from it
     loop {
-        batch.clear();
         {
-            let mut queue = lock(&shared.queue);
-            // amcad-lint: allow(unbounded-fanout) — condvar wait loop: re-checks the queue predicate on spurious wakeups; bounded by request arrival or shutdown
-            while queue.items.is_empty() {
-                if queue.shutdown {
-                    return;
-                }
-                queue = shared
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
+            let mut queue = shared.queue.lock();
+            if queue.items.is_empty() {
+                queue.drains -= 1;
+                return;
             }
-            let n = queue.items.len().min(shared.config.batch_size);
+            let n = queue.items.len().min(batch_cap);
             batch.extend(queue.items.drain(..n));
         }
         // deadline check at dequeue: a request that aged out while
         // queued is shed — serving it would waste capacity on an answer
         // its caller has already given up on
         let now = Instant::now();
-        live.clear();
         for item in batch.drain(..) {
             if now.duration_since(item.enqueued) > shared.config.deadline {
                 shared
                     .counters
                     .shed_deadline
                     .fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
-                item.ticket.fulfill(Err(RetrievalError::Overloaded {
-                    queue_depth: shared.config.queue_depth,
-                    deadline: shared.config.deadline,
-                }));
+                fulfil(item.ticket, Err(shared.overloaded()));
             } else {
-                live.push(item);
+                requests.push(item.request);
+                tickets.push(item.ticket);
             }
         }
-        if live.is_empty() {
+        if requests.is_empty() {
             continue;
         }
         // one path whatever the count: the engine's batch of one *is* its
         // single-request path, and several live requests engage its
-        // cross-request scan dedup. Move the requests out of the queued
-        // items (instead of cloning them) — after dispatch only the
-        // tickets are needed to fulfil, so the split is free.
+        // cross-request scan dedup
+        let results = catch_unwind(AssertUnwindSafe(|| shared.engine.retrieve_batch(&requests)));
         requests.clear();
-        tickets.clear();
-        for item in live.drain(..) {
-            requests.push(item.request);
-            tickets.push(item.ticket);
-        }
-        let results = shared.engine.retrieve_batch(&requests);
+        // a panicking engine fails only its batch: the dropped tickets
+        // make those waiters panic instead of hanging, and the drain goes
+        // on. Unwinding out of the drain instead would leave its slot
+        // counted, stranding the requests queued behind the batch.
+        let Ok(results) = results else {
+            tickets.clear();
+            continue;
+        };
         debug_assert_eq!(results.len(), tickets.len());
         for (ticket, result) in tickets.drain(..).zip(results) {
-            // monotonic telemetry only; the ticket fulfil carries the
-            // actual result synchronisation
+            // monotonic telemetry only; the channel carries the actual
+            // result synchronisation
             shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            ticket.fulfill(result);
+            fulfil(ticket, result);
         }
     }
 }
@@ -607,54 +577,44 @@ mod tests {
     /// opens it — makes queue-occupancy tests deterministic.
     struct GatedEngine {
         inner: Arc<RetrievalEngine>,
-        open: Mutex<bool>,
-        gate: Condvar,
-        entered: Mutex<usize>,
-        entered_cv: Condvar,
+        /// (gate open, requests that entered the engine)
+        state: std::sync::Mutex<(bool, usize)>,
+        changed: std::sync::Condvar,
     }
 
     impl GatedEngine {
         fn new(inner: Arc<RetrievalEngine>) -> Self {
             GatedEngine {
                 inner,
-                open: Mutex::new(false),
-                gate: Condvar::new(),
-                entered: Mutex::new(0),
-                entered_cv: Condvar::new(),
+                state: std::sync::Mutex::new((false, 0)),
+                changed: std::sync::Condvar::new(),
             }
         }
 
         fn open_gate(&self) {
-            *lock(&self.open) = true;
-            self.gate.notify_all();
+            self.state.lock().unwrap().0 = true;
+            self.changed.notify_all();
+        }
+
+        /// Requests that have entered the engine so far.
+        fn entered(&self) -> usize {
+            self.state.lock().unwrap().1
         }
 
         /// Block until `n` requests have entered the engine (i.e. were
-        /// dequeued by a worker and are now parked on the gate).
+        /// dequeued by a drain and are now parked on the gate).
         fn wait_entered(&self, n: usize) {
-            let mut entered = lock(&self.entered);
-            while *entered < n {
-                entered = self
-                    .entered_cv
-                    .wait(entered)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            let state = self.state.lock().unwrap();
+            drop(self.changed.wait_while(state, |s| s.1 < n).unwrap());
         }
     }
 
     impl Retrieve for GatedEngine {
         fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
-            {
-                let mut entered = lock(&self.entered);
-                *entered += 1;
-                self.entered_cv.notify_all();
-            }
-            {
-                let mut open = lock(&self.open);
-                while !*open {
-                    open = self.gate.wait(open).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            self.changed.notify_all();
+            drop(self.changed.wait_while(state, |s| !s.0).unwrap());
             self.inner.retrieve(request)
         }
     }
@@ -721,50 +681,110 @@ mod tests {
 
     /// The admission-control acceptance test: a saturated queue sheds
     /// with the typed `Overloaded` error, and a load drop restores
-    /// zero-shed serving.
+    /// zero-shed serving. Run at one and two workers, it also pins the
+    /// drain-slot accounting: exactly `workers` drains take a request.
     #[test]
     fn saturated_admission_queue_sheds_and_recovers() {
-        let gated = Arc::new(GatedEngine::new(engine()));
-        let runtime = ServingRuntime::new(
-            gated.clone() as Arc<dyn Retrieve>,
-            RuntimeConfig {
-                workers: 1,
-                queue_depth: 2,
-                deadline: Duration::from_secs(30),
-                batch_size: 1,
-            },
-        )
-        .unwrap();
-        let templates = requests();
-        // r1 is dequeued by the single worker and parks on the gate ...
-        let t1 = runtime.submit(templates[0].clone()).unwrap();
-        gated.wait_entered(1);
-        // ... so r2 and r3 fill the depth-2 queue exactly ...
-        let t2 = runtime.submit(templates[1].clone()).unwrap();
-        let t3 = runtime.submit(templates[2].clone()).unwrap();
-        // ... and r4 must shed with the typed error
-        let err = runtime.submit(templates[3].clone()).unwrap_err();
-        assert_eq!(
-            err,
-            RetrievalError::Overloaded {
-                queue_depth: 2,
-                deadline: Duration::from_secs(30),
+        for workers in [1usize, 2] {
+            let gated = Arc::new(GatedEngine::new(engine()));
+            let runtime = ServingRuntime::new(
+                gated.clone() as Arc<dyn Retrieve>,
+                RuntimeConfig {
+                    workers,
+                    queue_depth: 2,
+                    deadline: Duration::from_secs(30),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+            let templates = requests();
+            // one request per worker is dequeued and parks on the gate ...
+            let mut tickets: Vec<Ticket> = templates[..workers]
+                .iter()
+                .map(|r| runtime.submit(r.clone()).unwrap())
+                .collect();
+            gated.wait_entered(workers);
+            // ... so the next two fill the depth-2 queue exactly ...
+            for r in &templates[workers..workers + 2] {
+                tickets.push(runtime.submit(r.clone()).unwrap());
             }
-        );
-        assert_eq!(runtime.stats().shed_queue_full, 1);
-        assert_eq!(runtime.stats().queue_len, 2);
-        // open the gate: everything admitted completes
-        gated.open_gate();
-        for ticket in [t1, t2, t3] {
-            assert!(ticket.wait().is_ok());
+            // ... and the one after must shed with the typed error
+            let err = runtime.submit(templates[workers + 2].clone()).unwrap_err();
+            assert_eq!(
+                err,
+                RetrievalError::Overloaded {
+                    queue_depth: 2,
+                    deadline: Duration::from_secs(30),
+                }
+            );
+            assert_eq!(runtime.stats().shed_queue_full, 1);
+            assert_eq!(runtime.stats().queue_len, 2);
+            assert_eq!(gated.entered(), workers, "no drain beyond `workers`");
+            // open the gate: everything admitted completes
+            gated.open_gate();
+            for ticket in tickets {
+                assert!(ticket.wait().is_ok());
+            }
+            // load drop: the queue is empty again, submissions sail through
+            for template in &templates {
+                assert!(runtime.retrieve_blocking(template).is_ok());
+            }
+            let stats = runtime.stats();
+            assert_eq!(stats.shed_queue_full, 1, "no new sheds after the drop");
+            assert_eq!(stats.completed, workers as u64 + 12);
         }
-        // load drop: the queue is empty again, submissions sail through
-        for template in &templates {
-            assert!(runtime.retrieve_blocking(template).is_ok());
+    }
+
+    /// An engine that panics serving one query fails that request's
+    /// waiter instead of hanging it, and costs the runtime no worker: on
+    /// a one-worker runtime the request queued behind the panicking one
+    /// is served without another submit, and so is the next request. The
+    /// scenario runs on a helper thread so a hang fails by timeout
+    /// rather than hanging the suite.
+    #[test]
+    fn a_panicking_engine_fails_its_waiter_and_keeps_serving() {
+        struct PanicsOnQuery(Arc<GatedEngine>, u32);
+        impl Retrieve for PanicsOnQuery {
+            fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
+                let response = self.0.retrieve(request);
+                assert_ne!(request.query, self.1, "engine failure injected by the test");
+                response
+            }
         }
-        let stats = runtime.stats();
-        assert_eq!(stats.shed_queue_full, 1, "no new sheds after the drop");
-        assert_eq!(stats.completed, 13);
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let gated = Arc::new(GatedEngine::new(engine()));
+            let runtime = ServingRuntime::new(
+                Arc::new(PanicsOnQuery(Arc::clone(&gated), 3)),
+                RuntimeConfig {
+                    workers: 1,
+                    queue_depth: 8,
+                    deadline: Duration::from_secs(30),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+            let templates = requests();
+            let doomed = runtime.submit(templates[3].clone()).unwrap();
+            gated.wait_entered(1);
+            let behind = runtime.submit(templates[0].clone()).unwrap();
+            gated.open_gate();
+            let waited = std::panic::catch_unwind(|| doomed.wait());
+            let message = waited
+                .as_ref()
+                .err()
+                .and_then(|p| p.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            let served = [behind.wait(), runtime.retrieve_blocking(&templates[1])];
+            done.send((waited.is_err(), message, served.iter().all(Result::is_ok)))
+                .unwrap();
+        });
+        let (wait_panicked, message, rest_served) = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a waiter hung on a request whose serving panicked");
+        assert!(wait_panicked, "wait must panic, not return");
+        assert!(message.contains("serving panicked"), "got: {message}");
+        assert!(rest_served, "the one worker must survive the panic");
     }
 
     #[test]
@@ -972,7 +992,7 @@ mod tests {
         }
         impl Retrieve for Recorder {
             fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
-                lock(&self.seen).push(request.query);
+                self.seen.lock().push(request.query);
                 self.inner.retrieve(request)
             }
         }
@@ -993,7 +1013,7 @@ mod tests {
         let templates = &requests()[..3];
         let reports = runtime.run_scenario(templates, &Scenario::sustained(10_000.0, 7));
         assert_eq!(reports[0].completed, 7);
-        assert_eq!(*lock(&recorder.seen), vec![0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(*recorder.seen.lock(), vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Persistent parked worker pool.
 //!
 //! [`PersistentPool`] spawns its workers once and parks them on a condvar
-//! between batches instead of spawning threads per call.  On the serving
+//! between batches instead of spawning threads per call.  Every resident
+//! thread in this crate is a pool worker, and this file holds the one
+//! park/wake protocol: the [`ServingRuntime`](crate::ServingRuntime)'s
+//! workers are the resident threads of a pool it owns, which runs its
+//! admission-queue drains.  On the serving
 //! path a hedged [`ShardedEngine`](crate::shard::ShardedEngine) submits
 //! its shard gathers and hedged sub-requests to a deployment's resident
 //! threads, so steady-state request processing performs zero thread
@@ -20,7 +24,8 @@
 //!   which both guarantees progress on a single-threaded pool and makes
 //!   nested `run` calls from inside a pool job deadlock-free.
 //! - [`PersistentPool::spawn`] — a fire-and-forget task, used by the
-//!   hedged-request path to launch replica gathers whose results are
+//!   serving runtime to schedule its queue drains and by the
+//!   hedged-request path to launch replica gathers; results are
 //!   delivered through a side channel rather than a join.
 
 use std::any::Any;

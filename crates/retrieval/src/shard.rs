@@ -486,7 +486,7 @@ impl ReplicatedShard {
     pub fn delay_replica(&self, replica: usize, delay: Duration) {
         self.slots[replica]
             .delay_ns
-            .store(delay.as_nanos() as u64, Ordering::Release);
+            .store(saturating_nanos(delay), Ordering::Release);
     }
 
     /// The artificial contact latency of replica `replica`.
@@ -627,6 +627,12 @@ impl ReplicatedShard {
     }
 }
 
+/// `delay` in nanoseconds, saturating at `u64::MAX` (≈ 584 years): a
+/// wrapping cast would turn an effectively infinite delay into a short one.
+fn saturating_nanos(delay: Duration) -> u64 {
+    u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Shared observability and tuning surface of the hedged-request path.
 ///
 /// One instance per [`ShardedEngine`] deployment: clones and every delta
@@ -645,7 +651,7 @@ pub struct HedgeControl {
 impl HedgeControl {
     fn new(delay: Duration) -> Self {
         HedgeControl {
-            delay_nanos: AtomicU64::new(delay.as_nanos() as u64),
+            delay_nanos: AtomicU64::new(saturating_nanos(delay)),
             issued: AtomicU64::new(0),
             won: AtomicU64::new(0),
         }
@@ -661,7 +667,7 @@ impl HedgeControl {
     /// request).
     pub fn set_delay(&self, delay: Duration) {
         self.delay_nanos
-            .store(delay.as_nanos() as u64, Ordering::Release);
+            .store(saturating_nanos(delay), Ordering::Release);
     }
 
     /// Hedge sub-requests issued since the deployment was built.
@@ -1910,6 +1916,23 @@ mod tests {
         // the hedge delay is a live knob
         control.set_delay(Duration::from_millis(7));
         assert_eq!(control.delay(), Duration::from_millis(7));
+    }
+
+    /// A delay past `u64::MAX` nanoseconds saturates instead of wrapping:
+    /// `u64::MAX` ns + 1 s wrapped to 999 999 999 ns, so the request
+    /// hedged after ≈ 1 s.
+    #[test]
+    fn delays_beyond_u64_nanoseconds_saturate_instead_of_wrapping() {
+        let huge = Duration::from_nanos(u64::MAX) + Duration::from_secs(1);
+        let ceiling = Duration::from_nanos(u64::MAX);
+        let engine = hedged_engine(&tiny_inputs(), huge);
+        let control = engine.hedge_control().unwrap();
+        assert_eq!(control.delay(), ceiling, "the builder's hedge delay");
+        control.set_delay(Duration::from_millis(7));
+        control.set_delay(huge);
+        assert_eq!(control.delay(), ceiling, "set_delay");
+        engine.shard(0).delay_replica(1, huge);
+        assert_eq!(engine.shard(0).contact_delay(1), ceiling, "delay_replica");
     }
 
     /// Every shard's primary is issued before any is awaited, and the

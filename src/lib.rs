@@ -150,10 +150,12 @@
 //! `RetrievalError::Overloaded { queue_depth, deadline }` instead of
 //! queueing without bound, requests that age past their deadline while
 //! queued are shed rather than answered late, and queued neighbours are
-//! drained into one scan-deduplicated `retrieve_batch` call. Unhedged
-//! shard gathers are merged inline on the serving worker; hedged ones
-//! run on the long-lived parked workers of [`retrieval::PersistentPool`]
-//! — no per-request thread spawns. With
+//! drained into one scan-deduplicated `retrieve_batch` call. Every
+//! resident thread is a long-lived parked worker of a
+//! [`retrieval::PersistentPool`] — the runtime's workers are its own
+//! pool's — so no request spawns a thread. Unhedged shard gathers are
+//! merged inline on the serving worker; hedged ones run on the
+//! deployment's hedge pool. With
 //! `ShardedEngineBuilder::hedge_delay` and replicas ≥ 2, a straggling
 //! shard gather is re-issued to a sibling replica after a
 //! p9x-derived delay and the first response wins; per-replica weights
