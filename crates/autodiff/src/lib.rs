@@ -13,10 +13,10 @@
 //! * [`Tape`] / [`Var`] — the computation graph with reverse-mode
 //!   [`Tape::backward`],
 //! * [`manifold_ops`] — differentiable κ-stereographic operations (Möbius
-//!   addition, exp/log maps, geodesic distance, κ-linear layers and the
-//!   Fermi–Dirac similarity), property-tested against `amcad-manifold`,
+//!   addition, exp/log maps, geodesic distance and the Fermi–Dirac
+//!   similarity), property-tested against `amcad-manifold`,
 //! * [`ParamStore`] — dense parameters + sparse embedding tables with
-//!   AdaGrad, clipping, warm-up and the LRU feature-exit mechanism.
+//!   AdaGrad, clipping and warm-up.
 
 pub mod manifold_ops;
 pub mod params;

@@ -74,31 +74,6 @@ pub fn distance(t: &mut Tape, x: Var, y: Var, kappa: Var) -> Var {
     t.scale(an, 2.0)
 }
 
-/// κ-matrix multiplication `W ⊗_κ x = exp^κ_0(log^κ_0(x)·W)`.
-///
-/// `x` is a `1 × d_in` row vector and `w` a `d_in × d_out` matrix (the
-/// row-vector convention used throughout the model crate).
-pub fn kappa_linear(t: &mut Tape, x: Var, w: Var, kappa: Var) -> Var {
-    let tangent = log0(t, x, kappa);
-    let out = t.matmul(tangent, w);
-    exp0(t, out, kappa)
-}
-
-/// κ-activation `σ_{κ1→κ2}(x) = exp^{κ2}_0(σ(log^{κ1}_0(x)))` with `tanh`
-/// as the Euclidean non-linearity (the choice used by the model crate).
-pub fn kappa_activation_tanh(t: &mut Tape, x: Var, kappa_from: Var, kappa_to: Var) -> Var {
-    let tangent = log0(t, x, kappa_from);
-    let act = t.tanh(tangent);
-    exp0(t, act, kappa_to)
-}
-
-/// Move a point from curvature `kappa_from` to `kappa_to` without a
-/// non-linearity (identity transport through the shared tangent space).
-pub fn transport(t: &mut Tape, x: Var, kappa_from: Var, kappa_to: Var) -> Var {
-    let tangent = log0(t, x, kappa_from);
-    exp0(t, tangent, kappa_to)
-}
-
 /// Fermi–Dirac similarity `σ(temp·(radius − d))` used by the triplet loss
 /// (Eq. 15 of the paper).
 pub fn fermi_dirac(t: &mut Tape, dist: Var, radius: f64, temperature: f64) -> Var {
@@ -179,7 +154,10 @@ mod tests {
             let x = t.row(xs.to_vec());
             let wv = t.leaf(Tensor::new(3, 2, w.to_vec()));
             let k = t.scalar(kappa);
-            let out = kappa_linear(&mut t, x, wv, k);
+            // W ⊗_κ x = exp^κ_0(log^κ_0(x)·W), composed on the tape
+            let tangent = log0(&mut t, x, k);
+            let product = t.matmul(tangent, wv);
+            let out = exp0(&mut t, product, k);
             // reference kappa_matmul expects a (rows x cols) matrix applied as M·x
             // with M = Wᵀ (2x3).
             let wt = [0.3, 0.1, -0.1, -0.2, 0.4, 0.2];
@@ -260,7 +238,9 @@ mod tests {
         let k1 = t.scalar(-1.0);
         let k2 = t.scalar(1.0);
         let p = exp0(&mut t, v, k1);
-        let q = transport(&mut t, p, k1, k2);
+        // move the point to curvature k2 through the shared tangent space
+        let tangent = log0(&mut t, p, k1);
+        let q = exp0(&mut t, tangent, k2);
         let back = log0(&mut t, q, k2);
         assert_vec_close(&t.value(back).data, &t.value(v).data.clone(), 1e-7);
     }

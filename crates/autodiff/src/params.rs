@@ -2,16 +2,14 @@
 //!
 //! The paper trains AMCAD with vanilla AdaGrad over parameters that all
 //! live in tangent (Euclidean) space, stabilised by gradient clipping and a
-//! learning-rate warm-up (Section V-B), and keeps the sparse ID-feature
-//! embedding tables from growing without bound via an LRU feature-exit
-//! mechanism (Section V-C).  [`ParamStore`] reproduces this machinery:
+//! learning-rate warm-up (Section V-B).  [`ParamStore`] reproduces this
+//! machinery:
 //!
 //! * dense parameters (weight matrices, curvature scalars, attention
 //!   projections),
 //! * sparse embedding tables updated only on the rows touched by a batch,
 //! * per-element AdaGrad accumulators, global-norm gradient clipping and
-//!   linear warm-up,
-//! * last-used bookkeeping per embedding row for LRU eviction.
+//!   linear warm-up.
 
 use std::collections::HashMap;
 
@@ -70,7 +68,6 @@ struct EmbeddingTable {
     dim: usize,
     data: Vec<f64>,
     accum: Vec<f64>,
-    last_used: Vec<u64>,
 }
 
 /// Where a tape leaf's gradient should be applied.
@@ -107,9 +104,7 @@ impl Batch {
 #[derive(Debug)]
 pub struct ParamStore {
     dense: Vec<DenseParam>,
-    dense_by_name: HashMap<String, DenseId>,
     tables: Vec<EmbeddingTable>,
-    tables_by_name: HashMap<String, TableId>,
     config: OptimizerConfig,
     step: u64,
     rng: StdRng,
@@ -121,18 +116,11 @@ impl ParamStore {
     pub fn new(config: OptimizerConfig, seed: u64) -> Self {
         ParamStore {
             dense: Vec::new(),
-            dense_by_name: HashMap::new(),
             tables: Vec::new(),
-            tables_by_name: HashMap::new(),
             config,
             step: 0,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Number of optimisation steps applied so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
     }
 
     /// The optimiser configuration.
@@ -152,7 +140,7 @@ impl ParamStore {
     /// uniformly in `[-scale, scale]`.
     pub fn dense(&mut self, name: &str, rows: usize, cols: usize, scale: f64) -> DenseId {
         assert!(
-            !self.dense_by_name.contains_key(name),
+            self.dense.iter().all(|p| p.name != name),
             "duplicate dense parameter `{name}`"
         );
         let data = (0..rows * cols)
@@ -167,7 +155,6 @@ impl ParamStore {
             accum: vec![0.0; rows * cols],
             trainable: true,
         });
-        self.dense_by_name.insert(name.to_string(), id);
         id
     }
 
@@ -196,7 +183,7 @@ impl ParamStore {
     /// `[-scale, scale]`.
     pub fn embedding(&mut self, name: &str, rows: usize, dim: usize, scale: f64) -> TableId {
         assert!(
-            !self.tables_by_name.contains_key(name),
+            self.tables.iter().all(|t| t.name != name),
             "duplicate embedding table `{name}`"
         );
         let data = (0..rows * dim)
@@ -209,25 +196,8 @@ impl ParamStore {
             dim,
             data,
             accum: vec![0.0; rows * dim],
-            last_used: vec![0; rows],
         });
-        self.tables_by_name.insert(name.to_string(), id);
         id
-    }
-
-    /// Look up a dense parameter by name.
-    pub fn dense_id(&self, name: &str) -> Option<DenseId> {
-        self.dense_by_name.get(name).copied()
-    }
-
-    /// Look up an embedding table by name.
-    pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.tables_by_name.get(name).copied()
-    }
-
-    /// Names of all dense parameters (stable registration order).
-    pub fn dense_names(&self) -> Vec<&str> {
-        self.dense.iter().map(|p| p.name.as_str()).collect()
     }
 
     // ----- values -----
@@ -258,16 +228,6 @@ impl ParamStore {
         &t.data[row * t.dim..(row + 1) * t.dim]
     }
 
-    /// Number of rows in an embedding table.
-    pub fn table_rows(&self, id: TableId) -> usize {
-        self.tables[id.0].rows
-    }
-
-    /// Embedding dimension of a table.
-    pub fn table_dim(&self, id: TableId) -> usize {
-        self.tables[id.0].dim
-    }
-
     // ----- binding into a tape -----
 
     /// Bind a dense parameter into the tape as a leaf for this batch.
@@ -278,15 +238,13 @@ impl ParamStore {
     }
 
     /// Bind one embedding row into the tape as a leaf for this batch.
-    pub fn use_row(&mut self, tape: &mut Tape, batch: &mut Batch, id: TableId, row: usize) -> Var {
-        let step = self.step;
-        let t = &mut self.tables[id.0];
+    pub fn use_row(&self, tape: &mut Tape, batch: &mut Batch, id: TableId, row: usize) -> Var {
+        let t = &self.tables[id.0];
         assert!(
             row < t.rows,
             "row {row} out of bounds for table `{}`",
             t.name
         );
-        t.last_used[row] = step;
         let data = t.data[row * t.dim..(row + 1) * t.dim].to_vec();
         let var = tape.leaf(Tensor::row(data));
         batch.uses.push((var, Target::Row(id, row)));
@@ -375,27 +333,6 @@ impl ParamStore {
         self.step += 1;
         global_norm
     }
-
-    /// LRU feature exit (Section V-C): reset embedding rows that have not
-    /// been touched for more than `max_age` optimisation steps.  Returns the
-    /// number of evicted rows.
-    pub fn evict_stale_rows(&mut self, id: TableId, max_age: u64) -> usize {
-        let step = self.step;
-        let t = &mut self.tables[id.0];
-        let mut evicted = 0;
-        for row in 0..t.rows {
-            if step.saturating_sub(t.last_used[row]) > max_age {
-                let base = row * t.dim;
-                for i in 0..t.dim {
-                    t.data[base + i] = 0.0;
-                    t.accum[base + i] = 0.0;
-                }
-                t.last_used[row] = step;
-                evicted += 1;
-            }
-        }
-        evicted
-    }
 }
 
 #[cfg(test)]
@@ -411,12 +348,9 @@ mod tests {
         let mut s = store();
         let w = s.dense("w", 2, 3, 0.1);
         let e = s.embedding("emb", 10, 4, 0.1);
-        assert_eq!(s.dense_id("w"), Some(w));
-        assert_eq!(s.table_id("emb"), Some(e));
-        assert_eq!(s.table_rows(e), 10);
-        assert_eq!(s.table_dim(e), 4);
         assert_eq!(s.num_parameters(), 6 + 40);
-        assert_eq!(s.dense_names(), vec!["w"]);
+        assert_eq!(s.dense_value(w).data.len(), 6);
+        assert_eq!(s.row_value(e, 9).len(), 4);
     }
 
     #[test]
@@ -549,34 +483,5 @@ mod tests {
         let grads = tape.backward(loss);
         s.apply_gradients(&grads, &batch);
         assert_eq!(s.scalar_value(k), -1.0);
-    }
-
-    #[test]
-    fn lru_eviction_resets_stale_rows() {
-        let mut s = store();
-        let e = s.embedding("emb", 3, 2, 0.5);
-        // touch row 0 only, then advance steps artificially
-        {
-            let mut tape = Tape::new();
-            let mut batch = Batch::new();
-            let r = s.use_row(&mut tape, &mut batch, e, 0);
-            let loss = tape.sum(r);
-            let grads = tape.backward(loss);
-            s.apply_gradients(&grads, &batch);
-        }
-        s.step += 100;
-        // re-touch row 0 so it stays fresh
-        {
-            let mut tape = Tape::new();
-            let mut batch = Batch::new();
-            let r = s.use_row(&mut tape, &mut batch, e, 0);
-            let loss = tape.sum(r);
-            let grads = tape.backward(loss);
-            s.apply_gradients(&grads, &batch);
-        }
-        let evicted = s.evict_stale_rows(e, 50);
-        assert_eq!(evicted, 2, "rows 1 and 2 should be evicted");
-        assert!(s.row_value(e, 1).iter().all(|&v| v == 0.0));
-        assert!(s.row_value(e, 0).iter().any(|&v| v != 0.0));
     }
 }

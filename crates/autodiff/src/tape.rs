@@ -62,17 +62,12 @@ enum Op {
     /// Broadcast: tensor op scalar-variable.
     MulScalar(Var, Var),
     DivScalar(Var, Var),
-    AddScalar(Var, Var),
     /// Elementwise `tan_κ(x)` with a scalar curvature variable.
     TanKappa(Var, Var),
     /// Elementwise `tan⁻¹_κ(x)` with a scalar curvature variable.
     AtanKappa(Var, Var),
     /// Squared Euclidean norm of all elements (scalar output).
     NormSq(Var),
-    /// Clamp each element to `max(x, c)`; gradient passes where unclamped.
-    ClampMin(Var, f64),
-    /// Clamp each element to `min(x, c)`; gradient passes where unclamped.
-    ClampMax(Var, f64),
 }
 
 struct Node {
@@ -106,14 +101,6 @@ impl Gradients {
     /// Gradient of the loss with respect to `var`, if it received any.
     pub fn wrt(&self, var: Var) -> Option<&Tensor> {
         self.grads[var.0].as_ref()
-    }
-
-    /// Gradient of the loss with respect to `var`, or a zero tensor of the
-    /// given shape when the variable did not influence the loss.
-    pub fn wrt_or_zero(&self, var: Var, rows: usize, cols: usize) -> Tensor {
-        self.grads[var.0]
-            .clone()
-            .unwrap_or_else(|| Tensor::zeros(rows, cols))
     }
 }
 
@@ -224,13 +211,6 @@ impl Tape {
         let sv = self.value(s).scalar_value();
         let v = self.value(a).map(|x| x / sv);
         self.push(Op::DivScalar(a, s), v)
-    }
-
-    /// Add a scalar variable to every element (broadcast).
-    pub fn add_scalar(&mut self, a: Var, s: Var) -> Var {
-        let sv = self.value(s).scalar_value();
-        let v = self.value(a).map(|x| x + sv);
-        self.push(Op::AddScalar(a, s), v)
     }
 
     // ----- linear algebra -----
@@ -353,18 +333,6 @@ impl Tape {
         let total: f64 = exps.iter().sum();
         let v = Tensor::row(exps.into_iter().map(|e| e / total).collect());
         self.push(Op::Softmax(a), v)
-    }
-
-    /// Elementwise `max(x, c)`.
-    pub fn clamp_min(&mut self, a: Var, c: f64) -> Var {
-        let v = self.value(a).map(|x| x.max(c));
-        self.push(Op::ClampMin(a, c), v)
-    }
-
-    /// Elementwise `min(x, c)`.
-    pub fn clamp_max(&mut self, a: Var, c: f64) -> Var {
-        let v = self.value(a).map(|x| x.min(c));
-        self.push(Op::ClampMax(a, c), v)
     }
 
     // ----- curvature trigonometry primitives -----
@@ -533,16 +501,6 @@ impl Tape {
                     );
                     self.accumulate(&mut grads, *a, ga);
                 }
-                Op::ClampMin(a, c) => {
-                    let c = *c;
-                    let ga = grad.zip(self.value(*a), |g, x| if x > c { g } else { 0.0 });
-                    self.accumulate(&mut grads, *a, ga);
-                }
-                Op::ClampMax(a, c) => {
-                    let c = *c;
-                    let ga = grad.zip(self.value(*a), |g, x| if x < c { g } else { 0.0 });
-                    self.accumulate(&mut grads, *a, ga);
-                }
                 Op::MulScalar(a, s) => {
                     let sv = self.value(*s).scalar_value();
                     let ga = grad.map(|g| g * sv);
@@ -565,11 +523,6 @@ impl Tape {
                         .map(|(g, a)| -g * a / (sv * sv))
                         .sum();
                     self.accumulate(&mut grads, *a, ga);
-                    self.accumulate(&mut grads, *s, Tensor::scalar(gs));
-                }
-                Op::AddScalar(a, s) => {
-                    let gs: f64 = grad.data.iter().sum();
-                    self.accumulate(&mut grads, *a, grad.clone());
                     self.accumulate(&mut grads, *s, Tensor::scalar(gs));
                 }
                 Op::TanKappa(x, kappa) => {
@@ -638,7 +591,7 @@ mod tests {
         let grads = tape.backward(out);
         let h = 1e-6;
         for (i, input) in inputs.iter().enumerate() {
-            let analytic = grads.wrt_or_zero(vars[i], 1, input.len());
+            let analytic = grads.wrt(vars[i]).expect("every input reaches the loss");
             for j in 0..input.len() {
                 let mut plus = inputs.to_vec();
                 plus[i][j] += h;
@@ -746,7 +699,7 @@ mod tests {
         grad_check(&[vec![0.5, -1.2, 2.0], vec![0.7]], |t, v| {
             let m = t.mul_scalar(v[0], v[1]);
             let d = t.div_scalar(m, v[1]);
-            let a = t.add_scalar(d, v[1]);
+            let a = t.mul_scalar(d, v[1]);
             t.sum(a)
         });
     }
@@ -764,16 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_gradients_mask_out_of_range() {
-        grad_check(&[vec![0.5, -1.2, 2.0]], |t, v| {
-            let lo = t.clamp_min(v[0], -1.0);
-            let hi = t.clamp_max(lo, 1.0);
-            let sq = t.square(hi);
-            t.sum(sq)
-        });
-    }
-
-    #[test]
     fn unused_variable_has_no_gradient() {
         let mut t = Tape::new();
         let x = t.row(vec![1.0, 2.0]);
@@ -781,7 +724,6 @@ mod tests {
         let loss = t.sum(x);
         let grads = t.backward(loss);
         assert!(grads.wrt(y).is_none());
-        assert_eq!(grads.wrt_or_zero(y, 1, 2).data, vec![0.0, 0.0]);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Tensor {
         Tensor::new(rows, cols, vec![0.0; rows * cols])
     }
 
-    /// An all-ones tensor of the given shape.
-    pub fn ones(rows: usize, cols: usize) -> Self {
-        Tensor::new(rows, cols, vec![1.0; rows * cols])
-    }
-
     /// Total number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -167,11 +162,6 @@ impl Tensor {
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
-
-    /// Euclidean norm of the flattened data.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -220,6 +210,5 @@ mod tests {
         assert_eq!(a.map(|v| v * 2.0).data, vec![2.0, -4.0, 6.0]);
         assert_eq!(a.zip(&b, |x, y| x + y).data, vec![1.5, -1.5, 3.5]);
         assert_eq!(a.sum(), 2.0);
-        assert!((Tensor::row(vec![3.0, 4.0]).frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -91,7 +91,6 @@ fn main() {
             batch_size: batch,
             steps,
             seed,
-            lru_max_age: 0,
         };
         let mut model = AmcadModel::new(AmcadConfig::amcad(fd, seed), &dataset.graph);
         let start = Instant::now();

@@ -127,19 +127,16 @@ impl Scale {
                 batch_size: 16,
                 steps: 120,
                 seed,
-                lru_max_age: 0,
             },
             Scale::Small => TrainerConfig {
                 batch_size: 32,
                 steps: 300,
                 seed,
-                lru_max_age: 0,
             },
             Scale::Day => TrainerConfig {
                 batch_size: 64,
                 steps: 600,
                 seed,
-                lru_max_age: 0,
             },
         }
     }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use amcad_datagen::{Dataset, WorldConfig};
 use amcad_eval::{AbMetrics, AbTestSimulator, ClickModelConfig, ServedAd};
 use amcad_graph::{NodeId, NodeType};
-use amcad_mnn::IndexBackend;
 use amcad_mnn::MixedPointSet;
 use amcad_model::{
     AmcadConfig, AmcadModel, ModelExport, RelationKind, TrainReport, Trainer, TrainerConfig,
@@ -49,7 +48,6 @@ impl PipelineConfig {
                 batch_size: 16,
                 steps: 60,
                 seed,
-                lru_max_age: 0,
             },
             index: IndexBuildConfig {
                 top_k: 10,
@@ -75,7 +73,6 @@ impl PipelineConfig {
                 batch_size: 64,
                 steps: 400,
                 seed,
-                lru_max_age: 0,
             },
             index: IndexBuildConfig {
                 top_k: 20,
@@ -85,13 +82,6 @@ impl PipelineConfig {
             retrieval: RetrievalConfig::default(),
             eval: EvalConfig::default(),
         }
-    }
-
-    /// The same configuration with a different ANN index backend — the
-    /// knob the serving benchmarks sweep (exact vs IVF).
-    pub fn with_backend(mut self, backend: IndexBackend) -> Self {
-        self.index.backend = backend;
-        self
     }
 }
 
@@ -299,9 +289,9 @@ mod tests {
 
     #[test]
     fn pipeline_runs_end_to_end_with_the_ivf_backend() {
-        use amcad_mnn::IvfConfig;
-        let config =
-            PipelineConfig::small(64).with_backend(IndexBackend::Ivf(IvfConfig::default()));
+        use amcad_mnn::{IndexBackend, IvfConfig};
+        let mut config = PipelineConfig::small(64);
+        config.index.backend = IndexBackend::Ivf(IvfConfig::default());
         let result = Pipeline::new(config).run();
         assert_eq!(result.engine.backend().label(), "ivf");
         let mut served = 0;

@@ -123,12 +123,6 @@ impl WorldConfig {
             ("7 days", base.scaled(7.0)),
         ]
     }
-
-    /// Expected total number of entities (before session simulation).
-    pub fn expected_nodes(&self) -> usize {
-        self.num_categories
-            * (self.queries_per_category + self.items_per_category + self.ads_per_category)
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +134,6 @@ mod tests {
         for cfg in [WorldConfig::tiny(1), WorldConfig::one_day(1)] {
             assert!(cfg.items_per_category >= cfg.ads_per_category);
             assert!(cfg.train_sessions > cfg.eval_sessions);
-            assert!(cfg.expected_nodes() > 0);
             assert!(cfg.semantic_threshold > 0.0 && cfg.semantic_threshold < 1.0);
         }
     }
@@ -159,7 +152,10 @@ mod tests {
     fn scale_ladder_is_monotone_in_expected_nodes() {
         let ladder = WorldConfig::scale_ladder(3);
         assert_eq!(ladder.len(), 4);
-        let sizes: Vec<usize> = ladder.iter().map(|(_, c)| c.expected_nodes()).collect();
+        let entities = |c: &WorldConfig| {
+            c.num_categories * (c.queries_per_category + c.items_per_category + c.ads_per_category)
+        };
+        let sizes: Vec<usize> = ladder.iter().map(|(_, c)| entities(c)).collect();
         for w in sizes.windows(2) {
             assert!(w[0] <= w[1], "{sizes:?}");
         }

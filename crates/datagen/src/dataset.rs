@@ -63,16 +63,6 @@ impl GroundTruth {
             eval_edges,
         }
     }
-
-    /// Number of queries with at least one next-day item click.
-    pub fn num_queries_with_item_clicks(&self) -> usize {
-        self.q2i.len()
-    }
-
-    /// Number of queries with at least one next-day ad click.
-    pub fn num_queries_with_ad_clicks(&self) -> usize {
-        self.q2a.len()
-    }
 }
 
 /// A fully generated dataset: the latent world, the interaction graph built
@@ -432,7 +422,7 @@ mod tests {
     #[test]
     fn ground_truth_is_sorted_by_click_count() {
         let d = tiny_dataset();
-        assert!(d.ground_truth.num_queries_with_item_clicks() > 0);
+        assert!(!d.ground_truth.q2i.is_empty());
         assert!(!d.ground_truth.eval_edges.is_empty());
         for list in d
             .ground_truth

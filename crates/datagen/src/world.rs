@@ -300,21 +300,6 @@ impl World {
         let raw = cat_score * (0.5 + 0.5 * term_score + cluster_score) * (0.5 + 0.5 * popularity);
         raw.clamp(0.0, 1.0)
     }
-
-    /// Number of query entities.
-    pub fn num_queries(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Number of item entities.
-    pub fn num_items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Number of ad entities.
-    pub fn num_ads(&self) -> usize {
-        self.ads.len()
-    }
 }
 
 fn dedup(mut v: Vec<u32>) -> Vec<u32> {
@@ -351,11 +336,11 @@ mod tests {
         let w = tiny_world();
         let cfg = &w.config;
         assert_eq!(
-            w.num_queries(),
+            w.queries.len(),
             cfg.num_categories * cfg.queries_per_category
         );
-        assert_eq!(w.num_items(), cfg.num_categories * cfg.items_per_category);
-        assert_eq!(w.num_ads(), cfg.num_categories * cfg.ads_per_category);
+        assert_eq!(w.items.len(), cfg.num_categories * cfg.items_per_category);
+        assert_eq!(w.ads.len(), cfg.num_categories * cfg.ads_per_category);
         assert_eq!(w.users.len(), cfg.num_users);
     }
 

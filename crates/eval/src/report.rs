@@ -32,11 +32,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -92,8 +87,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("Model"));
         assert!(s.contains("DeepWalk"));
-        assert!(s.lines().count() >= 4);
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(s.lines().count(), 4, "header, rule and two rows");
         // header and rows aligned: every line has AUC column starting at the
         // same offset
         let lines: Vec<&str> = s.lines().collect();

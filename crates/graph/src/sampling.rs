@@ -133,15 +133,6 @@ impl<'g> MetaPathSampler<'g> {
         }
     }
 
-    /// Create a sampler over custom meta-paths.
-    pub fn with_paths(graph: &'g HeteroGraph, paths: Vec<MetaPath>, config: SamplerConfig) -> Self {
-        MetaPathSampler {
-            graph,
-            paths,
-            config,
-        }
-    }
-
     /// The meta-paths used by this sampler.
     pub fn paths(&self) -> &[MetaPath] {
         &self.paths

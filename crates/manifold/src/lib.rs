@@ -13,7 +13,7 @@
 //! * gyrovector-space point operations on slices — Möbius addition,
 //!   exponential/logarithmic maps, geodesic distance, κ-matrix
 //!   multiplication and κ-activations ([`ops`]),
-//! * the [`UnifiedSpace`] descriptor for a single constant-curvature
+//! * the [`SpaceKind`] restriction of a single constant-curvature
 //!   subspace and [`ProductManifold`] for the mixed-curvature product space
 //!   used by the node encoder and the MNN retrieval index,
 //! * plain-`f64` reference implementations that the autodiff crate is
@@ -32,9 +32,9 @@ pub use ops::{
     diff_norm_gram, distance, distance_gram, exp_map, exp_map_origin, kappa_activation,
     kappa_matmul, lambda_x, log_map, log_map_origin, mobius_add, mobius_neg, project_to_ball,
 };
-pub use product::{ProductManifold, ProductPoint, SubspaceSpec};
+pub use product::{ProductManifold, SubspaceSpec};
 pub use scalar::{atan_kappa, atan_kappa_minorant, cos_kappa, sin_kappa, tan_kappa, KAPPA_EPS};
-pub use space::{Curvature, SpaceKind, UnifiedSpace};
+pub use space::SpaceKind;
 
 /// Numerical guard used when projecting points back inside the Poincaré ball
 /// (the paper's "out of boundary" stability issue, Section V-B).

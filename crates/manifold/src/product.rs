@@ -10,7 +10,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ops;
-use crate::space::{SpaceKind, UnifiedSpace};
 
 /// Specification of one subspace inside a product manifold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,16 +35,6 @@ pub struct ProductManifold {
     total_dim: usize,
 }
 
-/// A point of a product manifold: a borrowed contiguous coordinate slice
-/// together with the manifold describing its layout.
-#[derive(Debug, Clone, Copy)]
-pub struct ProductPoint<'a> {
-    /// The manifold this point belongs to.
-    pub manifold: &'a ProductManifold,
-    /// Concatenated per-subspace coordinates (length `manifold.total_dim()`).
-    pub coords: &'a [f64],
-}
-
 impl ProductManifold {
     /// Build a product manifold from subspace specifications.
     pub fn new(subspaces: Vec<SubspaceSpec>) -> Self {
@@ -62,22 +51,6 @@ impl ProductManifold {
             offsets,
             total_dim: total,
         }
-    }
-
-    /// Product of `m` identical subspaces of dimension `dim` and curvature
-    /// `kappa`.
-    pub fn uniform(m: usize, dim: usize, kappa: f64) -> Self {
-        ProductManifold::new(vec![SubspaceSpec::new(dim, kappa); m])
-    }
-
-    /// Build from [`UnifiedSpace`] descriptors.
-    pub fn from_spaces(spaces: &[UnifiedSpace]) -> Self {
-        ProductManifold::new(
-            spaces
-                .iter()
-                .map(|s| SubspaceSpec::new(s.dim, s.kappa()))
-                .collect(),
-        )
     }
 
     /// Number of subspaces `M`.
@@ -109,12 +82,6 @@ impl ProductManifold {
     #[inline]
     pub fn component<'a>(&self, point: &'a [f64], m: usize) -> &'a [f64] {
         &point[self.range(m)]
-    }
-
-    /// Replace the curvature of subspace `m` (used when curvatures are
-    /// re-exported after training).
-    pub fn set_kappa(&mut self, m: usize, kappa: f64) {
-        self.subspaces[m].kappa = kappa;
     }
 
     /// Per-subspace geodesic distances between two concatenated points.
@@ -165,45 +132,6 @@ impl ProductManifold {
             out.extend(ops::log_map_origin(self.component(y, m), s.kappa));
         }
         out
-    }
-
-    /// Project each component back into its valid region.
-    pub fn project(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.total_dim);
-        let mut out = Vec::with_capacity(self.total_dim);
-        for (m, s) in self.subspaces.iter().enumerate() {
-            out.extend(ops::project_to_ball(self.component(x, m), s.kappa));
-        }
-        out
-    }
-
-    /// Distance of a point from the product-space origin (used by the
-    /// curved-space regulariser, Eq. 16).
-    pub fn distance_from_origin(&self, x: &[f64]) -> f64 {
-        let zero = vec![0.0; self.total_dim];
-        self.distance(&zero, x)
-    }
-
-    /// Summary of the space kinds the current curvatures correspond to
-    /// (useful for reporting what an adaptive model converged to).
-    pub fn kind_signature(&self) -> Vec<SpaceKind> {
-        self.subspaces
-            .iter()
-            .map(|s| SpaceKind::classify(s.kappa))
-            .collect()
-    }
-}
-
-impl<'a> ProductPoint<'a> {
-    /// Wrap a coordinate slice as a point of `manifold`.
-    pub fn new(manifold: &'a ProductManifold, coords: &'a [f64]) -> Self {
-        assert_eq!(coords.len(), manifold.total_dim());
-        ProductPoint { manifold, coords }
-    }
-
-    /// Geodesic product distance to another point of the same manifold.
-    pub fn distance_to(&self, other: &ProductPoint<'_>) -> f64 {
-        self.manifold.distance(self.coords, other.coords)
     }
 }
 
@@ -264,44 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_builder_replicates_spec() {
-        let m = ProductManifold::uniform(3, 4, -0.5);
-        assert_eq!(m.num_subspaces(), 3);
-        assert_eq!(m.total_dim(), 12);
-        assert!(m.subspaces().iter().all(|s| s.kappa == -0.5 && s.dim == 4));
-    }
-
-    #[test]
-    fn kind_signature_classifies_each_subspace() {
-        let m = sample_manifold();
-        assert_eq!(
-            m.kind_signature(),
-            vec![SpaceKind::Hyperbolic, SpaceKind::Spherical]
-        );
-    }
-
-    #[test]
-    fn distance_from_origin_is_zero_at_origin() {
-        let m = sample_manifold();
-        let zero = vec![0.0; m.total_dim()];
-        assert!(m.distance_from_origin(&zero).abs() < 1e-12);
-        let p = m.exp0(&[0.1, 0.1, 0.1, 0.1, 0.1]);
-        assert!(m.distance_from_origin(&p) > 0.0);
-    }
-
-    #[test]
     #[should_panic]
     fn empty_product_panics() {
         ProductManifold::new(vec![]);
-    }
-
-    #[test]
-    fn product_point_distance_matches_manifold() {
-        let m = sample_manifold();
-        let x = m.exp0(&[0.1, -0.2, 0.05, 0.1, -0.1]);
-        let y = m.exp0(&[-0.05, 0.1, 0.2, -0.1, 0.02]);
-        let px = ProductPoint::new(&m, &x);
-        let py = ProductPoint::new(&m, &y);
-        assert!((px.distance_to(&py) - m.distance(&x, &y)).abs() < 1e-12);
     }
 }

@@ -1,14 +1,12 @@
-//! Descriptors for constant-curvature subspaces.
+//! The kinds of constant-curvature subspace.
 //!
 //! The paper distinguishes three *fixed* space kinds (Table I) plus the
 //! *unified* space whose curvature is a trainable parameter and can converge
 //! to any of the three.  [`SpaceKind`] captures which restriction a model
-//! configuration imposes; [`Curvature`] carries the actual value and whether
-//! training may change it.
+//! configuration imposes: its default curvature, whether training may
+//! change it, and the range a trained value is clamped back into.
 
 use serde::{Deserialize, Serialize};
-
-use crate::ops;
 
 /// Which family of constant-curvature space a subspace is restricted to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,16 +43,6 @@ impl SpaceKind {
         matches!(self, SpaceKind::Unified)
     }
 
-    /// Whether a curvature value is admissible for this kind.
-    pub fn admits(self, kappa: f64) -> bool {
-        match self {
-            SpaceKind::Hyperbolic => kappa < 0.0,
-            SpaceKind::Euclidean => kappa == 0.0,
-            SpaceKind::Spherical => kappa > 0.0,
-            SpaceKind::Unified => true,
-        }
-    }
-
     /// Clamp a (possibly trained) curvature back into the admissible range
     /// of this kind.  Unified spaces are returned unchanged.
     pub fn clamp(self, kappa: f64) -> f64 {
@@ -64,104 +52,6 @@ impl SpaceKind {
             SpaceKind::Spherical => kappa.max(1e-4),
             SpaceKind::Unified => kappa,
         }
-    }
-
-    /// Classify a concrete curvature value into the fixed kind it falls in.
-    pub fn classify(kappa: f64) -> SpaceKind {
-        if kappa < -crate::KAPPA_EPS {
-            SpaceKind::Hyperbolic
-        } else if kappa > crate::KAPPA_EPS {
-            SpaceKind::Spherical
-        } else {
-            SpaceKind::Euclidean
-        }
-    }
-}
-
-/// A curvature value together with its trainability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Curvature {
-    /// Current sectional curvature κ.
-    pub value: f64,
-    /// Whether gradient updates are applied to this curvature.
-    pub trainable: bool,
-}
-
-impl Curvature {
-    /// A fixed, non-trainable curvature.
-    pub fn fixed(value: f64) -> Self {
-        Curvature {
-            value,
-            trainable: false,
-        }
-    }
-
-    /// A trainable curvature initialised at `value`.
-    pub fn trainable(value: f64) -> Self {
-        Curvature {
-            value,
-            trainable: true,
-        }
-    }
-}
-
-/// A single constant-curvature subspace `U^d_κ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UnifiedSpace {
-    /// Ambient dimension of the subspace.
-    pub dim: usize,
-    /// Space-kind restriction (used to clamp trained curvatures).
-    pub kind: SpaceKind,
-    /// Current curvature.
-    pub curvature: Curvature,
-}
-
-impl UnifiedSpace {
-    /// Create a subspace of the given kind with its default curvature.
-    pub fn new(dim: usize, kind: SpaceKind) -> Self {
-        UnifiedSpace {
-            dim,
-            kind,
-            curvature: Curvature {
-                value: kind.default_curvature(),
-                trainable: kind.trainable(),
-            },
-        }
-    }
-
-    /// Create a subspace with an explicit fixed curvature.
-    pub fn with_curvature(dim: usize, kappa: f64) -> Self {
-        UnifiedSpace {
-            dim,
-            kind: SpaceKind::classify(kappa),
-            curvature: Curvature::fixed(kappa),
-        }
-    }
-
-    /// Current curvature value.
-    #[inline]
-    pub fn kappa(&self) -> f64 {
-        self.curvature.value
-    }
-
-    /// Geodesic distance between two points of this subspace.
-    pub fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        ops::distance(x, y, self.kappa())
-    }
-
-    /// Exponential map at the origin of this subspace.
-    pub fn exp0(&self, v: &[f64]) -> Vec<f64> {
-        ops::exp_map_origin(v, self.kappa())
-    }
-
-    /// Logarithmic map at the origin of this subspace.
-    pub fn log0(&self, y: &[f64]) -> Vec<f64> {
-        ops::log_map_origin(y, self.kappa())
-    }
-
-    /// Project a point back into the valid region of this subspace.
-    pub fn project(&self, x: &[f64]) -> Vec<f64> {
-        ops::project_to_ball(x, self.kappa())
     }
 }
 
@@ -184,39 +74,5 @@ mod tests {
         assert_eq!(SpaceKind::Euclidean.clamp(0.7), 0.0);
         assert!(SpaceKind::Spherical.clamp(-0.7) > 0.0);
         assert_eq!(SpaceKind::Unified.clamp(0.7), 0.7);
-    }
-
-    #[test]
-    fn classify_by_sign() {
-        assert_eq!(SpaceKind::classify(-1.0), SpaceKind::Hyperbolic);
-        assert_eq!(SpaceKind::classify(0.0), SpaceKind::Euclidean);
-        assert_eq!(SpaceKind::classify(2.0), SpaceKind::Spherical);
-    }
-
-    #[test]
-    fn admits_checks_sign() {
-        assert!(SpaceKind::Hyperbolic.admits(-0.5));
-        assert!(!SpaceKind::Hyperbolic.admits(0.5));
-        assert!(SpaceKind::Unified.admits(0.5));
-        assert!(SpaceKind::Unified.admits(-0.5));
-    }
-
-    #[test]
-    fn unified_space_roundtrip() {
-        let s = UnifiedSpace::new(3, SpaceKind::Hyperbolic);
-        let v = [0.1, 0.2, -0.05];
-        let p = s.exp0(&v);
-        let back = s.log0(&p);
-        for (a, b) in v.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        assert!(s.distance(&p, &p).abs() < 1e-10);
-    }
-
-    #[test]
-    fn with_curvature_classifies_kind() {
-        let s = UnifiedSpace::with_curvature(4, 0.8);
-        assert_eq!(s.kind, SpaceKind::Spherical);
-        assert!(!s.curvature.trainable);
     }
 }

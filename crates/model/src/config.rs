@@ -18,8 +18,6 @@ pub struct SubspaceCfg {
     pub dim: usize,
     /// Space-kind restriction.
     pub kind: SpaceKind,
-    /// Initial curvature; `None` uses the kind's default.
-    pub init_kappa: Option<f64>,
 }
 
 impl SubspaceCfg {
@@ -28,37 +26,12 @@ impl SubspaceCfg {
         SubspaceCfg {
             dim,
             kind: SpaceKind::Unified,
-            init_kappa: None,
         }
     }
 
     /// A fixed-kind subspace with its default curvature.
     pub fn fixed(dim: usize, kind: SpaceKind) -> Self {
-        SubspaceCfg {
-            dim,
-            kind,
-            init_kappa: None,
-        }
-    }
-
-    /// A subspace with an explicit fixed curvature.
-    pub fn with_kappa(dim: usize, kappa: f64) -> Self {
-        SubspaceCfg {
-            dim,
-            kind: SpaceKind::classify(kappa),
-            init_kappa: Some(kappa),
-        }
-    }
-
-    /// Initial curvature value.
-    pub fn initial_kappa(&self) -> f64 {
-        self.init_kappa
-            .unwrap_or_else(|| self.kind.default_curvature())
-    }
-
-    /// Whether the curvature of this subspace is trained.
-    pub fn trainable_kappa(&self) -> bool {
-        self.kind.trainable() && self.init_kappa.is_none()
+        SubspaceCfg { dim, kind }
     }
 }
 
@@ -307,13 +280,6 @@ impl AmcadConfig {
         cfg
     }
 
-    /// HGCN-like baseline: single hyperbolic GCN (documented substitution).
-    pub fn hgcn_like(feature_dim: usize, seed: u64) -> Self {
-        let mut cfg = Self::hyperbolic(feature_dim, seed);
-        cfg.name = "HGCN (hyperbolic GCN)".into();
-        cfg
-    }
-
     /// HyperML-like baseline: hyperbolic metric learning without context
     /// encoding (documented substitution).
     pub fn hyperml_like(feature_dim: usize, seed: u64) -> Self {
@@ -368,18 +334,48 @@ mod tests {
         assert!(!cfg.attention_combination);
         assert!(!cfg.edge_projection);
         assert_eq!(cfg.name, "Product(HxS)");
-        assert!(cfg.subspaces.iter().all(|s| !s.trainable_kappa()));
+        assert!(cfg.subspaces.iter().all(|s| !s.kind.trainable()));
     }
 
     #[test]
     fn subspace_cfg_kappa_defaults() {
         assert_eq!(
-            SubspaceCfg::fixed(4, SpaceKind::Hyperbolic).initial_kappa(),
+            SubspaceCfg::fixed(4, SpaceKind::Hyperbolic)
+                .kind
+                .default_curvature(),
             -1.0
         );
-        assert_eq!(SubspaceCfg::with_kappa(4, 0.7).initial_kappa(), 0.7);
-        assert!(SubspaceCfg::unified(4).trainable_kappa());
-        assert!(!SubspaceCfg::with_kappa(4, 0.7).trainable_kappa());
+        assert!(SubspaceCfg::unified(4).kind.trainable());
+        assert!(!SubspaceCfg::fixed(4, SpaceKind::Spherical).kind.trainable());
+    }
+
+    /// Every named preset is a different model, not another's config under
+    /// a new name: a renamed duplicate trains one model twice and prints
+    /// two identical table rows.
+    #[test]
+    fn named_presets_are_pairwise_distinct_ignoring_their_names() {
+        let presets = [
+            AmcadConfig::euclidean(4, 1),
+            AmcadConfig::hyperbolic(4, 1),
+            AmcadConfig::spherical(4, 1),
+            AmcadConfig::unified_single(4, 1),
+            AmcadConfig::hyperml_like(4, 1),
+            AmcadConfig::gil_like(4, 1),
+            AmcadConfig::m2gnn_like(4, 1),
+            AmcadConfig::amcad(4, 1),
+            AmcadConfig::without_fusion(4, 1),
+            AmcadConfig::without_projection(4, 1),
+            AmcadConfig::without_combination(4, 1),
+        ];
+        let unnamed = |cfg: &AmcadConfig| AmcadConfig {
+            name: String::new(),
+            ..cfg.clone()
+        };
+        for (i, a) in presets.iter().enumerate() {
+            for b in &presets[i + 1..] {
+                assert_ne!(unnamed(a), unnamed(b), "{} and {}", a.name, b.name);
+            }
+        }
     }
 
     #[test]

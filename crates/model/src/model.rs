@@ -165,30 +165,23 @@ impl AmcadModel {
         let mut edge_kappas = HashMap::new();
         let mut shared_edge_kappas = Vec::new();
         for (m, sub) in config.subspaces.iter().enumerate() {
+            let (kappa, trainable) = (sub.kind.default_curvature(), sub.kind.trainable());
             for t in NodeType::ALL {
                 node_kappas.insert(
                     (m, t.index()),
-                    store.scalar_param(
-                        &format!("kappa_node_m{m}_{}", t.name()),
-                        sub.initial_kappa(),
-                        sub.trainable_kappa(),
-                    ),
+                    store.scalar_param(&format!("kappa_node_m{m}_{}", t.name()), kappa, trainable),
                 );
             }
             for r in RelationKind::ALL {
                 edge_kappas.insert(
                     (m, r.index()),
-                    store.scalar_param(
-                        &format!("kappa_edge_m{m}_{}", r.name()),
-                        sub.initial_kappa(),
-                        sub.trainable_kappa(),
-                    ),
+                    store.scalar_param(&format!("kappa_edge_m{m}_{}", r.name()), kappa, trainable),
                 );
             }
             shared_edge_kappas.push(store.scalar_param(
                 &format!("kappa_edge_m{m}_shared"),
-                sub.initial_kappa(),
-                sub.trainable_kappa(),
+                kappa,
+                trainable,
             ));
         }
 
@@ -635,7 +628,7 @@ impl AmcadModel {
     /// space kind (relevant only when a restricted kind is made trainable).
     fn clamp_curvatures(&mut self) {
         for (m, sub) in self.config.subspaces.clone().iter().enumerate() {
-            if !sub.trainable_kappa() {
+            if !sub.kind.trainable() {
                 continue;
             }
             for t in NodeType::ALL {
@@ -656,19 +649,6 @@ impl AmcadModel {
                 .set_scalar_value(id, sub.kind.clamp(v.clamp(-5.0, 5.0)));
         }
     }
-
-    /// Forward-only mixed-curvature distance between two nodes (used by
-    /// tests and small-scale evaluation; large-scale evaluation goes through
-    /// the export path).
-    pub fn pair_distance(&mut self, graph: &HeteroGraph, a: NodeId, b: NodeId, seed: u64) -> f64 {
-        let mut ctx = self.begin_batch(seed);
-        let ea = self.encode_node(&mut ctx, graph, a);
-        let eb = self.encode_node(&mut ctx, graph, b);
-        let kind =
-            RelationKind::between(ea.node_type, eb.node_type).unwrap_or(RelationKind::QueryItem);
-        let d = self.score_distance(&mut ctx, &ea, &eb, kind);
-        ctx.tape.value(d).scalar_value()
-    }
 }
 
 #[cfg(test)]
@@ -679,6 +659,24 @@ mod tests {
 
     fn tiny_dataset() -> amcad_datagen::Dataset {
         amcad_datagen::Dataset::generate(&amcad_datagen::WorldConfig::tiny(11))
+    }
+
+    /// Forward-only mixed-curvature distance between two nodes, through
+    /// the scorer the training loss uses.
+    fn pair_distance(
+        model: &mut AmcadModel,
+        graph: &HeteroGraph,
+        a: NodeId,
+        b: NodeId,
+        seed: u64,
+    ) -> f64 {
+        let mut ctx = model.begin_batch(seed);
+        let ea = model.encode_node(&mut ctx, graph, a);
+        let eb = model.encode_node(&mut ctx, graph, b);
+        let kind =
+            RelationKind::between(ea.node_type, eb.node_type).unwrap_or(RelationKind::QueryItem);
+        let d = model.score_distance(&mut ctx, &ea, &eb, kind);
+        ctx.tape.value(d).scalar_value()
     }
 
     #[test]
@@ -725,13 +723,13 @@ mod tests {
         let mut model = AmcadModel::new(cfg, &d.graph);
         let q = d.query_nodes[0];
         let i = d.item_nodes[0];
-        let d_qi = model.pair_distance(&d.graph, q, i, 7);
-        let d_iq = model.pair_distance(&d.graph, i, q, 7);
+        let d_qi = pair_distance(&mut model, &d.graph, q, i, 7);
+        let d_iq = pair_distance(&mut model, &d.graph, i, q, 7);
         assert!(d_qi > 0.0);
         assert!((d_qi - d_iq).abs() < 1e-9, "{d_qi} vs {d_iq}");
         // self-distance is bounded by the norm guard epsilon (≈ 1e-6 per
         // subspace), not exactly zero.
-        assert!((model.pair_distance(&d.graph, q, q, 7)).abs() < 1e-4);
+        assert!((pair_distance(&mut model, &d.graph, q, q, 7)).abs() < 1e-4);
     }
 
     #[test]

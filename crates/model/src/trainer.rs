@@ -1,11 +1,9 @@
-//! Training loop, incremental (day-over-day) training and statistics.
+//! Training loop and statistics.
 //!
 //! The production system trains the model once per day on a window of logs,
-//! warm-starting from the previous day's parameters (Section V-C) and using
-//! the LRU feature-exit mechanism to bound the size of the sparse ID
-//! embedding tables.  [`Trainer`] reproduces the batch loop; incremental
-//! training over a sequence of graphs is covered by
-//! [`Trainer::run_incremental`].
+//! warm-starting from the previous day's parameters (Section V-C).
+//! [`Trainer`] reproduces the batch loop; day-over-day training is
+//! [`Trainer::run`] on each day's graph in turn with the same model.
 
 use std::time::{Duration, Instant};
 
@@ -25,9 +23,6 @@ pub struct TrainerConfig {
     pub steps: usize,
     /// RNG seed for walk / negative sampling.
     pub seed: u64,
-    /// Evict embedding rows unused for this many steps after each epoch of
-    /// incremental training (0 disables eviction).
-    pub lru_max_age: u64,
 }
 
 impl Default for TrainerConfig {
@@ -36,7 +31,6 @@ impl Default for TrainerConfig {
             batch_size: 32,
             steps: 200,
             seed: 17,
-            lru_max_age: 0,
         }
     }
 }
@@ -48,7 +42,6 @@ impl TrainerConfig {
             batch_size: 8,
             steps: 12,
             seed,
-            lru_max_age: 0,
         }
     }
 }
@@ -62,21 +55,6 @@ pub struct TrainReport {
     pub wall_time: Duration,
     /// Total number of (src, pos, negs) samples consumed.
     pub samples_seen: usize,
-}
-
-impl TrainReport {
-    /// Mean loss over the first quarter of training.
-    pub fn early_loss(&self) -> f64 {
-        let k = (self.losses.len() / 4).max(1);
-        self.losses[..k].iter().sum::<f64>() / k as f64
-    }
-
-    /// Mean loss over the last quarter of training.
-    pub fn late_loss(&self) -> f64 {
-        let k = (self.losses.len() / 4).max(1);
-        let start = self.losses.len() - k;
-        self.losses[start..].iter().sum::<f64>() / k as f64
-    }
 }
 
 /// Drives minibatch training of an [`AmcadModel`] over a graph.
@@ -119,17 +97,6 @@ impl Trainer {
             samples_seen,
         }
     }
-
-    /// Incremental (day-over-day) training: the model is trained on each
-    /// graph in sequence, inheriting parameters from the previous day; after
-    /// each day, stale embedding rows are evicted if `lru_max_age > 0`.
-    pub fn run_incremental(
-        &self,
-        model: &mut AmcadModel,
-        days: &[&HeteroGraph],
-    ) -> Vec<TrainReport> {
-        days.iter().map(|graph| self.run(model, graph)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -150,15 +117,12 @@ mod tests {
             batch_size: 8,
             steps: 20,
             seed: 31,
-            lru_max_age: 0,
         });
         let report = trainer.run(&mut model, &d.graph);
         assert_eq!(report.losses.len(), 20);
         assert!(report.samples_seen >= 20 * 4);
         assert!(report.wall_time > Duration::ZERO);
         assert!(report.losses.iter().all(|l| l.is_finite() && *l >= 0.0));
-        assert!(report.early_loss().is_finite());
-        assert!(report.late_loss().is_finite());
     }
 
     #[test]
@@ -167,21 +131,9 @@ mod tests {
         let day2 = Dataset::generate(&WorldConfig::tiny(33));
         let mut model = AmcadModel::new(AmcadConfig::test_tiny(32), &day1.graph);
         let trainer = Trainer::new(TrainerConfig::test_tiny(32));
-        let reports = trainer.run_incremental(&mut model, &[&day1.graph, &day2.graph]);
-        assert_eq!(reports.len(), 2);
-        // day-2 training starts from a warm model: its early loss should not
-        // be wildly above day-1's late loss.
-        assert!(reports[1].early_loss().is_finite());
-    }
-
-    #[test]
-    fn report_statistics_handle_short_runs() {
-        let r = TrainReport {
-            losses: vec![1.0, 0.5],
-            wall_time: Duration::from_millis(1),
-            samples_seen: 2,
-        };
-        assert_eq!(r.early_loss(), 1.0);
-        assert_eq!(r.late_loss(), 0.5);
+        trainer.run(&mut model, &day1.graph);
+        // day-2 training starts from the model day 1 left behind
+        let day2_report = trainer.run(&mut model, &day2.graph);
+        assert!(day2_report.losses.iter().all(|l| l.is_finite()));
     }
 }

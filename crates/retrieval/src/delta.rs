@@ -1287,11 +1287,10 @@ mod tests {
         ));
     }
 
-    /// One hedge control per deployment, not per generation: an operator's
-    /// `set_delay` and the `issued` / `wins` a runtime reports must survive
-    /// a delta publish.
+    /// One hedge control per deployment, not per generation: the
+    /// `issued` / `wins` a runtime reports must survive a delta publish.
     #[test]
-    fn hedge_control_and_its_tuning_survive_a_delta_publish() {
+    fn hedge_control_and_its_counters_survive_a_delta_publish() {
         use std::time::Duration;
         let inputs = tiny_inputs();
         let mut sharded = ShardedDeltaBuilder::new(
@@ -1301,13 +1300,12 @@ mod tests {
                 .replicas(2)
                 .top_k(6)
                 .threads(1)
-                .hedge_delay(Duration::from_millis(50)),
+                .hedge_delay(Duration::from_millis(2)),
         )
         .unwrap();
         let first = sharded.engine().unwrap();
         let control = Arc::clone(first.hedge_control().unwrap());
-        control.set_delay(Duration::from_millis(2));
-        // a straggler far past the re-tuned delay makes a hedge fire
+        // a straggler far past the hedge delay makes a hedge fire
         first.shard(0).delay_replica(0, Duration::from_millis(40));
         let request = Request {
             query: 3,
@@ -1326,11 +1324,6 @@ mod tests {
         assert!(
             Arc::ptr_eq(&control, after),
             "every generation of a deployment shares one hedge control"
-        );
-        assert_eq!(
-            after.delay(),
-            Duration::from_millis(2),
-            "set_delay survived"
         );
         assert!(after.issued() >= issued, "the counters did not reset");
     }

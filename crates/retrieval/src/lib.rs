@@ -44,8 +44,7 @@
 //! The whole serving state is also **durable**: the [`store`] module
 //! persists a deployment to a versioned, checksummed snapshot file
 //! ([`EngineHandle::save_snapshot`]), and a restarted process reloads it
-//! ([`EngineHandle::load`], or [`ShardedEngineBuilder::from_snapshot`]
-//! for a cold start without delta tracking) and catches up by replaying
+//! ([`EngineHandle::load`]) and catches up by replaying
 //! the deltas published after the snapshot's generation — skipping the
 //! index rebuild entirely and serving byte-identically to a process
 //! that never restarted. See the [`store`] module docs for the
@@ -76,10 +75,7 @@
 //! queued neighbours batch into one scan-deduplicated `retrieve_batch`,
 //! and with [`ShardedEngineBuilder::hedge_delay`] a straggling shard
 //! gather is hedged to a sibling replica, first response winning.
-//! Per-replica weights ([`ReplicatedShard::set_replica_weight`]) and the
-//! [`warm_rollout`] helper drain, warm and relabel one replica at a
-//! time from a snapshot, so a deployment keeps serving generation G
-//! while G+1 warms. [`Scenario`] traffic (flash crowds, Zipf-skewed
+//! [`Scenario`] traffic (flash crowds, Zipf-skewed
 //! sustained load) drives it open-loop through
 //! [`ServingRuntime::run_scenario`] — the one load driver, measuring
 //! response time versus offered QPS (Fig. 9) over any [`Retrieve`]
@@ -173,7 +169,7 @@ pub use error::RetrievalError;
 pub use index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
 pub use retriever::{RetrievalConfig, RetrievedAd, TwoLayerRetriever};
 pub use runtime::park_pool::PersistentPool;
-pub use runtime::{warm_rollout, RuntimeConfig, RuntimeStats, ServingRuntime, Ticket};
+pub use runtime::{RuntimeConfig, RuntimeStats, ServingRuntime, Ticket};
 pub use serving::{LoadReport, Scenario, ScenarioPhase, TrafficPattern};
 pub use shard::{
     ad_shard, shard_inputs, HedgeControl, ReplicatedShard, ShardedEngine, ShardedEngineBuilder,

@@ -1,6 +1,5 @@
-//! The persistent serving runtime: admission control, deadlines, load
-//! shedding and warm generation rollout in front of any [`Retrieve`]
-//! implementation.
+//! The persistent serving runtime: admission control, deadlines and load
+//! shedding in front of any [`Retrieve`] implementation.
 //!
 //! This module *is* the serving tier. A [`ServingRuntime`] owns a bounded
 //! admission queue and a [`PersistentPool`] of exactly
@@ -34,15 +33,9 @@
 //!   Zipf-skewed template popularity) and reports
 //!   [`LoadReport`]s extended with shed / timeout / hedge counters and
 //!   goodput.
-//! * **Warm generation rollout** — [`warm_rollout`] models the
-//!   replica-by-replica bring-up of a snapshot generation over a serving
-//!   [`ShardedEngine`]: each replica is drained (weight 0, siblings keep
-//!   serving generation G), labeled with the incoming generation, and
-//!   restored; data visibility then flips atomically at the
-//!   [`EngineHandle`] publish. Hedged requests
-//!   ([`ShardedEngineBuilder::hedge_delay`](crate::ShardedEngineBuilder::hedge_delay))
-//!   compose with the runtime: attach the engine's
-//!   [`HedgeControl`] via
+//! * **Hedged requests** —
+//!   [`ShardedEngineBuilder::hedge_delay`](crate::ShardedEngineBuilder::hedge_delay)
+//!   composes with the runtime: attach the engine's [`HedgeControl`] via
 //!   [`ServingRuntime::with_hedge_metrics`] and scenario reports carry
 //!   hedge counts.
 //!
@@ -64,8 +57,7 @@ use self::park_pool::PersistentPool;
 use crate::engine::{Request, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
 use crate::serving::{percentile, LoadReport, Scenario, ScenarioPhase, TemplateSampler};
-use crate::shard::{HedgeControl, ShardedEngine};
-use crate::snapshot::EngineHandle;
+use crate::shard::HedgeControl;
 
 /// Configuration of a [`ServingRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,7 +250,7 @@ impl ServingRuntime {
 
     /// Attach the serving engine's [`HedgeControl`] so scenario reports
     /// carry hedge issue/win counts (see
-    /// [`ShardedEngine::hedge_control`]).
+    /// [`crate::ShardedEngine::hedge_control`]).
     pub fn with_hedge_metrics(mut self, control: Arc<HedgeControl>) -> Self {
         self.hedge = Some(control);
         self
@@ -505,54 +497,13 @@ fn drain_queue(shared: &RuntimeShared) {
     }
 }
 
-/// Roll a serving [`ShardedEngine`] forward to a snapshot generation,
-/// replica by replica, without interrupting serving.
-///
-/// The rollout models the paper's warm replica bring-up over the PR 6
-/// snapshot store:
-///
-/// 1. the snapshot is decoded into the next-generation engine (the
-///    expensive part — no index rebuild, but a full file read),
-/// 2. each replica of the *current* deployment is drained
-///    ([`crate::ReplicatedShard::begin_warmup`]: weight 0 — siblings keep
-///    serving generation G), labeled with the incoming data generation
-///    and restored ([`crate::ReplicatedShard::finish_warmup`]);
-///    `on_stage(shard, replica)` runs while the replica is drained, which
-///    is where tests issue probe requests to prove old-generation serving
-///    continues,
-/// 3. the new engine is published atomically through the handle.
-///
-/// In this in-process model data visibility flips at the publish — there
-/// are no torn generations, which is *stronger* than a real cluster where
-/// replicas restart one at a time. The per-replica generation labels
-/// record bring-up progress; the returned value is the handle's new
-/// publish generation (the labels carry the snapshot's own data
-/// generation, which advances independently).
-pub fn warm_rollout(
-    handle: &EngineHandle,
-    current: &ShardedEngine,
-    snapshot: impl AsRef<std::path::Path>,
-    mut on_stage: impl FnMut(usize, usize),
-) -> Result<u64, RetrievalError> {
-    let (generation, builder) = crate::store::read_snapshot(snapshot.as_ref())?;
-    let next = builder.engine()?;
-    next.label_generations(generation);
-    for shard in 0..current.active_shards() {
-        for replica in 0..current.replicas() {
-            current.shard(shard).begin_warmup(replica);
-            on_stage(shard, replica);
-            current.shard(shard).finish_warmup(replica, generation);
-        }
-    }
-    Ok(handle.publish_arc(Arc::new(next)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::RetrievalEngine;
     use crate::serving::TrafficPattern;
     use crate::test_fixtures::tiny_inputs;
+    use crate::{EngineHandle, ShardedEngine};
 
     fn engine() -> Arc<RetrievalEngine> {
         Arc::new(
@@ -1031,87 +982,5 @@ mod tests {
         let far = interval.mul_f64(10_000_000.0);
         assert!(far > interval.mul_f64(9_999_999.0));
         assert_eq!(interval.mul_f64(0.0), Duration::ZERO);
-    }
-
-    /// Warm rollout over the snapshot store: replicas drain one at a
-    /// time while serving continues from generation G, and the publish
-    /// flips the deployment to the snapshot generation atomically.
-    #[test]
-    fn warm_rollout_keeps_serving_and_relabels_generations() {
-        use crate::delta::ShardedDeltaBuilder;
-
-        let inputs = tiny_inputs();
-        let topology = ShardedEngine::builder()
-            .shards(2)
-            .replicas(2)
-            .top_k(8)
-            .threads(1)
-            .build_threads(1);
-        let builder = ShardedDeltaBuilder::new(&inputs, topology.clone()).unwrap();
-        let handle = EngineHandle::new(builder.engine().unwrap());
-        let dir = std::env::temp_dir().join(format!(
-            "amcad-warm-rollout-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rollout.snap");
-        handle.save_snapshot(&builder, &path).unwrap();
-        let saved_generation = handle.generation();
-
-        // the engine currently serving (shared with the handle)
-        let current = builder.engine().unwrap();
-        let serving = EngineHandle::new(current.clone());
-        let templates = requests();
-        let baseline: Vec<_> = templates
-            .iter()
-            .map(|r| serving.retrieve(r).map(RetrievalResponse::logical))
-            .collect();
-        assert!(current
-            .replica_generations()
-            .iter()
-            .all(|shard| shard.iter().all(|&g| g == 0)));
-
-        let mut stages = Vec::new();
-        let new_generation = warm_rollout(&serving, &current, &path, |shard, replica| {
-            stages.push((shard, replica));
-            // the replica is drained right now: its weight is 0, its
-            // siblings keep serving, and rankings never change
-            assert_eq!(current.replica_weights()[shard][replica], 0);
-            for (request, expected) in templates.iter().zip(&baseline) {
-                let got = serving.retrieve(request).map(RetrievalResponse::logical);
-                assert_eq!(&got, expected, "serving changed mid-rollout");
-            }
-        })
-        .unwrap();
-
-        // every replica of every shard was staged exactly once
-        let mut expected_stages = Vec::new();
-        for s in 0..current.active_shards() {
-            for r in 0..current.replicas() {
-                expected_stages.push((s, r));
-            }
-        }
-        assert_eq!(stages, expected_stages);
-        // weights restored, generations labeled with the snapshot's own
-        assert!(current
-            .replica_weights()
-            .iter()
-            .all(|shard| shard.iter().all(|&w| w == 1)));
-        assert!(current
-            .replica_generations()
-            .iter()
-            .all(|shard| shard.iter().all(|&g| g == saved_generation)));
-        // the publish advanced the handle and serving still matches
-        assert_eq!(serving.generation(), new_generation);
-        assert!(new_generation > saved_generation);
-        for (request, expected) in templates.iter().zip(&baseline) {
-            let got = serving.retrieve(request).map(RetrievalResponse::logical);
-            assert_eq!(&got, expected, "the rolled-out generation diverged");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

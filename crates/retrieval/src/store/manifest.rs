@@ -55,11 +55,6 @@ pub struct SnapshotManifest {
 }
 
 impl SnapshotManifest {
-    /// Total ads across all shards at snapshot time.
-    pub fn total_ads(&self) -> usize {
-        self.ads_per_shard.iter().sum()
-    }
-
     /// Short label of the ANN backend the snapshot's indices were built
     /// with (`"exact"`, `"ivf"`, `"hnsw"` or `"quant"`).
     pub fn backend(&self) -> &'static str {
@@ -183,7 +178,6 @@ mod tests {
         let back = SnapshotManifest::decode(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(back, manifest);
-        assert_eq!(back.total_ads(), 20);
         assert_eq!(back.backend(), "hnsw");
     }
 }

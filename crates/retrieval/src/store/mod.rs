@@ -68,10 +68,7 @@ mod tests {
     use crate::error::RetrievalError;
     use crate::shard::shard_inputs;
     use crate::test_fixtures::{random_points, tiny_inputs, tiny_inputs_leaving_shard_adless};
-    use crate::{
-        EngineHandle, IndexDelta, IndexSet, Retrieve, ShardedDeltaBuilder, ShardedEngine,
-        ShardedEngineBuilder,
-    };
+    use crate::{EngineHandle, IndexDelta, IndexSet, Retrieve, ShardedDeltaBuilder, ShardedEngine};
 
     /// A scratch file that cleans up after itself (no tempfile crate).
     struct TmpFile(PathBuf);
@@ -211,8 +208,8 @@ mod tests {
     /// Crash-recovery flavour: snapshot at generation G, lose the
     /// process, reload, apply deltas G+1..G+k — the recovered engine
     /// serves exactly what a process that never crashed would, and a
-    /// cold [`ShardedEngineBuilder::from_snapshot`] start (no delta
-    /// tracking) matches the snapshot-time engine.
+    /// cold [`EngineHandle::load`] start (no delta replayed) matches the
+    /// snapshot-time engine, topology included.
     #[test]
     fn cold_start_from_snapshot_serves_the_snapshot_generation_exactly() {
         let file = TmpFile::new("cold-start");
@@ -229,9 +226,9 @@ mod tests {
             .unwrap();
         let before = serve_all(&handle);
         handle.save_snapshot(&live, file.path()).unwrap();
-        let cold = ShardedEngineBuilder::from_snapshot(file.path()).unwrap();
-        assert_eq!(cold.num_shards(), 2);
-        assert_eq!(cold.replicas(), 2);
+        let (cold, reloaded) = EngineHandle::load(file.path()).unwrap();
+        assert_eq!(reloaded.topology().shards, 2);
+        assert_eq!(reloaded.topology().replicas, 2);
         assert_eq!(serve_all(&cold), before);
     }
 
@@ -345,7 +342,7 @@ mod tests {
         assert_eq!(manifest.queries, 10);
         assert_eq!(manifest.items, 40);
         // 20 seed ads - 1 retired + 3 added, spread over the shards
-        assert_eq!(manifest.total_ads(), 22);
+        assert_eq!(manifest.ads_per_shard.iter().sum::<usize>(), 22);
         assert_eq!(manifest.ads_per_shard.len(), 4);
     }
 
@@ -368,7 +365,6 @@ mod tests {
             std::fs::write(file.path(), bytes).unwrap();
             for err in [
                 EngineHandle::load(file.path()).unwrap_err(),
-                ShardedEngineBuilder::from_snapshot(file.path()).unwrap_err(),
                 SnapshotManifest::read(file.path()).unwrap_err(),
             ] {
                 assert!(

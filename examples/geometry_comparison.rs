@@ -24,7 +24,6 @@ fn main() {
         batch_size: 16,
         steps: 80,
         seed,
-        lru_max_age: 0,
     };
     let eval_cfg = EvalConfig {
         max_queries: 40,

@@ -57,7 +57,6 @@ fn main() {
         batch_size: 16,
         steps: 60,
         seed,
-        lru_max_age: 0,
     });
     let eval_cfg = EvalConfig {
         max_queries: 40,

@@ -158,14 +158,12 @@
 //! deployment's hedge pool. With
 //! `ShardedEngineBuilder::hedge_delay` and replicas ≥ 2, a straggling
 //! shard gather is re-issued to a sibling replica after a
-//! p9x-derived delay and the first response wins; per-replica weights
-//! and `retrieval::warm_rollout` drain and relabel one replica at a
-//! time so a deployment keeps serving generation G while G+1 warms from
-//! a snapshot. `retrieval::Scenario` traffic (flash crowds, Zipf
+//! p9x-derived delay and the first response wins.
+//! `retrieval::Scenario` traffic (flash crowds, Zipf
 //! popularity) drives it open-loop via `ServingRuntime::run_scenario`,
 //! reporting shed / timeout / hedge counts and goodput per phase.
 //!
-//! The `PipelineConfig::with_backend` knob threads the backend selection
+//! The `PipelineConfig::index` field threads the backend selection
 //! through the one-call pipeline, and `ServingRuntime::run_scenario`
 //! load-tests any [`retrieval::Retrieve`] implementation (see
 //! `examples/online_serving.rs` for the topology sweep plus the
