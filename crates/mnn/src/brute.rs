@@ -15,8 +15,7 @@
 //! (see [`crate::quant::soa`]). Posting lists are the same ids and the
 //! same distance bits as a per-candidate `distance_to` followed by a sort.
 
-use std::collections::HashMap;
-
+use crate::id_hash::IdHashMap;
 use crate::points::MixedPointSet;
 use crate::quant::soa::SCAN_CHUNK;
 
@@ -25,9 +24,14 @@ use crate::quant::soa::SCAN_CHUNK;
 pub type Postings = Vec<(u32, f64)>;
 
 /// An inverted index: key node id → top-K nearest candidate ids.
+///
+/// The keys are the ids the index was built over, so the map hashes with
+/// the seedless [`crate::IdHasher`]: a request's ids only probe it and
+/// cannot lengthen its chains. Iteration order is deterministic but
+/// follows the insertion history, so callers that need an order sort.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    entries: HashMap<u32, Postings>,
+    entries: IdHashMap<Postings>,
 }
 
 impl InvertedIndex {
@@ -46,7 +50,7 @@ impl InvertedIndex {
         self.entries.is_empty()
     }
 
-    /// Iterate over `(key, postings)` pairs.
+    /// Iterate over `(key, postings)` pairs, in no specified order.
     pub fn iter(&self) -> impl Iterator<Item = (&u32, &Postings)> {
         self.entries.iter()
     }
@@ -254,7 +258,7 @@ pub fn build_exact_index(
         out
     };
 
-    let mut entries = HashMap::with_capacity(n_keys);
+    let mut entries = IdHashMap::with_capacity_and_hasher(n_keys, Default::default());
     if threads == 1 {
         for (key, postings) in search_range(0, n_keys) {
             entries.insert(key, postings);

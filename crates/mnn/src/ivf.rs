@@ -204,9 +204,10 @@ impl IvfIndex {
 /// Recall@K of an approximate index against the exact one: the average
 /// fraction of each key's exact top-K that the approximate postings contain.
 pub fn recall_at_k(approx: &InvertedIndex, exact: &InvertedIndex, k: usize) -> f64 {
-    // summed in ascending key order: the backing map iterates in a
-    // per-instance random order and f64 addition is not associative, so a
-    // map-order sum repeats only to ~1e-15
+    // summed in ascending key order: the backing map iterates in an order
+    // that follows its insertion history and f64 addition is not
+    // associative, so a map-order sum of two equal indices built in
+    // different orders would agree only to ~1e-15
     let mut entries: Vec<(&u32, &Postings)> = exact.iter().collect();
     entries.sort_unstable_by_key(|&(key, _)| *key);
     let mut total = 0.0;

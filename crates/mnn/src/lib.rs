@@ -22,7 +22,9 @@
 //!   mixed-curvature geodesic, and an exact top-`rerank_k` rerank,
 //! * [`IndexBackend`] — the configuration enum downstream code uses to
 //!   select a backend (`Exact`, `Ivf(IvfConfig)`, `Hnsw(HnswConfig)` or
-//!   `Quant(QuantConfig)`).
+//!   `Quant(QuantConfig)`),
+//! * [`IdHashMap`] / [`IdHasher`] — the seedless node-id hasher behind
+//!   every posting map, for maps whose keys only the corpus chooses.
 //!
 //! ## Choosing a backend
 //!
@@ -48,6 +50,7 @@
 pub mod backend;
 pub mod brute;
 pub mod hnsw;
+pub mod id_hash;
 pub mod ivf;
 pub mod points;
 pub mod quant;
@@ -55,6 +58,7 @@ pub mod quant;
 pub use backend::{AnnIndex, ExactBackend, IndexBackend};
 pub use brute::{build_exact_index, InvertedIndex, Postings};
 pub use hnsw::{HnswConfig, HnswIndex};
+pub use id_hash::{IdHashMap, IdHasher};
 pub use ivf::{recall_at_k, IvfConfig, IvfIndex};
 pub use points::MixedPointSet;
 pub use quant::{QuantConfig, QuantIndex};

@@ -19,6 +19,8 @@
 use std::collections::HashMap;
 use std::ops::Deref;
 
+use amcad_mnn::IdHashMap;
+
 use crate::engine::{CoverageSource, ReplicaId, Request, RetrievalResponse, RetrievalStats};
 use crate::error::RetrievalError;
 use crate::index_set::IndexSet;
@@ -85,6 +87,12 @@ pub(crate) type Fetched<L> = (Vec<ReplicaId>, Vec<L>);
 
 /// Batch-scope fetch cache: `(is_item, key id)` → the key's slot in the
 /// batch's list of fetched candidate prefixes.
+///
+/// Keyed SipHash (`RandomState`) on purpose: the keys include the raw
+/// query and the pre-click ids, which the client chooses and whose count
+/// it does not bound, so a seedless hash would let one crafted request
+/// force quadratic probing. Maps keyed only by corpus ids — the posting
+/// maps and the score accumulator — use [`IdHashMap`].
 type FetchCache = HashMap<(bool, u32), usize>;
 
 /// The two-layer retriever over a built [`IndexSet`].
@@ -253,8 +261,10 @@ impl TwoLayerRetriever {
         let mut keys: Vec<Key> = Vec::with_capacity(widest);
         let mut slots: Vec<usize> = Vec::with_capacity(widest);
         let mut missing: Vec<Key> = Vec::with_capacity(widest);
-        let mut scratch: HashMap<u32, f64> =
-            HashMap::with_capacity(widest * self.config.ads_per_key);
+        let mut scratch: IdHashMap<f64> = IdHashMap::with_capacity_and_hasher(
+            widest * self.config.ads_per_key,
+            Default::default(),
+        );
         let mut out = Vec::with_capacity(requests.len());
         for (r, request) in requests.iter().enumerate() {
             let mut stats = RetrievalStats::default();
@@ -390,11 +400,18 @@ impl TwoLayerRetriever {
 /// `keyed` yields one `(key, candidate list)` pair per key occurrence.
 /// Scan counting is the *caller's* job — done where the candidates are
 /// fetched, so deduplicated fetches are not double-counted here.
-/// `merged_scratch` is a reusable accumulator (cleared on entry).
+/// `merged_scratch` is a reusable accumulator (cleared on entry). Its keys
+/// are ad ids read out of postings, which only the corpus chooses, so it
+/// hashes with the seedless [`IdHashMap`] hasher.
+///
+/// The ranking keeps the `final_top_n` best by (score desc, ad asc) — a
+/// total order over distinct ads — with a selection and a sort of the
+/// kept prefix, not a sort of every merged candidate; the output is the
+/// same as sort-then-truncate.
 fn score_candidates<'k>(
     keyed: impl Iterator<Item = (&'k Key, &'k [(u32, f64)])>,
     final_top_n: usize,
-    merged_scratch: &mut HashMap<u32, f64>,
+    merged_scratch: &mut IdHashMap<f64>,
     stats: &mut RetrievalStats,
 ) -> Vec<RetrievedAd> {
     let mut origins: (bool, bool, bool) = (false, false, false);
@@ -420,10 +437,17 @@ fn score_candidates<'k>(
         .map(|(&ad, &score)| RetrievedAd { ad, score })
         .collect();
     // total_cmp instead of partial_cmp().unwrap(): scores are NaN-free
-    // (distance_to_score maps NaN to 0) but the sort must stay
+    // (distance_to_score maps NaN to 0) but the order must stay
     // panic-free for any f64 regardless
-    ads.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.ad.cmp(&b.ad)));
-    ads.truncate(final_top_n);
+    let order =
+        |a: &RetrievedAd, b: &RetrievedAd| b.score.total_cmp(&a.score).then(a.ad.cmp(&b.ad));
+    if ads.len() > final_top_n {
+        if let Some(nth) = final_top_n.checked_sub(1) {
+            ads.select_nth_unstable_by(nth, order);
+        }
+        ads.truncate(final_top_n);
+    }
+    ads.sort_unstable_by(order);
     stats.coverage = if origins.0 {
         CoverageSource::DirectQuery
     } else if origins.1 {
@@ -636,5 +660,89 @@ mod tests {
             205,
             "a NaN-distance posting must never top the merged ranking"
         );
+    }
+
+    /// What the selection must equal: max-merge per ad, stable full sort
+    /// by (score desc, ad asc), truncate.
+    fn sort_then_truncate(keyed: &[(Key, Vec<(u32, f64)>)], top_n: usize) -> Vec<RetrievedAd> {
+        let mut merged = std::collections::BTreeMap::new();
+        for (key, list) in keyed {
+            for &(ad, d) in list {
+                let score = key.weight * distance_to_score(d);
+                let best = merged.entry(ad).or_insert(f64::NEG_INFINITY);
+                if score > *best {
+                    *best = score;
+                }
+            }
+        }
+        let mut ads: Vec<RetrievedAd> = merged
+            .into_iter()
+            .map(|(ad, score)| RetrievedAd { ad, score })
+            .collect();
+        ads.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.ad.cmp(&b.ad)));
+        ads.truncate(top_n);
+        ads
+    }
+
+    fn bits(ads: &[RetrievedAd]) -> Vec<(u32, u64)> {
+        ads.iter().map(|a| (a.ad, a.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn top_n_selection_equals_a_full_sort_under_ties_and_nan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // few distinct distances and weights, so different ads tie on score
+        let distances = [0.0, 0.25, 0.5, 1.0, f64::NAN];
+        let weights = [1.0, 0.8, 0.5];
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut scratch = IdHashMap::default();
+        for case in 0..200 {
+            let keyed: Vec<(Key, Vec<(u32, f64)>)> = (0..rng.gen_range(1u32..6))
+                .map(|k| {
+                    let key = Key {
+                        id: k,
+                        weight: weights[rng.gen_range(0..weights.len())],
+                        is_item: false,
+                        origin: KeyOrigin::QueryExpansion,
+                    };
+                    let list = (0..rng.gen_range(0..12))
+                        .map(|_| {
+                            let ad = 2_000_000 + rng.gen_range(0u32..40);
+                            (ad, distances[rng.gen_range(0..distances.len())])
+                        })
+                        .collect();
+                    (key, list)
+                })
+                .collect();
+            let n = sort_then_truncate(&keyed, usize::MAX).len();
+            for top_n in [1, n.saturating_sub(1), n, n + 3] {
+                let got = score_candidates(
+                    keyed.iter().map(|(key, list)| (key, list.as_slice())),
+                    top_n,
+                    &mut scratch,
+                    &mut RetrievalStats::default(),
+                );
+                assert_eq!(
+                    bits(&got),
+                    bits(&sort_then_truncate(&keyed, top_n)),
+                    "case {case}, {n} merged ads, top {top_n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_retriever_configured_for_zero_ads_returns_an_empty_ranking() {
+        let r = TwoLayerRetriever::new(
+            retriever().indexes().clone(),
+            RetrievalConfig {
+                final_top_n: 0,
+                ..RetrievalConfig::default()
+            },
+        );
+        let (ads, stats) = r.retrieve_with_stats(3, &[101, 115]);
+        assert!(ads.is_empty());
+        assert!(stats.postings_scanned > 0, "the request still ran");
     }
 }

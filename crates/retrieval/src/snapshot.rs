@@ -197,10 +197,18 @@ impl EngineHandle {
     }
 
     /// [`EngineHandle::publish`] for an already-shared engine.
+    ///
+    /// The retired snapshot is dropped after the write lock is released:
+    /// when the handle held its last reference, freeing that generation's
+    /// indices inside the critical section would stall every reader's
+    /// [`EngineHandle::snapshot`] behind the free.
     pub fn publish_arc(&self, engine: Arc<dyn Retrieve>) -> u64 {
         let mut guard = self.current.write();
         let generation = guard.generation + 1;
-        *guard = Arc::new(EngineSnapshot { engine, generation });
+        let retired =
+            std::mem::replace(&mut *guard, Arc::new(EngineSnapshot { engine, generation }));
+        drop(guard);
+        drop(retired);
         generation
     }
 
@@ -239,6 +247,8 @@ mod tests {
     use crate::engine::RetrievalEngine;
     use crate::test_fixtures::tiny_inputs;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, OnceLock, Weak};
+    use std::time::Duration;
 
     fn engine(top_k: usize) -> RetrievalEngine {
         RetrievalEngine::builder()
@@ -265,6 +275,51 @@ mod tests {
         let new = handle.retrieve(&request).unwrap();
         // top_k 8 vs 3 produce different posting depths — outputs differ
         assert_ne!(old, new, "generations must actually differ for this test");
+    }
+
+    /// A retired generation is freed outside the handle's write lock: an
+    /// engine whose `Drop` reads the handle — as any reader does while a
+    /// big generation is being freed — sees the new generation instead
+    /// of deadlocking on the lock its own publish still holds.
+    #[test]
+    fn a_retired_generation_is_freed_after_the_write_lock_is_released() {
+        struct ReadsHandleOnDrop {
+            engine: RetrievalEngine,
+            handle: Arc<OnceLock<Weak<EngineHandle>>>,
+            seen: mpsc::Sender<u64>,
+        }
+        impl Retrieve for ReadsHandleOnDrop {
+            fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
+                self.engine.retrieve(request)
+            }
+        }
+        impl Drop for ReadsHandleOnDrop {
+            fn drop(&mut self) {
+                if let Some(handle) = self.handle.get().and_then(Weak::upgrade) {
+                    // the receiver may have timed out and gone
+                    let _ = self.seen.send(handle.generation());
+                }
+            }
+        }
+        let (seen, observed) = mpsc::channel();
+        let publisher = std::thread::spawn(move || {
+            let slot = Arc::new(OnceLock::new());
+            let handle = Arc::new(EngineHandle::new(ReadsHandleOnDrop {
+                engine: engine(8),
+                handle: Arc::clone(&slot),
+                seen,
+            }));
+            slot.set(Arc::downgrade(&handle)).unwrap();
+            // the handle holds generation 1's last reference
+            assert_eq!(handle.publish(engine(3)), 2);
+        });
+        let generation = observed
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the retired engine's drop blocked on the handle's lock");
+        assert_eq!(generation, 2);
+        publisher
+            .join()
+            .expect("the publish returned the new generation");
     }
 
     #[test]

@@ -361,9 +361,10 @@ pub(crate) fn decode_point_set(dec: &mut Decoder<'_>) -> Result<MixedPointSet, R
 // Inverted indices
 // ---------------------------------------------------------------------
 
-/// Keys are written in sorted order: the underlying map iterates
-/// nondeterministically, and a canonical byte layout keeps snapshots of
-/// identical indices byte-identical (and diffable).
+/// Keys are written in sorted order: the underlying map iterates in an
+/// order that follows its insertion history (a threaded build, a delta and
+/// a decode insert differently), and a canonical byte layout keeps
+/// snapshots of identical indices byte-identical (and diffable).
 pub(crate) fn encode_index(enc: &mut Encoder, index: &InvertedIndex) {
     let mut entries: Vec<(u32, &Postings)> = index.iter().map(|(key, list)| (*key, list)).collect();
     entries.sort_unstable_by_key(|&(key, _)| key);
