@@ -2,14 +2,14 @@
 //!
 //! `cargo test` samples behaviour; the contracts this crate enforces
 //! are *structural*: the snapshot decoder must be panic-free on
-//! hostile bytes, every `unsafe` carries its proof obligation in a
+//! hostile bytes, any `unsafe` carries its proof obligation in a
 //! `SAFETY:` comment, every `Ordering::Relaxed` says why no
 //! happens-before edge is needed, NaN-unsafe float orderings stay out,
-//! threads are spawned only by the runtime and the build pool, locks
-//! come from the poison-ignoring `parking_lot` stub — and, since the
-//! structural upgrade, the serving hot path allocates nothing inside
-//! its loops, no lock guard is live across a condvar park, and every
-//! fan-out loop is bounded by a config knob. Clippy cannot express
+//! threads are spawned only by the runtime's pool and the build
+//! fork/join, locks come from the poison-ignoring `parking_lot` stub —
+//! and, since the structural upgrade, the serving hot path allocates
+//! nothing inside its loops, no lock guard is live across a condvar
+//! park, and every fan-out loop is bounded by a config knob. Clippy cannot express
 //! project-specific rules and this environment has no registry access
 //! (no dylint), so — like the `crates/compat/` stubs — the analyzer
 //! is built in-workspace: a hand-rolled lexer ([`lexer`]), a

@@ -244,7 +244,7 @@ fn walk_soa(nodes: &[Node], depth: usize, fn_name: &str, out: &mut Vec<RawDiagno
 
 /// **guard-across-park** — no lock guard may be live across a call
 /// that can reach a condvar park (`Condvar::wait` and the fns that
-/// wrap it, `PersistentPool::run` included): a parked thread holding a
+/// wrap it, the pool's worker loop included): a parked thread holding a
 /// lock is the runtime's deadlock shape. The condvar handoff itself
 /// (`cv.wait(guard)`) is exempt — the wait *consumes* that guard —
 /// but only for the guard actually passed in. Guards die at the end

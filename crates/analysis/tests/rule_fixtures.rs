@@ -230,7 +230,7 @@ fn fan_out() {
     );
     assert!(
         !rules_hit(outside, src).is_empty(),
-        "a pool outside runtime/ is not exempt: builds run on PersistentPool too"
+        "a pool outside runtime/ is not exempt"
     );
 
     let in_test = r#"

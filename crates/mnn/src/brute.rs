@@ -15,6 +15,7 @@
 //! (see [`crate::quant::soa`]). Posting lists are the same ids and the
 //! same distance bits as a per-candidate `distance_to` followed by a sort.
 
+use crate::fork_join::fork_join;
 use crate::id_hash::IdHashMap;
 use crate::points::MixedPointSet;
 use crate::quant::soa::SCAN_CHUNK;
@@ -241,9 +242,11 @@ pub fn build_exact_index(
     if n_keys == 0 || candidates.is_empty() || k == 0 {
         return InvertedIndex::default();
     }
-    let threads = threads.max(1).min(n_keys);
-
-    let search_range = |start: usize, end: usize| -> Vec<(u32, Postings)> {
+    // contiguous key ranges, one per thread, inserted in range order
+    let chunk = n_keys.div_ceil(threads.max(1).min(n_keys));
+    let ranges = n_keys.div_ceil(chunk);
+    let search_range = |r: usize| -> Vec<(u32, Postings)> {
+        let (start, end) = (r * chunk, ((r + 1) * chunk).min(n_keys));
         let mut out = Vec::with_capacity(end - start);
         let mut norm_lanes = candidates.blocks().norm_lanes();
         for i in start..end {
@@ -259,34 +262,11 @@ pub fn build_exact_index(
     };
 
     let mut entries = IdHashMap::with_capacity_and_hasher(n_keys, Default::default());
-    if threads == 1 {
-        for (key, postings) in search_range(0, n_keys) {
-            entries.insert(key, postings);
-        }
-    } else {
-        let chunk = n_keys.div_ceil(threads);
-        // amcad-lint: allow(thread-discipline) — build-time scoped fan-out in a leaf crate (joined before return): amcad-mnn sits below amcad-retrieval in the dependency graph, so it cannot borrow the serving crate's pools without a cycle
-        let results: Vec<Vec<(u32, Postings)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let start = t * chunk;
-                let end = ((t + 1) * chunk).min(n_keys);
-                if start >= end {
-                    continue;
-                }
-                let search = &search_range;
-                handles.push(scope.spawn(move || search(start, end)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("index-building threads must not panic"))
-                .collect()
-        });
-        for shard in results {
-            for (key, postings) in shard {
-                entries.insert(key, postings);
-            }
-        }
+    for (key, postings) in fork_join(ranges, ranges, search_range)
+        .into_iter()
+        .flatten()
+    {
+        entries.insert(key, postings);
     }
     InvertedIndex { entries }
 }

@@ -24,7 +24,10 @@
 //!   select a backend (`Exact`, `Ivf(IvfConfig)`, `Hnsw(HnswConfig)` or
 //!   `Quant(QuantConfig)`),
 //! * [`IdHashMap`] / [`IdHasher`] — the seedless node-id hasher behind
-//!   every posting map, for maps whose keys only the corpus chooses.
+//!   every posting map, for maps whose keys only the corpus chooses,
+//! * [`fork_join()`] — the workspace's one fork/join: indexed jobs on
+//!   scoped threads, results in job order, used by the exact scan and by
+//!   a deployment's cold build.
 //!
 //! ## Choosing a backend
 //!
@@ -49,6 +52,7 @@
 
 pub mod backend;
 pub mod brute;
+pub mod fork_join;
 pub mod hnsw;
 pub mod id_hash;
 pub mod ivf;
@@ -57,6 +61,7 @@ pub mod quant;
 
 pub use backend::{AnnIndex, ExactBackend, IndexBackend};
 pub use brute::{build_exact_index, InvertedIndex, Postings};
+pub use fork_join::fork_join;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use id_hash::{IdHashMap, IdHasher};
 pub use ivf::{recall_at_k, IvfConfig, IvfIndex};

@@ -67,7 +67,6 @@ use amcad_mnn::{InvertedIndex, MixedPointSet, Postings};
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
-use crate::runtime::park_pool::PersistentPool;
 use crate::shard::{ad_shard, shard_inputs, ServingState, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
@@ -404,11 +403,7 @@ impl ShardedDeltaBuilder {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             n => n,
         };
-        // a pool for the duration of the build: it returns the indices in
-        // task order, so any width gives the sequential loop's result
-        let built = IndexSet::build_sharing_key_side(&parts, topology.index, |tasks, task| {
-            PersistentPool::new(width.min(tasks)).run(tasks, task)
-        });
+        let built = IndexSet::build_sharing_key_side(&parts, topology.index, width);
         Self::from_slot_parts(topology, parts.into_iter().zip(built).collect())
     }
 

@@ -30,11 +30,11 @@
 //! ```
 //!
 //! Compared to calling the bare retriever the engine adds: backend
-//! selection (exact, IVF or HNSW — any [`amcad_mnn::AnnIndex`]), typed errors
-//! instead of silent empty results, a batched
-//! [`RetrievalEngine::retrieve_batch`] entry point that deduplicates
-//! second-layer index scans across the batch, and per-request
-//! [`RetrievalStats`].
+//! selection (exact, IVF, HNSW or quantised postings — any
+//! [`amcad_mnn::AnnIndex`]), typed errors instead of silent empty
+//! results, a batched [`RetrievalEngine::retrieve_batch`] entry point
+//! that deduplicates second-layer index scans across the batch, and
+//! per-request [`RetrievalStats`].
 
 use amcad_mnn::IndexBackend;
 

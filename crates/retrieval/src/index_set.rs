@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use amcad_mnn::{IndexBackend, InvertedIndex, MixedPointSet};
+use amcad_mnn::{fork_join, IndexBackend, InvertedIndex, MixedPointSet};
 
 use crate::error::RetrievalError;
 
@@ -94,7 +94,8 @@ pub struct IndexBuildConfig {
     pub top_k: usize,
     /// Worker threads for backends with a parallel bulk path.
     pub threads: usize,
-    /// ANN backend used to build every index (exact scan, IVF or HNSW).
+    /// ANN backend used to build every index (exact scan, IVF, HNSW or
+    /// quantised postings).
     pub backend: IndexBackend,
 }
 
@@ -146,21 +147,21 @@ impl IndexSet {
     ) -> Result<IndexSet, RetrievalError> {
         inputs.validate()?;
         let parts = std::slice::from_ref(inputs);
-        let mut built =
-            Self::build_sharing_key_side(parts, config, |n, task| (0..n).map(task).collect());
+        let mut built = Self::build_sharing_key_side(parts, config, 1);
         Ok(built.pop().expect("one part in, one index set out"))
     }
 
     /// A deployment's cold build as one flat list of `4 + 2·parts`
     /// independent index builds: the four key-side indices once, over the
     /// key sets every part of a validated [`crate::shard::shard_inputs`]
-    /// split shares, then each part's Q2A and I2A. `run(n, task)` returns
-    /// `task(0..n)` in task order, so every set returned shares one copy
-    /// of the key side and equals its part's own [`IndexSet::build`].
+    /// split shares, then each part's Q2A and I2A, `width` at a time.
+    /// [`fork_join()`] returns the builds in task order, so at any width
+    /// every set returned shares one copy of the key side and equals its
+    /// part's own [`IndexSet::build`].
     pub(crate) fn build_sharing_key_side(
         parts: &[IndexBuildInputs],
         config: IndexBuildConfig,
-        run: impl FnOnce(usize, &(dyn Fn(usize) -> InvertedIndex + Sync)) -> Vec<InvertedIndex>,
+        width: usize,
     ) -> Vec<IndexSet> {
         let keys = &parts[0];
         // (keys, candidates, exclude the key itself)
@@ -179,8 +180,8 @@ impl IndexSet {
             let (keys, candidates, exclude_same) = tasks[t];
             backend.build_index(keys, candidates, config.top_k, exclude_same, config.threads)
         };
-        let mut built = run(tasks.len(), &task).into_iter();
-        let mut next = || built.next().expect("run returns one index per task");
+        let mut built = fork_join(width, tasks.len(), task).into_iter();
+        let mut next = || built.next().expect("fork_join returns one index per task");
         let key_side = IndexSet {
             q2q: Arc::new(next()),
             q2i: Arc::new(next()),

@@ -65,11 +65,11 @@
 //! In front of it all sits the **persistent serving runtime** (the
 //! [`runtime`] module). Every resident thread in the crate is a
 //! condvar-parked [`PersistentPool`] worker, never spawned per request:
-//! shard builds and hedged shard gathers run on pools (the hedge pool
-//! resident for a deployment's lifetime; unhedged gathers run inline on
-//! the serving worker), and [`ServingRuntime`]'s workers are the
-//! resident threads of its own pool, draining a bounded admission queue
-//! with per-request deadlines — overload
+//! hedged shard gathers run on a pool resident for a deployment's
+//! lifetime (unhedged gathers run inline on the serving worker; cold
+//! builds fork/join on scoped threads), and [`ServingRuntime`]'s
+//! workers are the resident threads of its own pool, draining a bounded
+//! admission queue with per-request deadlines — overload
 //! sheds with the typed
 //! [`RetrievalError::Overloaded`] instead of queueing without bound,
 //! queued neighbours batch into one scan-deduplicated `retrieve_batch`,

@@ -39,8 +39,8 @@
 //!   [`ServingRuntime::with_hedge_metrics`] and scenario reports carry
 //!   hedge counts.
 //!
-//! The pool type — which also runs hedged shard gathers and cold builds —
-//! lives in [`park_pool`].
+//! The pool type — which also runs hedged shard gathers — lives in
+//! [`park_pool`].
 
 pub mod park_pool;
 
@@ -70,7 +70,8 @@ pub struct RuntimeConfig {
     pub queue_depth: usize,
     /// Per-request deadline: a request still queued this long after
     /// submission is shed instead of served, and a completion later than
-    /// this counts toward `timed_out` rather than goodput.
+    /// this counts toward `timed_out` rather than goodput (must be
+    /// positive).
     pub deadline: Duration,
     /// Requests a drain takes from the queue at a time and serves
     /// through one [`Retrieve::retrieve_batch`] call; several live
@@ -221,6 +222,13 @@ impl ServingRuntime {
                 "admission queue depth must be positive".into(),
             ));
         }
+        // every dequeued request would already be past a zero deadline,
+        // so the runtime would shed everything it admits
+        if config.deadline.is_zero() {
+            return Err(RetrievalError::InvalidConfig(
+                "request deadline must be positive".into(),
+            ));
+        }
         let config = RuntimeConfig {
             batch_size: config.batch_size.max(1),
             ..config
@@ -241,9 +249,7 @@ impl ServingRuntime {
         });
         Ok(ServingRuntime {
             shared,
-            // a pool of width n keeps n - 1 resident workers (its caller
-            // is the n-th, but drains are only ever spawned)
-            pool: PersistentPool::new(config.workers.saturating_add(1)),
+            pool: PersistentPool::new(config.workers),
             hedge: None,
         })
     }
@@ -573,28 +579,30 @@ mod tests {
     #[test]
     fn invalid_runtime_configs_are_rejected() {
         let e = engine();
-        assert!(matches!(
-            ServingRuntime::new(
-                e.clone(),
-                RuntimeConfig {
-                    workers: 0,
-                    ..RuntimeConfig::default()
-                }
-            )
-            .unwrap_err(),
-            RetrievalError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            ServingRuntime::new(
-                e,
-                RuntimeConfig {
-                    queue_depth: 0,
-                    ..RuntimeConfig::default()
-                }
-            )
-            .unwrap_err(),
-            RetrievalError::InvalidConfig(_)
-        ));
+        let invalid = [
+            RuntimeConfig {
+                workers: 0,
+                ..RuntimeConfig::default()
+            },
+            RuntimeConfig {
+                queue_depth: 0,
+                ..RuntimeConfig::default()
+            },
+            // would shed every request at dequeue
+            RuntimeConfig {
+                deadline: Duration::ZERO,
+                ..RuntimeConfig::default()
+            },
+        ];
+        for config in invalid {
+            assert!(
+                matches!(
+                    ServingRuntime::new(e.clone(), config).unwrap_err(),
+                    RetrievalError::InvalidConfig(_)
+                ),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,144 +1,39 @@
 //! Persistent parked worker pool.
 //!
 //! [`PersistentPool`] spawns its workers once and parks them on a condvar
-//! between batches instead of spawning threads per call.  Every resident
-//! thread in this crate is a pool worker, and this file holds the one
-//! park/wake protocol: the [`ServingRuntime`](crate::ServingRuntime)'s
-//! workers are the resident threads of a pool it owns, which runs its
-//! admission-queue drains.  On the serving
-//! path a hedged [`ShardedEngine`](crate::shard::ShardedEngine) submits
-//! its shard gathers and hedged sub-requests to a deployment's resident
-//! threads, so steady-state request processing performs zero thread
-//! spawns (unhedged gathers run inline on the caller).  Offline shard
-//! builds run on the same pool type, created for the duration of one
-//! build: jobs borrow the caller's locals (no clones, no `'static`
-//! bound) and come back in job order, which is what makes a parallel
-//! build byte-identical to the sequential loop.
+//! while its task queue is empty, instead of spawning threads per call.
+//! Every resident thread in this crate is a pool worker, and this file
+//! holds the one park/wake protocol: the
+//! [`ServingRuntime`](crate::ServingRuntime)'s workers are the resident
+//! threads of a pool it owns, which runs its admission-queue drains, and
+//! a hedged [`ShardedEngine`](crate::shard::ShardedEngine) launches its
+//! shard gathers and hedged sub-requests on a deployment's pool, so
+//! steady-state request processing performs zero thread spawns (unhedged
+//! gathers run inline on the caller).
 //!
-//! Two submission shapes are supported:
-//!
-//! - [`PersistentPool::run`] — fork/join: `jobs` indexed closures stolen
-//!   atomically by index (so a long job never serialises its siblings
-//!   behind a static partition), the results re-assembled in job order.  The caller participates in the
-//!   work itself (it is one more worker for the duration of the call),
-//!   which both guarantees progress on a single-threaded pool and makes
-//!   nested `run` calls from inside a pool job deadlock-free.
-//! - [`PersistentPool::spawn`] — a fire-and-forget task, used by the
-//!   serving runtime to schedule its queue drains and by the
-//!   hedged-request path to launch replica gathers; results are
-//!   delivered through a side channel rather than a join.
+//! The pool is one FIFO queue of `'static` fire-and-forget tasks
+//! ([`PersistentPool::spawn`]); results travel back through whatever
+//! channel a task captures. Fork/join over borrowed data is not the
+//! pool's job: index builds run on scoped threads through
+//! [`amcad_mnn::fork_join()`], which [`PersistentPool::run`] forwards to.
 
-use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 // amcad-lint: allow(no-std-sync-primitives) — the park/wake protocol needs std::sync::Condvar, which only pairs with std MutexGuard; poison is recovered manually in lock() below
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
 ///
-/// Pool invariants are maintained by atomic counters, not by the data
-/// under the mutexes, so a poisoned lock is always safe to re-enter;
-/// propagating the poison would instead wedge every parked worker.
+/// Tasks run outside the lock and every update under it is a single
+/// push, pop or flag store, so a poisoned queue is always valid to
+/// re-enter; propagating the poison would instead wedge every parked
+/// worker.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A fork/join batch shared between the submitting caller and the
-/// resident workers.
-///
-/// # Safety
-///
-/// `job` is a raw pointer to a closure that lives on the submitting
-/// caller's stack.  The protocol that keeps every dereference inside
-/// the closure's lifetime:
-///
-/// - a worker only dereferences `job` after claiming an index with
-///   `next.fetch_add(1)` that satisfies `i < jobs`;
-/// - `remaining` starts at `jobs` and is decremented exactly once per
-///   claimed index, *after* the closure call for that index returns;
-/// - the submitting `run` call blocks until `remaining == 0`, i.e.
-///   until every claimed index has finished executing, before its stack
-///   frame (and the closure) can unwind;
-/// - every `fetch_add` after the first `jobs` claims returns an index
-///   `>= jobs`, so late workers that still hold the `Arc<BatchState>`
-///   never touch `job` again — they only read the heap-allocated
-///   atomic, observe exhaustion, and drop their reference.
-struct BatchState {
-    job: *const (dyn Fn(usize) + Sync),
-    jobs: usize,
-    next: AtomicUsize,
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-// SAFETY: `job` is only dereferenced under the claim protocol described
-// on the struct; all other fields are ordinary sync primitives.
-unsafe impl Send for BatchState {}
-unsafe impl Sync for BatchState {}
-
-impl BatchState {
-    /// Steal and execute job indices until the batch is exhausted.
-    ///
-    /// Called by both the resident workers and the submitting caller.
-    /// A panicking job records its payload (first panic wins) and keeps
-    /// the accounting intact so the submitter always unblocks.
-    fn work(&self) {
-        // amcad-lint: allow(unbounded-fanout) — index-claim loop: exits once the shared counter passes `jobs`, which the submitter fixes per batch
-        loop {
-            // index claim only: RMW atomicity already hands out each index
-            // exactly once, and the closure pointer it gates was published
-            // by the queue mutex — no extra edge needed, so Relaxed
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.jobs {
-                return;
-            }
-            // SAFETY: `i < jobs`, so the submitting `run` frame is still
-            // blocked in `wait()` and the closure is alive (see struct docs).
-            let job = unsafe { &*self.job };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(i))) {
-                let mut slot = lock(&self.panic);
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let mut remaining = lock(&self.remaining);
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.done.notify_all();
-            }
-        }
-    }
-
-    /// Whether every job index has been claimed (not necessarily finished).
-    fn exhausted(&self) -> bool {
-        // advisory queue-cleanup check: a stale read only delays popping
-        // the finished batch by one wakeup, so Relaxed
-        self.next.load(Ordering::Relaxed) >= self.jobs
-    }
-
-    /// Block until every claimed job index has finished executing.
-    fn wait(&self) {
-        let mut remaining = lock(&self.remaining);
-        // amcad-lint: allow(unbounded-fanout) — condvar wait loop: bounded by the batch's job count; every finished job decrements `remaining` and the last one notifies
-        while *remaining > 0 {
-            remaining = self
-                .done
-                .wait(remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Work queued for the resident workers.
-enum Task {
-    /// A fork/join batch; workers steal indices until it is exhausted.
-    Batch(Arc<BatchState>),
-    /// A fire-and-forget task, executed by exactly one worker.
-    Once(Box<dyn FnOnce() + Send + 'static>),
-}
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolQueue {
     tasks: VecDeque<Task>,
@@ -153,29 +48,24 @@ struct PoolShared {
     work_ready: Condvar,
 }
 
-/// A fixed-width pool of condvar-parked worker threads, spawned once
-/// and reused for every request (see the module docs).
+/// A fixed set of condvar-parked resident worker threads, spawned once
+/// and reused for every task (see the module docs).
 pub struct PersistentPool {
     shared: Arc<PoolShared>,
-    threads: usize,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for PersistentPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistentPool")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .finish()
     }
 }
 
 impl PersistentPool {
-    /// Create a pool with `threads` total parallelism (clamped to at
-    /// least 1).  `threads - 1` resident workers are spawned: the
-    /// caller of [`run`](Self::run) participates in every batch, so a
-    /// width-1 pool spawns no threads at all and runs inline.
+    /// Spawn exactly `threads` resident workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue {
                 tasks: VecDeque::new(),
@@ -183,131 +73,53 @@ impl PersistentPool {
             }),
             work_ready: Condvar::new(),
         });
-        let workers = (1..threads)
+        let workers = (0..threads.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        Self {
-            shared,
-            threads,
-            workers,
-        }
+        Self { shared, workers }
     }
 
-    /// Total parallelism of the pool (resident workers + the caller).
+    /// Resident worker threads.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len()
     }
 
-    /// Run `jobs` closures, returning their results in job order.
-    ///
-    /// The closure receives the job index.  Work is stolen atomically
-    /// by index across the resident workers *and the calling thread*,
-    /// which claims indices until the batch is exhausted and then waits
-    /// for stragglers.  Panics in any job are re-raised here after the
-    /// whole batch has settled; the pool remains usable afterwards.
+    /// Run `jobs` closures `threads()` at a time, returning their results
+    /// in job order: [`amcad_mnn::fork_join()`] at this pool's width, on
+    /// scoped threads rather than the resident workers. Jobs may borrow
+    /// the caller's state; a panic in any job is re-raised here after
+    /// every job has run.
     pub fn run<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.workers.is_empty() || jobs <= 1 {
-            return (0..jobs).map(f).collect();
-        }
-
-        // One result slot per job; each index is claimed (and therefore
-        // written) exactly once, so the disjoint writes need no lock.
-        let slots: Vec<std::cell::UnsafeCell<Option<T>>> = (0..jobs)
-            .map(|_| std::cell::UnsafeCell::new(None))
-            .collect();
-        struct Slots<'s, T>(&'s [std::cell::UnsafeCell<Option<T>>]);
-        // SAFETY: every index is claimed by exactly one thread via the
-        // batch's `fetch_add`, so no two threads touch the same cell.
-        unsafe impl<T: Send> Sync for Slots<'_, T> {}
-        let shared_slots = Slots(&slots);
-
-        let f = &f;
-        let runner = move |i: usize| {
-            // Borrow the whole wrapper so the closure captures `Slots`
-            // (which is `Sync`), not the raw slice field (which is not).
-            let slots = &shared_slots;
-            let value = f(i);
-            // SAFETY: index `i` was claimed exactly once (see Slots).
-            unsafe { *slots.0[i].get() = Some(value) };
-        };
-        let erased: &(dyn Fn(usize) + Sync) = &runner;
-        // SAFETY: lifetime erasure — the field type carries the default
-        // `'static` bound, but `runner` only needs to outlive the batch,
-        // which `wait()` below guarantees before this frame unwinds (see
-        // the `BatchState` safety protocol).
-        let erased: *const (dyn Fn(usize) + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(erased)
-        };
-        let batch = Arc::new(BatchState {
-            job: erased,
-            jobs,
-            next: AtomicUsize::new(0),
-            remaining: Mutex::new(jobs),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-
-        {
-            let mut queue = lock(&self.shared.queue);
-            queue.tasks.push_back(Task::Batch(Arc::clone(&batch)));
-        }
-        self.shared.work_ready.notify_all();
-
-        // The caller is a worker too: guarantees progress even if every
-        // resident worker is busy, and lets a pool job submit a nested
-        // batch without deadlocking.
-        batch.work();
-        batch.wait();
-
-        if let Some(payload) = lock(&batch.panic).take() {
-            resume_unwind(payload);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every job index is claimed exactly once")
-            })
-            .collect()
+        amcad_mnn::fork_join(self.threads(), jobs, f)
     }
 
-    /// Submit a fire-and-forget task to the resident workers.
-    ///
-    /// On a width-1 pool (no resident workers) the task runs inline on
-    /// the calling thread — there is nobody else to run it.
+    /// Queue a fire-and-forget task for the resident workers. A panic in
+    /// the task is caught and dropped; the worker lives on.
     pub fn spawn<F>(&self, task: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        if self.workers.is_empty() {
-            task();
-            return;
-        }
-        {
-            let mut queue = lock(&self.shared.queue);
-            queue.tasks.push_back(Task::Once(Box::new(task)));
-        }
+        lock(&self.shared.queue).tasks.push_back(Box::new(task));
         self.shared.work_ready.notify_one();
     }
 }
 
 impl Drop for PersistentPool {
+    /// Raise the shutdown flag and join the workers, which first run every
+    /// task already queued.
     fn drop(&mut self) {
-        {
-            let mut queue = lock(&self.shared.queue);
-            queue.shutdown = true;
-        }
+        lock(&self.shared.queue).shutdown = true;
         self.shared.work_ready.notify_all();
         for worker in self.workers.drain(..) {
-            // a worker that panicked outside `catch_unwind` is already
-            // accounted for; joining its handle just collects the payload
+            // tasks are caught, so a worker never panics; joining its
+            // handle only waits for it
             let _ = worker.join();
         }
     }
@@ -318,46 +130,29 @@ fn worker_loop(shared: &PoolShared) {
     loop {
         let task = {
             let mut queue = lock(&shared.queue);
-            // amcad-lint: allow(unbounded-fanout) — dequeue loop: breaks with a task or returns on shutdown; parks on the condvar while the queue is empty
+            // amcad-lint: allow(unbounded-fanout) — dequeue loop: breaks with a task or returns on shutdown once the queue is empty; parks on the condvar while it is empty
             loop {
-                // drop exhausted batches so later tasks become visible
-                // amcad-lint: allow(unbounded-fanout) — bounded by the queue length: each iteration pops one exhausted batch
-                while matches!(queue.tasks.front(), Some(Task::Batch(b)) if b.exhausted()) {
-                    queue.tasks.pop_front();
+                if let Some(task) = queue.tasks.pop_front() {
+                    break task;
                 }
-                match queue.tasks.front() {
-                    Some(Task::Batch(batch)) => break Task::Batch(Arc::clone(batch)),
-                    Some(Task::Once(_)) => {
-                        let Some(task) = queue.tasks.pop_front() else {
-                            unreachable!("front() just matched")
-                        };
-                        break task;
-                    }
-                    None if queue.shutdown => return,
-                    None => {
-                        queue = shared
-                            .work_ready
-                            .wait(queue)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
+                if queue.shutdown {
+                    return;
                 }
+                queue = shared
+                    .work_ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        match task {
-            Task::Batch(batch) => batch.work(),
-            Task::Once(task) => {
-                // a panicking fire-and-forget task must not take the
-                // resident worker down with it
-                let _ = catch_unwind(AssertUnwindSafe(task));
-            }
-        }
+        // a panicking task must not take the resident worker down with it
+        let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -448,26 +243,37 @@ mod tests {
     }
 
     #[test]
-    fn spawn_runs_inline_on_a_width_one_pool() {
+    fn dropping_the_pool_runs_every_queued_task_before_joining() {
         let pool = PersistentPool::new(1);
-        let hit = AtomicU64::new(0);
-        pool.spawn(|| {});
-        // inline execution means the side effect is visible immediately
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
+        // the sole worker parks inside this task until `drop` has raised
+        // the shutdown flag, so the counting tasks are still queued then
+        let shared = Arc::clone(&pool.shared);
         pool.spawn(move || {
-            h.fetch_add(1, Ordering::Relaxed);
+            let mut queue = lock(&shared.queue);
+            while !queue.shutdown {
+                queue = shared
+                    .work_ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        let _ = hit;
+        let hits = Arc::new(AtomicU64::new(0));
+        for _ in 0..8 {
+            let hits = Arc::clone(&hits);
+            pool.spawn(move || {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        drop(pool);
+        assert_eq!(hits.load(Ordering::Relaxed), 8);
     }
 
     #[test]
     fn panicking_spawned_task_leaves_workers_alive() {
-        let pool = PersistentPool::new(2);
+        let pool = PersistentPool::new(1);
         pool.spawn(|| panic!("fire-and-forget panic"));
-        // the sole resident worker must still process both batches and
-        // further spawns after eating the panic
+        // the sole resident worker must still take further spawns after
+        // eating the panic, and fork/join beside it is unaffected
         let out = pool.run(8, |i| i + 1);
         assert_eq!(out, (1..=8).collect::<Vec<_>>());
         let hits = Arc::new(AtomicU64::new(0));

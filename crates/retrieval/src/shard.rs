@@ -12,16 +12,16 @@
 //! slice of the ads (so the expensive second-layer Q2A / I2A builds and
 //! scans are divided N ways).
 //!
-//! ## The cluster topology: build pool, replica sets, hedge pool
+//! ## The cluster topology: parallel build, replica sets, hedge pool
 //!
 //! Independent axes, independent knobs on [`ShardedEngineBuilder`]:
 //!
 //! * **Parallel index builds** ([`ShardedEngineBuilder::build_threads`],
 //!   default auto): a deployment's cold build is `4 + 2·shards`
 //!   independent index builds — the four key-side indices once, plus each
-//!   shard's Q2A and I2A — run as one fork/join batch on a
-//!   [`PersistentPool`] that lives for the build. Results are re-assembled
-//!   in task order, which makes the parallel build byte-identical to the
+//!   shard's Q2A and I2A — run as one [`amcad_mnn::fork_join()`] on scoped
+//!   threads that live for the build. Results are re-assembled in task
+//!   order, which makes the parallel build byte-identical to the
 //!   sequential loop.
 //! * **The unhedged gather is inline.** Serving a request gathers, for
 //!   every expanded key, each shard's posting-list prefix and k-way merges
@@ -53,8 +53,8 @@
 //!   Every shard's primary gather is issued before any is awaited, and
 //!   all share one hedge deadline, so a hedged request waits for its
 //!   slowest shard, not for the sum of them. The gathers run on a
-//!   resident [`PersistentPool`] of `fanout_threads.max(2)` threads,
-//!   created with the deployment only when hedging is configured.
+//!   resident [`PersistentPool`] of `fanout_threads` workers, created
+//!   with the deployment only when hedging is configured.
 //!   The delay is fixed when the deployment is built; the
 //!   [`ShardedEngine::hedge_control`] counters belong to the deployment,
 //!   so they survive delta publishes. Because replicas serve identical data,
@@ -205,11 +205,11 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Width of the pool the hedged gathers run on (default 1; the pool
-    /// is at least 2 wide, so a hedge always has a resident worker). The
-    /// pool exists only when [`ShardedEngineBuilder::hedge_delay`] is set
-    /// and replicas ≥ 2; the unhedged gather is inline on the caller at
-    /// any width. Persisted in snapshots with the rest of the topology.
+    /// Resident workers of the pool the hedged gathers run on (default
+    /// 1). The pool exists only when [`ShardedEngineBuilder::hedge_delay`]
+    /// is set and replicas ≥ 2; the unhedged gather is inline on the
+    /// caller at any width. Persisted in snapshots with the rest of the
+    /// topology.
     pub fn fanout_threads(mut self, fanout_threads: usize) -> Self {
         self.fanout_threads = fanout_threads.max(1);
         self
@@ -543,8 +543,8 @@ impl HedgeControl {
 pub(crate) struct ServingState {
     /// Present when hedging is configured and there is a sibling replica
     /// to hedge to: the control, and the pool the hedged gathers run on
-    /// (`fanout_threads.max(2)` wide). Unhedged deployments gather inline
-    /// and hold no serving thread.
+    /// (`fanout_threads` workers). Unhedged deployments gather inline and
+    /// hold no serving thread.
     hedge: Option<(Arc<HedgeControl>, PersistentPool)>,
 }
 
@@ -552,10 +552,8 @@ impl ServingState {
     pub(crate) fn new(topology: &ShardedEngineBuilder) -> Self {
         let hedge = topology.hedge_delay.filter(|_| topology.replicas > 1);
         ServingState {
-            // hedged gathers are background tasks: the pool needs a
-            // resident worker, so it is at least 2 wide
             hedge: hedge.map(|delay| {
-                let pool = PersistentPool::new(topology.fanout_threads.max(2));
+                let pool = PersistentPool::new(topology.fanout_threads);
                 (Arc::new(HedgeControl::new(delay)), pool)
             }),
         }
@@ -1803,7 +1801,7 @@ mod tests {
 
     /// Only hedging holds a serving thread: an unhedged deployment
     /// gathers inline at any `fanout_threads`, and a hedged one runs its
-    /// gathers on a pool at least 2 wide.
+    /// gathers on a pool of `fanout_threads` resident workers.
     #[test]
     fn only_a_hedged_deployment_holds_a_serving_pool() {
         let inputs = tiny_inputs();
@@ -1822,7 +1820,7 @@ mod tests {
         );
         assert_eq!(
             pool_width(builder().replicas(2).hedge_delay(hedge)),
-            Some(2)
+            Some(1)
         );
         let wide = builder().replicas(2).fanout_threads(4).hedge_delay(hedge);
         assert_eq!(pool_width(wide), Some(4));

@@ -13,7 +13,7 @@
 //! | [`graph`] | `amcad-graph` | heterogeneous query–item–ad graph engine, meta-path sampling |
 //! | [`datagen`] | `amcad-datagen` | synthetic sponsored-search behaviour-log generator |
 //! | [`model`] | `amcad-model` | the adaptive mixed-curvature model family + walk baselines |
-//! | [`mnn`] | `amcad-mnn` | pluggable ANN backends (`AnnIndex`): exact parallel scan, tangent-space IVF |
+//! | [`mnn`] | `amcad-mnn` | pluggable ANN backends (`AnnIndex`): exact parallel scan, tangent-space IVF, HNSW graph, quantised postings |
 //! | [`retrieval`] | `amcad-retrieval` | the serving triad — `Retrieve` trait, `RetrievalEngine` / `ShardedEngine`, hot-swappable `EngineHandle` — plus delta publishes, durable snapshots and the serving runtime |
 //! | [`eval`] | `amcad-eval` | ranking metrics and the A/B click/revenue simulator |
 //! | [`core`] | `amcad-core` | the end-to-end pipeline and the offline evaluation protocol |
