@@ -135,7 +135,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal JSON string escaping — the workspace has no serde access,
+/// Minimal JSON string escaping — the workspace has no serialization crate,
 /// and diagnostic text is plain ASCII-ish prose.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

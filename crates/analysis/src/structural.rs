@@ -353,7 +353,7 @@ fn check_park_site(site: &CallSite, scopes: &[Vec<String>], ctx: &mut GuardCtx<'
 /// **unbounded-fanout** — in the serving runtime (`runtime/`) and the
 /// shard fan-out layer (`shard.rs`), every loop must have a bound that
 /// traces to a named config knob. `for` over a collection or closed
-/// range is bounded by construction (shard/replica/hedge counts are
+/// range is bounded by construction (shard/replica counts are
 /// config); bare `loop`, `while` / `while let`, and open-range `for`
 /// carry no structural bound — restructure to a bounded `for`, or
 /// waive with the argument that bounds the iteration.

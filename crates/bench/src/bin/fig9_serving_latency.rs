@@ -75,8 +75,6 @@ fn levels_json(reports: &[LoadReport]) -> Json {
                     ("no_coverage", Json::from(r.no_coverage)),
                     ("shed", Json::from(r.shed)),
                     ("timed_out", Json::from(r.timed_out)),
-                    ("hedges", Json::from(r.hedges)),
-                    ("hedge_wins", Json::from(r.hedge_wins)),
                     ("goodput_qps", Json::from(r.goodput_qps)),
                 ])
             })
@@ -176,7 +174,7 @@ fn main() {
         ]));
     }
 
-    // -- The cluster topology: 2 shards × 2 replicas, parallel fan-out ----
+    // -- The cluster topology: 2 shards × 2 replicas ----------------------
     // Same exact-backend rankings, but the paper's deployment shape: ads
     // hash-partitioned, per-shard builds on the worker pool, replicated
     // serving with round-robin — including the degraded case where one
@@ -185,14 +183,13 @@ fn main() {
         ShardedEngine::builder()
             .shards(2)
             .replicas(2)
-            .fanout_threads(2)
             .index(index_config)
             .retrieval(retrieval_config)
             .build(&inputs)
             .expect("pipeline inputs always build a valid sharded engine"),
     );
     println!(
-        "-- topology: exact x{} shards x{} replicas (parallel fan-out)",
+        "-- topology: exact x{} shards x{} replicas",
         sharded.num_shards(),
         sharded.replicas()
     );
@@ -201,8 +198,6 @@ fn main() {
     let handle = Arc::new(EngineHandle::from_arc(sharded.clone()));
     let reports = sustained_ladder(handle.clone(), &requests, &qps_levels, requests_per_level);
     println!("{}", latency_table(&reports).render());
-    // the healthy low-load tail seeds the hedge delay below (p9x-derived)
-    let healthy_p95_ms = reports.first().map_or(1.0, |r| r.p95_ms);
     let healthy_levels = levels_json(&reports);
     let healthy_serves = sharded.replica_serves();
     for shard in 0..sharded.active_shards() {
@@ -224,43 +219,26 @@ fn main() {
     );
 
     // -- The serving runtime: open-loop ladder with admission control -----
-    // The same 2x2 topology behind the persistent ServingRuntime: a
-    // bounded admission queue, per-request deadlines, SLO-driven load
-    // shedding and hedged requests (delay derived from the healthy p95,
-    // one replica degraded so hedges actually engage). The offered-QPS
-    // ladder runs open-loop with Zipf-skewed template popularity and
-    // deliberately crosses saturation: past the knee the runtime keeps
-    // p99 bounded by shedding instead of queueing without bound.
-    let hedge_delay = Duration::from_secs_f64((healthy_p95_ms * 3.0 / 1000.0).clamp(2e-4, 2e-3));
-    let hedged = Arc::new(
-        ShardedEngine::builder()
-            .shards(2)
-            .replicas(2)
-            .fanout_threads(2)
-            .hedge_delay(hedge_delay)
-            .index(index_config)
-            .retrieval(retrieval_config)
-            .build(&inputs)
-            .expect("pipeline inputs always build a valid sharded engine"),
-    );
-    // one straggling replica, an order of magnitude past the hedge delay
-    hedged.shard(0).delay_replica(0, hedge_delay * 10);
+    // The same 2x2 topology, killed replicas restored, behind the
+    // persistent ServingRuntime: a bounded admission queue, per-request
+    // deadlines and SLO-driven load shedding. The offered-QPS ladder runs
+    // open-loop with Zipf-skewed template popularity and deliberately
+    // crosses saturation: past the knee the runtime keeps p99 bounded by
+    // shedding instead of queueing without bound.
+    for shard in 0..sharded.active_shards() {
+        sharded.shard(shard).restore_replica(1);
+    }
     let runtime_config = RuntimeConfig {
         workers: 2,
         queue_depth: 64,
         deadline: Duration::from_millis(250),
         batch_size: 8,
     };
-    let runtime = ServingRuntime::new(hedged.clone(), runtime_config)
-        .expect("a valid runtime config")
-        .with_hedge_metrics(Arc::clone(
-            hedged.hedge_control().expect("hedging is configured"),
-        ));
+    let runtime =
+        ServingRuntime::new(sharded.clone(), runtime_config).expect("a valid runtime config");
     println!(
-        "-- serving runtime: 2 shards x 2 replicas, hedge delay {:.3} ms, queue depth {}, deadline {:?}",
-        hedge_delay.as_secs_f64() * 1000.0,
-        runtime_config.queue_depth,
-        runtime_config.deadline,
+        "-- serving runtime: 2 shards x 2 replicas, queue depth {}, deadline {:?}",
+        runtime_config.queue_depth, runtime_config.deadline,
     );
     let rungs: &[(f64, usize)] = &[
         (250.0, 600),
@@ -282,8 +260,6 @@ fn main() {
         "Shed",
         "Shed rate",
         "Timed out",
-        "Hedges",
-        "Hedge wins",
         "Goodput QPS",
         "p50 (ms)",
         "p99 (ms)",
@@ -296,8 +272,6 @@ fn main() {
             r.shed.to_string(),
             format!("{:.3}", r.shed as f64 / (total.max(1)) as f64),
             r.timed_out.to_string(),
-            r.hedges.to_string(),
-            r.hedge_wins.to_string(),
             format!("{:.0}", r.goodput_qps),
             format!("{:.3}", r.p50_ms),
             format!("{:.3}", r.p99_ms),
@@ -330,16 +304,6 @@ fn main() {
         top.p99_ms < 5_000.0,
         "shedding must keep p99 bounded, got {:.1} ms",
         top.p99_ms
-    );
-    let hedge = hedged.hedge_control().expect("hedging is configured");
-    assert!(
-        hedge.issued() > 0,
-        "a degraded replica under single-request load must trigger hedges"
-    );
-    println!(
-        "hedges issued {}, won {} — the degraded replica loses the race to its sibling.\n",
-        hedge.issued(),
-        hedge.wins()
     );
 
     let json_path = write_bench_json(
@@ -379,12 +343,6 @@ fn main() {
                         "deadline_ms",
                         Json::from(runtime_config.deadline.as_secs_f64() * 1000.0),
                     ),
-                    (
-                        "hedge_delay_ms",
-                        Json::from(hedge_delay.as_secs_f64() * 1000.0),
-                    ),
-                    ("hedges_issued", Json::from(hedge.issued())),
-                    ("hedge_wins", Json::from(hedge.wins())),
                     ("levels", levels_json(&runtime_reports)),
                 ]),
             ),

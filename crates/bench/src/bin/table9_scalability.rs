@@ -24,7 +24,7 @@
 //! pool 1 / 2 / 4 threads wide (reporting the measured build-time
 //! speedup — every index build is independent, so more build threads cut
 //! wall clock without changing a single byte of the result), and each
-//! serving topology (shards × replicas × fan-out threads) is load-tested
+//! serving topology (shards × replicas) is load-tested
 //! through the serving runtime with its p50 / p95 / p99 tail — the
 //! Table IX ⇄ Fig. 9 bridge. A final sweep measures the incremental path:
 //! a ~10% corpus churn applied as a delta publish
@@ -340,12 +340,11 @@ fn main() {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     );
 
-    // -- Serving topologies: shards × replicas × fan-out threads ----------
+    // -- Serving topologies: shards × replicas ----------------------------
     println!("== Serving topologies at {qps:.0} offered QPS (largest rung) ==\n");
     let mut shard_table = TextTable::new(vec![
         "Shards",
         "Replicas",
-        "Fanout T",
         "Build (s)",
         "Mean (ms)",
         "p50 (ms)",
@@ -354,19 +353,12 @@ fn main() {
         "Achieved QPS",
     ]);
     let mut topology_json: Vec<Json> = Vec::new();
-    for (shards, replicas, fanout_threads) in [
-        (1usize, 1usize, 1usize),
-        (2, 1, 1),
-        (2, 2, 1),
-        (2, 2, 2),
-        (4, 2, 2),
-    ] {
+    for (shards, replicas) in [(1usize, 1usize), (2, 1), (2, 2), (4, 2)] {
         let start = Instant::now();
         let engine = Arc::new(
             ShardedEngine::builder()
                 .shards(shards)
                 .replicas(replicas)
-                .fanout_threads(fanout_threads)
                 .top_k(20)
                 .threads(1)
                 .build(&inputs)
@@ -377,7 +369,6 @@ fn main() {
         shard_table.row(vec![
             shards.to_string(),
             replicas.to_string(),
-            fanout_threads.to_string(),
             format!("{build_secs:.2}"),
             format!("{:.3}", report.mean_ms),
             format!("{:.3}", report.p50_ms),
@@ -388,7 +379,6 @@ fn main() {
         topology_json.push(Json::obj(vec![
             ("shards", Json::from(shards)),
             ("replicas", Json::from(replicas)),
-            ("fanout_threads", Json::from(fanout_threads)),
             ("build_s", Json::from(build_secs)),
             ("mean_ms", Json::from(report.mean_ms)),
             ("p50_ms", Json::from(report.p50_ms)),
@@ -398,24 +388,20 @@ fn main() {
         ]));
     }
     println!("{}", shard_table.render());
-    println!("Fan-out note: an unhedged request gathers and merges its shards' prefixes inline");
-    println!("on the serving thread, so \"Fanout T\" (the width of the pool hedged gathers run");
-    println!("on) does not change these unhedged rows; rankings stay identical either way.");
     println!("Sharding note: the key indices are built once per deployment and shared by every");
     println!("shard, and the ad-side builds (the part the paper distributes) split the same ads,");
     println!("so total build work does not grow with shard count — only the per-task overhead");
-    println!("does; rankings are bit-identical at every shard count, replica count and pool");
+    println!("does; rankings are bit-identical at every shard count, replica count and build");
     println!("width — replication buys failover, never a ranking change.\n");
 
     // -- Serving runtime: offered-QPS ladder × topology -------------------
     // The persistent ServingRuntime (bounded admission queue, deadlines,
-    // load shedding, hedged requests) over three deployment shapes, each
-    // driven open-loop across an offered-QPS ladder that crosses
-    // saturation. Goodput (completions inside the deadline per second)
-    // and the shed rate make the admission-control trade visible: past
-    // the knee the runtime sheds a growing fraction instead of letting
-    // p99 grow with the backlog. Replicated topologies hedge with one
-    // replica degraded, so the hedge-rate column engages.
+    // load shedding) over three deployment shapes, each driven open-loop
+    // across an offered-QPS ladder that crosses saturation. Goodput
+    // (completions inside the deadline per second) and the shed rate make
+    // the admission-control trade visible: past the knee the runtime
+    // sheds a growing fraction instead of letting p99 grow with the
+    // backlog.
     println!("== Serving runtime ladder: offered QPS x topology (largest rung) ==\n");
     let runtime_config = RuntimeConfig {
         workers: 2,
@@ -423,7 +409,6 @@ fn main() {
         deadline: Duration::from_millis(250),
         batch_size: 8,
     };
-    let hedge_delay = Duration::from_millis(1);
     let runtime_rungs: &[(f64, usize)] = &[(1_000.0, 800), (20_000.0, 1_500), (1_000_000.0, 3_000)];
     let mut runtime_table = TextTable::new(vec![
         "Shards",
@@ -433,37 +418,22 @@ fn main() {
         "Shed",
         "Shed rate",
         "Timed out",
-        "Hedges",
-        "Hedge wins",
         "Goodput QPS",
         "p50 (ms)",
         "p99 (ms)",
     ]);
     let mut runtime_json: Vec<Json> = Vec::new();
     for (shards, replicas) in [(1usize, 1usize), (2, 2), (4, 2)] {
-        let mut builder = ShardedEngine::builder()
-            .shards(shards)
-            .replicas(replicas)
-            .fanout_threads(2)
-            .top_k(20)
-            .threads(1);
-        if replicas > 1 {
-            builder = builder.hedge_delay(hedge_delay);
-        }
         let engine = Arc::new(
-            builder
+            ShardedEngine::builder()
+                .shards(shards)
+                .replicas(replicas)
+                .top_k(20)
+                .threads(1)
                 .build(&inputs)
                 .expect("ladder inputs always build a valid sharded engine"),
         );
-        if replicas > 1 {
-            // a straggling replica far past the hedge delay: hedges engage
-            engine.shard(0).delay_replica(0, hedge_delay * 10);
-        }
-        let mut runtime =
-            ServingRuntime::new(engine.clone(), runtime_config).expect("a valid runtime config");
-        if let Some(control) = engine.hedge_control() {
-            runtime = runtime.with_hedge_metrics(Arc::clone(control));
-        }
+        let runtime = ServingRuntime::new(engine, runtime_config).expect("a valid runtime config");
         for &(qps, n) in runtime_rungs {
             let scenario = Scenario::sustained(qps, n).with_pattern(TrafficPattern::Zipf {
                 exponent: 1.1,
@@ -480,8 +450,6 @@ fn main() {
                     r.shed.to_string(),
                     format!("{:.3}", r.shed as f64 / total.max(1) as f64),
                     r.timed_out.to_string(),
-                    r.hedges.to_string(),
-                    r.hedge_wins.to_string(),
                     format!("{:.0}", r.goodput_qps),
                     format!("{:.3}", r.p50_ms),
                     format!("{:.3}", r.p99_ms),
@@ -493,8 +461,6 @@ fn main() {
                     ("completed", Json::from(r.completed)),
                     ("shed", Json::from(r.shed)),
                     ("timed_out", Json::from(r.timed_out)),
-                    ("hedges", Json::from(r.hedges)),
-                    ("hedge_wins", Json::from(r.hedge_wins)),
                     ("goodput_qps", Json::from(r.goodput_qps)),
                     ("achieved_qps", Json::from(r.achieved_qps)),
                     ("p50_ms", Json::from(r.p50_ms)),

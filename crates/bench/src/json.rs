@@ -3,8 +3,8 @@
 //!
 //! The experiment binaries render human-readable text tables *and* write
 //! the same numbers as `BENCH_<name>.json` so CI (and notebooks) can
-//! diff runs without scraping stdout. The workspace's `serde` is a
-//! deliberate no-op stub, so this is a small hand-rolled tree: build a
+//! diff runs without scraping stdout. The workspace has no serialization
+//! crate, so this is a small hand-rolled tree: build a
 //! [`Json`] value, [`write_bench_json`] it. Output is pretty-printed,
 //! keys stay in insertion order, and non-finite floats render as `null`
 //! (JSON has no NaN/∞). [`Json::parse`] reads an artefact back — the

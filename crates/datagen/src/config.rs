@@ -7,10 +7,8 @@
 //! the paper's rough proportions between queries, items, ads and the edge /
 //! node ratio, so scaling experiments (Table IX) retain their shape.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the synthetic world and behaviour simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// RNG seed; every derived artefact is deterministic given the seed.
     pub seed: u64,

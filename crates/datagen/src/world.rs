@@ -19,14 +19,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use amcad_graph::jaccard;
 
 use crate::config::WorldConfig;
 
 /// A query entity of the latent world.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryEntity {
     /// Leaf category.
     pub category: u32,
@@ -41,7 +40,7 @@ pub struct QueryEntity {
 }
 
 /// An item (organic product) entity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ItemEntity {
     /// Leaf category.
     pub category: u32,
@@ -58,7 +57,7 @@ pub struct ItemEntity {
 }
 
 /// An advertisement entity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdEntity {
     /// Leaf category.
     pub category: u32,
@@ -79,14 +78,14 @@ pub struct AdEntity {
 }
 
 /// A simulated user with long-term category interests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UserProfile {
     /// Categories the user is interested in.
     pub interests: Vec<u32>,
 }
 
 /// A three-level category tree (root → parents → leaf categories).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategoryTree {
     /// Parent (mid-level) index per leaf category.
     pub parent_of_leaf: Vec<u32>,
@@ -121,7 +120,7 @@ impl CategoryTree {
 }
 
 /// The full latent world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// The generating configuration.
     pub config: WorldConfig,

@@ -1,9 +1,7 @@
 //! Node / edge typing and feature records for the query–item–ad graph.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node in the heterogeneous graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -15,7 +13,7 @@ impl NodeId {
 }
 
 /// The three entity types of the interaction graph (Section II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeType {
     /// A search query posed by users.
     Query,
@@ -50,7 +48,7 @@ impl NodeType {
 }
 
 /// The four edge relations of the interaction graph (Section IV-A.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// A user searched a query and clicked the target node.
     Click,
@@ -98,7 +96,7 @@ impl Relation {
 ///
 /// All features are categorical IDs; the generator assigns them and the
 /// model embeds each feature family in its own embedding table.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeFeatures {
     /// Leaf category in the platform category tree.
     pub category: u32,
@@ -149,7 +147,7 @@ impl NodeFeatures {
 ///
 /// This is the log record emitted by the behaviour-log generator and
 /// consumed by the graph builder to create click / co-click edges.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionRecord {
     /// Anonymous user identifier.
     pub user: u32,

@@ -7,12 +7,10 @@
 //! per-subspace geodesics (Eq. 3, the classical product-space definition) or
 //! the attention-weighted combination the edge-level scorer uses (Eq. 14).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops;
 
 /// Specification of one subspace inside a product manifold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubspaceSpec {
     /// Dimension of the subspace.
     pub dim: usize,
@@ -28,7 +26,7 @@ impl SubspaceSpec {
 }
 
 /// A product of constant-curvature subspaces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductManifold {
     subspaces: Vec<SubspaceSpec>,
     offsets: Vec<usize>,

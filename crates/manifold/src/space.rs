@@ -6,10 +6,8 @@
 //! configuration imposes: its default curvature, whether training may
 //! change it, and the range a trained value is clamped back into.
 
-use serde::{Deserialize, Serialize};
-
 /// Which family of constant-curvature space a subspace is restricted to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpaceKind {
     /// Negative curvature (Poincaré-ball-like); suited to hierarchical data.
     Hyperbolic,

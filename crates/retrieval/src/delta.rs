@@ -67,7 +67,7 @@ use amcad_mnn::{InvertedIndex, MixedPointSet, Postings};
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
-use crate::shard::{ad_shard, shard_inputs, ServingState, ShardedEngine, ShardedEngineBuilder};
+use crate::shard::{ad_shard, shard_inputs, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
 /// between two generations. Added ads carry their projected points (and
@@ -378,9 +378,6 @@ struct ShardSlot {
 pub struct ShardedDeltaBuilder {
     topology: ShardedEngineBuilder,
     slots: Vec<ShardSlot>,
-    /// The deployment's pool and hedge control: every generation this
-    /// builder (or a clone of it) assembles serves on the same ones.
-    serving: Arc<ServingState>,
 }
 
 impl ShardedDeltaBuilder {
@@ -449,12 +446,7 @@ impl ShardedDeltaBuilder {
                 indexes: ShardIndexes::new(indexes, &topology)?,
             });
         }
-        let serving = Arc::new(ServingState::new(&topology));
-        let builder = ShardedDeltaBuilder {
-            topology,
-            slots,
-            serving,
-        };
+        let builder = ShardedDeltaBuilder { topology, slots };
         // an all-adless corpus cannot serve: fail the build, not the
         // first request
         builder.engine()?;
@@ -485,11 +477,7 @@ impl ShardedDeltaBuilder {
         if engines.is_empty() {
             return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
         }
-        Ok(ShardedEngine::from_shard_engines(
-            engines,
-            &self.topology,
-            Arc::clone(&self.serving),
-        ))
+        Ok(ShardedEngine::from_shard_engines(engines, &self.topology))
     }
 
     /// Apply one corpus delta and return the next generation's engine.
@@ -1280,46 +1268,5 @@ mod tests {
                 .unwrap_err(),
             RetrievalError::ShardUnavailable { shard: 0, .. }
         ));
-    }
-
-    /// One hedge control per deployment, not per generation: the
-    /// `issued` / `wins` a runtime reports must survive a delta publish.
-    #[test]
-    fn hedge_control_and_its_counters_survive_a_delta_publish() {
-        use std::time::Duration;
-        let inputs = tiny_inputs();
-        let mut sharded = ShardedDeltaBuilder::new(
-            &inputs,
-            ShardedEngine::builder()
-                .shards(2)
-                .replicas(2)
-                .top_k(6)
-                .threads(1)
-                .hedge_delay(Duration::from_millis(2)),
-        )
-        .unwrap();
-        let first = sharded.engine().unwrap();
-        let control = Arc::clone(first.hedge_control().unwrap());
-        // a straggler far past the hedge delay makes a hedge fire
-        first.shard(0).delay_replica(0, Duration::from_millis(40));
-        let request = Request {
-            query: 3,
-            preclick_items: vec![103],
-        };
-        for _ in 0..2 {
-            first.retrieve(&request).unwrap();
-        }
-        let issued = control.issued();
-        assert!(
-            issued > 0,
-            "one of two round-robin picks hits the straggler"
-        );
-        let next = sharded.apply(&make_delta(300..303, 7, vec![200])).unwrap();
-        let after = next.hedge_control().unwrap();
-        assert!(
-            Arc::ptr_eq(&control, after),
-            "every generation of a deployment shares one hedge control"
-        );
-        assert!(after.issued() >= issued, "the counters did not reset");
     }
 }

@@ -64,23 +64,21 @@
 //!
 //! In front of it all sits the **persistent serving runtime** (the
 //! [`runtime`] module). Every resident thread in the crate is a
-//! condvar-parked [`PersistentPool`] worker, never spawned per request:
-//! hedged shard gathers run on a pool resident for a deployment's
-//! lifetime (unhedged gathers run inline on the serving worker; cold
-//! builds fork/join on scoped threads), and [`ServingRuntime`]'s
-//! workers are the resident threads of its own pool, draining a bounded
+//! condvar-parked [`PersistentPool`] worker, never spawned per request
+//! (sharded gathers run inline on the serving worker; cold builds
+//! fork/join on scoped threads): [`ServingRuntime`]'s workers are the
+//! resident threads of its own pool, draining a bounded
 //! admission queue with per-request deadlines — overload
 //! sheds with the typed
 //! [`RetrievalError::Overloaded`] instead of queueing without bound,
-//! queued neighbours batch into one scan-deduplicated `retrieve_batch`,
-//! and with [`ShardedEngineBuilder::hedge_delay`] a straggling shard
-//! gather is hedged to a sibling replica, first response winning.
+//! and queued neighbours batch into one scan-deduplicated
+//! `retrieve_batch`.
 //! [`Scenario`] traffic (flash crowds, Zipf-skewed
 //! sustained load) drives it open-loop through
 //! [`ServingRuntime::run_scenario`] — the one load driver, measuring
 //! response time versus offered QPS (Fig. 9) over any [`Retrieve`]
 //! implementation — and each phase reports a [`LoadReport`]: the latency
-//! ladder plus shed / timeout / hedge counters and goodput.
+//! ladder plus shed / timeout counters and goodput.
 //!
 //! ## Serving with shards, replicas and zero-downtime updates
 //!
@@ -93,12 +91,11 @@
 //!
 //! // build: ads hash-partitioned across 4 shards (built concurrently on
 //! // 4 threads), 2 serving replicas per shard; each request's gather is
-//! // inline (`fanout_threads` sizes the pool hedged gathers would use)
+//! // inline on the calling thread
 //! let sharded = ShardedEngine::builder()
 //!     .shards(4)
 //!     .replicas(2)
 //!     .build_threads(4)
-//!     .fanout_threads(2)
 //!     .backend(IndexBackend::Exact)
 //!     .top_k(20)
 //!     .retrieval(RetrievalConfig::default())
@@ -171,9 +168,7 @@ pub use retriever::{RetrievalConfig, RetrievedAd, TwoLayerRetriever};
 pub use runtime::park_pool::PersistentPool;
 pub use runtime::{RuntimeConfig, RuntimeStats, ServingRuntime, Ticket};
 pub use serving::{LoadReport, Scenario, ScenarioPhase, TrafficPattern};
-pub use shard::{
-    ad_shard, shard_inputs, HedgeControl, ReplicatedShard, ShardedEngine, ShardedEngineBuilder,
-};
+pub use shard::{ad_shard, shard_inputs, ReplicatedShard, ShardedEngine, ShardedEngineBuilder};
 pub use snapshot::{EngineHandle, EngineSnapshot};
 pub use store::{SnapshotManifest, FORMAT_VERSION};
 

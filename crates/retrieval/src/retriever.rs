@@ -11,8 +11,8 @@
 //! [`TwoLayerRetriever`] is the layer logic, and its crate-internal
 //! `serve` is the one request loop of the crate: expansion, the
 //! batch-scope fetch cache, scoring and the per-request result live there
-//! once, and every engine flavour — single node, sharded, hedged — passes
-//! in only how a key's candidate prefix is fetched. Production callers go
+//! once, and both engine flavours — single node and sharded — pass in
+//! only how a key's candidate prefix is fetched. Production callers go
 //! through [`crate::RetrievalEngine`] / [`crate::ShardedEngine`], which add
 //! backend selection and the deployment topology on top.
 
@@ -82,7 +82,8 @@ pub struct RetrievedAd {
 
 /// What a fetch strategy returns for one request: the physical route it
 /// took (empty on a single node) and the candidate prefix of every key it
-/// was asked for, in the order asked.
+/// was asked for, in the order asked — borrowed from the posting lists on
+/// a single node, merged across shards (so owned) on a sharded engine.
 pub(crate) type Fetched<L> = (Vec<ReplicaId>, Vec<L>);
 
 /// Batch-scope fetch cache: `(is_item, key id)` → the key's slot in the
@@ -237,10 +238,9 @@ impl TwoLayerRetriever {
     ///
     /// `fetch` runs once per request, also when every key is cached
     /// (routing is per request), and its error is that request's result
-    /// alone. The three strategies: a single node borrows its own posting
+    /// alone. The two strategies: a single node borrows its own posting
     /// prefixes ([`TwoLayerRetriever::serve_local`]); the sharded engine
-    /// k-way merges every shard's borrowed prefix inline; the hedged
-    /// engine runs the same merge over hedged per-shard gathers.
+    /// k-way merges every shard's borrowed prefix inline.
     pub(crate) fn serve<L: Deref<Target = [(u32, f64)]>>(
         &self,
         requests: &[Request],

@@ -25,22 +25,15 @@
 //! * **Batch dedup for free** — a drain takes up to
 //!   [`RuntimeConfig::batch_size`] queued requests at a time and serves
 //!   them through [`Retrieve::retrieve_batch`] — always, because an
-//!   engine's batch of one *is* its `retrieve` (the one that hedges on a
-//!   hedged deployment) — so the engine-level cross-request scan dedup
-//!   engages exactly when load (and therefore key overlap) is highest.
+//!   engine's batch of one *is* its `retrieve` — so the engine-level
+//!   cross-request scan dedup engages exactly when load (and therefore
+//!   key overlap) is highest.
 //! * **Traffic scenarios** — [`ServingRuntime::run_scenario`] drives the
 //!   runtime with open-loop [`Scenario`]s (sustained load, flash crowds,
 //!   Zipf-skewed template popularity) and reports
-//!   [`LoadReport`]s extended with shed / timeout / hedge counters and
-//!   goodput.
-//! * **Hedged requests** —
-//!   [`ShardedEngineBuilder::hedge_delay`](crate::ShardedEngineBuilder::hedge_delay)
-//!   composes with the runtime: attach the engine's [`HedgeControl`] via
-//!   [`ServingRuntime::with_hedge_metrics`] and scenario reports carry
-//!   hedge counts.
+//!   [`LoadReport`]s extended with shed / timeout counters and goodput.
 //!
-//! The pool type — which also runs hedged shard gathers — lives in
-//! [`park_pool`].
+//! The pool type lives in [`park_pool`].
 
 pub mod park_pool;
 
@@ -57,7 +50,6 @@ use self::park_pool::PersistentPool;
 use crate::engine::{Request, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
 use crate::serving::{percentile, LoadReport, Scenario, ScenarioPhase, TemplateSampler};
-use crate::shard::HedgeControl;
 
 /// Configuration of a [`ServingRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,15 +189,13 @@ pub struct ServingRuntime {
     /// Dropped after [`ServingRuntime`]'s own `drop` has emptied the
     /// queue, so joining the workers waits only for in-flight batches.
     pool: PersistentPool,
-    hedge: Option<Arc<HedgeControl>>,
 }
 
 impl std::fmt::Debug for ServingRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingRuntime")
             .field("config", &self.shared.config)
-            .field("hedged", &self.hedge.is_some())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -250,16 +240,7 @@ impl ServingRuntime {
         Ok(ServingRuntime {
             shared,
             pool: PersistentPool::new(config.workers),
-            hedge: None,
         })
-    }
-
-    /// Attach the serving engine's [`HedgeControl`] so scenario reports
-    /// carry hedge issue/win counts (see
-    /// [`crate::ShardedEngine::hedge_control`]).
-    pub fn with_hedge_metrics(mut self, control: Arc<HedgeControl>) -> Self {
-        self.hedge = Some(control);
-        self
     }
 
     /// The runtime's configuration.
@@ -347,7 +328,6 @@ impl ServingRuntime {
         assert!(phase.offered_qps > 0.0, "offered QPS must be positive");
         let interval = Duration::from_secs_f64(1.0 / phase.offered_qps);
         let deadline = self.shared.config.deadline;
-        let hedge_before = self.hedge.as_ref().map(|h| (h.issued(), h.wins()));
 
         let start = Instant::now();
         let mut pending: Vec<(Duration, Ticket)> = Vec::with_capacity(phase.requests);
@@ -396,10 +376,6 @@ impl ServingRuntime {
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         ms.sort_by(|a, b| a.total_cmp(b));
         let completed = ms.len();
-        let (hedges, hedge_wins) = match (hedge_before, &self.hedge) {
-            (Some((i0, w0)), Some(h)) => (h.issued() - i0, h.wins() - w0),
-            _ => (0, 0),
-        };
         LoadReport {
             offered_qps: phase.offered_qps,
             completed,
@@ -416,8 +392,6 @@ impl ServingRuntime {
             achieved_qps: completed as f64 / wall,
             shed,
             timed_out,
-            hedges,
-            hedge_wins,
             goodput_qps: good as f64 / wall,
         }
     }

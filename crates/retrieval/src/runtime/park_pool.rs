@@ -5,11 +5,10 @@
 //! Every resident thread in this crate is a pool worker, and this file
 //! holds the one park/wake protocol: the
 //! [`ServingRuntime`](crate::ServingRuntime)'s workers are the resident
-//! threads of a pool it owns, which runs its admission-queue drains, and
-//! a hedged [`ShardedEngine`](crate::shard::ShardedEngine) launches its
-//! shard gathers and hedged sub-requests on a deployment's pool, so
-//! steady-state request processing performs zero thread spawns (unhedged
-//! gathers run inline on the caller).
+//! threads of a pool it owns, which runs its admission-queue drains, so
+//! steady-state request processing performs zero thread spawns (a
+//! [`ShardedEngine`](crate::shard::ShardedEngine) gathers its shards
+//! inline on the serving worker).
 //!
 //! The pool is one FIFO queue of `'static` fire-and-forget tasks
 //! ([`PersistentPool::spawn`]); results travel back through whatever

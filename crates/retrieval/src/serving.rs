@@ -47,11 +47,6 @@ pub struct LoadReport {
     /// Requests that completed but only after their deadline had passed
     /// (late answers — completed, but not goodput).
     pub timed_out: usize,
-    /// Hedge sub-requests issued during this level (straggling shard
-    /// gathers re-issued to a sibling replica).
-    pub hedges: u64,
-    /// Hedge sub-requests that beat the primary replica to the answer.
-    pub hedge_wins: u64,
     /// Throughput counting only requests answered within their deadline,
     /// in requests per second.
     pub goodput_qps: f64,

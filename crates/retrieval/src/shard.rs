@@ -1,6 +1,7 @@
 //! Sharded serving: [`ShardedEngine`] partitions the ad corpus across N
-//! shards, builds and serves them **in parallel**, and keeps R serving
-//! replicas per shard so the cluster survives replica failures.
+//! shards, builds them **in parallel**, serves every request from all of
+//! them, and keeps R serving replicas per shard so the cluster survives
+//! replica failures.
 //!
 //! The paper's production deployment (Fig. 9 / Table IX) spreads both the
 //! offline MNN index build and the online iGraph serving layer across a
@@ -12,7 +13,7 @@
 //! slice of the ads (so the expensive second-layer Q2A / I2A builds and
 //! scans are divided N ways).
 //!
-//! ## The cluster topology: parallel build, replica sets, hedge pool
+//! ## The cluster topology: parallel build, replica sets
 //!
 //! Independent axes, independent knobs on [`ShardedEngineBuilder`]:
 //!
@@ -23,14 +24,11 @@
 //!   threads that live for the build. Results are re-assembled in task
 //!   order, which makes the parallel build byte-identical to the
 //!   sequential loop.
-//! * **The unhedged gather is inline.** Serving a request gathers, for
-//!   every expanded key, each shard's posting-list prefix and k-way merges
-//!   them on the calling thread: the shards' prefixes are borrowed, not
+//! * **The gather is inline.** Serving a request gathers, for every
+//!   expanded key, each shard's posting-list prefix and k-way merges them
+//!   on the calling thread: the shards' prefixes are borrowed, not
 //!   copied, and a per-key gather is microseconds of work, far less than
-//!   a pool dispatch. An unhedged deployment holds no serving thread.
-//!   [`ShardedEngineBuilder::fanout_threads`] sizes the pool the *hedged*
-//!   gathers run on (below); the property test in this module pins that
-//!   every width serves byte-identically at shard counts 1 / 2 / 4 / 7.
+//!   a pool dispatch. A deployment holds no serving thread of its own.
 //! * **Per-shard replication** ([`ShardedEngineBuilder::replicas`],
 //!   default 1): each shard is served by a [`ReplicatedShard`] — R
 //!   serving replicas behind round-robin selection with health marking.
@@ -45,35 +43,17 @@
 //!   in-process model the replicas of one shard share the shard's
 //!   immutable index storage — what a real deployment copies per machine
 //!   — so replication is an availability knob, never a ranking change.
-//! * **Hedged requests** ([`ShardedEngineBuilder::hedge_delay`], default
-//!   off): with replicas ≥ 2, a per-shard gather that has not answered
-//!   within the configured delay is re-issued to a sibling replica and
-//!   the first response wins — [`crate::RetrievalStats::served_by`] records the
-//!   winner, and [`HedgeControl`] counts issued hedges and hedge wins.
-//!   Every shard's primary gather is issued before any is awaited, and
-//!   all share one hedge deadline, so a hedged request waits for its
-//!   slowest shard, not for the sum of them. The gathers run on a
-//!   resident [`PersistentPool`] of `fanout_threads` workers, created
-//!   with the deployment only when hedging is configured.
-//!   The delay is fixed when the deployment is built; the
-//!   [`ShardedEngine::hedge_control`] counters belong to the deployment,
-//!   so they survive delta publishes. Because replicas serve identical data,
-//!   hedging is a tail-latency knob, never a ranking change
-//!   (parity-tested against the unhedged path).
 //!
-//! ## Serving: one loop, this module's two fetch strategies
+//! ## Serving: one loop, this module's fetch strategy
 //!
 //! The request loop itself — key expansion, the batch-scope fetch cache
 //! with its scan attribution, scoring, the per-request result — is
 //! [`crate::TwoLayerRetriever`]'s crate-internal `serve`, shared with the
 //! single-node engine. [`ShardedEngine::retrieve_batch`] hands it the one
 //! thing a topology changes: where the candidate prefixes of a request's
-//! not-yet-cached keys come from. Unhedged, that is a per-request route
-//! plus `merge_prefixes` over every shard's borrowed local prefix, per
-//! key, inline. Hedged, it is the same merge over the per-shard gathers'
-//! owned buffers. [`ShardedEngine::retrieve`] is the batch of one, and a batch
-//! of one is what hedges: a larger batch does not, because its dedup
-//! already amortises the gathers hedging exists to shorten.
+//! not-yet-cached keys come from — a per-request route plus
+//! `merge_prefixes` over every shard's borrowed local prefix, per key,
+//! inline. [`ShardedEngine::retrieve`] is the batch of one.
 //!
 //! ## Why the merge is exactly right, not approximately right
 //!
@@ -101,15 +81,13 @@
 //! may recall different candidates per shard.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use crate::delta::ShardedDeltaBuilder;
 use crate::engine::{ReplicaId, Request, RetrievalEngine, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs};
 use crate::retriever::{Fetched, Key, RetrievalConfig};
-use crate::runtime::park_pool::PersistentPool;
 
 /// Deterministic shard assignment for an ad id (Fibonacci hashing): the
 /// same ad always lands on the same shard, independent of shard build
@@ -154,14 +132,13 @@ pub fn shard_inputs(inputs: &IndexBuildInputs, shards: usize) -> Vec<IndexBuildI
 
 /// Builder for [`ShardedEngine`] — the same knobs as
 /// [`crate::RetrievalEngineBuilder`] plus the cluster topology: shard
-/// count, replicas per shard, build-pool and hedge-pool widths.
+/// count, replicas per shard and build-pool width.
 #[derive(Debug, Clone)]
 pub struct ShardedEngineBuilder {
     pub(crate) shards: usize,
     pub(crate) replicas: usize,
     pub(crate) build_threads: usize,
     pub(crate) fanout_threads: usize,
-    pub(crate) hedge_delay: Option<Duration>,
     pub(crate) index: IndexBuildConfig,
     pub(crate) retrieval: RetrievalConfig,
 }
@@ -173,7 +150,6 @@ impl Default for ShardedEngineBuilder {
             replicas: 1,
             build_threads: 0, // auto: min(build tasks, available cores)
             fanout_threads: 1,
-            hedge_delay: None,
             index: IndexBuildConfig::default(),
             retrieval: RetrievalConfig::default(),
         }
@@ -205,23 +181,14 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Resident workers of the pool the hedged gathers run on (default
-    /// 1). The pool exists only when [`ShardedEngineBuilder::hedge_delay`]
-    /// is set and replicas ≥ 2; the unhedged gather is inline on the
-    /// caller at any width. Persisted in snapshots with the rest of the
-    /// topology.
+    /// Inert: serving gathers inline on the caller and never reads this
+    /// width (default 1). The setter stays only because `benches/e2e`
+    /// still calls it, and the v1 snapshot manifest still writes and
+    /// reads the value, so snapshot bytes stay unchanged. The method
+    /// leaves after ROADMAP item 2(g), the manifest field with the v2
+    /// format (item 7).
     pub fn fanout_threads(mut self, fanout_threads: usize) -> Self {
         self.fanout_threads = fanout_threads.max(1);
-        self
-    }
-
-    /// Enable hedged requests: a per-shard gather that has not answered
-    /// within `delay` is re-issued to a sibling replica, and the first
-    /// response wins (default: off). Requires `replicas >= 2` to have any
-    /// effect — with a single replica per shard there is no sibling to
-    /// hedge to, and the knob is silently inert.
-    pub fn hedge_delay(mut self, delay: Duration) -> Self {
-        self.hedge_delay = Some(delay);
         self
     }
 
@@ -301,9 +268,6 @@ struct ReplicaSlot {
     poisoned: AtomicBool,
     /// Requests this replica served (routing attribution).
     serves: AtomicU64,
-    /// Test hook: artificial contact latency in nanoseconds, applied to
-    /// hedged gathers against this replica (models a degraded machine).
-    delay_ns: AtomicU64,
 }
 
 impl ReplicaSlot {
@@ -312,7 +276,6 @@ impl ReplicaSlot {
             down: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             serves: AtomicU64::new(0),
-            delay_ns: AtomicU64::new(0),
         }
     }
 }
@@ -351,7 +314,6 @@ impl Clone for ReplicatedShard {
                     // serves is a monotonic telemetry counter: an older
                     // snapshot is still correct, so Relaxed
                     serves: AtomicU64::new(slot.serves.load(Ordering::Relaxed)),
-                    delay_ns: AtomicU64::new(slot.delay_ns.load(Ordering::Acquire)),
                 })
                 .collect(),
             // round-robin hint only: any starting cursor is valid
@@ -422,43 +384,22 @@ impl ReplicatedShard {
             .collect()
     }
 
-    /// Test hook: add artificial latency to hedged gathers contacting
-    /// replica `replica` (models a degraded machine for hedging tests).
-    pub fn delay_replica(&self, replica: usize, delay: Duration) {
-        self.slots[replica]
-            .delay_ns
-            .store(saturating_nanos(delay), Ordering::Release);
-    }
-
-    /// The artificial contact latency of replica `replica`.
-    fn contact_delay(&self, replica: u32) -> Duration {
-        Duration::from_nanos(
-            self.slots[replica as usize]
-                .delay_ns
-                .load(Ordering::Acquire),
-        )
-    }
-
-    /// Pick the replica for one contact — a request's primary, or with
-    /// `exclude` set to the primary, a hedge's sibling: round-robin over
-    /// the healthy replicas other than `exclude`, the shared cursor
-    /// selecting the `cursor % healthy`-th of them. A poisoned replica
-    /// errors at first contact — it is marked down and the pick fails
-    /// over within the same call. `None` when no such healthy replica is
-    /// left: the shard is unavailable, or the primary has nobody to hedge
-    /// to and the request simply waits for it.
+    /// Pick the replica for one request: round-robin over the healthy
+    /// replicas, the shared cursor selecting the `cursor % healthy`-th of
+    /// them. A poisoned replica errors at first contact — it is marked
+    /// down and the pick fails over within the same call. `None` when no
+    /// healthy replica is left: the shard is unavailable.
     ///
     /// The attempts are bounded at `replicas + 1`, which assumes every
     /// failed attempt leaves one more replica down. A shard whose replicas
     /// are concurrently restored ([`ReplicatedShard::restore_replica`])
     /// while others are poisoned or failed can exhaust the attempts with a
     /// healthy replica still present, and report `None` spuriously.
-    fn pick(&self, exclude: Option<u32>) -> Option<u32> {
+    fn pick(&self) -> Option<u32> {
         let n = self.slots.len();
-        let eligible =
-            |r: &usize| Some(*r as u32) != exclude && !self.slots[*r].down.load(Ordering::Acquire);
+        let eligible = |r: &usize| !self.slots[*r].down.load(Ordering::Acquire);
         // every attempt that does not serve saw one replica go down, so
-        // after `n + 1` attempts no eligible replica is left
+        // after `n + 1` attempts no healthy replica is left
         for _ in 0..=n {
             let healthy = (0..n).filter(eligible).count();
             if healthy == 0 {
@@ -483,140 +424,6 @@ impl ReplicatedShard {
             return Some(r as u32);
         }
         None
-    }
-}
-
-/// `delay` in nanoseconds, saturating at `u64::MAX` (≈ 584 years): a
-/// wrapping cast would turn an effectively infinite delay into a short one.
-fn saturating_nanos(delay: Duration) -> u64 {
-    u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Shared observability surface of the hedged-request path.
-///
-/// One instance per [`ShardedEngine`] deployment: clones and every delta
-/// generation share it through the deployment's serving state, so the
-/// counters survive a publish.
-#[derive(Debug)]
-pub struct HedgeControl {
-    delay: Duration,
-    issued: AtomicU64,
-    won: AtomicU64,
-}
-
-impl HedgeControl {
-    fn new(delay: Duration) -> Self {
-        HedgeControl {
-            delay: Duration::from_nanos(saturating_nanos(delay)),
-            issued: AtomicU64::new(0),
-            won: AtomicU64::new(0),
-        }
-    }
-
-    /// The hedge delay the deployment was built with
-    /// ([`ShardedEngineBuilder::hedge_delay`], saturated at `u64::MAX`
-    /// nanoseconds): how long a shard gather may straggle before a
-    /// sibling replica is hedged in.
-    pub fn delay(&self) -> Duration {
-        self.delay
-    }
-
-    /// Hedge sub-requests issued since the deployment was built.
-    pub fn issued(&self) -> u64 {
-        // monotonic telemetry counter — Relaxed
-        self.issued.load(Ordering::Relaxed)
-    }
-
-    /// Hedge sub-requests that beat the primary replica to the answer.
-    pub fn wins(&self) -> u64 {
-        // monotonic telemetry counter — Relaxed
-        self.won.load(Ordering::Relaxed)
-    }
-}
-
-/// What one deployment serves on, created once where its shard state is
-/// assembled (fresh build or snapshot reload) and handed to every
-/// generation as one [`Arc`]: delta publishes and clones reuse the
-/// resident threads instead of spawning a pool per generation, and the
-/// hedge counters outlive every generation.
-#[derive(Debug)]
-pub(crate) struct ServingState {
-    /// Present when hedging is configured and there is a sibling replica
-    /// to hedge to: the control, and the pool the hedged gathers run on
-    /// (`fanout_threads` workers). Unhedged deployments gather inline and
-    /// hold no serving thread.
-    hedge: Option<(Arc<HedgeControl>, PersistentPool)>,
-}
-
-impl ServingState {
-    pub(crate) fn new(topology: &ShardedEngineBuilder) -> Self {
-        let hedge = topology.hedge_delay.filter(|_| topology.replicas > 1);
-        ServingState {
-            hedge: hedge.map(|delay| {
-                let pool = PersistentPool::new(topology.fanout_threads);
-                (Arc::new(HedgeControl::new(delay)), pool)
-            }),
-        }
-    }
-}
-
-/// One shard's local posting-list prefixes of every key of a gather, in
-/// key order, flattened: the entries, and `keys + 1` offsets into them
-/// (key `k` is `entries[offsets[k]..offsets[k + 1]]`).
-type ShardLists = (Vec<(u32, f64)>, Vec<usize>);
-
-/// Key `k`'s prefix in a [`ShardLists`].
-fn key_prefix((entries, offsets): &ShardLists, k: usize) -> &[(u32, f64)] {
-    &entries[offsets[k]..offsets[k + 1]]
-}
-
-/// Launch one replica gather as a background task on the persistent
-/// pool: that shard's [`ShardLists`], each key cut to `cut`, sent with
-/// the answering replica's id. The task owns everything it touches
-/// (`Arc`s and one copied-out buffer), so an abandoned straggler — its
-/// sibling already won, the receiver is gone — finishes harmlessly in the
-/// background.
-///
-/// A gather against an artificially delayed replica (the
-/// [`ReplicatedShard::delay_replica`] fault hook) runs on a throwaway
-/// thread instead: a simulated straggler parked in `sleep` would
-/// otherwise occupy a resident worker and starve the very hedge it is
-/// supposed to lose to. Undelayed gathers — the production path — never
-/// spawn.
-fn spawn_gather(
-    pool: &PersistentPool,
-    shard: &ReplicatedShard,
-    id: ReplicaId,
-    keys: &Arc<Vec<Key>>,
-    cut: usize,
-    deliver: &mpsc::Sender<(ReplicaId, ShardLists)>,
-) {
-    let engine = Arc::clone(shard.engine_shared());
-    let delay = shard.contact_delay(id.replica);
-    let keys = Arc::clone(keys);
-    let deliver = deliver.clone();
-    let gather = move || {
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        // the gather must own its lists — an abandoned straggler outlives
-        // every borrow of the engine's postings — so it copies them out,
-        // into one buffer for all keys
-        let mut entries = Vec::with_capacity(keys.len() * cut);
-        let mut offsets = Vec::with_capacity(keys.len() + 1);
-        offsets.push(0);
-        for key in keys.iter() {
-            entries.extend_from_slice(engine.retriever().key_candidates(key, cut));
-            offsets.push(entries.len());
-        }
-        // the loser of a hedge race sends to nobody
-        let _ = deliver.send((id, (entries, offsets)));
-    };
-    if delay.is_zero() {
-        pool.spawn(gather);
-    } else {
-        // amcad-lint: allow(thread-discipline) — a fault-injected straggler parked in sleep() would occupy a resident PersistentPool worker and starve the very hedge it is supposed to lose to, so delayed gathers run on a throwaway thread (see the doc comment above)
-        std::thread::spawn(gather);
     }
 }
 
@@ -647,14 +454,14 @@ fn merge_prefixes(heads: &mut [&[(u32, f64)]], cut: usize) -> Vec<(u32, f64)> {
 }
 
 /// An ad corpus hash-partitioned across N replicated single-node engines,
-/// served by gathering each request's keys from every shard (inline, or
-/// on the hedge pool when hedging) and merging per-key candidate
-/// prefixes back into the globally correct ranking (see the module docs
-/// for why the merge is exact and how replication fails over).
+/// served by gathering each request's keys from every shard inline and
+/// merging per-key candidate prefixes back into the globally correct
+/// ranking (see the module docs for why the merge is exact and how
+/// replication fails over).
 ///
 /// The merged [`crate::RetrievalStats`] describe the *logical* request — they
 /// are identical to what a single whole-corpus engine would report, which
-/// is what makes shard count, replica count and pool widths pure
+/// is what makes shard count, replica count and build-pool width pure
 /// deployment knobs. The one physical field is
 /// [`crate::RetrievalStats::served_by`]: the replica route this request actually
 /// took, one entry per active shard. The raw cluster-wide work (each
@@ -667,10 +474,6 @@ pub struct ShardedEngine {
     replicas: usize,
     index_config: IndexBuildConfig,
     retrieval: RetrievalConfig,
-    serving: Arc<ServingState>,
-    /// Configured hedge-pool width, as persisted. The pool itself lives
-    /// in `serving`, exists only when hedging, and is at least 2 wide.
-    fanout_threads: usize,
 }
 
 impl ShardedEngine {
@@ -689,7 +492,6 @@ impl ShardedEngine {
     pub(crate) fn from_shard_engines(
         engines: Vec<Arc<RetrievalEngine>>,
         topology: &ShardedEngineBuilder,
-        serving: Arc<ServingState>,
     ) -> ShardedEngine {
         debug_assert!(!engines.is_empty(), "callers reject all-empty builds");
         ShardedEngine {
@@ -701,8 +503,6 @@ impl ShardedEngine {
             replicas: topology.replicas,
             index_config: topology.index,
             retrieval: topology.retrieval,
-            serving,
-            fanout_threads: topology.fanout_threads,
         }
     }
 
@@ -721,13 +521,6 @@ impl ShardedEngine {
         self.replicas
     }
 
-    /// The configured width of the hedged-gather pool
-    /// ([`ShardedEngineBuilder::fanout_threads`]); unhedged gathers run
-    /// inline whatever it is.
-    pub fn fanout_threads(&self) -> usize {
-        self.fanout_threads
-    }
-
     /// One shard's replica set, by active-shard index.
     pub fn shard(&self, shard: usize) -> &ReplicatedShard {
         &self.shards[shard]
@@ -740,12 +533,6 @@ impl ShardedEngine {
             .iter()
             .map(ReplicatedShard::serve_counts)
             .collect()
-    }
-
-    /// The hedging control surface, when hedged requests are enabled
-    /// (requires [`ShardedEngineBuilder::hedge_delay`] and replicas ≥ 2).
-    pub fn hedge_control(&self) -> Option<&Arc<HedgeControl>> {
-        self.serving.hedge.as_ref().map(|(control, _)| control)
     }
 
     /// The index-construction configuration every shard was built with.
@@ -766,7 +553,7 @@ impl ShardedEngine {
             .iter()
             .enumerate()
             .map(|(s, shard)| {
-                let replica = shard.pick(None).ok_or(RetrievalError::ShardUnavailable {
+                let replica = shard.pick().ok_or(RetrievalError::ShardUnavailable {
                     shard: s,
                     replicas: shard.slots.len(),
                 })?;
@@ -786,8 +573,8 @@ impl ShardedEngine {
         self.retrieval.ads_per_key.min(self.index_config.top_k)
     }
 
-    /// The unhedged fetch strategy: route to one healthy replica per
-    /// shard, then merge every shard's borrowed local prefix of each key
+    /// The fetch strategy: route to one healthy replica per shard, then
+    /// merge every shard's borrowed local prefix of each key
     /// ([`merge_prefixes`]) into the globally correct one, inline on the
     /// caller — a key's gather is far cheaper than a pool dispatch.
     fn fetch_merged(&self, keys: &[Key]) -> Result<Fetched<Vec<(u32, f64)>>, RetrievalError> {
@@ -806,108 +593,8 @@ impl ShardedEngine {
         Ok((route, lists))
     }
 
-    /// The hedged fetch strategy: contact one picked replica per shard,
-    /// every shard's gather issued as a background task on the hedge
-    /// pool before any is awaited. Shards that have not answered when the
-    /// hedge delay runs out get their gather re-issued to a sibling
-    /// replica, and each shard takes whichever of its gathers delivers
-    /// first — so a request waits for its slowest shard, not for the sum
-    /// of its shards. The route records the winners; a loser's gather
-    /// finishes harmlessly in the background (it owns its data).
-    ///
-    /// The per-key merge is [`ShardedEngine::fetch_merged`]'s own
-    /// [`merge_prefixes`] over the gathered per-shard lists, so the hedged
-    /// path is *logically* byte-identical to the unhedged one
-    /// (parity-tested below): replicas serve identical data, so hedging
-    /// can only change the route, never the ranking.
-    fn fetch_hedged(
-        &self,
-        keys: &[Key],
-        control: &HedgeControl,
-        pool: &PersistentPool,
-    ) -> Result<Fetched<Vec<(u32, f64)>>, RetrievalError> {
-        let primaries = self.route()?;
-        let keys = Arc::new(keys.to_vec());
-        let cut = self.prefix_cut();
-        let n = self.shards.len();
-        let (deliver, delivered) = mpsc::channel();
-        for (shard, &id) in self.shards.iter().zip(&primaries) {
-            spawn_gather(pool, shard, id, &keys, cut, &deliver);
-        }
-        let deadline = Instant::now() + control.delay();
-        let mut answers: Vec<Option<(ReplicaId, ShardLists)>> = (0..n).map(|_| None).collect();
-        let mut pending = n;
-        // until the hedge deadline only the primaries can deliver
-        for _ in 0..n {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            let Ok((id, lists)) = delivered.recv_timeout(wait) else {
-                break;
-            };
-            answers[id.shard as usize] = Some((id, lists));
-            pending -= 1;
-        }
-        // the stragglers: hedge each to a sibling (no sibling → keep
-        // waiting for the primary)
-        let mut outstanding = pending;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if answers[s].is_some() {
-                continue;
-            }
-            if let Some(replica) = shard.pick(Some(primaries[s].replica)) {
-                // monotonic telemetry counter — Relaxed
-                control.issued.fetch_add(1, Ordering::Relaxed);
-                let sibling = ReplicaId {
-                    replica,
-                    ..primaries[s]
-                };
-                spawn_gather(pool, shard, sibling, &keys, cut, &deliver);
-                outstanding += 1;
-            }
-        }
-        // only the gathers hold senders now: losing them all is a panic
-        // here, not a hang
-        drop(deliver);
-        // every unanswered shard has a gather outstanding, so receiving
-        // them all answers every shard; the first answer per shard wins
-        for _ in 0..outstanding {
-            if pending == 0 {
-                break;
-            }
-            let (id, lists) = delivered
-                .recv()
-                .expect("a gather holds its sender until it delivers");
-            let answer = &mut answers[id.shard as usize];
-            if answer.is_none() {
-                *answer = Some((id, lists));
-                pending -= 1;
-            }
-        }
-        let answers: Vec<(ReplicaId, ShardLists)> = answers
-            .into_iter()
-            .map(|answer| answer.expect("every shard answered"))
-            .collect();
-        let mut route = Vec::with_capacity(n);
-        for ((id, _), primary) in answers.iter().zip(&primaries) {
-            if id != primary {
-                // monotonic telemetry counter — Relaxed
-                control.won.fetch_add(1, Ordering::Relaxed);
-            }
-            route.push(*id);
-        }
-        let mut heads = Vec::with_capacity(n);
-        let lists = (0..keys.len())
-            .map(|k| {
-                heads.clear();
-                heads.extend(answers.iter().map(|(_, lists)| key_prefix(lists, k)));
-                merge_prefixes(&mut heads, cut)
-            })
-            .collect();
-        Ok((route, lists))
-    }
-
     /// Serve one request — the batch of one of
-    /// [`ShardedEngine::retrieve_batch`], so with hedging enabled this is
-    /// the hedged path.
+    /// [`ShardedEngine::retrieve_batch`].
     pub fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
         self.retrieve_batch(std::slice::from_ref(request))
             .pop()
@@ -926,23 +613,14 @@ impl ShardedEngine {
     /// fail over) independently, so one request hitting a dead shard
     /// yields its own [`RetrievalError::ShardUnavailable`] — a degraded
     /// cluster rejects requests instead of silently serving a corpus with
-    /// a hole in it — without poisoning the batch.
-    ///
-    /// The gathers run inline on the calling thread. With hedging enabled
-    /// a lone request instead hedges its gathers on the hedge pool; a
-    /// larger batch does not — its dedup already amortises the gathers,
-    /// which bounds the per-request straggler cost hedging exists to cut.
+    /// a hole in it — without poisoning the batch. The gathers run inline
+    /// on the calling thread.
     pub fn retrieve_batch(
         &self,
         requests: &[Request],
     ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
         let retriever = self.shards[0].engine().retriever();
-        match &self.serving.hedge {
-            Some((control, pool)) if requests.len() == 1 => {
-                retriever.serve(requests, |keys| self.fetch_hedged(keys, control, pool))
-            }
-            _ => retriever.serve(requests, |keys| self.fetch_merged(keys)),
-        }
+        retriever.serve(requests, |keys| self.fetch_merged(keys))
     }
 }
 
@@ -1091,14 +769,13 @@ mod tests {
         }
     }
 
-    /// The acceptance-criterion property for the worker pools: at shard
-    /// counts 1 / 2 / 4 / 7, an engine built and served with parallel
-    /// pools (several build threads, several fan-out threads, replicated
-    /// shards) is **byte-identical** to the engine built and served
-    /// sequentially — every response, every error, every stat including
-    /// the physical replica route (round-robin advances identically).
+    /// The acceptance-criterion property for the build pool: at shard
+    /// counts 1 / 2 / 4 / 7, a replicated engine built on several build
+    /// threads is **byte-identical** to the one built sequentially —
+    /// every response, every error, every stat including the physical
+    /// replica route (round-robin advances identically).
     #[test]
-    fn parallel_build_and_fanout_match_the_sequential_path_bit_for_bit() {
+    fn parallel_build_matches_the_sequential_path_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0xfa0);
         for case in 0..4u64 {
             let n_ads = 5 + (case as u32 * 7);
@@ -1113,19 +790,18 @@ mod tests {
                 ads_ia: random_points(200..200 + n_ads, 80 + case),
             };
             for shards in [1usize, 2, 4, 7] {
-                let build = |build_threads: usize, fanout_threads: usize| {
+                let build = |build_threads: usize| {
                     ShardedEngine::builder()
                         .shards(shards)
                         .replicas(2)
                         .top_k(8)
                         .threads(1)
                         .build_threads(build_threads)
-                        .fanout_threads(fanout_threads)
                         .build(&inputs)
                         .unwrap()
                 };
-                let sequential = build(1, 1);
-                let parallel = build(4, 4);
+                let sequential = build(1);
+                let parallel = build(4);
                 assert_eq!(sequential.active_shards(), parallel.active_shards());
                 // identical request sequences: single requests ...
                 for _ in 0..12 {
@@ -1437,20 +1113,17 @@ mod tests {
         let mut flavours: Vec<(String, Box<dyn Retrieve>)> =
             vec![("single".into(), Box::new(single.clone()))];
         for shards in [1usize, 2, 4] {
-            for hedged in [false, true] {
-                let mut builder = ShardedEngine::builder()
+            for replicas in [1usize, 2] {
+                let engine = ShardedEngine::builder()
                     .shards(shards)
+                    .replicas(replicas)
                     .top_k(8)
                     .threads(1)
-                    .build_threads(1);
-                if hedged {
-                    // generous delay: no hedge is expected to fire
-                    builder = builder.replicas(2).hedge_delay(Duration::from_millis(50));
-                }
-                let engine = builder.build(&inputs).unwrap();
-                assert_eq!(engine.hedge_control().is_some(), hedged);
+                    .build_threads(1)
+                    .build(&inputs)
+                    .unwrap();
                 flavours.push((
-                    format!("{shards} shards, hedged {hedged}"),
+                    format!("{shards} shards, {replicas} replicas"),
                     Box::new(engine),
                 ));
             }
@@ -1654,178 +1327,6 @@ mod tests {
         assert!(engine.retrieve(&requests[0]).is_ok());
     }
 
-    fn hedged_engine(inputs: &IndexBuildInputs, delay: Duration) -> ShardedEngine {
-        ShardedEngine::builder()
-            .shards(2)
-            .replicas(2)
-            .top_k(8)
-            .threads(1)
-            .build_threads(1)
-            .hedge_delay(delay)
-            .build(inputs)
-            .unwrap()
-    }
-
-    /// Hedging is a latency tactic, not a ranking change: replicas serve
-    /// identical data, so the hedged path must be logically identical to
-    /// the unhedged one — responses, stats, and errors alike.
-    #[test]
-    fn hedged_serving_is_logically_identical_to_unhedged() {
-        let inputs = tiny_inputs();
-        let plain = sharded_engine(&inputs, 2, 8);
-        // generous delay: hedges are not expected to fire, but a spurious
-        // one must not change the logical outcome either
-        let hedged = hedged_engine(&inputs, Duration::from_millis(50));
-        assert!(hedged.hedge_control().is_some());
-        assert!(plain.hedge_control().is_none());
-        for request in fixed_requests(8) {
-            assert_eq!(
-                logical(plain.retrieve(&request)),
-                logical(hedged.retrieve(&request)),
-                "hedged serving diverged on {request:?}"
-            );
-        }
-        // unknown queries surface the same typed error through both paths
-        let unknown = Request {
-            query: 9999,
-            preclick_items: vec![],
-        };
-        assert_eq!(
-            logical(plain.retrieve(&unknown)),
-            logical(hedged.retrieve(&unknown))
-        );
-        // batches do not hedge, and stay topology-invariant regardless
-        let mut requests = fixed_requests(5);
-        requests.push(requests[1].clone());
-        let a: Vec<_> = plain
-            .retrieve_batch(&requests)
-            .into_iter()
-            .map(logical)
-            .collect();
-        let b: Vec<_> = hedged
-            .retrieve_batch(&requests)
-            .into_iter()
-            .map(logical)
-            .collect();
-        assert_eq!(a, b);
-    }
-
-    /// The acceptance-criterion hedging property: with one replica
-    /// degraded far past the hedge delay, every request hedges to the
-    /// sibling, the sibling wins the race (the route proves it), and the
-    /// ranking never changes.
-    #[test]
-    fn a_slow_replica_loses_the_hedge_race_to_its_sibling() {
-        let inputs = tiny_inputs();
-        let reference = sharded_engine(&inputs, 2, 8);
-        let engine = hedged_engine(&inputs, Duration::from_millis(2));
-        // shard 0, replica 0 turns into a straggler: every contact takes
-        // 20x the hedge delay
-        engine.shard(0).delay_replica(0, Duration::from_millis(40));
-        let requests = fixed_requests(6);
-        for request in &requests {
-            let response = engine.retrieve(request).unwrap();
-            assert_eq!(
-                response.stats.served_by[0].replica, 1,
-                "the hedged sibling must win against the degraded replica"
-            );
-            assert_eq!(
-                logical(Ok(response)),
-                logical(reference.retrieve(request)),
-                "hedging changed a ranking"
-            );
-        }
-        let control = engine.hedge_control().unwrap();
-        assert!(
-            control.issued() >= requests.len() as u64,
-            "every shard-0 request must have hedged (issued {})",
-            control.issued()
-        );
-        let wins = control.wins();
-        assert!(wins >= 1, "the sibling must win at least once");
-        assert!(wins <= control.issued(), "wins cannot exceed issues");
-    }
-
-    /// A delay past `u64::MAX` nanoseconds saturates instead of wrapping:
-    /// `u64::MAX` ns + 1 s wrapped to 999 999 999 ns, so the request
-    /// hedged after ≈ 1 s.
-    #[test]
-    fn delays_beyond_u64_nanoseconds_saturate_instead_of_wrapping() {
-        let huge = Duration::from_nanos(u64::MAX) + Duration::from_secs(1);
-        let ceiling = Duration::from_nanos(u64::MAX);
-        let engine = hedged_engine(&tiny_inputs(), huge);
-        let control = engine.hedge_control().unwrap();
-        assert_eq!(control.delay(), ceiling, "the builder's hedge delay");
-        engine.shard(0).delay_replica(1, huge);
-        assert_eq!(engine.shard(0).contact_delay(1), ceiling, "delay_replica");
-    }
-
-    /// Every shard's primary is issued before any is awaited, and the
-    /// stragglers are hedged together: with every replica of 4 shards
-    /// `D` slow, a lone request takes about `D`, not `4·D`.
-    #[test]
-    fn a_hedged_request_waits_for_its_slowest_shard_not_the_sum_of_them() {
-        let inputs = tiny_inputs();
-        let reference = sharded_engine(&inputs, 4, 8);
-        let slow = Duration::from_millis(100);
-        let engine = ShardedEngine::builder()
-            .shards(4)
-            .replicas(2)
-            .top_k(8)
-            .threads(1)
-            .build_threads(1)
-            .hedge_delay(slow / 2)
-            .build(&inputs)
-            .unwrap();
-        assert_eq!(engine.active_shards(), 4);
-        for shard in 0..4 {
-            for replica in 0..2 {
-                engine.shard(shard).delay_replica(replica, slow);
-            }
-        }
-        let request = Request {
-            query: 3,
-            preclick_items: vec![103],
-        };
-        let started = Instant::now();
-        let response = engine.retrieve(&request);
-        let took = started.elapsed();
-        assert!(
-            took < slow * 5 / 2,
-            "a hedged request took {took:?} against {slow:?} per shard"
-        );
-        // no primary can answer before its delay: every shard hedged
-        assert_eq!(engine.hedge_control().unwrap().issued(), 4);
-        assert_eq!(logical(response), logical(reference.retrieve(&request)));
-    }
-
-    /// Only hedging holds a serving thread: an unhedged deployment
-    /// gathers inline at any `fanout_threads`, and a hedged one runs its
-    /// gathers on a pool of `fanout_threads` resident workers.
-    #[test]
-    fn only_a_hedged_deployment_holds_a_serving_pool() {
-        let inputs = tiny_inputs();
-        let pool_width = |topology: ShardedEngineBuilder| {
-            let engine = topology.shards(2).top_k(8).threads(1).build(&inputs);
-            let serving = Arc::clone(&engine.unwrap().serving);
-            serving.hedge.as_ref().map(|(_, pool)| pool.threads())
-        };
-        let hedge = Duration::from_millis(5);
-        let builder = ShardedEngine::builder;
-        assert_eq!(pool_width(builder().replicas(2).fanout_threads(4)), None);
-        // one replica: no sibling to hedge to, so no hedging and no pool
-        assert_eq!(
-            pool_width(builder().fanout_threads(4).hedge_delay(hedge)),
-            None
-        );
-        assert_eq!(
-            pool_width(builder().replicas(2).hedge_delay(hedge)),
-            Some(1)
-        );
-        let wide = builder().replicas(2).fanout_threads(4).hedge_delay(hedge);
-        assert_eq!(pool_width(wide), Some(4));
-    }
-
     /// The merge as it used to be written, kept as the oracle:
     /// concatenate, sort in posting order, truncate.
     fn sort_and_truncate(lists: &[Vec<(u32, f64)>], cut: usize) -> Vec<(u32, f64)> {
@@ -1878,47 +1379,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Fault tests for the hedged path: a poisoned replica fails over at
-    /// pick time exactly like the unhedged router (and is marked down),
-    /// and losing every replica of a shard stays the typed
-    /// `ShardUnavailable` error.
-    #[test]
-    fn hedged_path_survives_poisoned_replicas_and_types_total_loss() {
-        let inputs = tiny_inputs();
-        let reference = sharded_engine(&inputs, 2, 8);
-        let engine = hedged_engine(&inputs, Duration::from_millis(5));
-        let request = Request {
-            query: 3,
-            preclick_items: vec![103],
-        };
-        let expected = logical(reference.retrieve(&request));
-        // fresh cursor picks replica 0 first on shard 0 — poison it
-        engine.shard(0).poison_replica(0);
-        let response = engine.retrieve(&request).unwrap();
-        assert_eq!(
-            response.stats.served_by[0].replica, 1,
-            "the poisoned primary must fail over before any gather"
-        );
-        assert_eq!(engine.shard(0).healthy_replicas(), 1);
-        assert_eq!(
-            logical(Ok(response)),
-            expected,
-            "failover changed a ranking"
-        );
-        // now lose the last replica of shard 0: a typed error, no panic,
-        // no hang waiting on gathers that can never arrive
-        engine.shard(0).fail_replica(1);
-        assert_eq!(
-            engine.retrieve(&request).unwrap_err(),
-            RetrievalError::ShardUnavailable {
-                shard: 0,
-                replicas: 2
-            }
-        );
-        // restoring any replica resumes identical serving
-        engine.shard(0).restore_replica(0);
-        assert_eq!(logical(engine.retrieve(&request)), expected);
     }
 }

@@ -1,11 +1,10 @@
 //! The on-disk byte format: a versioned, checksummed little-endian
 //! envelope plus hand-rolled codecs for every persisted structure.
 //!
-//! The compat `serde` derive is a no-op stub, so nothing here goes
-//! through serde — the codec is written out by hand, which also pins the
-//! byte layout explicitly (field order is the format, not an
-//! implementation detail) and keeps decode allocation bounded by the
-//! actual file size.
+//! The workspace has no serialization crate, so the codec is written
+//! out by hand, which also pins the byte layout explicitly (field order
+//! is the format, not an implementation detail) and keeps decode
+//! allocation bounded by the actual file size.
 //!
 //! ## Envelope
 //!

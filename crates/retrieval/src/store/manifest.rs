@@ -39,8 +39,9 @@ pub struct SnapshotManifest {
     pub replicas: usize,
     /// Worker threads the per-shard builds ran on (0 = auto).
     pub build_threads: usize,
-    /// Width of the pool hedged shard gathers run on (unhedged gathers
-    /// are inline).
+    /// The builder's inert [`crate::ShardedEngineBuilder::fanout_threads`]
+    /// value: serving never reads it, but the v1 format carries it, so it
+    /// is written and read back unchanged to keep snapshot bytes stable.
     pub fanout_threads: usize,
     /// The index-construction configuration every shard was built with.
     pub index: IndexBuildConfig,

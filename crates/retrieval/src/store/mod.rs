@@ -8,8 +8,7 @@
 //! rebuild-bound:
 //!
 //! * [`format`](self) — a versioned, checksummed, little-endian binary
-//!   envelope with hand-rolled encode/decode (the compat `serde` derive
-//!   is a no-op stub; nothing here touches serde). `f64`s are stored as
+//!   envelope with hand-rolled encode/decode. `f64`s are stored as
 //!   bit patterns, so distances reproduce bit-for-bit.
 //! * [`SnapshotManifest`] — generation metadata plus the sharded
 //!   deployment's shape, readable without decoding the index payload.
@@ -230,6 +229,42 @@ mod tests {
         assert_eq!(reloaded.topology().shards, 2);
         assert_eq!(reloaded.topology().replicas, 2);
         assert_eq!(serve_all(&cold), before);
+    }
+
+    /// Save → load → save is byte-identical: a reloaded builder re-seals
+    /// to the very bytes on disk, topology included — the inert
+    /// `fanout_threads` value too, which is why the v1 manifest still
+    /// carries it.
+    #[test]
+    fn save_load_save_round_trips_the_snapshot_bytes_exactly() {
+        let file = TmpFile::new("resave");
+        let topology = ShardedEngine::builder()
+            .shards(4)
+            .replicas(3)
+            .top_k(6)
+            .threads(1)
+            .build_threads(2)
+            .fanout_threads(3);
+        let mut live = ShardedDeltaBuilder::new(&tiny_inputs(), topology).unwrap();
+        let handle = EngineHandle::new(live.engine().unwrap());
+        handle
+            .publish_delta(&mut live, &make_delta(600..604, 13, vec![205, 212]))
+            .unwrap();
+        let g = handle.save_snapshot(&live, file.path()).unwrap();
+        let (_, reloaded) = EngineHandle::load(file.path()).unwrap();
+        let resaved = writer::snapshot_bytes(&reloaded, g).unwrap();
+        assert!(
+            resaved == writer::snapshot_bytes(&live, g).unwrap(),
+            "the reloaded builder seals to different bytes"
+        );
+        assert!(
+            resaved == std::fs::read(file.path()).unwrap(),
+            "re-saving differs from the file it was loaded from"
+        );
+        assert_eq!(
+            SnapshotManifest::read(file.path()).unwrap().fanout_threads,
+            3
+        );
     }
 
     /// One copy of the key side per deployment, before and after a

@@ -6,7 +6,7 @@
 //! the paper): MNN index construction behind the pluggable `AnnIndex`
 //! backend seam, the Q2Q/Q2I/I2Q/I2I first layer, the Q2A/I2A second
 //! layer, ad-hash sharding with an exact merge (shards built
-//! concurrently, fanned out in parallel at serving time), per-shard
+//! concurrently, gathered and merged inline at serving time), per-shard
 //! replication with round-robin failover, batched serving workers, and an
 //! open-loop load test like Fig. 9 — every topology served by the
 //! `ServingRuntime` through the same `dyn Retrieve` the transport layer
@@ -23,8 +23,8 @@ use amcad::core::{build_index_inputs, Pipeline, PipelineConfig};
 use amcad::eval::TextTable;
 use amcad::mnn::{HnswConfig, IndexBackend, IvfConfig};
 use amcad::retrieval::{
-    CoverageSource, LoadReport, Request, RetrievalEngine, Retrieve, RuntimeConfig, Scenario,
-    ServingRuntime, ShardedEngine,
+    CoverageSource, LoadReport, Request, RetrievalEngine, Retrieve, RetrievedAd, RuntimeConfig,
+    Scenario, ServingRuntime, ShardedEngine,
 };
 
 /// Requests offered per load level.
@@ -149,14 +149,12 @@ fn main() {
         })
         .collect();
     // the replicated deployment: 2 serving replicas per shard, each
-    // request's shard prefixes merged inline (`fanout_threads` sizes the
-    // pool hedged gathers run on) — availability knobs only, rankings
-    // stay bit-identical to the single exact engine
+    // request's shard prefixes merged inline — availability knobs only,
+    // rankings stay bit-identical to the single exact engine
     let replicated = Arc::new(
         ShardedEngine::builder()
             .shards(2)
             .replicas(2)
-            .fanout_threads(2)
             .index(*result.engine.index_config())
             .build(&inputs)
             .expect("pipeline inputs build a valid replicated engine"),
@@ -281,24 +279,21 @@ fn main() {
     );
 
     // Persistent serving runtime: a bounded admission queue with per-request
-    // deadlines in front of a hedged 2x2 deployment. A flash crowd far past
+    // deadlines in front of a 2x2 deployment. A flash crowd far past
     // what one worker can drain sheds at the queue with a typed
     // `Overloaded` error instead of letting latency grow without bound,
     // and the recovery phase goes back to serving everything.
-    println!("\n== Serving runtime: flash-crowd shedding, then hedged recovery ==\n");
-    let hedged = Arc::new(
+    println!("\n== Serving runtime: flash-crowd shedding, then failover recovery ==\n");
+    let cluster = Arc::new(
         ShardedEngine::builder()
             .shards(2)
             .replicas(2)
-            .fanout_threads(2)
-            .hedge_delay(Duration::from_millis(1))
             .index(*result.engine.index_config())
             .build(&inputs)
-            .expect("pipeline inputs build a valid hedged engine"),
+            .expect("pipeline inputs build a valid replicated engine"),
     );
-    let hedge = Arc::clone(hedged.hedge_control().expect("replicas > 1 enable hedging"));
     let runtime = ServingRuntime::new(
-        Arc::clone(&hedged) as Arc<dyn Retrieve>,
+        Arc::clone(&cluster) as Arc<dyn Retrieve>,
         RuntimeConfig {
             workers: 1,
             queue_depth: 16,
@@ -306,8 +301,7 @@ fn main() {
             batch_size: 4,
         },
     )
-    .expect("a positive worker count and queue depth are valid")
-    .with_hedge_metrics(Arc::clone(&hedge));
+    .expect("a positive worker count and queue depth are valid");
     // base phases arrive 10 ms apart — generous headroom over the tiny
     // corpus' sub-millisecond service time, so only the spike can shed
     let scenario = Scenario::flash_crowd(100.0, 5_000_000.0, 60, 2_000);
@@ -346,34 +340,37 @@ fn main() {
     println!("phase served everything again — overload degrades by typed refusal,");
     println!("not by unbounded queueing.\n");
 
-    // Hedged recovery: degrade one replica of shard 0 so its gathers
-    // straggle well past the hedge delay. The runtime keeps serving through
-    // the same queue while every request to that shard is re-issued to the
-    // healthy sibling, which wins the race — rankings unchanged.
+    // Failover recovery: fail replica 0 of shard 0. The runtime keeps
+    // serving through the same queue while every request to that shard
+    // is routed to the healthy sibling — no errors, rankings unchanged.
+    let ranking = |ads: Vec<RetrievedAd>| -> Vec<(u32, u64)> {
+        ads.iter().map(|a| (a.ad, a.score.to_bits())).collect()
+    };
     let reference: Vec<_> = requests
         .iter()
         .take(8)
-        .map(|r| hedged.retrieve(r).map(|resp| resp.ads))
+        .map(|r| ranking(cluster.retrieve(r).expect("the healthy cluster serves").ads))
         .collect();
-    let (issued_before, wins_before) = (hedge.issued(), hedge.wins());
-    hedged.shard(0).delay_replica(0, Duration::from_millis(10));
-    for (r, healthy_ads) in requests.iter().take(8).zip(&reference) {
-        let degraded = runtime.retrieve_blocking(r).map(|resp| resp.ads);
+    let failed_replica_serves = cluster.replica_serves()[0][0];
+    cluster.shard(0).fail_replica(0);
+    for (r, healthy) in requests.iter().take(8).zip(&reference) {
+        let response = runtime
+            .retrieve_blocking(r)
+            .expect("a sibling replica serves every request");
         assert_eq!(
-            &degraded, healthy_ads,
-            "hedging changes routes, never rankings"
+            &ranking(response.ads),
+            healthy,
+            "failover changes routes, never rankings"
         );
     }
-    let issued = hedge.issued() - issued_before;
-    let wins = hedge.wins() - wins_before;
-    assert!(issued > 0, "a 10ms straggler must trigger 1ms hedges");
-    assert!(wins > 0, "the healthy sibling wins at least one race");
-    println!("degraded replica 0 of shard 0 by 10ms against a 1ms hedge delay:");
-    println!(
-        "{issued} hedge sub-requests issued, {wins} won by the sibling replica — all 8 \
-         rankings identical to the healthy run."
+    assert_eq!(
+        cluster.replica_serves()[0][0],
+        failed_replica_serves,
+        "the failed replica serves nothing"
     );
-    hedged.shard(0).delay_replica(0, Duration::ZERO);
+    println!("failed replica 0 of shard 0: its sibling served all 8 requests with zero");
+    println!("errors, every ranking byte-identical to the healthy run.");
+    cluster.shard(0).restore_replica(0);
     let stats = runtime.stats();
     println!(
         "runtime counters: {} admitted, {} completed, {} shed at the queue, {} shed past deadline",

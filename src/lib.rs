@@ -45,7 +45,7 @@
 //!
 //! Production callers program against the object-safe
 //! [`retrieval::Retrieve`] trait; the deployment topology behind it —
-//! shard count, replicas per shard, build-pool and hedge-pool widths —
+//! shard count, replicas per shard, build-pool width —
 //! is a pure configuration choice that never changes a ranking:
 //!
 //! ```no_run
@@ -69,14 +69,12 @@
 //! // ... or the paper's cluster shape: ads hash-partitioned across 4
 //! // shards (each shard's index built concurrently on the build
 //! // pool), 2 serving replicas per shard with round-robin failover, and
-//! // each request's shard prefixes merged inline (`fanout_threads` sizes
-//! // the pool hedged gathers run on) — all returning bit-identical
-//! // rankings to the single exact engine
+//! // each request's shard prefixes merged inline — all returning
+//! // bit-identical rankings to the single exact engine
 //! let sharded = ShardedEngine::builder()
 //!     .shards(4)
 //!     .replicas(2)
 //!     .build_threads(4)
-//!     .fanout_threads(2)
 //!     .build(&inputs)?;
 //!
 //! // availability: a killed (or erroring) replica reroutes traffic to
@@ -140,7 +138,7 @@
 //! lifecycle and `table9_scalability` for the measured delta-vs-full
 //! wall clock.
 //!
-//! ## The serving runtime: admission control, deadlines, hedging
+//! ## The serving runtime: admission control, deadlines, shedding
 //!
 //! In production, correctness under load matters as much as correctness
 //! of rankings. The [`retrieval::ServingRuntime`] puts a bounded
@@ -153,21 +151,17 @@
 //! drained into one scan-deduplicated `retrieve_batch` call. Every
 //! resident thread is a long-lived parked worker of a
 //! [`retrieval::PersistentPool`] — the runtime's workers are its own
-//! pool's — so no request spawns a thread. Unhedged shard gathers are
-//! merged inline on the serving worker; hedged ones run on the
-//! deployment's hedge pool. With
-//! `ShardedEngineBuilder::hedge_delay` and replicas ≥ 2, a straggling
-//! shard gather is re-issued to a sibling replica after a
-//! p9x-derived delay and the first response wins.
+//! pool's — so no request spawns a thread, and shard gathers are
+//! merged inline on the serving worker.
 //! `retrieval::Scenario` traffic (flash crowds, Zipf
 //! popularity) drives it open-loop via `ServingRuntime::run_scenario`,
-//! reporting shed / timeout / hedge counts and goodput per phase.
+//! reporting shed / timeout counts and goodput per phase.
 //!
 //! The `PipelineConfig::index` field threads the backend selection
 //! through the one-call pipeline, and `ServingRuntime::run_scenario`
 //! load-tests any [`retrieval::Retrieve`] implementation (see
 //! `examples/online_serving.rs` for the topology sweep plus the
-//! flash-crowd shedding and hedged-recovery runtime demo,
+//! flash-crowd shedding and replica-failover runtime demo,
 //! `examples/incremental_training.rs` for the rebuild-and-publish loop,
 //! and the `fig9_serving_latency` / `table9_scalability` benchmark
 //! binaries for the latency, shard-count and offered-QPS-ladder sweeps).

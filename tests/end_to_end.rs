@@ -177,7 +177,6 @@ fn sharded_serving_and_hot_swap_agree_with_the_monolithic_engine_end_to_end() {
         let sharded = ShardedEngine::builder()
             .shards(shards)
             .replicas(2)
-            .fanout_threads(2)
             .index(*result.engine.index_config())
             .build(&inputs)
             .expect("pipeline inputs build a valid sharded engine");
@@ -360,12 +359,12 @@ fn replica_failover_preserves_every_ranking_over_real_pipeline_output() {
 }
 
 #[test]
-fn persistent_pool_fanout_is_byte_identical_to_sequential_across_topologies() {
-    // The acceptance-criterion parity property for the serving runtime's
-    // persistent pool: across shards 1/2/4 x replicas 1/2, an engine
-    // fanning out on resident parked workers serves **byte-identically**
-    // to the sequential build — every ranking, every logical stat, every
-    // physical route, the batch dedup attribution, and every typed error.
+fn sharded_serving_is_byte_identical_across_topologies_and_through_the_runtime() {
+    // Across shards 1/2/4 x replicas 1/2, an engine built on two threads
+    // serves **byte-identically** to the sequential build — every
+    // ranking, every logical stat, every physical route, the batch dedup
+    // attribution, and every typed error — and the same engine behind the
+    // ServingRuntime serves its own responses.
     let result = pipeline_result();
     let inputs = build_index_inputs(&result.export, &result.dataset);
     let index_config = *result.engine.index_config();
@@ -384,81 +383,71 @@ fn persistent_pool_fanout_is_byte_identical_to_sequential_across_topologies() {
                 .collect(),
         })
         .collect();
-    // an unknown query exercises the typed error path through the pool
+    // an unknown query exercises the typed error path
     requests.push(Request {
         query: u32::MAX,
         preclick_items: vec![],
     });
     for shards in [1usize, 2, 4] {
         for replicas in [1usize, 2] {
-            let build = |fanout_threads: usize| {
+            let build = |build_threads: usize| {
                 ShardedEngine::builder()
                     .shards(shards)
                     .replicas(replicas)
                     .index(index_config)
-                    .build_threads(1)
-                    .fanout_threads(fanout_threads)
+                    .build_threads(build_threads)
                     .build(&inputs)
                     .expect("pipeline inputs build a valid sharded engine")
             };
             let sequential = build(1);
-            let pooled = build(4);
+            let parallel = build(2);
             for request in &requests {
                 assert_eq!(
                     sequential.retrieve(request),
-                    pooled.retrieve(request),
-                    "{shards} shards x {replicas} replicas: pooled fan-out diverged"
+                    parallel.retrieve(request),
+                    "{shards} shards x {replicas} replicas: parallel build diverged"
                 );
             }
-            // the batch path with repeats: cross-request dedup gathers on
-            // the pool, attribution must still be byte-identical
+            // the batch path with repeats: cross-request dedup
+            // attribution must still be byte-identical
             let mut batch = requests.clone();
             batch.push(requests[0].clone());
             batch.push(requests[2].clone());
             assert_eq!(
                 sequential.retrieve_batch(&batch),
-                pooled.retrieve_batch(&batch),
-                "{shards} shards x {replicas} replicas: pooled batch diverged"
+                parallel.retrieve_batch(&batch),
+                "{shards} shards x {replicas} replicas: parallel batch diverged"
             );
-            // error case: a dead shard types identically through the pool
+            // error case: a dead shard types identically
             sequential.shard(0).fail_replica(0);
-            pooled.shard(0).fail_replica(0);
+            parallel.shard(0).fail_replica(0);
             if replicas == 1 {
                 for request in &requests {
                     assert_eq!(
                         sequential.retrieve(request),
-                        pooled.retrieve(request),
+                        parallel.retrieve(request),
                         "dead-shard errors must match"
                     );
                 }
             }
             sequential.shard(0).restore_replica(0);
-            pooled.shard(0).restore_replica(0);
+            parallel.shard(0).restore_replica(0);
         }
     }
     // the same engine behind the ServingRuntime: admitted tickets serve
     // the engine's exact responses (single path), and a burst through the
     // batching workers preserves every ranking
-    let sequential = ShardedEngine::builder()
-        .shards(2)
-        .replicas(2)
-        .index(index_config)
-        .build_threads(1)
-        .fanout_threads(1)
-        .build(&inputs)
-        .expect("pipeline inputs build a valid sharded engine");
-    let pooled = Arc::new(
+    let engine = Arc::new(
         ShardedEngine::builder()
             .shards(2)
             .replicas(2)
             .index(index_config)
             .build_threads(1)
-            .fanout_threads(4)
             .build(&inputs)
             .expect("pipeline inputs build a valid sharded engine"),
     );
     let runtime = ServingRuntime::new(
-        pooled,
+        Arc::clone(&engine) as Arc<dyn Retrieve>,
         RuntimeConfig {
             workers: 1,
             queue_depth: 64,
@@ -469,7 +458,7 @@ fn persistent_pool_fanout_is_byte_identical_to_sequential_across_topologies() {
     .expect("a valid runtime config");
     for request in &requests {
         assert_eq!(
-            logical(sequential.retrieve(request)),
+            logical(engine.retrieve(request)),
             logical(runtime.retrieve_blocking(request)),
             "the runtime must serve the engine's exact logical response"
         );
@@ -479,7 +468,7 @@ fn persistent_pool_fanout_is_byte_identical_to_sequential_across_topologies() {
         .map(|r| runtime.submit(r.clone()).expect("queue is deep enough"))
         .collect();
     for (request, ticket) in requests.iter().zip(tickets) {
-        let expected = sequential.retrieve(request).map(|r| r.ads);
+        let expected = engine.retrieve(request).map(|r| r.ads);
         let got = ticket.wait().map(|r| r.ads);
         assert_eq!(
             logical_ads(expected),
