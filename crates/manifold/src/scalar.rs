@@ -75,25 +75,49 @@ pub fn atan_kappa(y: f64, kappa: f64) -> f64 {
 /// absolute steps and may return anything down to 0; the norms a scan
 /// feeds both functions are square roots of `f64`s, so never a positive
 /// number below `2.2e-162`.
+///
+/// Each arm is its own function, so a sweep over one component's
+/// candidates can take the curvature branch once, outside its loop, and
+/// still evaluate the one definition of the formula this dispatches to.
 #[inline]
 pub fn atan_kappa_minorant(y: f64, kappa: f64) -> f64 {
     if kappa < -KAPPA_EPS {
-        let inv_s = 1.0 / (-kappa).sqrt();
-        // written so that a NaN `y` falls through as NaN (f64::min drops it)
-        if y > inv_s {
-            inv_s
-        } else {
-            y
-        }
+        atan_kappa_minorant_hyperbolic(y, 1.0 / (-kappa).sqrt())
     } else if kappa > KAPPA_EPS {
-        y / (1.0 + kappa * y * y).sqrt()
+        atan_kappa_minorant_spherical(y, kappa)
     } else {
-        let taylor = y - kappa * y * y * y / 3.0;
-        if taylor < 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            taylor
-        }
+        atan_kappa_minorant_flat(y, kappa)
+    }
+}
+
+/// The `κ < −KAPPA_EPS` arm of [`atan_kappa_minorant`]: `min(y, 1/√(−κ))`,
+/// taking `inv_s = 1/√(−κ)` so a caller sweeping one curvature computes it
+/// once. A `NaN` `y` comes back `NaN`.
+#[inline]
+pub fn atan_kappa_minorant_hyperbolic(y: f64, inv_s: f64) -> f64 {
+    // written so that a NaN `y` falls through as NaN (f64::min drops it)
+    if y > inv_s {
+        inv_s
+    } else {
+        y
+    }
+}
+
+/// The `κ > KAPPA_EPS` arm of [`atan_kappa_minorant`]: `y/√(1 + κ·y²)`.
+#[inline]
+pub fn atan_kappa_minorant_spherical(y: f64, kappa: f64) -> f64 {
+    y / (1.0 + kappa * y * y).sqrt()
+}
+
+/// The `|κ| ≤ KAPPA_EPS` arm of [`atan_kappa_minorant`]: the Taylor value
+/// of [`atan_kappa`] where it is non-negative, `−∞` where it is not.
+#[inline]
+pub fn atan_kappa_minorant_flat(y: f64, kappa: f64) -> f64 {
+    let taylor = y - kappa * y * y * y / 3.0;
+    if taylor < 0.0 {
+        f64::NEG_INFINITY
+    } else {
+        taylor
     }
 }
 

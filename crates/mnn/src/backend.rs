@@ -182,7 +182,8 @@ pub enum IndexBackend {
     /// the given configuration.
     Hnsw(HnswConfig),
     /// Quantised postings: per-component sub-codebooks, asymmetric table
-    /// scan and exact top-`rerank_k` rerank — the memory backend.
+    /// scan over one-byte codes (built and dropped with the index, never
+    /// resident on a serving replica) and exact top-`rerank_k` rerank.
     Quant(QuantConfig),
 }
 

@@ -2,23 +2,27 @@
 //!
 //! The paper's MNN module distributes index construction over a fleet of
 //! workers and parallelises the per-worker computation with OpenMP (data
-//! level) and SIMD (instruction level).  Here the data-level parallelism is
-//! provided by `std::thread::scope` threads over key shards, and the inner
-//! distance loops are simple slice arithmetic the compiler can vectorise.
+//! level) and SIMD (instruction level). Here the data level is
+//! [`fork_join()`] over key ranges — several per thread, claimed from a
+//! shared counter, so a descheduled thread does not hold the build — and
+//! the instruction level is the SoA chunk kernel (see
+//! [`crate::quant::soa`]): four dot products side by side and a
+//! branch-free bound loop that the release build compiles to packed SSE2
+//! arithmetic, checked in its disassembly.
 //!
 //! The scan is exact and most of it is rejection: of a key's thousands of
 //! candidates all but ≈ `k·ln(n/k)` never enter its top-K. `TopK`
 //! therefore keeps its worst entry cached and declines a candidate in one
-//! comparison, and `scan_top_k` hands that worst distance to the SoA
-//! chunk kernel as a threshold, so a candidate whose cheap lower bound is
-//! already above it costs three dot products and no `ln_1p` / `atan`
-//! (see [`crate::quant::soa`]). Posting lists are the same ids and the
-//! same distance bits as a per-candidate `distance_to` followed by a sort.
+//! comparison, and `scan_top_k` checks each candidate's cheap lower bound
+//! against that worst distance as it stands at that candidate, so one
+//! whose bound is already above it costs three dot products and no
+//! `ln_1p` / `atan`. Posting lists are the same ids and the same distance
+//! bits as a per-candidate `distance_to` followed by a sort.
 
 use crate::fork_join::fork_join;
 use crate::id_hash::IdHashMap;
 use crate::points::MixedPointSet;
-use crate::quant::soa::SCAN_CHUNK;
+use crate::quant::soa::{prunable, SCAN_CHUNK};
 
 /// One inverted-index posting list: the K nearest candidates of a key, with
 /// their mixed-curvature distances, sorted by increasing distance.
@@ -179,10 +183,11 @@ pub(crate) fn build_index_with(
 /// One exact top-K scan of a query point over a candidate set — the
 /// kernel shared by the bulk builder below and the per-query
 /// `ExactBackend::search` path, so the two can never diverge. The scan
-/// walks the SoA component blocks in [`SCAN_CHUNK`]-sized chunks, passing
-/// each chunk the worst distance kept so far: the kernel writes `+∞` for
-/// a candidate it could bound above that threshold, and the loop below
-/// skips every distance above it without touching the candidate's id.
+/// walks the SoA component blocks in [`SCAN_CHUNK`]-sized chunks: the
+/// chunk kernel fills a lower bound and the per-component norms of every
+/// candidate, and the loop below finishes a candidate's distance — the
+/// `ln_1p` / `atan` half — only if its bound is within the top-K's
+/// threshold *as it stands at that candidate*, then offers it.
 /// `norm_lanes` is the kernel's scratch (`ComponentBlocks::norm_lanes`),
 /// owned by the caller so one allocation serves every key of a build.
 pub(crate) fn scan_top_k(
@@ -195,36 +200,40 @@ pub(crate) fn scan_top_k(
 ) -> Postings {
     let blocks = candidates.blocks();
     let grams = blocks.query_grams(query);
-    let mut distances = [0.0f64; SCAN_CHUNK];
-    let mut topk = TopK::new(k);
+    let mut bounds = [0.0f64; SCAN_CHUNK];
     let n = candidates.len();
+    // no list holds more than the n candidates offered
+    let mut topk = TopK::new(k.min(n));
     let mut start = 0;
     while start < n {
         let len = SCAN_CHUNK.min(n - start);
-        blocks.scan_chunk_into(
-            &grams,
-            query,
-            query_weight,
-            start,
-            topk.threshold(),
-            norm_lanes,
-            &mut distances[..len],
-        );
-        for (jj, &d) in distances[..len].iter().enumerate() {
-            // written so that a NaN distance is offered (it ranks as +inf)
-            if d > topk.threshold() {
-                continue;
-            }
+        let bounds = &mut bounds[..len];
+        blocks.scan_chunk_bounds(&grams, query, query_weight, start, norm_lanes, bounds);
+        for (jj, &bound) in bounds.iter().enumerate() {
             let cand_id = candidates.id(start + jj);
             if exclude_id == Some(cand_id) {
                 continue;
             }
-            topk.offer(d, cand_id);
+            if prunable(bound, topk.threshold()) {
+                continue;
+            }
+            topk.offer(blocks.finish(query_weight, start, jj, norm_lanes), cand_id);
         }
         start += len;
     }
     topk.into_sorted()
 }
+
+/// Key ranges per build thread in [`build_exact_index`]. One range per
+/// thread is a static partition: a thread that is descheduled, or handed
+/// the costlier keys, holds the whole build behind it. More ranges let
+/// the other threads claim its share through `fork_join`'s counter.
+/// Measured on a 2-vCPU x86-64 box, two-thread c6k `IndexSet::build`
+/// medians over four rounds: one range per thread 0.44–0.45 s, four,
+/// eight or thirty-two 0.35–0.45 s with no order among them. At eight a
+/// c6k range still holds 32–96 keys, so its scratch and result vector
+/// cost nothing next to the scan.
+const RANGES_PER_THREAD: usize = 8;
 
 /// Exact top-K search from every key to the candidate set.
 ///
@@ -242,8 +251,10 @@ pub fn build_exact_index(
     if n_keys == 0 || candidates.is_empty() || k == 0 {
         return InvertedIndex::default();
     }
-    // contiguous key ranges, one per thread, inserted in range order
-    let chunk = n_keys.div_ceil(threads.max(1).min(n_keys));
+    // contiguous key ranges, RANGES_PER_THREAD per thread, claimed by
+    // whichever thread is free and inserted in range order
+    let threads = threads.max(1);
+    let chunk = n_keys.div_ceil(threads.saturating_mul(RANGES_PER_THREAD).min(n_keys));
     let ranges = n_keys.div_ceil(chunk);
     let search_range = |r: usize| -> Vec<(u32, Postings)> {
         let (start, end) = (r * chunk, ((r + 1) * chunk).min(n_keys));
@@ -262,7 +273,7 @@ pub fn build_exact_index(
     };
 
     let mut entries = IdHashMap::with_capacity_and_hasher(n_keys, Default::default());
-    for (key, postings) in fork_join(ranges, ranges, search_range)
+    for (key, postings) in fork_join(threads, ranges, search_range)
         .into_iter()
         .flatten()
     {
@@ -314,16 +325,27 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_results_agree() {
-        let keys = random_set(40, 5);
         let cands = random_set(80, 6);
-        let seq = build_exact_index(&keys, &cands, 4, false, 1);
-        // 2 and 4 split the keys, 41 exceeds them (clamped to one key per
-        // thread), 7 leaves the last chunk short
-        for threads in [2, 4, 7, 41] {
-            let par = build_exact_index(&keys, &cands, 4, false, threads);
-            assert_eq!(seq.len(), par.len(), "threads={threads}");
-            for (key, postings) in seq.iter() {
-                assert_eq!(par.get(*key), Some(postings), "threads={threads}");
+        // ranges of ⌈keys / (8·threads)⌉ keys, the last one short: 40 keys
+        // at 2 threads are 13 ranges of 3 and one of 1; 4 and 7 threads
+        // ask for more ranges than keys (one key each); 41 threads exceed
+        // the keys themselves. 13 keys at 2 threads: fewer keys than the
+        // 16 ranges asked for. 37 keys at 2 threads: 12 ranges of 3 and
+        // one of 1. Sequential builds cut 40 and 37 keys into ranges of 5.
+        for (n_keys, thread_counts) in [(40, &[2, 4, 7, 41][..]), (13, &[2][..]), (37, &[2][..])] {
+            let keys = random_set(n_keys, 5);
+            let seq = build_exact_index(&keys, &cands, 4, false, 1);
+            assert_eq!(seq.len(), n_keys);
+            for &threads in thread_counts {
+                let par = build_exact_index(&keys, &cands, 4, false, threads);
+                assert_eq!(seq.len(), par.len(), "keys={n_keys} threads={threads}");
+                for (key, postings) in seq.iter() {
+                    assert_eq!(
+                        par.get(*key),
+                        Some(postings),
+                        "keys={n_keys} threads={threads}"
+                    );
+                }
             }
         }
     }

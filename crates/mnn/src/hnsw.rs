@@ -250,7 +250,7 @@ impl HnswIndex {
     fn layer_cap(&self, layer: usize) -> usize {
         let m = self.config.m.max(1);
         if layer == 0 {
-            2 * m
+            m.saturating_mul(2)
         } else {
             m
         }
@@ -282,13 +282,15 @@ impl HnswIndex {
         layer: usize,
         visited: &mut VisitedSet,
     ) -> Vec<DistSlot> {
-        let ef = ef.max(1);
+        // a beam holds no more nodes than exist, so clamping `ef` to the
+        // candidate count changes no result and bounds the heaps below
+        let ef = ef.clamp(1, self.candidates.len().max(1));
         visited.begin(self.candidates.len());
         let blocks = self.candidates.blocks();
         let grams = blocks.query_grams(query);
         // hoisted per-call scratch: one slot batch and one distance lane,
-        // both bounded by the layer's neighbour-list cap
-        let widest = self.layer_cap(layer);
+        // both bounded by the layer's neighbour-list cap and the node count
+        let widest = self.layer_cap(layer).min(self.candidates.len());
         let mut batch: Vec<usize> = Vec::with_capacity(widest);
         let mut lane: Vec<f64> = Vec::with_capacity(widest);
         // `best` is hard-bounded by ef (+1 transiently); `frontier`
@@ -318,7 +320,7 @@ impl HnswIndex {
                 if visited.visit(nb) {
                     continue;
                 }
-                // amcad-lint: allow(alloc-in-hot-loop) — batch is pre-sized to the layer cap, which bounds every neighbour list
+                // amcad-lint: allow(alloc-in-hot-loop) — batch is pre-sized to the layer cap (or the node count, if smaller), which bounds every batch: a neighbour list holds at most the cap, and a node enters a batch once
                 batch.push(nb as usize);
             }
             if batch.is_empty() {
@@ -477,7 +479,7 @@ impl HnswIndex {
             .ef_search
             .max(k.saturating_add(usize::from(exclude_id.is_some())));
         let found = self.search_layer(query, query_weight, &entries, ef, 0, &mut visited);
-        let mut topk = TopK::new(k);
+        let mut topk = TopK::new(k.min(found.len()));
         for c in found {
             let id = self.candidates.id(c.slot as usize);
             if exclude_id == Some(id) {

@@ -176,7 +176,8 @@ impl IvfIndex {
         let grams = blocks.query_grams(query);
         let widest = self.clusters.iter().map(Vec::len).max().unwrap_or(0);
         let mut distances: Vec<f64> = Vec::with_capacity(widest);
-        let mut topk = TopK::new(k);
+        // no list holds more than the n candidates offered
+        let mut topk = TopK::new(k.min(self.candidates.len()));
         for &(_, c) in order.iter().take(self.config.nprobe.max(1)) {
             let members = &self.clusters[c];
             if members.is_empty() {

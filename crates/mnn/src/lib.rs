@@ -9,7 +9,9 @@
 //! * [`AnnIndex`] — the pluggable backend trait: per-query top-K search
 //!   and bulk inverted-index construction over any candidate set,
 //! * [`ExactBackend`] / [`build_exact_index`] — multi-threaded exact top-K
-//!   scan (the paper's OpenMP + SIMD parallel brute force),
+//!   scan (the paper's OpenMP + SIMD parallel brute force: key ranges on
+//!   scoped threads, and a chunk kernel whose bound loop compiles to
+//!   packed SSE2 arithmetic),
 //! * [`IvfIndex`] — an inverted-file approximate index whose coarse
 //!   quantiser lives in the shared tangent space, with recall measurement
 //!   against the exact index ([`recall_at_k`]),
@@ -45,10 +47,12 @@
 //! rerank (`rerank_k >= n`). The parity suites in
 //! `tests/backend_parity.rs` pin all three.
 //!
-//! `Quant` is also the memory backend: postings cost one `u8` code plus one
-//! `f32` weight per curvature component per ad, against a full-precision
-//! point's `8 × total_dim + 8 × components` bytes — the bench harness
-//! reports the measured ratio in its `memory_footprint` section.
+//! `Quant`'s approximate scan reads one `u8` code plus one `f32` weight per
+//! curvature component per ad, against a full-precision point's
+//! `8 × total_dim + 8 × components` bytes — the bench harness reports the
+//! measured ratio in its `memory_footprint` section. That is build-time
+//! memory: every backend only computes posting lists and is dropped once
+//! they are built, so a serving replica holds posting lists, never codes.
 
 pub mod backend;
 pub mod brute;

@@ -8,8 +8,11 @@
 //! mirror ([`ComponentBlocks`]): per-curvature-component fixed-stride
 //! coordinate blocks with precomputed squared norms, so every distance is
 //! an allocation-free Gram-form evaluation over unit-stride dot products
-//! ([`amcad_manifold::distance_gram`]) — the stand-in for the SIMD
-//! instruction-level parallelism of the paper's MNN workers.
+//! ([`amcad_manifold::distance_gram`]). The exact scan's contiguous sweep
+//! over those blocks is where the paper's SIMD (instruction-level)
+//! parallelism lives: its bound loop compiles to packed SSE2 arithmetic
+//! (see [`crate::quant::soa`]); the scattered and gathered evaluations
+//! stay scalar.
 
 use std::collections::HashMap;
 

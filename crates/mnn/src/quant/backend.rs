@@ -244,7 +244,8 @@ impl QuantIndex {
 
         // stage 1: approximate scan — pool entries are (approx distance,
         // slot); the slot tie-break only matters below the rerank horizon
-        let pool_size = self.config.rerank_k.max(k);
+        // neither list holds more than the n candidates offered
+        let pool_size = self.config.rerank_k.max(k).min(n);
         let mut pool = TopK::new(pool_size);
         let mut lane = [0.0f64; SCAN_CHUNK];
         let mut start = 0;
@@ -272,7 +273,7 @@ impl QuantIndex {
         let grams = blocks.query_grams(query);
         let mut exact = vec![0.0f64; slots.len()];
         blocks.scan_indices_into(&grams, query, query_weight, &slots, &mut exact);
-        let mut topk = TopK::new(k);
+        let mut topk = TopK::new(k.min(slots.len()));
         for (jj, &slot) in slots.iter().enumerate() {
             topk.offer(exact[jj], self.candidates.id(slot));
         }

@@ -6,8 +6,7 @@
 //! ([`amcad_manifold::distance_gram`]). [`ComponentBlocks`] therefore keeps
 //! each component's coordinates in its own contiguous fixed-stride block
 //! (`n × dim_m`), alongside per-component squared-norm and attention-weight
-//! lanes, so the per-candidate inner loop is a unit-stride dot product the
-//! compiler can auto-vectorise — no allocation, no AoS pointer chasing.
+//! lanes — no allocation, no AoS pointer chasing.
 //!
 //! Scattered and gathered evaluations — [`ComponentBlocks::distance_to`] /
 //! [`ComponentBlocks::distance_between`] (HNSW beam hops, IVF residuals)
@@ -15,18 +14,29 @@
 //! neighbour batches) — call [`amcad_manifold::distance_gram`] per
 //! candidate and component.
 //!
-//! The contiguous sweep the exact scan runs is one two-pass chunk kernel
-//! taking the scan's current top-K threshold. Pass 1 computes, for up to
-//! [`SCAN_CHUNK`] candidates and component by component, the arithmetic
-//! half of the distance ([`amcad_manifold::diff_norm_gram`]: three dot
-//! products and a few multiplies) into a caller-owned norm lane, and sums
-//! a lower bound on the weighted distance from
-//! [`amcad_manifold::atan_kappa_minorant`]. Pass 2 evaluates `tan⁻¹_κ` and
-//! the weighted sum — the operations of `distance_to`, in its order — only
-//! for candidates whose bound, shrunk by `1e-12`, does not exceed the
-//! threshold, and writes `+∞` for the rest: an `ln_1p` / `atan` is paid
-//! only where the distance could enter the top-K. Every distance the
-//! kernel does write is bit-identical to `distance_to`.
+//! The contiguous sweep the exact scan runs is a two-pass chunk kernel.
+//! Pass 1 (`ComponentBlocks::scan_chunk_bounds`) takes up to
+//! [`SCAN_CHUNK`] candidates component by component, in two loops:
+//!
+//! * the dot products `⟨x, y⟩`, four candidates at a time
+//!   ([`amcad_manifold::dot4`]: four independent chains, each in `dot`'s
+//!   summation order, so each holds `dot`'s bits);
+//! * the arithmetic half of the distance
+//!   ([`amcad_manifold::diff_norm_gram`]) into a caller-owned norm lane,
+//!   and a lower bound on the weighted distance from one curvature arm of
+//!   [`amcad_manifold::atan_kappa_minorant`], summed into a bound lane.
+//!   The curvature branch is taken once per component and chunk, outside
+//!   the loop, so the loop body is straight-line: in the release build it
+//!   compiles to packed SSE2 (`mulpd` / `addpd` / `divpd` / `sqrtpd`),
+//!   where a curvature test per candidate had left it scalar.
+//!
+//! Pass 2 (`ComponentBlocks::finish`) evaluates `tan⁻¹_κ` and the
+//! weighted sum — the operations of `distance_to`, in its order, so the
+//! bits of `distance_to` — for one candidate. The exact scan finishes a
+//! candidate only when `prunable` says its bound does not put it above
+//! the top-K's threshold as it stands at that candidate: an `ln_1p` /
+//! `atan` is paid only where the distance could enter the top-K.
+//! [`ComponentBlocks::scan_range_into`] finishes every candidate.
 //!
 //! A candidate is only ever pruned on a sound bound. The minorant bounds
 //! `tan⁻¹_κ` from below, so a term bounds its component's contribution
@@ -35,17 +45,17 @@
 //! bound, a `NaN` norm or a `0 · ∞` term makes it `NaN`, and neither
 //! compares above any threshold. All remaining terms are non-negative
 //! (the minorant is `≥ 0` or `−∞`), so the sum cannot cancel and the few
-//! roundings on either side stay far inside the margin. (Products under
-//! `f64::MIN_POSITIVE` — summed weights below `1e-146` — round in
-//! absolute steps the margin does not cover.)
-//! [`ComponentBlocks::scan_range_into`] is the kernel at threshold `+∞`,
-//! where nothing is pruned.
+//! roundings on either side stay far inside the `1e-12` margin the bound
+//! is shrunk by. (Products under `f64::MIN_POSITIVE` — summed weights
+//! below `1e-146` — round in absolute steps the margin does not cover.)
 //!
 //! Both sweeps run against a per-query [`QueryGrams`] context so the
 //! query's own squared norms are hoisted out of the candidate loop.
 
 use amcad_manifold::{
-    atan_kappa, atan_kappa_minorant, diff_norm_gram, distance_gram, dot, norm_sq, ProductManifold,
+    atan_kappa, atan_kappa_minorant_flat, atan_kappa_minorant_hyperbolic,
+    atan_kappa_minorant_spherical, diff_norm_gram, distance_gram, dot, dot4, norm_sq,
+    ProductManifold, KAPPA_EPS,
 };
 
 /// Candidates per call of the chunk kernel: small enough that a chunk's
@@ -58,6 +68,23 @@ pub const SCAN_CHUNK: usize = 128;
 /// threshold: covers the roundings of the bound and of the distance it
 /// bounds (see the module doc and `atan_kappa_minorant`).
 const BOUND_MARGIN: f64 = 1.0 - 1e-12;
+
+/// Whether a candidate whose pass-1 bound is `bound` can be skipped
+/// against a top-K `threshold`: its bound, shrunk by [`BOUND_MARGIN`], is
+/// above the threshold. A `NaN` bound prunes nothing, and a bound equal
+/// to the threshold is not pruned — a tie may still enter on its id.
+#[inline]
+pub(crate) fn prunable(bound: f64, threshold: f64) -> bool {
+    bound * BOUND_MARGIN > threshold
+}
+
+/// Candidates whose dot products pass 1 computes side by side
+/// ([`amcad_manifold::dot4`]): independent summation chains hide the add
+/// latency a single serial `dot` waits on. Measured on a 2-vCPU x86-64
+/// box, single-threaded c6k `IndexSet::build` medians: one lane
+/// 0.88–0.99 s, two 0.70–0.86 s, four 0.65–0.70 s, eight 0.68–0.70 s —
+/// eight buys nothing over four.
+const DOT_LANES: usize = 4;
 
 /// Per-component SoA mirror of a point set: fixed-stride coordinate blocks
 /// plus precomputed squared norms and attention weights, one lane per
@@ -224,81 +251,95 @@ impl ComponentBlocks {
         acc
     }
 
-    /// Scratch for [`ComponentBlocks::scan_chunk_into`]: one
+    /// Scratch for [`ComponentBlocks::scan_chunk_bounds`]: one
     /// [`SCAN_CHUNK`]-long norm lane per component. Allocate once per
     /// worker or per search and pass it down.
     pub(crate) fn norm_lanes(&self) -> Vec<f64> {
         vec![0.0; self.dims.len() * SCAN_CHUNK]
     }
 
-    /// The two-pass chunk kernel (see the module doc) over the candidates
-    /// `start..start + out.len()`, at most [`SCAN_CHUNK`] of them: writes
-    /// into `out` each candidate's attention-weighted distance —
-    /// bit-identical to [`ComponentBlocks::distance_to`] — or `+∞` where a
-    /// lower bound already puts the distance above `threshold`.
-    /// `norm_lanes` comes from [`ComponentBlocks::norm_lanes`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_chunk_into(
+    /// Pass 1 of the chunk kernel (see the module doc) over the candidates
+    /// `start..start + bounds.len()`, at most [`SCAN_CHUNK`] of them:
+    /// writes each candidate's per-component norm
+    /// ([`amcad_manifold::diff_norm_gram`]) into `norm_lanes` and a lower
+    /// bound on its attention-weighted distance into `bounds`.
+    /// [`ComponentBlocks::finish`] turns a candidate's norms into its
+    /// distance. `norm_lanes` comes from [`ComponentBlocks::norm_lanes`].
+    pub(crate) fn scan_chunk_bounds(
         &self,
         grams: &QueryGrams,
         query: &[f64],
         query_weight: &[f64],
         start: usize,
-        threshold: f64,
         norm_lanes: &mut [f64],
-        out: &mut [f64],
+        bounds: &mut [f64],
     ) {
-        let len = out.len();
+        let len = bounds.len();
         debug_assert!(len <= SCAN_CHUNK);
         debug_assert_eq!(norm_lanes.len(), self.dims.len() * SCAN_CHUNK);
-        // pass 1: per-component norms, and the lower bound summed into `out`
-        out.fill(0.0);
+        bounds.fill(0.0);
         for m in 0..self.dims.len() {
             let d = self.dims[m];
             let qm = &query[self.offsets[m]..self.offsets[m] + d];
-            let q2 = grams.q2[m];
-            let qw = query_weight[m];
-            let kappa = self.kappas[m];
             let block = &self.coords[m][start * d..(start + len) * d];
-            let sq_norms = &self.sq_norms[m][start..start + len];
-            let weights = &self.weights[m][start..start + len];
             let lane = &mut norm_lanes[m * SCAN_CHUNK..m * SCAN_CHUNK + len];
-            for (jj, bound) in out.iter_mut().enumerate() {
-                let norm = diff_norm_gram(
-                    q2,
-                    sq_norms[jj],
-                    dot(qm, &block[jj * d..(jj + 1) * d]),
-                    kappa,
-                );
-                lane[jj] = norm;
-                let weight = qw + weights[jj];
-                *bound += if weight >= 0.0 {
-                    weight * (2.0 * atan_kappa_minorant(norm, kappa))
-                } else {
-                    f64::NEG_INFINITY
-                };
+            // ⟨x, y⟩ into the lane, DOT_LANES candidates per step
+            let whole = len - len % DOT_LANES;
+            for jj in (0..whole).step_by(DOT_LANES) {
+                let row = |i: usize| &block[(jj + i) * d..];
+                lane[jj..jj + DOT_LANES]
+                    .copy_from_slice(&dot4(qm, [row(0), row(1), row(2), row(3)]));
+            }
+            for jj in whole..len {
+                lane[jj] = dot(qm, &block[jj * d..(jj + 1) * d]);
+            }
+            // the lane's dot products become norms and the bound grows by
+            // this component's term; the curvature branch is taken here,
+            // once, so each loop below is straight-line and vectorises
+            let kappa = self.kappas[m];
+            let lane_bounds = LaneBounds {
+                q2: grams.q2[m],
+                query_weight: query_weight[m],
+                kappa,
+                sq_norms: &self.sq_norms[m][start..start + len],
+                weights: &self.weights[m][start..start + len],
+            };
+            if kappa < -KAPPA_EPS {
+                let inv_s = 1.0 / (-kappa).sqrt();
+                lane_bounds.add(lane, bounds, |y| atan_kappa_minorant_hyperbolic(y, inv_s));
+            } else if kappa > KAPPA_EPS {
+                lane_bounds.add(lane, bounds, |y| atan_kappa_minorant_spherical(y, kappa));
+            } else {
+                lane_bounds.add(lane, bounds, |y| atan_kappa_minorant_flat(y, kappa));
             }
         }
-        // pass 2: the distance itself, for the candidates the bound keeps
-        for (jj, o) in out.iter_mut().enumerate() {
-            if *o * BOUND_MARGIN > threshold {
-                *o = f64::INFINITY;
-                continue;
-            }
-            let mut acc = 0.0;
-            for m in 0..self.dims.len() {
-                let dist = 2.0 * atan_kappa(norm_lanes[m * SCAN_CHUNK + jj], self.kappas[m]);
-                acc += (query_weight[m] + self.weights[m][start + jj]) * dist;
-            }
-            *o = acc;
+    }
+
+    /// Pass 2 of the chunk kernel for one candidate, `start + jj`, after
+    /// [`ComponentBlocks::scan_chunk_bounds`] filled `norm_lanes`: its
+    /// attention-weighted distance, in the operations and order of
+    /// [`ComponentBlocks::distance_to`] and so bit-identical to it.
+    #[inline]
+    pub(crate) fn finish(
+        &self,
+        query_weight: &[f64],
+        start: usize,
+        jj: usize,
+        norm_lanes: &[f64],
+    ) -> f64 {
+        let mut acc = 0.0;
+        for m in 0..self.dims.len() {
+            let dist = 2.0 * atan_kappa(norm_lanes[m * SCAN_CHUNK + jj], self.kappas[m]);
+            acc += (query_weight[m] + self.weights[m][start + jj]) * dist;
         }
+        acc
     }
 
     /// Sweep over the contiguous candidate range `start..start + out.len()`:
     /// writes each candidate's attention-weighted distance into `out`,
     /// bit-identical to calling [`ComponentBlocks::distance_to`] per
-    /// candidate. This is the chunk kernel at threshold `+∞` (nothing
-    /// pruned), [`SCAN_CHUNK`] candidates at a time.
+    /// candidate. This is the chunk kernel with every candidate finished,
+    /// [`SCAN_CHUNK`] candidates at a time.
     pub fn scan_range_into(
         &self,
         grams: &QueryGrams,
@@ -309,15 +350,11 @@ impl ComponentBlocks {
     ) {
         let mut norm_lanes = self.norm_lanes();
         for (c, chunk) in out.chunks_mut(SCAN_CHUNK).enumerate() {
-            self.scan_chunk_into(
-                grams,
-                query,
-                query_weight,
-                start + c * SCAN_CHUNK,
-                f64::INFINITY,
-                &mut norm_lanes,
-                chunk,
-            );
+            let start = start + c * SCAN_CHUNK;
+            self.scan_chunk_bounds(grams, query, query_weight, start, &mut norm_lanes, chunk);
+            for (jj, o) in chunk.iter_mut().enumerate() {
+                *o = self.finish(query_weight, start, jj, &norm_lanes);
+            }
         }
     }
 
@@ -349,6 +386,40 @@ impl ComponentBlocks {
                 );
                 *o += (query_weight[m] + self.weights[m][j]) * dist;
             }
+        }
+    }
+}
+
+/// One component's inputs to the bound loop of
+/// [`ComponentBlocks::scan_chunk_bounds`], for one chunk.
+struct LaneBounds<'a> {
+    q2: f64,
+    query_weight: f64,
+    kappa: f64,
+    sq_norms: &'a [f64],
+    weights: &'a [f64],
+}
+
+impl LaneBounds<'_> {
+    /// Turn each dot product in `lane` into the candidate's norm and add
+    /// the component's weighted minorant to its bound. `minorant` is one
+    /// curvature arm of [`amcad_manifold::atan_kappa_minorant`]; each call
+    /// site passes its own, so each arm compiles to its own loop.
+    #[inline(always)]
+    fn add(&self, lane: &mut [f64], bounds: &mut [f64], minorant: impl Fn(f64) -> f64) {
+        for (((norm, bound), &y2), &w) in lane
+            .iter_mut()
+            .zip(bounds.iter_mut())
+            .zip(self.sq_norms)
+            .zip(self.weights)
+        {
+            *norm = diff_norm_gram(self.q2, y2, *norm, self.kappa);
+            let weight = self.query_weight + w;
+            *bound += if weight >= 0.0 {
+                weight * (2.0 * minorant(*norm))
+            } else {
+                f64::NEG_INFINITY
+            };
         }
     }
 }
@@ -468,10 +539,10 @@ mod tests {
     #[test]
     fn a_true_top_k_threshold_prunes_most_of_a_clustered_set() {
         // a count of work, not a timing: 64 clusters × 64 points, the query
-        // in one of them, threshold = its true 20th distance. Everything
-        // the kernel writes is either the exact distance or +∞ for a
-        // candidate that is really above the threshold, and at least 80 %
-        // of the candidates are dismissed on the bound alone.
+        // in one of them, threshold = its true 20th distance. Every bound
+        // the kernel writes, shrunk by the margin, is at most the exact
+        // distance, every finished distance is the exact one, and at least
+        // 80 % of the candidates are dismissed on the bound alone.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let m = ProductManifold::new(vec![
@@ -506,19 +577,28 @@ mod tests {
 
         let grams = blocks.query_grams(&query);
         let mut lanes = blocks.norm_lanes();
-        let mut out = vec![0.0; blocks.len()];
-        for (c, chunk) in out.chunks_mut(SCAN_CHUNK).enumerate() {
-            let start = c * SCAN_CHUNK;
-            blocks.scan_chunk_into(&grams, &query, &qw, start, threshold, &mut lanes, chunk);
-        }
+        let mut bounds = [0.0; SCAN_CHUNK];
         let mut pruned = 0;
-        for (j, (&got, &want)) in out.iter().zip(&exact).enumerate() {
-            if got.to_bits() == want.to_bits() {
-                continue;
+        for start in (0..blocks.len()).step_by(SCAN_CHUNK) {
+            let len = SCAN_CHUNK.min(blocks.len() - start);
+            let bounds = &mut bounds[..len];
+            blocks.scan_chunk_bounds(&grams, &query, &qw, start, &mut lanes, bounds);
+            for (jj, &bound) in bounds.iter().enumerate() {
+                let (j, want) = (start + jj, exact[start + jj]);
+                assert!(
+                    bound * BOUND_MARGIN <= want,
+                    "j={j}: bound {bound} above {want}"
+                );
+                assert_eq!(
+                    blocks.finish(&qw, start, jj, &lanes).to_bits(),
+                    want.to_bits(),
+                    "j={j}: finished distance is not the exact one"
+                );
+                if prunable(bound, threshold) {
+                    assert!(want > threshold, "j={j}: pruned a top-20 candidate");
+                    pruned += 1;
+                }
             }
-            assert_eq!(got, f64::INFINITY, "j={j}: neither exact nor pruned");
-            assert!(want > threshold, "j={j}: pruned a top-20 candidate");
-            pruned += 1;
         }
         assert!(
             pruned * 5 >= blocks.len() * 4,
@@ -531,7 +611,8 @@ mod tests {
     fn a_bound_that_equals_the_threshold_is_evaluated_not_pruned() {
         // at κ = 0 the bound IS the distance, so a tie with the threshold —
         // a duplicate of the worst kept entry, which a smaller id may yet
-        // displace — must come back as the distance; just under it, pruned
+        // displace — must be finished, to the distance; just under it,
+        // pruned
         let m = ProductManifold::new(vec![SubspaceSpec::new(3, 0.0)]);
         let mut blocks = ComponentBlocks::new(&m);
         blocks.push(&[0.3, -0.2, 0.1], &[0.7]);
@@ -540,12 +621,12 @@ mod tests {
         let exact = blocks.distance_to(&query, &qw, 0);
         let grams = blocks.query_grams(&query);
         let mut lanes = blocks.norm_lanes();
-        let mut out = [0.0];
-        blocks.scan_chunk_into(&grams, &query, &qw, 0, exact, &mut lanes, &mut out);
-        assert_eq!(out[0].to_bits(), exact.to_bits());
-        let below = exact * (1.0 - 1e-9);
-        blocks.scan_chunk_into(&grams, &query, &qw, 0, below, &mut lanes, &mut out);
-        assert_eq!(out[0], f64::INFINITY);
+        let mut bound = [0.0];
+        blocks.scan_chunk_bounds(&grams, &query, &qw, 0, &mut lanes, &mut bound);
+        assert_eq!(bound[0].to_bits(), exact.to_bits());
+        assert!(!prunable(bound[0], exact));
+        assert_eq!(blocks.finish(&qw, 0, 0, &lanes).to_bits(), exact.to_bits());
+        assert!(prunable(bound[0], exact * (1.0 - 1e-9)));
     }
 
     #[test]

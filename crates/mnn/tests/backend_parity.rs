@@ -8,7 +8,7 @@ use amcad_manifold::{ProductManifold, SubspaceSpec};
 use amcad_mnn::quant::soa::SCAN_CHUNK;
 use amcad_mnn::{
     recall_at_k, AnnIndex, ExactBackend, HnswConfig, IndexBackend, IvfConfig, MixedPointSet,
-    QuantConfig,
+    Postings, QuantConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -395,9 +395,11 @@ proptest! {
     }
 }
 
-/// `scan_range_into` is the chunk kernel at threshold +∞ cut into
-/// `SCAN_CHUNK`s: whatever the length and wherever it starts, every lane
-/// holds the bits of `distance_to`.
+/// `scan_range_into` is the chunk kernel with every candidate finished,
+/// cut into `SCAN_CHUNK`s: whatever the length and wherever it starts,
+/// every lane holds the bits of `distance_to` — including the candidates
+/// past a chunk's last whole group of four, whose dot products take the
+/// serial path (`len % 4` of 1, 2 and 3, inside a chunk and across edges).
 #[test]
 fn scan_range_into_is_bit_identical_to_distance_to_across_chunk_edges() {
     for seed in [3u64, 8] {
@@ -408,9 +410,13 @@ fn scan_range_into_is_bit_identical_to_distance_to_across_chunk_edges() {
         let grams = blocks.query_grams(&query);
         for (start, len) in [
             (7, 1),
+            (5, 2),
+            (6, 3),
             (7, SCAN_CHUNK - 1),
             (7, SCAN_CHUNK),
             (7, SCAN_CHUNK + 1),
+            (7, SCAN_CHUNK + 2),
+            (0, 2 * SCAN_CHUNK + 3),
             (93, 1_000),
         ] {
             let mut out = vec![-1.0; len];
@@ -423,6 +429,83 @@ fn scan_range_into_is_bit_identical_to_distance_to_across_chunk_edges() {
                         .to_bits(),
                     "seed {seed}, start {start}, len {len}, lane {jj}"
                 );
+            }
+        }
+    }
+}
+
+/// `k` is a cut, not a buffer size. A snapshot manifest may carry a
+/// `top_k` (and a Quant `rerank_k`) up to `u32::MAX`, and a caller may
+/// pass `usize::MAX`. Every backend sizes its top-K buffer by the
+/// candidates that can be offered, so such a `k` returns at most the
+/// corpus — the exact scan exactly what `k = n` returns, ids and bits —
+/// instead of aborting on a `k`-sized allocation.
+#[test]
+fn a_k_past_the_corpus_returns_at_most_the_corpus_on_every_backend() {
+    let n = 10;
+    let cands = random_set(n, 41);
+    let queries = random_set(1, 42);
+    let (query, weight) = (queries.point(0), queries.weight(0));
+    let bits = |postings: Postings| -> Vec<(u32, u64)> {
+        postings.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+    };
+    let huge = [u32::MAX as usize, usize::MAX];
+
+    let exact = ExactBackend::new(cands.clone(), 1);
+    for exclude in [None, Some(3)] {
+        let want = bits(exact.search(query, weight, n, exclude));
+        assert_eq!(want.len(), n - usize::from(exclude.is_some()));
+        for k in huge {
+            let got = bits(exact.search(query, weight, k, exclude));
+            assert_eq!(got, want, "exact, k {k}, exclude {exclude:?}");
+        }
+    }
+
+    let approximate = [
+        IndexBackend::Ivf(IvfConfig {
+            num_clusters: 3,
+            kmeans_iters: 2,
+            nprobe: 2,
+            seed: 7,
+        }),
+        IndexBackend::Hnsw(HnswConfig {
+            m: 4,
+            ef_construction: 8,
+            ef_search: 8,
+            seed: 7,
+        }),
+        // every width a decoded manifest can carry, at its cap
+        IndexBackend::Hnsw(HnswConfig {
+            m: u32::MAX as usize,
+            ef_construction: u32::MAX as usize,
+            ef_search: u32::MAX as usize,
+            seed: 7,
+        }),
+        IndexBackend::Quant(QuantConfig {
+            ksub: 4,
+            train_iters: 2,
+            rerank_k: 4,
+            seed: 7,
+        }),
+        IndexBackend::Quant(QuantConfig {
+            ksub: 4,
+            train_iters: 2,
+            rerank_k: u32::MAX as usize,
+            seed: 7,
+        }),
+    ];
+    for backend in approximate {
+        let index = backend.instantiate(cands.clone(), 1);
+        for k in huge {
+            for exclude in [None, Some(3)] {
+                let got = index.search(query, weight, k, exclude);
+                assert!(
+                    !got.is_empty() && got.len() <= n,
+                    "{backend:?}, k {k}: {} entries",
+                    got.len()
+                );
+                assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "{backend:?}");
+                assert!(exclude.is_none_or(|id| got.iter().all(|&(c, _)| c != id)));
             }
         }
     }

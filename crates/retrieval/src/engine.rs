@@ -349,7 +349,7 @@ mod tests {
     use super::*;
     use crate::test_fixtures::tiny_inputs as inputs;
     use amcad_manifold::{ProductManifold, SubspaceSpec};
-    use amcad_mnn::{IvfConfig, MixedPointSet};
+    use amcad_mnn::{InvertedIndex, IvfConfig, MixedPointSet};
 
     #[test]
     fn builder_builds_and_serves_with_the_default_backend() {
@@ -368,6 +368,53 @@ mod tests {
         assert!(!response.ads.is_empty());
         assert!(response.stats.keys_expanded >= 3);
         assert_eq!(response.stats.coverage, CoverageSource::DirectQuery);
+    }
+
+    #[test]
+    fn a_top_k_past_every_corpus_builds_the_indices_of_the_largest_corpus() {
+        // a decoded manifest may carry any top_k up to u32::MAX: posting
+        // lists then hold whole corpora, as at top_k = 40 (the item count,
+        // the fixture's largest candidate set), and requests serve alike
+        let huge = RetrievalEngine::builder()
+            .top_k(u32::MAX as usize)
+            .threads(2)
+            .build(&inputs())
+            .unwrap();
+        let whole = RetrievalEngine::builder()
+            .top_k(40)
+            .threads(2)
+            .build(&inputs())
+            .unwrap();
+        let bits = |index: &InvertedIndex| {
+            let mut lists: Vec<(u32, Vec<(u32, u64)>)> = index
+                .iter()
+                .map(|(&key, postings)| {
+                    (
+                        key,
+                        postings.iter().map(|&(id, d)| (id, d.to_bits())).collect(),
+                    )
+                })
+                .collect();
+            lists.sort();
+            lists
+        };
+        let (a, b) = (huge.indexes(), whole.indexes());
+        for (x, y) in [
+            (&*a.q2q, &*b.q2q),
+            (&*a.q2i, &*b.q2i),
+            (&*a.i2q, &*b.i2q),
+            (&*a.i2i, &*b.i2i),
+            (&a.q2a, &b.q2a),
+            (&a.i2a, &b.i2a),
+        ] {
+            assert_eq!(bits(x), bits(y));
+        }
+        let request = Request {
+            query: 3,
+            preclick_items: vec![101, 115],
+        };
+        let ads = |engine: &RetrievalEngine| engine.retrieve(&request).unwrap().ads;
+        assert_eq!(ads(&huge), ads(&whole));
     }
 
     #[test]
