@@ -13,29 +13,28 @@
 //! where approximate indexing starts paying off as the candidate sets
 //! grow; a backend × knob sweep (`ef_search` for HNSW, `rerank_k` for the
 //! quantised backend) then puts each approximate backend's recall@k
-//! against exact next to its build time and serving tail latency — the
-//! recall/latency frontier in one table — and a memory-footprint section
-//! reports the quantised bytes/ad against the full-precision layout.
+//! against exact next to its build time — the recall/build-time frontier
+//! in one table.
 //!
-//! The second half models the paper's *cluster* dimension along its three
-//! axes: the largest rung's inputs are rebuilt as a `ShardedEngine` at
-//! 1 / 2 / 4 shards with the cold build's `4 + 2·shards` index builds — the
-//! key-side indices once, each shard's Q2A and I2A — running on a build
-//! pool 1 / 2 / 4 threads wide (reporting the measured build-time
-//! speedup — every index build is independent, so more build threads cut
-//! wall clock without changing a single byte of the result), and each
-//! serving topology (shards × replicas) is load-tested
-//! through the serving runtime with its p50 / p95 / p99 tail — the
-//! Table IX ⇄ Fig. 9 bridge. A final sweep measures the incremental path:
-//! a ~10% corpus churn applied as a delta publish
-//! (`EngineHandle::publish_delta`) versus rebuilding the post-delta
-//! corpus from scratch, at shard counts 1 / 2 / 4.
+//! The rest reports what a build width or the incremental path changes,
+//! all on the largest rung's inputs: a `ShardedEngine` at 1 / 2 / 4 shards
+//! whose `4 + 2·shards` index builds — the key-side indices once, each
+//! shard's Q2A and I2A — run 1 / 2 / 4 threads wide (every index build is
+//! independent, so more build threads cut wall clock without changing a
+//! single byte of the result); a ~10% corpus churn applied as a delta
+//! publish (`EngineHandle::publish_delta`) versus rebuilding the
+//! post-delta corpus from scratch; a warm restart from a snapshot versus
+//! the cold build; and the quantised bytes/ad against the full-precision
+//! layout.
+//!
+//! Serving latency is not timed here: the request loop reads posting
+//! prefixes of the same length whichever backend or build width produced
+//! them, so `fig9_serving_latency` times it once per deployment shape.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use amcad_bench::json::{write_bench_json, Json};
-use amcad_bench::{sustained_ladder, Scale};
+use amcad_bench::Scale;
 use amcad_core::build_index_inputs;
 use amcad_datagen::{Dataset, WorldConfig};
 use amcad_eval::TextTable;
@@ -43,8 +42,7 @@ use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig, QuantIndex};
 use amcad_model::{AmcadConfig, AmcadModel, Trainer, TrainerConfig};
 use amcad_retrieval::{
     EngineHandle, IndexBuildConfig, IndexBuildInputs, IndexDelta, IndexSet, Request,
-    RetrievalEngine, Retrieve, RuntimeConfig, Scenario, ServingRuntime, ShardedDeltaBuilder,
-    ShardedEngine, TrafficPattern,
+    RetrievalEngine, Retrieve, ShardedDeltaBuilder, ShardedEngine,
 };
 
 fn main() {
@@ -158,7 +156,6 @@ fn main() {
         largest_rung = Some((dataset, inputs));
     }
     println!("{}", table.render());
-    // -- Sharded offline build + online serving, per shard count ----------
     let (dataset, inputs) = largest_rung.expect("the ladder always has rungs");
     let requests: Vec<Request> = dataset
         .eval_sessions
@@ -169,18 +166,16 @@ fn main() {
             preclick_items: dataset.preclick_items(s).iter().map(|n| n.0).collect(),
         })
         .collect();
-    let requests_per_level = if scale == Scale::Tiny { 1_500 } else { 4_000 };
-    let qps = 20_000.0;
 
-    // -- Backend × knob: the recall/latency frontier ----------------------
+    // -- Backend × knob: the recall/build-time frontier -------------------
     // The approximate backends trade posting-list recall for build work:
     // IVF probes nprobe clusters per key, HNSW walks an ef_search-wide
     // graph beam, and the quantised backend reranks the top `rerank_k`
     // PQ-approximate candidates exactly. All knobs act at *index-build*
     // time (posting lists are static at serving time), so the frontier
-    // pairs each configuration's build wall clock and ad-side recall@k
-    // against the exact reference with the serving tail it produces.
-    println!("== Backend x knob recall/latency frontier (largest rung) ==\n");
+    // pairs each configuration's build wall clock with its ad-side
+    // recall@k against the exact reference.
+    println!("== Backend x knob recall/build-time frontier (largest rung) ==\n");
     let top_k = 20usize;
     let widest_knob = "ef=128";
     let frontier_backends: Vec<(&'static str, IndexBackend)> = vec![
@@ -209,32 +204,22 @@ fn main() {
         ),
         ("rerank=48", IndexBackend::Quant(QuantConfig::default())),
     ];
-    let mut frontier = TextTable::new(vec![
-        "Backend",
-        "Knob",
-        "Build (s)",
-        "Recall@20",
-        "p50 (ms)",
-        "p95 (ms)",
-        "p99 (ms)",
-    ]);
+    let mut frontier = TextTable::new(vec!["Backend", "Knob", "Build (s)", "Recall@20"]);
     // the exact row doubles as the recall reference, so the most
     // expensive build in the sweep happens exactly once
-    let mut exact_engine: Option<Arc<RetrievalEngine>> = None;
+    let mut exact_engine: Option<RetrievalEngine> = None;
     let mut hnsw_widest_recall = 0.0f64;
     let mut frontier_json: Vec<Json> = Vec::new();
     for (knob, backend) in frontier_backends {
         let start = Instant::now();
-        let engine = Arc::new(
-            RetrievalEngine::builder()
-                .index(IndexBuildConfig {
-                    top_k,
-                    threads: 1,
-                    backend,
-                })
-                .build(&inputs)
-                .expect("ladder inputs always build a valid engine"),
-        );
+        let engine = RetrievalEngine::builder()
+            .index(IndexBuildConfig {
+                top_k,
+                threads: 1,
+                backend,
+            })
+            .build(&inputs)
+            .expect("ladder inputs always build a valid engine");
         let build_secs = start.elapsed().as_secs_f64();
         let recall = match &exact_engine {
             None => 1.0, // the exact reference against itself
@@ -249,24 +234,17 @@ fn main() {
         if knob == widest_knob {
             hnsw_widest_recall = recall;
         }
-        let report = sustained_ladder(engine.clone(), &requests, &[qps], requests_per_level)[0];
         frontier.row(vec![
             backend.label().to_string(),
             knob.to_string(),
             format!("{build_secs:.2}"),
             format!("{recall:.3}"),
-            format!("{:.3}", report.p50_ms),
-            format!("{:.3}", report.p95_ms),
-            format!("{:.3}", report.p99_ms),
         ]);
         frontier_json.push(Json::obj(vec![
             ("backend", Json::from(backend.label())),
             ("knob", Json::from(knob)),
             ("build_s", Json::from(build_secs)),
             ("recall_at_20", Json::from(recall)),
-            ("p50_ms", Json::from(report.p50_ms)),
-            ("p95_ms", Json::from(report.p95_ms)),
-            ("p99_ms", Json::from(report.p99_ms)),
         ]));
         if backend == IndexBackend::Exact {
             exact_engine = Some(engine);
@@ -280,9 +258,9 @@ fn main() {
         "HNSW {widest_knob} should recover most exact neighbours, got {hnsw_widest_recall:.3}"
     );
     println!("Frontier note: recall is measured over the ad-side (Q2A + I2A) posting lists");
-    println!("against the exact build; serving latency reads the same-length posting lists");
-    println!("whatever backend built them, so the knobs buy *build* time — the paper's");
-    println!("distributed-MNN stage — at a measured recall cost.\n");
+    println!("against the exact build; the request loop reads same-length posting lists");
+    println!("whatever backend built them (fig9 times it), so the knobs buy *build* time —");
+    println!("the paper's distributed-MNN stage — at a measured recall cost.\n");
 
     // -- Parallel sharded build: shards × build-pool width ----------------
     // The 4 + 2·shards index builds of a cold build are independent, so
@@ -339,141 +317,6 @@ fn main() {
         "Measured build-time speedup with 2 build threads (4 shards): {speedup_2t_at_4_shards:.2}x on {} core(s).\n",
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     );
-
-    // -- Serving topologies: shards × replicas ----------------------------
-    println!("== Serving topologies at {qps:.0} offered QPS (largest rung) ==\n");
-    let mut shard_table = TextTable::new(vec![
-        "Shards",
-        "Replicas",
-        "Build (s)",
-        "Mean (ms)",
-        "p50 (ms)",
-        "p95 (ms)",
-        "p99 (ms)",
-        "Achieved QPS",
-    ]);
-    let mut topology_json: Vec<Json> = Vec::new();
-    for (shards, replicas) in [(1usize, 1usize), (2, 1), (2, 2), (4, 2)] {
-        let start = Instant::now();
-        let engine = Arc::new(
-            ShardedEngine::builder()
-                .shards(shards)
-                .replicas(replicas)
-                .top_k(20)
-                .threads(1)
-                .build(&inputs)
-                .expect("ladder inputs always build a valid sharded engine"),
-        );
-        let build_secs = start.elapsed().as_secs_f64();
-        let report = sustained_ladder(engine, &requests, &[qps], requests_per_level)[0];
-        shard_table.row(vec![
-            shards.to_string(),
-            replicas.to_string(),
-            format!("{build_secs:.2}"),
-            format!("{:.3}", report.mean_ms),
-            format!("{:.3}", report.p50_ms),
-            format!("{:.3}", report.p95_ms),
-            format!("{:.3}", report.p99_ms),
-            format!("{:.0}", report.achieved_qps),
-        ]);
-        topology_json.push(Json::obj(vec![
-            ("shards", Json::from(shards)),
-            ("replicas", Json::from(replicas)),
-            ("build_s", Json::from(build_secs)),
-            ("mean_ms", Json::from(report.mean_ms)),
-            ("p50_ms", Json::from(report.p50_ms)),
-            ("p95_ms", Json::from(report.p95_ms)),
-            ("p99_ms", Json::from(report.p99_ms)),
-            ("achieved_qps", Json::from(report.achieved_qps)),
-        ]));
-    }
-    println!("{}", shard_table.render());
-    println!("Sharding note: the key indices are built once per deployment and shared by every");
-    println!("shard, and the ad-side builds (the part the paper distributes) split the same ads,");
-    println!("so total build work does not grow with shard count — only the per-task overhead");
-    println!("does; rankings are bit-identical at every shard count, replica count and build");
-    println!("width — replication buys failover, never a ranking change.\n");
-
-    // -- Serving runtime: offered-QPS ladder × topology -------------------
-    // The persistent ServingRuntime (bounded admission queue, deadlines,
-    // load shedding) over three deployment shapes, each driven open-loop
-    // across an offered-QPS ladder that crosses saturation. Goodput
-    // (completions inside the deadline per second) and the shed rate make
-    // the admission-control trade visible: past the knee the runtime
-    // sheds a growing fraction instead of letting p99 grow with the
-    // backlog.
-    println!("== Serving runtime ladder: offered QPS x topology (largest rung) ==\n");
-    let runtime_config = RuntimeConfig {
-        workers: 2,
-        queue_depth: 64,
-        deadline: Duration::from_millis(250),
-        batch_size: 8,
-    };
-    let runtime_rungs: &[(f64, usize)] = &[(1_000.0, 800), (20_000.0, 1_500), (1_000_000.0, 3_000)];
-    let mut runtime_table = TextTable::new(vec![
-        "Shards",
-        "Replicas",
-        "Offered QPS",
-        "Completed",
-        "Shed",
-        "Shed rate",
-        "Timed out",
-        "Goodput QPS",
-        "p50 (ms)",
-        "p99 (ms)",
-    ]);
-    let mut runtime_json: Vec<Json> = Vec::new();
-    for (shards, replicas) in [(1usize, 1usize), (2, 2), (4, 2)] {
-        let engine = Arc::new(
-            ShardedEngine::builder()
-                .shards(shards)
-                .replicas(replicas)
-                .top_k(20)
-                .threads(1)
-                .build(&inputs)
-                .expect("ladder inputs always build a valid sharded engine"),
-        );
-        let runtime = ServingRuntime::new(engine, runtime_config).expect("a valid runtime config");
-        for &(qps, n) in runtime_rungs {
-            let scenario = Scenario::sustained(qps, n).with_pattern(TrafficPattern::Zipf {
-                exponent: 1.1,
-                seed,
-            });
-            for r in runtime.run_scenario(&requests, &scenario) {
-                let total = r.completed + r.shed;
-                assert_eq!(total, n, "every request is accounted for, served or shed");
-                runtime_table.row(vec![
-                    shards.to_string(),
-                    replicas.to_string(),
-                    format!("{:.0}", r.offered_qps),
-                    r.completed.to_string(),
-                    r.shed.to_string(),
-                    format!("{:.3}", r.shed as f64 / total.max(1) as f64),
-                    r.timed_out.to_string(),
-                    format!("{:.0}", r.goodput_qps),
-                    format!("{:.3}", r.p50_ms),
-                    format!("{:.3}", r.p99_ms),
-                ]);
-                runtime_json.push(Json::obj(vec![
-                    ("shards", Json::from(shards)),
-                    ("replicas", Json::from(replicas)),
-                    ("offered_qps", Json::from(r.offered_qps)),
-                    ("completed", Json::from(r.completed)),
-                    ("shed", Json::from(r.shed)),
-                    ("timed_out", Json::from(r.timed_out)),
-                    ("goodput_qps", Json::from(r.goodput_qps)),
-                    ("achieved_qps", Json::from(r.achieved_qps)),
-                    ("p50_ms", Json::from(r.p50_ms)),
-                    ("p99_ms", Json::from(r.p99_ms)),
-                ]));
-            }
-        }
-    }
-    println!("{}", runtime_table.render());
-    println!("Runtime note: the ladder is open-loop (arrivals never slow down for");
-    println!("completions), so offered QPS past the service capacity *must* shed —");
-    println!("the queue depth and deadline convert unbounded queueing into a bounded");
-    println!("p99 plus an explicit shed rate, and goodput plateaus at saturation.\n");
 
     // -- Delta publish vs full rebuild (largest rung) ---------------------
     // The paper's corpus churns daily while queries keep flowing; a delta
@@ -679,8 +522,6 @@ fn main() {
             ("ladder", Json::Arr(ladder_json)),
             ("frontier", Json::Arr(frontier_json)),
             ("parallel_build", Json::Arr(build_json)),
-            ("serving_topologies", Json::Arr(topology_json)),
-            ("runtime_ladder", Json::Arr(runtime_json)),
             ("delta_vs_rebuild", Json::Arr(delta_json)),
             ("warm_restart", Json::Arr(restart_json)),
             (

@@ -2,11 +2,12 @@
 //! threads that borrow the caller's stack, the results handed back in job
 //! order.
 //!
-//! Index builds are the only fork/join work in the system — the exact
+//! Index builds are the main fork/join work in the system — the exact
 //! scan's key ranges here, and a deployment's `4 + 2·shards` cold index
-//! builds in `amcad-retrieval` — and both run offline, once per build, so
-//! a scoped spawn per call costs nothing that matters and needs no
-//! resident threads, no lifetime erasure and no `unsafe`. Job order in,
+//! builds in `amcad-retrieval` — besides a snapshot save, which checksums
+//! its payload while writing it. All run off the request path, once per
+//! call, so a scoped spawn per call costs nothing that matters and needs
+//! no resident threads, no lifetime erasure and no `unsafe`. Job order in,
 //! job order out is what makes a build at any width byte-identical to the
 //! sequential loop.
 

@@ -74,7 +74,7 @@ impl Default for HnswConfig {
 
 impl HnswConfig {
     /// The same graph parameters with a different search beam width — the
-    /// sweep knob of the recall/latency frontier benchmarks.
+    /// sweep knob of the recall/build-time frontier benchmarks.
     pub fn with_ef_search(mut self, ef_search: usize) -> Self {
         self.ef_search = ef_search;
         self

@@ -238,7 +238,7 @@ impl IndexSet {
 
     /// Mean recall@`k` of this set's ad-side posting lists (Q2A and I2A)
     /// against a reference set's — the quality axis of the approximate
-    /// backends' recall/latency frontier. An exact-backend set scores 1.0
+    /// backends' recall/build-time frontier. An exact-backend set scores 1.0
     /// against itself; approximate backends trade this number for build
     /// (IVF, HNSW) and — via `ef_search` / `nprobe` — search work. Keys
     /// are weighted equally across both indices.

@@ -17,10 +17,10 @@
 //! * [`ShardedEngine`] — the corpus hash-partitioned **by ad** across N
 //!   shards ([`shard::ad_shard`]), the shards built concurrently and
 //!   each served by R replicas ([`ReplicatedShard`]:
-//!   round-robin with health marking and failover, degrading to the typed
-//!   [`RetrievalError::ShardUnavailable`] only when a shard loses every
-//!   replica); requests fan out to every shard — in parallel when
-//!   configured — and the per-key candidate prefixes are merged back into
+//!   round-robin over the replicas not administratively marked down,
+//!   degrading to the typed [`RetrievalError::ShardUnavailable`] only
+//!   when a shard has every replica marked down); requests fan out to
+//!   every shard and the per-key candidate prefixes are merged back into
 //!   *exactly* the ranking a whole-corpus engine would return, so shard
 //!   count, replica count and pool widths are pure deployment knobs
 //!   (every response records its physical route in

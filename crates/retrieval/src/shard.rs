@@ -32,10 +32,9 @@
 //! * **Per-shard replication** ([`ShardedEngineBuilder::replicas`],
 //!   default 1): each shard is served by a [`ReplicatedShard`] — R
 //!   serving replicas behind round-robin selection with health marking.
-//!   A replica that surfaces an internal error at contact, or is
-//!   administratively killed through the
-//!   [`ReplicatedShard::fail_replica`] hook, is marked down and skipped;
-//!   traffic fails over to its siblings. Only when a shard loses *all*
+//!   A replica administratively marked down through
+//!   [`ReplicatedShard::fail_replica`] is skipped; traffic fails over to
+//!   its siblings. Only when a shard loses *all*
 //!   replicas does serving degrade to the typed
 //!   [`RetrievalError::ShardUnavailable`]. Every response records the
 //!   physical route taken in [`crate::RetrievalStats::served_by`], so tests (and
@@ -260,24 +259,13 @@ impl ShardedEngineBuilder {
 }
 
 /// State of one serving replica slot.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ReplicaSlot {
-    /// Marked down: administratively killed, or observed erroring.
+    /// Administratively marked down through
+    /// [`ReplicatedShard::fail_replica`].
     down: AtomicBool,
-    /// Test hook: the next contact surfaces an internal error.
-    poisoned: AtomicBool,
     /// Requests this replica served (routing attribution).
     serves: AtomicU64,
-}
-
-impl ReplicaSlot {
-    fn healthy() -> Self {
-        ReplicaSlot {
-            down: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            serves: AtomicU64::new(0),
-        }
-    }
 }
 
 /// One shard's replica set: R serving replicas behind round-robin
@@ -287,9 +275,9 @@ impl ReplicaSlot {
 /// model they share the shard's immutable index storage (a real
 /// deployment copies it per machine) — so which replica answers can never
 /// change a ranking. What the replica set adds is *availability*: a
-/// replica that errors at contact or is killed through
-/// [`ReplicatedShard::fail_replica`] is marked down and skipped, traffic
-/// fails over to its siblings, and only a shard with zero healthy
+/// replica administratively marked down through
+/// [`ReplicatedShard::fail_replica`] is skipped, traffic fails over to
+/// its siblings, and only a shard with zero healthy
 /// replicas degrades serving to [`RetrievalError::ShardUnavailable`].
 #[derive(Debug)]
 pub struct ReplicatedShard {
@@ -310,7 +298,6 @@ impl Clone for ReplicatedShard {
                 .iter()
                 .map(|slot| ReplicaSlot {
                     down: AtomicBool::new(slot.down.load(Ordering::Acquire)),
-                    poisoned: AtomicBool::new(slot.poisoned.load(Ordering::Acquire)),
                     // serves is a monotonic telemetry counter: an older
                     // snapshot is still correct, so Relaxed
                     serves: AtomicU64::new(slot.serves.load(Ordering::Relaxed)),
@@ -326,7 +313,7 @@ impl ReplicatedShard {
     fn new(engine: Arc<RetrievalEngine>, replicas: usize) -> Self {
         ReplicatedShard {
             engine,
-            slots: (0..replicas).map(|_| ReplicaSlot::healthy()).collect(),
+            slots: (0..replicas).map(|_| ReplicaSlot::default()).collect(),
             cursor: AtomicUsize::new(0),
         }
     }
@@ -358,18 +345,9 @@ impl ReplicatedShard {
         self.slots[replica].down.store(true, Ordering::Release);
     }
 
-    /// Bring replica `replica` back into rotation (clears both the down
-    /// marking and any injected fault).
+    /// Bring replica `replica` back into rotation.
     pub fn restore_replica(&self, replica: usize) {
-        self.slots[replica].poisoned.store(false, Ordering::Release);
         self.slots[replica].down.store(false, Ordering::Release);
-    }
-
-    /// Test hook: make replica `replica`'s next contact surface an
-    /// internal error. The router observes the error, marks the replica
-    /// down and fails over to a sibling within the same request.
-    pub fn poison_replica(&self, replica: usize) {
-        self.slots[replica].poisoned.store(true, Ordering::Release);
     }
 
     /// Requests served per replica since the engine was built — the
@@ -386,44 +364,28 @@ impl ReplicatedShard {
 
     /// Pick the replica for one request: round-robin over the healthy
     /// replicas, the shared cursor selecting the `cursor % healthy`-th of
-    /// them. A poisoned replica errors at first contact — it is marked
-    /// down and the pick fails over within the same call. `None` when no
-    /// healthy replica is left: the shard is unavailable.
-    ///
-    /// The attempts are bounded at `replicas + 1`, which assumes every
-    /// failed attempt leaves one more replica down. A shard whose replicas
-    /// are concurrently restored ([`ReplicatedShard::restore_replica`])
-    /// while others are poisoned or failed can exhaust the attempts with a
-    /// healthy replica still present, and report `None` spuriously.
+    /// them. `None` only when no replica is healthy: the shard is
+    /// unavailable.
     fn pick(&self) -> Option<u32> {
-        let n = self.slots.len();
-        let eligible = |r: &usize| !self.slots[*r].down.load(Ordering::Acquire);
-        // every attempt that does not serve saw one replica go down, so
-        // after `n + 1` attempts no healthy replica is left
-        for _ in 0..=n {
-            let healthy = (0..n).filter(eligible).count();
-            if healthy == 0 {
-                return None;
-            }
-            // round-robin ticket: RMW atomicity spreads concurrent picks;
-            // which exact slot a pick lands on is not a correctness
-            // property, so Relaxed
-            let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
-            // `None` only if a replica went down since the count
-            let Some(r) = (0..n).filter(eligible).nth(ticket % healthy) else {
-                continue;
-            };
-            if self.slots[r].poisoned.swap(false, Ordering::AcqRel) {
-                // the contact surfaced an internal error: mark the replica
-                // down and retry — failover within the same request
-                self.slots[r].down.store(true, Ordering::Release);
-                continue;
-            }
-            // monotonic telemetry counter, read by serve_counts() — Relaxed
-            self.slots[r].serves.fetch_add(1, Ordering::Relaxed);
-            return Some(r as u32);
-        }
-        None
+        let up = |slot: &&ReplicaSlot| !slot.down.load(Ordering::Acquire);
+        let healthy = self.slots.iter().filter(up).count();
+        // round-robin ticket: RMW atomicity spreads concurrent picks;
+        // which exact slot a pick lands on is not a correctness property,
+        // so Relaxed
+        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let nth = ticket.checked_rem(healthy)?;
+        // `cycle` wraps if a replica went down since the count, and ends
+        // at `None` once a whole pass finds none healthy
+        let (r, slot) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| up(slot))
+            .cycle()
+            .nth(nth)?;
+        // monotonic telemetry counter, read by serve_counts() — Relaxed
+        slot.serves.fetch_add(1, Ordering::Relaxed);
+        Some(r as u32)
     }
 }
 
@@ -1257,40 +1219,6 @@ mod tests {
                 assert_eq!(engine.shard(shard).healthy_replicas(), 3);
             }
         }
-    }
-
-    #[test]
-    fn a_poisoned_replica_fails_over_on_first_contact_and_is_marked_down() {
-        let engine = ShardedEngine::builder()
-            .shards(2)
-            .replicas(2)
-            .top_k(8)
-            .threads(1)
-            .build(&tiny_inputs())
-            .unwrap();
-        let request = Request {
-            query: 3,
-            preclick_items: vec![103],
-        };
-        let expected = logical(engine.retrieve(&request));
-        // fresh cursor position would pick replica 1 next on both shards;
-        // poison it on shard 0 — the internal error must surface as a
-        // transparent failover, not as a request failure
-        engine.shard(0).poison_replica(1);
-        let response = engine.retrieve(&request).unwrap();
-        assert_eq!(
-            response.stats.served_by[0].replica, 0,
-            "contacting the poisoned replica must fail over to its sibling"
-        );
-        assert_eq!(
-            engine.shard(0).healthy_replicas(),
-            1,
-            "the erroring replica is marked down"
-        );
-        assert_eq!(logical(Ok(response)), expected, "the ranking never changes");
-        // restore clears both the fault and the down marking
-        engine.shard(0).restore_replica(1);
-        assert_eq!(engine.shard(0).healthy_replicas(), 2);
     }
 
     #[test]

@@ -73,16 +73,13 @@ fn corrupt(detail: impl Into<String>) -> RetrievalError {
     }
 }
 
-/// Wrap `payload` in the envelope: magic, version, length, checksum.
-pub(crate) fn seal(magic: &[u8; 8], payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENVELOPE_BYTES + payload.len());
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let checksum = fnv1a64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+/// The envelope ahead of a `len`-byte payload: magic, version, length.
+/// The payload and its [`fnv1a64`] checksum follow.
+pub(crate) fn envelope_head(magic: &[u8; 8], len: usize) -> Vec<u8> {
+    let mut head = magic.to_vec();
+    head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    head.extend_from_slice(&(len as u64).to_le_bytes());
+    head
 }
 
 /// Verify the envelope of `bytes` and return the payload slice. Checks
@@ -531,6 +528,14 @@ pub(crate) fn decode_pool_width(
     what: &str,
 ) -> Result<usize, RetrievalError> {
     dec.usize_capped(MAX_THREADS, what)
+}
+
+/// Wrap `payload` in the whole envelope in memory — the bytes the
+/// snapshot writer puts on disk.
+#[cfg(test)]
+pub(crate) fn seal(magic: &[u8; 8], payload: Vec<u8>) -> Vec<u8> {
+    let checksum = fnv1a64(&payload).to_le_bytes().to_vec();
+    [envelope_head(magic, payload.len()), payload, checksum].concat()
 }
 
 #[cfg(test)]

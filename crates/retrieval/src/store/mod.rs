@@ -267,6 +267,46 @@ mod tests {
         );
     }
 
+    /// A save that dies mid-write leaves at most a torn temp file beside
+    /// the snapshot: loading still returns the last good generation, and
+    /// the next save replaces the snapshot and leaves no temp file.
+    #[test]
+    fn a_torn_temp_file_beside_a_good_snapshot_changes_nothing() {
+        let file = TmpFile::new("torn");
+        let tmp = writer::temp_path(file.path());
+        let topology = ShardedEngine::builder()
+            .shards(2)
+            .top_k(6)
+            .threads(1)
+            .build_threads(1);
+        let mut live = ShardedDeltaBuilder::new(&tiny_inputs(), topology).unwrap();
+        let handle = EngineHandle::new(live.engine().unwrap());
+        let saved = handle.save_snapshot(&live, file.path()).unwrap();
+        assert!(!tmp.exists(), "a finished save leaves no temp file");
+        let good = std::fs::read(file.path()).unwrap();
+        let (before, _) = EngineHandle::load(file.path()).unwrap();
+        let served = serve_all(&before);
+
+        handle
+            .publish_delta(&mut live, &make_delta(500..504, 17, vec![203]))
+            .unwrap();
+        let next = writer::snapshot_bytes(&live, handle.generation()).unwrap();
+        for torn_at in [0, next.len() / 2, next.len() - 1] {
+            std::fs::write(&tmp, &next[..torn_at]).unwrap();
+            let (after, _) = EngineHandle::load(file.path()).unwrap();
+            assert_eq!(after.generation(), saved, "torn at byte {torn_at}");
+            assert_eq!(serve_all(&after), served, "torn at byte {torn_at}");
+            assert!(std::fs::read(file.path()).unwrap() == good);
+        }
+
+        let resaved = handle.save_snapshot(&live, file.path()).unwrap();
+        assert_eq!(resaved, saved + 1);
+        assert!(!tmp.exists(), "the save replaced the torn temp file");
+        let (reloaded, _) = EngineHandle::load(file.path()).unwrap();
+        assert_eq!(reloaded.generation(), resaved);
+        assert_eq!(serve_all(&reloaded), serve_all(&handle));
+    }
+
     /// One copy of the key side per deployment, before and after a
     /// restart: a cold build shares the key-side point sets and indices
     /// across every shard (an adless one included), the writer persists

@@ -9,16 +9,22 @@
 //! too — their key indices are what lets a later delta repopulate them
 //! after a restart.
 
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+
+use amcad_mnn::fork_join;
 
 use crate::delta::ShardedDeltaBuilder;
 use crate::error::RetrievalError;
 
-use super::format::{encode_index, encode_point_set, seal, Encoder, MAGIC_SNAPSHOT};
+use super::format::{
+    encode_index, encode_point_set, envelope_head, fnv1a64, Encoder, MAGIC_SNAPSHOT,
+};
 use super::manifest::SnapshotManifest;
 
-/// The sealed bytes of a deployment snapshot at `generation`.
-pub(crate) fn snapshot_bytes(
+/// The payload of a deployment snapshot at `generation`, unsealed.
+fn snapshot_payload(
     builder: &ShardedDeltaBuilder,
     generation: u64,
 ) -> Result<Vec<u8>, RetrievalError> {
@@ -56,18 +62,59 @@ pub(crate) fn snapshot_bytes(
         encode_index(&mut enc, &indexes.q2a);
         encode_index(&mut enc, &indexes.i2a);
     }
-    Ok(seal(MAGIC_SNAPSHOT, enc.into_bytes()))
+    Ok(enc.into_bytes())
 }
 
-/// Write a deployment snapshot of `builder` at `generation` to `path`.
+/// The sibling file a save writes before renaming it over `path`.
+pub(super) fn temp_path(path: &Path) -> PathBuf {
+    path.with_extension("snap.tmp")
+}
+
+/// Write a deployment snapshot of `builder` at `generation` to `path`: a
+/// synced [`temp_path`] file renamed over it, then a directory sync, so a
+/// crash leaves the old snapshot or the new one, never a torn file.
 pub(crate) fn write_snapshot(
     path: &Path,
     builder: &ShardedDeltaBuilder,
     generation: u64,
 ) -> Result<(), RetrievalError> {
-    std::fs::write(path, snapshot_bytes(builder, generation)?).map_err(|e| {
+    let payload = snapshot_payload(builder, generation)?;
+    let tmp = temp_path(path);
+    let write = || -> std::io::Result<()> {
+        let mut file = File::create(&tmp)?;
+        file.write_all(&envelope_head(MAGIC_SNAPSHOT, payload.len()))?;
+        // the checksum is one serial pass over every byte: it runs while
+        // the payload is written and synced
+        let done = fork_join(2, 2, |job| match job {
+            0 => Ok(fnv1a64(&payload)),
+            _ => (&file)
+                .write_all(&payload)
+                .and_then(|()| file.sync_all())
+                .map(|()| 0),
+        });
+        let done = done.into_iter().collect::<std::io::Result<Vec<u64>>>()?;
+        let checksum = done.first().ok_or(std::io::ErrorKind::Other)?;
+        file.write_all(&checksum.to_le_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        File::open(path.with_file_name("."))?.sync_all()
+    };
+    write().map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
         RetrievalError::SnapshotCorrupt {
             detail: format!("cannot write {}: {e}", path.display()),
         }
     })
+}
+
+/// The bytes [`write_snapshot`] puts on disk, in memory.
+#[cfg(test)]
+pub(crate) fn snapshot_bytes(
+    builder: &ShardedDeltaBuilder,
+    generation: u64,
+) -> Result<Vec<u8>, RetrievalError> {
+    Ok(super::format::seal(
+        MAGIC_SNAPSHOT,
+        snapshot_payload(builder, generation)?,
+    ))
 }

@@ -1,6 +1,7 @@
-//! Online serving scenario: build the six inverted indices with both ANN
-//! backends and several shard counts, serve traffic through the `Retrieve`
-//! API and measure latency under load.
+//! Online serving scenario: build the six inverted indices at several
+//! shard counts, serve traffic through the `Retrieve` API and measure
+//! latency under load, and compare ANN backends by the recall of the
+//! posting lists they build.
 //!
 //! This exercises the production-facing half of the system (Section IV-C of
 //! the paper): MNN index construction behind the pluggable `AnnIndex`
@@ -21,7 +22,7 @@ use std::time::Duration;
 
 use amcad::core::{build_index_inputs, Pipeline, PipelineConfig};
 use amcad::eval::TextTable;
-use amcad::mnn::{HnswConfig, IndexBackend, IvfConfig};
+use amcad::mnn::{HnswConfig, IndexBackend};
 use amcad::retrieval::{
     CoverageSource, LoadReport, Request, RetrievalEngine, Retrieve, RetrievedAd, RuntimeConfig,
     Scenario, ServingRuntime, ShardedEngine,
@@ -117,24 +118,13 @@ fn main() {
         via_preclick
     );
 
-    // Load test: latency vs offered QPS per serving topology — exact and
-    // IVF single-node engines plus 2- and 4-shard deployments, all served
-    // through the same `dyn Retrieve` a transport layer would hold. The
-    // pipeline already built the single exact engine; everything else
-    // comes from the same embeddings through the builders.
+    // Load test: latency vs offered QPS per serving topology — the single
+    // exact engine plus 2- and 4-shard deployments, all served through the
+    // same `dyn Retrieve` a transport layer would hold. The pipeline
+    // already built the single engine; everything else comes from the
+    // same embeddings through the builders.
     let inputs = build_index_inputs(&result.export, &result.dataset);
     let exact_engine = Arc::new(result.engine.clone());
-    let single_node = |backend: IndexBackend| {
-        Arc::new(
-            RetrievalEngine::builder()
-                .index(*result.engine.index_config())
-                .backend(backend)
-                .build(&inputs)
-                .expect("pipeline inputs build a valid engine"),
-        )
-    };
-    let ivf_engine = single_node(IndexBackend::Ivf(IvfConfig::default()));
-    let hnsw_engine = single_node(IndexBackend::Hnsw(HnswConfig::default()));
     let sharded: Vec<Arc<ShardedEngine>> = [2usize, 4]
         .into_iter()
         .map(|shards| {
@@ -163,14 +153,6 @@ fn main() {
         (
             format!("{} x1", exact_engine.backend().label()),
             exact_engine.clone(),
-        ),
-        (
-            format!("{} x1", ivf_engine.backend().label()),
-            ivf_engine.clone(),
-        ),
-        (
-            format!("{} x1", hnsw_engine.backend().label()),
-            hnsw_engine.clone(),
         ),
         (
             format!("exact x{} shards", sharded[0].num_shards()),
@@ -215,33 +197,34 @@ fn main() {
 
     // Backend selection demo: the same embeddings behind the exact scan
     // and HNSW graphs at two beam widths — recall of the ad-side posting
-    // lists against exact next to the serving latency each index yields.
+    // lists against exact. Serving latency is not compared: the request
+    // loop reads the same-length posting prefixes whichever backend built
+    // them.
     let top_k = result.engine.index_config().top_k;
-    println!("== Backend selection: exact vs HNSW (recall vs latency) ==\n");
-    let mut backend_table = TextTable::new(vec![
-        "Backend",
-        "Knob",
-        "Recall@top_k",
-        "Mean (ms)",
-        "p95 (ms)",
-    ]);
-    let narrow_hnsw = single_node(IndexBackend::Hnsw(HnswConfig::default().with_ef_search(4)));
-    let comparisons: [(&str, &str, Arc<RetrievalEngine>); 3] = [
-        ("exact", "-", exact_engine),
-        ("hnsw", "ef=4", narrow_hnsw),
-        ("hnsw", "ef=48", hnsw_engine),
+    println!("== Backend selection: exact vs HNSW (recall of the built posting lists) ==\n");
+    let mut backend_table = TextTable::new(vec!["Backend", "Knob", "Recall@top_k"]);
+    let hnsw = |ef_search: usize| {
+        RetrievalEngine::builder()
+            .index(*result.engine.index_config())
+            .backend(IndexBackend::Hnsw(
+                HnswConfig::default().with_ef_search(ef_search),
+            ))
+            .build(&inputs)
+            .expect("pipeline inputs build a valid engine")
+    };
+    let comparisons = [
+        ("exact", "-", result.engine.clone()),
+        ("hnsw", "ef=4", hnsw(4)),
+        ("hnsw", "ef=48", hnsw(48)),
     ];
     for (label, knob, engine) in comparisons {
         let recall = engine
             .indexes()
             .ad_recall_against(result.engine.indexes(), top_k);
-        let report = load_ladder(engine, &requests, &[20_000.0])[0];
         backend_table.row(vec![
             label.to_string(),
             knob.to_string(),
             format!("{recall:.3}"),
-            format!("{:.3}", report.mean_ms),
-            format!("{:.3}", report.p95_ms),
         ]);
     }
     println!("{}", backend_table.render());

@@ -60,7 +60,7 @@
 //! let exact = RetrievalEngine::builder()
 //!     .backend(IndexBackend::Exact)
 //!     .build(&inputs)?;
-//! // ... or approximate IVF with a recall/latency trade-off ...
+//! // ... or approximate IVF with a recall/build-time trade-off ...
 //! let ivf = RetrievalEngine::builder()
 //!     .backend(IndexBackend::Ivf(IvfConfig::default()))
 //!     .build(&inputs)?;
@@ -77,7 +77,7 @@
 //!     .build_threads(4)
 //!     .build(&inputs)?;
 //!
-//! // availability: a killed (or erroring) replica reroutes traffic to
+//! // availability: a replica marked down reroutes traffic to
 //! // its siblings — every response records the route it took — and only
 //! // a shard with zero healthy replicas degrades to a typed error
 //! sharded.shard(0).fail_replica(1);
@@ -163,8 +163,9 @@
 //! `examples/online_serving.rs` for the topology sweep plus the
 //! flash-crowd shedding and replica-failover runtime demo,
 //! `examples/incremental_training.rs` for the rebuild-and-publish loop,
-//! and the `fig9_serving_latency` / `table9_scalability` benchmark
-//! binaries for the latency, shard-count and offered-QPS-ladder sweeps).
+//! the `fig9_serving_latency` binary for the latency, failover and
+//! offered-QPS-ladder sweeps, and `table9_scalability` for build cost and
+//! the recall/build-time frontier).
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! the experiment harness that regenerates every table and figure of the
