@@ -24,13 +24,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use amcad_bench::json::{write_bench_json, Json};
-use amcad_bench::{sustained_ladder, Scale};
+use amcad_bench::{run_phase, sustained_ladder, zipf, LoadReport, Scale};
 use amcad_core::{build_index_inputs, Pipeline, PipelineConfig};
 use amcad_eval::TextTable;
-use amcad_retrieval::{
-    EngineHandle, LoadReport, Request, RuntimeConfig, Scenario, ServingRuntime, ShardedEngine,
-    TrafficPattern,
-};
+use amcad_retrieval::{EngineHandle, Request, RuntimeConfig, ServingRuntime, ShardedEngine};
 
 fn latency_table(reports: &[LoadReport]) -> TextTable {
     // p90 / p95 sit between the median and p99 on purpose: the
@@ -209,18 +206,13 @@ fn main() {
     ];
     let mut runtime_reports: Vec<LoadReport> = Vec::new();
     for &(qps, n) in rungs {
-        let scenario = Scenario::sustained(qps, n).with_pattern(TrafficPattern::Zipf {
-            exponent: 1.1,
-            seed: 20221212,
-        });
-        for r in runtime.run_scenario(&requests, &scenario) {
-            assert_eq!(
-                r.completed + r.shed,
-                n,
-                "every request is accounted for, served or shed"
-            );
-            runtime_reports.push(r);
-        }
+        let r = run_phase(&runtime, &requests, qps, n, zipf(requests.len(), 1.1, seed));
+        assert_eq!(
+            r.completed + r.shed,
+            n,
+            "every request is accounted for, served or shed"
+        );
+        runtime_reports.push(r);
     }
     let mut runtime_table = TextTable::new(vec![
         "Offered QPS",

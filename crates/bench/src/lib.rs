@@ -15,12 +15,19 @@
 //! world, not Taobao), but the *shape* of each table/figure — which method
 //! wins, by roughly what factor, where the trends bend — is what the
 //! binaries reproduce.
+//!
+//! Serving latency is measured by the one open-loop load driver
+//! ([`run_phase`], [`sustained_ladder`]): a client of the serving
+//! runtime that offers requests on a fixed-rate schedule and reports a
+//! [`LoadReport`] per phase.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub mod gate;
 pub mod json;
+mod open_loop;
+
+pub use open_loop::{round_robin, run_phase, sustained_ladder, zipf, LoadReport};
 
 use amcad_core::{evaluate_offline, EvalConfig, OfflineMetrics};
 use amcad_datagen::{Dataset, WorldConfig};
@@ -28,37 +35,6 @@ use amcad_model::{
     AmcadConfig, AmcadModel, ModelExport, PairScorer, SgnsConfig, SgnsModel, Trainer,
     TrainerConfig, WalkStrategy,
 };
-use amcad_retrieval::{LoadReport, Request, Retrieve, RuntimeConfig, Scenario, ServingRuntime};
-
-/// Drive `engine` through a sustained open-loop ladder — one
-/// [`LoadReport`] per offered-QPS level, `requests_per_level` requests
-/// each — on a [`ServingRuntime`] sized so that nothing sheds: the queue
-/// holds a whole level and the deadline outlasts any of them, so the
-/// ladder measures latency versus offered load (Fig. 9) rather than
-/// admission control.
-pub fn sustained_ladder(
-    engine: Arc<dyn Retrieve>,
-    requests: &[Request],
-    qps_levels: &[f64],
-    requests_per_level: usize,
-) -> Vec<LoadReport> {
-    let runtime = ServingRuntime::new(
-        engine,
-        RuntimeConfig {
-            workers: 4,
-            queue_depth: requests_per_level,
-            deadline: Duration::from_secs(3600),
-            batch_size: 8,
-        },
-    )
-    .expect("a positive worker count and level size are a valid runtime config");
-    qps_levels
-        .iter()
-        .flat_map(|&qps| {
-            runtime.run_scenario(requests, &Scenario::sustained(qps, requests_per_level))
-        })
-        .collect()
-}
 
 /// Experiment scale selected through the `AMCAD_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -72,13 +72,11 @@
 //! sheds with the typed
 //! [`RetrievalError::Overloaded`] instead of queueing without bound,
 //! and queued neighbours batch into one scan-deduplicated
-//! `retrieve_batch`.
-//! [`Scenario`] traffic (flash crowds, Zipf-skewed
-//! sustained load) drives it open-loop through
-//! [`ServingRuntime::run_scenario`] — the one load driver, measuring
-//! response time versus offered QPS (Fig. 9) over any [`Retrieve`]
-//! implementation — and each phase reports a [`LoadReport`]: the latency
-//! ladder plus shed / timeout counters and goodput.
+//! `retrieve_batch`. Each [`Ticket`] resolves with the instant the
+//! drain answered or shed it ([`Ticket::wait_timed`]); the open-loop
+//! load driver that measures response time versus offered QPS (Fig. 9)
+//! is not part of this crate but a client of [`ServingRuntime::submit`]
+//! in `amcad-bench`.
 //!
 //! ## Serving with shards, replicas and zero-downtime updates
 //!
@@ -152,7 +150,6 @@ pub mod error;
 pub mod index_set;
 pub mod retriever;
 pub mod runtime;
-pub mod serving;
 pub mod shard;
 pub mod snapshot;
 pub mod store;
@@ -167,7 +164,6 @@ pub use index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
 pub use retriever::{RetrievalConfig, RetrievedAd, TwoLayerRetriever};
 pub use runtime::park_pool::PersistentPool;
 pub use runtime::{RuntimeConfig, RuntimeStats, ServingRuntime, Ticket};
-pub use serving::{LoadReport, Scenario, ScenarioPhase, TrafficPattern};
 pub use shard::{ad_shard, shard_inputs, ReplicatedShard, ShardedEngine, ShardedEngineBuilder};
 pub use snapshot::{EngineHandle, EngineSnapshot};
 pub use store::{SnapshotManifest, FORMAT_VERSION};

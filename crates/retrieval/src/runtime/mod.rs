@@ -28,10 +28,11 @@
 //!   engine's batch of one *is* its `retrieve` — so the engine-level
 //!   cross-request scan dedup engages exactly when load (and therefore
 //!   key overlap) is highest.
-//! * **Traffic scenarios** — [`ServingRuntime::run_scenario`] drives the
-//!   runtime with open-loop [`Scenario`]s (sustained load, flash crowds,
-//!   Zipf-skewed template popularity) and reports
-//!   [`LoadReport`]s extended with shed / timeout counters and goodput.
+//! * **Completion stamps** — [`Ticket::wait_timed`] returns the instant
+//!   the drain resolved the ticket alongside the result, so a load
+//!   generator measures queueing plus service without timing its own
+//!   wake-up; the open-loop driver that offers Fig. 9's load is a plain
+//!   client of [`ServingRuntime::submit`] in the `amcad-bench` crate.
 //!
 //! The pool type lives in [`park_pool`].
 
@@ -49,7 +50,6 @@ use parking_lot::Mutex;
 use self::park_pool::PersistentPool;
 use crate::engine::{Request, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
-use crate::serving::{percentile, LoadReport, Scenario, ScenarioPhase, TemplateSampler};
 
 /// Configuration of a [`ServingRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,13 +122,18 @@ impl Ticket {
     /// If the engine panicked while serving this request: the ticket can
     /// then never resolve, and a panic beats blocking forever.
     pub fn wait(self) -> Result<RetrievalResponse, RetrievalError> {
-        self.wait_full().0
+        self.wait_timed().0
     }
 
-    /// Block until the request resolves; also return the completion
-    /// timestamp the drain stamped (the scenario driver computes
-    /// per-request latency from it).
-    pub(crate) fn wait_full(self) -> Outcome {
+    /// [`Ticket::wait`], plus the instant the ticket was resolved: when
+    /// the drain finished serving the request, or shed it at its
+    /// deadline or at runtime shutdown. A waiter that wakes late still
+    /// reads when the answer was ready.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ticket::wait`].
+    pub fn wait_timed(self) -> (Result<RetrievalResponse, RetrievalError>, Instant) {
         self.outcome
             .recv()
             .expect("the request's serving panicked before resolving its ticket")
@@ -298,103 +303,6 @@ impl ServingRuntime {
     ) -> Result<RetrievalResponse, RetrievalError> {
         self.submit(request.clone())?.wait()
     }
-
-    /// Drive the runtime with an open-loop traffic [`Scenario`]: one
-    /// [`LoadReport`] per phase. Requests arrive on each phase's
-    /// fixed-rate schedule regardless of completions (open loop —
-    /// overload cannot slow the arrivals down, exactly the regime
-    /// admission control exists for); the template sampler persists
-    /// across phases, so Zipf popularity spans the whole scenario.
-    /// Queue state also carries across phases: a flash crowd's backlog
-    /// drains into the recovery phase.
-    pub fn run_scenario(&self, templates: &[Request], scenario: &Scenario) -> Vec<LoadReport> {
-        assert!(!templates.is_empty(), "need at least one request template");
-        let mut sampler = scenario.pattern.sampler(templates.len());
-        scenario
-            .phases
-            .iter()
-            .map(|phase| self.run_phase(templates, &mut sampler, phase))
-            .collect()
-    }
-
-    /// One constant-rate open-loop phase (see
-    /// [`ServingRuntime::run_scenario`]).
-    fn run_phase(
-        &self,
-        templates: &[Request],
-        sampler: &mut TemplateSampler,
-        phase: &ScenarioPhase,
-    ) -> LoadReport {
-        assert!(phase.offered_qps > 0.0, "offered QPS must be positive");
-        let interval = Duration::from_secs_f64(1.0 / phase.offered_qps);
-        let deadline = self.shared.config.deadline;
-
-        let start = Instant::now();
-        let mut pending: Vec<(Duration, Ticket)> = Vec::with_capacity(phase.requests);
-        let mut shed = 0usize;
-        for i in 0..phase.requests {
-            // f64 multiply, not `interval * i as u32`: the cast would
-            // silently truncate the request index and the u32 multiply can
-            // panic on Duration overflow at low QPS × many requests
-            let scheduled = interval.mul_f64(i as f64);
-            let now = start.elapsed();
-            if scheduled > now {
-                std::thread::sleep(scheduled - now);
-            }
-            let template = &templates[sampler.next(i)];
-            match self.submit(template.clone()) {
-                Ok(ticket) => pending.push((scheduled, ticket)),
-                Err(_) => shed += 1, // admission-shed: Overloaded by construction
-            }
-        }
-
-        let mut ms: Vec<f64> = Vec::with_capacity(pending.len());
-        let mut no_coverage = 0usize;
-        let mut timed_out = 0usize;
-        let mut good = 0usize;
-        for (scheduled, ticket) in pending {
-            let (result, finished) = ticket.wait_full();
-            match result {
-                Err(RetrievalError::Overloaded { .. }) => {
-                    // deadline-shed while queued: no answer was produced
-                    shed += 1;
-                    continue;
-                }
-                Err(RetrievalError::NoCoverage { .. }) => no_coverage += 1,
-                _ => {}
-            }
-            // latency from scheduled arrival to this request's own
-            // completion: queueing + service
-            let latency = finished.duration_since(start).saturating_sub(scheduled);
-            if latency <= deadline {
-                good += 1;
-            } else {
-                timed_out += 1;
-            }
-            ms.push(latency.as_secs_f64() * 1000.0);
-        }
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        ms.sort_by(|a, b| a.total_cmp(b));
-        let completed = ms.len();
-        LoadReport {
-            offered_qps: phase.offered_qps,
-            completed,
-            no_coverage,
-            mean_ms: if completed == 0 {
-                0.0
-            } else {
-                ms.iter().sum::<f64>() / completed as f64
-            },
-            p50_ms: percentile(&ms, 0.50),
-            p90_ms: percentile(&ms, 0.90),
-            p95_ms: percentile(&ms, 0.95),
-            p99_ms: percentile(&ms, 0.99),
-            achieved_qps: completed as f64 / wall,
-            shed,
-            timed_out,
-            goodput_qps: good as f64 / wall,
-        }
-    }
 }
 
 impl Drop for ServingRuntime {
@@ -481,9 +389,7 @@ fn drain_queue(shared: &RuntimeShared) {
 mod tests {
     use super::*;
     use crate::engine::RetrievalEngine;
-    use crate::serving::TrafficPattern;
     use crate::test_fixtures::tiny_inputs;
-    use crate::{EngineHandle, ShardedEngine};
 
     fn engine() -> Arc<RetrievalEngine> {
         Arc::new(
@@ -776,193 +682,68 @@ mod tests {
         let _ = t2.wait();
     }
 
+    /// The stamp `wait_timed` returns is the instant the ticket was
+    /// resolved: after the submit, before `wait_timed` returns — for a
+    /// served request, one shed at its deadline and one shed at shutdown.
     #[test]
-    fn flash_crowd_scenario_sheds_at_the_spike_and_recovers() {
+    fn wait_timed_stamps_every_resolution_between_submit_and_return() {
+        let in_window = |submitted: Instant, ticket: Ticket| {
+            let (result, stamp) = ticket.wait_timed();
+            assert!(submitted <= stamp && stamp <= Instant::now());
+            result
+        };
+        let gated = Arc::new(GatedEngine::new(engine()));
         let runtime = ServingRuntime::new(
-            engine(),
+            gated.clone() as Arc<dyn Retrieve>,
             RuntimeConfig {
                 workers: 1,
-                queue_depth: 16,
-                deadline: Duration::from_secs(1),
-                batch_size: 4,
+                queue_depth: 8,
+                deadline: Duration::from_millis(5),
+                batch_size: 1,
             },
         )
         .unwrap();
-        // base phases arrive 10 ms apart (far slower than tiny-world
-        // service, with headroom for a descheduled worker when the whole
-        // suite runs in parallel); the spike offers requests faster than
-        // the producer can even enqueue them, so the depth-16 queue must
-        // overflow
-        let scenario = Scenario::flash_crowd(100.0, 5_000_000.0, 30, 2_000);
-        let reports = runtime.run_scenario(&requests(), &scenario);
-        assert_eq!(reports.len(), 3);
-        let (base, spike, recovery) = (&reports[0], &reports[1], &reports[2]);
-        assert_eq!(base.shed, 0, "base load must serve without shedding");
-        assert_eq!(base.completed, 30);
-        assert!(
-            spike.shed > 0,
-            "the flash crowd must shed against the depth-16 queue (completed {}, shed {})",
-            spike.completed,
-            spike.shed
-        );
-        assert_eq!(
-            spike.completed + spike.shed,
-            2_000,
-            "every spike request is accounted for, served or shed"
-        );
-        assert_eq!(recovery.shed, 0, "the load drop restores zero-shed serving");
-        assert_eq!(recovery.completed, 30);
-        // goodput never exceeds achieved throughput
-        for r in &reports {
-            assert!(r.goodput_qps <= r.achieved_qps + 1e-9);
-        }
-        let stats = runtime.stats();
-        assert_eq!(
-            stats.shed_queue_full + stats.shed_deadline,
-            spike.shed as u64,
-            "runtime counters agree with the report"
-        );
-    }
+        let templates = requests();
+        let served_at = Instant::now();
+        let served = runtime.submit(templates[0].clone()).unwrap();
+        gated.wait_entered(1);
+        let shed_at = Instant::now();
+        let shed = runtime.submit(templates[1].clone()).unwrap();
+        std::thread::sleep(Duration::from_millis(25));
+        gated.open_gate();
+        assert!(in_window(served_at, served).is_ok());
+        assert!(matches!(
+            in_window(shed_at, shed),
+            Err(RetrievalError::Overloaded { .. })
+        ));
+        assert_eq!(runtime.stats().shed_deadline, 1);
 
-    #[test]
-    fn zipf_scenario_completes_and_counts_every_request() {
+        // shutdown: the one worker is parked on a closed gate, so only
+        // the runtime's drop can resolve the queued ticket; the drop then
+        // blocks joining that worker until the gate opens
+        let gated = Arc::new(GatedEngine::new(engine()));
         let runtime = ServingRuntime::new(
-            engine(),
-            RuntimeConfig {
-                workers: 2,
-                queue_depth: 256,
-                deadline: Duration::from_secs(5),
-                batch_size: 8,
-            },
-        )
-        .unwrap();
-        let scenario = Scenario::sustained(20_000.0, 300).with_pattern(TrafficPattern::Zipf {
-            exponent: 1.1,
-            seed: 42,
-        });
-        let reports = runtime.run_scenario(&requests(), &scenario);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].completed, 300);
-        assert_eq!(reports[0].shed, 0);
-        assert_eq!(reports[0].no_coverage, 0);
-        assert!(reports[0].p50_ms <= reports[0].p99_ms + 1e-9);
-    }
-
-    /// The runtime is the one load driver for every engine flavour: a
-    /// single engine, a sharded fan-out and a hot-swappable handle all
-    /// serve a scenario through `dyn Retrieve`, complete every request and
-    /// report a sane latency ladder.
-    #[test]
-    fn run_scenario_serves_every_engine_flavour_through_the_trait() {
-        let sharded = ShardedEngine::builder()
-            .shards(2)
-            .top_k(8)
-            .threads(1)
-            .build(&tiny_inputs())
-            .expect("tiny inputs build a valid sharded engine");
-        let flavours: Vec<Arc<dyn Retrieve>> = vec![
-            engine(),
-            Arc::new(sharded.clone()),
-            Arc::new(EngineHandle::new(sharded)),
-        ];
-        for flavour in flavours {
-            let runtime = ServingRuntime::new(
-                flavour,
-                RuntimeConfig {
-                    workers: 2,
-                    queue_depth: 256,
-                    deadline: Duration::from_secs(5),
-                    batch_size: 4,
-                },
-            )
-            .unwrap();
-            let reports = runtime.run_scenario(&requests(), &Scenario::sustained(10_000.0, 120));
-            assert_eq!(reports.len(), 1);
-            let report = &reports[0];
-            assert_eq!(report.offered_qps, 10_000.0);
-            assert_eq!(report.completed, 120);
-            assert_eq!(report.no_coverage, 0);
-            assert_eq!(report.shed, 0);
-            assert!(report.mean_ms >= 0.0);
-            // the percentile ladder must be monotone
-            assert!(report.p50_ms <= report.p90_ms + 1e-9);
-            assert!(report.p90_ms <= report.p95_ms + 1e-9);
-            assert!(report.p95_ms <= report.p99_ms + 1e-9);
-            assert!(report.achieved_qps > 0.0);
-        }
-    }
-
-    #[test]
-    fn uncovered_requests_are_counted_not_dropped() {
-        let runtime = ServingRuntime::new(
-            engine(),
-            RuntimeConfig {
-                workers: 2,
-                queue_depth: 64,
-                deadline: Duration::from_secs(5),
-                batch_size: 4,
-            },
-        )
-        .unwrap();
-        let uncovered = vec![Request {
-            query: 99_999,
-            preclick_items: vec![],
-        }];
-        let reports = runtime.run_scenario(&uncovered, &Scenario::sustained(10_000.0, 50));
-        assert_eq!(reports[0].completed, 50);
-        assert_eq!(reports[0].no_coverage, 50);
-        assert_eq!(reports[0].shed, 0);
-    }
-
-    /// The uniform pattern offers the templates round-robin: one worker
-    /// drains the FIFO queue in submission order, so the engine sees
-    /// exactly the cycle.
-    #[test]
-    fn uniform_scenario_cycles_through_the_templates_in_order() {
-        struct Recorder {
-            inner: Arc<RetrievalEngine>,
-            seen: Mutex<Vec<u32>>,
-        }
-        impl Retrieve for Recorder {
-            fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
-                self.seen.lock().push(request.query);
-                self.inner.retrieve(request)
-            }
-        }
-        let recorder = Arc::new(Recorder {
-            inner: engine(),
-            seen: Mutex::new(Vec::new()),
-        });
-        let runtime = ServingRuntime::new(
-            recorder.clone() as Arc<dyn Retrieve>,
+            gated.clone() as Arc<dyn Retrieve>,
             RuntimeConfig {
                 workers: 1,
-                queue_depth: 64,
-                deadline: Duration::from_secs(5),
-                batch_size: 4,
+                queue_depth: 8,
+                deadline: Duration::from_secs(30),
+                batch_size: 1,
             },
         )
         .unwrap();
-        let templates = &requests()[..3];
-        let reports = runtime.run_scenario(templates, &Scenario::sustained(10_000.0, 7));
-        assert_eq!(reports[0].completed, 7);
-        assert_eq!(*recorder.seen.lock(), vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn open_loop_schedule_survives_low_qps_and_large_request_indices() {
-        // arrivals 1000 s apart: the first is due immediately, so a
-        // one-request phase completes without ever sleeping an interval
-        let runtime = ServingRuntime::new(engine(), RuntimeConfig::default()).unwrap();
-        let reports = runtime.run_scenario(&requests(), &Scenario::sustained(0.001, 1));
-        assert_eq!(reports[0].completed, 1);
-        // the schedule expression itself: `interval * i as u32` panicked on
-        // Duration overflow once interval × index exceeded Duration::MAX
-        // (and silently truncated the index first); mul_f64 must keep the
-        // schedule monotone
-        let interval = Duration::from_secs_f64(1.0 / 0.001);
-        let far = interval.mul_f64(10_000_000.0);
-        assert!(far > interval.mul_f64(9_999_999.0));
-        assert_eq!(interval.mul_f64(0.0), Duration::ZERO);
+        let blocking = runtime.submit(templates[0].clone()).unwrap();
+        gated.wait_entered(1);
+        let queued_at = Instant::now();
+        let queued = runtime.submit(templates[1].clone()).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || drop(runtime));
+            assert!(matches!(
+                in_window(queued_at, queued),
+                Err(RetrievalError::Overloaded { .. })
+            ));
+            gated.open_gate();
+        });
+        assert!(blocking.wait().is_ok());
     }
 }

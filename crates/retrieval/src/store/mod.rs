@@ -488,4 +488,67 @@ mod tests {
         std::fs::write(file.path(), &good).unwrap();
         assert!(EngineHandle::load(file.path()).is_ok());
     }
+
+    /// Exhaustive single-byte damage to a 2-shard snapshot of the tiny
+    /// world. Flipped in place, every byte breaks the envelope — magic,
+    /// version, declared length or checksum — so the load is a typed
+    /// error. Each payload byte flipped and resealed with a valid
+    /// checksum gets past the envelope to the decoder proper, which must
+    /// return a typed snapshot error or a deployment, and never panic.
+    #[test]
+    fn every_single_byte_mutation_is_a_typed_error_or_a_clean_decode() {
+        let live = ShardedDeltaBuilder::new(
+            &tiny_inputs(),
+            ShardedEngine::builder().shards(2).top_k(6).threads(1),
+        )
+        .unwrap();
+        let good = writer::snapshot_bytes(&live, 1).unwrap();
+        let typed = |err: &RetrievalError| {
+            matches!(
+                err,
+                RetrievalError::SnapshotCorrupt { .. } | RetrievalError::SnapshotVersion { .. }
+            )
+        };
+
+        let mut bytes = good.clone();
+        for at in 0..bytes.len() {
+            bytes[at] ^= 0xFF;
+            match reader::decode_snapshot(&bytes) {
+                Err(err) if typed(&err) => {}
+                Err(err) => panic!("byte {at} flipped: untyped error {err}"),
+                Ok(_) => panic!("byte {at} flipped: the envelope let it through"),
+            }
+            bytes[at] ^= 0xFF;
+        }
+
+        // the resealed decodes dominate the run time (a debug build spends
+        // about a millisecond and a half on each), so they fan out
+        let payload = &good[20..good.len() - 8];
+        let outcomes = amcad_mnn::fork_join(4, payload.len(), |at| {
+            let mut damaged = payload.to_vec();
+            damaged[at] ^= 0xFF;
+            let sealed = format::seal(format::MAGIC_SNAPSHOT, damaged);
+            std::panic::catch_unwind(|| reader::decode_snapshot(&sealed).map(|(g, _)| g))
+                .map_err(|_| at)
+        });
+        let (mut decoded, mut rejected, mut panicked) = (0usize, 0usize, Vec::new());
+        for (at, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Ok(Ok(_)) => decoded += 1,
+                Ok(Err(err)) if typed(&err) => rejected += 1,
+                Ok(Err(err)) => panic!("payload byte {at} resealed: untyped error {err}"),
+                Err(at) => panicked.push(at),
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "the decoder panicked on resealed payload bytes {panicked:?}"
+        );
+        // both outcomes occur: a flipped coordinate decodes, a flipped
+        // count or tag does not
+        assert!(
+            decoded > 0 && rejected > 0,
+            "{decoded} decoded, {rejected} rejected"
+        );
+    }
 }

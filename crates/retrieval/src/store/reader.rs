@@ -112,6 +112,13 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
         .fanout_threads(manifest.fanout_threads)
         .index(manifest.index)
         .retrieval(manifest.retrieval);
-    let builder = ShardedDeltaBuilder::from_slot_parts(topology, parts)?;
+    // every field decoded, yet the parts may still not form a deployment
+    // (a damaged id duplicates another, a config knob is out of range):
+    // the file is corrupt, not the caller's build input
+    let builder = ShardedDeltaBuilder::from_slot_parts(topology, parts).map_err(|e| {
+        RetrievalError::SnapshotCorrupt {
+            detail: format!("decoded parts do not form a deployment: {e}"),
+        }
+    })?;
     Ok((manifest.generation, builder))
 }

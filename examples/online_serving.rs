@@ -24,40 +24,13 @@ use amcad::core::{build_index_inputs, Pipeline, PipelineConfig};
 use amcad::eval::TextTable;
 use amcad::mnn::{HnswConfig, IndexBackend};
 use amcad::retrieval::{
-    CoverageSource, LoadReport, Request, RetrievalEngine, Retrieve, RetrievedAd, RuntimeConfig,
-    Scenario, ServingRuntime, ShardedEngine,
+    CoverageSource, Request, RetrievalEngine, Retrieve, RetrievedAd, RuntimeConfig, ServingRuntime,
+    ShardedEngine,
 };
+use amcad_bench::{round_robin, run_phase, sustained_ladder};
 
 /// Requests offered per load level.
 const REQUESTS_PER_LEVEL: usize = 1_500;
-
-/// Drive `engine` through a sustained open-loop ladder, one report per
-/// offered-QPS level, on a runtime sized so nothing sheds (the queue
-/// holds a whole level, the deadline outlasts it): the ladder shows
-/// latency versus offered load, the flash-crowd section below shows
-/// admission control.
-fn load_ladder(
-    engine: Arc<dyn Retrieve>,
-    requests: &[Request],
-    qps_levels: &[f64],
-) -> Vec<LoadReport> {
-    let runtime = ServingRuntime::new(
-        engine,
-        RuntimeConfig {
-            workers: 4,
-            queue_depth: REQUESTS_PER_LEVEL,
-            deadline: Duration::from_secs(3600),
-            batch_size: 8,
-        },
-    )
-    .expect("a positive worker count and queue depth are valid");
-    qps_levels
-        .iter()
-        .flat_map(|&qps| {
-            runtime.run_scenario(requests, &Scenario::sustained(qps, REQUESTS_PER_LEVEL))
-        })
-        .collect()
-}
 
 fn main() {
     let result = Pipeline::new(PipelineConfig::small(11)).run();
@@ -172,7 +145,12 @@ fn main() {
         ),
     ];
     for (label, engine) in topologies {
-        let reports = load_ladder(engine, &requests, &[1_000.0, 5_000.0, 20_000.0, 80_000.0]);
+        let reports = sustained_ladder(
+            engine,
+            &requests,
+            &[1_000.0, 5_000.0, 20_000.0, 80_000.0],
+            REQUESTS_PER_LEVEL,
+        );
         let mut table = TextTable::new(vec![
             "Offered QPS",
             "Mean (ms)",
@@ -287,8 +265,15 @@ fn main() {
     .expect("a positive worker count and queue depth are valid");
     // base phases arrive 10 ms apart — generous headroom over the tiny
     // corpus' sub-millisecond service time, so only the spike can shed
-    let scenario = Scenario::flash_crowd(100.0, 5_000_000.0, 60, 2_000);
-    let reports = runtime.run_scenario(&requests, &scenario);
+    let phases = [
+        ("pre-spike", 100.0, 60),
+        ("flash crowd", 5_000_000.0, 2_000),
+        ("recovery", 100.0, 60),
+    ];
+    let reports: Vec<_> = phases
+        .iter()
+        .map(|&(_, qps, n)| run_phase(&runtime, &requests, qps, n, round_robin(requests.len())))
+        .collect();
     let mut crowd_table = TextTable::new(vec![
         "Phase",
         "Offered QPS",
@@ -297,9 +282,9 @@ fn main() {
         "Goodput QPS",
         "p99 (ms)",
     ]);
-    for (phase, r) in scenario.phases.iter().zip(&reports) {
+    for ((label, _, _), r) in phases.iter().zip(&reports) {
         crowd_table.row(vec![
-            phase.label.to_string(),
+            label.to_string(),
             format!("{:.0}", r.offered_qps),
             format!("{}", r.completed),
             format!("{}", r.shed),

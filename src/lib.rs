@@ -152,13 +152,14 @@
 //! resident thread is a long-lived parked worker of a
 //! [`retrieval::PersistentPool`] — the runtime's workers are its own
 //! pool's — so no request spawns a thread, and shard gathers are
-//! merged inline on the serving worker.
-//! `retrieval::Scenario` traffic (flash crowds, Zipf
-//! popularity) drives it open-loop via `ServingRuntime::run_scenario`,
+//! merged inline on the serving worker. Each ticket resolves with the
+//! instant it was answered or shed (`Ticket::wait_timed`), which is all
+//! a load generator needs: the open-loop driver lives in the
+//! `amcad-bench` crate as a plain client of `ServingRuntime::submit`,
 //! reporting shed / timeout counts and goodput per phase.
 //!
 //! The `PipelineConfig::index` field threads the backend selection
-//! through the one-call pipeline, and `ServingRuntime::run_scenario`
+//! through the one-call pipeline, and `amcad-bench`'s open-loop driver
 //! load-tests any [`retrieval::Retrieve`] implementation (see
 //! `examples/online_serving.rs` for the topology sweep plus the
 //! flash-crowd shedding and replica-failover runtime demo,
