@@ -2,16 +2,16 @@
 //! rules need, and nothing more.
 //!
 //! This is deliberately **not** a parser. The rules in
-//! [`crate::rules`] are token-pattern checks (`Ordering::Relaxed`,
-//! `.partial_cmp(..).unwrap()`, an `unsafe` block without a `SAFETY:`
-//! comment above it), so the lexer's job is to get four things exactly
-//! right — everything a grep-based checker gets wrong:
+//! [`crate::rules`] are token-pattern checks (`Ordering::Relaxed`
+//! without a comment, `.partial_cmp(..).unwrap()`, `thread::spawn`),
+//! so the lexer's job is to get four things exactly right — everything
+//! a grep-based checker gets wrong:
 //!
 //! 1. **Comments are not code.** Line comments, doc comments and
 //!    (nested) block comments are lifted out of the token stream into a
 //!    side table with line spans, so `// the old partial_cmp().unwrap()
-//!    panicked here` never fires a rule, while the `SAFETY:` and
-//!    `allow(...)`-waiver conventions remain checkable.
+//!    panicked here` never fires a rule, while justification comments
+//!    and `allow(...)` waivers remain checkable.
 //! 2. **Literals are not code.** String, raw-string, byte-string and
 //!    char literals are single tokens: `"std::sync::Mutex"` inside a
 //!    diagnostic message is data, not a lint violation. (The same
@@ -95,8 +95,8 @@ impl Comment {
     }
 }
 
-/// What a source line contains, for the "is the line above a comment?"
-/// checks the safety-comments and relaxed-justified rules make.
+/// What a source line contains, for locating the code line a waiver
+/// directive shields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineKind {
     /// Only whitespace.
@@ -129,11 +129,6 @@ impl LexedFile {
         self.comments
             .iter()
             .any(|c| c.start_line <= line && line <= c.end_line)
-    }
-
-    /// Whether any comment *ends* on 1-indexed `line`.
-    pub fn comment_ending_on(&self, line: usize) -> Option<&Comment> {
-        self.comments.iter().find(|c| c.end_line == line)
     }
 
     /// The first code line at or after 1-indexed `line`.
@@ -227,22 +222,13 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        let total_lines = self.line;
-        let mut file = LexedFile {
+        let line_kinds = line_kinds(self.line, &self.code_lines, &self.comments);
+        mark_test_regions(&mut self.tokens);
+        LexedFile {
             tokens: self.tokens,
             comments: self.comments,
-            line_kinds: line_kinds(total_lines, &self.code_lines, &[]),
-        };
-        file.line_kinds = {
-            let comment_spans: Vec<(usize, usize)> = file
-                .comments
-                .iter()
-                .map(|c| (c.start_line, c.end_line))
-                .collect();
-            line_kinds(total_lines, &self.code_lines, &comment_spans)
-        };
-        mark_test_regions(&mut file.tokens);
-        file
+            line_kinds,
+        }
     }
 
     fn line_comment(&mut self) {
@@ -471,14 +457,10 @@ impl<'a> Lexer<'a> {
 }
 
 /// Classify every line as blank / comment-only / code.
-fn line_kinds(
-    total: usize,
-    code_lines: &[usize],
-    comment_spans: &[(usize, usize)],
-) -> Vec<LineKind> {
+fn line_kinds(total: usize, code_lines: &[usize], comments: &[Comment]) -> Vec<LineKind> {
     let mut kinds = vec![LineKind::Blank; total];
-    for &(start, end) in comment_spans {
-        for line in start..=end.min(total) {
+    for c in comments {
+        for line in c.start_line..=c.end_line.min(total) {
             if let Some(k) = kinds.get_mut(line - 1) {
                 *k = LineKind::CommentOnly;
             }

@@ -1,22 +1,19 @@
 //! `amcad-lint` — the workspace's offline invariant checker.
 //!
 //! `cargo test` samples behaviour; the contracts this crate enforces
-//! are *structural*: the snapshot decoder must be panic-free on
-//! hostile bytes, any `unsafe` carries its proof obligation in a
-//! `SAFETY:` comment, every `Ordering::Relaxed` says why no
-//! happens-before edge is needed, NaN-unsafe float orderings stay out,
-//! threads are spawned only by the runtime's pool and the build
-//! fork/join, locks come from the poison-ignoring `parking_lot` stub —
-//! and, since the structural upgrade, the serving hot path allocates
-//! nothing inside its loops, no lock guard is live across a condvar
-//! park, and every fan-out loop is bounded by a config knob. Clippy cannot express
+//! must hold at every site: the snapshot decoder must be panic-free on
+//! hostile bytes, every `Ordering::Relaxed` says why no happens-before
+//! edge is needed, NaN-unsafe float orderings stay out, threads are
+//! spawned only by the runtime's pool, and locks come from the
+//! poison-ignoring `parking_lot` stub. Clippy cannot express
 //! project-specific rules and this environment has no registry access
-//! (no dylint), so — like the `crates/compat/` stubs — the analyzer
-//! is built in-workspace: a hand-rolled lexer ([`lexer`]), a
-//! recursive-descent item/expression parser ([`parser`]), an
-//! intra-workspace call graph with hot-path and park propagation
-//! ([`callgraph`]), token-pattern rules ([`rules`]) and structural
-//! rules ([`structural`]). No type inference, no dependencies.
+//! (no dylint), so — like the `crates/compat/` stubs — the analyzer is
+//! built in-workspace: a hand-rolled lexer ([`lexer`]) feeds five
+//! token-pattern rules ([`rules`]), whose findings are resolved against
+//! the file's waivers. Every finding depends on one file alone. No
+//! parser, no type inference, no dependencies. (`// SAFETY:` comments
+//! on `unsafe` are clippy's `undocumented_unsafe_blocks`, denied in the
+//! root `Cargo.toml`.)
 //!
 //! A violation a human has vetted is waived in place:
 //!
@@ -26,16 +23,13 @@
 //!
 //! The reason text after the rule name is **mandatory**; an allow
 //! without one is itself an (unwaivable) diagnostic, as is an allow
-//! naming a rule that does not exist. `--list-allows` prints the full
-//! standing-waiver inventory. A fn may opt into hot-path analysis
-//! with `// amcad-lint: hot-path — <why>`. See `src/README.md` for
-//! the contract behind each rule.
+//! naming a rule that does not exist and an allow whose target line has
+//! no finding for its rule. `--list-allows` prints the full
+//! standing-waiver inventory. See `src/README.md` for the contract
+//! behind each rule.
 
-pub mod callgraph;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod structural;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -51,7 +45,8 @@ pub struct Diagnostic {
     /// 1-indexed line.
     pub line: usize,
     /// Rule name, or a meta rule (`allow-missing-reason`,
-    /// `allow-unknown-rule`) for malformed directives.
+    /// `allow-unknown-rule`, `allow-unused`) for malformed or stale
+    /// directives.
     pub rule: &'static str,
     pub message: String,
     /// Whether a well-formed `allow(...)` waiver directive with a
@@ -109,12 +104,14 @@ impl fmt::Display for AllowRecord {
 pub const META_MISSING_REASON: &str = "allow-missing-reason";
 /// Meta rule name: an allow directive naming an unknown rule.
 pub const META_UNKNOWN_RULE: &str = "allow-unknown-rule";
+/// Meta rule name: a well-formed allow whose target line has no finding
+/// for the rule it names.
+pub const META_UNUSED_ALLOW: &str = "allow-unused";
 
 const DIRECTIVE: &str = "amcad-lint:";
 
 /// Extract allow directives (and meta diagnostics for malformed ones)
-/// from a file's comments. `hot-path` markers are a directive too —
-/// consumed by the parser, skipped here.
+/// from a file's comments.
 fn parse_allows(file: &LexedFile) -> (Vec<Allow>, Vec<RawDiagnostic>) {
     let mut allows = Vec::new();
     let mut meta = Vec::new();
@@ -125,17 +122,12 @@ fn parse_allows(file: &LexedFile) -> (Vec<Allow>, Vec<RawDiagnostic>) {
         let mut rest = comment.text.as_str();
         while let Some(at) = rest.find(DIRECTIVE) {
             rest = &rest[at + DIRECTIVE.len()..];
-            let body = rest.trim_start();
-            if body.starts_with("hot-path") {
-                continue; // the parser's opt-in hot seed, not a waiver
-            }
-            let Some(args) = body.strip_prefix("allow(") else {
+            let Some(args) = rest.trim_start().strip_prefix("allow(") else {
                 meta.push(RawDiagnostic {
                     rule: META_UNKNOWN_RULE,
                     line: comment.start_line,
                     message: format!(
-                        "malformed directive — expected `{DIRECTIVE} allow(<rule>) — <reason>` \
-                         or `{DIRECTIVE} hot-path`"
+                        "malformed directive — expected `{DIRECTIVE} allow(<rule>) — <reason>`"
                     ),
                 });
                 continue;
@@ -206,68 +198,57 @@ pub struct SourceUnit {
     pub all_test: bool,
 }
 
-/// Lint a set of source files as one workspace: the call graph (and
-/// therefore hot-path and park reachability) spans all of them. This
-/// is the core entry point — `lint_workspace` feeds it the files on
-/// disk, `lint_source` wraps a single string as a workspace of one.
-pub fn lint_sources(units: &[SourceUnit]) -> Vec<Diagnostic> {
-    let lexed: Vec<LexedFile> = units.iter().map(|u| lexer::lex(&u.source)).collect();
-    let parsed: Vec<parser::ParsedFile> = lexed.iter().map(parser::parse).collect();
-    let graph_units: Vec<callgraph::Unit<'_>> = units
-        .iter()
-        .zip(&parsed)
-        .map(|(u, p)| callgraph::Unit {
-            path: &u.path,
-            parsed: p,
-            all_test: u.all_test,
+/// Lint one file: run the rules, resolve the file's waivers against
+/// the findings, and report malformed or unused waivers.
+fn lint_unit(unit: &SourceUnit) -> Vec<Diagnostic> {
+    let lexed = lexer::lex(&unit.source);
+    let (allows, mut meta) = parse_allows(&lexed);
+    let raw = rules::run_rules(&unit.path, &lexed, unit.all_test);
+    let covers = |a: &Allow, r: &RawDiagnostic| a.rule == r.rule && a.target_line == r.line;
+    meta.extend(
+        allows
+            .iter()
+            .filter(|a| !raw.iter().any(|r| covers(a, r)))
+            .map(|a| RawDiagnostic {
+                rule: META_UNUSED_ALLOW,
+                line: a.line,
+                message: format!(
+                    "allow({}) covers no {} finding on line {} — delete the stale waiver",
+                    a.rule, a.rule, a.target_line
+                ),
+            }),
+    );
+    let mut out: Vec<Diagnostic> = raw
+        .into_iter()
+        .map(|raw| Diagnostic {
+            waived: allows.iter().any(|a| covers(a, &raw)),
+            path: unit.path.clone(),
+            line: raw.line,
+            rule: raw.rule,
+            message: raw.message,
         })
         .collect();
-    let graph = callgraph::CallGraph::build(&graph_units);
-
-    let mut out = Vec::new();
-    for (i, unit) in units.iter().enumerate() {
-        let (allows, meta) = parse_allows(&lexed[i]);
-        let mut raw = rules::run_rules(&unit.path, &lexed[i], unit.all_test);
-        raw.extend(structural::run_rules(
-            &unit.path,
-            &parsed[i],
-            i,
-            &graph,
-            unit.all_test,
-        ));
-        let mut file_out: Vec<Diagnostic> = raw
-            .into_iter()
-            .map(|raw| {
-                let waived = allows
-                    .iter()
-                    .any(|a| a.rule == raw.rule && a.target_line == raw.line);
-                Diagnostic {
-                    path: unit.path.clone(),
-                    line: raw.line,
-                    rule: raw.rule,
-                    message: raw.message,
-                    waived,
-                }
-            })
-            .collect();
-        if !unit.all_test {
-            file_out.extend(meta.into_iter().map(|raw| Diagnostic {
-                path: unit.path.clone(),
-                line: raw.line,
-                rule: raw.rule,
-                message: raw.message,
-                waived: false,
-            }));
-        }
-        file_out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
-        out.extend(file_out);
+    if !unit.all_test {
+        out.extend(meta.into_iter().map(|raw| Diagnostic {
+            path: unit.path.clone(),
+            line: raw.line,
+            rule: raw.rule,
+            message: raw.message,
+            waived: false,
+        }));
     }
+    out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     out
 }
 
-/// Lint one source string as a workspace of one file. Hot-path
-/// propagation sees only this file — fixtures make fns hot via
-/// `impl Retrieve for ..` / seed names / the `hot-path` marker.
+/// Lint a set of source files, each on its own: every finding depends
+/// on its file alone. `lint_workspace` feeds it the files on disk,
+/// `lint_source` a single string.
+pub fn lint_sources(units: &[SourceUnit]) -> Vec<Diagnostic> {
+    units.iter().flat_map(lint_unit).collect()
+}
+
+/// Lint one source string.
 pub fn lint_source(path: &str, source: &str, all_test: bool) -> Vec<Diagnostic> {
     lint_sources(&[SourceUnit {
         path: path.to_string(),
@@ -378,16 +359,14 @@ fn load_units(root: &Path, paths: &[PathBuf]) -> Vec<SourceUnit> {
         .collect()
 }
 
-/// Lint one file on disk as a workspace of one. `root` anchors the
-/// workspace-relative path used in reports. Prefer [`lint_workspace`]
-/// — hot-path propagation needs the whole workspace in view.
+/// Lint one file on disk. `root` anchors the workspace-relative path
+/// used in reports.
 pub fn lint_file(root: &Path, path: &Path) -> Vec<Diagnostic> {
     lint_sources(&load_units(root, &[path.to_path_buf()]))
 }
 
 /// Lint every `.rs` file under `root` (or, if `paths` is nonempty,
-/// under each given file/directory). The call graph spans exactly the
-/// selected files — run without `paths` for full hot-path coverage.
+/// under each given file/directory).
 pub fn lint_workspace(root: &Path, paths: &[PathBuf]) -> Vec<Diagnostic> {
     lint_sources(&load_units(root, paths))
 }

@@ -1,24 +1,18 @@
-//! The six token-pattern deny-by-default rules. Each is a pattern
-//! check over a [`LexedFile`]; see `src/README.md` for the contract
-//! behind each rule and the incident that motivated it. The four
-//! structural rules (`alloc-in-hot-loop`, `guard-across-park`,
-//! `unbounded-fanout`, `soa-layout`) live in [`crate::structural`].
+//! The five deny-by-default rules. Each is a token-pattern check over
+//! one [`LexedFile`], so every finding depends on that file alone; see
+//! `src/README.md` for the contract behind each rule and the incident
+//! that motivated it.
 
-use crate::lexer::{LexedFile, LineKind, Token, TokenKind};
+use crate::lexer::{LexedFile, Token, TokenKind};
 use std::collections::BTreeSet;
 
 /// Every rule name an `allow(<rule>)` waiver directive may name.
 pub const RULE_NAMES: &[&str] = &[
     "panic-free-decode",
     "nan-ordering",
-    "safety-comments",
     "relaxed-justified",
     "thread-discipline",
     "no-std-sync-primitives",
-    "alloc-in-hot-loop",
-    "guard-across-park",
-    "unbounded-fanout",
-    "soa-layout",
 ];
 
 /// One rule violation before waiver resolution.
@@ -51,7 +45,6 @@ pub fn run_rules(path: &str, file: &LexedFile, all_test: bool) -> Vec<RawDiagnos
         panic_free_decode(file, &mut out);
     }
     nan_ordering(file, &mut out);
-    safety_comments(file, &mut out);
     relaxed_justified(file, &mut out);
     if !in_thread_sanctioned_location(path) {
         thread_discipline(file, &mut out);
@@ -185,85 +178,6 @@ fn nan_ordering(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
     }
 }
 
-/// **safety-comments** — every `unsafe` block or `unsafe impl` must be
-/// immediately preceded by (or carry on its line) a comment containing
-/// `SAFETY:` stating the invariant that makes it sound. Stacked
-/// `unsafe impl` lines (`Send` + `Sync` for the same type) may share
-/// one comment. `unsafe fn` declarations are exempt — their bodies are
-/// covered by the denied `unsafe_op_in_unsafe_fn` rustc lint, which
-/// forces an inner `unsafe {}` block that this rule then checks.
-fn safety_comments(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
-    const RULE: &str = "safety-comments";
-    let toks = &file.tokens;
-    // lines on which an `unsafe impl` item starts, so a stacked pair can
-    // share the comment above the first
-    let unsafe_impl_lines: BTreeSet<usize> = toks
-        .iter()
-        .enumerate()
-        .filter(|(i, t)| {
-            t.is_ident("unsafe") && toks.get(i + 1).is_some_and(|n| n.is_ident("impl"))
-        })
-        .map(|(_, t)| t.line)
-        .collect();
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test || !t.is_ident("unsafe") {
-            continue;
-        }
-        let next = toks.get(i + 1);
-        let is_block = next.is_some_and(|n| n.is_punct('{'));
-        let is_impl = next.is_some_and(|n| n.is_ident("impl"));
-        if !(is_block || is_impl) {
-            continue; // `unsafe fn` / `unsafe trait` declarations
-        }
-        if !has_safety_comment(file, t.line, &unsafe_impl_lines) {
-            let what = if is_impl {
-                "unsafe impl"
-            } else {
-                "unsafe block"
-            };
-            diag(
-                out,
-                RULE,
-                t.line,
-                format!("{what} without an immediately preceding // SAFETY: comment"),
-            );
-        }
-    }
-}
-
-fn line_has_comment_with(file: &LexedFile, line: usize, needle: &str) -> bool {
-    file.comments
-        .iter()
-        .any(|c| c.start_line <= line && line <= c.end_line && c.text.contains(needle))
-}
-
-fn has_safety_comment(file: &LexedFile, line: usize, unsafe_impl_lines: &BTreeSet<usize>) -> bool {
-    if line_has_comment_with(file, line, "SAFETY:") {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        match file.line_kind(l) {
-            LineKind::CommentOnly => {
-                if line_has_comment_with(file, l, "SAFETY:") {
-                    return true;
-                }
-                // keep walking up through a multi-line comment whose
-                // SAFETY: sentence may be on an earlier line
-            }
-            LineKind::Code => {
-                if unsafe_impl_lines.contains(&l) {
-                    continue; // stacked unsafe impls share one comment
-                }
-                return line_has_comment_with(file, l, "SAFETY:");
-            }
-            LineKind::Blank => return false,
-        }
-    }
-    false
-}
-
 /// **relaxed-justified** — every `Ordering::Relaxed` use must carry a
 /// same-line comment or sit directly under a comment explaining why no
 /// synchronisation edge is needed. Consecutive Relaxed lines (a block
@@ -333,8 +247,6 @@ fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
             Some("thread::spawn")
         } else if pair("thread", "scope") {
             Some("thread::scope")
-        } else if pair("crossbeam", "scope") {
-            Some("crossbeam::scope")
         } else {
             None
         };

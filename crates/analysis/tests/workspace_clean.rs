@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 /// Standing waivers (what `amcad-lint --list-allows` prints) the
 /// workspace may carry. A ratchet: lower it whenever a waiver goes, never
 /// raise it — a new exception has to retire an old one.
-const MAX_STANDING_WAIVERS: usize = 7;
+const MAX_STANDING_WAIVERS: usize = 3;
 
 fn workspace_root() -> PathBuf {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -320,7 +320,6 @@ impl HnswIndex {
                 if visited.visit(nb) {
                     continue;
                 }
-                // amcad-lint: allow(alloc-in-hot-loop) — batch is pre-sized to the layer cap (or the node count, if smaller), which bounds every batch: a neighbour list holds at most the cap, and a node enters a batch once
                 batch.push(nb as usize);
             }
             if batch.is_empty() {

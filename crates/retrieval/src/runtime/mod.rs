@@ -332,7 +332,8 @@ fn drain_queue(shared: &RuntimeShared) {
     let mut batch: Vec<QueuedRequest> = Vec::with_capacity(batch_cap);
     let mut requests: Vec<Request> = Vec::with_capacity(batch_cap);
     let mut tickets: Vec<SyncSender<Outcome>> = Vec::with_capacity(batch_cap);
-    // amcad-lint: allow(unbounded-fanout) — drain loop: returns once the admission queue (at most queue_depth deep) is empty; each iteration removes up to batch_size requests from it
+    // drain loop: returns once the admission queue (at most queue_depth
+    // deep) is empty; each iteration removes up to batch_size requests
     loop {
         {
             let mut queue = shared.queue.lock();

@@ -125,11 +125,13 @@ impl Drop for PersistentPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
-    // amcad-lint: allow(unbounded-fanout) — worker lifetime loop: returns via the shutdown flag checked under the queue lock; each iteration executes one queued task
+    // worker lifetime loop: returns via the shutdown flag checked under
+    // the queue lock; each iteration executes one queued task
     loop {
         let task = {
             let mut queue = lock(&shared.queue);
-            // amcad-lint: allow(unbounded-fanout) — dequeue loop: breaks with a task or returns on shutdown once the queue is empty; parks on the condvar while it is empty
+            // dequeue loop: breaks with a task, or returns on shutdown once
+            // the queue is empty; parks on the condvar while it is empty
             loop {
                 if let Some(task) = queue.tasks.pop_front() {
                     break task;
