@@ -29,8 +29,9 @@ pub mod scalar;
 pub mod space;
 
 pub use ops::{
-    diff_norm_gram, distance, distance_gram, exp_map, exp_map_origin, kappa_activation,
-    kappa_matmul, lambda_x, log_map, log_map_origin, mobius_add, mobius_neg, project_to_ball,
+    diff_norm_gram, distance, distance_gram, exp_map, exp_map_origin, in_triangle_domain,
+    kappa_activation, kappa_matmul, lambda_x, log_map, log_map_origin, mobius_add, mobius_neg,
+    project_to_ball, triangle_slack, triangle_stretch, TRIANGLE_SLACK,
 };
 pub use product::{ProductManifold, SubspaceSpec};
 pub use scalar::{

@@ -189,6 +189,77 @@ pub fn distance_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
     2.0 * atan_kappa(diff_norm_gram(x2, y2, xy, kappa), kappa)
 }
 
+/// Largest `|κ|·‖x‖²` of a point of the triangle domain on a curved
+/// component (`|κ| > KAPPA_EPS`): inside the ball with room to spare
+/// (`κ < 0`), on the open upper hemisphere (`κ > 0`). Two such points are
+/// never antipodal, so [`diff_norm_gram`]'s `denom` stays above
+/// `(1 − |κ|·‖x‖·‖y‖)² ≥ 1e-8`, and the hyperbolic `artanh` argument stays
+/// below `1 − 1e-9`, far from [`atan_kappa`]'s clamp.
+const TRIANGLE_RHO2: f64 = 1.0 - 1e-4;
+
+/// Largest `|κ|·‖x‖²` in the Taylor window `|κ| ≤ KAPPA_EPS`: there
+/// [`atan_kappa`] is `y − κ·y³/3`, which stays within `(κ·y²)² ≤ 2e-7` of
+/// the curved `tan⁻¹_κ` (and increasing) only while `κ·y²` is small.
+const TRIANGLE_TAYLOR_RHO2: f64 = 1e-4;
+
+/// What [`triangle_slack`] multiplies its scale by. The computed
+/// distances are off by rounding, and [`diff_norm_gram`]'s Gram form
+/// loses the most where two points nearly coincide: `x2 − 2·xy + y2`
+/// rounds in steps of `ε·‖x‖²`, so the norm it feeds is off by up to
+/// `√ε·‖x‖ ≈ 1.5e-8·‖x‖`, stretched by the conformal factor
+/// `1/(1 − |κ|·‖x‖²)` near the hyperbolic boundary. Measured by the
+/// property test `tests/triangle_contract.rs` (κ from −2 to 2 across both
+/// `KAPPA_EPS` seams, dims 1–16, points at the domain's edge, nearly
+/// coincident or nearly antipodal), the computed triangle inequality
+/// falls short by at most ≈ 2e-8 of the scale; the constant leaves 50×
+/// of room, and the test fails if the measured shortfall comes within
+/// 10× of it.
+pub const TRIANGLE_SLACK: f64 = 1e-6;
+
+/// Whether a point with squared norm `x2` on a component of curvature
+/// `kappa` lies in the *triangle domain*: finite, and where, for any
+/// three points `q`, `c`, `a` of it, the computed distance keeps the
+/// triangle inequality up to [`triangle_slack`]:
+///
+/// ```text
+/// distance_gram(q, a) ≥ distance_gram(q, c) − distance_gram(c, a) − triangle_slack(…)
+/// ```
+///
+/// Outside it the computed distance is no metric: a non-finite norm makes
+/// `NaN`; a point off the ball (`κ < 0`) is off the manifold; near the
+/// ball's edge [`atan_kappa`] clamps its `artanh`; two nearly antipodal
+/// points (`κ > 0`) clamp `denom`, and the Gram form then returns
+/// anything from 0 to the antipodal distance.
+#[inline]
+pub fn in_triangle_domain(x2: f64, kappa: f64) -> bool {
+    let limit = if kappa.abs() > crate::KAPPA_EPS {
+        TRIANGLE_RHO2
+    } else {
+        TRIANGLE_TAYLOR_RHO2
+    };
+    x2.is_finite() && kappa.abs() * x2 <= limit
+}
+
+/// How far the computed distance of triangle-domain points may fall short
+/// of the triangle inequality (see [`in_triangle_domain`]): `norm_sum` is
+/// `‖q‖ + ‖c‖ + ‖a‖` (or an upper bound on it), `max_x2` the largest of
+/// the three squared norms (or an upper bound on it). Increasing in both,
+/// so one slack computed from a cluster's largest norms covers every
+/// member.
+#[inline]
+pub fn triangle_slack(norm_sum: f64, max_x2: f64, kappa: f64) -> f64 {
+    TRIANGLE_SLACK * norm_sum * triangle_stretch(max_x2, kappa)
+}
+
+/// The conformal stretch [`triangle_slack`] scales by: `1/(1 − |κ|·x2)`
+/// on a hyperbolic component, 1 elsewhere. At least 1, and increasing in
+/// `x2`, so the stretch of the largest of several squared norms is the
+/// largest of their stretches, and never more than their product.
+#[inline]
+pub fn triangle_stretch(x2: f64, kappa: f64) -> f64 {
+    1.0 / (1.0 - (-kappa).max(0.0) * x2)
+}
+
 /// κ-matrix multiplication `M ⊗_κ x = exp^κ_0(M · log^κ_0(x))` (Table II).
 ///
 /// `mat` is row-major with `rows × cols` entries, `cols == x.len()`.

@@ -12,7 +12,10 @@
 //! are interchangeable end to end and new backends (quantised postings,
 //! sharded scans) only have to implement `AnnIndex`.
 
-use crate::brute::{build_exact_index, InvertedIndex, Postings};
+use crate::brute::{
+    build_exact_index, build_with_layout, scan_top_k, InvertedIndex, Postings, ScanLayout,
+    ScanScratch,
+};
 use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::ivf::{IvfConfig, IvfIndex};
 use crate::points::MixedPointSet;
@@ -65,15 +68,21 @@ pub trait AnnIndex: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct ExactBackend {
     candidates: MixedPointSet,
+    /// The candidates' scan layout, built once: `search` and
+    /// `build_index` both run over it.
+    layout: ScanLayout,
     threads: usize,
 }
 
 impl ExactBackend {
     /// Wrap a candidate set; `threads` parallelises bulk index builds.
+    /// The scan layout (see [`build_exact_index`]) is built here.
     pub fn new(candidates: MixedPointSet, threads: usize) -> Self {
+        let threads = threads.max(1);
         ExactBackend {
+            layout: ScanLayout::new(&candidates, threads),
             candidates,
-            threads: threads.max(1),
+            threads,
         }
     }
 
@@ -107,19 +116,19 @@ impl AnnIndex for ExactBackend {
         if self.candidates.is_empty() || k == 0 {
             return Vec::new();
         }
-        let mut norm_lanes = self.candidates.blocks().norm_lanes();
-        crate::brute::scan_top_k(
-            &self.candidates,
+        let mut scratch = ScanScratch::new(&self.layout);
+        scan_top_k(
+            &self.layout,
             query,
             query_weight,
             k,
             exclude_id,
-            &mut norm_lanes,
+            &mut scratch,
         )
     }
 
     fn build_index(&self, keys: &MixedPointSet, k: usize, exclude_same_id: bool) -> InvertedIndex {
-        build_exact_index(keys, &self.candidates, k, exclude_same_id, self.threads)
+        build_with_layout(keys, &self.layout, k, exclude_same_id, self.threads)
     }
 }
 

@@ -15,6 +15,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::brute::{InvertedIndex, Postings, TopK};
+use crate::cluster::{lloyd, sq_dist};
 use crate::points::MixedPointSet;
 
 /// Configuration of the IVF index.
@@ -45,70 +46,39 @@ impl Default for IvfConfig {
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     candidates: MixedPointSet,
-    /// Tangent-space (log-mapped) coordinates of every candidate.
-    tangents: Vec<Vec<f64>>,
-    centroids: Vec<Vec<f64>>,
+    /// Tangent-space (log-mapped) coordinates of every candidate, flat
+    /// `n × total_dim`.
+    tangents: Vec<f64>,
+    /// Tangent-space centroids, flat `num_clusters × total_dim`.
+    centroids: Vec<f64>,
     clusters: Vec<Vec<usize>>,
     config: IvfConfig,
 }
 
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 impl IvfIndex {
-    /// Build an IVF index over the candidate set.
+    /// Build an IVF index over the candidate set: the crate's one
+    /// tangent-space k-means (`cluster::lloyd`), seeded with
+    /// `num_clusters` distinct candidates drawn from `config.seed`.
     pub fn build(candidates: MixedPointSet, config: IvfConfig) -> Self {
         let n = candidates.len();
         let manifold = candidates.manifold().clone();
-        let tangents: Vec<Vec<f64>> = (0..n).map(|i| manifold.log0(candidates.point(i))).collect();
+        let dim = manifold.total_dim();
+        let mut tangents = Vec::with_capacity(n * dim);
+        for i in 0..n {
+            tangents.extend(manifold.log0(candidates.point(i)));
+        }
 
         let k = config.num_clusters.max(1).min(n.max(1));
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut centroid_seeds: Vec<usize> = (0..n).collect();
         centroid_seeds.shuffle(&mut rng);
-        let mut centroids: Vec<Vec<f64>> = centroid_seeds
-            .into_iter()
-            .take(k)
-            .map(|i| tangents[i].clone())
-            .collect();
-
-        let mut assignments = vec![0usize; n];
-        for _ in 0..config.kmeans_iters.max(1) {
-            // assign
-            for (i, t) in tangents.iter().enumerate() {
-                let mut best = 0;
-                let mut best_d = f64::INFINITY;
-                for (c, centroid) in centroids.iter().enumerate() {
-                    let d = sq_dist(t, centroid);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                assignments[i] = best;
-            }
-            // update
-            let dim = manifold.total_dim();
-            let mut sums = vec![vec![0.0; dim]; centroids.len()];
-            let mut counts = vec![0usize; centroids.len()];
-            for (i, t) in tangents.iter().enumerate() {
-                let c = assignments[i];
-                counts[c] += 1;
-                for (s, v) in sums[c].iter_mut().zip(t) {
-                    *s += v;
-                }
-            }
-            for (c, centroid) in centroids.iter_mut().enumerate() {
-                if counts[c] > 0 {
-                    for (ci, s) in centroid.iter_mut().zip(&sums[c]) {
-                        *ci = s / counts[c] as f64;
-                    }
-                }
-            }
+        let mut centroids = Vec::with_capacity(k * dim);
+        for &i in centroid_seeds.iter().take(k) {
+            centroids.extend_from_slice(&tangents[i * dim..(i + 1) * dim]);
         }
+        let assignments = lloyd(&tangents, dim, &mut centroids, config.kmeans_iters);
 
-        let mut clusters = vec![Vec::new(); centroids.len()];
+        let mut clusters = vec![Vec::new(); centroids.len() / dim.max(1)];
         for (i, &c) in assignments.iter().enumerate() {
             clusters[c].push(i);
         }
@@ -156,9 +126,10 @@ impl IvfIndex {
         }
         let query_tangent = self.candidates.manifold().log0(query);
         // rank clusters by centroid distance in tangent space
+        let dim = query_tangent.len();
         let mut order: Vec<(f64, usize)> = self
             .centroids
-            .iter()
+            .chunks_exact(dim)
             .enumerate()
             .map(|(c, centroid)| {
                 let d = sq_dist(&query_tangent, centroid);
@@ -198,7 +169,8 @@ impl IvfIndex {
 
     /// Tangent coordinates of candidate `i` (exposed for diagnostics).
     pub fn tangent(&self, i: usize) -> &[f64] {
-        &self.tangents[i]
+        let dim = self.candidates.manifold().total_dim();
+        &self.tangents[i * dim..(i + 1) * dim]
     }
 }
 
@@ -301,9 +273,7 @@ mod tests {
     fn clusters_partition_the_candidates() {
         let set = random_set(80, 8);
         let ivf = IvfIndex::build(set, IvfConfig::default());
-        let total: usize = (0..ivf.centroids.len())
-            .map(|c| ivf.clusters[c].len())
-            .sum();
+        let total: usize = ivf.clusters.iter().map(Vec::len).sum();
         assert_eq!(total, ivf.len());
         assert!(ivf.non_empty_clusters() > 1);
     }

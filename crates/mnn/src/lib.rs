@@ -11,7 +11,9 @@
 //! * [`ExactBackend`] / [`build_exact_index`] — multi-threaded exact top-K
 //!   scan (the paper's OpenMP + SIMD parallel brute force: key ranges on
 //!   scoped threads, and a chunk kernel whose bound loop compiles to
-//!   packed SSE2 arithmetic),
+//!   packed SSE2 arithmetic) over candidates clustered once per set, so a
+//!   key skips every cluster whose covering-radius bound is past its K-th
+//!   distance,
 //! * [`IvfIndex`] — an inverted-file approximate index whose coarse
 //!   quantiser lives in the shared tangent space, with recall measurement
 //!   against the exact index ([`recall_at_k`]),
@@ -35,7 +37,7 @@
 //!
 //! | backend | search cost | recall | knobs |
 //! |---|---|---|---|
-//! | `Exact` | O(n) per query, threaded bulk builds | 1.0 by definition | `threads` |
+//! | `Exact` | O(n) per query at worst, whole clusters skipped on clustered sets; threaded bulk builds | 1.0 by definition | `threads` |
 //! | `Ivf` | O(n/clusters × nprobe) | high, tunable | `num_clusters`, `nprobe` |
 //! | `Hnsw` | ~O(log n) greedy + `ef_search` beam | high, tunable | `m`, `ef_construction`, `ef_search` |
 //! | `Quant` | O(n) table lookups + `rerank_k` exact distances | high, tunable | `ksub`, `rerank_k` |
@@ -56,6 +58,7 @@
 
 pub mod backend;
 pub mod brute;
+mod cluster;
 pub mod fork_join;
 pub mod hnsw;
 pub mod id_hash;
@@ -81,6 +84,44 @@ pub(crate) mod test_util {
     use amcad_manifold::{ProductManifold, SubspaceSpec};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A c6k-shaped set: `categories` tangent-space centres `U(±0.4)` on
+    /// three 8-dim components with κ = (−0.8, 0, 0.6), `per_category`
+    /// points `exp0(centre + U(±spread))` each, weights on the simplex.
+    /// Ids count from `first_id`; `seed` picks the centres, `draw` the
+    /// points around them.
+    pub(crate) fn category_set(
+        categories: usize,
+        per_category: usize,
+        spread: f64,
+        seed: u64,
+        draw: u64,
+        first_id: u32,
+    ) -> MixedPointSet {
+        let manifold = ProductManifold::new(vec![
+            SubspaceSpec::new(8, -0.8),
+            SubspaceSpec::new(8, 0.0),
+            SubspaceSpec::new(8, 0.6),
+        ]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centres: Vec<Vec<f64>> = (0..categories)
+            .map(|_| (0..24).map(|_| rng.gen_range(-0.4..0.4)).collect())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(draw);
+        let mut set = MixedPointSet::new(manifold.clone());
+        for i in 0..categories * per_category {
+            let centre = &centres[i % categories];
+            let tangent: Vec<f64> = centre
+                .iter()
+                .map(|c| c + rng.gen_range(-spread..spread))
+                .collect();
+            let mut weight: Vec<f64> = (0..3).map(|_| 0.05 + rng.gen_range(0.0..1.0)).collect();
+            let total: f64 = weight.iter().sum();
+            weight.iter_mut().for_each(|w| *w /= total);
+            set.push(first_id + i as u32, &manifold.exp0(&tangent), &weight);
+        }
+        set
+    }
 
     pub(crate) fn random_set(n: usize, seed: u64) -> MixedPointSet {
         let manifold =

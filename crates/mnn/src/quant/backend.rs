@@ -322,12 +322,12 @@ mod tests {
                 seed: 3,
             },
         );
-        let mut lanes = cands.blocks().norm_lanes();
+        let exact = crate::ExactBackend::new(cands, 1);
         for i in 0..keys.len() {
             for exclude in [None, Some(keys.id(i))] {
                 let (point, weight) = (keys.point(i), keys.weight(i));
                 let got = quant.search(point, weight, 6, exclude);
-                let want = crate::brute::scan_top_k(&cands, point, weight, 6, exclude, &mut lanes);
+                let want = exact.search(point, weight, 6, exclude);
                 assert_eq!(got, want, "key {i}, exclude {exclude:?}");
             }
         }

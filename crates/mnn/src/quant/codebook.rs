@@ -1,16 +1,19 @@
 //! Deterministic per-component sub-codebooks for quantised postings.
 //!
 //! Product quantisation needs one small codebook per curvature component.
-//! Like the IVF coarse quantiser, each sub-codebook is trained with plain
-//! Lloyd k-means in the component's *tangent space* at the origin — the one
-//! place the mixed-curvature metric is Euclidean — from the deterministic
-//! compat `StdRng`, so identical inputs and seeds always yield identical
-//! codebooks. Encoding maps a tangent vector to its nearest sub-centroid, ties
-//! broken toward the lowest index, which keeps codes deterministic too.
+//! Like the IVF coarse quantiser, each sub-codebook is trained with the
+//! crate's one Lloyd k-means (`cluster::lloyd`) in the component's
+//! *tangent space* at the origin — the one place the mixed-curvature
+//! metric is Euclidean — seeded from the deterministic compat `StdRng`, so
+//! identical inputs and seeds always yield identical codebooks. Encoding
+//! maps a tangent vector to its nearest sub-centroid, ties broken toward
+//! the lowest index, which keeps codes deterministic too.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+use crate::cluster::{lloyd, sq_dist};
 
 /// Sub-centroids per codebook never exceed one byte's worth — codes are
 /// stored as `u8`.
@@ -22,10 +25,6 @@ pub const MAX_SUB_CENTROIDS: usize = 256;
 pub struct Codebook {
     dim: usize,
     centroids: Vec<f64>,
-}
-
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 impl Codebook {
@@ -58,41 +57,7 @@ impl Codebook {
             centroids.extend_from_slice(point(i));
         }
 
-        let mut assignments = vec![0usize; n];
-        for _ in 0..iters.max(1) {
-            // assign: nearest centroid, first (lowest-index) wins ties
-            for (i, a) in assignments.iter_mut().enumerate() {
-                let mut best = 0;
-                let mut best_d = f64::INFINITY;
-                for c in 0..k {
-                    let d = sq_dist(point(i), &centroids[c * dim..(c + 1) * dim]);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                *a = best;
-            }
-            // update: cluster means; empty clusters keep their centroid
-            let mut sums = vec![0.0; k * dim];
-            let mut counts = vec![0usize; k];
-            for (i, &c) in assignments.iter().enumerate() {
-                counts[c] += 1;
-                for (s, v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(point(i)) {
-                    *s += v;
-                }
-            }
-            for c in 0..k {
-                if counts[c] > 0 {
-                    for (ci, s) in centroids[c * dim..(c + 1) * dim]
-                        .iter_mut()
-                        .zip(&sums[c * dim..(c + 1) * dim])
-                    {
-                        *ci = s / counts[c] as f64;
-                    }
-                }
-            }
-        }
+        lloyd(data, dim, &mut centroids, iters);
 
         Codebook { dim, centroids }
     }

@@ -51,11 +51,37 @@
 //!
 //! Both sweeps run against a per-query [`QueryGrams`] context so the
 //! query's own squared norms are hoisted out of the candidate loop.
+//!
+//! **Block bounds.** The exact scan also skips whole clusters of
+//! candidates (see [`crate::brute`]), on a bound this module computes
+//! (`BlockCovers`): per cluster and component, a centre `c_m`, a covering
+//! radius `r_m` (the largest computed distance from the centre to a
+//! member) and the least member weight `ŵ_m`, and for every member `a`
+//! of it
+//!
+//! ```text
+//! dist(q, a) ≥ Σ_m (w_q,m + ŵ_m) · max(0, d_m(q, c_m) − r_m − slack_m).
+//! ```
+//!
+//! The centres are swept like candidates in pass 1, and `d_m(q, c_m)`
+//! is taken from the same minorant, so every cluster's bound costs what a
+//! candidate's pass 1 costs. The triangle inequality holds for the true
+//! geodesic; the *computed* distances keep it only up to `slack_m`
+//! ([`amcad_manifold::triangle_slack`], at most `1e-6` of the norms
+//! involved, stretched by the conformal factor near the hyperbolic edge),
+//! and only inside [`amcad_manifold::in_triangle_domain`]. A member
+//! outside that domain is never covered by a cluster, and a centre or a
+//! query outside it makes the bound `−∞`. As for single candidates, a
+//! negative or `NaN` summed weight makes a term `−∞`, a `NaN` gap counts
+//! as 0, a `NaN` bound becomes `−∞`, and the sum is shrunk by the same
+//! `1e-12` margin before it is compared.
+
+use std::ops::Range;
 
 use amcad_manifold::{
     atan_kappa, atan_kappa_minorant_flat, atan_kappa_minorant_hyperbolic,
-    atan_kappa_minorant_spherical, diff_norm_gram, distance_gram, dot, dot4, norm_sq,
-    ProductManifold, KAPPA_EPS,
+    atan_kappa_minorant_spherical, diff_norm_gram, distance_gram, dot, dot4, exp_map_origin,
+    in_triangle_domain, norm_sq, triangle_stretch, ProductManifold, KAPPA_EPS, TRIANGLE_SLACK,
 };
 
 /// Candidates per call of the chunk kernel: small enough that a chunk's
@@ -177,6 +203,16 @@ impl ComponentBlocks {
         self.weights[m][j]
     }
 
+    /// Whether stored point `j` can be covered by a block bound
+    /// ([`BlockCovers`]): every component in
+    /// [`amcad_manifold::in_triangle_domain`] and every weight finite.
+    pub(crate) fn in_triangle_domain(&self, j: usize) -> bool {
+        (0..self.dims.len()).all(|m| {
+            in_triangle_domain(self.sq_norms[m][j], self.kappas[m])
+                && self.weights[m][j].is_finite()
+        })
+    }
+
     /// Append one point (an AoS slice of the manifold's total dimension)
     /// with its per-component attention weights, splitting it into the
     /// per-component blocks and precomputing its squared norms.
@@ -188,6 +224,29 @@ impl ComponentBlocks {
             self.weights[m].push(weight[m]);
         }
         self.len += 1;
+    }
+
+    /// The stored points in `order` (indices into `self`): coordinates,
+    /// squared norms and weights copied bit for bit.
+    pub(crate) fn permuted(&self, order: &[usize]) -> ComponentBlocks {
+        let gather = |lane: &[f64], d: usize| -> Vec<f64> {
+            let mut out = Vec::with_capacity(order.len() * d);
+            for &j in order {
+                out.extend_from_slice(&lane[j * d..(j + 1) * d]);
+            }
+            out
+        };
+        ComponentBlocks {
+            dims: self.dims.clone(),
+            offsets: self.offsets.clone(),
+            kappas: self.kappas.clone(),
+            coords: (0..self.dims.len())
+                .map(|m| gather(&self.coords[m], self.dims[m]))
+                .collect(),
+            sq_norms: self.sq_norms.iter().map(|lane| gather(lane, 1)).collect(),
+            weights: self.weights.iter().map(|lane| gather(lane, 1)).collect(),
+            len: order.len(),
+        }
     }
 
     /// Drop every stored point, keeping the component shape.
@@ -281,18 +340,8 @@ impl ComponentBlocks {
         for m in 0..self.dims.len() {
             let d = self.dims[m];
             let qm = &query[self.offsets[m]..self.offsets[m] + d];
-            let block = &self.coords[m][start * d..(start + len) * d];
             let lane = &mut norm_lanes[m * SCAN_CHUNK..m * SCAN_CHUNK + len];
-            // ⟨x, y⟩ into the lane, DOT_LANES candidates per step
-            let whole = len - len % DOT_LANES;
-            for jj in (0..whole).step_by(DOT_LANES) {
-                let row = |i: usize| &block[(jj + i) * d..];
-                lane[jj..jj + DOT_LANES]
-                    .copy_from_slice(&dot4(qm, [row(0), row(1), row(2), row(3)]));
-            }
-            for jj in whole..len {
-                lane[jj] = dot(qm, &block[jj * d..(jj + 1) * d]);
-            }
+            self.dot_lane(m, qm, start, lane);
             // the lane's dot products become norms and the bound grows by
             // this component's term; the curvature branch is taken here,
             // once, so each loop below is straight-line and vectorises
@@ -312,6 +361,22 @@ impl ComponentBlocks {
             } else {
                 lane_bounds.add(lane, bounds, |y| atan_kappa_minorant_flat(y, kappa));
             }
+        }
+    }
+
+    /// `⟨qm, y_m⟩` of component `m` for the stored points `start..start +
+    /// lane.len()` into `lane`, [`DOT_LANES`] points per step.
+    #[inline(always)]
+    fn dot_lane(&self, m: usize, qm: &[f64], start: usize, lane: &mut [f64]) {
+        let (d, len) = (self.dims[m], lane.len());
+        let block = &self.coords[m][start * d..(start + len) * d];
+        let whole = len - len % DOT_LANES;
+        for jj in (0..whole).step_by(DOT_LANES) {
+            let row = |i: usize| &block[(jj + i) * d..];
+            lane[jj..jj + DOT_LANES].copy_from_slice(&dot4(qm, [row(0), row(1), row(2), row(3)]));
+        }
+        for jj in whole..len {
+            lane[jj] = dot(qm, &block[jj * d..(jj + 1) * d]);
         }
     }
 
@@ -386,6 +451,237 @@ impl ComponentBlocks {
                 );
                 *o += (query_weight[m] + self.weights[m][j]) * dist;
             }
+        }
+    }
+}
+
+/// The covering data of the clusters of a [`ComponentBlocks`] whose
+/// clusters are contiguous runs: per cluster and per component, a centre
+/// `c_m`, a covering radius `r_m` — the largest computed distance from
+/// `c_m` to a member — the members' least attention weight `ŵ_m`, and the
+/// largest norm and squared norm among the centre and the members. For
+/// every member `a` of a cluster,
+///
+/// ```text
+/// dist(q, a) ≥ Σ_m (w_q,m + ŵ_m) · max(0, d_m(q, c_m) − r_m − slack_m)
+/// ```
+///
+/// which [`BlockCovers::bounds`] evaluates for every cluster at once: the
+/// triangle inequality of each component's geodesic in the form the
+/// computed distances keep it (`slack_m` is
+/// [`amcad_manifold::triangle_slack`] of the cluster's norms and the
+/// query's), and `w_q,m + ŵ_m ≤ w_q,m + w_a,m`.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockCovers {
+    /// One stored point per cluster: its centre, weighted by the members'
+    /// least weights — or by `−∞` where the centre leaves the triangle
+    /// domain, which makes the cluster's bound `−∞`.
+    centres: ComponentBlocks,
+    /// Per component, per cluster: `r_m`.
+    radius: Vec<Vec<f64>>,
+    /// Per component, per cluster: the stretch `s_c`
+    /// ([`amcad_manifold::triangle_stretch`]) of the largest of `‖c_m‖²`
+    /// and the members' squared norms.
+    stretch: Vec<Vec<f64>>,
+    /// Per component, per cluster: `(‖c_m‖ + max ‖a_m‖) · s_c`.
+    stretched_norms: Vec<Vec<f64>>,
+}
+
+impl BlockCovers {
+    /// Covers of `clusters`, contiguous runs of `blocks` whose members
+    /// all lie in the triangle domain
+    /// ([`ComponentBlocks::in_triangle_domain`]). `tangents` holds the
+    /// members' `log0` tangent vectors, flat and in block order; a
+    /// cluster's centre is `exp0` of its members' tangent mean.
+    pub(crate) fn new(
+        blocks: &ComponentBlocks,
+        clusters: &[Range<usize>],
+        tangents: &[f64],
+    ) -> Self {
+        let comps = blocks.num_components();
+        let total_dim: usize = blocks.dims.iter().sum();
+        let mut covers = BlockCovers {
+            centres: blocks.permuted(&[]),
+            radius: vec![Vec::new(); comps],
+            stretch: vec![Vec::new(); comps],
+            stretched_norms: vec![Vec::new(); comps],
+        };
+        let mut mean = vec![0.0; total_dim];
+        let (mut centre, mut least) = (Vec::with_capacity(total_dim), vec![0.0; comps]);
+        for run in clusters {
+            mean.fill(0.0);
+            for t in tangents[run.start * total_dim..run.end * total_dim].chunks_exact(total_dim) {
+                mean.iter_mut().zip(t).for_each(|(s, t)| *s += t);
+            }
+            mean.iter_mut().for_each(|s| *s /= run.len() as f64);
+            centre.clear();
+            for (m, least) in least.iter_mut().enumerate() {
+                let (offset, d, kappa) = (blocks.offsets[m], blocks.dims[m], blocks.kappas[m]);
+                let c = exp_map_origin(&mean[offset..offset + d], kappa);
+                let c2 = norm_sq(&c);
+                let (mut radius, mut max_norm, mut max_sq) = (0.0f64, 0.0f64, c2);
+                *least = f64::INFINITY;
+                for j in run.clone() {
+                    let y2 = blocks.sq_norms[m][j];
+                    radius = radius.max(distance_gram(
+                        c2,
+                        y2,
+                        dot(&c, blocks.coords_of(m, j)),
+                        kappa,
+                    ));
+                    *least = least.min(blocks.weights[m][j]);
+                    max_norm = max_norm.max(y2.sqrt());
+                    max_sq = max_sq.max(y2);
+                }
+                if !in_triangle_domain(c2, kappa) {
+                    *least = f64::NEG_INFINITY;
+                }
+                let stretch = triangle_stretch(max_sq, kappa);
+                covers.radius[m].push(radius);
+                covers.stretch[m].push(stretch);
+                covers.stretched_norms[m].push((c2.sqrt() + max_norm) * stretch);
+                centre.extend(c);
+            }
+            covers.centres.push(&centre, &least);
+        }
+        covers
+    }
+
+    /// Number of clusters.
+    pub(crate) fn len(&self) -> usize {
+        self.centres.len()
+    }
+
+    /// Every cluster's lower bound (see the type doc) into `out`
+    /// (`out.len() == self.len()`): `−∞` where none holds — the query
+    /// leaves the triangle domain, a centre does, or a summed weight
+    /// `w_q,m + ŵ_m` is negative or `NaN` — and never `NaN`. Into `depth`
+    /// goes the same sum without the `max(0, ·)`, negative the deeper the
+    /// query sits inside the cluster: an order among clusters whose
+    /// bounds tie, never a bound. The centres are swept like candidates
+    /// in pass 1 of the chunk kernel, with the curvature arm of
+    /// [`amcad_manifold::atan_kappa_minorant`] standing in for
+    /// `d_m(q, c_m)`; `norm_lanes` is that kernel's scratch.
+    pub(crate) fn bounds(
+        &self,
+        grams: &QueryGrams,
+        query: &[f64],
+        query_weight: &[f64],
+        norm_lanes: &mut [f64],
+        out: &mut [f64],
+        depth: &mut [f64],
+    ) {
+        let centres = &self.centres;
+        let comps = centres.num_components();
+        depth.fill(0.0);
+        if !(0..comps).all(|m| in_triangle_domain(grams.q2[m], centres.kappas[m])) {
+            out.fill(f64::NEG_INFINITY);
+            return;
+        }
+        out.fill(0.0);
+        for (chunk, (out, depth)) in out
+            .chunks_mut(SCAN_CHUNK)
+            .zip(depth.chunks_mut(SCAN_CHUNK))
+            .enumerate()
+        {
+            let (start, len) = (chunk * SCAN_CHUNK, out.len());
+            for m in 0..comps {
+                let d = centres.dims[m];
+                let qm = &query[centres.offsets[m]..centres.offsets[m] + d];
+                let lane = &mut norm_lanes[m * SCAN_CHUNK..m * SCAN_CHUNK + len];
+                centres.dot_lane(m, qm, start, lane);
+                let kappa = centres.kappas[m];
+                let run = start..start + len;
+                let q2 = grams.q2[m];
+                // triangle_slack stretches by max(s_q, s_c); the loop takes
+                // the product s_q·s_c, no smaller, and needs no division
+                let stretch_q = triangle_stretch(q2, kappa);
+                let covers = CoverBounds {
+                    q2,
+                    query_weight: query_weight[m],
+                    kappa,
+                    slack_query: TRIANGLE_SLACK * stretch_q * q2.sqrt(),
+                    slack_cluster: TRIANGLE_SLACK * stretch_q,
+                    sq_norms: &centres.sq_norms[m][run.clone()],
+                    least_weights: &centres.weights[m][run.clone()],
+                    radius: &self.radius[m][run.clone()],
+                    stretch: &self.stretch[m][run.clone()],
+                    stretched_norms: &self.stretched_norms[m][run],
+                };
+                if kappa < -KAPPA_EPS {
+                    let inv_s = 1.0 / (-kappa).sqrt();
+                    covers.add(lane, out, depth, |y| {
+                        atan_kappa_minorant_hyperbolic(y, inv_s)
+                    });
+                } else if kappa > KAPPA_EPS {
+                    covers.add(lane, out, depth, |y| {
+                        atan_kappa_minorant_spherical(y, kappa)
+                    });
+                } else {
+                    covers.add(lane, out, depth, |y| atan_kappa_minorant_flat(y, kappa));
+                }
+            }
+        }
+        for bound in out.iter_mut().filter(|b| b.is_nan()) {
+            *bound = f64::NEG_INFINITY;
+        }
+    }
+}
+
+/// One component's inputs to [`BlockCovers::bounds`], for one chunk of
+/// clusters.
+struct CoverBounds<'a> {
+    q2: f64,
+    query_weight: f64,
+    kappa: f64,
+    /// `TRIANGLE_SLACK · s_q · ‖q‖`, multiplied by each cluster's stretch.
+    slack_query: f64,
+    /// `TRIANGLE_SLACK · s_q`, multiplied by each cluster's stretched norms.
+    slack_cluster: f64,
+    sq_norms: &'a [f64],
+    least_weights: &'a [f64],
+    radius: &'a [f64],
+    stretch: &'a [f64],
+    stretched_norms: &'a [f64],
+}
+
+impl CoverBounds<'_> {
+    /// Add each cluster's term for this component to its bound, and the
+    /// term before its clamp at 0 to its depth: `lane`
+    /// holds `⟨q_m, c_m⟩` per cluster, `minorant` is one curvature arm of
+    /// [`amcad_manifold::atan_kappa_minorant`], so `2·minorant(‖(−q)⊕c‖)`
+    /// is at most `d_m(q, c_m)`. The slack taken, `TRIANGLE_SLACK · (‖q‖ +
+    /// norms) · s_q · s_c`, is at least
+    /// [`amcad_manifold::triangle_slack`]'s.
+    #[inline(always)]
+    fn add(
+        &self,
+        lane: &[f64],
+        bounds: &mut [f64],
+        depth: &mut [f64],
+        minorant: impl Fn(f64) -> f64,
+    ) {
+        for (((((((bound, depth), &xy), &c2), &least), &radius), &stretch), &norms) in bounds
+            .iter_mut()
+            .zip(depth.iter_mut())
+            .zip(lane)
+            .zip(self.sq_norms)
+            .zip(self.least_weights)
+            .zip(self.radius)
+            .zip(self.stretch)
+            .zip(self.stretched_norms)
+        {
+            let to_centre = 2.0 * minorant(diff_norm_gram(self.q2, c2, xy, self.kappa));
+            let slack = self.slack_query * stretch + self.slack_cluster * norms;
+            let weight = self.query_weight + least;
+            let gap = to_centre - radius - slack;
+            // f64::max maps a NaN gap to 0, a term that always holds
+            *bound += if weight >= 0.0 {
+                weight * gap.max(0.0)
+            } else {
+                f64::NEG_INFINITY
+            };
+            *depth += weight * gap;
         }
     }
 }

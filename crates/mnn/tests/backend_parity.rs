@@ -1,14 +1,15 @@
 //! Backend-parity properties: the approximate backends degrade gracefully
 //! from "identical to exact" (full probing / saturated graphs) to "high
 //! recall" (partial probing / narrow beams), the HNSW graph built
-//! incrementally is the graph built in bulk, and the exact scan's
-//! bound-and-prune kernel returns the bits of the unbounded reference.
+//! incrementally is the graph built in bulk, and the exact scan — its
+//! per-candidate bound and its clusters skipped whole — returns the bits
+//! of the unbounded reference, per query and per bulk build.
 
 use amcad_manifold::{ProductManifold, SubspaceSpec};
 use amcad_mnn::quant::soa::SCAN_CHUNK;
 use amcad_mnn::{
-    recall_at_k, AnnIndex, ExactBackend, HnswConfig, IndexBackend, IvfConfig, MixedPointSet,
-    Postings, QuantConfig,
+    build_exact_index, recall_at_k, AnnIndex, ExactBackend, HnswConfig, IndexBackend, IvfConfig,
+    MixedPointSet, Postings, QuantConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -508,5 +509,93 @@ fn a_k_past_the_corpus_returns_at_most_the_corpus_on_every_backend() {
                 assert!(exclude.is_none_or(|id| got.iter().all(|&(c, _)| c != id)));
             }
         }
+    }
+}
+
+/// A c6k-shaped set: `categories` tangent-space centres `U(±0.4)` on three
+/// 8-dim components with κ = (−0.8, 0, 0.6), `per_category` points
+/// `exp0(centre + U(±spread))` each, weights on the simplex.
+fn category_scene(categories: usize, per_category: usize, spread: f64, seed: u64) -> MixedPointSet {
+    let manifold = ProductManifold::new(vec![
+        SubspaceSpec::new(8, -0.8),
+        SubspaceSpec::new(8, 0.0),
+        SubspaceSpec::new(8, 0.6),
+    ]);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centres: Vec<Vec<f64>> = (0..categories)
+        .map(|_| (0..24).map(|_| rng.gen_range(-0.4..0.4)).collect())
+        .collect();
+    let mut set = MixedPointSet::new(manifold.clone());
+    for i in 0..categories * per_category {
+        let tangent: Vec<f64> = centres[i % categories]
+            .iter()
+            .map(|c| c + rng.gen_range(-spread..spread))
+            .collect();
+        let mut weight: Vec<f64> = (0..3).map(|_| 0.05 + rng.gen_range(0.0..1.0)).collect();
+        let total: f64 = weight.iter().sum();
+        weight.iter_mut().for_each(|w| *w /= total);
+        set.push(i as u32, &manifold.exp0(&tangent), &weight);
+    }
+    set
+}
+
+/// `build_exact_index` at one and two threads equals `scan_reference`
+/// for every key, ids and distance bits, with self-exclusion on and off.
+fn assert_builds_equal_the_reference(scene: &str, keys: &MixedPointSet, cands: &MixedPointSet) {
+    let k = 20;
+    for exclude in [false, true] {
+        for threads in [1, 2] {
+            let index = build_exact_index(keys, cands, k, exclude, threads);
+            assert_eq!(index.len(), keys.len(), "{scene}");
+            for i in 0..keys.len() {
+                let id = keys.id(i);
+                let want = scan_reference(
+                    cands,
+                    keys.point(i),
+                    keys.weight(i),
+                    k,
+                    exclude.then_some(id),
+                );
+                let got: Vec<(u32, u64)> = index
+                    .get(id)
+                    .expect("every key is indexed")
+                    .iter()
+                    .map(|&(id, d)| (id, d.to_bits()))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{scene}: key {id}, threads {threads}, exclude {exclude}"
+                );
+            }
+        }
+    }
+}
+
+/// The bulk build skips whole clusters of candidates; a skip that drops a
+/// true neighbour shows here as a posting list that differs from the
+/// per-candidate reference. Keys are every fourth candidate, so
+/// self-exclusion removes a real entry.
+#[test]
+fn exact_builds_equal_the_per_candidate_reference_on_clustered_unclustered_and_broken_sets() {
+    let every_fourth = |set: &MixedPointSet| set.filtered(|id| id % 4 == 0);
+    // c6k's shape, at its spread and as an unclustered control
+    for (scene, spread) in [("c6k-shaped", 0.1), ("U(±0.3)", 0.3)] {
+        let cands = category_scene(64, 10, spread, 17);
+        assert_builds_equal_the_reference(scene, &every_fourth(&cands), &cands);
+    }
+    // points on a flat line with equal weights: every bound is the exact
+    // distance to the near end of a cluster, so a bound that claims any
+    // more drops a neighbour that sits at that end
+    let line = ProductManifold::new(vec![SubspaceSpec::new(1, 0.0)]);
+    let mut cands = MixedPointSet::new(line);
+    let mut rng = StdRng::seed_from_u64(5);
+    for id in 0..600 {
+        cands.push(id, &[rng.gen_range(-10.0..10.0)], &[0.5]);
+    }
+    assert_builds_equal_the_reference("line", &every_fourth(&cands), &cands);
+    // points on the ball's edge, off the manifold and NaN, clustered or not
+    for seed in [3u64, 8, 11, 20] {
+        let (cands, _) = pruning_scene(seed, 400, seed % 2 == 0);
+        assert_builds_equal_the_reference("pruning scene", &every_fourth(&cands), &cands);
     }
 }
