@@ -55,8 +55,8 @@ pub fn run_rules(path: &str, file: &LexedFile, all_test: bool) -> Vec<RawDiagnos
 }
 
 /// The one location where spawning OS threads is the module's actual
-/// job: the persistent pool, whose workers are every resident thread
-/// (the serving runtime's included).
+/// job: the park/wake protocol, which spawns the serving runtime's
+/// workers — every resident thread there is.
 fn in_thread_sanctioned_location(path: &str) -> bool {
     path.ends_with("runtime/park_pool.rs")
 }
@@ -226,10 +226,11 @@ fn relaxed_justified(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
     }
 }
 
-/// **thread-discipline** — OS threads are spawned only by the persistent
-/// pool (`runtime/park_pool.rs`) and tests. Everything else — the serving
-/// runtime included — must submit work to `PersistentPool` so thread
-/// counts stay bounded and observable.
+/// **thread-discipline** — OS threads are spawned only by the park/wake
+/// protocol (`runtime/park_pool.rs`) and tests. Everything else — the
+/// rest of the serving runtime included — must hand serving work to the
+/// runtime's resident workers so thread counts stay bounded and
+/// observable.
 fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
     const RULE: &str = "thread-discipline";
     let toks = &file.tokens;
@@ -256,7 +257,7 @@ fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
                 out,
                 RULE,
                 line,
-                format!("{what} outside runtime/park_pool.rs — route work through PersistentPool"),
+                format!("{what} outside runtime/park_pool.rs — route work through the serving runtime's workers"),
             );
         }
     }

@@ -180,11 +180,11 @@ fn fan_out() {
     let outside = "crates/retrieval/src/pool.rs";
     assert!(
         rules_hit(in_pool, src).is_empty(),
-        "the persistent pool owns its threads"
+        "the park/wake protocol owns the runtime's threads"
     );
     assert!(
         !rules_hit(in_runtime, src).is_empty(),
-        "the rest of runtime/ is not exempt: its workers are pool workers"
+        "the rest of runtime/ is not exempt: its workers are spawned in park_pool.rs"
     );
     assert!(
         !rules_hit(outside, src).is_empty(),

@@ -63,17 +63,16 @@
 //! delta generations pointer-identically.
 //!
 //! In front of it all sits the **persistent serving runtime** (the
-//! [`runtime`] module). Every resident thread in the crate is a
-//! condvar-parked [`PersistentPool`] worker, never spawned per request
-//! (sharded gathers run inline on the serving worker; cold builds
-//! fork/join on scoped threads): [`ServingRuntime`]'s workers are the
-//! resident threads of its own pool, draining a bounded
-//! admission queue with per-request deadlines — overload
-//! sheds with the typed
+//! [`runtime`] module). Every resident thread in the crate is one of a
+//! [`ServingRuntime`]'s workers, never spawned per request (sharded
+//! gathers run inline on the serving worker; cold builds fork/join on
+//! scoped threads). The workers park on the runtime's bounded admission
+//! queue, the only queue between submit and engine, with per-request
+//! deadlines — overload sheds with the typed
 //! [`RetrievalError::Overloaded`] instead of queueing without bound,
 //! and queued neighbours batch into one scan-deduplicated
 //! `retrieve_batch`. Each [`Ticket`] resolves with the instant the
-//! drain answered or shed it ([`Ticket::wait_timed`]); the open-loop
+//! worker answered or shed it ([`Ticket::wait_timed`]); the open-loop
 //! load driver that measures response time versus offered QPS (Fig. 9)
 //! is not part of this crate but a client of [`ServingRuntime::submit`]
 //! in `amcad-bench`.

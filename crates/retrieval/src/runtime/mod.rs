@@ -2,15 +2,14 @@
 //! shedding in front of any [`Retrieve`] implementation.
 //!
 //! This module *is* the serving tier. A [`ServingRuntime`] owns a bounded
-//! admission queue and a [`PersistentPool`] of exactly
-//! [`RuntimeConfig::workers`] resident threads — spawned once, parked in
-//! the pool when idle, reused for every request. The runtime's workers
-//! *are* pool workers: every resident thread in this crate is a
-//! [`PersistentPool`] worker, so the one park/wake protocol lives in
-//! [`park_pool`]. A submit that finds fewer than `workers` drains
-//! scheduled spawns one on the pool; a drain serves the queue batch by
-//! batch until it is empty. The caller waits on its [`Ticket`], a
-//! one-slot channel the drain sends the outcome through.
+//! admission queue and exactly [`RuntimeConfig::workers`] resident
+//! threads — spawned once, parked on that queue when it is empty, reused
+//! for every request. The queue is the only one between `submit` and the
+//! engine: a submit pushes under its lock and wakes a worker only if one
+//! is parked, and a worker serves the queue batch by batch until it is
+//! empty, then parks again. The park/wake protocol lives in
+//! [`park_pool`]. The caller waits on its [`Ticket`], a one-slot channel
+//! the worker sends the outcome through.
 //!
 //! * **Admission control** — [`ServingRuntime::submit`] rejects a request
 //!   with the typed [`RetrievalError::Overloaded`] the moment the queue
@@ -19,35 +18,31 @@
 //!   requests inside the SLO rather than answering all of them
 //!   arbitrarily late.
 //! * **Per-request deadlines** — a queued request that ages past
-//!   [`RuntimeConfig::deadline`] before a drain picks it up is shed with
+//!   [`RuntimeConfig::deadline`] before a worker picks it up is shed with
 //!   the same typed error; its ticket resolves immediately rather than
 //!   wasting service capacity on an answer nobody is waiting for.
-//! * **Batch dedup for free** — a drain takes up to
+//! * **Batch dedup for free** — a worker takes up to
 //!   [`RuntimeConfig::batch_size`] queued requests at a time and serves
 //!   them through [`Retrieve::retrieve_batch`] — always, because an
 //!   engine's batch of one *is* its `retrieve` — so the engine-level
 //!   cross-request scan dedup engages exactly when load (and therefore
 //!   key overlap) is highest.
 //! * **Completion stamps** — [`Ticket::wait_timed`] returns the instant
-//!   the drain resolved the ticket alongside the result, so a load
+//!   the worker resolved the ticket alongside the result, so a load
 //!   generator measures queueing plus service without timing its own
 //!   wake-up; the open-loop driver that offers Fig. 9's load is a plain
 //!   client of [`ServingRuntime::submit`] in the `amcad-bench` crate.
-//!
-//! The pool type lives in [`park_pool`].
 
 pub mod park_pool;
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use self::park_pool::PersistentPool;
+use self::park_pool::AdmissionQueue;
 use crate::engine::{Request, RetrievalResponse, Retrieve};
 use crate::error::RetrievalError;
 
@@ -65,9 +60,10 @@ pub struct RuntimeConfig {
     /// this counts toward `timed_out` rather than goodput (must be
     /// positive).
     pub deadline: Duration,
-    /// Requests a drain takes from the queue at a time and serves
+    /// Requests a worker takes from the queue at a time and serves
     /// through one [`Retrieve::retrieve_batch`] call; several live
-    /// requests engage the engine-level cross-request scan dedup.
+    /// requests engage the engine-level cross-request scan dedup (must
+    /// be positive).
     pub batch_size: usize,
 }
 
@@ -126,7 +122,7 @@ impl Ticket {
     }
 
     /// [`Ticket::wait`], plus the instant the ticket was resolved: when
-    /// the drain finished serving the request, or shed it at its
+    /// the worker finished serving the request, or shed it at its
     /// deadline or at runtime shutdown. A waiter that wakes late still
     /// reads when the answer was ready.
     ///
@@ -154,14 +150,6 @@ struct QueuedRequest {
     ticket: SyncSender<Outcome>,
 }
 
-struct RuntimeQueue {
-    items: VecDeque<QueuedRequest>,
-    /// Drains scheduled on the pool, at most `workers`. Counted under
-    /// the same lock as `items`: a submit either sees a drain that will
-    /// still reach its request or schedules a new one — no lost wake-up.
-    drains: usize,
-}
-
 struct Counters {
     admitted: AtomicU64,
     completed: AtomicU64,
@@ -171,7 +159,7 @@ struct Counters {
 
 struct RuntimeShared {
     engine: Arc<dyn Retrieve>,
-    queue: Mutex<RuntimeQueue>,
+    queue: AdmissionQueue,
     config: RuntimeConfig,
     counters: Counters,
 }
@@ -187,13 +175,12 @@ impl RuntimeShared {
 }
 
 /// A persistent serving tier around any [`Retrieve`] engine: a bounded
-/// admission queue drained on resident pool workers, with per-request
-/// deadlines and SLO-driven load shedding (see the module docs).
+/// admission queue served by resident workers parked on it, with
+/// per-request deadlines and SLO-driven load shedding (see the module
+/// docs).
 pub struct ServingRuntime {
     shared: Arc<RuntimeShared>,
-    /// Dropped after [`ServingRuntime`]'s own `drop` has emptied the
-    /// queue, so joining the workers waits only for in-flight batches.
-    pool: PersistentPool,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServingRuntime {
@@ -224,16 +211,14 @@ impl ServingRuntime {
                 "request deadline must be positive".into(),
             ));
         }
-        let config = RuntimeConfig {
-            batch_size: config.batch_size.max(1),
-            ..config
-        };
+        if config.batch_size == 0 {
+            return Err(RetrievalError::InvalidConfig(
+                "batch size must be positive".into(),
+            ));
+        }
         let shared = Arc::new(RuntimeShared {
             engine,
-            queue: Mutex::new(RuntimeQueue {
-                items: VecDeque::new(),
-                drains: 0,
-            }),
+            queue: AdmissionQueue::default(),
             config,
             counters: Counters {
                 admitted: AtomicU64::new(0),
@@ -242,10 +227,11 @@ impl ServingRuntime {
                 shed_deadline: AtomicU64::new(0),
             },
         });
-        Ok(ServingRuntime {
-            shared,
-            pool: PersistentPool::new(config.workers),
-        })
+        let workers = park_pool::spawn_workers(config.workers, {
+            let shared = Arc::clone(&shared);
+            move || serve(&shared)
+        });
+        Ok(ServingRuntime { shared, workers })
     }
 
     /// The runtime's configuration.
@@ -263,7 +249,7 @@ impl ServingRuntime {
             completed: c.completed.load(Ordering::Relaxed),
             shed_queue_full: c.shed_queue.load(Ordering::Relaxed),
             shed_deadline: c.shed_deadline.load(Ordering::Relaxed),
-            queue_len: self.shared.queue.lock().items.len(),
+            queue_len: self.shared.queue.len(),
         }
     }
 
@@ -273,26 +259,16 @@ impl ServingRuntime {
     pub fn submit(&self, request: Request) -> Result<Ticket, RetrievalError> {
         let shared = &self.shared;
         let (ticket, outcome) = mpsc::sync_channel(1);
-        let schedule_drain = {
-            let mut queue = shared.queue.lock();
-            if queue.items.len() >= shared.config.queue_depth {
-                shared.counters.shed_queue.fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
-                return Err(shared.overloaded());
-            }
-            queue.items.push_back(QueuedRequest {
-                request,
-                enqueued: Instant::now(),
-                ticket,
-            });
-            let idle_slot = queue.drains < shared.config.workers;
-            queue.drains += usize::from(idle_slot);
-            idle_slot
+        let item = QueuedRequest {
+            request,
+            enqueued: Instant::now(),
+            ticket,
         };
-        shared.counters.admitted.fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
-        if schedule_drain {
-            let shared = Arc::clone(shared);
-            self.pool.spawn(move || drain_queue(&shared));
+        if !shared.queue.push(item, shared.config.queue_depth) {
+            shared.counters.shed_queue.fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
+            return Err(shared.overloaded());
         }
+        shared.counters.admitted.fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
         Ok(Ticket { outcome })
     }
 
@@ -308,42 +284,38 @@ impl ServingRuntime {
 impl Drop for ServingRuntime {
     fn drop(&mut self) {
         // resolve every still-queued ticket so no waiter hangs on a
-        // runtime that shut down under it; a drain mid-batch then finds
-        // the queue empty and returns, and the pool joins its worker
-        let leftovers = std::mem::take(&mut self.shared.queue.lock().items);
-        for item in leftovers {
+        // runtime that shut down under it; a worker mid-batch finishes
+        // it, finds the queue closed and exits, so joining waits only
+        // for in-flight batches
+        for item in self.shared.queue.close() {
             self.shared
                 .counters
                 .shed_queue
                 .fetch_add(1, Ordering::Relaxed); // monotonic telemetry only
             fulfil(item.ticket, Err(self.shared.overloaded()));
         }
+        for worker in self.workers.drain(..) {
+            // engine panics are caught, so a worker never panics;
+            // joining its handle only waits for it
+            let _ = worker.join();
+        }
     }
 }
 
-/// One drain, run as a task on the runtime's pool: take up to
-/// `batch_size` requests, shed the ones past their deadline, serve the
-/// rest with one `retrieve_batch`, fulfil their tickets — until the
-/// queue is empty.
-fn drain_queue(shared: &RuntimeShared) {
-    // scratch pre-sized to the batch cap and reused for every batch of
-    // this drain: only the engine call does real work
+/// One resident worker's life: take up to `batch_size` requests, shed
+/// the ones past their deadline, serve the rest with one
+/// `retrieve_batch`, fulfil their tickets — parking whenever the queue
+/// is empty, until the runtime closes it.
+fn serve(shared: &RuntimeShared) {
+    // scratch pre-sized to the batch cap and reused for every batch this
+    // worker serves: only the engine call does real work
     let batch_cap = shared.config.batch_size;
     let mut batch: Vec<QueuedRequest> = Vec::with_capacity(batch_cap);
     let mut requests: Vec<Request> = Vec::with_capacity(batch_cap);
     let mut tickets: Vec<SyncSender<Outcome>> = Vec::with_capacity(batch_cap);
-    // drain loop: returns once the admission queue (at most queue_depth
-    // deep) is empty; each iteration removes up to batch_size requests
-    loop {
-        {
-            let mut queue = shared.queue.lock();
-            if queue.items.is_empty() {
-                queue.drains -= 1;
-                return;
-            }
-            let n = queue.items.len().min(batch_cap);
-            batch.extend(queue.items.drain(..n));
-        }
+    // worker loop: returns once the runtime closes the queue; each
+    // iteration removes up to batch_size requests
+    while shared.queue.next_batch(batch_cap, &mut batch) {
         // deadline check at dequeue: a request that aged out while
         // queued is shed — serving it would waste capacity on an answer
         // its caller has already given up on
@@ -369,9 +341,9 @@ fn drain_queue(shared: &RuntimeShared) {
         let results = catch_unwind(AssertUnwindSafe(|| shared.engine.retrieve_batch(&requests)));
         requests.clear();
         // a panicking engine fails only its batch: the dropped tickets
-        // make those waiters panic instead of hanging, and the drain goes
-        // on. Unwinding out of the drain instead would leave its slot
-        // counted, stranding the requests queued behind the batch.
+        // make those waiters panic instead of hanging, and the worker
+        // goes on. Unwinding out of the worker instead would end its
+        // thread, leaving the runtime a worker short for good.
         let Ok(results) = results else {
             tickets.clear();
             continue;
@@ -440,7 +412,7 @@ mod tests {
         }
 
         /// Block until `n` requests have entered the engine (i.e. were
-        /// dequeued by a drain and are now parked on the gate).
+        /// dequeued by a worker and are now parked on the gate).
         fn wait_entered(&self, n: usize) {
             let state = self.state.lock().unwrap();
             drop(self.changed.wait_while(state, |s| s.1 < n).unwrap());
@@ -472,6 +444,10 @@ mod tests {
             // would shed every request at dequeue
             RuntimeConfig {
                 deadline: Duration::ZERO,
+                ..RuntimeConfig::default()
+            },
+            RuntimeConfig {
+                batch_size: 0,
                 ..RuntimeConfig::default()
             },
         ];
@@ -659,30 +635,6 @@ mod tests {
         assert_eq!(stats.completed, 1);
     }
 
-    #[test]
-    fn dropping_the_runtime_resolves_leftover_tickets() {
-        let gated = Arc::new(GatedEngine::new(engine()));
-        let runtime = ServingRuntime::new(
-            gated.clone() as Arc<dyn Retrieve>,
-            RuntimeConfig {
-                workers: 1,
-                queue_depth: 8,
-                deadline: Duration::from_secs(30),
-                batch_size: 1,
-            },
-        )
-        .unwrap();
-        let templates = requests();
-        let t1 = runtime.submit(templates[0].clone()).unwrap();
-        gated.wait_entered(1);
-        let t2 = runtime.submit(templates[1].clone()).unwrap();
-        gated.open_gate();
-        drop(runtime); // joins the worker; t2 may be served or shut down
-        assert!(t1.wait().is_ok());
-        // whichever way the race went, the ticket resolved — no hang
-        let _ = t2.wait();
-    }
-
     /// The stamp `wait_timed` returns is the instant the ticket was
     /// resolved: after the submit, before `wait_timed` returns — for a
     /// served request, one shed at its deadline and one shed at shutdown.
@@ -721,7 +673,8 @@ mod tests {
 
         // shutdown: the one worker is parked on a closed gate, so only
         // the runtime's drop can resolve the queued ticket; the drop then
-        // blocks joining that worker until the gate opens
+        // blocks joining that worker until the gate opens, and the
+        // in-flight request is still served
         let gated = Arc::new(GatedEngine::new(engine()));
         let runtime = ServingRuntime::new(
             gated.clone() as Arc<dyn Retrieve>,
@@ -746,5 +699,60 @@ mod tests {
             gated.open_gate();
         });
         assert!(blocking.wait().is_ok());
+    }
+
+    /// No wake-up is lost to racing submitters: four closed-loop clients
+    /// keep the queue flipping between empty and not, so workers park
+    /// and wake on almost every request, and every ticket must resolve.
+    /// The scenario runs on a helper thread so a lost wake-up fails by
+    /// timeout rather than hanging the suite.
+    #[test]
+    fn concurrent_submitters_lose_no_wake_up() {
+        const CLIENTS: usize = 4;
+        const PER_CLIENT: usize = 500;
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let engine = engine();
+            let templates = requests();
+            for workers in [1, 2] {
+                for batch_size in [1, 8] {
+                    let runtime = ServingRuntime::new(
+                        engine.clone(),
+                        RuntimeConfig {
+                            workers,
+                            queue_depth: CLIENTS,
+                            deadline: Duration::from_secs(30),
+                            batch_size,
+                        },
+                    )
+                    .unwrap();
+                    let all_ok = std::thread::scope(|s| {
+                        let clients: Vec<_> = (0..CLIENTS)
+                            .map(|c| {
+                                let (runtime, templates) = (&runtime, &templates);
+                                s.spawn(move || {
+                                    (0..PER_CLIENT).all(|i| {
+                                        let request = &templates[(c + i) % templates.len()];
+                                        runtime.retrieve_blocking(request).is_ok()
+                                    })
+                                })
+                            })
+                            .collect();
+                        clients.into_iter().all(|c| c.join().unwrap())
+                    });
+                    let stats = runtime.stats();
+                    done.send((workers, batch_size, all_ok, stats)).unwrap();
+                }
+            }
+        });
+        for _ in 0..4 {
+            let (workers, batch_size, all_ok, stats) = outcome
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a ticket never resolved: a submit's wake-up was lost");
+            let case = format!("workers={workers} batch_size={batch_size}");
+            assert!(all_ok, "{case}: a request failed");
+            assert_eq!(stats.admitted, (CLIENTS * PER_CLIENT) as u64, "{case}");
+            assert_eq!(stats.completed, stats.admitted, "{case}");
+        }
     }
 }

@@ -149,10 +149,10 @@
 //! queueing without bound, requests that age past their deadline while
 //! queued are shed rather than answered late, and queued neighbours are
 //! drained into one scan-deduplicated `retrieve_batch` call. Every
-//! resident thread is a long-lived parked worker of a
-//! [`retrieval::PersistentPool`] — the runtime's workers are its own
-//! pool's — so no request spawns a thread, and shard gathers are
-//! merged inline on the serving worker. Each ticket resolves with the
+//! resident thread is one of the runtime's long-lived workers, parked
+//! on its admission queue while it is empty, so no request spawns a
+//! thread, and shard gathers are merged inline on the serving worker.
+//! Each ticket resolves with the
 //! instant it was answered or shed (`Ticket::wait_timed`), which is all
 //! a load generator needs: the open-loop driver lives in the
 //! `amcad-bench` crate as a plain client of `ServingRuntime::submit`,
