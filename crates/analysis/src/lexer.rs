@@ -3,7 +3,7 @@
 //!
 //! This is deliberately **not** a parser. The rules in
 //! [`crate::rules`] are token-pattern checks (`Ordering::Relaxed`
-//! without a comment, `.partial_cmp(..).unwrap()`, `thread::spawn`),
+//! without a comment, `.partial_cmp(..).unwrap()`, `buf[i]` in `store/`),
 //! so the lexer's job is to get four things exactly right — everything
 //! a grep-based checker gets wrong:
 //!
@@ -11,12 +11,10 @@
 //!    (nested) block comments are lifted out of the token stream into a
 //!    side table with line spans, so `// the old partial_cmp().unwrap()
 //!    panicked here` never fires a rule, while justification comments
-//!    and `allow(...)` waivers remain checkable.
+//!    remain checkable.
 //! 2. **Literals are not code.** String, raw-string, byte-string and
-//!    char literals are single tokens: `"std::sync::Mutex"` inside a
-//!    diagnostic message is data, not a lint violation. (The same
-//!    goes for waiver directives quoted inside doc text or strings:
-//!    only real comments can waive.)
+//!    char literals are single tokens: `".unwrap()"` inside a
+//!    diagnostic message is data, not a lint violation.
 //! 3. **Lifetimes are not char literals.** `'a` and `'static` must not
 //!    desynchronise the literal scanner (a naive one treats the rest of
 //!    the file as the inside of a char).
@@ -71,11 +69,10 @@ impl Token {
     }
 }
 
-/// One comment (line, doc or block) lifted out of the token stream.
+/// The line span of one comment (line, doc or block) lifted out of the
+/// token stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {
-    /// The raw comment text, delimiters included.
-    pub text: String,
     /// 1-indexed first line of the comment.
     pub start_line: usize,
     /// 1-indexed last line of the comment (equal to `start_line` for
@@ -83,61 +80,23 @@ pub struct Comment {
     pub end_line: usize,
 }
 
-impl Comment {
-    /// Whether this is a doc comment (`///`, `//!`, `/**`, `/*!`).
-    /// Lint directives are tooling syntax, not documentation — docs
-    /// that *mention* a directive must not activate it.
-    pub fn is_doc(&self) -> bool {
-        (self.text.starts_with("///") && !self.text.starts_with("////"))
-            || self.text.starts_with("//!")
-            || (self.text.starts_with("/**") && !self.text.starts_with("/***"))
-            || self.text.starts_with("/*!")
-    }
-}
-
-/// What a source line contains, for locating the code line a waiver
-/// directive shields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineKind {
-    /// Only whitespace.
-    Blank,
-    /// Only comments (and whitespace).
-    CommentOnly,
-    /// At least one code token starts on this line.
-    Code,
-}
-
 /// The lexed form of one source file.
 #[derive(Debug)]
 pub struct LexedFile {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
-    /// `line_kinds[0]` describes line 1.
-    pub line_kinds: Vec<LineKind>,
 }
 
 impl LexedFile {
-    /// The [`LineKind`] of 1-indexed `line` (lines past EOF are blank).
-    pub fn line_kind(&self, line: usize) -> LineKind {
-        line.checked_sub(1)
-            .and_then(|i| self.line_kinds.get(i).copied())
-            .unwrap_or(LineKind::Blank)
-    }
-
     /// Whether any comment covers (part of) 1-indexed `line`.
     pub fn comment_on_line(&self, line: usize) -> bool {
         self.comments
             .iter()
             .any(|c| c.start_line <= line && line <= c.end_line)
     }
-
-    /// The first code line at or after 1-indexed `line`.
-    pub fn next_code_line(&self, line: usize) -> Option<usize> {
-        (line..=self.line_kinds.len()).find(|&l| self.line_kind(l) == LineKind::Code)
-    }
 }
 
-/// Lex `source` into tokens, comments and line kinds. The lexer never
+/// Lex `source` into tokens and comments. The lexer never
 /// fails: malformed input (an unterminated string, say) degrades into
 /// best-effort tokens rather than an error, because a lint tool must
 /// keep walking the rest of the workspace.
@@ -151,8 +110,6 @@ struct Lexer<'a> {
     line: usize,
     tokens: Vec<Token>,
     comments: Vec<Comment>,
-    /// Lines on which at least one code token starts.
-    code_lines: Vec<usize>,
 }
 
 impl<'a> Lexer<'a> {
@@ -163,7 +120,6 @@ impl<'a> Lexer<'a> {
             line: 1,
             tokens: Vec::new(),
             comments: Vec::new(),
-            code_lines: Vec::new(),
         }
     }
 
@@ -186,7 +142,6 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: TokenKind, line: usize) {
-        self.code_lines.push(line);
         self.tokens.push(Token {
             kind,
             line,
@@ -222,23 +177,19 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        let line_kinds = line_kinds(self.line, &self.code_lines, &self.comments);
         mark_test_regions(&mut self.tokens);
         LexedFile {
             tokens: self.tokens,
             comments: self.comments,
-            line_kinds,
         }
     }
 
     fn line_comment(&mut self) {
         let start = self.line;
-        let begin = self.pos;
         while self.peek().is_some_and(|b| b != b'\n') {
             self.bump();
         }
         self.comments.push(Comment {
-            text: String::from_utf8_lossy(&self.src[begin..self.pos]).into_owned(),
             start_line: start,
             end_line: start,
         });
@@ -246,7 +197,6 @@ impl<'a> Lexer<'a> {
 
     fn block_comment(&mut self) {
         let start = self.line;
-        let begin = self.pos;
         self.bump(); // '/'
         self.bump(); // '*'
         let mut depth = 1usize;
@@ -269,7 +219,6 @@ impl<'a> Lexer<'a> {
             }
         }
         self.comments.push(Comment {
-            text: String::from_utf8_lossy(&self.src[begin..self.pos]).into_owned(),
             start_line: start,
             end_line: self.line,
         });
@@ -456,24 +405,6 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Classify every line as blank / comment-only / code.
-fn line_kinds(total: usize, code_lines: &[usize], comments: &[Comment]) -> Vec<LineKind> {
-    let mut kinds = vec![LineKind::Blank; total];
-    for c in comments {
-        for line in c.start_line..=c.end_line.min(total) {
-            if let Some(k) = kinds.get_mut(line - 1) {
-                *k = LineKind::CommentOnly;
-            }
-        }
-    }
-    for &line in code_lines {
-        if let Some(k) = kinds.get_mut(line - 1) {
-            *k = LineKind::Code;
-        }
-    }
-    kinds
-}
-
 /// Mark every token inside a `#[cfg(test)]` / `#[test]` item or a
 /// `mod tests { ... }` block as test code.
 ///
@@ -529,9 +460,12 @@ fn mark_test_regions(tokens: &mut [Token]) {
     }
 }
 
-/// If `tokens[start]` is `#` opening an attribute, return the index of
-/// its closing `]`.
-fn attribute_end(tokens: &[Token], start: usize) -> Option<usize> {
+/// If `tokens[start]` is `#` opening an attribute (`#[...]` or
+/// `#![...]`), return the index of its closing `]`.
+pub fn attribute_end(tokens: &[Token], start: usize) -> Option<usize> {
+    if !tokens.get(start).is_some_and(|t| t.is_punct('#')) {
+        return None;
+    }
     let mut i = start + 1;
     if tokens.get(i).is_some_and(|t| t.is_punct('!')) {
         i += 1; // inner attribute #![...]
@@ -688,16 +622,6 @@ let d = 'x';
             .find(|t| t.is_ident("unwrap"))
             .expect("unwrap token");
         assert!(!unwrap.in_test, "the ; must cancel the pending marker");
-    }
-
-    #[test]
-    fn line_kinds_classify_blank_comment_and_code_lines() {
-        let file = lex("// only comment\n\nlet x = 1; // trailing\n/* a\nb */\n");
-        assert_eq!(file.line_kind(1), LineKind::CommentOnly);
-        assert_eq!(file.line_kind(2), LineKind::Blank);
-        assert_eq!(file.line_kind(3), LineKind::Code);
-        assert_eq!(file.line_kind(4), LineKind::CommentOnly);
-        assert_eq!(file.line_kind(5), LineKind::CommentOnly);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The five deny-by-default rules. Each is a token-pattern check over
+//! The three deny-by-default rules. Each is a token-pattern check over
 //! one [`LexedFile`], so every finding depends on that file alone; see
 //! `src/README.md` for the contract behind each rule and the incident
 //! that motivated it.
@@ -6,16 +6,7 @@
 use crate::lexer::{LexedFile, Token, TokenKind};
 use std::collections::BTreeSet;
 
-/// Every rule name an `allow(<rule>)` waiver directive may name.
-pub const RULE_NAMES: &[&str] = &[
-    "panic-free-decode",
-    "nan-ordering",
-    "relaxed-justified",
-    "thread-discipline",
-    "no-std-sync-primitives",
-];
-
-/// One rule violation before waiver resolution.
+/// One rule violation, before [`crate::lint_source`] attaches its path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawDiagnostic {
     pub rule: &'static str,
@@ -46,19 +37,8 @@ pub fn run_rules(path: &str, file: &LexedFile, all_test: bool) -> Vec<RawDiagnos
     }
     nan_ordering(file, &mut out);
     relaxed_justified(file, &mut out);
-    if !in_thread_sanctioned_location(path) {
-        thread_discipline(file, &mut out);
-    }
-    no_std_sync_primitives(file, &mut out);
     out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     out
-}
-
-/// The one location where spawning OS threads is the module's actual
-/// job: the park/wake protocol, which spawns the serving runtime's
-/// workers — every resident thread there is.
-fn in_thread_sanctioned_location(path: &str) -> bool {
-    path.ends_with("runtime/park_pool.rs")
 }
 
 /// Identifiers that precede `[` without it being an index expression
@@ -223,92 +203,6 @@ fn relaxed_justified(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
             line,
             "Ordering::Relaxed without a justification comment — state why no happens-before edge is needed, or use Acquire/Release",
         );
-    }
-}
-
-/// **thread-discipline** — OS threads are spawned only by the park/wake
-/// protocol (`runtime/park_pool.rs`) and tests. Everything else — the
-/// rest of the serving runtime included — must hand serving work to the
-/// runtime's resident workers so thread counts stay bounded and
-/// observable.
-fn thread_discipline(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
-    const RULE: &str = "thread-discipline";
-    let toks = &file.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
-            continue;
-        }
-        let pair = |a: &str, b: &str| {
-            t.is_ident(a)
-                && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|n| n.is_ident(b))
-        };
-        let hit = if pair("thread", "spawn") {
-            Some("thread::spawn")
-        } else if pair("thread", "scope") {
-            Some("thread::scope")
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            let line = toks[i + 3].line;
-            diag(
-                out,
-                RULE,
-                line,
-                format!("{what} outside runtime/park_pool.rs — route work through the serving runtime's workers"),
-            );
-        }
-    }
-}
-
-/// **no-std-sync-primitives** — locks come from the workspace
-/// `parking_lot` stub (`crates/compat/parking_lot`), which ignores
-/// poisoning the way the real crate does: a panicking worker must not
-/// turn every later `lock()` into a second panic. `std::sync::Mutex`
-/// is allowed only where a `Condvar` is involved (std condvars only
-/// accept std guards) — and such sites must say so with an allow.
-fn no_std_sync_primitives(file: &LexedFile, out: &mut Vec<RawDiagnostic>) {
-    const RULE: &str = "no-std-sync-primitives";
-    let toks = &file.tokens;
-    let colon2 = |i: usize| {
-        toks.get(i).is_some_and(|n| n.is_punct(':'))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-    };
-    let flag = |out: &mut Vec<RawDiagnostic>, name: &str, line: usize| {
-        diag(
-            out,
-            RULE,
-            line,
-            format!("std::sync::{name} — use the poison-ignoring parking_lot stub (crates/compat/parking_lot)"),
-        );
-    };
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test || !t.is_ident("std") {
-            continue;
-        }
-        if !(colon2(i + 1) && toks.get(i + 3).is_some_and(|n| n.is_ident("sync")) && colon2(i + 4))
-        {
-            continue;
-        }
-        match toks.get(i + 6).map(|n| &n.kind) {
-            Some(TokenKind::Ident(name)) if name == "Mutex" || name == "RwLock" => {
-                flag(out, name, toks[i + 6].line);
-            }
-            Some(TokenKind::Punct('{')) => {
-                if let Some(close) = matching_delim(toks, i + 6, '{', '}') {
-                    for g in &toks[i + 6..close] {
-                        if let Some(name) = g.ident() {
-                            if name == "Mutex" || name == "RwLock" {
-                                flag(out, name, g.line);
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
     }
 }
 

@@ -1,13 +1,18 @@
 //! The enforcement test: the workspace itself must be clean under
 //! every rule. This is the same walk `cargo run -p amcad-lint -- --deny`
 //! performs in CI, wired into `cargo test --workspace` so the contract
-//! cannot drift even where CI is not run.
+//! cannot drift even where CI is not run. It also guards the clippy
+//! side of the contracts: the root `clippy.toml` keeps its disallowed
+//! paths, and the waivers of them only ever go down.
 
 use std::path::{Path, PathBuf};
 
-/// Standing waivers (what `amcad-lint --list-allows` prints) the
-/// workspace may carry. A ratchet: lower it whenever a waiver goes, never
-/// raise it — a new exception has to retire an old one.
+use amcad_lint::lexer::{attribute_end, lex, Token};
+
+/// Standing `#[expect(clippy::disallowed_methods | disallowed_types)]`
+/// attributes outside test code the workspace may carry. A ratchet:
+/// lower it whenever a waiver goes, never raise it — a new exception
+/// has to retire an old one.
 const MAX_STANDING_WAIVERS: usize = 3;
 
 fn workspace_root() -> PathBuf {
@@ -25,30 +30,68 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_has_zero_unwaived_diagnostics() {
-    let root = workspace_root();
-    let diagnostics = amcad_lint::lint_workspace(&root, &[]);
-    let unwaived: Vec<String> = diagnostics
-        .iter()
-        .filter(|d| !d.waived)
-        .map(|d| d.to_string())
-        .collect();
+fn workspace_has_zero_diagnostics() {
+    let diagnostics = amcad_lint::lint_workspace(&workspace_root(), &[]);
+    let shown: Vec<String> = diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(
-        unwaived.is_empty(),
-        "the workspace violates its own invariants:\n{}\nfix the site or add an \
-         `amcad-lint: allow(<rule>)` waiver with a reason",
-        unwaived.join("\n")
+        shown.is_empty(),
+        "the workspace violates its own invariants:\n{}",
+        shown.join("\n")
     );
 }
 
 #[test]
+fn clippy_config_keeps_the_thread_and_lock_contracts() {
+    let config = std::fs::read_to_string(workspace_root().join("clippy.toml"))
+        .expect("the root clippy.toml holds the thread and lock contracts");
+    for path in [
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::sync::Mutex",
+        "std::sync::RwLock",
+    ] {
+        assert!(
+            config.contains(&format!("path = \"{path}\"")),
+            "clippy.toml no longer disallows {path}"
+        );
+    }
+}
+
+/// Whether the attribute `#[...]` / `#![...]` is an `expect` naming
+/// `clippy::disallowed_methods` or `clippy::disallowed_types`.
+fn is_disallowed_waiver(attr: &[Token]) -> bool {
+    let idents: Vec<&str> = attr.iter().filter_map(Token::ident).collect();
+    idents.first() == Some(&"expect")
+        && idents.windows(2).any(|w| {
+            w[0] == "clippy" && (w[1] == "disallowed_methods" || w[1] == "disallowed_types")
+        })
+}
+
+#[test]
 fn standing_waivers_only_ever_go_down() {
-    let allows = amcad_lint::workspace_allows(&workspace_root(), &[]);
+    let mut waivers = Vec::new();
+    for unit in amcad_lint::workspace_units(&workspace_root(), &[]) {
+        if unit.all_test {
+            continue;
+        }
+        let tokens = lex(&unit.source).tokens;
+        for (i, t) in tokens.iter().enumerate() {
+            if t.in_test {
+                continue;
+            }
+            if let Some(end) = attribute_end(&tokens, i) {
+                if is_disallowed_waiver(&tokens[i..=end]) {
+                    waivers.push(format!("{}:{}", unit.path, t.line));
+                }
+            }
+        }
+    }
     assert!(
-        allows.len() <= MAX_STANDING_WAIVERS,
-        "{} standing waivers, the ratchet allows {MAX_STANDING_WAIVERS}: fix the new site \
-         instead of waiving it (or retire another waiver) — MAX_STANDING_WAIVERS may only \
-         be lowered",
-        allows.len()
+        waivers.len() <= MAX_STANDING_WAIVERS,
+        "{} standing waivers of the clippy.toml contracts, the ratchet allows \
+         {MAX_STANDING_WAIVERS}: fix the new site instead of waiving it (or retire another \
+         waiver) — MAX_STANDING_WAIVERS may only be lowered\n{}",
+        waivers.len(),
+        waivers.join("\n")
     );
 }

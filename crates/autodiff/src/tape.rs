@@ -39,8 +39,8 @@ enum Op {
     Neg(Var),
     /// Multiply by a compile-time constant.
     Scale(Var, f64),
-    /// Add a compile-time constant (the constant is kept for Debug output).
-    AddConst(Var, #[allow(dead_code)] f64),
+    /// Add a constant (its gradient is the identity).
+    AddConst(Var),
     /// Matrix product `(r×k)·(k×c)`.
     Matmul(Var, Var),
     Sum(Var),
@@ -48,8 +48,6 @@ enum Op {
     Dot(Var, Var),
     /// Concatenate row vectors along columns.
     ConcatCols(Vec<Var>),
-    /// Columns `[start, end)` of a row vector.
-    SliceCols(Var, usize, usize),
     Tanh(Var),
     Sigmoid(Var),
     Relu(Var),
@@ -194,7 +192,7 @@ impl Tape {
     /// Add a constant to every element.
     pub fn add_const(&mut self, a: Var, c: f64) -> Var {
         let v = self.value(a).map(|x| x + c);
-        self.push(Op::AddConst(a, c), v)
+        self.push(Op::AddConst(a), v)
     }
 
     // ----- broadcast with a scalar variable -----
@@ -269,15 +267,6 @@ impl Tape {
             data.extend_from_slice(&t.data);
         }
         self.push(Op::ConcatCols(parts.to_vec()), Tensor::row(data))
-    }
-
-    /// Columns `[start, end)` of a row vector.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let t = self.value(a);
-        assert_eq!(t.rows, 1, "slice_cols expects a row vector");
-        assert!(start <= end && end <= t.cols);
-        let data = t.data[start..end].to_vec();
-        self.push(Op::SliceCols(a, start, end), Tensor::row(data))
     }
 
     // ----- nonlinearities -----
@@ -404,7 +393,7 @@ impl Tape {
                     let c = *c;
                     self.accumulate(&mut grads, *a, grad.map(|g| g * c));
                 }
-                Op::AddConst(a, _) => self.accumulate(&mut grads, *a, grad),
+                Op::AddConst(a) => self.accumulate(&mut grads, *a, grad),
                 Op::Matmul(a, b) => {
                     let av = self.value(*a);
                     let bv = self.value(*b);
@@ -451,14 +440,6 @@ impl Tape {
                         self.accumulate(&mut grads, p, Tensor::row(slice));
                         offset += len;
                     }
-                }
-                Op::SliceCols(a, start, _end) => {
-                    let av = self.value(*a);
-                    let mut full = Tensor::zeros(av.rows, av.cols);
-                    for (i, g) in grad.data.iter().enumerate() {
-                        full.data[start + i] = *g;
-                    }
-                    self.accumulate(&mut grads, *a, full);
                 }
                 Op::Tanh(a) => {
                     let ga = grad.zip(&node.value, |g, y| g * (1.0 - y * y));
@@ -685,11 +666,10 @@ mod tests {
     }
 
     #[test]
-    fn concat_slice_gradients() {
+    fn concat_gradients() {
         grad_check(&[vec![0.5, -1.2], vec![1.5, 0.3, -0.7]], |t, v| {
             let c = t.concat_cols(&[v[0], v[1]]);
-            let s = t.slice_cols(c, 1, 4);
-            let sq = t.square(s);
+            let sq = t.square(c);
             t.sum(sq)
         });
     }

@@ -15,9 +15,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// A JSON value. Construct via the `From` impls and [`Json::obj`] /
-/// [`Json::arr`], or parse one back with [`Json::parse`]; object keys
-/// keep insertion order.
+/// A JSON value. Construct via the `From` impls and [`Json::obj`], or
+/// parse one back with [`Json::parse`]; object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null` (also what non-finite floats render as).
@@ -99,11 +98,6 @@ impl Json {
                 .map(|(k, v)| (k.to_string(), v.into()))
                 .collect(),
         )
-    }
-
-    /// An array from anything convertible to values.
-    pub fn arr(items: Vec<impl Into<Json>>) -> Json {
-        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 
     /// Pretty-printed JSON text (two-space indent, trailing newline).
@@ -199,14 +193,6 @@ impl Json {
         match self {
             Json::Int(i) => Some(*i as f64),
             Json::Num(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// The value of an `Int`; `None` otherwise (floats do not truncate).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -564,14 +550,11 @@ mod tests {
     #[test]
     fn accessors_walk_parsed_trees() {
         let doc = Json::parse("{\"a\": [1, 2.5, \"x\"], \"b\": {\"c\": 7}}").unwrap();
-        assert_eq!(
-            doc.get("b").and_then(|b| b.get("c")).and_then(Json::as_i64),
-            Some(7)
-        );
+        assert_eq!(doc.get("b").and_then(|b| b.get("c")), Some(&Json::Int(7)));
         let arr = doc.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr[0].as_f64(), Some(1.0));
         assert_eq!(arr[1].as_f64(), Some(2.5));
-        assert_eq!(arr[1].as_i64(), None, "floats must not truncate to ints");
+        assert_eq!(arr[1], Json::Num(2.5), "a decimal must not parse as an Int");
         assert_eq!(arr[2].as_str(), Some("x"));
         assert_eq!(doc.get("missing"), None);
         assert_eq!(arr[2].get("a"), None, "get on a non-object is None");

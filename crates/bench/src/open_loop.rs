@@ -221,6 +221,10 @@ pub fn sustained_ladder(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test doubles record the requests they see behind a std Mutex"
+)]
 mod tests {
     use std::sync::Mutex;
 

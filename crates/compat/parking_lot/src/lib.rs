@@ -3,8 +3,8 @@
 //! `read` / `write`, direct `into_inner`) over their `std::sync`
 //! counterparts, ignoring poison like parking_lot does.
 //!
-//! The workspace's `no-std-sync-primitives` lint (see
-//! `crates/analysis`) routes all lock use through this stub: a worker
+//! The workspace `clippy.toml` disallows `std::sync::Mutex` and
+//! `RwLock`, which routes all lock use through this stub: a worker
 //! that panics while holding a lock must not turn every later
 //! acquisition into a second panic.
 

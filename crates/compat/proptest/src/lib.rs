@@ -117,14 +117,6 @@ macro_rules! prop_assume {
 #[macro_export]
 macro_rules! prop_oneof {
     ($($strat:expr),+ $(,)?) => {
-        $crate::strategy::one_of(vec![$(
-            {
-                // callers conventionally parenthesise range strategies
-                // (real proptest needs that for weighted variants)
-                #[allow(unused_parens)]
-                let __strategy = $strat;
-                ::std::boxed::Box::new(__strategy)
-            }
-        ),+])
+        $crate::strategy::one_of(vec![$(::std::boxed::Box::new($strat)),+])
     };
 }

@@ -101,11 +101,6 @@ impl CategoryTree {
         }
     }
 
-    /// Number of leaf categories.
-    pub fn num_leaves(&self) -> usize {
-        self.parent_of_leaf.len()
-    }
-
     /// Tree distance between two leaf categories: 0 (same), 1 (siblings
     /// under the same mid-level node) or 2 (otherwise).
     pub fn distance(&self, a: u32, b: u32) -> u32 {

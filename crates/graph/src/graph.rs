@@ -19,7 +19,6 @@ use crate::types::{NodeFeatures, NodeId, NodeType, Relation, SessionRecord};
 struct CsrAdj {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
-    weights: Vec<f64>,
 }
 
 impl CsrAdj {
@@ -29,14 +28,6 @@ impl CsrAdj {
             return &[];
         }
         &self.targets[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    fn weights_of(&self, node: NodeId) -> &[f64] {
-        let i = node.index();
-        if i + 1 >= self.offsets.len() {
-            return &[];
-        }
-        &self.weights[self.offsets[i]..self.offsets[i + 1]]
     }
 }
 
@@ -112,11 +103,6 @@ impl HeteroGraph {
     /// Neighbours of `node` under one relation.
     pub fn neighbors(&self, node: NodeId, relation: Relation) -> &[NodeId] {
         self.adj[relation.index()].neighbors(node)
-    }
-
-    /// Edge weights parallel to [`Self::neighbors`].
-    pub fn neighbor_weights(&self, node: NodeId, relation: Relation) -> &[f64] {
-        self.adj[relation.index()].weights_of(node)
     }
 
     /// Neighbours of `node` over all relations (may contain duplicates if a
@@ -417,26 +403,18 @@ impl GraphBuilder {
         let n = self.node_types.len();
         let mut adj: [CsrAdj; 4] = Default::default();
         for (r, edges) in self.edges.iter().enumerate() {
-            let mut per_node: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-            for &(src, dst, w) in edges {
-                per_node[src.index()].push((dst, w));
+            let mut per_node: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            for &(src, dst, _) in edges {
+                per_node[src.index()].push(dst);
             }
             let mut offsets = Vec::with_capacity(n + 1);
             let mut targets = Vec::with_capacity(edges.len());
-            let mut weights = Vec::with_capacity(edges.len());
             offsets.push(0);
             for list in per_node {
-                for (dst, w) in list {
-                    targets.push(dst);
-                    weights.push(w);
-                }
+                targets.extend(list);
                 offsets.push(targets.len());
             }
-            adj[r] = CsrAdj {
-                offsets,
-                targets,
-                weights,
-            };
+            adj[r] = CsrAdj { offsets, targets };
         }
 
         let mut nodes_by_type: [Vec<NodeId>; 3] = Default::default();
@@ -557,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_edges_accumulate_weight() {
+    fn duplicate_edges_are_stored_once() {
         let mut b = GraphBuilder::new();
         let q = b.add_node(NodeType::Query, NodeFeatures::query(0, vec![]));
         let i = b.add_node(NodeType::Item, NodeFeatures::item(0, vec![], 0, 0));
@@ -565,7 +543,7 @@ mod tests {
         b.add_edge(q, i, Relation::Click, 1.0);
         let g = b.build();
         assert_eq!(g.num_edges(Relation::Click), 2); // one undirected edge, two directions
-        assert_eq!(g.neighbor_weights(q, Relation::Click), &[2.0]);
+        assert_eq!(g.neighbors(q, Relation::Click), &[i]);
     }
 
     #[test]

@@ -12,12 +12,7 @@ use proptest::prelude::*;
 
 /// Curvatures spanning hyperbolic, (near-)flat and spherical regimes.
 fn kappa_strategy() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        (-2.0f64..-0.01),
-        Just(0.0),
-        (-1e-9f64..1e-9),
-        (0.01f64..2.0),
-    ]
+    prop_oneof![-2.0f64..-0.01, Just(0.0), -1e-9f64..1e-9, 0.01f64..2.0,]
 }
 
 /// Small tangent vectors (kept well away from the spherical tan pole and the

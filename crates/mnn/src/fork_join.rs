@@ -43,7 +43,10 @@ where
             done.push((i, catch_unwind(AssertUnwindSafe(|| f(i)))));
         }
     };
-    // amcad-lint: allow(thread-discipline) — build-time fork/join, joined before return: the exact scan and the cold build borrow their inputs for one build and need no resident thread, and amcad-mnn sits below amcad-retrieval, so this is where both can reach it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one fork/join, joined before return: the exact scan and the cold build borrow their inputs for one build and need no resident thread, and amcad-mnn sits below amcad-retrieval, so this is where both can reach it"
+    )]
     let mut done = thread::scope(|scope| {
         let helpers: Vec<_> = (1..width).map(|_| scope.spawn(work)).collect();
         let mut done = work();

@@ -224,7 +224,10 @@ impl PairScorer for SgnsModel {
 /// The source vector always lives in `emb`; the target vector lives in `ctx`
 /// for second-order objectives (LINE 2nd) and in `emb` otherwise.  Small
 /// local copies sidestep any aliasing when `u == v`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per input of the SGNS step: the two embedding tables, the dimension, the pair, its label, the learning rate and the objective switch"
+)]
 fn sgns_update(
     emb: &mut [f64],
     ctx: &mut [f64],

@@ -16,7 +16,8 @@
 //!   per-request [`RetrievalStats`],
 //! * [`ShardedEngine`] — the corpus hash-partitioned **by ad** across N
 //!   shards ([`shard::ad_shard`]), the shards built concurrently and
-//!   each served by R replicas ([`ReplicatedShard`]:
+//!   each served by R replicas ([`ReplicatedShard`]: in-process replicas
+//!   are health flags over the shard's one shared engine, picked
 //!   round-robin over the replicas not administratively marked down,
 //!   degrading to the typed [`RetrievalError::ShardUnavailable`] only
 //!   when a shard has every replica marked down); requests fan out to

@@ -359,6 +359,11 @@ fn serve(shared: &RuntimeShared) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "test probes: a gated engine double parks on a std Condvar, and concurrent submitters run on threads of their own"
+)]
 mod tests {
     use super::*;
     use crate::engine::RetrievalEngine;
@@ -381,6 +386,24 @@ mod tests {
                 preclick_items: vec![100 + q, 110 + q],
             })
             .collect()
+    }
+
+    /// Run a test body on a thread of its own and wait at most 30 s for
+    /// it: a wait that never resolves (a lost wake-up) then fails the
+    /// test under its own name instead of hanging the suite. A panic in
+    /// `body` is re-raised here.
+    fn within_timeout(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let test = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        if finished.recv_timeout(Duration::from_secs(30)) == Err(mpsc::RecvTimeoutError::Timeout) {
+            panic!("the test did not finish within 30 s: a runtime wait never resolved");
+        }
+        if let Err(payload) = test.join() {
+            std::panic::resume_unwind(payload);
+        }
     }
 
     /// A [`Retrieve`] double whose calls block on a gate until the test
@@ -464,35 +487,37 @@ mod tests {
 
     #[test]
     fn runtime_serves_singles_batches_and_counts() {
-        let runtime = ServingRuntime::new(
-            engine(),
-            RuntimeConfig {
-                workers: 2,
-                queue_depth: 64,
-                deadline: Duration::from_secs(5),
-                batch_size: 4,
-            },
-        )
-        .unwrap();
-        let templates = requests();
-        let tickets: Vec<Ticket> = templates
-            .iter()
-            .map(|r| runtime.submit(r.clone()).expect("queue is not full"))
-            .collect();
-        for ticket in tickets {
-            let response = ticket.wait().expect("tiny world covers every template");
-            assert!(!response.ads.is_empty());
-        }
-        // the blocking path answers identically to the engine itself
-        let direct = engine().retrieve(&templates[3]).unwrap();
-        let through = runtime.retrieve_blocking(&templates[3]).unwrap();
-        assert_eq!(direct, through);
-        let stats = runtime.stats();
-        assert_eq!(stats.admitted, 11);
-        assert_eq!(stats.completed, 11);
-        assert_eq!(stats.shed_queue_full, 0);
-        assert_eq!(stats.shed_deadline, 0);
-        assert_eq!(stats.queue_len, 0);
+        within_timeout(|| {
+            let runtime = ServingRuntime::new(
+                engine(),
+                RuntimeConfig {
+                    workers: 2,
+                    queue_depth: 64,
+                    deadline: Duration::from_secs(5),
+                    batch_size: 4,
+                },
+            )
+            .unwrap();
+            let templates = requests();
+            let tickets: Vec<Ticket> = templates
+                .iter()
+                .map(|r| runtime.submit(r.clone()).expect("queue is not full"))
+                .collect();
+            for ticket in tickets {
+                let response = ticket.wait().expect("tiny world covers every template");
+                assert!(!response.ads.is_empty());
+            }
+            // the blocking path answers identically to the engine itself
+            let direct = engine().retrieve(&templates[3]).unwrap();
+            let through = runtime.retrieve_blocking(&templates[3]).unwrap();
+            assert_eq!(direct, through);
+            let stats = runtime.stats();
+            assert_eq!(stats.admitted, 11);
+            assert_eq!(stats.completed, 11);
+            assert_eq!(stats.shed_queue_full, 0);
+            assert_eq!(stats.shed_deadline, 0);
+            assert_eq!(stats.queue_len, 0);
+        });
     }
 
     /// The admission-control acceptance test: a saturated queue sheds
@@ -501,62 +526,62 @@ mod tests {
     /// drain-slot accounting: exactly `workers` drains take a request.
     #[test]
     fn saturated_admission_queue_sheds_and_recovers() {
-        for workers in [1usize, 2] {
-            let gated = Arc::new(GatedEngine::new(engine()));
-            let runtime = ServingRuntime::new(
-                gated.clone() as Arc<dyn Retrieve>,
-                RuntimeConfig {
-                    workers,
-                    queue_depth: 2,
-                    deadline: Duration::from_secs(30),
-                    batch_size: 1,
-                },
-            )
-            .unwrap();
-            let templates = requests();
-            // one request per worker is dequeued and parks on the gate ...
-            let mut tickets: Vec<Ticket> = templates[..workers]
-                .iter()
-                .map(|r| runtime.submit(r.clone()).unwrap())
-                .collect();
-            gated.wait_entered(workers);
-            // ... so the next two fill the depth-2 queue exactly ...
-            for r in &templates[workers..workers + 2] {
-                tickets.push(runtime.submit(r.clone()).unwrap());
-            }
-            // ... and the one after must shed with the typed error
-            let err = runtime.submit(templates[workers + 2].clone()).unwrap_err();
-            assert_eq!(
-                err,
-                RetrievalError::Overloaded {
-                    queue_depth: 2,
-                    deadline: Duration::from_secs(30),
+        within_timeout(|| {
+            for workers in [1usize, 2] {
+                let gated = Arc::new(GatedEngine::new(engine()));
+                let runtime = ServingRuntime::new(
+                    gated.clone() as Arc<dyn Retrieve>,
+                    RuntimeConfig {
+                        workers,
+                        queue_depth: 2,
+                        deadline: Duration::from_secs(30),
+                        batch_size: 1,
+                    },
+                )
+                .unwrap();
+                let templates = requests();
+                // one request per worker is dequeued and parks on the gate ...
+                let mut tickets: Vec<Ticket> = templates[..workers]
+                    .iter()
+                    .map(|r| runtime.submit(r.clone()).unwrap())
+                    .collect();
+                gated.wait_entered(workers);
+                // ... so the next two fill the depth-2 queue exactly ...
+                for r in &templates[workers..workers + 2] {
+                    tickets.push(runtime.submit(r.clone()).unwrap());
                 }
-            );
-            assert_eq!(runtime.stats().shed_queue_full, 1);
-            assert_eq!(runtime.stats().queue_len, 2);
-            assert_eq!(gated.entered(), workers, "no drain beyond `workers`");
-            // open the gate: everything admitted completes
-            gated.open_gate();
-            for ticket in tickets {
-                assert!(ticket.wait().is_ok());
+                // ... and the one after must shed with the typed error
+                let err = runtime.submit(templates[workers + 2].clone()).unwrap_err();
+                assert_eq!(
+                    err,
+                    RetrievalError::Overloaded {
+                        queue_depth: 2,
+                        deadline: Duration::from_secs(30),
+                    }
+                );
+                assert_eq!(runtime.stats().shed_queue_full, 1);
+                assert_eq!(runtime.stats().queue_len, 2);
+                assert_eq!(gated.entered(), workers, "no drain beyond `workers`");
+                // open the gate: everything admitted completes
+                gated.open_gate();
+                for ticket in tickets {
+                    assert!(ticket.wait().is_ok());
+                }
+                // load drop: the queue is empty again, submissions sail through
+                for template in &templates {
+                    assert!(runtime.retrieve_blocking(template).is_ok());
+                }
+                let stats = runtime.stats();
+                assert_eq!(stats.shed_queue_full, 1, "no new sheds after the drop");
+                assert_eq!(stats.completed, workers as u64 + 12);
             }
-            // load drop: the queue is empty again, submissions sail through
-            for template in &templates {
-                assert!(runtime.retrieve_blocking(template).is_ok());
-            }
-            let stats = runtime.stats();
-            assert_eq!(stats.shed_queue_full, 1, "no new sheds after the drop");
-            assert_eq!(stats.completed, workers as u64 + 12);
-        }
+        });
     }
 
     /// An engine that panics serving one query fails that request's
     /// waiter instead of hanging it, and costs the runtime no worker: on
     /// a one-worker runtime the request queued behind the panicking one
-    /// is served without another submit, and so is the next request. The
-    /// scenario runs on a helper thread so a hang fails by timeout
-    /// rather than hanging the suite.
+    /// is served without another submit, and so is the next request.
     #[test]
     fn a_panicking_engine_fails_its_waiter_and_keeps_serving() {
         struct PanicsOnQuery(Arc<GatedEngine>, u32);
@@ -567,8 +592,7 @@ mod tests {
                 response
             }
         }
-        let (done, outcome) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        within_timeout(|| {
             let gated = Arc::new(GatedEngine::new(engine()));
             let runtime = ServingRuntime::new(
                 Arc::new(PanicsOnQuery(Arc::clone(&gated), 3)),
@@ -591,48 +615,48 @@ mod tests {
                 .err()
                 .and_then(|p| p.downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            let served = [behind.wait(), runtime.retrieve_blocking(&templates[1])];
-            done.send((waited.is_err(), message, served.iter().all(Result::is_ok)))
-                .unwrap();
+            assert!(waited.is_err(), "wait must panic, not return");
+            assert!(message.contains("serving panicked"), "got: {message}");
+            assert!(
+                behind.wait().is_ok(),
+                "the one worker must survive the panic"
+            );
+            assert!(runtime.retrieve_blocking(&templates[1]).is_ok());
         });
-        let (wait_panicked, message, rest_served) = outcome
-            .recv_timeout(Duration::from_secs(30))
-            .expect("a waiter hung on a request whose serving panicked");
-        assert!(wait_panicked, "wait must panic, not return");
-        assert!(message.contains("serving panicked"), "got: {message}");
-        assert!(rest_served, "the one worker must survive the panic");
     }
 
     #[test]
     fn queued_requests_past_their_deadline_are_shed_not_served() {
-        let gated = Arc::new(GatedEngine::new(engine()));
-        let runtime = ServingRuntime::new(
-            gated.clone() as Arc<dyn Retrieve>,
-            RuntimeConfig {
-                workers: 1,
-                queue_depth: 8,
-                deadline: Duration::from_millis(5),
-                batch_size: 1,
-            },
-        )
-        .unwrap();
-        let templates = requests();
-        let t1 = runtime.submit(templates[0].clone()).unwrap();
-        gated.wait_entered(1); // the worker is inside the engine, gated
-        let t2 = runtime.submit(templates[1].clone()).unwrap();
-        // let r2 age past its 5 ms deadline while queued
-        std::thread::sleep(Duration::from_millis(25));
-        gated.open_gate();
-        // r1 was dequeued before its deadline passed — it is served
-        assert!(t1.wait().is_ok());
-        // r2 aged out in the queue — shed with the typed error
-        assert!(matches!(
-            t2.wait().unwrap_err(),
-            RetrievalError::Overloaded { .. }
-        ));
-        let stats = runtime.stats();
-        assert_eq!(stats.shed_deadline, 1);
-        assert_eq!(stats.completed, 1);
+        within_timeout(|| {
+            let gated = Arc::new(GatedEngine::new(engine()));
+            let runtime = ServingRuntime::new(
+                gated.clone() as Arc<dyn Retrieve>,
+                RuntimeConfig {
+                    workers: 1,
+                    queue_depth: 8,
+                    deadline: Duration::from_millis(5),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+            let templates = requests();
+            let t1 = runtime.submit(templates[0].clone()).unwrap();
+            gated.wait_entered(1); // the worker is inside the engine, gated
+            let t2 = runtime.submit(templates[1].clone()).unwrap();
+            // let r2 age past its 5 ms deadline while queued
+            std::thread::sleep(Duration::from_millis(25));
+            gated.open_gate();
+            // r1 was dequeued before its deadline passed — it is served
+            assert!(t1.wait().is_ok());
+            // r2 aged out in the queue — shed with the typed error
+            assert!(matches!(
+                t2.wait().unwrap_err(),
+                RetrievalError::Overloaded { .. }
+            ));
+            let stats = runtime.stats();
+            assert_eq!(stats.shed_deadline, 1);
+            assert_eq!(stats.completed, 1);
+        });
     }
 
     /// The stamp `wait_timed` returns is the instant the ticket was
@@ -640,78 +664,77 @@ mod tests {
     /// served request, one shed at its deadline and one shed at shutdown.
     #[test]
     fn wait_timed_stamps_every_resolution_between_submit_and_return() {
-        let in_window = |submitted: Instant, ticket: Ticket| {
-            let (result, stamp) = ticket.wait_timed();
-            assert!(submitted <= stamp && stamp <= Instant::now());
-            result
-        };
-        let gated = Arc::new(GatedEngine::new(engine()));
-        let runtime = ServingRuntime::new(
-            gated.clone() as Arc<dyn Retrieve>,
-            RuntimeConfig {
-                workers: 1,
-                queue_depth: 8,
-                deadline: Duration::from_millis(5),
-                batch_size: 1,
-            },
-        )
-        .unwrap();
-        let templates = requests();
-        let served_at = Instant::now();
-        let served = runtime.submit(templates[0].clone()).unwrap();
-        gated.wait_entered(1);
-        let shed_at = Instant::now();
-        let shed = runtime.submit(templates[1].clone()).unwrap();
-        std::thread::sleep(Duration::from_millis(25));
-        gated.open_gate();
-        assert!(in_window(served_at, served).is_ok());
-        assert!(matches!(
-            in_window(shed_at, shed),
-            Err(RetrievalError::Overloaded { .. })
-        ));
-        assert_eq!(runtime.stats().shed_deadline, 1);
-
-        // shutdown: the one worker is parked on a closed gate, so only
-        // the runtime's drop can resolve the queued ticket; the drop then
-        // blocks joining that worker until the gate opens, and the
-        // in-flight request is still served
-        let gated = Arc::new(GatedEngine::new(engine()));
-        let runtime = ServingRuntime::new(
-            gated.clone() as Arc<dyn Retrieve>,
-            RuntimeConfig {
-                workers: 1,
-                queue_depth: 8,
-                deadline: Duration::from_secs(30),
-                batch_size: 1,
-            },
-        )
-        .unwrap();
-        let blocking = runtime.submit(templates[0].clone()).unwrap();
-        gated.wait_entered(1);
-        let queued_at = Instant::now();
-        let queued = runtime.submit(templates[1].clone()).unwrap();
-        std::thread::scope(|s| {
-            s.spawn(move || drop(runtime));
+        within_timeout(|| {
+            let in_window = |submitted: Instant, ticket: Ticket| {
+                let (result, stamp) = ticket.wait_timed();
+                assert!(submitted <= stamp && stamp <= Instant::now());
+                result
+            };
+            let gated = Arc::new(GatedEngine::new(engine()));
+            let runtime = ServingRuntime::new(
+                gated.clone() as Arc<dyn Retrieve>,
+                RuntimeConfig {
+                    workers: 1,
+                    queue_depth: 8,
+                    deadline: Duration::from_millis(5),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+            let templates = requests();
+            let served_at = Instant::now();
+            let served = runtime.submit(templates[0].clone()).unwrap();
+            gated.wait_entered(1);
+            let shed_at = Instant::now();
+            let shed = runtime.submit(templates[1].clone()).unwrap();
+            std::thread::sleep(Duration::from_millis(25));
+            gated.open_gate();
+            assert!(in_window(served_at, served).is_ok());
             assert!(matches!(
-                in_window(queued_at, queued),
+                in_window(shed_at, shed),
                 Err(RetrievalError::Overloaded { .. })
             ));
-            gated.open_gate();
+            assert_eq!(runtime.stats().shed_deadline, 1);
+
+            // shutdown: the one worker is parked on a closed gate, so only
+            // the runtime's drop can resolve the queued ticket; the drop then
+            // blocks joining that worker until the gate opens, and the
+            // in-flight request is still served
+            let gated = Arc::new(GatedEngine::new(engine()));
+            let runtime = ServingRuntime::new(
+                gated.clone() as Arc<dyn Retrieve>,
+                RuntimeConfig {
+                    workers: 1,
+                    queue_depth: 8,
+                    deadline: Duration::from_secs(30),
+                    batch_size: 1,
+                },
+            )
+            .unwrap();
+            let blocking = runtime.submit(templates[0].clone()).unwrap();
+            gated.wait_entered(1);
+            let queued_at = Instant::now();
+            let queued = runtime.submit(templates[1].clone()).unwrap();
+            std::thread::scope(|s| {
+                s.spawn(move || drop(runtime));
+                assert!(matches!(
+                    in_window(queued_at, queued),
+                    Err(RetrievalError::Overloaded { .. })
+                ));
+                gated.open_gate();
+            });
+            assert!(blocking.wait().is_ok());
         });
-        assert!(blocking.wait().is_ok());
     }
 
     /// No wake-up is lost to racing submitters: four closed-loop clients
     /// keep the queue flipping between empty and not, so workers park
     /// and wake on almost every request, and every ticket must resolve.
-    /// The scenario runs on a helper thread so a lost wake-up fails by
-    /// timeout rather than hanging the suite.
     #[test]
     fn concurrent_submitters_lose_no_wake_up() {
         const CLIENTS: usize = 4;
         const PER_CLIENT: usize = 500;
-        let (done, outcome) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        within_timeout(|| {
             let engine = engine();
             let templates = requests();
             for workers in [1, 2] {
@@ -741,18 +764,12 @@ mod tests {
                         clients.into_iter().all(|c| c.join().unwrap())
                     });
                     let stats = runtime.stats();
-                    done.send((workers, batch_size, all_ok, stats)).unwrap();
+                    let case = format!("workers={workers} batch_size={batch_size}");
+                    assert!(all_ok, "{case}: a request failed");
+                    assert_eq!(stats.admitted, (CLIENTS * PER_CLIENT) as u64, "{case}");
+                    assert_eq!(stats.completed, stats.admitted, "{case}");
                 }
             }
         });
-        for _ in 0..4 {
-            let (workers, batch_size, all_ok, stats) = outcome
-                .recv_timeout(Duration::from_secs(30))
-                .expect("a ticket never resolved: a submit's wake-up was lost");
-            let case = format!("workers={workers} batch_size={batch_size}");
-            assert!(all_ok, "{case}: a request failed");
-            assert_eq!(stats.admitted, (CLIENTS * PER_CLIENT) as u64, "{case}");
-            assert_eq!(stats.completed, stats.admitted, "{case}");
-        }
     }
 }

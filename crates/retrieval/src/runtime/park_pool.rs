@@ -14,8 +14,13 @@
 //! used to belong to: a width and [`PersistentPool::run`], a forward to
 //! `fork_join`.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the park/wake protocol: std::sync::Condvar only pairs with a std MutexGuard (poison is recovered in lock() below), and spawn_workers spawns every resident worker of the serving runtime"
+)]
+
 use std::collections::VecDeque;
-// amcad-lint: allow(no-std-sync-primitives) — the park/wake protocol needs std::sync::Condvar, which only pairs with std MutexGuard; poison is recovered manually in lock() below
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 

@@ -39,9 +39,11 @@
 //!   [`RetrievalError::ShardUnavailable`]. Every response records the
 //!   physical route taken in [`crate::RetrievalStats::served_by`], so tests (and
 //!   operators) can prove failover actually rerouted traffic. In this
-//!   in-process model the replicas of one shard share the shard's
-//!   immutable index storage — what a real deployment copies per machine
-//!   — so replication is an availability knob, never a ranking change.
+//!   in-process model a replica is a health flag over the shard's one
+//!   shared engine — the gather reads that engine whichever replica the
+//!   round-robin picked, where a real deployment copies the index per
+//!   machine — so replication is an availability knob, never a ranking
+//!   change, and nothing may assume replicas can differ.
 //!
 //! ## Serving: one loop, this module's fetch strategy
 //!
@@ -271,10 +273,10 @@ struct ReplicaSlot {
 /// One shard's replica set: R serving replicas behind round-robin
 /// selection with health marking.
 ///
-/// The replicas of a shard serve identical data — in this in-process
-/// model they share the shard's immutable index storage (a real
-/// deployment copies it per machine) — so which replica answers can never
-/// change a ranking. What the replica set adds is *availability*: a
+/// In this in-process model a replica is a health flag and a serve
+/// counter over the shard's one shared engine (a real deployment copies
+/// the index per machine), so which replica answers can never change a
+/// ranking. What the replica set adds is *availability*: a
 /// replica administratively marked down through
 /// [`ReplicatedShard::fail_replica`] is skipped, traffic fails over to
 /// its siblings, and only a shard with zero healthy

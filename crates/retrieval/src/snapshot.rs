@@ -242,6 +242,10 @@ impl Retrieve for EngineHandle {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test probes: readers and publishers race on threads of their own"
+)]
 mod tests {
     use super::*;
     use crate::engine::RetrievalEngine;

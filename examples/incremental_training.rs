@@ -113,7 +113,10 @@ fn main() {
     let mut last_inputs: Option<amcad::retrieval::IndexBuildInputs> = None;
     let mut churn_summary = String::new();
     let mut restart_summary = String::new();
-    // amcad-lint: allow(thread-discipline) — demo probe workers: the example simulates external request traffic hitting the handle, which by construction runs off the serving pools
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo probe workers: the example simulates external request traffic hitting the handle, which by construction runs off the serving runtime"
+    )]
     std::thread::scope(|scope| {
         for worker in 0..2usize {
             let handle = &handle;

@@ -9,7 +9,7 @@ use amcad::manifold as reference;
 use proptest::prelude::*;
 
 fn kappa_strategy() -> impl Strategy<Value = f64> {
-    prop_oneof![(-1.5f64..-0.05), Just(0.0), (0.05f64..1.5)]
+    prop_oneof![-1.5f64..-0.05, Just(0.0), 0.05f64..1.5]
 }
 
 proptest! {
