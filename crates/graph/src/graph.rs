@@ -238,9 +238,9 @@ impl HeteroGraph {
 pub struct GraphBuilder {
     node_types: Vec<NodeType>,
     features: Vec<NodeFeatures>,
-    // (src, dst, weight) per relation; stored as directed pairs, both
-    // directions inserted by `add_edge`.
-    edges: [Vec<(NodeId, NodeId, f64)>; 4],
+    // (src, dst) per relation; stored as directed pairs, both directions
+    // inserted by `add_edge`.
+    edges: [Vec<(NodeId, NodeId)>; 4],
     edge_seen: [HashSet<(u32, u32)>; 4],
 }
 
@@ -264,23 +264,15 @@ impl GraphBuilder {
     }
 
     /// Add an undirected edge (both directions) of the given relation.
-    /// Duplicate edges accumulate weight instead of being stored twice.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId, relation: Relation, weight: f64) {
+    /// A duplicate edge is stored once; edges carry no weight.
+    pub fn add_edge(&mut self, a: NodeId, b: NodeId, relation: Relation) {
         if a == b {
             return;
         }
         let r = relation.index();
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        if self.edge_seen[r].insert(key) {
-            self.edges[r].push((a, b, weight));
-            self.edges[r].push((b, a, weight));
-        } else {
-            // accumulate weight on the existing pair
-            for (src, dst, w) in self.edges[r].iter_mut() {
-                if (src.0 == key.0 && dst.0 == key.1) || (src.0 == key.1 && dst.0 == key.0) {
-                    *w += weight;
-                }
-            }
+        if self.edge_seen[r].insert((a.0.min(b.0), a.0.max(b.0))) {
+            self.edges[r].push((a, b));
+            self.edges[r].push((b, a));
         }
     }
 
@@ -289,10 +281,10 @@ impl GraphBuilder {
     /// and adjacent clicked nodes are linked with co-click edges.
     pub fn ingest_session(&mut self, session: &SessionRecord) {
         for &clicked in &session.clicks {
-            self.add_edge(session.query, clicked, Relation::Click, 1.0);
+            self.add_edge(session.query, clicked, Relation::Click);
         }
         for pair in session.clicks.windows(2) {
-            self.add_edge(pair[0], pair[1], Relation::CoClick, 1.0);
+            self.add_edge(pair[0], pair[1], Relation::CoClick);
         }
     }
 
@@ -324,7 +316,7 @@ impl GraphBuilder {
             let mut added = 0;
             'outer: for i in 0..queries.len() {
                 for j in (i + 1)..queries.len() {
-                    self.add_edge(queries[i], queries[j], Relation::CoClick, 1.0);
+                    self.add_edge(queries[i], queries[j], Relation::CoClick);
                     added += 1;
                     if added >= max_pairs_per_node {
                         break 'outer;
@@ -365,9 +357,8 @@ impl GraphBuilder {
         for (a, b) in pairs {
             let ta = &self.features[a as usize].terms;
             let tb = &self.features[b as usize].terms;
-            let sim = jaccard(ta, tb);
-            if sim >= threshold {
-                self.add_edge(NodeId(a), NodeId(b), Relation::Semantic, sim);
+            if jaccard(ta, tb) >= threshold {
+                self.add_edge(NodeId(a), NodeId(b), Relation::Semantic);
             }
         }
     }
@@ -392,7 +383,7 @@ impl GraphBuilder {
             let ads = &by_keyword[&k];
             for i in 0..ads.len() {
                 for j in (i + 1)..ads.len() {
-                    self.add_edge(ads[i], ads[j], Relation::CoBid, 1.0);
+                    self.add_edge(ads[i], ads[j], Relation::CoBid);
                 }
             }
         }
@@ -404,7 +395,7 @@ impl GraphBuilder {
         let mut adj: [CsrAdj; 4] = Default::default();
         for (r, edges) in self.edges.iter().enumerate() {
             let mut per_node: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-            for &(src, dst, _) in edges {
+            for &(src, dst) in edges {
                 per_node[src.index()].push(dst);
             }
             let mut offsets = Vec::with_capacity(n + 1);
@@ -539,8 +530,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         let q = b.add_node(NodeType::Query, NodeFeatures::query(0, vec![]));
         let i = b.add_node(NodeType::Item, NodeFeatures::item(0, vec![], 0, 0));
-        b.add_edge(q, i, Relation::Click, 1.0);
-        b.add_edge(q, i, Relation::Click, 1.0);
+        b.add_edge(q, i, Relation::Click);
+        b.add_edge(q, i, Relation::Click);
         let g = b.build();
         assert_eq!(g.num_edges(Relation::Click), 2); // one undirected edge, two directions
         assert_eq!(g.neighbors(q, Relation::Click), &[i]);
@@ -550,7 +541,7 @@ mod tests {
     fn self_loops_are_ignored() {
         let mut b = GraphBuilder::new();
         let q = b.add_node(NodeType::Query, NodeFeatures::query(0, vec![]));
-        b.add_edge(q, q, Relation::Click, 1.0);
+        b.add_edge(q, q, Relation::Click);
         let g = b.build();
         assert_eq!(g.num_edges(Relation::Click), 0);
     }
