@@ -3,21 +3,16 @@
 //! Walks the workspace (or the given files/directories), prints every
 //! diagnostic plus a per-rule summary, and — with `--deny` — exits
 //! nonzero if any diagnostic remains. CI runs this ahead of the test
-//! jobs. `--format github` emits workflow annotations and `--format
-//! json` a machine-readable report (uploaded as a CI artifact next to
-//! the `BENCH_*.json` files).
+//! jobs; `--format github` emits workflow annotations.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use amcad_lint::Diagnostic;
-
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
     Github,
-    Json,
 }
 
 fn main() -> ExitCode {
@@ -32,10 +27,9 @@ fn main() -> ExitCode {
                 format = match args.next().as_deref() {
                     Some("text") => Format::Text,
                     Some("github") => Format::Github,
-                    Some("json") => Format::Json,
                     other => {
                         eprintln!(
-                            "amcad-lint: --format expects text|github|json, got {:?}",
+                            "amcad-lint: --format expects text|github, got {:?}",
                             other.unwrap_or("<nothing>")
                         );
                         return ExitCode::FAILURE;
@@ -43,11 +37,10 @@ fn main() -> ExitCode {
                 };
             }
             "--help" | "-h" => {
-                println!("usage: amcad-lint [--deny] [--format text|github|json] [paths…]");
+                println!("usage: amcad-lint [--deny] [--format text|github] [paths…]");
                 println!("lints the workspace (default: all .rs files under the workspace root,");
                 println!("skipping target/, crates/compat/, and dotdirs); --deny exits nonzero");
-                println!("on any diagnostic. --format github emits ::error workflow annotations,");
-                println!("--format json a machine-readable report of the diagnostics.");
+                println!("on any diagnostic. --format github emits ::error workflow annotations.");
                 return ExitCode::SUCCESS;
             }
             other => paths.push(PathBuf::from(other)),
@@ -65,7 +58,6 @@ fn main() -> ExitCode {
 
     let diagnostics = amcad_lint::lint_workspace(&root, &paths);
     match format {
-        Format::Json => println!("{}", report_json(&diagnostics)),
         Format::Github => {
             for d in &diagnostics {
                 // newline-free by construction: messages are single-line
@@ -98,41 +90,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Minimal JSON string escaping — the workspace has no serialization crate,
-/// and diagnostic text is plain ASCII-ish prose.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn diag_json(d: &Diagnostic) -> String {
-    format!(
-        "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-        json_escape(&d.path),
-        d.line,
-        json_escape(d.rule),
-        json_escape(&d.message)
-    )
-}
-
-fn report_json(diagnostics: &[Diagnostic]) -> String {
-    let diags: Vec<String> = diagnostics.iter().map(diag_json).collect();
-    format!(
-        "{{\"summary\":{{\"diagnostics\":{}}},\"diagnostics\":[{}]}}",
-        diagnostics.len(),
-        diags.join(",")
-    )
 }

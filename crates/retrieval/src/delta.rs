@@ -8,15 +8,15 @@
 //!
 //! * [`IndexDelta`] describes one churn step — ads added (with their
 //!   points in both ad edge spaces) and ads retired.
-//! * `DeltaBuilder` (crate-private) owns one corpus's [`IndexBuildInputs`]
-//!   and turns the previous generation's [`IndexSet`] plus a delta into
-//!   the next generation's `IndexSet` without re-running the full
-//!   neighbour build.
-//! * [`ShardedDeltaBuilder`] cold-builds a deployment (the key-side
-//!   indices once, shared by every shard), runs one `DeltaBuilder` per
-//!   shard and routes each delta only to the shards [`ad_shard`] assigns
-//!   its ads to; untouched shards keep their [`Arc`]'d engines
-//!   pointer-identical across generations.
+//! * [`ShardedDeltaBuilder`] cold-builds a deployment and holds its key
+//!   side once: the query / item point sets and the key-side indices,
+//!   which every shard serves over. Next to it sits one slot per shard,
+//!   holding only that shard's ad slices and its engine. Each delta goes
+//!   only to the slots [`ad_shard`] assigns its ads to, and a slot turns
+//!   its previous ad-side indices plus its share of the delta into the
+//!   next ones without re-running the full neighbour build; untouched
+//!   shards keep their [`Arc`]'d engines pointer-identical across
+//!   generations.
 //! * [`crate::EngineHandle::publish_delta`] applies a delta through a
 //!   builder and publishes the resulting generation with one snapshot
 //!   swap — the zero-downtime incremental index update.
@@ -67,7 +67,7 @@ use amcad_mnn::{InvertedIndex, MixedPointSet, Postings};
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
-use crate::shard::{ad_shard, shard_inputs, ShardedEngine, ShardedEngineBuilder};
+use crate::shard::{ad_shard, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
 /// between two generations. Added ads carry their projected points (and
@@ -115,102 +115,6 @@ impl IndexDelta {
         inputs.ads_ia.retire(|id| retired.contains(&id));
         inputs.ads_qa.append(&self.added_ads_qa);
         inputs.ads_ia.append(&self.added_ads_ia);
-    }
-}
-
-/// Incremental index maintenance for one corpus (one engine, or one shard
-/// of a sharded deployment): owns the current [`IndexBuildInputs`] and
-/// produces each next generation's [`IndexSet`] from the previous one
-/// plus an [`IndexDelta`] — see the module docs for the algorithm and the
-/// exactness argument.
-#[derive(Debug, Clone)]
-pub(crate) struct DeltaBuilder {
-    inputs: IndexBuildInputs,
-    config: IndexBuildConfig,
-}
-
-impl DeltaBuilder {
-    /// Track `inputs` (validated: duplicate ids are rejected) with the
-    /// index configuration every generation is built under. The
-    /// configuration must match the one the previous generation's
-    /// `IndexSet` was built with — a different `top_k` would make the
-    /// filter/backfill boundary analysis wrong.
-    pub(crate) fn new(
-        inputs: IndexBuildInputs,
-        config: IndexBuildConfig,
-    ) -> Result<Self, RetrievalError> {
-        inputs.validate()?;
-        Ok(DeltaBuilder { inputs, config })
-    }
-
-    /// The current (post-all-applied-deltas) build inputs. A from-scratch
-    /// [`IndexSet::build`] over these is what every delta-built index is
-    /// property-tested to equal.
-    pub(crate) fn inputs(&self) -> &IndexBuildInputs {
-        &self.inputs
-    }
-
-    /// The delta checks that depend on this corpus:
-    /// [`RetrievalError::UnknownAd`] for retiring an id the corpus does
-    /// not contain, [`RetrievalError::DuplicateId`] for an added id the
-    /// corpus already holds without retiring it. Together with
-    /// [`validate_added_sets`] this is everything
-    /// [`DeltaBuilder::apply`] relies on; neither mutates, so a caller
-    /// can check every corpus a delta touches before changing any.
-    pub(crate) fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
-        for &ad in &delta.retired_ads {
-            if !self.inputs.ads_qa.contains_id(ad) || !self.inputs.ads_ia.contains_id(ad) {
-                return Err(RetrievalError::UnknownAd { ad });
-            }
-        }
-        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        for &id in delta.added_ads_qa.ids() {
-            if self.inputs.ads_qa.contains_id(id) && !retired.contains(&id) {
-                return Err(RetrievalError::DuplicateId {
-                    space: "delta added_ads (already in corpus)",
-                    id,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Produce the next generation's [`IndexSet`] from the previous
-    /// generation's `prev` plus `delta`, updating the held inputs. `prev`
-    /// must be the set built from this builder's current inputs under its
-    /// configuration (the seed build or the previous `apply` result), and
-    /// `delta` must have passed [`validate_added_sets`] and
-    /// [`DeltaBuilder::validate_delta`] — nothing here can fail.
-    ///
-    /// Retiring *every* ad is valid at this level and yields empty ad
-    /// indices (exactly like a full rebuild over an adless corpus);
-    /// assembling an engine from that set then fails with the typed
-    /// [`RetrievalError::EmptyIndex`] instead of panicking.
-    pub(crate) fn apply(&mut self, prev: &IndexSet, delta: &IndexDelta) -> IndexSet {
-        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        // retire in place; the survivors are the backfill candidate set
-        self.inputs.ads_qa.retire(|id| retired.contains(&id));
-        self.inputs.ads_ia.retire(|id| retired.contains(&id));
-        let q2a = delta_ad_index(
-            &prev.q2a,
-            &self.inputs.queries_qa,
-            &self.inputs.ads_qa,
-            &delta.added_ads_qa,
-            &retired,
-            self.config,
-        );
-        let i2a = delta_ad_index(
-            &prev.i2a,
-            &self.inputs.items_ia,
-            &self.inputs.ads_ia,
-            &delta.added_ads_ia,
-            &retired,
-            self.config,
-        );
-        self.inputs.ads_qa.append(&delta.added_ads_qa);
-        self.inputs.ads_ia.append(&delta.added_ads_ia);
-        // the key-side indices contain no ads: the next generation shares them
-        prev.with_ad_side(q2a, i2a)
     }
 }
 
@@ -318,55 +222,167 @@ fn delta_ad_index(
     next
 }
 
-/// The one holder of a shard's current-generation [`IndexSet`]: the
-/// serving engine when the shard has ads (the engine owns its indices, so
-/// storing them again would double every shard's resident index memory),
-/// or the bare (ad-free, key-indices-only) set while the shard is adless.
+/// A deployment's query / item side, held once by its
+/// [`ShardedDeltaBuilder`]: the six key point sets and the four key-side
+/// indices. None of it holds an ad, so every shard's engine and every
+/// delta generation run on this one copy — [`Arc`] bumps, never clones.
 #[derive(Debug, Clone)]
-enum ShardIndexes {
-    Serving(Arc<RetrievalEngine>),
-    Adless(IndexSet),
+pub(crate) struct KeySide {
+    pub(crate) queries_qq: Arc<MixedPointSet>,
+    pub(crate) queries_qi: Arc<MixedPointSet>,
+    pub(crate) items_qi: Arc<MixedPointSet>,
+    pub(crate) queries_qa: Arc<MixedPointSet>,
+    pub(crate) items_ii: Arc<MixedPointSet>,
+    pub(crate) items_ia: Arc<MixedPointSet>,
+    /// Q2Q, Q2I, I2Q and I2I; its Q2A and I2A are empty.
+    pub(crate) indexes: IndexSet,
 }
 
-impl ShardIndexes {
-    /// Wrap a shard's freshly built, decoded or delta-updated indices in
-    /// a serving engine — or park them while the shard holds no ads (at
-    /// build time the hash left it empty, or a delta retired its last ad;
-    /// a later delta can populate it again).
-    fn new(indexes: IndexSet, topology: &ShardedEngineBuilder) -> Result<Self, RetrievalError> {
-        if indexes.q2a.is_empty() && indexes.i2a.is_empty() {
-            return Ok(ShardIndexes::Adless(indexes));
-        }
-        let engine = RetrievalEngine::builder()
-            .index(topology.index)
-            .retrieval(topology.retrieval)
-            .build_from_indexes(indexes)?;
-        Ok(ShardIndexes::Serving(Arc::new(engine)))
-    }
-
-    fn get(&self) -> &IndexSet {
-        match self {
-            ShardIndexes::Serving(engine) => engine.indexes(),
-            ShardIndexes::Adless(indexes) => indexes,
-        }
+impl KeySide {
+    /// The six point sets with their space names, in snapshot order.
+    pub(crate) fn point_sets(&self) -> [(&'static str, &MixedPointSet); 6] {
+        [
+            ("queries_qq", &*self.queries_qq),
+            ("queries_qi", &*self.queries_qi),
+            ("items_qi", &*self.items_qi),
+            ("queries_qa", &*self.queries_qa),
+            ("items_ii", &*self.items_ii),
+            ("items_ia", &*self.items_ia),
+        ]
     }
 }
 
-/// Per-shard delta state: the shard's [`DeltaBuilder`] plus its
-/// current-generation indices.
+/// One shard of a deployment: its slices of the two ad spaces and, while
+/// it holds ads, the engine serving them over the shared key side.
 #[derive(Debug, Clone)]
-struct ShardSlot {
-    builder: DeltaBuilder,
-    indexes: ShardIndexes,
+pub(crate) struct Slot {
+    pub(crate) ads_qa: MixedPointSet,
+    pub(crate) ads_ia: MixedPointSet,
+    /// `None` while the shard is adless: the hash left it empty, or a
+    /// delta retired its last ad. A later delta can fill it again. The
+    /// engine is the one holder of the shard's indices.
+    engine: Option<Arc<RetrievalEngine>>,
 }
 
-/// Incremental index maintenance for a sharded deployment: one
-/// `DeltaBuilder` per configured shard, with each applied delta routed
-/// only to the shards [`ad_shard`] assigns its added / retired ads to.
-/// Shards a delta does not touch contribute the *same* [`Arc`]'d engine
-/// to the next generation — their index storage is reused
-/// pointer-identically, which is what makes a small delta cheap at any
-/// shard count.
+impl Slot {
+    /// The shard over these ad slices, its Q2A and I2A served over its
+    /// deployment's `keys` — without an engine when both indices are
+    /// empty.
+    pub(crate) fn new(
+        (ads_qa, ads_ia): (MixedPointSet, MixedPointSet),
+        (q2a, i2a): (InvertedIndex, InvertedIndex),
+        keys: &KeySide,
+        topology: &ShardedEngineBuilder,
+    ) -> Result<Slot, RetrievalError> {
+        let engine = serving(keys, q2a, i2a, topology)?;
+        Ok(Slot {
+            ads_qa,
+            ads_ia,
+            engine,
+        })
+    }
+
+    /// The shard's current six indices; `None` while it is adless.
+    pub(crate) fn indexes(&self) -> Option<&IndexSet> {
+        self.engine.as_deref().map(RetrievalEngine::indexes)
+    }
+
+    /// The delta checks that depend on this shard's ads:
+    /// [`RetrievalError::UnknownAd`] for retiring an id the shard does
+    /// not hold, [`RetrievalError::DuplicateId`] for an added id it
+    /// already holds without retiring it. Together with
+    /// [`validate_added_sets`] this is everything [`Slot::apply`] relies
+    /// on; neither mutates, so a caller can check every shard a delta
+    /// touches before changing any.
+    fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
+        for &ad in &delta.retired_ads {
+            if !self.ads_qa.contains_id(ad) || !self.ads_ia.contains_id(ad) {
+                return Err(RetrievalError::UnknownAd { ad });
+            }
+        }
+        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
+        for &id in delta.added_ads_qa.ids() {
+            if self.ads_qa.contains_id(id) && !retired.contains(&id) {
+                return Err(RetrievalError::DuplicateId {
+                    space: "delta added_ads (already in corpus)",
+                    id,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Move this shard to its next generation: retire and append `delta`
+    /// on its ad slices and update its Q2A and I2A incrementally over the
+    /// deployment's `keys`. `delta` must have passed
+    /// [`validate_added_sets`] and [`Slot::validate_delta`]; `topology` is
+    /// the one every generation is built under — a different `top_k`
+    /// would make the filter/backfill boundary analysis wrong.
+    ///
+    /// Retiring every ad of the shard is valid: its ad indices come out
+    /// empty, exactly like a full rebuild over an adless corpus, and the
+    /// shard drops its engine.
+    fn apply(
+        &mut self,
+        keys: &KeySide,
+        delta: &IndexDelta,
+        topology: &ShardedEngineBuilder,
+    ) -> Result<(), RetrievalError> {
+        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
+        // retire in place; the survivors are the backfill candidate set
+        self.ads_qa.retire(|id| retired.contains(&id));
+        self.ads_ia.retire(|id| retired.contains(&id));
+        let adless = InvertedIndex::default();
+        let prev = self.engine.as_deref().map(RetrievalEngine::indexes);
+        let q2a = delta_ad_index(
+            prev.map_or(&adless, |prev| &prev.q2a),
+            &keys.queries_qa,
+            &self.ads_qa,
+            &delta.added_ads_qa,
+            &retired,
+            topology.index,
+        );
+        let i2a = delta_ad_index(
+            prev.map_or(&adless, |prev| &prev.i2a),
+            &keys.items_ia,
+            &self.ads_ia,
+            &delta.added_ads_ia,
+            &retired,
+            topology.index,
+        );
+        self.ads_qa.append(&delta.added_ads_qa);
+        self.ads_ia.append(&delta.added_ads_ia);
+        self.engine = serving(keys, q2a, i2a, topology)?;
+        Ok(())
+    }
+}
+
+/// The serving engine over `keys`'s key-side indices (shared, not
+/// copied) and these ad-side ones, or `None` when both are empty.
+fn serving(
+    keys: &KeySide,
+    q2a: InvertedIndex,
+    i2a: InvertedIndex,
+    topology: &ShardedEngineBuilder,
+) -> Result<Option<Arc<RetrievalEngine>>, RetrievalError> {
+    if q2a.is_empty() && i2a.is_empty() {
+        return Ok(None);
+    }
+    let engine = RetrievalEngine::builder()
+        .index(topology.index)
+        .retrieval(topology.retrieval)
+        .build_from_indexes(keys.indexes.with_ad_side(q2a, i2a))?;
+    Ok(Some(Arc::new(engine)))
+}
+
+/// Incremental index maintenance for a sharded deployment. It holds the
+/// query / item side once — its point sets and key-side indices — next
+/// to one slot per configured shard (the shard's ad slices and engine),
+/// and routes each applied delta only to the shards [`ad_shard`] assigns
+/// its added / retired ads to. Shards a delta does not touch contribute
+/// the *same* [`Arc`]'d engine to the next generation — their index
+/// storage is reused pointer-identically, which is what makes a small
+/// delta cheap at any shard count.
 ///
 /// The produced [`ShardedEngine`] generations are drop-in publishes for a
 /// [`crate::EngineHandle`] (see [`crate::EngineHandle::publish_delta`]).
@@ -377,31 +393,76 @@ struct ShardSlot {
 #[derive(Debug, Clone)]
 pub struct ShardedDeltaBuilder {
     topology: ShardedEngineBuilder,
-    slots: Vec<ShardSlot>,
+    keys: KeySide,
+    slots: Vec<Slot>,
 }
 
 impl ShardedDeltaBuilder {
-    /// Split `inputs` across the topology's shards and seed every shard's
-    /// first-generation index state with `4 + 2·shards` independent index
-    /// builds, [`ShardedEngineBuilder::build_threads`] at a time: the four
-    /// key-side indices once — every shard shares that copy, adless ones
-    /// too, so a later delta can populate them — plus each shard's Q2A
-    /// and I2A. Zero-sized topology, index or retrieval knobs and duplicate
-    /// ids are rejected before any index work; the builds cannot fail.
+    /// Split the ads of `inputs` across the topology's shards by
+    /// [`ad_shard`] and seed the first generation with `4 + 2·shards`
+    /// independent index builds, [`ShardedEngineBuilder::build_threads`]
+    /// at a time: the four key-side indices once — the deployment holds
+    /// that copy, and every shard serves over it — plus each shard's Q2A
+    /// and I2A. Zero-sized topology, index or retrieval knobs and
+    /// duplicate ids are rejected before any index work; the builds
+    /// cannot fail.
     pub fn new(
         inputs: &IndexBuildInputs,
         topology: ShardedEngineBuilder,
     ) -> Result<Self, RetrievalError> {
         topology.validate()?;
         inputs.validate()?;
-        let parts = shard_inputs(inputs, topology.shards);
+        let shards = topology.shards;
+        let ads_qa = inputs
+            .ads_qa
+            .partition_by(shards, |ad| ad_shard(ad, shards));
+        let ads_ia = inputs
+            .ads_ia
+            .partition_by(shards, |ad| ad_shard(ad, shards));
         // build_threads 0 = auto: one thread per task up to the core count
         let width = match topology.build_threads {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             n => n,
         };
-        let built = IndexSet::build_sharing_key_side(&parts, topology.index, width);
-        Self::from_slot_parts(topology, parts.into_iter().zip(built).collect())
+        let ads: Vec<_> = ads_qa.iter().zip(&ads_ia).collect();
+        let (indexes, ad_side) =
+            IndexSet::build_sharing_key_side(inputs, &ads, topology.index, width);
+        let keys = KeySide {
+            queries_qq: Arc::clone(&inputs.queries_qq),
+            queries_qi: Arc::clone(&inputs.queries_qi),
+            items_qi: Arc::clone(&inputs.items_qi),
+            queries_qa: Arc::clone(&inputs.queries_qa),
+            items_ii: Arc::clone(&inputs.items_ii),
+            items_ia: Arc::clone(&inputs.items_ia),
+            indexes,
+        };
+        let slots = ads_qa
+            .into_iter()
+            .zip(ads_ia)
+            .zip(ad_side)
+            .map(|(ads, ad_side)| Slot::new(ads, ad_side, &keys, &topology))
+            .collect::<Result<_, _>>()?;
+        Self::assemble(topology, keys, slots)
+    }
+
+    /// A deployment of `keys` and one slot per configured shard, in shard
+    /// order — built by [`ShardedDeltaBuilder::new`], or decoded by
+    /// [`crate::store`] on the warm path, which validated both. An
+    /// all-adless corpus cannot serve: the assembly fails, not the first
+    /// request.
+    pub(crate) fn assemble(
+        topology: ShardedEngineBuilder,
+        keys: KeySide,
+        slots: Vec<Slot>,
+    ) -> Result<Self, RetrievalError> {
+        debug_assert_eq!(slots.len(), topology.shards, "one slot per shard");
+        let builder = ShardedDeltaBuilder {
+            topology,
+            keys,
+            slots,
+        };
+        builder.engine()?;
+        Ok(builder)
     }
 
     /// The configured shard count.
@@ -416,49 +477,19 @@ impl ShardedDeltaBuilder {
         &self.topology
     }
 
-    /// Every slot's current state in shard order — its post-delta build
-    /// inputs and its current-generation [`IndexSet`] (served or adless).
-    /// This is exactly what the snapshot writer persists per shard.
-    pub(crate) fn slot_parts(&self) -> Vec<(&IndexBuildInputs, &IndexSet)> {
-        self.slots
-            .iter()
-            .map(|slot| (slot.builder.inputs(), slot.indexes.get()))
-            .collect()
+    /// The deployment's one key side.
+    pub(crate) fn keys(&self) -> &KeySide {
+        &self.keys
     }
 
-    /// Assemble a builder from per-shard inputs and their already-built
-    /// index sets — freshly built by [`ShardedDeltaBuilder::new`], or
-    /// decoded by [`crate::store`] on the warm path, where the expensive
-    /// index construction is skipped: each slot only re-validates its
-    /// inputs and wraps its [`IndexSet`] in a serving engine. `parts` must
-    /// be in shard order, one entry per configured shard (the snapshot
-    /// writer guarantees both).
-    pub(crate) fn from_slot_parts(
-        topology: ShardedEngineBuilder,
-        parts: Vec<(IndexBuildInputs, IndexSet)>,
-    ) -> Result<Self, RetrievalError> {
-        topology.validate()?;
-        debug_assert_eq!(parts.len(), topology.shards, "one slot part per shard");
-        let mut slots = Vec::with_capacity(parts.len());
-        for (inputs, indexes) in parts {
-            slots.push(ShardSlot {
-                builder: DeltaBuilder::new(inputs, topology.index)?,
-                indexes: ShardIndexes::new(indexes, &topology)?,
-            });
-        }
-        let builder = ShardedDeltaBuilder { topology, slots };
-        // an all-adless corpus cannot serve: fail the build, not the
-        // first request
-        builder.engine()?;
-        Ok(builder)
+    /// Every shard's slot, in shard order.
+    pub(crate) fn slots(&self) -> &[Slot] {
+        &self.slots
     }
 
     /// Total ads currently in the corpus (across all shards).
     pub fn corpus_len(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|slot| slot.builder.inputs().ads_qa.len())
-            .sum()
+        self.slots.iter().map(|slot| slot.ads_qa.len()).sum()
     }
 
     /// Assemble the current generation's serving engine: one
@@ -469,10 +500,7 @@ impl ShardedDeltaBuilder {
         let engines: Vec<Arc<RetrievalEngine>> = self
             .slots
             .iter()
-            .filter_map(|slot| match &slot.indexes {
-                ShardIndexes::Serving(engine) => Some(Arc::clone(engine)),
-                ShardIndexes::Adless(_) => None,
-            })
+            .filter_map(|slot| slot.engine.clone())
             .collect();
         if engines.is_empty() {
             return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
@@ -482,8 +510,8 @@ impl ShardedDeltaBuilder {
 
     /// Apply one corpus delta and return the next generation's engine.
     /// The delta is split by [`ad_shard`]; only the shards it actually
-    /// touches rebuild their ad-side indices (incrementally, through
-    /// their `DeltaBuilder`), every other shard's engine [`Arc`] is
+    /// touches rebuild their ad-side indices (incrementally, over the
+    /// deployment's key side), every other shard's engine [`Arc`] is
     /// reused unchanged.
     ///
     /// All validation — duplicate added ids, unknown retired ads,
@@ -522,7 +550,7 @@ impl ShardedDeltaBuilder {
             .filter(|(_, sub)| !sub.is_empty())
             .collect();
         for (s, sub) in &touched {
-            self.slots[*s].builder.validate_delta(sub)?;
+            self.slots[*s].validate_delta(sub)?;
         }
         // refusing to retire the whole corpus keeps the failure atomic:
         // nothing below this point can fail on a validated delta, so no
@@ -531,9 +559,7 @@ impl ShardedDeltaBuilder {
             return Err(RetrievalError::EmptyIndex { indices: "q2a+i2a" });
         }
         for (s, sub) in &touched {
-            let slot = &mut self.slots[*s];
-            let next = slot.builder.apply(slot.indexes.get(), sub);
-            slot.indexes = ShardIndexes::new(next, &self.topology)?;
+            self.slots[*s].apply(&self.keys, sub, &self.topology)?;
         }
         self.engine()
     }
@@ -544,7 +570,8 @@ mod tests {
     use super::*;
     use crate::engine::{Request, RetrievalResponse};
     use crate::test_fixtures::{
-        random_points, shared_points, tiny_inputs, tiny_inputs_leaving_shard_adless,
+        assert_one_key_side, random_points, shard_slice, shared_points, tiny_inputs,
+        tiny_inputs_leaving_shard_adless,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -557,16 +584,31 @@ mod tests {
             .map_err(RetrievalError::logical)
     }
 
-    /// The full single-corpus contract: every check, then the apply —
-    /// what `ShardedDeltaBuilder::apply` does across its touched slots.
-    fn checked_apply(
-        builder: &mut DeltaBuilder,
-        prev: &IndexSet,
-        delta: &IndexDelta,
-    ) -> Result<IndexSet, RetrievalError> {
-        validate_added_sets(delta)?;
-        builder.validate_delta(delta)?;
-        Ok(builder.apply(prev, delta))
+    /// A one-shard deployment: the single-corpus delta path.
+    fn one_shard(inputs: &IndexBuildInputs, config: IndexBuildConfig) -> ShardedDeltaBuilder {
+        let topology = ShardedEngine::builder().index(config).build_threads(1);
+        ShardedDeltaBuilder::new(inputs, topology).unwrap()
+    }
+
+    /// The six indices the one shard of `builder` serves (the key-only
+    /// set while it is adless).
+    fn served(builder: &ShardedDeltaBuilder) -> &IndexSet {
+        builder.slots[0].indexes().unwrap_or(&builder.keys.indexes)
+    }
+
+    /// The builder's six key point sets are `inputs`'s, pointer-identically.
+    fn assert_key_points_are(builder: &ShardedDeltaBuilder, inputs: &IndexBuildInputs, when: &str) {
+        let keys = &builder.keys;
+        for (name, got, want) in [
+            ("queries_qq", &keys.queries_qq, &inputs.queries_qq),
+            ("queries_qi", &keys.queries_qi, &inputs.queries_qi),
+            ("items_qi", &keys.items_qi, &inputs.items_qi),
+            ("queries_qa", &keys.queries_qa, &inputs.queries_qa),
+            ("items_ii", &keys.items_ii, &inputs.items_ii),
+            ("items_ia", &keys.items_ia, &inputs.items_ia),
+        ] {
+            assert!(Arc::ptr_eq(got, want), "{when}: {name} is a copy");
+        }
     }
 
     /// A delta adding `ids` (fresh random points, deterministic per seed)
@@ -621,7 +663,9 @@ mod tests {
     /// deployment and every index as its own pool task changes no bit.
     /// For each backend at its exactness point, shard counts 1 / 2 / 4
     /// (with and without an adless shard) and build widths 1 and 4, every
-    /// shard's six indices equal that shard's own full [`IndexSet::build`].
+    /// ad sits in exactly the slot [`ad_shard`] names, the key side is
+    /// the caller's and shared, and every shard's six indices equal that
+    /// shard's own full [`IndexSet::build`].
     #[test]
     fn cold_build_gives_every_shard_the_six_indices_of_its_own_full_build() {
         use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig};
@@ -649,15 +693,21 @@ mod tests {
                     backend,
                 };
                 for shards in [1usize, 2, 4] {
-                    let parts = shard_inputs(&inputs, shards);
                     for build_threads in [1usize, 4] {
                         let topology = ShardedEngine::builder()
                             .shards(shards)
                             .index(config)
                             .build_threads(build_threads);
                         let cold = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
-                        for (s, (_, got)) in cold.slot_parts().into_iter().enumerate() {
-                            let want = IndexSet::build(&parts[s], config).unwrap();
+                        assert_one_key_side(&cold, "cold build");
+                        assert_key_points_are(&cold, &inputs, "cold build");
+                        for (s, slot) in cold.slots.iter().enumerate() {
+                            let own = shard_slice(&inputs, shards, s);
+                            // the slot holds exactly the ads hashing to it
+                            assert_eq!(slot.ads_qa.ids(), own.ads_qa.ids(), "shard {s}");
+                            assert_eq!(slot.ads_ia.ids(), own.ads_ia.ids(), "shard {s}");
+                            let want = IndexSet::build(&own, config).unwrap();
+                            let got = slot.indexes().unwrap_or(&cold.keys.indexes);
                             for (name, got, want) in [
                                 ("q2q", &*got.q2q, &*want.q2q),
                                 ("q2i", &*got.q2i, &*want.q2i),
@@ -688,13 +738,15 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let prev = IndexSet::build(&inputs, config).unwrap();
-        let mut builder = DeltaBuilder::new(inputs.clone(), config).unwrap();
+        let mut builder = one_shard(&inputs, config);
+        let mut truth = inputs.clone();
         // retire ads that sit in many full posting lists (top_k 6 < 20
         // ads, so lists are at the cap and the backfill rescan must fire)
         let delta = make_delta(300..306, 41, vec![200, 203, 219]);
-        let next = checked_apply(&mut builder, &prev, &delta).unwrap();
-        let rebuilt = IndexSet::build(builder.inputs(), config).unwrap();
+        builder.apply(&delta).unwrap();
+        delta.apply_to(&mut truth);
+        let next = served(&builder);
+        let rebuilt = IndexSet::build(&truth, config).unwrap();
         assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a");
         assert_indices_identical(&next.i2a, &rebuilt.i2a, "i2a");
         // key-side indices ride along untouched
@@ -707,8 +759,10 @@ mod tests {
         // and a second, chained delta stays exact (retire some of what
         // the first delta added)
         let delta2 = make_delta(310..313, 43, vec![301, 207]);
-        let next2 = checked_apply(&mut builder, &next, &delta2).unwrap();
-        let rebuilt2 = IndexSet::build(builder.inputs(), config).unwrap();
+        builder.apply(&delta2).unwrap();
+        delta2.apply_to(&mut truth);
+        let next2 = served(&builder);
+        let rebuilt2 = IndexSet::build(&truth, config).unwrap();
         assert_indices_identical(&next2.q2a, &rebuilt2.q2a, "q2a after chaining");
         assert_indices_identical(&next2.i2a, &rebuilt2.i2a, "i2a after chaining");
     }
@@ -721,18 +775,21 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let prev = IndexSet::build(&inputs, config).unwrap();
-        let mut builder = DeltaBuilder::new(inputs, config).unwrap();
+        let mut builder = one_shard(&inputs, config);
+        let mut truth = inputs;
         // id 205 leaves and re-enters with new points in the same delta
         let delta = make_delta(205..206, 77, vec![205]);
-        let next = checked_apply(&mut builder, &prev, &delta).unwrap();
-        let rebuilt = IndexSet::build(builder.inputs(), config).unwrap();
+        builder.apply(&delta).unwrap();
+        delta.apply_to(&mut truth);
+        let next = served(&builder);
+        let rebuilt = IndexSet::build(&truth, config).unwrap();
         assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a");
         assert_indices_identical(&next.i2a, &rebuilt.i2a, "i2a");
         // the replacement genuinely moved the ad: its stored point changed
-        let j = builder.inputs().ads_qa.index_of(205).unwrap();
+        let ads_qa = &builder.slots[0].ads_qa;
+        let j = ads_qa.index_of(205).unwrap();
         assert_ne!(
-            builder.inputs().ads_qa.point(j),
+            ads_qa.point(j),
             tiny_inputs()
                 .ads_qa
                 .point(tiny_inputs().ads_qa.index_of(205).unwrap()),
@@ -881,25 +938,25 @@ mod tests {
         };
         // single-corpus delta: the next generation's key-side indices are
         // the previous generation's, pointer-identically
-        let prev = IndexSet::build(&inputs, config).unwrap();
-        let mut builder = DeltaBuilder::new(inputs.clone(), config).unwrap();
-        let delta = make_delta(300..304, 11, vec![201]);
-        let next = checked_apply(&mut builder, &prev, &delta).unwrap();
+        let mut builder = one_shard(&inputs, config);
+        let prev = builder.engine().unwrap();
+        builder.apply(&make_delta(300..304, 11, vec![201])).unwrap();
+        let next = builder.engine().unwrap();
+        let (prev, next) = (
+            prev.shard(0).engine().indexes(),
+            next.shard(0).engine().indexes(),
+        );
         assert!(Arc::ptr_eq(&prev.q2q, &next.q2q), "q2q must be shared");
         assert!(Arc::ptr_eq(&prev.q2i, &next.q2i), "q2i must be shared");
         assert!(Arc::ptr_eq(&prev.i2q, &next.i2q), "i2q must be shared");
         assert!(Arc::ptr_eq(&prev.i2i, &next.i2i), "i2i must be shared");
         // ... while the builder's key-side point sets still are the
         // caller's (retire/append only touched the ad side)
-        assert!(Arc::ptr_eq(
-            &inputs.queries_qq,
-            &builder.inputs().queries_qq
-        ));
-        assert!(Arc::ptr_eq(&inputs.items_ia, &builder.inputs().items_ia));
+        assert_key_points_are(&builder, &inputs, "after a delta");
 
         // sharded: one copy of the key side per deployment, not one per
         // shard — the six point sets are the caller's and the four indices
-        // are built once, for every slot, the adless one included
+        // are built once, and every serving slot runs on them
         let (shards, adless) = (4usize, 3usize);
         let inputs = tiny_inputs_leaving_shard_adless(shards, adless);
         let mut sharded = ShardedDeltaBuilder::new(
@@ -907,34 +964,23 @@ mod tests {
             ShardedEngine::builder().shards(shards).top_k(6).threads(1),
         )
         .unwrap();
-        let is_adless = |sharded: &ShardedDeltaBuilder| {
-            matches!(sharded.slots[adless].indexes, ShardIndexes::Adless(_))
-        };
-        let assert_one_key_side = |sharded: &ShardedDeltaBuilder, when: &str| {
-            let first = sharded.slots[0].indexes.get();
-            for (s, slot) in sharded.slots.iter().enumerate() {
-                assert!(
-                    slot.builder.inputs().shares_key_side_with(&inputs),
-                    "{when}: shard {s} must share the deployment's key point sets"
-                );
-                assert!(
-                    slot.indexes.get().shares_key_side_with(first),
-                    "{when}: shard {s} must share the deployment's key indices"
-                );
-            }
+        let is_adless = |sharded: &ShardedDeltaBuilder| sharded.slots[adless].engine.is_none();
+        let assert_shared = |sharded: &ShardedDeltaBuilder, when: &str| {
+            assert_one_key_side(sharded, when);
+            assert_key_points_are(sharded, &inputs, when);
         };
         assert!(is_adless(&sharded), "precondition: shard 3 holds no ads");
-        assert_one_key_side(&sharded, "cold build");
+        assert_shared(&sharded, "cold build");
         // ... a delta that touches a strict subset of the shards keeps it
         // that way, on the shards it rewrites and the ones it skips
         let one_shard = delta_into_shard(&inputs, (1, shards), 310, 13, vec![200]);
         sharded.apply(&one_shard).unwrap();
-        assert_one_key_side(&sharded, "after a one-shard delta");
+        assert_shared(&sharded, "after a one-shard delta");
         // ... and so does the delta that populates the adless shard
         let populate = delta_into_shard(&inputs, (adless, shards), 330, 17, Vec::new());
         sharded.apply(&populate).unwrap();
         assert!(!is_adless(&sharded), "the delta populated shard 3");
-        assert_one_key_side(&sharded, "after populating the adless shard");
+        assert_shared(&sharded, "after populating the adless shard");
     }
 
     /// The HNSW acceptance property: at its saturation point the graph
@@ -1098,15 +1144,14 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let prev = IndexSet::build(&inputs, config).unwrap();
-        let mut builder = DeltaBuilder::new(inputs.clone(), config).unwrap();
+        let mut builder = one_shard(&inputs, config);
         // duplicate id within one added space
         let mut dup = make_delta(300..302, 1, Vec::new());
         let extra = random_points(300..301, 2);
         dup.added_ads_qa.push(300, extra.point(0), extra.weight(0));
         dup.added_ads_ia.push(300, extra.point(0), extra.weight(0));
         assert!(matches!(
-            checked_apply(&mut builder, &prev, &dup).unwrap_err(),
+            builder.apply(&dup).unwrap_err(),
             RetrievalError::DuplicateId {
                 space: "delta added_ads_qa",
                 id: 300
@@ -1115,28 +1160,30 @@ mod tests {
         // adding an id the corpus already holds (without retiring it)
         let clash = make_delta(205..206, 3, Vec::new());
         assert!(matches!(
-            checked_apply(&mut builder, &prev, &clash).unwrap_err(),
+            builder.apply(&clash).unwrap_err(),
             RetrievalError::DuplicateId { id: 205, .. }
         ));
         // retiring an unknown ad
         let unknown = IndexDelta::retire_only(&inputs, vec![9000]);
         assert_eq!(
-            checked_apply(&mut builder, &prev, &unknown).unwrap_err(),
+            builder.apply(&unknown).unwrap_err(),
             RetrievalError::UnknownAd { ad: 9000 }
         );
         // the two added spaces must agree on the id set
         let mut skewed = make_delta(300..302, 4, Vec::new());
         skewed.added_ads_ia = random_points(300..301, 5);
         assert!(matches!(
-            checked_apply(&mut builder, &prev, &skewed).unwrap_err(),
+            builder.apply(&skewed).unwrap_err(),
             RetrievalError::InvalidConfig(_)
         ));
         // every rejection left the builder untouched: a valid apply still
         // matches the from-scratch rebuild exactly
         let valid = make_delta(300..303, 6, vec![201]);
-        let next = checked_apply(&mut builder, &prev, &valid).unwrap();
-        let rebuilt = IndexSet::build(builder.inputs(), config).unwrap();
-        assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a after rejections");
+        builder.apply(&valid).unwrap();
+        let mut truth = inputs.clone();
+        valid.apply_to(&mut truth);
+        let rebuilt = IndexSet::build(&truth, config).unwrap();
+        assert_indices_identical(&served(&builder).q2a, &rebuilt.q2a, "q2a after rejections");
         // ... and the sharded builder rejects with the same errors
         let mut sharded =
             ShardedDeltaBuilder::new(&inputs, ShardedEngine::builder().shards(2).threads(1))
@@ -1174,18 +1221,19 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        // index level: an all-retired corpus builds EMPTY ad indices
-        // (exactly like a full rebuild over no ads) and the engine
-        // assembly turns that into the typed EmptyIndex error
-        let prev = IndexSet::build(&inputs, config).unwrap();
-        let mut builder = DeltaBuilder::new(inputs.clone(), config).unwrap();
+        // slot level: a slot whose every ad retires builds EMPTY ad
+        // indices (exactly like a full rebuild over no ads) and drops its
+        // engine, since the engine assembly turns that ad side into the
+        // typed EmptyIndex error
+        let builder = one_shard(&inputs, config);
+        let mut slot = builder.slots[0].clone();
         let wipe = IndexDelta::retire_only(&inputs, all_ads.clone());
-        let emptied = checked_apply(&mut builder, &prev, &wipe).unwrap();
-        assert!(emptied.q2a.is_empty() && emptied.i2a.is_empty());
+        slot.apply(&builder.keys, &wipe, &builder.topology).unwrap();
+        assert!(slot.engine.is_none() && slot.ads_qa.is_empty() && slot.ads_ia.is_empty());
         assert_eq!(
             RetrievalEngine::builder()
                 .index(config)
-                .build_from_indexes(emptied)
+                .build_from_indexes(builder.keys.indexes.clone())
                 .unwrap_err(),
             RetrievalError::EmptyIndex { indices: "q2a+i2a" }
         );

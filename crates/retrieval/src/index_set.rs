@@ -19,14 +19,12 @@ use crate::error::RetrievalError;
 /// and items each appear once per space.
 ///
 /// The key-side sets (queries and items) are behind [`Arc`]s because they
-/// are *replicated, not partitioned*, by every scale-out mechanism in the
-/// serving stack: a sharded build hands every shard the same key sets
-/// (only the ads split), and a delta publish never touches them at all.
-/// Cloning these inputs — per shard, per delta generation — therefore
-/// bumps six reference counts instead of copying six point sets. The
-/// ad-side sets stay plain: they are genuinely partitioned by
-/// [`crate::shard::shard_inputs`] and mutated in place by the delta
-/// append/retire lifecycle.
+/// are *shared, not partitioned*: a [`crate::ShardedDeltaBuilder`] keeps
+/// the caller's six sets as its deployment's one key side — six
+/// reference-count bumps, no copy — that every shard serves over, and a
+/// delta publish never touches them. The ad-side sets stay plain: a
+/// sharded deployment partitions them by [`crate::shard::ad_shard`], and
+/// the delta append/retire lifecycle mutates them in place.
 #[derive(Debug, Clone)]
 pub struct IndexBuildInputs {
     /// Queries projected into the Q-Q edge space.
@@ -62,29 +60,26 @@ impl IndexBuildInputs {
         ]
     }
 
-    /// Whether the six key-side sets are `other`'s, pointer-identically —
-    /// what a shard split, a delta and a snapshot reload all preserve.
-    pub(crate) fn shares_key_side_with(&self, other: &IndexBuildInputs) -> bool {
-        Arc::ptr_eq(&self.queries_qq, &other.queries_qq)
-            && Arc::ptr_eq(&self.queries_qi, &other.queries_qi)
-            && Arc::ptr_eq(&self.items_qi, &other.items_qi)
-            && Arc::ptr_eq(&self.queries_qa, &other.queries_qa)
-            && Arc::ptr_eq(&self.items_ii, &other.items_ii)
-            && Arc::ptr_eq(&self.items_ia, &other.items_ia)
-    }
-
     /// Reject inputs that would corrupt index construction: a duplicate
     /// id within any point set silently overwrites that key's posting
     /// list (and duplicates candidate postings), and would corrupt delta
     /// merges downstream. Surfaced as [`RetrievalError::DuplicateId`].
     pub fn validate(&self) -> Result<(), RetrievalError> {
-        for (space, set) in self.spaces() {
-            if let Some(id) = set.first_duplicate_id() {
-                return Err(RetrievalError::DuplicateId { space, id });
-            }
-        }
-        Ok(())
+        reject_duplicate_ids(self.spaces())
     }
+}
+
+/// [`RetrievalError::DuplicateId`] for the first named point set that
+/// holds an id twice.
+pub(crate) fn reject_duplicate_ids<'a>(
+    sets: impl IntoIterator<Item = (&'static str, &'a MixedPointSet)>,
+) -> Result<(), RetrievalError> {
+    for (space, set) in sets {
+        if let Some(id) = set.first_duplicate_id() {
+            return Err(RetrievalError::DuplicateId { space, id });
+        }
+    }
+    Ok(())
 }
 
 /// Configuration of offline index construction.
@@ -146,24 +141,26 @@ impl IndexSet {
         config: IndexBuildConfig,
     ) -> Result<IndexSet, RetrievalError> {
         inputs.validate()?;
-        let parts = std::slice::from_ref(inputs);
-        let mut built = Self::build_sharing_key_side(parts, config, 1);
-        Ok(built.pop().expect("one part in, one index set out"))
+        let ads = [(&inputs.ads_qa, &inputs.ads_ia)];
+        let (key_side, mut ad_side) = Self::build_sharing_key_side(inputs, &ads, config, 1);
+        let (q2a, i2a) = ad_side.pop().expect("one ad pair in, one index pair out");
+        Ok(key_side.with_ad_side(q2a, i2a))
     }
 
-    /// A deployment's cold build as one flat list of `4 + 2·parts`
-    /// independent index builds: the four key-side indices once, over the
-    /// key sets every part of a validated [`crate::shard::shard_inputs`]
-    /// split shares, then each part's Q2A and I2A, `width` at a time.
+    /// A deployment's cold build as one flat list of `4 + 2·ads.len()`
+    /// independent index builds, `width` at a time: the four key-side
+    /// indices once, over the key sets of `keys` (its ad sets are not
+    /// read), then the Q2A and I2A of each pair of ad slices. Returns the
+    /// key-only set (empty Q2A and I2A) and each pair's `(Q2A, I2A)`.
     /// [`fork_join()`] returns the builds in task order, so at any width
-    /// every set returned shares one copy of the key side and equals its
-    /// part's own [`IndexSet::build`].
+    /// the key-only set with a pair's ad side equals the full
+    /// [`IndexSet::build`] over that pair's ads.
     pub(crate) fn build_sharing_key_side(
-        parts: &[IndexBuildInputs],
+        keys: &IndexBuildInputs,
+        ads: &[(&MixedPointSet, &MixedPointSet)],
         config: IndexBuildConfig,
         width: usize,
-    ) -> Vec<IndexSet> {
-        let keys = &parts[0];
+    ) -> (IndexSet, Vec<(InvertedIndex, InvertedIndex)>) {
         // (keys, candidates, exclude the key itself)
         let mut tasks: Vec<(&MixedPointSet, &MixedPointSet, bool)> = vec![
             (&keys.queries_qq, &keys.queries_qq, true),
@@ -171,9 +168,9 @@ impl IndexSet {
             (&keys.items_qi, &keys.queries_qi, false),
             (&keys.items_ii, &keys.items_ii, true),
         ];
-        for part in parts {
-            tasks.push((&keys.queries_qa, &part.ads_qa, false));
-            tasks.push((&keys.items_ia, &part.ads_ia, false));
+        for &(ads_qa, ads_ia) in ads {
+            tasks.push((&keys.queries_qa, ads_qa, false));
+            tasks.push((&keys.items_ia, ads_ia, false));
         }
         let backend = config.backend;
         let task = |t: usize| {
@@ -190,13 +187,13 @@ impl IndexSet {
             q2a: InvertedIndex::default(),
             i2a: InvertedIndex::default(),
         };
-        let shard = |_| key_side.with_ad_side(next(), next());
-        parts.iter().map(shard).collect()
+        let ad_side = ads.iter().map(|_| (next(), next())).collect();
+        (key_side, ad_side)
     }
 
     /// This set's key side — shared pointer-identically, no index copied —
-    /// with those ad-side indices: a shard's next delta generation, or
-    /// another shard of the same deployment.
+    /// with those ad-side indices: how a deployment's key-only set becomes
+    /// each shard's six indices, in every generation.
     pub(crate) fn with_ad_side(&self, q2a: InvertedIndex, i2a: InvertedIndex) -> IndexSet {
         IndexSet {
             q2q: Arc::clone(&self.q2q),
@@ -206,14 +203,6 @@ impl IndexSet {
             q2a,
             i2a,
         }
-    }
-
-    /// Whether the four key-side indices are `other`'s, pointer-identically.
-    pub(crate) fn shares_key_side_with(&self, other: &IndexSet) -> bool {
-        Arc::ptr_eq(&self.q2q, &other.q2q)
-            && Arc::ptr_eq(&self.q2i, &other.q2i)
-            && Arc::ptr_eq(&self.i2q, &other.i2q)
-            && Arc::ptr_eq(&self.i2i, &other.i2i)
     }
 
     /// Total number of posting lists across the six indices.

@@ -58,10 +58,11 @@
 //! input ids are rejected with the typed
 //! [`RetrievalError::DuplicateId`]) and [`TwoLayerRetriever`] (the bare
 //! layer logic). See `src/README.md` for the backend
-//! taxonomy (when to pick which, tuning knobs). The unchanging key side is `Arc`-shared everywhere it is
-//! replicated: [`IndexBuildInputs`] hands every shard the same key
-//! point sets, and [`IndexSet`] carries its key-side indices across
-//! delta generations pointer-identically.
+//! taxonomy (when to pick which, tuning knobs). The unchanging key side
+//! has one owner: a [`ShardedDeltaBuilder`] holds the query / item point
+//! sets of its [`IndexBuildInputs`] and the four key-side indices once,
+//! and every shard's [`IndexSet`] in every delta generation shares those
+//! indices pointer-identically.
 //!
 //! In front of it all sits the **persistent serving runtime** (the
 //! [`runtime`] module). Every resident thread in the crate is one of a
@@ -164,7 +165,7 @@ pub use index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
 pub use retriever::{RetrievalConfig, RetrievedAd, TwoLayerRetriever};
 pub use runtime::park_pool::PersistentPool;
 pub use runtime::{RuntimeConfig, RuntimeStats, ServingRuntime, Ticket};
-pub use shard::{ad_shard, shard_inputs, ReplicatedShard, ShardedEngine, ShardedEngineBuilder};
+pub use shard::{ad_shard, ReplicatedShard, ShardedEngine, ShardedEngineBuilder};
 pub use snapshot::{EngineHandle, EngineSnapshot};
 pub use store::{SnapshotManifest, FORMAT_VERSION};
 
@@ -210,6 +211,41 @@ pub(crate) mod test_fixtures {
         inputs.ads_qa = inputs.ads_qa.filtered(stays);
         inputs.ads_ia = inputs.ads_ia.filtered(stays);
         inputs
+    }
+
+    /// Shard `s` of `shards` as inputs of its own: every key set, and the
+    /// ads [`crate::shard::ad_shard`] sends to it.
+    pub(crate) fn shard_slice(
+        inputs: &IndexBuildInputs,
+        shards: usize,
+        s: usize,
+    ) -> IndexBuildInputs {
+        let home = |ad| crate::shard::ad_shard(ad, shards) == s;
+        IndexBuildInputs {
+            ads_qa: inputs.ads_qa.filtered(home),
+            ads_ia: inputs.ads_ia.filtered(home),
+            ..inputs.clone()
+        }
+    }
+
+    /// Assert that every serving shard of `builder` runs on the
+    /// deployment's one copy of the key-side indices, pointer-identically.
+    pub(crate) fn assert_one_key_side(builder: &crate::ShardedDeltaBuilder, when: &str) {
+        let keys = &builder.keys().indexes;
+        for (s, slot) in builder.slots().iter().enumerate() {
+            let Some(indexes) = slot.indexes() else {
+                continue;
+            };
+            for (name, got, want) in [
+                ("q2q", &indexes.q2q, &keys.q2q),
+                ("q2i", &indexes.q2i, &keys.q2i),
+                ("i2q", &indexes.i2q, &keys.i2q),
+                ("i2i", &indexes.i2i, &keys.i2i),
+            ] {
+                let shared = std::sync::Arc::ptr_eq(got, want);
+                assert!(shared, "{when}: shard {s} holds its own {name}");
+            }
+        }
     }
 
     pub(crate) fn tiny_inputs() -> IndexBuildInputs {

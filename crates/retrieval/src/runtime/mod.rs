@@ -727,6 +727,28 @@ mod tests {
         });
     }
 
+    /// A submit to an idle runtime wakes a worker parked on the empty
+    /// queue: every worker is seen parked before the one request goes in,
+    /// so only the submit's wake-up can serve it (a lost one fails the
+    /// test under `within_timeout`).
+    #[test]
+    fn a_submit_to_a_parked_worker_wakes_it() {
+        within_timeout(|| {
+            for workers in [1usize, 2] {
+                let config = RuntimeConfig {
+                    workers,
+                    deadline: Duration::from_secs(5),
+                    ..RuntimeConfig::default()
+                };
+                let runtime = ServingRuntime::new(engine(), config).unwrap();
+                while runtime.shared.queue.parked() < workers {
+                    std::thread::yield_now();
+                }
+                assert!(runtime.retrieve_blocking(&requests()[0]).is_ok());
+            }
+        });
+    }
+
     /// No wake-up is lost to racing submitters: four closed-loop clients
     /// keep the queue flipping between empty and not, so workers park
     /// and wake on almost every request, and every ticket must resolve.

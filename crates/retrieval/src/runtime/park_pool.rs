@@ -165,6 +165,14 @@ impl PersistentPool {
 }
 
 #[cfg(test)]
+impl AdmissionQueue {
+    /// Workers currently parked on the queue.
+    pub(super) fn parked(&self) -> usize {
+        lock(&self.queue).parked
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,11 +7,12 @@
 //! offline MNN index build and the online iGraph serving layer across a
 //! cluster; one monolithic [`RetrievalEngine`] cannot model that. Here the
 //! [`IndexBuildInputs`] are split **by ad** with a deterministic hash
-//! ([`ad_shard`]): each shard receives the full query / item point sets
-//! and shares the deployment's one copy of the first-layer key indices
-//! (so every shard expands a request to the same key set) but only its
-//! slice of the ads (so the expensive second-layer Q2A / I2A builds and
-//! scans are divided N ways).
+//! ([`ad_shard`]): every shard serves over the deployment's one copy of
+//! the query / item side — the point sets and the first-layer key
+//! indices, held once by its [`ShardedDeltaBuilder`], so every shard
+//! expands a request to the same key set — but holds only its slice of
+//! the ads (so the expensive second-layer Q2A / I2A builds and scans are
+//! divided N ways).
 //!
 //! ## The cluster topology: parallel build, replica sets
 //!
@@ -100,35 +101,6 @@ pub fn ad_shard(ad: u32, shards: usize) -> usize {
     // consecutive ids, and dropping the 7 low product bits (which barely
     // mix) before the mod keeps small shard counts from seeing patterns
     (ad.wrapping_mul(0x9E37_79B9) >> 7) as usize % shards
-}
-
-/// Split index-build inputs into per-shard inputs: ads hash-partitioned by
-/// [`ad_shard`], queries and items replicated so every shard can expand
-/// keys locally — the replication is an [`Arc`] bump per shard, every
-/// shard's key-side fields point at the *same* point sets (asserted by
-/// the tests in this module). A shard may end up with no ads at all (tiny
-/// corpora); such shards stay out of the serving rotation.
-pub fn shard_inputs(inputs: &IndexBuildInputs, shards: usize) -> Vec<IndexBuildInputs> {
-    let ads_qa = inputs
-        .ads_qa
-        .partition_by(shards, |ad| ad_shard(ad, shards));
-    let ads_ia = inputs
-        .ads_ia
-        .partition_by(shards, |ad| ad_shard(ad, shards));
-    ads_qa
-        .into_iter()
-        .zip(ads_ia)
-        .map(|(ads_qa, ads_ia)| IndexBuildInputs {
-            queries_qq: Arc::clone(&inputs.queries_qq),
-            queries_qi: Arc::clone(&inputs.queries_qi),
-            items_qi: Arc::clone(&inputs.items_qi),
-            queries_qa: Arc::clone(&inputs.queries_qa),
-            ads_qa,
-            items_ii: Arc::clone(&inputs.items_ii),
-            items_ia: Arc::clone(&inputs.items_ia),
-            ads_ia,
-        })
-        .collect()
 }
 
 /// Builder for [`ShardedEngine`] — the same knobs as
@@ -663,33 +635,6 @@ mod tests {
             counts[ad_shard(ad, 4)] += 1;
         }
         assert!(counts.iter().all(|&c| c > 100), "skewed split: {counts:?}");
-    }
-
-    #[test]
-    fn shard_inputs_partition_ads_and_replicate_keys() {
-        let inputs = tiny_inputs();
-        let parts = shard_inputs(&inputs, 3);
-        assert_eq!(parts.len(), 3);
-        let total_qa: usize = parts.iter().map(|p| p.ads_qa.len()).sum();
-        let total_ia: usize = parts.iter().map(|p| p.ads_ia.len()).sum();
-        assert_eq!(total_qa, inputs.ads_qa.len());
-        assert_eq!(total_ia, inputs.ads_ia.len());
-        for (s, part) in parts.iter().enumerate() {
-            assert_eq!(part.queries_qq.ids(), inputs.queries_qq.ids());
-            assert_eq!(part.items_ii.ids(), inputs.items_ii.ids());
-            // the replication is an Arc bump: every shard's key-side
-            // fields alias the caller's point sets, no copies
-            assert!(part.shares_key_side_with(&inputs));
-            // both ad spaces of one shard hold the same ad ids
-            let mut qa: Vec<u32> = part.ads_qa.ids().to_vec();
-            let mut ia: Vec<u32> = part.ads_ia.ids().to_vec();
-            qa.sort_unstable();
-            ia.sort_unstable();
-            assert_eq!(qa, ia);
-            for &ad in part.ads_qa.ids() {
-                assert_eq!(ad_shard(ad, 3), s);
-            }
-        }
     }
 
     /// The topology-parity property: over random worlds and every shard

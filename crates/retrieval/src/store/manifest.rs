@@ -80,7 +80,6 @@ impl SnapshotManifest {
     /// maintains, stamped with `generation`.
     pub(crate) fn for_builder(builder: &ShardedDeltaBuilder, generation: u64) -> SnapshotManifest {
         let topology = builder.topology();
-        let parts = builder.slot_parts();
         SnapshotManifest {
             format_version: FORMAT_VERSION,
             generation,
@@ -90,18 +89,9 @@ impl SnapshotManifest {
             fanout_threads: topology.fanout_threads,
             index: topology.index,
             retrieval: topology.retrieval,
-            queries: parts
-                .first()
-                .map(|(inputs, _)| inputs.queries_qa.len())
-                .unwrap_or(0),
-            items: parts
-                .first()
-                .map(|(inputs, _)| inputs.items_ia.len())
-                .unwrap_or(0),
-            ads_per_shard: parts
-                .iter()
-                .map(|(inputs, _)| inputs.ads_qa.len())
-                .collect(),
+            queries: builder.keys().queries_qa.len(),
+            items: builder.keys().items_ia.len(),
+            ads_per_shard: builder.slots().iter().map(|s| s.ads_qa.len()).collect(),
         }
     }
 

@@ -13,9 +13,10 @@
 //! * [`SnapshotManifest`] — generation metadata plus the sharded
 //!   deployment's shape, readable without decoding the index payload.
 //! * writer/reader — persist a [`crate::ShardedDeltaBuilder`]'s full
-//!   state: the Arc-shared key-side point sets and key-side indices
-//!   **once per deployment**, each shard's ad slices and ad-side
-//!   indices, and the topology + backend + retrieval configuration.
+//!   state: its one key side (the key point sets and key-side indices,
+//!   written once as the builder holds them once), each shard's ad
+//!   slices and ad-side indices, and the topology + backend + retrieval
+//!   configuration.
 //!
 //! ## Lifecycle: save → restart → catch up
 //!
@@ -59,14 +60,18 @@ pub(crate) use writer::write_snapshot;
 #[cfg(test)]
 mod tests {
     use std::path::PathBuf;
+    use std::sync::Arc;
 
-    use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig};
+    use amcad_mnn::{HnswConfig, IndexBackend, InvertedIndex, IvfConfig, QuantConfig};
 
     use super::*;
+    use crate::delta::{KeySide, Slot};
     use crate::engine::{Request, RetrievalResponse};
     use crate::error::RetrievalError;
-    use crate::shard::shard_inputs;
-    use crate::test_fixtures::{random_points, tiny_inputs, tiny_inputs_leaving_shard_adless};
+    use crate::test_fixtures::{
+        assert_one_key_side, random_points, shard_slice, tiny_inputs,
+        tiny_inputs_leaving_shard_adless,
+    };
     use crate::{EngineHandle, IndexDelta, IndexSet, Retrieve, ShardedDeltaBuilder, ShardedEngine};
 
     /// A scratch file that cleans up after itself (no tempfile crate).
@@ -252,9 +257,9 @@ mod tests {
             .unwrap();
         let g = handle.save_snapshot(&live, file.path()).unwrap();
         let (_, reloaded) = EngineHandle::load(file.path()).unwrap();
-        let resaved = writer::snapshot_bytes(&reloaded, g).unwrap();
+        let resaved = writer::snapshot_bytes(&reloaded, g);
         assert!(
-            resaved == writer::snapshot_bytes(&live, g).unwrap(),
+            resaved == writer::snapshot_bytes(&live, g),
             "the reloaded builder seals to different bytes"
         );
         assert!(
@@ -265,6 +270,45 @@ mod tests {
             SnapshotManifest::read(file.path()).unwrap().fanout_threads,
             3
         );
+    }
+
+    /// The v1 bytes themselves, pinned across commits: a round trip
+    /// cannot see a writer and a reader that change the format together.
+    /// Three exact-backend deployments of the tiny world after one delta
+    /// each — one shard, four shards, and four shards with shard 1 left
+    /// adless — hash to constants computed on x86-64 Linux. ROADMAP item
+    /// 7's `FORMAT_VERSION` bump changes these bytes on purpose and
+    /// re-pins the constants.
+    #[test]
+    fn v1_snapshot_bytes_are_pinned() {
+        let cases = [
+            ("1 shard", tiny_inputs(), 1, 1, 0x34cd_e208_0f8d_b0a4_u64),
+            ("4 shards", tiny_inputs(), 4, 4, 0xee26_e9f4_004e_d7a0),
+            (
+                "4 shards, 1 adless",
+                tiny_inputs_leaving_shard_adless(4, 1),
+                4,
+                3,
+                0x09bf_2d8f_e43a_745d,
+            ),
+        ];
+        for (name, inputs, shards, active, pinned) in cases {
+            let topology = ShardedEngine::builder()
+                .shards(shards)
+                .top_k(6)
+                .threads(1)
+                .backend(IndexBackend::Exact);
+            let mut live = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
+            live.apply(&make_delta(604..610, 13, vec![205, 212]))
+                .unwrap();
+            assert_eq!(live.engine().unwrap().active_shards(), active, "{name}");
+            let bytes = writer::snapshot_bytes(&live, 2);
+            assert_eq!(
+                format::fnv1a64(&bytes),
+                pinned,
+                "{name}: the v1 bytes moved"
+            );
+        }
     }
 
     /// A save that dies mid-write leaves at most a torn temp file beside
@@ -290,7 +334,7 @@ mod tests {
         handle
             .publish_delta(&mut live, &make_delta(500..504, 17, vec![203]))
             .unwrap();
-        let next = writer::snapshot_bytes(&live, handle.generation()).unwrap();
+        let next = writer::snapshot_bytes(&live, handle.generation());
         for torn_at in [0, next.len() / 2, next.len() - 1] {
             std::fs::write(&tmp, &next[..torn_at]).unwrap();
             let (after, _) = EngineHandle::load(file.path()).unwrap();
@@ -308,27 +352,12 @@ mod tests {
     }
 
     /// One copy of the key side per deployment, before and after a
-    /// restart: a cold build shares the key-side point sets and indices
-    /// across every shard (an adless one included), the writer persists
-    /// that one copy, and the reader re-establishes the sharing — which a
-    /// delta applied after the reload keeps.
+    /// restart: a cold build serves every shard over the deployment's one
+    /// key side, the writer persists that one copy, and the reader
+    /// re-establishes the sharing — which a delta applied after the
+    /// reload keeps, the adless shard it populates included.
     #[test]
     fn reload_shares_key_side_state_across_shards_instead_of_duplicating_it() {
-        let assert_one_key_side = |builder: &ShardedDeltaBuilder, when: &str| {
-            let parts = builder.slot_parts();
-            assert_eq!(parts.len(), 4);
-            let (first_inputs, first_indexes) = parts[0];
-            for (s, (inputs, indexes)) in parts.into_iter().enumerate() {
-                assert!(
-                    inputs.shares_key_side_with(first_inputs),
-                    "{when}: shard {s} duplicates the key point sets"
-                );
-                assert!(
-                    indexes.shares_key_side_with(first_indexes),
-                    "{when}: shard {s} duplicates the key indices"
-                );
-            }
-        };
         let file = TmpFile::new("arc-sharing");
         // shard 3 starts adless; ads 303 and 304 hash to it
         let mut live = ShardedDeltaBuilder::new(
@@ -336,7 +365,7 @@ mod tests {
             ShardedEngine::builder().shards(4).top_k(6).threads(1),
         )
         .unwrap();
-        assert!(live.slot_parts()[3].1.q2a.is_empty());
+        assert!(live.slots()[3].indexes().is_none());
         assert_one_key_side(&live, "cold build");
         let handle = EngineHandle::new(live.engine().unwrap());
         // ad 200 lives on shard 1: a delta confined to one shard
@@ -345,11 +374,13 @@ mod tests {
         assert_one_key_side(&live, "after a one-shard delta");
         handle.save_snapshot(&live, file.path()).unwrap();
         let (restarted, mut rebuilt) = EngineHandle::load(file.path()).unwrap();
+        assert_eq!(rebuilt.slots().len(), 4, "one slot per shard");
         assert_one_key_side(&rebuilt, "after the reload");
         restarted
             .publish_delta(&mut rebuilt, &make_delta(303..305, 9, Vec::new()))
             .unwrap();
-        assert!(!rebuilt.slot_parts()[3].1.q2a.is_empty());
+        let populated = rebuilt.slots()[3].indexes();
+        assert!(populated.is_some_and(|indexes| !indexes.q2a.is_empty()));
         assert_one_key_side(&rebuilt, "after populating the adless shard");
     }
 
@@ -357,7 +388,7 @@ mod tests {
     /// built once, every index its own pool task — seals to the very bytes
     /// of a deployment assembled from independent full builds of every
     /// shard (whose key sides agree bit for bit, see the cold-build parity
-    /// test in `delta.rs`; shard 0's is the one the writer persists).
+    /// test in `delta.rs`; shard 0's is the one the reference keeps).
     #[test]
     fn cold_build_snapshot_bytes_equal_those_of_independent_per_shard_full_builds() {
         for inputs in [tiny_inputs(), tiny_inputs_leaving_shard_adless(4, 3)] {
@@ -370,19 +401,34 @@ mod tests {
                         .build_threads(4)
                         .backend(backend);
                     let cold = ShardedDeltaBuilder::new(&inputs, topology.clone()).unwrap();
-                    let mut first: Option<IndexSet> = None;
-                    let parts = shard_inputs(&inputs, shards)
-                        .into_iter()
-                        .map(|part| {
-                            let full = IndexSet::build(&part, topology.index).unwrap();
-                            let first = first.get_or_insert_with(|| full.clone());
-                            (part, first.with_ad_side(full.q2a, full.i2a))
+                    let fulls: Vec<_> = (0..shards)
+                        .map(|s| {
+                            let own = shard_slice(&inputs, shards, s);
+                            let full = IndexSet::build(&own, topology.index).unwrap();
+                            (own, full)
                         })
                         .collect();
-                    let reference = ShardedDeltaBuilder::from_slot_parts(topology, parts).unwrap();
+                    // shard 0's full build supplies the key-side indices
+                    let no_ads = InvertedIndex::default;
+                    let keys = KeySide {
+                        queries_qq: Arc::clone(&inputs.queries_qq),
+                        queries_qi: Arc::clone(&inputs.queries_qi),
+                        items_qi: Arc::clone(&inputs.items_qi),
+                        queries_qa: Arc::clone(&inputs.queries_qa),
+                        items_ii: Arc::clone(&inputs.items_ii),
+                        items_ia: Arc::clone(&inputs.items_ia),
+                        indexes: fulls[0].1.with_ad_side(no_ads(), no_ads()),
+                    };
+                    let slots = fulls
+                        .into_iter()
+                        .map(|(own, full)| {
+                            let (ads, ad_side) = ((own.ads_qa, own.ads_ia), (full.q2a, full.i2a));
+                            Slot::new(ads, ad_side, &keys, &topology).unwrap()
+                        })
+                        .collect();
+                    let reference = ShardedDeltaBuilder::assemble(topology, keys, slots).unwrap();
                     assert!(
-                        writer::snapshot_bytes(&cold, 1).unwrap()
-                            == writer::snapshot_bytes(&reference, 1).unwrap(),
+                        writer::snapshot_bytes(&cold, 1) == writer::snapshot_bytes(&reference, 1),
                         "{} backend, {shards} shards: snapshot bytes differ",
                         backend.label()
                     );
@@ -502,7 +548,7 @@ mod tests {
             ShardedEngine::builder().shards(2).top_k(6).threads(1),
         )
         .unwrap();
-        let good = writer::snapshot_bytes(&live, 1).unwrap();
+        let good = writer::snapshot_bytes(&live, 1);
         let typed = |err: &RetrievalError| {
             matches!(
                 err,

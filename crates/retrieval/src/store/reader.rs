@@ -1,23 +1,21 @@
 //! Reconstructing a deployment from snapshot bytes.
 //!
-//! The reader is the warm-restart path: it decodes the key-side state
-//! once, re-establishes the [`Arc`] sharing the writer collapsed (every
-//! reconstructed shard's key sets and key indices point at the *same*
-//! allocations, exactly as a cold [`ShardedDeltaBuilder::new`] shares
-//! them), and hands the per-shard parts to
-//! [`ShardedDeltaBuilder::from_slot_parts`] — which only re-wraps the
-//! decoded indices in serving engines, skipping the O(keys × ads)
-//! neighbour build entirely. That skip is what makes a restart I/O-bound
-//! instead of rebuild-bound.
+//! The reader is the warm-restart path: it decodes the deployment's one
+//! key side — the six key point sets and the four key-side indices —
+//! then each shard's ad slices and ad-side indices, wraps every shard
+//! that holds ads in a serving engine over that key side, and assembles
+//! the [`ShardedDeltaBuilder`] — skipping the O(keys × ads) neighbour
+//! build entirely. That skip is what makes a restart I/O-bound instead
+//! of rebuild-bound.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use amcad_mnn::InvertedIndex;
 
-use crate::delta::ShardedDeltaBuilder;
+use crate::delta::{KeySide, ShardedDeltaBuilder, Slot};
 use crate::error::RetrievalError;
-use crate::index_set::{IndexBuildInputs, IndexSet};
+use crate::index_set::{reject_duplicate_ids, IndexSet};
 use crate::shard::{ad_shard, ShardedEngineBuilder};
 
 use super::format::{decode_index, decode_point_set, unseal, Decoder, MAGIC_SNAPSHOT};
@@ -41,30 +39,45 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
     let payload = unseal(MAGIC_SNAPSHOT, bytes)?;
     let mut dec = Decoder::new(payload);
     let manifest = SnapshotManifest::decode(&mut dec)?;
-    // key-side state, decoded once and Arc-shared across every shard
-    let queries_qq = Arc::new(decode_point_set(&mut dec)?);
-    let queries_qi = Arc::new(decode_point_set(&mut dec)?);
-    let items_qi = Arc::new(decode_point_set(&mut dec)?);
-    let queries_qa = Arc::new(decode_point_set(&mut dec)?);
-    let items_ii = Arc::new(decode_point_set(&mut dec)?);
-    let items_ia = Arc::new(decode_point_set(&mut dec)?);
-    let key_side = IndexSet {
-        q2q: Arc::new(decode_index(&mut dec)?),
-        q2i: Arc::new(decode_index(&mut dec)?),
-        i2q: Arc::new(decode_index(&mut dec)?),
-        i2i: Arc::new(decode_index(&mut dec)?),
-        q2a: InvertedIndex::default(),
-        i2a: InvertedIndex::default(),
+    let topology = ShardedEngineBuilder::default()
+        .shards(manifest.shards)
+        .replicas(manifest.replicas)
+        .build_threads(manifest.build_threads)
+        .fanout_threads(manifest.fanout_threads)
+        .index(manifest.index)
+        .retrieval(manifest.retrieval);
+    // a field can decode and still not fit a deployment (a damaged id
+    // duplicates another, a config knob is out of range): the file is
+    // corrupt, not the caller's build input
+    let corrupt = |e: RetrievalError| RetrievalError::SnapshotCorrupt {
+        detail: format!("decoded parts do not form a deployment: {e}"),
     };
-    let mut parts: Vec<(IndexBuildInputs, IndexSet)> = Vec::with_capacity(manifest.shards);
+    topology.validate().map_err(corrupt)?;
+    let keys = KeySide {
+        queries_qq: Arc::new(decode_point_set(&mut dec)?),
+        queries_qi: Arc::new(decode_point_set(&mut dec)?),
+        items_qi: Arc::new(decode_point_set(&mut dec)?),
+        queries_qa: Arc::new(decode_point_set(&mut dec)?),
+        items_ii: Arc::new(decode_point_set(&mut dec)?),
+        items_ia: Arc::new(decode_point_set(&mut dec)?),
+        indexes: IndexSet {
+            q2q: Arc::new(decode_index(&mut dec)?),
+            q2i: Arc::new(decode_index(&mut dec)?),
+            i2q: Arc::new(decode_index(&mut dec)?),
+            i2i: Arc::new(decode_index(&mut dec)?),
+            q2a: InvertedIndex::default(),
+            i2a: InvertedIndex::default(),
+        },
+    };
+    reject_duplicate_ids(keys.point_sets()).map_err(corrupt)?;
+    let mut slots = Vec::with_capacity(manifest.shards);
     for s in 0..manifest.shards {
-        let ads_qa = decode_point_set(&mut dec)?;
-        let ads_ia = decode_point_set(&mut dec)?;
-        let q2a = decode_index(&mut dec)?;
-        let i2a = decode_index(&mut dec)?;
+        let ads = (decode_point_set(&mut dec)?, decode_point_set(&mut dec)?);
+        let ad_side = (decode_index(&mut dec)?, decode_index(&mut dec)?);
+        reject_duplicate_ids([("ads_qa", &ads.0), ("ads_ia", &ads.1)]).map_err(corrupt)?;
         // placement integrity: every ad of this slice must hash to this
         // shard, or later deltas would route updates to the wrong slot
-        for &ad in ads_qa.ids().iter().chain(ads_ia.ids()) {
+        for &ad in ads.0.ids().iter().chain(ads.1.ids()) {
             let home = ad_shard(ad, manifest.shards);
             if home != s {
                 return Err(RetrievalError::SnapshotCorrupt {
@@ -84,41 +97,17 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
                 ),
             }
         })?;
-        if ads_qa.len() != recorded {
+        if ads.0.len() != recorded {
             return Err(RetrievalError::SnapshotCorrupt {
                 detail: format!(
                     "shard {s} holds {} ads but the manifest recorded {recorded}",
-                    ads_qa.len(),
+                    ads.0.len(),
                 ),
             });
         }
-        let inputs = IndexBuildInputs {
-            queries_qq: Arc::clone(&queries_qq),
-            queries_qi: Arc::clone(&queries_qi),
-            items_qi: Arc::clone(&items_qi),
-            queries_qa: Arc::clone(&queries_qa),
-            ads_qa,
-            items_ii: Arc::clone(&items_ii),
-            items_ia: Arc::clone(&items_ia),
-            ads_ia,
-        };
-        parts.push((inputs, key_side.with_ad_side(q2a, i2a)));
+        slots.push(Slot::new(ads, ad_side, &keys, &topology).map_err(corrupt)?);
     }
     dec.finish()?;
-    let topology = ShardedEngineBuilder::default()
-        .shards(manifest.shards)
-        .replicas(manifest.replicas)
-        .build_threads(manifest.build_threads)
-        .fanout_threads(manifest.fanout_threads)
-        .index(manifest.index)
-        .retrieval(manifest.retrieval);
-    // every field decoded, yet the parts may still not form a deployment
-    // (a damaged id duplicates another, a config knob is out of range):
-    // the file is corrupt, not the caller's build input
-    let builder = ShardedDeltaBuilder::from_slot_parts(topology, parts).map_err(|e| {
-        RetrievalError::SnapshotCorrupt {
-            detail: format!("decoded parts do not form a deployment: {e}"),
-        }
-    })?;
+    let builder = ShardedDeltaBuilder::assemble(topology, keys, slots).map_err(corrupt)?;
     Ok((manifest.generation, builder))
 }

@@ -1,19 +1,18 @@
 //! Serialising a live deployment into the on-disk format.
 //!
 //! The writer persists a [`ShardedDeltaBuilder`]'s full serving state:
-//! manifest first, then the six Arc-shared key-side point sets and the
-//! four key-side indices **once per deployment** (every shard's copies
-//! are pointer-identical, so writing them per shard would multiply the
-//! file by the shard count for identical bytes), then each shard's ad
-//! slices and ad-side indices in shard order. Adless shards are written
-//! too — their key indices are what lets a later delta repopulate them
-//! after a restart.
+//! manifest first, then the deployment's one key side — the six key point
+//! sets and the four key-side indices, which every shard serves over —
+//! then each shard's ad slices and ad-side indices in shard order.
+//! Adless shards are written too, with empty ad indices: the key side
+//! they share is what lets a later delta repopulate them after a
+//! restart.
 
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use amcad_mnn::fork_join;
+use amcad_mnn::{fork_join, InvertedIndex};
 
 use crate::delta::ShardedDeltaBuilder;
 use crate::error::RetrievalError;
@@ -24,45 +23,27 @@ use super::format::{
 use super::manifest::SnapshotManifest;
 
 /// The payload of a deployment snapshot at `generation`, unsealed.
-fn snapshot_payload(
-    builder: &ShardedDeltaBuilder,
-    generation: u64,
-) -> Result<Vec<u8>, RetrievalError> {
-    let manifest = SnapshotManifest::for_builder(builder, generation);
-    let parts = builder.slot_parts();
+fn snapshot_payload(builder: &ShardedDeltaBuilder, generation: u64) -> Vec<u8> {
     let mut enc = Encoder::new();
-    manifest.encode(&mut enc);
-    // key-side state once per deployment: every shard shares shard 0's
-    // Arc'd key sets and key indices
-    let Some((inputs, indexes)) = parts.first() else {
-        return Err(RetrievalError::SnapshotCorrupt {
-            detail: "deployment has zero shards, nothing to snapshot".to_string(),
-        });
-    };
-    debug_assert!(
-        parts
-            .iter()
-            .all(|(i, x)| i.shares_key_side_with(inputs) && x.shares_key_side_with(indexes)),
-        "a shard holds its own copy of the key side: persisting shard 0's would lose it"
-    );
-    encode_point_set(&mut enc, &inputs.queries_qq);
-    encode_point_set(&mut enc, &inputs.queries_qi);
-    encode_point_set(&mut enc, &inputs.items_qi);
-    encode_point_set(&mut enc, &inputs.queries_qa);
-    encode_point_set(&mut enc, &inputs.items_ii);
-    encode_point_set(&mut enc, &inputs.items_ia);
-    encode_index(&mut enc, &indexes.q2q);
-    encode_index(&mut enc, &indexes.q2i);
-    encode_index(&mut enc, &indexes.i2q);
-    encode_index(&mut enc, &indexes.i2i);
-    // per-shard state in shard order: the ad slices and their indices
-    for (inputs, indexes) in &parts {
-        encode_point_set(&mut enc, &inputs.ads_qa);
-        encode_point_set(&mut enc, &inputs.ads_ia);
-        encode_index(&mut enc, &indexes.q2a);
-        encode_index(&mut enc, &indexes.i2a);
+    SnapshotManifest::for_builder(builder, generation).encode(&mut enc);
+    let keys = builder.keys();
+    for (_, set) in keys.point_sets() {
+        encode_point_set(&mut enc, set);
     }
-    Ok(enc.into_bytes())
+    let indexes = &keys.indexes;
+    for index in [&indexes.q2q, &indexes.q2i, &indexes.i2q, &indexes.i2i] {
+        encode_index(&mut enc, index);
+    }
+    // per-shard state in shard order: the ad slices and their indices
+    let adless = InvertedIndex::default();
+    for slot in builder.slots() {
+        encode_point_set(&mut enc, &slot.ads_qa);
+        encode_point_set(&mut enc, &slot.ads_ia);
+        let indexes = slot.indexes();
+        encode_index(&mut enc, indexes.map_or(&adless, |x| &x.q2a));
+        encode_index(&mut enc, indexes.map_or(&adless, |x| &x.i2a));
+    }
+    enc.into_bytes()
 }
 
 /// The sibling file a save writes before renaming it over `path`.
@@ -78,7 +59,7 @@ pub(crate) fn write_snapshot(
     builder: &ShardedDeltaBuilder,
     generation: u64,
 ) -> Result<(), RetrievalError> {
-    let payload = snapshot_payload(builder, generation)?;
+    let payload = snapshot_payload(builder, generation);
     let tmp = temp_path(path);
     let write = || -> std::io::Result<()> {
         let mut file = File::create(&tmp)?;
@@ -109,12 +90,6 @@ pub(crate) fn write_snapshot(
 
 /// The bytes [`write_snapshot`] puts on disk, in memory.
 #[cfg(test)]
-pub(crate) fn snapshot_bytes(
-    builder: &ShardedDeltaBuilder,
-    generation: u64,
-) -> Result<Vec<u8>, RetrievalError> {
-    Ok(super::format::seal(
-        MAGIC_SNAPSHOT,
-        snapshot_payload(builder, generation)?,
-    ))
+pub(crate) fn snapshot_bytes(builder: &ShardedDeltaBuilder, generation: u64) -> Vec<u8> {
+    super::format::seal(MAGIC_SNAPSHOT, snapshot_payload(builder, generation))
 }
