@@ -14,22 +14,19 @@
 //! grow; a backend × knob sweep (`ef_search` for HNSW, `rerank_k` for the
 //! quantised backend) then puts each approximate backend's recall@k
 //! against exact next to its build time — the recall/build-time frontier
-//! in one table.
+//! in one table. Last comes the quantised bytes/ad against the
+//! full-precision layout. The frontier's recalls and the footprint are
+//! what `bench_gate` pins against the committed baseline.
 //!
-//! The rest reports what a build width or the incremental path changes,
-//! all on the largest rung's inputs: a `ShardedEngine` at 1 / 2 / 4 shards
-//! whose `4 + 2·shards` index builds — the key-side indices once, each
-//! shard's Q2A and I2A — run 1 / 2 / 4 threads wide (every index build is
-//! independent, so more build threads cut wall clock without changing a
-//! single byte of the result); a ~10% corpus churn applied as a delta
-//! publish (`EngineHandle::publish_delta`) versus rebuilding the
-//! post-delta corpus from scratch; a warm restart from a snapshot versus
-//! the cold build; and the quantised bytes/ad against the full-precision
-//! layout.
-//!
-//! Serving latency is not timed here: the request loop reads posting
-//! prefixes of the same length whichever backend or build width produced
-//! them, so `fig9_serving_latency` times it once per deployment shape.
+//! The deployment's own costs are timed once, by `benches/e2e` under its
+//! paired protocol: the sharded cold build (`build_s`), a delta publish
+//! (`delta_publish_s`), a warm restart from a snapshot (`restart_s`) and
+//! the snapshot's size (`snapshot_mb`). That delta and restart serve
+//! exactly what a rebuild and a cold build serve is asserted by the
+//! `amcad-retrieval` test suites and `tests/end_to_end.rs`. Serving
+//! latency is not timed here either: the request loop reads posting
+//! prefixes of the same length whichever backend produced them, so
+//! `fig9_serving_latency` times it once per deployment shape.
 
 use std::time::Instant;
 
@@ -40,10 +37,7 @@ use amcad_datagen::{Dataset, WorldConfig};
 use amcad_eval::TextTable;
 use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig, QuantIndex};
 use amcad_model::{AmcadConfig, AmcadModel, Trainer, TrainerConfig};
-use amcad_retrieval::{
-    EngineHandle, IndexBuildConfig, IndexBuildInputs, IndexDelta, IndexSet, Request,
-    RetrievalEngine, Retrieve, ShardedDeltaBuilder, ShardedEngine,
-};
+use amcad_retrieval::{IndexBuildConfig, IndexBuildInputs, IndexSet};
 
 fn main() {
     let scale = Scale::from_env();
@@ -78,7 +72,7 @@ fn main() {
         "Index Quant (s)",
     ]);
     let mut prev: Option<(usize, f64)> = None;
-    let mut largest_rung: Option<(Dataset, IndexBuildInputs)> = None;
+    let mut largest_rung: Option<IndexBuildInputs> = None;
     let mut ladder_json: Vec<Json> = Vec::new();
     for (label, world) in ladder {
         let dataset = Dataset::generate(&world);
@@ -153,19 +147,10 @@ fn main() {
             );
         }
         prev = Some((stats.total_edges(), secs));
-        largest_rung = Some((dataset, inputs));
+        largest_rung = Some(inputs);
     }
     println!("{}", table.render());
-    let (dataset, inputs) = largest_rung.expect("the ladder always has rungs");
-    let requests: Vec<Request> = dataset
-        .eval_sessions
-        .iter()
-        .take(500)
-        .map(|s| Request {
-            query: s.query.0,
-            preclick_items: dataset.preclick_items(s).iter().map(|n| n.0).collect(),
-        })
-        .collect();
+    let inputs = largest_rung.expect("the ladder always has rungs");
 
     // -- Backend × knob: the recall/build-time frontier -------------------
     // The approximate backends trade posting-list recall for build work:
@@ -207,25 +192,24 @@ fn main() {
     let mut frontier = TextTable::new(vec!["Backend", "Knob", "Build (s)", "Recall@20"]);
     // the exact row doubles as the recall reference, so the most
     // expensive build in the sweep happens exactly once
-    let mut exact_engine: Option<RetrievalEngine> = None;
+    let mut exact_set: Option<IndexSet> = None;
     let mut hnsw_widest_recall = 0.0f64;
     let mut frontier_json: Vec<Json> = Vec::new();
     for (knob, backend) in frontier_backends {
         let start = Instant::now();
-        let engine = RetrievalEngine::builder()
-            .index(IndexBuildConfig {
+        let set = IndexSet::build(
+            &inputs,
+            IndexBuildConfig {
                 top_k,
                 threads: 1,
                 backend,
-            })
-            .build(&inputs)
-            .expect("ladder inputs always build a valid engine");
+            },
+        )
+        .expect("ladder inputs are duplicate-free");
         let build_secs = start.elapsed().as_secs_f64();
-        let recall = match &exact_engine {
+        let recall = match &exact_set {
             None => 1.0, // the exact reference against itself
-            Some(reference) => engine
-                .indexes()
-                .ad_recall_against(reference.indexes(), top_k),
+            Some(reference) => set.ad_recall_against(reference, top_k),
         };
         assert!(
             (0.0..=1.0 + 1e-12).contains(&recall),
@@ -247,7 +231,7 @@ fn main() {
             ("recall_at_20", Json::from(recall)),
         ]));
         if backend == IndexBackend::Exact {
-            exact_engine = Some(engine);
+            exact_set = Some(set);
         }
     }
     println!("{}", frontier.render());
@@ -261,224 +245,6 @@ fn main() {
     println!("against the exact build; the request loop reads same-length posting lists");
     println!("whatever backend built them (fig9 times it), so the knobs buy *build* time —");
     println!("the paper's distributed-MNN stage — at a measured recall cost.\n");
-
-    // -- Parallel sharded build: shards × build-pool width ----------------
-    // The 4 + 2·shards index builds of a cold build are independent, so
-    // the build pool cuts wall clock (up to the core count — speedups on a
-    // single-core runner honestly report ≈1x) while producing
-    // byte-identical engines.
-    println!("\n== Parallel sharded build (largest rung, single-threaded per index) ==\n");
-    let build_widths = [1usize, 2, 4];
-    let mut build_table = TextTable::new(vec![
-        "Shards",
-        "Build 1T (s)",
-        "Build 2T (s)",
-        "Build 4T (s)",
-        "Speedup 2T",
-        "Speedup 4T",
-    ]);
-    let mut speedup_2t_at_4_shards = 1.0;
-    let mut build_json: Vec<Json> = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let timed_build = |build_threads: usize| {
-            let start = Instant::now();
-            let engine = ShardedEngine::builder()
-                .shards(shards)
-                .top_k(20)
-                .threads(1) // single-threaded per index: the sweep isolates the build pool
-                .build_threads(build_threads)
-                .build(&inputs)
-                .expect("ladder inputs always build a valid sharded engine");
-            (start.elapsed().as_secs_f64(), engine.active_shards())
-        };
-        let times: Vec<f64> = build_widths.iter().map(|&w| timed_build(w).0).collect();
-        if shards == 4 {
-            speedup_2t_at_4_shards = times[0] / times[1].max(1e-9);
-        }
-        build_table.row(vec![
-            shards.to_string(),
-            format!("{:.2}", times[0]),
-            format!("{:.2}", times[1]),
-            format!("{:.2}", times[2]),
-            format!("{:.2}x", times[0] / times[1].max(1e-9)),
-            format!("{:.2}x", times[0] / times[2].max(1e-9)),
-        ]);
-        build_json.push(Json::obj(vec![
-            ("shards", Json::from(shards)),
-            ("build_1t_s", Json::from(times[0])),
-            ("build_2t_s", Json::from(times[1])),
-            ("build_4t_s", Json::from(times[2])),
-            ("speedup_2t", Json::from(times[0] / times[1].max(1e-9))),
-            ("speedup_4t", Json::from(times[0] / times[2].max(1e-9))),
-        ]));
-    }
-    println!("{}", build_table.render());
-    println!(
-        "Measured build-time speedup with 2 build threads (4 shards): {speedup_2t_at_4_shards:.2}x on {} core(s).\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-
-    // -- Delta publish vs full rebuild (largest rung) ---------------------
-    // The paper's corpus churns daily while queries keep flowing; a delta
-    // publish updates only the ad-side postings the churn touches instead
-    // of re-running the whole O(keys × ads) neighbour build. Rankings are
-    // property-tested bit-identical to the full rebuild, so the wall
-    // clock below is the entire trade.
-    println!("== Delta publish vs full rebuild (largest rung, ~10% daily churn) ==\n");
-    let ad_ids: Vec<u32> = inputs.ads_qa.ids().to_vec();
-    let churn = (ad_ids.len() / 20).max(1);
-    // generation 1 serves the corpus minus a 5% hold-out; the delta adds
-    // the hold-out back and retires 5% of the generation-1 ads
-    let held_out: Vec<u32> = ad_ids.iter().rev().take(churn).copied().collect();
-    let retired: Vec<u32> = ad_ids.iter().take(churn).copied().collect();
-    let mut gen1_inputs = inputs.clone();
-    gen1_inputs.ads_qa.retire(|id| held_out.contains(&id));
-    gen1_inputs.ads_ia.retire(|id| held_out.contains(&id));
-    let delta = IndexDelta {
-        added_ads_qa: inputs.ads_qa.filtered(|id| held_out.contains(&id)),
-        added_ads_ia: inputs.ads_ia.filtered(|id| held_out.contains(&id)),
-        retired_ads: retired,
-    };
-    let mut delta_table = TextTable::new(vec![
-        "Shards",
-        "Corpus (ads)",
-        "Churn (ads)",
-        "Delta publish (s)",
-        "Full rebuild (s)",
-        "Speedup",
-    ]);
-    let mut delta_json: Vec<Json> = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let topology = || {
-            ShardedEngine::builder()
-                .shards(shards)
-                .top_k(20)
-                .threads(1)
-                .build_threads(1)
-        };
-        let mut builder = ShardedDeltaBuilder::new(&gen1_inputs, topology())
-            .expect("ladder inputs always seed a valid delta builder");
-        let handle = EngineHandle::new(builder.engine().expect("generation 1 serves"));
-        let start = Instant::now();
-        let generation = handle
-            .publish_delta(&mut builder, &delta)
-            .expect("the churn delta is valid");
-        let delta_secs = start.elapsed().as_secs_f64();
-        assert_eq!(generation, 2, "the delta publish bumps the generation");
-        // the same post-delta corpus, rebuilt from scratch
-        let mut post = gen1_inputs.clone();
-        delta.apply_to(&mut post);
-        let start = Instant::now();
-        let rebuilt = topology()
-            .build(&post)
-            .expect("the post-delta corpus rebuilds");
-        let full_secs = start.elapsed().as_secs_f64();
-        assert!(rebuilt.active_shards() > 0);
-        assert!(
-            delta_secs < full_secs,
-            "the delta publish ({delta_secs:.3}s) must beat the full rebuild ({full_secs:.3}s)"
-        );
-        delta_table.row(vec![
-            shards.to_string(),
-            post.ads_qa.len().to_string(),
-            (churn * 2).to_string(),
-            format!("{delta_secs:.3}"),
-            format!("{full_secs:.3}"),
-            format!("{:.1}x", full_secs / delta_secs.max(1e-9)),
-        ]);
-        delta_json.push(Json::obj(vec![
-            ("shards", Json::from(shards)),
-            ("corpus_ads", Json::from(post.ads_qa.len())),
-            ("churn_ads", Json::from(churn * 2)),
-            ("delta_publish_s", Json::from(delta_secs)),
-            ("full_rebuild_s", Json::from(full_secs)),
-            ("speedup", Json::from(full_secs / delta_secs.max(1e-9))),
-        ]));
-    }
-    println!("{}", delta_table.render());
-    println!("Delta note: the publish touches only the shards the churned ads hash to —");
-    println!("untouched shards keep their Arc'd indices pointer-identical across the");
-    println!("generation swap — and delta-built rankings equal a from-scratch rebuild");
-    println!("of the post-delta corpus exactly (property-tested at shards 1/2/4).\n");
-
-    // -- Warm restart from a snapshot vs cold rebuild ---------------------
-    // A restart at corpus scale otherwise re-runs the full O(keys × ads)
-    // neighbour build; the snapshot store turns it into file I/O plus
-    // engine assembly. Both paths end at the same generation serving the
-    // same bytes (property-tested in amcad-retrieval), so wall clock and
-    // file size are the entire story.
-    println!("== Warm restart from snapshot vs cold rebuild (largest rung) ==\n");
-    let mut restart_table = TextTable::new(vec![
-        "Shards",
-        "Cold build (s)",
-        "Save (s)",
-        "Snapshot (KiB)",
-        "Warm restart (s)",
-        "Speedup",
-    ]);
-    let mut restart_json: Vec<Json> = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let topology = || {
-            ShardedEngine::builder()
-                .shards(shards)
-                .top_k(20)
-                .threads(1)
-                .build_threads(1)
-        };
-        let start = Instant::now();
-        let builder = ShardedDeltaBuilder::new(&inputs, topology())
-            .expect("ladder inputs always seed a valid delta builder");
-        let handle = EngineHandle::new(builder.engine().expect("the cold build serves"));
-        let cold_secs = start.elapsed().as_secs_f64();
-        let snap_path =
-            std::env::temp_dir().join(format!("amcad-table9-{}-{shards}.snap", std::process::id()));
-        let start = Instant::now();
-        handle
-            .save_snapshot(&builder, &snap_path)
-            .expect("the snapshot writes");
-        let save_secs = start.elapsed().as_secs_f64();
-        let snap_bytes = std::fs::metadata(&snap_path).map_or(0, |m| m.len());
-        let start = Instant::now();
-        let (warm, _warm_builder) =
-            EngineHandle::load(&snap_path).expect("the snapshot loads back");
-        let warm_secs = start.elapsed().as_secs_f64();
-        assert_eq!(warm.generation(), handle.generation());
-        let probe = Request {
-            query: requests[0].query,
-            preclick_items: requests[0].preclick_items.clone(),
-        };
-        assert_eq!(
-            warm.retrieve(&probe).expect("the restored engine serves"),
-            handle.retrieve(&probe).expect("the cold engine serves"),
-            "warm restart must serve identically to the cold build"
-        );
-        assert!(
-            warm_secs < cold_secs,
-            "warm restart ({warm_secs:.3}s) must beat the cold rebuild ({cold_secs:.3}s)"
-        );
-        let _ = std::fs::remove_file(&snap_path);
-        restart_table.row(vec![
-            shards.to_string(),
-            format!("{cold_secs:.3}"),
-            format!("{save_secs:.3}"),
-            format!("{:.1}", snap_bytes as f64 / 1024.0),
-            format!("{warm_secs:.3}"),
-            format!("{:.1}x", cold_secs / warm_secs.max(1e-9)),
-        ]);
-        restart_json.push(Json::obj(vec![
-            ("shards", Json::from(shards)),
-            ("cold_build_s", Json::from(cold_secs)),
-            ("save_s", Json::from(save_secs)),
-            ("snapshot_bytes", Json::from(snap_bytes)),
-            ("warm_restart_s", Json::from(warm_secs)),
-            ("speedup", Json::from(cold_secs / warm_secs.max(1e-9))),
-        ]));
-    }
-    println!("{}", restart_table.render());
-    println!("Restart note: the snapshot stores the key-side state once per deployment and");
-    println!("each shard's ad slices; loading re-establishes the Arc sharing and skips the");
-    println!("neighbour build, so the restored process resumes at the saved generation and");
-    println!("catches up on newer deltas through the ordinary publish path.\n");
 
     // -- Ad-side memory footprint: quantised vs full-precision ------------
     // The quantised-postings subsystem keeps one u8 code plus one f32
@@ -521,9 +287,6 @@ fn main() {
             ("scale", Json::from(scale.label())),
             ("ladder", Json::Arr(ladder_json)),
             ("frontier", Json::Arr(frontier_json)),
-            ("parallel_build", Json::Arr(build_json)),
-            ("delta_vs_rebuild", Json::Arr(delta_json)),
-            ("warm_restart", Json::Arr(restart_json)),
             (
                 "memory_footprint",
                 Json::obj(vec![

@@ -255,7 +255,8 @@ mod tests {
 
     /// The committed baseline parses, passes against itself, and holds
     /// only what table9 still reports: the seven frontier rows with a
-    /// recall each, and no serving-latency or deleted-feature sections.
+    /// recall each, the footprint, and no serving-latency, deployment-timing
+    /// or deleted-feature sections.
     #[test]
     fn the_committed_baseline_passes_against_itself_and_holds_no_serving_sections() {
         let text = include_str!("../baselines/BENCH_table9_tiny.json");
@@ -281,6 +282,9 @@ mod tests {
             "runtime_ladder",
             "hedges",
             "fanout_threads",
+            "parallel_build",
+            "delta_vs_rebuild",
+            "warm_restart",
         ] {
             assert!(!text.contains(gone), "the baseline still carries {gone:?}");
         }

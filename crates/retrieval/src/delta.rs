@@ -66,7 +66,7 @@ use amcad_mnn::{InvertedIndex, MixedPointSet, Postings};
 
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
-use crate::index_set::{IndexBuildConfig, IndexBuildInputs, IndexSet};
+use crate::index_set::{same_ids, IndexBuildConfig, IndexBuildInputs, IndexSet};
 use crate::shard::{ad_shard, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
@@ -133,11 +133,7 @@ fn validate_added_sets(delta: &IndexDelta) -> Result<(), RetrievalError> {
             id,
         });
     }
-    let mut qa: Vec<u32> = delta.added_ads_qa.ids().to_vec();
-    let mut ia: Vec<u32> = delta.added_ads_ia.ids().to_vec();
-    qa.sort_unstable();
-    ia.sort_unstable();
-    if qa != ia {
+    if !same_ids(&delta.added_ads_qa, &delta.added_ads_ia) {
         return Err(RetrievalError::InvalidConfig(
             "delta must add every ad to both ad spaces (added_ads_qa and added_ads_ia id sets differ)".into(),
         ));
@@ -1172,6 +1168,11 @@ mod tests {
         // the two added spaces must agree on the id set
         let mut skewed = make_delta(300..302, 4, Vec::new());
         skewed.added_ads_ia = random_points(300..301, 5);
+        assert!(matches!(
+            builder.apply(&skewed).unwrap_err(),
+            RetrievalError::InvalidConfig(_)
+        ));
+        skewed.added_ads_ia = random_points(301..303, 5);
         assert!(matches!(
             builder.apply(&skewed).unwrap_err(),
             RetrievalError::InvalidConfig(_)

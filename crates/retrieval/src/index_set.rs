@@ -64,9 +64,24 @@ impl IndexBuildInputs {
     /// id within any point set silently overwrites that key's posting
     /// list (and duplicates candidate postings), and would corrupt delta
     /// merges downstream. Surfaced as [`RetrievalError::DuplicateId`].
+    /// Ad spaces holding different id sets are
+    /// [`RetrievalError::InvalidConfig`]: an ad in only one of them could
+    /// never be retired.
     pub fn validate(&self) -> Result<(), RetrievalError> {
-        reject_duplicate_ids(self.spaces())
+        reject_duplicate_ids(self.spaces())?;
+        if !same_ids(&self.ads_qa, &self.ads_ia) {
+            return Err(RetrievalError::InvalidConfig(
+                "ads_qa and ads_ia must hold the same ad ids".into(),
+            ));
+        }
+        Ok(())
     }
+}
+
+/// Whether two duplicate-free point sets hold the same ids: equal lengths
+/// and every id of `a` present in `b`, one hash lookup per id.
+pub(crate) fn same_ids(a: &MixedPointSet, b: &MixedPointSet) -> bool {
+    a.len() == b.len() && a.ids().iter().all(|&id| b.contains_id(id))
 }
 
 /// [`RetrievalError::DuplicateId`] for the first named point set that
@@ -245,7 +260,7 @@ impl IndexSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::tiny_inputs;
+    use crate::test_fixtures::{random_points, tiny_inputs};
 
     #[test]
     fn build_produces_all_six_indices_with_expected_key_counts() {
@@ -467,6 +482,29 @@ mod tests {
         );
         // clean inputs still build
         assert!(IndexSet::build(&tiny_inputs(), IndexBuildConfig::default()).is_ok());
+    }
+
+    /// An ad held in only one ad space could be built and served but never
+    /// retired (`UnknownAd`), so every build entry point refuses it.
+    #[test]
+    fn ad_spaces_with_different_id_sets_are_rejected_before_any_build() {
+        let mut dropped = tiny_inputs();
+        dropped.ads_ia.retire(|id| id == 219);
+        // equal lengths, one id swapped: the lengths alone cannot tell
+        let mut swapped = dropped.clone();
+        swapped.ads_ia.append(&random_points(220..221, 9));
+        for (what, inputs) in [("dropped", &dropped), ("swapped", &swapped)] {
+            let invalid = |err: RetrievalError| matches!(err, RetrievalError::InvalidConfig(_));
+            assert!(
+                invalid(crate::RetrievalEngine::builder().build(inputs).unwrap_err()),
+                "{what}: the engine build accepted mismatched ad spaces"
+            );
+            let topology = crate::ShardedEngine::builder().shards(2).threads(1);
+            assert!(
+                invalid(crate::ShardedDeltaBuilder::new(inputs, topology).unwrap_err()),
+                "{what}: the sharded build accepted mismatched ad spaces"
+            );
+        }
     }
 
     #[test]

@@ -535,6 +535,32 @@ mod tests {
         assert!(EngineHandle::load(file.path()).is_ok());
     }
 
+    /// A shard whose two ad slices hold different ids cannot come from a
+    /// save (every build and delta keeps them equal), so the reader refuses
+    /// it as corrupt instead of restoring an ad that could never retire.
+    #[test]
+    fn a_shard_whose_ad_slices_hold_different_ids_is_a_corrupt_snapshot() {
+        let live = ShardedDeltaBuilder::new(
+            &tiny_inputs(),
+            ShardedEngine::builder().shards(2).top_k(6).threads(1),
+        )
+        .unwrap();
+        let mut slots = live.slots().to_vec();
+        let dropped = slots[1].ads_ia.id(0);
+        slots[1].ads_ia.retire(|id| id == dropped);
+        let skewed =
+            ShardedDeltaBuilder::assemble(live.topology().clone(), live.keys().clone(), slots)
+                .unwrap();
+        match reader::decode_snapshot(&writer::snapshot_bytes(&skewed, 1)) {
+            Err(RetrievalError::SnapshotCorrupt { detail }) => assert!(
+                detail.contains("shard 1's ads_qa and ads_ia hold different ad ids"),
+                "rejected for another reason: {detail}"
+            ),
+            other => panic!("expected SnapshotCorrupt, got {:?}", other.map(|(g, _)| g)),
+        }
+        assert!(reader::decode_snapshot(&writer::snapshot_bytes(&live, 1)).is_ok());
+    }
+
     /// Exhaustive single-byte damage to a 2-shard snapshot of the tiny
     /// world. Flipped in place, every byte breaks the envelope — magic,
     /// version, declared length or checksum — so the load is a typed

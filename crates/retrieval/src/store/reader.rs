@@ -15,7 +15,7 @@ use amcad_mnn::InvertedIndex;
 
 use crate::delta::{KeySide, ShardedDeltaBuilder, Slot};
 use crate::error::RetrievalError;
-use crate::index_set::{reject_duplicate_ids, IndexSet};
+use crate::index_set::{reject_duplicate_ids, same_ids, IndexSet};
 use crate::shard::{ad_shard, ShardedEngineBuilder};
 
 use super::format::{decode_index, decode_point_set, unseal, Decoder, MAGIC_SNAPSHOT};
@@ -75,6 +75,11 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
         let ads = (decode_point_set(&mut dec)?, decode_point_set(&mut dec)?);
         let ad_side = (decode_index(&mut dec)?, decode_index(&mut dec)?);
         reject_duplicate_ids([("ads_qa", &ads.0), ("ads_ia", &ads.1)]).map_err(corrupt)?;
+        if !same_ids(&ads.0, &ads.1) {
+            return Err(RetrievalError::SnapshotCorrupt {
+                detail: format!("shard {s}'s ads_qa and ads_ia hold different ad ids"),
+            });
+        }
         // placement integrity: every ad of this slice must hash to this
         // shard, or later deltas would route updates to the wrong slot
         for &ad in ads.0.ids().iter().chain(ads.1.ids()) {

@@ -131,12 +131,14 @@
 //! ```
 //!
 //! Build inputs are validated on every path (duplicate ids →
-//! `RetrievalError::DuplicateId`, retiring unknown ads →
+//! `RetrievalError::DuplicateId`, ad spaces holding different ad ids →
+//! `RetrievalError::InvalidConfig`, retiring unknown ads →
 //! `RetrievalError::UnknownAd`), and emptied deployments degrade to the
 //! typed `EmptyIndex` / `ShardUnavailable` errors rather than panicking.
 //! See `crates/retrieval/src/README.md` for the full append/retire
-//! lifecycle and `table9_scalability` for the measured delta-vs-full
-//! wall clock.
+//! lifecycle. The reference benchmark under `benches/e2e` times the
+//! deployment's costs: the cold build (`build_s`), a delta publish
+//! (`delta_publish_s`) and a warm restart from a snapshot (`restart_s`).
 //!
 //! ## The serving runtime: admission control, deadlines, shedding
 //!
@@ -161,12 +163,13 @@
 //! The `PipelineConfig::index` field threads the backend selection
 //! through the one-call pipeline, and `amcad-bench`'s open-loop driver
 //! load-tests any [`retrieval::Retrieve`] implementation (see
-//! `examples/online_serving.rs` for the topology sweep plus the
+//! `examples/online_serving.rs` for the coverage comparison plus the
 //! flash-crowd shedding and replica-failover runtime demo,
 //! `examples/incremental_training.rs` for the rebuild-and-publish loop,
-//! the `fig9_serving_latency` binary for the latency, failover and
-//! offered-QPS-ladder sweeps, and `table9_scalability` for build cost and
-//! the recall/build-time frontier).
+//! the `fig9_serving_latency` binary for latency against offered QPS and
+//! the runtime's admission ladder, and `table9_scalability` for training
+//! and index-build cost, the recall/build-time frontier and the quantised
+//! footprint).
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! the experiment harness that regenerates every table and figure of the
