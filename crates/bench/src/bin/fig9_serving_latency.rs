@@ -227,8 +227,8 @@ fn main() {
     println!("{}", runtime_table.render());
     let stats = runtime.stats();
     println!(
-        "runtime counters: admitted {}, completed {}, shed at admission {}, shed on deadline {}\n",
-        stats.admitted, stats.completed, stats.shed_queue_full, stats.shed_deadline,
+        "runtime counters: admitted {}, completed {}, failed {}, shed at admission {}, shed on deadline {}\n",
+        stats.admitted, stats.completed, stats.failed, stats.shed_queue_full, stats.shed_deadline,
     );
     // CI smoke assertions: below the knee the runtime serves everything;
     // past saturation it must shed (the queue is 64 deep against an

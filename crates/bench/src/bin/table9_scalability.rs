@@ -39,6 +39,27 @@ use amcad_mnn::{HnswConfig, IndexBackend, IvfConfig, QuantConfig, QuantIndex};
 use amcad_model::{AmcadConfig, AmcadModel, Trainer, TrainerConfig};
 use amcad_retrieval::{IndexBuildConfig, IndexBuildInputs, IndexSet};
 
+/// Posting-list length of every build in the table.
+const TOP_K: usize = 20;
+
+/// A backend, its build's wall time and the set it built.
+type Built = (IndexBackend, f64, IndexSet);
+
+/// One `IndexSet::build` of `inputs` with `backend` on one thread, and its
+/// wall time. Single-threaded for every backend: only the exact scan has a
+/// parallel bulk path, so equal thread counts keep the columns an
+/// algorithmic comparison rather than a threading one.
+fn timed_build(inputs: &IndexBuildInputs, backend: IndexBackend) -> (f64, IndexSet) {
+    let config = IndexBuildConfig {
+        top_k: TOP_K,
+        threads: 1,
+        backend,
+    };
+    let start = Instant::now();
+    let set = IndexSet::build(inputs, config).expect("ladder inputs are duplicate-free");
+    (start.elapsed().as_secs_f64(), set)
+}
+
 fn main() {
     let scale = Scale::from_env();
     let seed = 20221111;
@@ -72,7 +93,7 @@ fn main() {
         "Index Quant (s)",
     ]);
     let mut prev: Option<(usize, f64)> = None;
-    let mut largest_rung: Option<IndexBuildInputs> = None;
+    let mut largest_rung: Option<(IndexBuildInputs, Vec<Built>)> = None;
     let mut ladder_json: Vec<Json> = Vec::new();
     for (label, world) in ladder {
         let dataset = Dataset::generate(&world);
@@ -92,25 +113,20 @@ fn main() {
         // Offline MNN stage: same embeddings, both index backends.
         let export = model.export(&dataset.graph, seed);
         let inputs = build_index_inputs(&export, &dataset);
-        let time_build = |backend: IndexBackend| {
-            // single-threaded for BOTH backends: only the exact scan has a
-            // parallel bulk path, so equal thread counts keep the columns
-            // an algorithmic comparison rather than a threading one
-            let config = IndexBuildConfig {
-                top_k: 20,
-                threads: 1,
-                backend,
-            };
-            let start = Instant::now();
-            let set = IndexSet::build(&inputs, config).expect("ladder inputs are duplicate-free");
-            let secs = start.elapsed().as_secs_f64();
+        let builds: Vec<Built> = [
+            IndexBackend::Exact,
+            IndexBackend::Ivf(IvfConfig::default()),
+            IndexBackend::Hnsw(HnswConfig::default()),
+            IndexBackend::Quant(QuantConfig::default()),
+        ]
+        .into_iter()
+        .map(|backend| {
+            let (secs, set) = timed_build(&inputs, backend);
             assert!(set.total_keys() > 0);
-            secs
-        };
-        let exact_secs = time_build(IndexBackend::Exact);
-        let ivf_secs = time_build(IndexBackend::Ivf(IvfConfig::default()));
-        let hnsw_secs = time_build(IndexBackend::Hnsw(HnswConfig::default()));
-        let quant_secs = time_build(IndexBackend::Quant(QuantConfig::default()));
+            (backend, secs, set)
+        })
+        .collect();
+        let [exact_secs, ivf_secs, hnsw_secs, quant_secs] = [0, 1, 2, 3].map(|i| builds[i].1);
 
         table.row(vec![
             label.to_string(),
@@ -147,10 +163,12 @@ fn main() {
             );
         }
         prev = Some((stats.total_edges(), secs));
-        largest_rung = Some(inputs);
+        largest_rung = Some((inputs, builds));
     }
     println!("{}", table.render());
-    let inputs = largest_rung.expect("the ladder always has rungs");
+    // the largest rung's ladder builds are the frontier rows at the same
+    // configuration: kept, not built again
+    let (inputs, mut kept) = largest_rung.expect("the ladder always has rungs");
 
     // -- Backend × knob: the recall/build-time frontier -------------------
     // The approximate backends trade posting-list recall for build work:
@@ -161,7 +179,7 @@ fn main() {
     // pairs each configuration's build wall clock with its ad-side
     // recall@k against the exact reference.
     println!("== Backend x knob recall/build-time frontier (largest rung) ==\n");
-    let top_k = 20usize;
+    let top_k = TOP_K;
     let widest_knob = "ef=128";
     let frontier_backends: Vec<(&'static str, IndexBackend)> = vec![
         ("-", IndexBackend::Exact),
@@ -196,17 +214,13 @@ fn main() {
     let mut hnsw_widest_recall = 0.0f64;
     let mut frontier_json: Vec<Json> = Vec::new();
     for (knob, backend) in frontier_backends {
-        let start = Instant::now();
-        let set = IndexSet::build(
-            &inputs,
-            IndexBuildConfig {
-                top_k,
-                threads: 1,
-                backend,
-            },
-        )
-        .expect("ladder inputs are duplicate-free");
-        let build_secs = start.elapsed().as_secs_f64();
+        let (build_secs, set) = match kept.iter().position(|(built, ..)| *built == backend) {
+            Some(i) => {
+                let (_, secs, set) = kept.swap_remove(i);
+                (secs, set)
+            }
+            None => timed_build(&inputs, backend),
+        };
         let recall = match &exact_set {
             None => 1.0, // the exact reference against itself
             Some(reference) => set.ad_recall_against(reference, top_k),

@@ -49,17 +49,23 @@ pub trait AnnIndex: Send + Sync {
     ) -> Postings;
 
     /// Build the full inverted index for a key set: one posting list per
-    /// key. The default implementation searches key by key through the
-    /// shared per-key loop; backends with a faster bulk path (e.g. the
-    /// threaded exact scan) override it.
+    /// key. The default implementation searches key by key; backends with
+    /// a faster bulk path (e.g. the threaded exact scan) override it. No
+    /// candidates (or `k == 0`) yields an EMPTY index, not keys with empty
+    /// posting lists — downstream emptiness checks rely on that contract.
     fn build_index(&self, keys: &MixedPointSet, k: usize, exclude_same_id: bool) -> InvertedIndex {
-        crate::brute::build_index_with(
-            |q, w, k, e| self.search(q, w, k, e),
-            self.is_empty(),
-            keys,
-            k,
-            exclude_same_id,
-        )
+        let mut index = InvertedIndex::default();
+        if k == 0 || self.is_empty() {
+            return index;
+        }
+        for i in 0..keys.len() {
+            let (id, point, weight) = (keys.id(i), keys.point(i), keys.weight(i));
+            index.insert(
+                id,
+                self.search(point, weight, k, exclude_same_id.then_some(id)),
+            );
+        }
+        index
     }
 }
 
@@ -117,14 +123,8 @@ impl AnnIndex for ExactBackend {
             return Vec::new();
         }
         let mut scratch = ScanScratch::new(&self.layout);
-        scan_top_k(
-            &self.layout,
-            query,
-            query_weight,
-            k,
-            exclude_id,
-            &mut scratch,
-        )
+        let query = (query, query_weight);
+        scan_top_k(&self.layout, query, k, exclude_id, None, &mut scratch)
     }
 
     fn build_index(&self, keys: &MixedPointSet, k: usize, exclude_same_id: bool) -> InvertedIndex {

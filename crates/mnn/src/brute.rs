@@ -198,30 +198,6 @@ impl TopK {
     }
 }
 
-/// The per-key inverted-index construction loop shared by the
-/// [`crate::backend::AnnIndex`] trait default and [`crate::IvfIndex`]:
-/// search every key against one `search` closure. No candidates (or
-/// `k == 0`) yields an EMPTY index, not keys with empty posting lists —
-/// downstream emptiness checks rely on that contract.
-pub(crate) fn build_index_with(
-    search: impl Fn(&[f64], &[f64], usize, Option<u32>) -> Postings,
-    candidates_empty: bool,
-    keys: &MixedPointSet,
-    k: usize,
-    exclude_same_id: bool,
-) -> InvertedIndex {
-    let mut index = InvertedIndex::default();
-    if k == 0 || candidates_empty {
-        return index;
-    }
-    for i in 0..keys.len() {
-        let id = keys.id(i);
-        let exclude = if exclude_same_id { Some(id) } else { None };
-        index.insert(id, search(keys.point(i), keys.weight(i), k, exclude));
-    }
-    index
-}
-
 /// Most candidates per cluster of a [`ScanLayout`]. Measured on a 2-vCPU
 /// x86-64 box over 512 keys of a c6k-shaped scene (64 categories, 4 096
 /// candidates, k = 20; the crate's `category_set`), per-key time against
@@ -237,19 +213,23 @@ const MIN_CLUSTERED: usize = 2 * CLUSTER;
 
 /// The one candidate layout of the exact scan: the candidate set's SoA
 /// blocks permuted so that every cluster is a contiguous run, with the
-/// clusters' [`BlockCovers`].
-///
-/// The clusters are `cluster::bisection_clusters` of the `log0` tangents
-/// of the candidates in the triangle domain
-/// ([`ComponentBlocks::in_triangle_domain`]); the others — non-finite,
-/// off the manifold, or where the computed distance stops keeping the
-/// triangle inequality — follow as one unbounded tail. Built once per
-/// candidate set, deterministically from the points alone (`threads`
-/// only shares out the bisection).
+/// clusters' `BlockCovers`. The clusters are `cluster::bisection_clusters`
+/// of the `log0` tangents of the candidates in the triangle domain
+/// (`ComponentBlocks::in_triangle_domain`); the others follow as one
+/// unbounded tail. Laid out deterministically from the points alone
+/// (`threads` only shares out the bisection), then kept across churn:
+/// [`ScanLayout::retire`] marks members dead where they stand — a cover of
+/// a superset still bounds every live member — and [`ScanLayout::append`]
+/// adds to the tail.
 #[derive(Debug, Clone)]
-pub(crate) struct ScanLayout {
+pub struct ScanLayout {
     blocks: ComponentBlocks,
     ids: Vec<u32>,
+    /// By position: retired members, never offered.
+    dead: Vec<bool>,
+    retired: usize,
+    /// Members when laid out; the ones after were appended.
+    laid_out: usize,
     /// The covered clusters' runs, in block order.
     clusters: Vec<Range<usize>>,
     covers: BlockCovers,
@@ -258,7 +238,8 @@ pub(crate) struct ScanLayout {
 }
 
 impl ScanLayout {
-    pub(crate) fn new(candidates: &MixedPointSet, threads: usize) -> Self {
+    /// Lay `candidates` out, bisecting on `threads`.
+    pub fn new(candidates: &MixedPointSet, threads: usize) -> Self {
         let source = candidates.blocks();
         let n = candidates.len();
         let (mut inside, mut tail): (Vec<usize>, Vec<usize>) = if n < MIN_CLUSTERED {
@@ -286,6 +267,9 @@ impl ScanLayout {
         let blocks = source.permuted(&inside);
         ScanLayout {
             ids: inside.iter().map(|&j| candidates.id(j)).collect(),
+            dead: vec![false; n],
+            retired: 0,
+            laid_out: n,
             tail: clusters.last().map_or(0, |run| run.end),
             covers: BlockCovers::new(&blocks, &clusters, &tangents),
             clusters,
@@ -293,9 +277,41 @@ impl ScanLayout {
         }
     }
 
-    /// Number of candidates.
+    /// Members, live or retired.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    fn live(&self) -> usize {
+        self.len() - self.retired
+    }
+
+    /// The share of the members retired or appended since the layout was
+    /// laid out.
+    pub fn stale(&self) -> f64 {
+        (self.retired + self.len() - self.laid_out) as f64 / self.len().max(1) as f64
+    }
+
+    /// Mark the live members whose id satisfies `drop` dead, by position.
+    pub fn retire(&mut self, mut drop: impl FnMut(u32) -> bool) {
+        for (dead, &id) in self.dead.iter_mut().zip(&self.ids) {
+            if !*dead && drop(id) {
+                *dead = true;
+                self.retired += 1;
+            }
+        }
+    }
+
+    /// Append `added` to the unbounded tail; returns where it starts.
+    pub fn append(&mut self, added: &MixedPointSet) -> usize {
+        let from = self.len();
+        self.blocks.reserve_exact(added.len());
+        for i in 0..added.len() {
+            self.blocks.push(added.point(i), added.weight(i));
+        }
+        self.ids.extend_from_slice(added.ids());
+        self.dead.resize(self.ids.len(), false);
+        from
     }
 }
 
@@ -364,32 +380,36 @@ impl ScanScratch {
 }
 
 /// One exact top-K scan of a query point over a candidate layout — the
-/// kernel shared by the bulk builder below and the per-query
-/// `ExactBackend::search` path, so the two can never diverge.
+/// kernel shared by the bulk builders below and the per-query
+/// `ExactBackend::search` path, so they can never diverge. With
+/// `appended: Some((prior, from))` only the members from `from` on are
+/// scanned, starting from `prior`: the query's exact top-K of the live
+/// members before `from`, whose threshold prunes the appended ones from
+/// the start.
 ///
 /// The clusters are visited in ascending bound ([`BlockCovers::bounds`];
 /// among equal bounds, the one whose centre the query sits deepest inside
 /// first, so the threshold tightens early) until the first whose bound
 /// is [`prunable`] against the top-K's threshold as it stands: every
 /// cluster still queued, and every member of it, is farther than the K
-/// kept. The unbounded tail is scanned last. A cluster's run goes through the chunk kernel in
-/// [`SCAN_CHUNK`]-sized chunks: pass 1 fills a lower bound and the
-/// per-component norms of every candidate, and a candidate's distance —
-/// the `ln_1p` / `atan` half — is finished only if its bound is within the
-/// threshold as it stands at that candidate, then offered. A layout that
-/// is all tail is therefore the plain chunked scan.
+/// kept. The unbounded tail is scanned last. A run goes through the chunk
+/// kernel in [`SCAN_CHUNK`]-sized chunks: pass 1 fills a lower bound and
+/// the per-component norms of every candidate, and a live candidate's
+/// distance — the `ln_1p` / `atan` half — is finished only if its bound
+/// is within the threshold as it stands at that candidate, then offered.
+/// A layout that is all tail is therefore the plain chunked scan.
 pub(crate) fn scan_top_k(
     layout: &ScanLayout,
-    query: &[f64],
-    query_weight: &[f64],
+    (query, query_weight): (&[f64], &[f64]),
     k: usize,
     exclude_id: Option<u32>,
+    appended: Option<(&[(u32, f64)], usize)>,
     scratch: &mut ScanScratch,
 ) -> Postings {
+    // no list holds more than the live candidates offered
+    let mut topk = TopK::new(k.min(layout.live()));
     let blocks = &layout.blocks;
     let grams = blocks.query_grams(query);
-    // no list holds more than the n candidates offered
-    let mut topk = TopK::new(k.min(layout.len()));
     let scan_run = |run: Range<usize>, topk: &mut TopK, lanes: &mut [f64]| {
         let mut chunk_bounds = [0.0f64; SCAN_CHUNK];
         let mut start = run.start;
@@ -398,19 +418,26 @@ pub(crate) fn scan_top_k(
             let chunk_bounds = &mut chunk_bounds[..len];
             blocks.scan_chunk_bounds(&grams, query, query_weight, start, lanes, chunk_bounds);
             for (jj, &bound) in chunk_bounds.iter().enumerate() {
-                let cand_id = layout.ids[start + jj];
-                if exclude_id == Some(cand_id) {
+                let j = start + jj;
+                if prunable(bound, topk.threshold())
+                    || layout.dead[j]
+                    || exclude_id == Some(layout.ids[j])
+                {
                     continue;
                 }
-                if prunable(bound, topk.threshold()) {
-                    continue;
-                }
-                topk.offer(blocks.finish(query_weight, start, jj, lanes), cand_id);
+                topk.offer(blocks.finish(query_weight, start, jj, lanes), layout.ids[j]);
             }
             start += len;
         }
         run.len()
     };
+    if let Some((prior, from)) = appended {
+        prior
+            .iter()
+            .for_each(|&(id, distance)| topk.offer(distance, id));
+        scratch.scanned += scan_run(from..layout.len(), &mut topk, &mut scratch.norm_lanes);
+        return topk.into_sorted();
+    }
     scratch.candidates += layout.len();
     let ScanScratch {
         norm_lanes,
@@ -534,46 +561,79 @@ pub fn build_exact_index(
     build_with_layout(keys, &layout, k, exclude_same_id, threads)
 }
 
-/// [`build_exact_index`] over a layout already built.
-pub(crate) fn build_with_layout(
+/// [`build_exact_index`] over a layout already laid out.
+pub fn build_with_layout(
     keys: &MixedPointSet,
     layout: &ScanLayout,
     k: usize,
     exclude_same_id: bool,
     threads: usize,
 ) -> InvertedIndex {
+    scan_keys(keys, layout, k, threads, |i, scratch| {
+        let exclude = exclude_same_id.then(|| keys.id(i));
+        scan_top_k(
+            layout,
+            (keys.point(i), keys.weight(i)),
+            k,
+            exclude,
+            None,
+            scratch,
+        )
+    })
+}
+
+/// Every key's postings over `layout` after a churn step retired members
+/// and appended the ones from `from` on: a key whose `prior` is known —
+/// its exact top-K over the live members before `from` — scans only the
+/// appended ones, against the threshold that list sets; any other key
+/// scans every live member. Either way the list is the full build's.
+pub fn update_with_layout(
+    keys: &MixedPointSet,
+    layout: &ScanLayout,
+    (k, threads): (usize, usize),
+    from: usize,
+    prior: impl Fn(u32) -> Option<Postings> + Sync,
+) -> InvertedIndex {
+    scan_keys(keys, layout, k, threads, |i, scratch| {
+        let prior = prior(keys.id(i));
+        let appended = prior.as_deref().map(|prior| (prior, from));
+        scan_top_k(
+            layout,
+            (keys.point(i), keys.weight(i)),
+            k,
+            None,
+            appended,
+            scratch,
+        )
+    })
+}
+
+/// `scan_key(i, scratch)` for every key `i`, on `threads` claiming
+/// [`RANGES_PER_THREAD`] key ranges each. No live candidate (or `k == 0`)
+/// yields an EMPTY index, not keys with empty lists.
+fn scan_keys(
+    keys: &MixedPointSet,
+    layout: &ScanLayout,
+    k: usize,
+    threads: usize,
+    scan_key: impl Fn(usize, &mut ScanScratch) -> Postings + Sync,
+) -> InvertedIndex {
     let n_keys = keys.len();
-    if n_keys == 0 || layout.len() == 0 || k == 0 {
+    if n_keys == 0 || layout.live() == 0 || k == 0 {
         return InvertedIndex::default();
     }
-    // contiguous key ranges, RANGES_PER_THREAD per thread, claimed by
-    // whichever thread is free and inserted in range order
     let threads = threads.max(1);
     let chunk = n_keys.div_ceil(threads.saturating_mul(RANGES_PER_THREAD).min(n_keys));
     let ranges = n_keys.div_ceil(chunk);
     let search_range = |r: usize| -> Vec<(u32, Postings)> {
-        let (start, end) = (r * chunk, ((r + 1) * chunk).min(n_keys));
-        let mut out = Vec::with_capacity(end - start);
         let mut scratch = ScanScratch::new(layout);
-        for i in start..end {
-            let key_id = keys.id(i);
-            let exclude = if exclude_same_id { Some(key_id) } else { None };
-            let (point, weight) = (keys.point(i), keys.weight(i));
-            out.push((
-                key_id,
-                scan_top_k(layout, point, weight, k, exclude, &mut scratch),
-            ));
-        }
-        out
+        (r * chunk..((r + 1) * chunk).min(n_keys))
+            .map(|i| (keys.id(i), scan_key(i, &mut scratch)))
+            .collect()
     };
-
     let mut entries = IdHashMap::with_capacity_and_hasher(n_keys, Default::default());
-    for (key, postings) in fork_join(threads, ranges, search_range)
-        .into_iter()
-        .flatten()
-    {
-        entries.insert(key, postings);
-    }
+    let built = fork_join(threads, ranges, search_range);
+    entries.extend(built.into_iter().flatten());
     InvertedIndex { entries }
 }
 
@@ -605,14 +665,8 @@ mod tests {
         assert_eq!(layout.tail, ads.len(), "every c6k point is in the domain");
         let mut scratch = ScanScratch::new(&layout);
         for i in 0..keys.len() {
-            scan_top_k(
-                &layout,
-                keys.point(i),
-                keys.weight(i),
-                20,
-                None,
-                &mut scratch,
-            );
+            let query = (keys.point(i), keys.weight(i));
+            scan_top_k(&layout, query, 20, None, None, &mut scratch);
         }
         assert_eq!(scratch.candidates, keys.len() * ads.len());
         assert!(
@@ -633,8 +687,8 @@ mod tests {
             (ScanScratch::new(&layout), ScanScratch::new(&plain));
         for i in 0..keys.len() {
             let (point, weight) = (keys.point(i), keys.weight(i));
-            let got = scan_top_k(&layout, point, weight, 20, None, &mut scratch);
-            let want = scan_top_k(&plain, point, weight, 20, None, &mut plain_scratch);
+            let got = scan_top_k(&layout, (point, weight), 20, None, None, &mut scratch);
+            let want = scan_top_k(&plain, (point, weight), 20, None, None, &mut plain_scratch);
             assert_eq!(bits(&got), bits(&want), "key {i}");
         }
         assert_eq!(plain_scratch.scanned, plain_scratch.candidates);

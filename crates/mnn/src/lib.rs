@@ -13,7 +13,10 @@
 //!   scoped threads, and a chunk kernel whose bound loop compiles to
 //!   packed SSE2 arithmetic) over candidates clustered once per set, so a
 //!   key skips every cluster whose covering-radius bound is past its K-th
-//!   distance,
+//!   distance; a [`ScanLayout`] can be held across churn, retired members
+//!   marked dead and added ones appended, and [`update_with_layout`]
+//!   rescans it for a churn step, only the appended range for keys whose
+//!   previous list still holds,
 //! * [`IvfIndex`] — an inverted-file approximate index whose coarse
 //!   quantiser lives in the shared tangent space, with recall measurement
 //!   against the exact index ([`recall_at_k`]),
@@ -67,7 +70,9 @@ pub mod points;
 pub mod quant;
 
 pub use backend::{AnnIndex, ExactBackend, IndexBackend};
-pub use brute::{build_exact_index, InvertedIndex, Postings};
+pub use brute::{
+    build_exact_index, build_with_layout, update_with_layout, InvertedIndex, Postings, ScanLayout,
+};
 pub use fork_join::fork_join;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use id_hash::{IdHashMap, IdHasher};

@@ -249,6 +249,16 @@ impl ComponentBlocks {
         }
     }
 
+    /// Room for `additional` more points and no more: a held set that
+    /// grows by small appends is not left at twice its size.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        for m in 0..self.dims.len() {
+            self.coords[m].reserve_exact(additional * self.dims[m]);
+            self.sq_norms[m].reserve_exact(additional);
+            self.weights[m].reserve_exact(additional);
+        }
+    }
+
     /// Drop every stored point, keeping the component shape.
     pub fn clear(&mut self) {
         for m in 0..self.dims.len() {

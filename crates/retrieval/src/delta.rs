@@ -24,35 +24,29 @@
 //! ## Why the delta result is *exactly* a full rebuild
 //!
 //! A posting list is the `top_k` smallest `(distance, id)` pairs over the
-//! candidate ads. For each key the delta path assembles three sorted
-//! pieces and re-cuts to `top_k`:
+//! candidate ads. A slot keeps its two ad spaces' [`ScanLayout`]s across
+//! deltas: retired ads are marked dead where they stand, added ads are
+//! appended to the unbounded tail, and every key gets one exact scan:
 //!
-//! 1. **Filter** — the previous posting list minus retired ads. This is
-//!    the exact top prefix over the surviving ads *unless* the old list
-//!    was at the `top_k` cap and retirement removed entries from it: then
-//!    survivors ranked `top_k + 1 ..` in the old corpus could now enter,
-//!    and the prefix alone cannot know them.
-//! 2. **Backfill** — exactly those boundary-broken keys are rescanned
-//!    against the surviving ads (a small set for small deltas: only keys
-//!    whose full lists actually contained a retired ad).
-//! 3. **Append** — every key's top-`top_k` over the *added* ads only
-//!    (O(keys × added), not O(keys × corpus)), computed with the same
-//!    backend and distance kernel as a full build.
+//! * **seeded** — a key whose previous list lost no retired entry, or was
+//!   shorter than `top_k` and so held every ad, still has the top prefix
+//!   over the survivors: its top-K starts from that list and scans only
+//!   the range this delta appended, which the seeded threshold mostly
+//!   prunes at pass 1;
+//! * **full** — a boundary-broken key (its list was at the cap and lost a
+//!   retired entry, so ads past its old cut may now enter) scans every
+//!   live member, tail included.
 //!
-//! Surviving and added ads partition the post-delta corpus, distances are
-//! deterministic functions of the stored points, and both the build and
-//! the merge order by `(distance, id)` with NaN normalised to +inf — so
-//! the merged cut is bit-for-bit the posting list a from-scratch rebuild
-//! would produce. The property tests in this module assert exactly that,
-//! at the index level (posting ids *and* distances) and at the serving
-//! level (rankings and [`crate::RetrievalStats::logical`] stats for shard
-//! counts 1 / 2 / 4).
-//!
-//! With the deterministic exact backend this equivalence is
-//! unconditional. With partial-probe IVF it is not: the delta path probes
-//! the added ads under their own clustering, so results may differ from a
-//! re-clustered full rebuild exactly as two IVF builds may differ —
-//! full-probe IVF remains exact.
+//! Distances are deterministic functions of the stored points and the top
+//! K is ordered by `(distance, id)` with NaN as +inf, so either scan gives
+//! the rebuild's list bit for bit. This module's tests assert it for
+//! posting ids and distance bits, and for rankings and
+//! [`crate::RetrievalStats::logical`] stats at shard counts 1 / 2 / 4.
+//! A cover over members since retired still bounds the live ones. A slot
+//! lays its live ads out again past `RELAYOUT_SHARE` stale members, and
+//! lazily at its first delta after a warm load or an approximate cold
+//! build: a delta is an exact scan whatever the backend, which at a
+//! backend's exactness point is the rebuild's list.
 //!
 //! The key-side indices (Q2Q, Q2I, I2Q, I2I) contain no ads: a deployment
 //! holds one copy, which every shard and every delta generation shares.
@@ -62,11 +56,13 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use amcad_mnn::{InvertedIndex, MixedPointSet, Postings};
+use amcad_mnn::{update_with_layout, InvertedIndex, MixedPointSet, ScanLayout};
 
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
-use crate::index_set::{same_ids, IndexBuildConfig, IndexBuildInputs, IndexSet};
+use crate::index_set::{
+    lay_out, reject_duplicate_ids, same_ids, AdSide, IndexBuildInputs, IndexSet,
+};
 use crate::shard::{ad_shard, ShardedEngine, ShardedEngineBuilder};
 
 /// One corpus churn step: ads entering and leaving the serving corpus
@@ -121,18 +117,10 @@ impl IndexDelta {
 /// The delta checks that do not depend on the current corpus: each added
 /// space is duplicate-free and both add the same id set.
 fn validate_added_sets(delta: &IndexDelta) -> Result<(), RetrievalError> {
-    if let Some(id) = delta.added_ads_qa.first_duplicate_id() {
-        return Err(RetrievalError::DuplicateId {
-            space: "delta added_ads_qa",
-            id,
-        });
-    }
-    if let Some(id) = delta.added_ads_ia.first_duplicate_id() {
-        return Err(RetrievalError::DuplicateId {
-            space: "delta added_ads_ia",
-            id,
-        });
-    }
+    reject_duplicate_ids([
+        ("delta added_ads_qa", &delta.added_ads_qa),
+        ("delta added_ads_ia", &delta.added_ads_ia),
+    ])?;
     if !same_ids(&delta.added_ads_qa, &delta.added_ads_ia) {
         return Err(RetrievalError::InvalidConfig(
             "delta must add every ad to both ad spaces (added_ads_qa and added_ads_ia id sets differ)".into(),
@@ -141,82 +129,15 @@ fn validate_added_sets(delta: &IndexDelta) -> Result<(), RetrievalError> {
     Ok(())
 }
 
-/// The incremental update of one ad-side inverted index (Q2A or I2A):
-/// filter retired ads out of the previous postings, backfill the keys
-/// whose full lists lost entries by rescanning them against the surviving
-/// ads, compute every key's postings over the added ads only, and merge —
-/// see the module docs for why the result is bit-for-bit a full rebuild.
-fn delta_ad_index(
-    prev: &InvertedIndex,
-    keys: &MixedPointSet,
-    surviving: &MixedPointSet,
-    added: &MixedPointSet,
-    retired: &HashSet<u32>,
-    config: IndexBuildConfig,
-) -> InvertedIndex {
-    let k = config.top_k;
-    let mut next = InvertedIndex::default();
-    if k == 0 || keys.is_empty() || (surviving.is_empty() && added.is_empty()) {
-        // the contract full builds keep: no candidates → an EMPTY index,
-        // not keys with empty posting lists
-        return next;
-    }
-    // postings of every key over the added ads only: O(keys × added)
-    let added_index = if added.is_empty() {
-        None
-    } else {
-        Some(
-            config
-                .backend
-                .build_index(keys, added, k, false, config.threads),
-        )
-    };
-    // boundary-broken keys: the old list was at the top_k cap AND lost a
-    // retired entry, so survivors past the old cut may now enter
-    let rescan_ids: HashSet<u32> = keys
-        .ids()
-        .iter()
-        .copied()
-        .filter(|id| {
-            prev.get(*id)
-                .is_some_and(|old| old.len() == k && old.iter().any(|(ad, _)| retired.contains(ad)))
-        })
-        .collect();
-    let rescan_index = if rescan_ids.is_empty() || surviving.is_empty() {
-        None
-    } else {
-        let rescan_keys = keys.filtered(|id| rescan_ids.contains(&id));
-        Some(
-            config
-                .backend
-                .build_index(&rescan_keys, surviving, k, false, config.threads),
-        )
-    };
-    for i in 0..keys.len() {
-        let id = keys.id(i);
-        let mut merged: Postings = match rescan_index.as_ref().and_then(|idx| idx.get(id)) {
-            Some(rescanned) => rescanned.clone(),
-            None => prev
-                .get(id)
-                .map(|old| {
-                    old.iter()
-                        .filter(|(ad, _)| !retired.contains(ad))
-                        .copied()
-                        .collect()
-                })
-                .unwrap_or_default(),
-        };
-        if let Some(postings) = added_index.as_ref().and_then(|idx| idx.get(id)) {
-            merged.extend_from_slice(postings);
-        }
-        // the index build's posting order: (distance, id), NaNs already
-        // normalised to +inf by the TopK kernel
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        merged.truncate(k);
-        next.insert(id, merged);
-    }
-    next
-}
+/// A slot lays its live ads out again once the members retired or
+/// appended since its layout was laid out pass this share of it: dead
+/// members are still read at pass 1, and every boundary-broken key scans
+/// the appended tail without cluster bounds. Measured on a 2-vCPU x86-64
+/// box, c6k at seed 1, mean per delta over 40 deltas of 2 %: one shard on
+/// two threads 28 ms at 0.05, 26 at 0.1, 23–26 at 0.2, 25–26 at 0.35 and
+/// 51 never laying out again; four shards on one thread 179, 119, 115,
+/// 136 and 195 ms.
+const RELAYOUT_SHARE: f64 = 0.2;
 
 /// A deployment's query / item side, held once by its
 /// [`ShardedDeltaBuilder`]: the six key point sets and the four key-side
@@ -248,12 +169,17 @@ impl KeySide {
     }
 }
 
-/// One shard of a deployment: its slices of the two ad spaces and, while
-/// it holds ads, the engine serving them over the shared key side.
+/// One shard of a deployment: its slices of the two ad spaces, their
+/// scan layouts and, while it holds ads, the engine serving them over the
+/// shared key side.
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
     pub(crate) ads_qa: MixedPointSet,
     pub(crate) ads_ia: MixedPointSet,
+    /// The Q2A and I2A candidates' scan layouts, kept across deltas;
+    /// `None` until the first delta when the cold build kept none (a warm
+    /// load, an approximate backend, no ads).
+    layouts: Option<(ScanLayout, ScanLayout)>,
     /// `None` while the shard is adless: the hash left it empty, or a
     /// delta retired its last ad. A later delta can fill it again. The
     /// engine is the one holder of the shard's indices.
@@ -266,7 +192,7 @@ impl Slot {
     /// empty.
     pub(crate) fn new(
         (ads_qa, ads_ia): (MixedPointSet, MixedPointSet),
-        (q2a, i2a): (InvertedIndex, InvertedIndex),
+        ((q2a, i2a), layouts): AdSide,
         keys: &KeySide,
         topology: &ShardedEngineBuilder,
     ) -> Result<Slot, RetrievalError> {
@@ -274,6 +200,7 @@ impl Slot {
         Ok(Slot {
             ads_qa,
             ads_ia,
+            layouts,
             engine,
         })
     }
@@ -309,11 +236,11 @@ impl Slot {
     }
 
     /// Move this shard to its next generation: retire and append `delta`
-    /// on its ad slices and update its Q2A and I2A incrementally over the
-    /// deployment's `keys`. `delta` must have passed
+    /// on its ad slices and their layouts, and scan its Q2A and I2A over
+    /// the layouts for the deployment's `keys`. `delta` must have passed
     /// [`validate_added_sets`] and [`Slot::validate_delta`]; `topology` is
     /// the one every generation is built under — a different `top_k`
-    /// would make the filter/backfill boundary analysis wrong.
+    /// would make the seeded scans' prefixes wrong.
     ///
     /// Retiring every ad of the shard is valid: its ad indices come out
     /// empty, exactly like a full rebuild over an adless corpus, and the
@@ -325,29 +252,42 @@ impl Slot {
         topology: &ShardedEngineBuilder,
     ) -> Result<(), RetrievalError> {
         let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        // retire in place; the survivors are the backfill candidate set
-        self.ads_qa.retire(|id| retired.contains(&id));
-        self.ads_ia.retire(|id| retired.contains(&id));
-        let adless = InvertedIndex::default();
+        let threads = topology.index.threads;
+        let both =
+            |qa: &MixedPointSet, ia: &MixedPointSet| (lay_out(qa, threads), lay_out(ia, threads));
+        let (ads_qa, ads_ia) = (&mut self.ads_qa, &mut self.ads_ia);
+        let (qa, ia) = self.layouts.get_or_insert_with(|| both(ads_qa, ads_ia));
+        ads_qa.retire(|id| retired.contains(&id));
+        ads_ia.retire(|id| retired.contains(&id));
+        qa.retire(|id| retired.contains(&id));
+        ia.retire(|id| retired.contains(&id));
+        if qa.stale() > RELAYOUT_SHARE {
+            // the survivors only: the added ads follow as the tail
+            (*qa, *ia) = both(ads_qa, ads_ia);
+        }
+        let from_qa = qa.append(&delta.added_ads_qa);
+        let from_ia = ia.append(&delta.added_ads_ia);
+        ads_qa.append(&delta.added_ads_qa);
+        ads_ia.append(&delta.added_ads_ia);
+        // a seeded scan of the appended range for a key whose previous
+        // list is still the top prefix over the survivors, a full scan
+        // for a boundary-broken one — see the module docs
+        let k = topology.index.top_k;
         let prev = self.engine.as_deref().map(RetrievalEngine::indexes);
-        let q2a = delta_ad_index(
-            prev.map_or(&adless, |prev| &prev.q2a),
-            &keys.queries_qa,
-            &self.ads_qa,
-            &delta.added_ads_qa,
-            &retired,
-            topology.index,
-        );
-        let i2a = delta_ad_index(
-            prev.map_or(&adless, |prev| &prev.i2a),
-            &keys.items_ia,
-            &self.ads_ia,
-            &delta.added_ads_ia,
-            &retired,
-            topology.index,
-        );
-        self.ads_qa.append(&delta.added_ads_qa);
-        self.ads_ia.append(&delta.added_ads_ia);
+        let next = |prev: Option<&InvertedIndex>, keys, layout, from| {
+            update_with_layout(keys, layout, (k, threads), from, |key| {
+                let old = prev
+                    .and_then(|prev| prev.get(key))
+                    .map_or(&[][..], Vec::as_slice);
+                let lost = old.iter().any(|(ad, _)| retired.contains(ad));
+                (!lost || old.len() < k).then(|| {
+                    let survivors = old.iter().filter(|(ad, _)| !retired.contains(ad));
+                    survivors.copied().collect()
+                })
+            })
+        };
+        let q2a = next(prev.map(|prev| &prev.q2a), &keys.queries_qa, qa, from_qa);
+        let i2a = next(prev.map(|prev| &prev.i2a), &keys.items_ia, ia, from_ia);
         self.engine = serving(keys, q2a, i2a, topology)?;
         Ok(())
     }
@@ -399,9 +339,9 @@ impl ShardedDeltaBuilder {
     /// independent index builds, [`ShardedEngineBuilder::build_threads`]
     /// at a time: the four key-side indices once — the deployment holds
     /// that copy, and every shard serves over it — plus each shard's Q2A
-    /// and I2A. Zero-sized topology, index or retrieval knobs and
-    /// duplicate ids are rejected before any index work; the builds
-    /// cannot fail.
+    /// and I2A, its slot keeping their ad layouts for its deltas. Zero
+    /// topology, index or retrieval knobs and duplicate ids are rejected
+    /// before any index work; the builds cannot fail.
     pub fn new(
         inputs: &IndexBuildInputs,
         topology: ShardedEngineBuilder,
@@ -565,6 +505,7 @@ impl ShardedDeltaBuilder {
 mod tests {
     use super::*;
     use crate::engine::{Request, RetrievalResponse};
+    use crate::index_set::IndexBuildConfig;
     use crate::test_fixtures::{
         assert_one_key_side, random_points, shard_slice, shared_points, tiny_inputs,
         tiny_inputs_leaving_shard_adless,
@@ -643,7 +584,7 @@ mod tests {
     /// Bit for bit: posting ids and the `f64::to_bits` of their distances.
     fn assert_indices_identical(a: &InvertedIndex, b: &InvertedIndex, name: &str) {
         assert_eq!(a.len(), b.len(), "{name}: key counts differ");
-        let bits = |p: &Postings| -> Vec<(u32, u64)> {
+        let bits = |p: &amcad_mnn::Postings| -> Vec<(u32, u64)> {
             p.iter().map(|(id, d)| (*id, d.to_bits())).collect()
         };
         for (key, postings) in b.iter() {
@@ -1317,5 +1258,170 @@ mod tests {
                 .unwrap_err(),
             RetrievalError::ShardUnavailable { shard: 0, .. }
         ));
+    }
+
+    /// Every shard of `builder` serves the Q2A and I2A of a cold build of
+    /// `truth` under the same topology, bit for bit, and is active
+    /// exactly when that build's shard is.
+    fn assert_matches_rebuild(builder: &ShardedDeltaBuilder, truth: &IndexBuildInputs, when: &str) {
+        let rebuilt = ShardedDeltaBuilder::new(truth, builder.topology.clone()).unwrap();
+        for (s, (got, want)) in builder.slots.iter().zip(&rebuilt.slots).enumerate() {
+            match (got.indexes(), want.indexes()) {
+                (Some(got), Some(want)) => {
+                    assert_indices_identical(
+                        &got.q2a,
+                        &want.q2a,
+                        &format!("{when}, shard {s}: q2a"),
+                    );
+                    assert_indices_identical(
+                        &got.i2a,
+                        &want.i2a,
+                        &format!("{when}, shard {s}: i2a"),
+                    );
+                }
+                (None, None) => {}
+                _ => panic!("{when}: shard {s} is active on one side only"),
+            }
+        }
+    }
+
+    /// [`crate::index_set::lay_out`] calls on this thread since the last
+    /// call.
+    fn laid_out() -> usize {
+        crate::index_set::LAID_OUT.with(|count| count.replace(0))
+    }
+
+    /// A cold build lays out each ad space of each shard holding ads once
+    /// and keeps the layouts; deltas below [`RELAYOUT_SHARE`] lay out
+    /// nothing; a warm load lays out nothing until its first delta, which
+    /// lays out the shards it touches.
+    #[test]
+    fn layouts_are_laid_out_once_per_ad_space_per_deployment() {
+        let inputs = IndexBuildInputs {
+            ads_qa: random_points(1000..1200, 21),
+            ads_ia: random_points(1000..1200, 22),
+            ..tiny_inputs_leaving_shard_adless(4, 3)
+        };
+        for shards in [1usize, 2, 4] {
+            let topology = ShardedEngine::builder()
+                .shards(shards)
+                .top_k(6)
+                .threads(1)
+                .build_threads(1);
+            laid_out();
+            let mut builder = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
+            let holding = builder
+                .slots
+                .iter()
+                .filter(|slot| !slot.ads_qa.is_empty())
+                .count();
+            assert_eq!(laid_out(), 2 * holding, "{shards} shards: cold build");
+            let mut truth = inputs.clone();
+            // one ad out and one in per delta: 2 % of the corpus goes stale
+            for step in 0..4u32 {
+                let delta = make_delta(
+                    1300 + step..1301 + step,
+                    50 + u64::from(step),
+                    vec![1000 + step],
+                );
+                builder.apply(&delta).unwrap();
+                delta.apply_to(&mut truth);
+                assert_eq!(laid_out(), 0, "{shards} shards: delta {step}");
+            }
+            assert_matches_rebuild(&builder, &truth, &format!("{shards} shards"));
+            laid_out();
+            let path = std::env::temp_dir().join(format!(
+                "amcad-delta-{}-layouts-{shards}.snap",
+                std::process::id()
+            ));
+            crate::store::write_snapshot(&path, &builder, 1).unwrap();
+            let (_, mut loaded) = crate::store::read_snapshot(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(laid_out(), 0, "{shards} shards: warm load");
+            let target = ad_shard(1100, shards);
+            let delta = delta_into_shard(&inputs, (target, shards), 1400, 60, vec![1100]);
+            loaded.apply(&delta).unwrap();
+            delta.apply_to(&mut truth);
+            assert_eq!(laid_out(), 2, "{shards} shards: first delta after the load");
+            assert_matches_rebuild(&loaded, &truth, &format!("{shards} shards, loaded"));
+        }
+    }
+
+    /// The delta ≡ rebuild property over a long life: 24 deltas of 5 %
+    /// churn at shard counts 1 / 2 / 4, laying out again whenever the
+    /// stale share passes [`RELAYOUT_SHARE`], with a retire-and-re-add
+    /// replacement, a shard emptied and refilled, and the rest of the
+    /// sequence applied to a save → load of the builder. After every delta
+    /// each shard's Q2A and I2A equal a cold build's, ids and bits.
+    #[test]
+    fn a_long_delta_sequence_stays_bit_identical_to_a_rebuild() {
+        let inputs = IndexBuildInputs {
+            ads_qa: random_points(1000..1300, 31),
+            ads_ia: random_points(1000..1300, 32),
+            ..tiny_inputs()
+        };
+        for shards in [1usize, 2, 4] {
+            let topology = ShardedEngine::builder()
+                .shards(shards)
+                .top_k(6)
+                .threads(2)
+                .build_threads(1);
+            let mut builder = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
+            let mut truth = inputs.clone();
+            let (mut next_id, mut relaid) = (2000u32, 0);
+            for step in 0..24usize {
+                let live = truth.ads_qa.ids().to_vec();
+                let retired: Vec<u32> = live.iter().copied().skip(step % 20).step_by(20).collect();
+                let seed = 100 + step as u64;
+                let delta = match step {
+                    // the first ad retired comes back with new points
+                    3 => {
+                        let mut delta = make_delta(next_id..next_id + 14, seed, retired.clone());
+                        let points = random_points(0..1, seed + 7);
+                        delta
+                            .added_ads_qa
+                            .push(retired[0], points.point(0), points.weight(0));
+                        delta
+                            .added_ads_ia
+                            .push(retired[0], points.point(0), points.weight(0));
+                        delta
+                    }
+                    // shard 1 loses its every ad, then gets two back
+                    8 if shards > 1 => {
+                        let home: Vec<u32> = live
+                            .into_iter()
+                            .filter(|&ad| ad_shard(ad, shards) == 1)
+                            .collect();
+                        IndexDelta::retire_only(&inputs, home)
+                    }
+                    9 if shards > 1 => {
+                        delta_into_shard(&inputs, (1, shards), next_id, seed, retired)
+                    }
+                    _ => make_delta(next_id..next_id + 15, seed, retired),
+                };
+                next_id += 100;
+                if step == 12 {
+                    let path = std::env::temp_dir().join(format!(
+                        "amcad-delta-{}-sequence-{shards}.snap",
+                        std::process::id()
+                    ));
+                    crate::store::write_snapshot(&path, &builder, 1).unwrap();
+                    builder = crate::store::read_snapshot(&path).unwrap().1;
+                    std::fs::remove_file(&path).unwrap();
+                }
+                laid_out();
+                builder.apply(&delta).unwrap();
+                delta.apply_to(&mut truth);
+                if step != 12 {
+                    relaid += laid_out();
+                }
+                if shards > 1 && step == 8 {
+                    assert!(builder.slots[1].engine.is_none(), "shard 1 was emptied");
+                }
+                assert_matches_rebuild(&builder, &truth, &format!("{shards} shards, delta {step}"));
+            }
+            assert!(builder.slots[1.min(shards - 1)].engine.is_some());
+            assert!(relaid > 0, "{shards} shards: no delta laid out again");
+        }
     }
 }

@@ -10,9 +10,33 @@
 
 use std::sync::Arc;
 
-use amcad_mnn::{fork_join, IndexBackend, InvertedIndex, MixedPointSet};
+use amcad_mnn::{
+    build_with_layout, fork_join, IndexBackend, InvertedIndex, MixedPointSet, ScanLayout,
+};
 
 use crate::error::RetrievalError;
+
+/// One pair of ad slices' Q2A and I2A, and the Q2A / I2A candidates'
+/// scan layouts when they were kept.
+pub(crate) type AdSide = (
+    (InvertedIndex, InvertedIndex),
+    Option<(ScanLayout, ScanLayout)>,
+);
+
+/// Lay one ad set out for the exact scan: the one place a deployment
+/// clusters its ads, at the cold build, at the first delta of a slot that
+/// holds no layout and at a delta that lays out again.
+pub(crate) fn lay_out(ads: &MixedPointSet, threads: usize) -> ScanLayout {
+    #[cfg(test)]
+    LAID_OUT.with(|count| count.set(count.get() + 1));
+    ScanLayout::new(ads, threads)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`lay_out`] calls on this thread: the tests count layouts with it.
+    pub(crate) static LAID_OUT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Point sets needed to build all six indices.  Indices that swap key and
 /// candidate (Q2I / I2Q) share the same underlying edge space, so queries
@@ -158,7 +182,7 @@ impl IndexSet {
         inputs.validate()?;
         let ads = [(&inputs.ads_qa, &inputs.ads_ia)];
         let (key_side, mut ad_side) = Self::build_sharing_key_side(inputs, &ads, config, 1);
-        let (q2a, i2a) = ad_side.pop().expect("one ad pair in, one index pair out");
+        let ((q2a, i2a), _layouts) = ad_side.pop().expect("one ad pair in, one index pair out");
         Ok(key_side.with_ad_side(q2a, i2a))
     }
 
@@ -166,16 +190,17 @@ impl IndexSet {
     /// independent index builds, `width` at a time: the four key-side
     /// indices once, over the key sets of `keys` (its ad sets are not
     /// read), then the Q2A and I2A of each pair of ad slices. Returns the
-    /// key-only set (empty Q2A and I2A) and each pair's `(Q2A, I2A)`.
-    /// [`fork_join()`] returns the builds in task order, so at any width
-    /// the key-only set with a pair's ad side equals the full
+    /// key-only set (empty Q2A and I2A) and each pair's `(Q2A, I2A)` with,
+    /// when the exact scan built them over ads, the two [`ScanLayout`]s it
+    /// scanned. [`fork_join()`] returns the builds in task order, so at any
+    /// width the key-only set with a pair's ad side equals the full
     /// [`IndexSet::build`] over that pair's ads.
     pub(crate) fn build_sharing_key_side(
         keys: &IndexBuildInputs,
         ads: &[(&MixedPointSet, &MixedPointSet)],
         config: IndexBuildConfig,
         width: usize,
-    ) -> (IndexSet, Vec<(InvertedIndex, InvertedIndex)>) {
+    ) -> (IndexSet, Vec<AdSide>) {
         // (keys, candidates, exclude the key itself)
         let mut tasks: Vec<(&MixedPointSet, &MixedPointSet, bool)> = vec![
             (&keys.queries_qq, &keys.queries_qq, true),
@@ -187,22 +212,36 @@ impl IndexSet {
             tasks.push((&keys.queries_qa, ads_qa, false));
             tasks.push((&keys.items_ia, ads_ia, false));
         }
-        let backend = config.backend;
+        let (backend, k, threads) = (config.backend, config.top_k, config.threads);
         let task = |t: usize| {
             let (keys, candidates, exclude_same) = tasks[t];
-            backend.build_index(keys, candidates, config.top_k, exclude_same, config.threads)
+            // past the four key-side tasks, an ad set's exact-scan layout
+            // is kept for the deltas to come
+            if t < 4 || backend != IndexBackend::Exact || candidates.is_empty() {
+                let index = backend.build_index(keys, candidates, k, exclude_same, threads);
+                return (index, None);
+            }
+            let layout = lay_out(candidates, threads);
+            let index = build_with_layout(keys, &layout, k, false, threads);
+            (index, Some(layout))
         };
         let mut built = fork_join(width, tasks.len(), task).into_iter();
         let mut next = || built.next().expect("fork_join returns one index per task");
         let key_side = IndexSet {
-            q2q: Arc::new(next()),
-            q2i: Arc::new(next()),
-            i2q: Arc::new(next()),
-            i2i: Arc::new(next()),
+            q2q: Arc::new(next().0),
+            q2i: Arc::new(next().0),
+            i2q: Arc::new(next().0),
+            i2i: Arc::new(next().0),
             q2a: InvertedIndex::default(),
             i2a: InvertedIndex::default(),
         };
-        let ad_side = ads.iter().map(|_| (next(), next())).collect();
+        let ad_side = ads
+            .iter()
+            .map(|_| match (next(), next()) {
+                ((q2a, Some(qa)), (i2a, Some(ia))) => ((q2a, i2a), Some((qa, ia))),
+                ((q2a, _), (i2a, _)) => ((q2a, i2a), None),
+            })
+            .collect();
         (key_side, ad_side)
     }
 

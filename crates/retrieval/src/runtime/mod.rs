@@ -81,10 +81,15 @@ impl Default for RuntimeConfig {
 /// Observability counters of a [`ServingRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeStats {
-    /// Requests accepted into the queue.
+    /// Requests accepted into the queue. Each one ends counted once in
+    /// `completed`, `failed` or `shed_deadline`, or is resolved by the
+    /// runtime's shutdown.
     pub admitted: u64,
-    /// Requests served to completion (including no-coverage answers).
+    /// Requests the engine answered with a ranking (`Ok`).
     pub completed: u64,
+    /// Requests the engine answered with an error — no coverage, a shard
+    /// without a replica up — or whose batch panicked in the engine.
+    pub failed: u64,
     /// Requests shed at admission because the queue was full.
     pub shed_queue_full: u64,
     /// Requests shed at dequeue because they aged past their deadline.
@@ -153,6 +158,7 @@ struct QueuedRequest {
 struct Counters {
     admitted: AtomicU64,
     completed: AtomicU64,
+    failed: AtomicU64,
     shed_queue: AtomicU64,
     shed_deadline: AtomicU64,
 }
@@ -223,6 +229,7 @@ impl ServingRuntime {
             counters: Counters {
                 admitted: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
+                failed: AtomicU64::new(0),
                 shed_queue: AtomicU64::new(0),
                 shed_deadline: AtomicU64::new(0),
             },
@@ -247,6 +254,7 @@ impl ServingRuntime {
             // correct (slightly older) snapshot, so Relaxed throughout
             admitted: c.admitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
             shed_queue_full: c.shed_queue.load(Ordering::Relaxed),
             shed_deadline: c.shed_deadline.load(Ordering::Relaxed),
             queue_len: self.shared.queue.len(),
@@ -345,14 +353,20 @@ fn serve(shared: &RuntimeShared) {
         // goes on. Unwinding out of the worker instead would end its
         // thread, leaving the runtime a worker short for good.
         let Ok(results) = results else {
+            let failed = tickets.len() as u64;
+            shared.counters.failed.fetch_add(failed, Ordering::Relaxed); // monotonic telemetry only
             tickets.clear();
             continue;
         };
         debug_assert_eq!(results.len(), tickets.len());
         for (ticket, result) in tickets.drain(..).zip(results) {
+            let counter = match result {
+                Ok(_) => &shared.counters.completed,
+                Err(_) => &shared.counters.failed,
+            };
             // monotonic telemetry only; the channel carries the actual
             // result synchronisation
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            counter.fetch_add(1, Ordering::Relaxed);
             fulfil(ticket, result);
         }
     }
@@ -511,9 +525,20 @@ mod tests {
             let direct = engine().retrieve(&templates[3]).unwrap();
             let through = runtime.retrieve_blocking(&templates[3]).unwrap();
             assert_eq!(direct, through);
+            // a request the world does not cover is answered, with an
+            // error: it counts as failed, not completed
+            let uncovered = Request {
+                query: 9_999,
+                preclick_items: Vec::new(),
+            };
+            assert!(matches!(
+                runtime.retrieve_blocking(&uncovered),
+                Err(RetrievalError::NoCoverage { .. })
+            ));
             let stats = runtime.stats();
-            assert_eq!(stats.admitted, 11);
+            assert_eq!(stats.admitted, 12);
             assert_eq!(stats.completed, 11);
+            assert_eq!(stats.failed, 1);
             assert_eq!(stats.shed_queue_full, 0);
             assert_eq!(stats.shed_deadline, 0);
             assert_eq!(stats.queue_len, 0);
@@ -622,6 +647,8 @@ mod tests {
                 "the one worker must survive the panic"
             );
             assert!(runtime.retrieve_blocking(&templates[1]).is_ok());
+            let stats = runtime.stats();
+            assert_eq!((stats.completed, stats.failed), (2, 1));
         });
     }
 

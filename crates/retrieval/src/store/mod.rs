@@ -422,7 +422,8 @@ mod tests {
                     let slots = fulls
                         .into_iter()
                         .map(|(own, full)| {
-                            let (ads, ad_side) = ((own.ads_qa, own.ads_ia), (full.q2a, full.i2a));
+                            let (ads, ad_side) =
+                                ((own.ads_qa, own.ads_ia), ((full.q2a, full.i2a), None));
                             Slot::new(ads, ad_side, &keys, &topology).unwrap()
                         })
                         .collect();

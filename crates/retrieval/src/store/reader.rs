@@ -110,7 +110,8 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
                 ),
             });
         }
-        slots.push(Slot::new(ads, ad_side, &keys, &topology).map_err(corrupt)?);
+        // no layout: the slot lays its ads out at its first delta
+        slots.push(Slot::new(ads, (ad_side, None), &keys, &topology).map_err(corrupt)?);
     }
     dec.finish()?;
     let builder = ShardedDeltaBuilder::assemble(topology, keys, slots).map_err(corrupt)?;

@@ -208,7 +208,11 @@ fn main() {
     cluster.shard(0).restore_replica(1);
     let stats = runtime.stats();
     println!(
-        "runtime counters: {} admitted, {} completed, {} shed at the queue, {} shed past deadline",
-        stats.admitted, stats.completed, stats.shed_queue_full, stats.shed_deadline
+        "runtime counters: {} admitted, {} completed, {} failed, {} shed at the queue, {} shed past deadline",
+        stats.admitted, stats.completed, stats.failed, stats.shed_queue_full, stats.shed_deadline
+    );
+    assert_eq!(
+        stats.failed, 1,
+        "the one request answered with ShardUnavailable is the one failure"
     );
 }
