@@ -70,36 +70,23 @@ pub trait AnnIndex: Send + Sync {
 }
 
 /// The exact backend: the paper's parallel brute-force scan behind the
-/// [`AnnIndex`] seam.
+/// [`AnnIndex`] seam, holding its candidates as their scan layout only.
 #[derive(Debug, Clone)]
 pub struct ExactBackend {
-    candidates: MixedPointSet,
-    /// The candidates' scan layout, built once: `search` and
-    /// `build_index` both run over it.
+    /// Built once: `search` and `build_index` both run over it.
     layout: ScanLayout,
     threads: usize,
 }
 
 impl ExactBackend {
-    /// Wrap a candidate set; `threads` parallelises bulk index builds.
-    /// The scan layout (see [`build_exact_index`]) is built here.
+    /// Lay a candidate set out (see [`build_exact_index`]); `threads`
+    /// parallelises the layout and bulk index builds.
     pub fn new(candidates: MixedPointSet, threads: usize) -> Self {
         let threads = threads.max(1);
         ExactBackend {
             layout: ScanLayout::new(&candidates, threads),
-            candidates,
             threads,
         }
-    }
-
-    /// The indexed candidate set.
-    pub fn candidates(&self) -> &MixedPointSet {
-        &self.candidates
-    }
-
-    /// Worker threads used by bulk index builds.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -109,7 +96,7 @@ impl AnnIndex for ExactBackend {
     }
 
     fn len(&self) -> usize {
-        self.candidates.len()
+        self.layout.live()
     }
 
     fn search(
@@ -119,7 +106,7 @@ impl AnnIndex for ExactBackend {
         k: usize,
         exclude_id: Option<u32>,
     ) -> Postings {
-        if self.candidates.is_empty() || k == 0 {
+        if self.layout.live() == 0 || k == 0 {
             return Vec::new();
         }
         let mut scratch = ScanScratch::new(&self.layout);

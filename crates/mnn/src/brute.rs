@@ -220,11 +220,15 @@ const MIN_CLUSTERED: usize = 2 * CLUSTER;
 /// (`threads` only shares out the bisection), then kept across churn:
 /// [`ScanLayout::retire`] marks members dead where they stand — a cover of
 /// a superset still bounds every live member — and [`ScanLayout::append`]
-/// adds to the tail.
+/// adds to the tail. Each member keeps its corpus rank, a permutation of
+/// `0..len`: laying out ranks the members in corpus order, and an appended
+/// member's rank is its position ([`ScanLayout::corpus_order`]).
 #[derive(Debug, Clone)]
 pub struct ScanLayout {
     blocks: ComponentBlocks,
     ids: Vec<u32>,
+    /// By position: corpus ranks.
+    ranks: Vec<usize>,
     /// By position: retired members, never offered.
     dead: Vec<bool>,
     retired: usize,
@@ -240,16 +244,47 @@ pub struct ScanLayout {
 impl ScanLayout {
     /// Lay `candidates` out, bisecting on `threads`.
     pub fn new(candidates: &MixedPointSet, threads: usize) -> Self {
-        let source = candidates.blocks();
-        let n = candidates.len();
+        let members: Vec<(u32, usize)> = candidates.ids().iter().copied().zip(0..).collect();
+        Self::lay_out(candidates.blocks(), &members, threads)
+    }
+
+    /// `candidates` moved in, not laid out: one unbounded tail in their
+    /// own order, every member counted as appended ([`ScanLayout::stale`]).
+    pub fn unlaid(candidates: MixedPointSet) -> Self {
+        let (ids, blocks) = candidates.into_soa();
+        ScanLayout {
+            ranks: (0..ids.len()).collect(),
+            dead: vec![false; ids.len()],
+            retired: 0,
+            laid_out: 0,
+            clusters: Vec::new(),
+            covers: BlockCovers::new(&blocks, &[], &[]),
+            tail: 0,
+            blocks,
+            ids,
+        }
+    }
+
+    /// The live members laid out afresh in corpus order: the layout
+    /// [`ScanLayout::new`] gives the point set they form.
+    pub fn relaid(&self, threads: usize) -> Self {
+        Self::lay_out(&self.blocks, &self.corpus_order(), threads)
+    }
+
+    /// Lay out the points of `source` named by `members`' ids and
+    /// positions, in corpus order.
+    fn lay_out(source: &ComponentBlocks, members: &[(u32, usize)], threads: usize) -> Self {
+        let n = members.len();
+        // both sides hold ranks, indices into `members`
         let (mut inside, mut tail): (Vec<usize>, Vec<usize>) = if n < MIN_CLUSTERED {
             (Vec::new(), (0..n).collect())
         } else {
-            (0..n).partition(|&j| source.in_triangle_domain(j))
+            (0..n).partition(|&r| source.in_triangle_domain(members[r].1))
         };
-        let dim = candidates.manifold().total_dim();
+        let dim = (0..source.num_components()).map(|m| source.dim(m)).sum();
         let mut tangents = Vec::with_capacity(inside.len() * dim);
-        for &j in &inside {
+        for &r in &inside {
+            let j = members[r].1;
             // log0, component by component, without a vector per point
             for m in 0..source.num_components() {
                 let (y, kappa) = (source.coords_of(m, j), source.kappa(m));
@@ -264,9 +299,11 @@ impl ScanLayout {
         }
         let clusters = bisection_clusters(&mut tangents, &mut inside, dim, CLUSTER, threads);
         inside.append(&mut tail);
-        let blocks = source.permuted(&inside);
+        let positions: Vec<usize> = inside.iter().map(|&r| members[r].1).collect();
+        let blocks = source.permuted(&positions);
         ScanLayout {
-            ids: inside.iter().map(|&j| candidates.id(j)).collect(),
+            ids: inside.iter().map(|&r| members[r].0).collect(),
+            ranks: inside,
             dead: vec![false; n],
             retired: 0,
             laid_out: n,
@@ -282,8 +319,26 @@ impl ScanLayout {
         self.ids.len()
     }
 
-    fn live(&self) -> usize {
+    /// Members not retired.
+    pub fn live(&self) -> usize {
         self.len() - self.retired
+    }
+
+    /// The members' points, by position, retired ones included.
+    pub fn blocks(&self) -> &ComponentBlocks {
+        &self.blocks
+    }
+
+    /// The live members' ids and positions in corpus order: as a point
+    /// set would hold them, first as built, retired ones gone, appended
+    /// last.
+    pub fn corpus_order(&self) -> Vec<(u32, usize)> {
+        let mut at_rank = vec![(0, 0); self.len()];
+        for (j, (&rank, &id)) in self.ranks.iter().zip(&self.ids).enumerate() {
+            at_rank[rank] = (id, j);
+        }
+        at_rank.retain(|&(_, j)| !self.dead[j]);
+        at_rank
     }
 
     /// The share of the members retired or appended since the layout was
@@ -305,11 +360,9 @@ impl ScanLayout {
     /// Append `added` to the unbounded tail; returns where it starts.
     pub fn append(&mut self, added: &MixedPointSet) -> usize {
         let from = self.len();
-        self.blocks.reserve_exact(added.len());
-        for i in 0..added.len() {
-            self.blocks.push(added.point(i), added.weight(i));
-        }
+        self.blocks.append(added.blocks());
         self.ids.extend_from_slice(added.ids());
+        self.ranks.extend(from..self.ids.len());
         self.dead.resize(self.ids.len(), false);
         from
     }
@@ -734,6 +787,66 @@ mod tests {
         let layout = ScanLayout::new(&small, 2);
         assert!(layout.clusters.is_empty());
         assert_eq!((layout.tail, &layout.ids[..]), (0, small.ids()));
+    }
+
+    /// Ids, ranks, cluster runs, tail and block bits of two layouts agree.
+    fn assert_same_layout(got: &ScanLayout, want: &ScanLayout, when: &str) {
+        assert_eq!((&got.ids, &got.ranks), (&want.ids, &want.ranks), "{when}");
+        assert_eq!(
+            (&got.clusters, got.tail),
+            (&want.clusters, want.tail),
+            "{when}"
+        );
+        assert_eq!(
+            (got.live(), got.laid_out),
+            (want.live(), want.laid_out),
+            "{when}"
+        );
+        let (a, b) = (&got.blocks, &want.blocks);
+        for m in 0..a.num_components() {
+            let lane = |blocks: &ComponentBlocks| -> Vec<u64> {
+                let coords = blocks.coords(m).iter().copied();
+                let norms = (0..blocks.len()).map(|j| blocks.sq_norm(m, j));
+                let weights = (0..blocks.len()).map(|j| blocks.stored_weight(m, j));
+                coords
+                    .chain(norms)
+                    .chain(weights)
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(lane(a), lane(b), "{when}: component {m}");
+        }
+    }
+
+    #[test]
+    fn laying_out_again_gives_the_layout_of_the_live_members_in_corpus_order() {
+        // the same churn on a held layout and on the point set it stands for:
+        // retire, append from the SoA lanes, retire among the appended ones
+        // too, append again
+        let set = category_set(8, 40, 0.1, 1, 2, 0);
+        let mut layout = ScanLayout::new(&set, 2);
+        let mut corpus = set.clone();
+        for (step, first_id) in [(3u32, 10_000), (7, 20_000)] {
+            let added = category_set(8, 6, 0.1, 1, u64::from(step), first_id);
+            layout.retire(|id| id % step == 0);
+            corpus.retire(|id| id % step == 0);
+            let from = layout.len();
+            assert_eq!(layout.append(&added), from);
+            corpus.append(&added);
+        }
+        let ids: Vec<u32> = layout.corpus_order().iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, corpus.ids(), "corpus order is the point set's order");
+        assert!(layout.stale() > 0.0 && layout.live() == corpus.len());
+        let fresh = ScanLayout::new(&corpus, 1);
+        assert!(!fresh.clusters.is_empty(), "the live members are clustered");
+        assert_same_layout(&layout.relaid(3), &fresh, "laid out again");
+        // a set moved in unlaid is all tail in its own order, wholly
+        // stale, and lays out to the same layout as one laid out at once
+        let unlaid = ScanLayout::unlaid(corpus.clone());
+        assert_eq!((unlaid.tail, unlaid.stale()), (0, 1.0));
+        let identity: Vec<(u32, usize)> = corpus.ids().iter().copied().zip(0..).collect();
+        assert_eq!(unlaid.corpus_order(), identity);
+        assert_same_layout(&unlaid.relaid(2), &fresh, "an unlaid set laid out");
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   scoped threads, and a chunk kernel whose bound loop compiles to
 //!   packed SSE2 arithmetic) over candidates clustered once per set, so a
 //!   key skips every cluster whose covering-radius bound is past its K-th
-//!   distance; a [`ScanLayout`] can be held across churn, retired members
-//!   marked dead and added ones appended, and [`update_with_layout`]
-//!   rescans it for a churn step, only the appended range for keys whose
-//!   previous list still holds,
+//!   distance; a [`ScanLayout`] can hold a churning set on its own,
+//!   retired members marked dead, added ones appended and the live ones
+//!   laid out again in corpus order, and [`update_with_layout`] rescans it
+//!   for a churn step, only the appended range for keys whose previous
+//!   list still holds,
 //! * [`IvfIndex`] — an inverted-file approximate index whose coarse
 //!   quantiser lives in the shared tangent space, with recall measurement
 //!   against the exact index ([`recall_at_k`]),

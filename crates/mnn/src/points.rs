@@ -2,7 +2,7 @@
 //!
 //! Points are kept in two synchronised layouts. The AoS buffer (`n ×
 //! total_dim`) backs the slice accessors ([`MixedPointSet::point`]) that
-//! construction, serialisation and the tangent-space quantisers consume.
+//! construction and the tangent-space quantisers consume.
 //! The scan paths — the exact scan, IVF probes, the HNSW beam and the
 //! quantised-postings rerank — instead go through a structure-of-arrays
 //! mirror ([`ComponentBlocks`]): per-curvature-component fixed-stride
@@ -106,6 +106,12 @@ impl MixedPointSet {
         &self.ids
     }
 
+    /// The ids and the SoA blocks, moved out; the AoS copy and the id map
+    /// are dropped.
+    pub(crate) fn into_soa(self) -> (Vec<u32>, ComponentBlocks) {
+        (self.ids, self.blocks)
+    }
+
     /// Coordinates of the `i`-th point.
     #[inline]
     pub fn point(&self, i: usize) -> &[f64] {
@@ -156,52 +162,19 @@ impl MixedPointSet {
             self.manifold, other.manifold,
             "appended points must live on the same manifold"
         );
-        self.ids.reserve(other.len());
-        self.points.reserve(other.points.len());
-        self.weights.reserve(other.weights.len());
         for i in 0..other.len() {
             self.push(other.id(i), other.point(i), other.weight(i));
         }
     }
 
-    /// Remove every point whose id satisfies `drop`, compacting the flat
-    /// buffers in place while preserving the order of the survivors — the
-    /// "retire" half of the delta lifecycle. Returns how many points were
-    /// removed. The id map is rebuilt, so `index_of` stays consistent.
+    /// Remove every point whose id satisfies `drop`, preserving the order,
+    /// coordinates and weights of the survivors — the "retire" half of the
+    /// delta lifecycle. Returns how many points were removed.
     pub fn retire(&mut self, mut drop: impl FnMut(u32) -> bool) -> usize {
-        let d = self.manifold.total_dim();
-        let m = self.manifold.num_subspaces();
-        let n = self.len();
-        let mut write = 0;
-        for read in 0..n {
-            if drop(self.ids[read]) {
-                continue;
-            }
-            if write != read {
-                self.ids[write] = self.ids[read];
-                self.points.copy_within(read * d..(read + 1) * d, write * d);
-                self.weights
-                    .copy_within(read * m..(read + 1) * m, write * m);
-            }
-            write += 1;
-        }
-        self.ids.truncate(write);
-        self.points.truncate(write * d);
-        self.weights.truncate(write * m);
-        self.by_id.clear();
-        for (i, &id) in self.ids.iter().enumerate() {
-            self.by_id.entry(id).or_insert(i);
-        }
-        // rebuild the SoA mirror from the compacted AoS buffers: the norms
-        // are recomputed from bit-identical coordinates, so they land on
-        // the same bits the survivors already had
-        self.blocks.clear();
-        for i in 0..write {
-            let point = &self.points[i * d..(i + 1) * d];
-            let weight = &self.weights[i * m..(i + 1) * m];
-            self.blocks.push(point, weight);
-        }
-        n - write
+        let kept = self.filtered(|id| !drop(id));
+        let removed = self.len() - kept.len();
+        *self = kept;
+        removed
     }
 
     /// Split the set into `parts` disjoint sets by assigning every point

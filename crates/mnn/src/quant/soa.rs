@@ -249,24 +249,21 @@ impl ComponentBlocks {
         }
     }
 
-    /// Room for `additional` more points and no more: a held set that
-    /// grows by small appends is not left at twice its size.
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        for m in 0..self.dims.len() {
-            self.coords[m].reserve_exact(additional * self.dims[m]);
-            self.sq_norms[m].reserve_exact(additional);
-            self.weights[m].reserve_exact(additional);
+    /// Append `other`'s lanes bit for bit, reserving exactly: a held set
+    /// that grows by small appends is not left at twice its size.
+    pub(crate) fn append(&mut self, other: &ComponentBlocks) {
+        assert!(
+            self.dims == other.dims && self.kappas == other.kappas,
+            "appended points must live on the same manifold"
+        );
+        let lanes = (self.coords.iter_mut().zip(&other.coords))
+            .chain(self.sq_norms.iter_mut().zip(&other.sq_norms))
+            .chain(self.weights.iter_mut().zip(&other.weights));
+        for (lane, added) in lanes {
+            lane.reserve_exact(added.len());
+            lane.extend_from_slice(added);
         }
-    }
-
-    /// Drop every stored point, keeping the component shape.
-    pub fn clear(&mut self) {
-        for m in 0..self.dims.len() {
-            self.coords[m].clear();
-            self.sq_norms[m].clear();
-            self.weights[m].clear();
-        }
-        self.len = 0;
+        self.len += other.len;
     }
 
     /// The per-query context for the chunked kernels: the query's squared
@@ -933,16 +930,5 @@ mod tests {
         assert!(!prunable(bound[0], exact));
         assert_eq!(blocks.finish(&qw, 0, 0, &lanes).to_bits(), exact.to_bits());
         assert!(prunable(bound[0], exact * (1.0 - 1e-9)));
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_the_shape() {
-        let mut blocks = sample();
-        blocks.clear();
-        assert!(blocks.is_empty());
-        assert_eq!(blocks.num_components(), 2);
-        let m = manifold();
-        blocks.push(&m.exp0(&[0.1, 0.1, 0.1, 0.1, 0.1]), &[0.5, 0.5]);
-        assert_eq!(blocks.len(), 1);
     }
 }

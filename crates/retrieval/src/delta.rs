@@ -11,7 +11,7 @@
 //! * [`ShardedDeltaBuilder`] cold-builds a deployment and holds its key
 //!   side once: the query / item point sets and the key-side indices,
 //!   which every shard serves over. Next to it sits one slot per shard,
-//!   holding only that shard's ad slices and its engine. Each delta goes
+//!   holding only that shard's ad layouts and its engine. Each delta goes
 //!   only to the slots [`ad_shard`] assigns its ads to, and a slot turns
 //!   its previous ad-side indices plus its share of the delta into the
 //!   next ones without re-running the full neighbour build; untouched
@@ -43,10 +43,10 @@
 //! posting ids and distance bits, and for rankings and
 //! [`crate::RetrievalStats::logical`] stats at shard counts 1 / 2 / 4.
 //! A cover over members since retired still bounds the live ones. A slot
-//! lays its live ads out again past `RELAYOUT_SHARE` stale members, and
-//! lazily at its first delta after a warm load or an approximate cold
-//! build: a delta is an exact scan whatever the backend, which at a
-//! backend's exactness point is the rebuild's list.
+//! lays its live ads out again, in corpus order, past `RELAYOUT_SHARE`
+//! stale members — at once after a warm load or an approximate cold build,
+//! whose layouts are not laid out: a delta is an exact scan whatever the
+//! backend, which at a backend's exactness point is the rebuild's list.
 //!
 //! The key-side indices (Q2Q, Q2I, I2Q, I2I) contain no ads: a deployment
 //! holds one copy, which every shard and every delta generation shares.
@@ -61,7 +61,7 @@ use amcad_mnn::{update_with_layout, InvertedIndex, MixedPointSet, ScanLayout};
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{
-    lay_out, reject_duplicate_ids, same_ids, AdSide, IndexBuildInputs, IndexSet,
+    counted, reject_duplicate_ids, same_ids, AdSide, IndexBuildInputs, IndexSet,
 };
 use crate::shard::{ad_shard, ShardedEngine, ShardedEngineBuilder};
 
@@ -169,17 +169,14 @@ impl KeySide {
     }
 }
 
-/// One shard of a deployment: its slices of the two ad spaces, their
-/// scan layouts and, while it holds ads, the engine serving them over the
+/// One shard of a deployment: its two ad spaces, held as their scan
+/// layouts, and, while it holds ads, the engine serving them over the
 /// shared key side.
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
-    pub(crate) ads_qa: MixedPointSet,
-    pub(crate) ads_ia: MixedPointSet,
-    /// The Q2A and I2A candidates' scan layouts, kept across deltas;
-    /// `None` until the first delta when the cold build kept none (a warm
-    /// load, an approximate backend, no ads).
-    layouts: Option<(ScanLayout, ScanLayout)>,
+    /// Q-A and I-A, kept across deltas: [`ScanLayout::unlaid`] after a warm
+    /// load, an approximate cold build or for an adless shard.
+    pub(crate) layouts: (ScanLayout, ScanLayout),
     /// `None` while the shard is adless: the hash left it empty, or a
     /// delta retired its last ad. A later delta can fill it again. The
     /// engine is the one holder of the shard's indices.
@@ -187,22 +184,19 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    /// The shard over these ad slices, its Q2A and I2A served over its
-    /// deployment's `keys` — without an engine when both indices are
-    /// empty.
+    /// The shard over these ad slices — moved into unlaid layouts unless
+    /// the cold build kept its own — its Q2A and I2A served over its
+    /// deployment's `keys`, without an engine when both are empty.
     pub(crate) fn new(
         (ads_qa, ads_ia): (MixedPointSet, MixedPointSet),
         ((q2a, i2a), layouts): AdSide,
         keys: &KeySide,
         topology: &ShardedEngineBuilder,
     ) -> Result<Slot, RetrievalError> {
+        let unlaid = || (ScanLayout::unlaid(ads_qa), ScanLayout::unlaid(ads_ia));
         let engine = serving(keys, q2a, i2a, topology)?;
-        Ok(Slot {
-            ads_qa,
-            ads_ia,
-            layouts,
-            engine,
-        })
+        let layouts = layouts.unwrap_or_else(unlaid);
+        Ok(Slot { layouts, engine })
     }
 
     /// The shard's current six indices; `None` while it is adless.
@@ -210,7 +204,8 @@ impl Slot {
         self.engine.as_deref().map(RetrievalEngine::indexes)
     }
 
-    /// The delta checks that depend on this shard's ads:
+    /// The delta checks that depend on this shard's ads, read off its live
+    /// Q-A ids (the I-A ones are the same set):
     /// [`RetrievalError::UnknownAd`] for retiring an id the shard does
     /// not hold, [`RetrievalError::DuplicateId`] for an added id it
     /// already holds without retiring it. Together with
@@ -218,26 +213,30 @@ impl Slot {
     /// on; neither mutates, so a caller can check every shard a delta
     /// touches before changing any.
     fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
-        for &ad in &delta.retired_ads {
-            if !self.ads_qa.contains_id(ad) || !self.ads_ia.contains_id(ad) {
-                return Err(RetrievalError::UnknownAd { ad });
-            }
-        }
         let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        for &id in delta.added_ads_qa.ids() {
-            if self.ads_qa.contains_id(id) && !retired.contains(&id) {
-                return Err(RetrievalError::DuplicateId {
-                    space: "delta added_ads (already in corpus)",
-                    id,
-                });
-            }
+        let added = delta.added_ads_qa.ids();
+        let named: HashSet<u32> = retired.iter().chain(added).copied().collect();
+        let live = self.layouts.0.corpus_order().into_iter().map(|(id, _)| id);
+        let held: HashSet<u32> = live.filter(|id| named.contains(id)).collect();
+        if let Some(&ad) = delta.retired_ads.iter().find(|ad| !held.contains(ad)) {
+            return Err(RetrievalError::UnknownAd { ad });
         }
-        Ok(())
+        let clash = added
+            .iter()
+            .find(|id| held.contains(id) && !retired.contains(id));
+        match clash {
+            Some(&id) => Err(RetrievalError::DuplicateId {
+                space: "delta added_ads (already in corpus)",
+                id,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Move this shard to its next generation: retire and append `delta`
-    /// on its ad slices and their layouts, and scan its Q2A and I2A over
-    /// the layouts for the deployment's `keys`. `delta` must have passed
+    /// on its layouts, laid out again from the survivors past
+    /// [`RELAYOUT_SHARE`] stale, and scan its Q2A and I2A over them for
+    /// the deployment's `keys`. `delta` must have passed
     /// [`validate_added_sets`] and [`Slot::validate_delta`]; `topology` is
     /// the one every generation is built under — a different `top_k`
     /// would make the seeded scans' prefixes wrong.
@@ -253,22 +252,16 @@ impl Slot {
     ) -> Result<(), RetrievalError> {
         let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
         let threads = topology.index.threads;
-        let both =
-            |qa: &MixedPointSet, ia: &MixedPointSet| (lay_out(qa, threads), lay_out(ia, threads));
-        let (ads_qa, ads_ia) = (&mut self.ads_qa, &mut self.ads_ia);
-        let (qa, ia) = self.layouts.get_or_insert_with(|| both(ads_qa, ads_ia));
-        ads_qa.retire(|id| retired.contains(&id));
-        ads_ia.retire(|id| retired.contains(&id));
+        let (qa, ia) = &mut self.layouts;
         qa.retire(|id| retired.contains(&id));
         ia.retire(|id| retired.contains(&id));
         if qa.stale() > RELAYOUT_SHARE {
             // the survivors only: the added ads follow as the tail
-            (*qa, *ia) = both(ads_qa, ads_ia);
+            *qa = counted(qa.relaid(threads));
+            *ia = counted(ia.relaid(threads));
         }
         let from_qa = qa.append(&delta.added_ads_qa);
         let from_ia = ia.append(&delta.added_ads_ia);
-        ads_qa.append(&delta.added_ads_qa);
-        ads_ia.append(&delta.added_ads_ia);
         // a seeded scan of the appended range for a key whose previous
         // list is still the top prefix over the survivors, a full scan
         // for a boundary-broken one — see the module docs
@@ -313,7 +306,7 @@ fn serving(
 
 /// Incremental index maintenance for a sharded deployment. It holds the
 /// query / item side once — its point sets and key-side indices — next
-/// to one slot per configured shard (the shard's ad slices and engine),
+/// to one slot per configured shard (the shard's ad layouts and engine),
 /// and routes each applied delta only to the shards [`ad_shard`] assigns
 /// its added / retired ads to. Shards a delta does not touch contribute
 /// the *same* [`Arc`]'d engine to the next generation — their index
@@ -425,7 +418,7 @@ impl ShardedDeltaBuilder {
 
     /// Total ads currently in the corpus (across all shards).
     pub fn corpus_len(&self) -> usize {
-        self.slots.iter().map(|slot| slot.ads_qa.len()).sum()
+        self.slots.iter().map(|slot| slot.layouts.0.live()).sum()
     }
 
     /// Assemble the current generation's serving engine: one
@@ -641,8 +634,9 @@ mod tests {
                         for (s, slot) in cold.slots.iter().enumerate() {
                             let own = shard_slice(&inputs, shards, s);
                             // the slot holds exactly the ads hashing to it
-                            assert_eq!(slot.ads_qa.ids(), own.ads_qa.ids(), "shard {s}");
-                            assert_eq!(slot.ads_ia.ids(), own.ads_ia.ids(), "shard {s}");
+                            let (qa, ia) = &slot.layouts;
+                            assert_eq!(corpus_ids(qa), own.ads_qa.ids(), "shard {s}");
+                            assert_eq!(corpus_ids(ia), own.ads_ia.ids(), "shard {s}");
                             let want = IndexSet::build(&own, config).unwrap();
                             let got = slot.indexes().unwrap_or(&cold.keys.indexes);
                             for (name, got, want) in [
@@ -723,14 +717,14 @@ mod tests {
         assert_indices_identical(&next.q2a, &rebuilt.q2a, "q2a");
         assert_indices_identical(&next.i2a, &rebuilt.i2a, "i2a");
         // the replacement genuinely moved the ad: its stored point changed
-        let ads_qa = &builder.slots[0].ads_qa;
-        let j = ads_qa.index_of(205).unwrap();
-        assert_ne!(
-            ads_qa.point(j),
-            tiny_inputs()
-                .ads_qa
-                .point(tiny_inputs().ads_qa.index_of(205).unwrap()),
-        );
+        let ads_qa = &builder.slots[0].layouts.0;
+        let order = ads_qa.corpus_order();
+        let (_, j) = order.into_iter().find(|&(id, _)| id == 205).unwrap();
+        let blocks = ads_qa.blocks();
+        let old = tiny_inputs().ads_qa;
+        let i = old.index_of(205).unwrap();
+        let stored = (0..blocks.num_components()).flat_map(|m| blocks.coords_of(m, j));
+        assert_ne!(stored.copied().collect::<Vec<_>>(), old.point(i));
     }
 
     /// The tentpole acceptance property: over random worlds, shard counts
@@ -1171,7 +1165,7 @@ mod tests {
         let mut slot = builder.slots[0].clone();
         let wipe = IndexDelta::retire_only(&inputs, all_ads.clone());
         slot.apply(&builder.keys, &wipe, &builder.topology).unwrap();
-        assert!(slot.engine.is_none() && slot.ads_qa.is_empty() && slot.ads_ia.is_empty());
+        assert!(slot.engine.is_none() && slot.layouts.0.live() == 0 && slot.layouts.1.live() == 0);
         assert_eq!(
             RetrievalEngine::builder()
                 .index(config)
@@ -1260,11 +1254,27 @@ mod tests {
         ));
     }
 
+    /// The ids of a layout's live members, in corpus order.
+    fn corpus_ids(layout: &ScanLayout) -> Vec<u32> {
+        layout
+            .corpus_order()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     /// Every shard of `builder` serves the Q2A and I2A of a cold build of
     /// `truth` under the same topology, bit for bit, and is active
-    /// exactly when that build's shard is.
+    /// exactly when that build's shard is; and the two seal to the same
+    /// snapshot bytes, so the writer puts each shard's ads in corpus
+    /// order however its layouts permute them.
     fn assert_matches_rebuild(builder: &ShardedDeltaBuilder, truth: &IndexBuildInputs, when: &str) {
         let rebuilt = ShardedDeltaBuilder::new(truth, builder.topology.clone()).unwrap();
+        let bytes = |builder| crate::store::snapshot_bytes(builder, 1);
+        assert!(
+            bytes(builder) == bytes(&rebuilt),
+            "{when}: snapshot bytes differ"
+        );
         for (s, (got, want)) in builder.slots.iter().zip(&rebuilt.slots).enumerate() {
             match (got.indexes(), want.indexes()) {
                 (Some(got), Some(want)) => {
@@ -1285,7 +1295,7 @@ mod tests {
         }
     }
 
-    /// [`crate::index_set::lay_out`] calls on this thread since the last
+    /// [`crate::index_set::counted`] calls on this thread since the last
     /// call.
     fn laid_out() -> usize {
         crate::index_set::LAID_OUT.with(|count| count.replace(0))
@@ -1313,7 +1323,7 @@ mod tests {
             let holding = builder
                 .slots
                 .iter()
-                .filter(|slot| !slot.ads_qa.is_empty())
+                .filter(|slot| slot.layouts.0.live() > 0)
                 .count();
             assert_eq!(laid_out(), 2 * holding, "{shards} shards: cold build");
             let mut truth = inputs.clone();

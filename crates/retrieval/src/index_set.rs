@@ -23,18 +23,18 @@ pub(crate) type AdSide = (
     Option<(ScanLayout, ScanLayout)>,
 );
 
-/// Lay one ad set out for the exact scan: the one place a deployment
-/// clusters its ads, at the cold build, at the first delta of a slot that
-/// holds no layout and at a delta that lays out again.
-pub(crate) fn lay_out(ads: &MixedPointSet, threads: usize) -> ScanLayout {
+/// `layout`, just laid out: a deployment's every ad layout, the cold
+/// build's ([`ScanLayout::new`]) and a delta's ([`ScanLayout::relaid`]),
+/// passes through here so the tests can count them.
+pub(crate) fn counted(layout: ScanLayout) -> ScanLayout {
     #[cfg(test)]
     LAID_OUT.with(|count| count.set(count.get() + 1));
-    ScanLayout::new(ads, threads)
+    layout
 }
 
 #[cfg(test)]
 thread_local! {
-    /// [`lay_out`] calls on this thread: the tests count layouts with it.
+    /// [`counted`] calls on this thread: the tests count layouts with it.
     pub(crate) static LAID_OUT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -47,8 +47,8 @@ thread_local! {
 /// the caller's six sets as its deployment's one key side — six
 /// reference-count bumps, no copy — that every shard serves over, and a
 /// delta publish never touches them. The ad-side sets stay plain: a
-/// sharded deployment partitions them by [`crate::shard::ad_shard`], and
-/// the delta append/retire lifecycle mutates them in place.
+/// sharded deployment partitions them by [`crate::shard::ad_shard`] into
+/// the scan layouts each shard's deltas retire from and append to.
 #[derive(Debug, Clone)]
 pub struct IndexBuildInputs {
     /// Queries projected into the Q-Q edge space.
@@ -221,7 +221,7 @@ impl IndexSet {
                 let index = backend.build_index(keys, candidates, k, exclude_same, threads);
                 return (index, None);
             }
-            let layout = lay_out(candidates, threads);
+            let layout = counted(ScanLayout::new(candidates, threads));
             let index = build_with_layout(keys, &layout, k, false, threads);
             (index, Some(layout))
         };

@@ -33,6 +33,7 @@
 //! `assert!` those invariants ever run.
 
 use amcad_manifold::{ProductManifold, SubspaceSpec};
+use amcad_mnn::quant::soa::ComponentBlocks;
 use amcad_mnn::{
     HnswConfig, IndexBackend, InvertedIndex, IvfConfig, MixedPointSet, Postings, QuantConfig,
 };
@@ -285,11 +286,11 @@ impl<'a> Decoder<'a> {
 // Point sets and manifolds
 // ---------------------------------------------------------------------
 
-pub(crate) fn encode_manifold(enc: &mut Encoder, manifold: &ProductManifold) {
-    enc.usize(manifold.subspaces().len());
-    for spec in manifold.subspaces() {
-        enc.usize(spec.dim);
-        enc.f64(spec.kappa);
+pub(crate) fn encode_manifold(enc: &mut Encoder, blocks: &ComponentBlocks) {
+    enc.usize(blocks.num_components());
+    for m in 0..blocks.num_components() {
+        enc.usize(blocks.dim(m));
+        enc.f64(blocks.kappa(m));
     }
 }
 
@@ -314,16 +315,24 @@ pub(crate) fn decode_manifold(dec: &mut Decoder<'_>) -> Result<ProductManifold, 
     Ok(ProductManifold::new(specs))
 }
 
-pub(crate) fn encode_point_set(enc: &mut Encoder, set: &MixedPointSet) {
-    encode_manifold(enc, set.manifold());
-    enc.usize(set.len());
-    for i in 0..set.len() {
-        enc.u32(set.id(i));
-        for &x in set.point(i) {
-            enc.f64(x);
+/// The points of `blocks` that `members` names by id and position, as
+/// one set: per point its id, its coordinates component after component,
+/// then its weights.
+pub(crate) fn encode_point_set(
+    enc: &mut Encoder,
+    blocks: &ComponentBlocks,
+    members: impl IntoIterator<IntoIter: ExactSizeIterator<Item = (u32, usize)>>,
+) {
+    let members = members.into_iter();
+    encode_manifold(enc, blocks);
+    enc.usize(members.len());
+    for (id, j) in members {
+        enc.u32(id);
+        for m in 0..blocks.num_components() {
+            blocks.coords_of(m, j).iter().for_each(|&x| enc.f64(x));
         }
-        for &w in set.weight(i) {
-            enc.f64(w);
+        for m in 0..blocks.num_components() {
+            enc.f64(blocks.stored_weight(m, j));
         }
     }
 }
@@ -582,7 +591,11 @@ mod tests {
     fn point_sets_round_trip_bit_for_bit() {
         let set = random_points(10..40, 7);
         let mut enc = Encoder::new();
-        encode_point_set(&mut enc, &set);
+        encode_point_set(
+            &mut enc,
+            set.blocks(),
+            set.ids().iter().copied().zip(0..set.len()),
+        );
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         let back = decode_point_set(&mut dec).unwrap();
@@ -678,7 +691,7 @@ mod tests {
         // a point set checks its own count too: a valid manifold followed
         // by the same absurd point count
         let mut enc = Encoder::new();
-        encode_manifold(&mut enc, random_points(0..0, 1).manifold());
+        encode_manifold(&mut enc, random_points(0..0, 1).blocks());
         enc.u64(u64::MAX);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);

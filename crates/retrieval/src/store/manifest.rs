@@ -91,7 +91,7 @@ impl SnapshotManifest {
             retrieval: topology.retrieval,
             queries: builder.keys().queries_qa.len(),
             items: builder.keys().items_ia.len(),
-            ads_per_shard: builder.slots().iter().map(|s| s.ads_qa.len()).collect(),
+            ads_per_shard: builder.slots().iter().map(|s| s.layouts.0.live()).collect(),
         }
     }
 

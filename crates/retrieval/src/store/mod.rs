@@ -55,6 +55,8 @@ pub use format::FORMAT_VERSION;
 pub use manifest::SnapshotManifest;
 
 pub(crate) use reader::read_snapshot;
+#[cfg(test)]
+pub(crate) use writer::snapshot_bytes;
 pub(crate) use writer::write_snapshot;
 
 #[cfg(test)]
@@ -276,9 +278,12 @@ mod tests {
     /// cannot see a writer and a reader that change the format together.
     /// Three exact-backend deployments of the tiny world after one delta
     /// each — one shard, four shards, and four shards with shard 1 left
-    /// adless — hash to constants computed on x86-64 Linux. ROADMAP item
-    /// 7's `FORMAT_VERSION` bump changes these bytes on purpose and
-    /// re-pins the constants.
+    /// adless — hash to constants computed on x86-64 Linux, the only
+    /// platform CI runs (`ubuntu-latest`). The test is not gated by
+    /// target: elsewhere the transcendentals that generate the points and
+    /// distances could round differently and move the bytes with no format
+    /// change. ROADMAP item 7's `FORMAT_VERSION` bump changes these bytes
+    /// on purpose and re-pins the constants.
     #[test]
     fn v1_snapshot_bytes_are_pinned() {
         let cases = [
@@ -547,8 +552,9 @@ mod tests {
         )
         .unwrap();
         let mut slots = live.slots().to_vec();
-        let dropped = slots[1].ads_ia.id(0);
-        slots[1].ads_ia.retire(|id| id == dropped);
+        let ads_ia = &mut slots[1].layouts.1;
+        let dropped = ads_ia.corpus_order()[0].0;
+        ads_ia.retire(|id| id == dropped);
         let skewed =
             ShardedDeltaBuilder::assemble(live.topology().clone(), live.keys().clone(), slots)
                 .unwrap();

@@ -110,7 +110,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
                 ),
             });
         }
-        // no layout: the slot lays its ads out at its first delta
+        // checked, the slices move into layouts its first delta lays out
         slots.push(Slot::new(ads, (ad_side, None), &keys, &topology).map_err(corrupt)?);
     }
     dec.finish()?;

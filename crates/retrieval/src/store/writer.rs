@@ -28,17 +28,20 @@ fn snapshot_payload(builder: &ShardedDeltaBuilder, generation: u64) -> Vec<u8> {
     SnapshotManifest::for_builder(builder, generation).encode(&mut enc);
     let keys = builder.keys();
     for (_, set) in keys.point_sets() {
-        encode_point_set(&mut enc, set);
+        let members = set.ids().iter().copied().zip(0..set.len());
+        encode_point_set(&mut enc, set.blocks(), members);
     }
     let indexes = &keys.indexes;
     for index in [&indexes.q2q, &indexes.q2i, &indexes.i2q, &indexes.i2i] {
         encode_index(&mut enc, index);
     }
-    // per-shard state in shard order: the ad slices and their indices
+    // per-shard state in shard order: the ad slices (live, in corpus
+    // order) and their indices
     let adless = InvertedIndex::default();
     for slot in builder.slots() {
-        encode_point_set(&mut enc, &slot.ads_qa);
-        encode_point_set(&mut enc, &slot.ads_ia);
+        for layout in [&slot.layouts.0, &slot.layouts.1] {
+            encode_point_set(&mut enc, layout.blocks(), layout.corpus_order());
+        }
         let indexes = slot.indexes();
         encode_index(&mut enc, indexes.map_or(&adless, |x| &x.q2a));
         encode_index(&mut enc, indexes.map_or(&adless, |x| &x.i2a));
