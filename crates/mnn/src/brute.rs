@@ -228,7 +228,7 @@ pub struct ScanLayout {
     blocks: ComponentBlocks,
     ids: Vec<u32>,
     /// By position: corpus ranks.
-    ranks: Vec<usize>,
+    ranks: Vec<u32>,
     /// By position: retired members, never offered.
     dead: Vec<bool>,
     retired: usize,
@@ -253,7 +253,7 @@ impl ScanLayout {
     pub fn unlaid(candidates: MixedPointSet) -> Self {
         let (ids, blocks) = candidates.into_soa();
         ScanLayout {
-            ranks: (0..ids.len()).collect(),
+            ranks: (0..ids.len() as u32).collect(),
             dead: vec![false; ids.len()],
             retired: 0,
             laid_out: 0,
@@ -303,7 +303,7 @@ impl ScanLayout {
         let blocks = source.permuted(&positions);
         ScanLayout {
             ids: inside.iter().map(|&r| members[r].0).collect(),
-            ranks: inside,
+            ranks: inside.iter().map(|&r| r as u32).collect(),
             dead: vec![false; n],
             retired: 0,
             laid_out: n,
@@ -335,10 +335,16 @@ impl ScanLayout {
     pub fn corpus_order(&self) -> Vec<(u32, usize)> {
         let mut at_rank = vec![(0, 0); self.len()];
         for (j, (&rank, &id)) in self.ranks.iter().zip(&self.ids).enumerate() {
-            at_rank[rank] = (id, j);
+            at_rank[rank as usize] = (id, j);
         }
         at_rank.retain(|&(_, j)| !self.dead[j]);
         at_rank
+    }
+
+    /// The live members' ids, by position.
+    pub fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let live = self.ids.iter().zip(&self.dead).filter(|&(_, &dead)| !dead);
+        live.map(|(&id, _)| id)
     }
 
     /// The share of the members retired or appended since the layout was
@@ -362,7 +368,7 @@ impl ScanLayout {
         let from = self.len();
         self.blocks.append(added.blocks());
         self.ids.extend_from_slice(added.ids());
-        self.ranks.extend(from..self.ids.len());
+        self.ranks.extend(from as u32..self.ids.len() as u32);
         self.dead.resize(self.ids.len(), false);
         from
     }

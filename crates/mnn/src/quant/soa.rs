@@ -266,6 +266,16 @@ impl ComponentBlocks {
         self.len += other.len;
     }
 
+    /// Drop every stored point, keeping the component shape.
+    pub fn clear(&mut self) {
+        for m in 0..self.dims.len() {
+            self.coords[m].clear();
+            self.sq_norms[m].clear();
+            self.weights[m].clear();
+        }
+        self.len = 0;
+    }
+
     /// The per-query context for the chunked kernels: the query's squared
     /// norm in every component, computed with the same reduction as the
     /// stored-point norms so identical coordinates give identical bits.
@@ -930,5 +940,16 @@ mod tests {
         assert!(!prunable(bound[0], exact));
         assert_eq!(blocks.finish(&qw, 0, 0, &lanes).to_bits(), exact.to_bits());
         assert!(prunable(bound[0], exact * (1.0 - 1e-9)));
+    }
+
+    #[test]
+    fn clear_empties_but_keeps_the_shape() {
+        let mut blocks = sample();
+        blocks.clear();
+        assert!(blocks.is_empty());
+        assert_eq!(blocks.num_components(), 2);
+        let m = manifold();
+        blocks.push(&m.exp0(&[0.1, 0.1, 0.1, 0.1, 0.1]), &[0.5, 0.5]);
+        assert_eq!(blocks.len(), 1);
     }
 }

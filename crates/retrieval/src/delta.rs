@@ -214,14 +214,14 @@ impl Slot {
     /// touches before changing any.
     fn validate_delta(&self, delta: &IndexDelta) -> Result<(), RetrievalError> {
         let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
-        let added = delta.added_ads_qa.ids();
-        let named: HashSet<u32> = retired.iter().chain(added).copied().collect();
-        let live = self.layouts.0.corpus_order().into_iter().map(|(id, _)| id);
-        let held: HashSet<u32> = live.filter(|id| named.contains(id)).collect();
+        let added = &delta.added_ads_qa;
+        let named = |id: &u32| retired.contains(id) || added.contains_id(*id);
+        let held: HashSet<u32> = self.layouts.0.live_ids().filter(named).collect();
         if let Some(&ad) = delta.retired_ads.iter().find(|ad| !held.contains(ad)) {
             return Err(RetrievalError::UnknownAd { ad });
         }
         let clash = added
+            .ids()
             .iter()
             .find(|id| held.contains(id) && !retired.contains(id));
         match clash {
@@ -1120,6 +1120,15 @@ mod tests {
         valid.apply_to(&mut truth);
         let rebuilt = IndexSet::build(&truth, config).unwrap();
         assert_indices_identical(&served(&builder).q2a, &rebuilt.q2a, "q2a after rejections");
+        // ad 201 is gone though its layout still holds it as a dead member:
+        // retiring it again is unknown, and adding it back is no clash
+        assert!(builder.slots[0].layouts.0.stale() < RELAYOUT_SHARE);
+        let again = IndexDelta::retire_only(&inputs, vec![201]);
+        assert_eq!(
+            builder.apply(&again).unwrap_err(),
+            RetrievalError::UnknownAd { ad: 201 }
+        );
+        builder.apply(&make_delta(201..202, 7, Vec::new())).unwrap();
         // ... and the sharded builder rejects with the same errors
         let mut sharded =
             ShardedDeltaBuilder::new(&inputs, ShardedEngine::builder().shards(2).threads(1))
