@@ -12,9 +12,9 @@
 //! * [`Tensor`] — dense row-major `f64` matrices,
 //! * [`Tape`] / [`Var`] — the computation graph with reverse-mode
 //!   [`Tape::backward`],
-//! * [`manifold_ops`] — differentiable κ-stereographic operations (Möbius
-//!   addition, exp/log maps, geodesic distance and the Fermi–Dirac
-//!   similarity), property-tested against `amcad-manifold`,
+//! * [`manifold_ops`] — differentiable κ-stereographic operations (exp/log
+//!   maps, the geodesic distance in the scan's Gram form and the
+//!   Fermi–Dirac similarity), property-tested against `amcad-manifold`,
 //! * [`ParamStore`] — dense parameters + sparse embedding tables with
 //!   AdaGrad, clipping and warm-up.
 

@@ -138,43 +138,31 @@ pub fn distance(x: &[f64], y: &[f64], kappa: f64) -> f64 {
 /// [`atan_kappa_minorant`](crate::scalar::atan_kappa_minorant), and calls
 /// [`atan_kappa`] on it only for the candidates the bound cannot reject.
 ///
-/// Expanding `w = (-x) ⊕_κ y` (see [`mobius_add`]) coordinate-free with
-/// `num_x = 1 + 2κ·xy − κ·y2` (the −x flips the sign of xy) and
-/// `num_y = 1 + κ·x2` gives
-/// `‖w‖² = (num_x²·x2 − 2·num_x·num_y·xy + num_y²·y2) / denom²` —
-/// but that expansion cancels catastrophically near `x == y` (the terms
-/// are O(1) while the result is O(‖x−y‖²)), inflating self-distances to
-/// ~1e-8. Substituting `num_x = num_y − κ·dd` with `dd = ‖x−y‖²` factors
-/// the numerator exactly:
+/// It is the closed form of the κ-stereographic model (Bachmann, Bécigneul
+/// and Ganea, ICML 2020; Skopek, Ganea and Bécigneul, ICLR 2020):
 ///
 /// ```text
-/// dd    = x2 − 2·xy + y2            (‖x − y‖² in Gram form)
-/// xd    = x2 − xy                   (⟨x, x − y⟩)
-/// denom = 1 + 2κ·xy + κ²·x2·y2      (clamped away from 0 like mobius_add)
-/// ‖w‖²  = dd · (num_y² − 2κ·num_y·xd + κ²·dd·x2) / denom²
+/// ‖(−x) ⊕_κ y‖² = ‖x − y‖² / (1 + 2κ·⟨x, y⟩ + κ²·‖x‖²·‖y‖²)
 /// ```
 ///
-/// so the norm needs only three dot products over the operands —
-/// `x2`/`y2` can be precomputed once per stored point — and identical
-/// Gram inputs (`x2 == xy == y2` bitwise) make `dd` and the norm
-/// *exactly* zero: `x2 − 2·xy` and the final `+ y2` both round exactly.
-/// The squared norm is clamped at 0 before the square root (the bracket
-/// can round a tiny-but-true-zero norm negative), so the result is never
-/// negative — nor `NaN`: `f64::max` answers 0 for a `NaN` squared norm.
+/// computed as `((x2 + y2) − 2·xy) / denom`, with `denom` clamped away
+/// from 0 like [`mobius_add`]'s. Every operation is symmetric in `x2` and
+/// `y2`, so swapping the two points gives the same bits; identical Gram
+/// inputs (`x2 == xy == y2` bitwise) give exactly 0, since `t + t` and
+/// `2·t` round alike. The squared norm is clamped at 0 before the square
+/// root, so the result is never negative — nor `NaN`: `f64::max` answers 0
+/// for a `NaN` squared norm. The training tape's
+/// `amcad_autodiff::manifold_ops::distance` runs the same operations.
 #[inline]
 pub fn diff_norm_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
-    let dd = x2 - 2.0 * xy + y2;
-    let xd = x2 - xy;
-    let num_y = 1.0 + kappa * x2;
-    let denom = 1.0 + 2.0 * kappa * xy + kappa * kappa * x2 * y2;
+    let dd = (x2 + y2) - 2.0 * xy;
+    let denom = 1.0 + 2.0 * kappa * xy + kappa * kappa * (x2 * y2);
     let denom = if denom.abs() < MIN_NORM {
         MIN_NORM.copysign(denom)
     } else {
         denom
     };
-    let w_sq =
-        dd * (num_y * num_y - 2.0 * kappa * num_y * xd + kappa * kappa * dd * x2) / (denom * denom);
-    w_sq.max(0.0).sqrt()
+    (dd / denom).max(0.0).sqrt()
 }
 
 /// Geodesic distance `2 · tan⁻¹_κ(‖(−x) ⊕_κ y‖)` from the Gram quantities
@@ -183,7 +171,16 @@ pub fn diff_norm_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
 /// [`diff_norm_gram`] followed by [`atan_kappa`] and a doubling, so a
 /// kernel that runs the two halves at different times (norm now,
 /// `tan⁻¹_κ` only if the candidate survives a bound) produces the same
-/// bits as this call.
+/// bits as this call:
+///
+/// ```text
+/// d_κ(x, y) = 2 · tan⁻¹_κ(√(‖x − y‖² / (1 + 2κ·⟨x, y⟩ + κ²·‖x‖²·‖y‖²)))
+/// ```
+///
+/// the κ-stereographic closed form (Bachmann, Bécigneul and Ganea, ICML
+/// 2020; Skopek, Ganea and Bécigneul, ICLR 2020), with
+/// `distance_gram(x2, y2, xy, κ)` and `distance_gram(y2, x2, xy, κ)` equal
+/// in bits.
 #[inline]
 pub fn distance_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
     2.0 * atan_kappa(diff_norm_gram(x2, y2, xy, kappa), kappa)
@@ -193,8 +190,9 @@ pub fn distance_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
 /// component (`|κ| > KAPPA_EPS`): inside the ball with room to spare
 /// (`κ < 0`), on the open upper hemisphere (`κ > 0`). Two such points are
 /// never antipodal, so [`diff_norm_gram`]'s `denom` stays above
-/// `(1 − |κ|·‖x‖·‖y‖)² ≥ 1e-8`, and the hyperbolic `artanh` argument stays
-/// below `1 − 1e-9`, far from [`atan_kappa`]'s clamp.
+/// `(1 − |κ|·‖x‖·‖y‖)² ≥ 1e-8`, far above its rounding error, and the
+/// hyperbolic `artanh` argument stays below `1 − 1e-9`, far from
+/// [`atan_kappa`]'s clamp.
 const TRIANGLE_RHO2: f64 = 1.0 - 1e-4;
 
 /// Largest `|κ|·‖x‖²` in the Taylor window `|κ| ≤ KAPPA_EPS`: there
@@ -204,16 +202,16 @@ const TRIANGLE_TAYLOR_RHO2: f64 = 1e-4;
 
 /// What [`triangle_slack`] multiplies its scale by. The computed
 /// distances are off by rounding, and [`diff_norm_gram`]'s Gram form
-/// loses the most where two points nearly coincide: `x2 − 2·xy + y2`
+/// loses the most where two points nearly coincide: `(x2 + y2) − 2·xy`
 /// rounds in steps of `ε·‖x‖²`, so the norm it feeds is off by up to
 /// `√ε·‖x‖ ≈ 1.5e-8·‖x‖`, stretched by the conformal factor
 /// `1/(1 − |κ|·‖x‖²)` near the hyperbolic boundary. Measured by the
 /// property test `tests/triangle_contract.rs` (κ from −2 to 2 across both
 /// `KAPPA_EPS` seams, dims 1–16, points at the domain's edge, nearly
 /// coincident or nearly antipodal), the computed triangle inequality
-/// falls short by at most ≈ 2e-8 of the scale; the constant leaves 50×
-/// of room, and the test fails if the measured shortfall comes within
-/// 10× of it.
+/// falls short by at most 2.3e-8 of the scale over 200 cases; the
+/// constant leaves over 40× of room, and the test fails if the measured
+/// shortfall comes within 10× of it.
 pub const TRIANGLE_SLACK: f64 = 1e-6;
 
 /// Whether a point with squared norm `x2` on a component of curvature
@@ -228,8 +226,10 @@ pub const TRIANGLE_SLACK: f64 = 1e-6;
 /// Outside it the computed distance is no metric: a non-finite norm makes
 /// `NaN`; a point off the ball (`κ < 0`) is off the manifold; near the
 /// ball's edge [`atan_kappa`] clamps its `artanh`; two nearly antipodal
-/// points (`κ > 0`) clamp `denom`, and the Gram form then returns
-/// anything from 0 to the antipodal distance.
+/// points (`κ > 0`) bring `denom` down to its rounding error, whose sign
+/// then picks between the antipodal distance and 0. The spherical bound
+/// stays at the open upper hemisphere, where [`TRIANGLE_SLACK`] was
+/// measured.
 #[inline]
 pub fn in_triangle_domain(x2: f64, kappa: f64) -> bool {
     let limit = if kappa.abs() > crate::KAPPA_EPS {

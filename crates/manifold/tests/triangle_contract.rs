@@ -179,6 +179,30 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One distance, symmetric in bits: over the contract's sweep, the
+    /// scan's `distance_gram` gives the same bits for `(x, y)` and
+    /// `(y, x)`. (The training tape's half of this is in the root crate's
+    /// `tests/geometry_properties.rs`.)
+    #[test]
+    fn the_scan_distance_is_symmetric_in_bits(seed in 0u64..u64::MAX) {
+        let mut s = Stream(seed);
+        for &kappa in &KAPPAS {
+            for _ in 0..100 {
+                let dim = 1 + s.below(16) as usize;
+                let x = point(&mut s, dim, kappa, None);
+                let y = point(&mut s, dim, kappa, Some(&x));
+                let (x2, y2, xy) = (norm_sq(&x), norm_sq(&y), dot(&x, &y));
+                let d = distance_gram(x2, y2, xy, kappa).to_bits();
+                let swapped = distance_gram(y2, x2, xy, kappa).to_bits();
+                prop_assert_eq!(d, swapped, "kappa {}: {:?} {:?}", kappa, x, y);
+            }
+        }
+    }
+}
+
 /// The domain rule turns away what the contract cannot cover: non-finite
 /// points, points off the ball, points where `artanh` clamps, the lower
 /// hemisphere of a sphere (where antipodal pairs live), and the far
@@ -231,13 +255,13 @@ fn the_domain_rule_rejects_nan_off_manifold_and_clamp_reaching_points() {
     assert!(in_triangle_domain(1e300, 0.0));
 }
 
-/// The rule is not vacuous: outside it the contract breaks, by a whole
-/// antipodal distance on the sphere (the `denom` clamp) and past any slack
-/// at the hyperbolic clamp.
+/// A near-antipodal triple on the sphere, outside the domain: `c` on the
+/// equator, `a` its antipode to within rounding, `q` beside `a`. `denom`
+/// of `(c, a)` is at its rounding error, yet `‖x − y‖² / denom` still
+/// lands on the antipodal distance `π/√κ` there, so the triple keeps the
+/// inequality within the slack.
 #[test]
-fn outside_the_domain_the_triangle_inequality_fails() {
-    // κ > 0: c and its near-antipode a, q beside a. d(q,c) ≈ π/√κ, but
-    // the clamped Gram form puts d(c,a) far below it.
+fn a_near_antipodal_triple_keeps_the_triangle_inequality() {
     let kappa = 1.0;
     let c = [0.6, -0.8, 0.0];
     let antipode: Vec<f64> = c.iter().map(|x| -x / (kappa * norm_sq(&c))).collect();
@@ -247,8 +271,13 @@ fn outside_the_domain_the_triangle_inequality_fails() {
     let worst = [shortfall(&q, &c, &a, kappa), shortfall(&a, &c, &q, kappa)]
         .into_iter()
         .fold(f64::NEG_INFINITY, f64::max);
-    assert!(worst > 1e-3, "antipodal shortfall {worst:e}");
+    assert!(worst <= TRIANGLE_SLACK, "antipodal shortfall {worst:e}");
+}
 
+/// The rule is not vacuous: outside it the contract breaks, past any
+/// slack at the hyperbolic clamp.
+#[test]
+fn outside_the_domain_the_triangle_inequality_fails() {
     // κ < 0: two points at the ball's edge, clamped to the same distance
     // from a third, though one is much farther away
     let kappa = -1.0;

@@ -47,10 +47,10 @@
 //! centre, and every candidate whose point, leaves
 //! [`amcad_manifold::in_triangle_domain`] — non-finite, off the ball,
 //! where the hyperbolic `artanh` clamps, or on the lower half of a sphere,
-//! where nearly antipodal pairs clamp the Gram form's `denom` — is never
-//! skipped: such candidates form an unbounded tail, scanned last against
-//! the tightest threshold, and a query outside the domain gives every
-//! cluster the bound `−∞`. A set of
+//! where nearly antipodal pairs take the Gram form's `denom` down to its
+//! rounding error — is never skipped: such candidates form an unbounded
+//! tail, scanned last against the tightest threshold, and a query outside
+//! the domain gives every cluster the bound `−∞`. A set of
 //! fewer than `MIN_CLUSTERED` candidates is all tail, which is the plain
 //! chunked scan. Posting lists are the same ids and the same distance bits
 //! as a per-candidate `distance_to` followed by a sort.

@@ -61,7 +61,8 @@ use amcad_mnn::{update_with_layout, InvertedIndex, MixedPointSet, ScanLayout};
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
 use crate::index_set::{
-    counted, reject_duplicate_ids, same_ids, AdSide, IndexBuildInputs, IndexSet,
+    counted, reject_duplicate_ids, reject_foreign_manifolds, same_ids, AdSide, IndexBuildInputs,
+    IndexSet,
 };
 use crate::shard::{ad_shard, ShardedEngine, ShardedEngineBuilder};
 
@@ -444,12 +445,23 @@ impl ShardedDeltaBuilder {
     /// reused unchanged.
     ///
     /// All validation — duplicate added ids, unknown retired ads,
-    /// mismatched added spaces, and retiring the entire corpus
+    /// mismatched added spaces, added ads on another manifold than the
+    /// keys they are scanned against, and retiring the entire corpus
     /// ([`RetrievalError::EmptyIndex`]) — happens before any state
     /// changes, so on `Err` the builder (and the currently published
     /// generation) are untouched.
     pub fn apply(&mut self, delta: &IndexDelta) -> Result<ShardedEngine, RetrievalError> {
         validate_added_sets(delta)?;
+        reject_foreign_manifolds([
+            (
+                ("queries_qa", &*self.keys.queries_qa),
+                ("delta added_ads_qa", &delta.added_ads_qa),
+            ),
+            (
+                ("items_ia", &*self.keys.items_ia),
+                ("delta added_ads_ia", &delta.added_ads_ia),
+            ),
+        ])?;
         let shards = self.topology.shards;
         let added_qa = delta
             .added_ads_qa
@@ -500,7 +512,7 @@ mod tests {
     use crate::engine::{Request, RetrievalResponse};
     use crate::index_set::IndexBuildConfig;
     use crate::test_fixtures::{
-        assert_one_key_side, random_points, shard_slice, shared_points, tiny_inputs,
+        assert_one_key_side, flat_points, random_points, shard_slice, shared_points, tiny_inputs,
         tiny_inputs_leaving_shard_adless,
     };
     use rand::rngs::StdRng;
@@ -1151,6 +1163,76 @@ mod tests {
             RetrievalError::UnknownAd { ad: stranger }
         );
         assert_eq!(sharded.corpus_len(), before);
+    }
+
+    /// Ads on another manifold than the keys they are scanned against are
+    /// [`RetrievalError::InvalidConfig`]: at the cold build, before any
+    /// index work, and in a delta, before its retire runs — a rejected
+    /// delta leaves the corpus and the served rankings as they were.
+    #[test]
+    fn ads_on_a_foreign_manifold_are_rejected_at_build_and_in_a_delta() {
+        let config = IndexBuildConfig {
+            top_k: 6,
+            threads: 1,
+            ..Default::default()
+        };
+        let topology = || ShardedEngine::builder().index(config).build_threads(1);
+        // both ad spaces on a 3-dim flat manifold, the keys on 2 + 2
+        let mut foreign_ads = tiny_inputs();
+        foreign_ads.ads_qa = flat_points(200..220);
+        foreign_ads.ads_ia = flat_points(200..220);
+        // a key pair of one edge space apart
+        let mut foreign_items = tiny_inputs();
+        foreign_items.items_qi = Arc::new(flat_points(100..140));
+        for inputs in [&foreign_ads, &foreign_items] {
+            assert!(matches!(
+                ShardedDeltaBuilder::new(inputs, topology()),
+                Err(RetrievalError::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                IndexSet::build(inputs, config),
+                Err(RetrievalError::InvalidConfig(_))
+            ));
+        }
+
+        let inputs = tiny_inputs();
+        let mut builder = one_shard(&inputs, config);
+        let requests: Vec<Request> = (0..10)
+            .map(|q| Request {
+                query: q,
+                preclick_items: vec![100 + q, 120 + q],
+            })
+            .collect();
+        let serve = |builder: &ShardedDeltaBuilder| {
+            let engine = builder.engine().unwrap();
+            requests
+                .iter()
+                .map(|request| logical(engine.retrieve(request)))
+                .collect::<Vec<_>>()
+        };
+        let before = serve(&builder);
+        let delta = IndexDelta {
+            added_ads_qa: flat_points(900..901),
+            added_ads_ia: flat_points(900..901),
+            retired_ads: vec![201],
+        };
+        assert!(matches!(
+            builder.apply(&delta),
+            Err(RetrievalError::InvalidConfig(_))
+        ));
+        assert_eq!(builder.corpus_len(), 20);
+        assert_eq!(serve(&builder), before);
+        // the I-A side alone is checked too
+        let half = IndexDelta {
+            added_ads_ia: flat_points(900..901),
+            ..make_delta(900..901, 1, vec![201])
+        };
+        assert!(matches!(
+            builder.apply(&half),
+            Err(RetrievalError::InvalidConfig(_))
+        ));
+        assert_eq!(builder.corpus_len(), 20);
+        assert_eq!(serve(&builder), before);
     }
 
     /// The empty-after-delta regression tests: retiring every ad must

@@ -88,9 +88,10 @@ impl IndexBuildInputs {
     /// id within any point set silently overwrites that key's posting
     /// list (and duplicates candidate postings), and would corrupt delta
     /// merges downstream. Surfaced as [`RetrievalError::DuplicateId`].
-    /// Ad spaces holding different id sets are
-    /// [`RetrievalError::InvalidConfig`]: an ad in only one of them could
-    /// never be retired.
+    /// Ad spaces holding different id sets, and keys and candidates of one
+    /// edge space on different manifolds, are
+    /// [`RetrievalError::InvalidConfig`]: an ad in only one ad space could
+    /// never be retired, and a distance across two manifolds means nothing.
     pub fn validate(&self) -> Result<(), RetrievalError> {
         reject_duplicate_ids(self.spaces())?;
         if !same_ids(&self.ads_qa, &self.ads_ia) {
@@ -98,7 +99,14 @@ impl IndexBuildInputs {
                 "ads_qa and ads_ia must hold the same ad ids".into(),
             ));
         }
-        Ok(())
+        reject_foreign_manifolds([
+            (
+                ("queries_qi", &*self.queries_qi),
+                ("items_qi", &*self.items_qi),
+            ),
+            (("queries_qa", &*self.queries_qa), ("ads_qa", &self.ads_qa)),
+            (("items_ia", &*self.items_ia), ("ads_ia", &self.ads_ia)),
+        ])
     }
 }
 
@@ -106,6 +114,26 @@ impl IndexBuildInputs {
 /// and every id of `a` present in `b`, one hash lookup per id.
 pub(crate) fn same_ids(a: &MixedPointSet, b: &MixedPointSet) -> bool {
     a.len() == b.len() && a.ids().iter().all(|&id| b.contains_id(id))
+}
+
+/// A named point set.
+pub(crate) type Named<'a> = (&'static str, &'a MixedPointSet);
+
+/// [`RetrievalError::InvalidConfig`] for the first key / candidate pair
+/// of one edge space whose manifolds differ: the scan would pair their
+/// coordinates component by component, or panic appending one to the
+/// other.
+pub(crate) fn reject_foreign_manifolds<'a>(
+    pairs: impl IntoIterator<Item = (Named<'a>, Named<'a>)>,
+) -> Result<(), RetrievalError> {
+    for ((key_space, keys), (candidate_space, candidates)) in pairs {
+        if keys.manifold() != candidates.manifold() {
+            return Err(RetrievalError::InvalidConfig(format!(
+                "{candidate_space} must live on the manifold of {key_space}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// [`RetrievalError::DuplicateId`] for the first named point set that

@@ -191,6 +191,16 @@ pub(crate) mod test_fixtures {
         set
     }
 
+    /// Points with `ids` on a 3-dim flat manifold: the wrong manifold for
+    /// every space of [`tiny_inputs`], whose points live on 2 + 2.
+    pub(crate) fn flat_points(ids: std::ops::Range<u32>) -> MixedPointSet {
+        let mut set = MixedPointSet::new(ProductManifold::new(vec![SubspaceSpec::new(3, 0.0)]));
+        for id in ids {
+            set.push(id, &[0.1, -0.2, 0.01 * f64::from(id % 7)], &[1.0]);
+        }
+        set
+    }
+
     /// [`random_points`] wrapped for the shared key-side input fields.
     pub(crate) fn shared_points(
         ids: std::ops::Range<u32>,

@@ -71,7 +71,7 @@ mod tests {
     use crate::engine::{Request, RetrievalResponse};
     use crate::error::RetrievalError;
     use crate::test_fixtures::{
-        assert_one_key_side, random_points, shard_slice, tiny_inputs,
+        assert_one_key_side, flat_points, random_points, shard_slice, tiny_inputs,
         tiny_inputs_leaving_shard_adless,
     };
     use crate::{EngineHandle, IndexDelta, IndexSet, Retrieve, ShardedDeltaBuilder, ShardedEngine};
@@ -283,18 +283,20 @@ mod tests {
     /// target: elsewhere the transcendentals that generate the points and
     /// distances could round differently and move the bytes with no format
     /// change. ROADMAP item 7's `FORMAT_VERSION` bump changes these bytes
-    /// on purpose and re-pins the constants.
+    /// on purpose and re-pins the constants; so does a change to how the
+    /// distance rounds, which moves only the posting distances. A failure
+    /// prints the hash to re-pin.
     #[test]
     fn v1_snapshot_bytes_are_pinned() {
         let cases = [
-            ("1 shard", tiny_inputs(), 1, 1, 0x34cd_e208_0f8d_b0a4_u64),
-            ("4 shards", tiny_inputs(), 4, 4, 0xee26_e9f4_004e_d7a0),
+            ("1 shard", tiny_inputs(), 1, 1, 0x68b4_ef27_5651_6989_u64),
+            ("4 shards", tiny_inputs(), 4, 4, 0x4df3_96e0_2ecd_3ba2),
             (
                 "4 shards, 1 adless",
                 tiny_inputs_leaving_shard_adless(4, 1),
                 4,
                 3,
-                0x09bf_2d8f_e43a_745d,
+                0x25c7_3e7e_769c_4779,
             ),
         ];
         for (name, inputs, shards, active, pinned) in cases {
@@ -307,11 +309,10 @@ mod tests {
             live.apply(&make_delta(604..610, 13, vec![205, 212]))
                 .unwrap();
             assert_eq!(live.engine().unwrap().active_shards(), active, "{name}");
-            let bytes = writer::snapshot_bytes(&live, 2);
-            assert_eq!(
-                format::fnv1a64(&bytes),
-                pinned,
-                "{name}: the v1 bytes moved"
+            let hash = format::fnv1a64(&writer::snapshot_bytes(&live, 2));
+            assert!(
+                hash == pinned,
+                "{name}: the v1 bytes moved, they now hash to {hash:#018x}"
             );
         }
     }
@@ -566,6 +567,44 @@ mod tests {
             other => panic!("expected SnapshotCorrupt, got {:?}", other.map(|(g, _)| g)),
         }
         assert!(reader::decode_snapshot(&writer::snapshot_bytes(&live, 1)).is_ok());
+    }
+
+    /// Keys and candidates of one edge space on different manifolds cannot
+    /// come from a save (the build and every delta refuse them), so the
+    /// reader refuses them as corrupt: a key pair, and a shard's ads
+    /// against their keys.
+    #[test]
+    fn point_sets_of_one_edge_space_on_different_manifolds_are_a_corrupt_snapshot() {
+        let live = ShardedDeltaBuilder::new(
+            &tiny_inputs(),
+            ShardedEngine::builder().shards(2).top_k(6).threads(1),
+        )
+        .unwrap();
+        let mut foreign_items = live.keys().clone();
+        foreign_items.items_qi = Arc::new(flat_points(100..140));
+        let mut foreign_queries = live.keys().clone();
+        foreign_queries.queries_qa = Arc::new(flat_points(0..10));
+        for (keys, expected) in [
+            (
+                foreign_items,
+                "items_qi must live on the manifold of queries_qi",
+            ),
+            (
+                foreign_queries,
+                "ads_qa must live on the manifold of queries_qa",
+            ),
+        ] {
+            let skewed =
+                ShardedDeltaBuilder::assemble(live.topology().clone(), keys, live.slots().to_vec())
+                    .unwrap();
+            match reader::decode_snapshot(&writer::snapshot_bytes(&skewed, 1)) {
+                Err(RetrievalError::SnapshotCorrupt { detail }) => assert!(
+                    detail.contains(expected),
+                    "rejected for another reason: {detail}"
+                ),
+                other => panic!("expected SnapshotCorrupt, got {:?}", other.map(|(g, _)| g)),
+            }
+        }
     }
 
     /// Exhaustive single-byte damage to a 2-shard snapshot of the tiny

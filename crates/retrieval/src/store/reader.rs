@@ -15,7 +15,7 @@ use amcad_mnn::InvertedIndex;
 
 use crate::delta::{KeySide, ShardedDeltaBuilder, Slot};
 use crate::error::RetrievalError;
-use crate::index_set::{reject_duplicate_ids, same_ids, IndexSet};
+use crate::index_set::{reject_duplicate_ids, reject_foreign_manifolds, same_ids, IndexSet};
 use crate::shard::{ad_shard, ShardedEngineBuilder};
 
 use super::format::{decode_index, decode_point_set, unseal, Decoder, MAGIC_SNAPSHOT};
@@ -70,11 +70,21 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ShardedDeltaBuilder)
         },
     };
     reject_duplicate_ids(keys.point_sets()).map_err(corrupt)?;
+    reject_foreign_manifolds([(
+        ("queries_qi", &*keys.queries_qi),
+        ("items_qi", &*keys.items_qi),
+    )])
+    .map_err(corrupt)?;
     let mut slots = Vec::with_capacity(manifest.shards);
     for s in 0..manifest.shards {
         let ads = (decode_point_set(&mut dec)?, decode_point_set(&mut dec)?);
         let ad_side = (decode_index(&mut dec)?, decode_index(&mut dec)?);
         reject_duplicate_ids([("ads_qa", &ads.0), ("ads_ia", &ads.1)]).map_err(corrupt)?;
+        reject_foreign_manifolds([
+            (("queries_qa", &*keys.queries_qa), ("ads_qa", &ads.0)),
+            (("items_ia", &*keys.items_ia), ("ads_ia", &ads.1)),
+        ])
+        .map_err(corrupt)?;
         if !same_ids(&ads.0, &ads.1) {
             return Err(RetrievalError::SnapshotCorrupt {
                 detail: format!("shard {s}'s ads_qa and ads_ia hold different ad ids"),
