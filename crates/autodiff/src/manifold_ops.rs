@@ -35,7 +35,7 @@ pub fn log0(t: &mut Tape, y: Var, kappa: Var) -> Var {
 /// `‖(−x) ⊕_κ y‖² = ((x2 + y2) − 2·xy) / (1 + 2κ·xy + κ²·(x2·y2))`.
 /// Its value is symmetric in bits, and has `distance_gram`'s bits on the
 /// same Gram quantities wherever the scan leaves `denom` unclamped
-/// (`|denom| ≥ MIN_NORM`). [`Tape::sqrt`] clamps the quotient at 0 like
+/// (`denom ≥ MIN_NORM`). [`Tape::sqrt`] clamps the quotient at 0 like
 /// the scan, where rounding takes it for nearly coincident points, and
 /// passes no gradient back through the clamp.
 pub fn distance(t: &mut Tape, x: Var, y: Var, kappa: Var) -> Var {

@@ -145,9 +145,13 @@ pub fn distance(x: &[f64], y: &[f64], kappa: f64) -> f64 {
 /// ‖(−x) ⊕_κ y‖² = ‖x − y‖² / (1 + 2κ·⟨x, y⟩ + κ²·‖x‖²·‖y‖²)
 /// ```
 ///
-/// computed as `((x2 + y2) − 2·xy) / denom`, with `denom` clamped away
-/// from 0 like [`mobius_add`]'s. Every operation is symmetric in `x2` and
-/// `y2`, so swapping the two points gives the same bits; identical Gram
+/// computed as `((x2 + y2) − 2·xy) / denom`, with `denom` clamped at
+/// [`MIN_NORM`] from below: over the reals `denom ≥ (1 − |κ|·‖x‖·‖y‖)² ≥
+/// 0`, so a `denom` that rounds to 0 or below belongs to a nearly
+/// antipodal pair on a sphere (`κ > 0`), whose norm is then large and
+/// whose distance comes out as the antipodal `π/√κ`, not 0. Every
+/// operation is symmetric in `x2` and `y2`, so swapping the two points
+/// gives the same bits; identical Gram
 /// inputs (`x2 == xy == y2` bitwise) give exactly 0, since `t + t` and
 /// `2·t` round alike. The squared norm is clamped at 0 before the square
 /// root, so the result is never negative — nor `NaN`: `f64::max` answers 0
@@ -156,12 +160,7 @@ pub fn distance(x: &[f64], y: &[f64], kappa: f64) -> f64 {
 #[inline]
 pub fn diff_norm_gram(x2: f64, y2: f64, xy: f64, kappa: f64) -> f64 {
     let dd = (x2 + y2) - 2.0 * xy;
-    let denom = 1.0 + 2.0 * kappa * xy + kappa * kappa * (x2 * y2);
-    let denom = if denom.abs() < MIN_NORM {
-        MIN_NORM.copysign(denom)
-    } else {
-        denom
-    };
+    let denom = (1.0 + 2.0 * kappa * xy + kappa * kappa * (x2 * y2)).max(MIN_NORM);
     (dd / denom).max(0.0).sqrt()
 }
 
@@ -226,8 +225,8 @@ pub const TRIANGLE_SLACK: f64 = 1e-6;
 /// Outside it the computed distance is no metric: a non-finite norm makes
 /// `NaN`; a point off the ball (`κ < 0`) is off the manifold; near the
 /// ball's edge [`atan_kappa`] clamps its `artanh`; two nearly antipodal
-/// points (`κ > 0`) bring `denom` down to its rounding error, whose sign
-/// then picks between the antipodal distance and 0. The spherical bound
+/// points (`κ > 0`) bring `denom` down to its rounding error, where the
+/// distance is the antipodal `π/√κ` only to within `√ε`. The spherical bound
 /// stays at the open upper hemisphere, where [`TRIANGLE_SLACK`] was
 /// measured.
 #[inline]
@@ -479,6 +478,41 @@ mod tests {
         let zero = [0.0; 4];
         for &kappa in &[-1.0, 0.0, 1.0] {
             assert!((lambda_x(&zero, kappa) - 2.0).abs() < 1e-12);
+        }
+    }
+
+    /// A pair `δ` short of antipodal on a sphere, `y = −x/(κ‖x‖²)·(1 + δ)`,
+    /// is at `π/√κ` up to `δ/√κ`. Its exact `denom` is `δ²`, which rounds
+    /// to 0 or below for the smallest `δ`: the clamp must then give the
+    /// antipodal distance, never 0.
+    #[test]
+    fn a_nearly_antipodal_pair_is_at_the_antipodal_distance() {
+        let mut state = 0x5eed_u64;
+        let mut uniform = || {
+            // splitmix64, top 53 bits to [−1, 1)
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        for kappa in [0.6f64, 1.0, 2.0] {
+            let antipodal = std::f64::consts::PI / kappa.sqrt();
+            for dim in 1..=16 {
+                for exponent in -17..=-6 {
+                    for _ in 0..20 {
+                        let delta = 10f64.powi(exponent) * (1.0 + uniform().abs());
+                        let x: Vec<f64> = (0..dim).map(|_| uniform()).collect();
+                        let scale = -(1.0 + delta) / (kappa * norm_sq(&x));
+                        let y: Vec<f64> = x.iter().map(|xi| xi * scale).collect();
+                        let d = distance_gram(norm_sq(&x), norm_sq(&y), dot(&x, &y), kappa);
+                        assert!(
+                            (d - antipodal).abs() <= (delta + 1e-7) / kappa.sqrt(),
+                            "κ {kappa}, dim {dim}, δ {delta:e}: distance {d}, antipodal {antipodal}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -25,18 +25,29 @@
 //!
 //! A posting list is the `top_k` smallest `(distance, id)` pairs over the
 //! candidate ads. A slot keeps its two ad spaces' [`ScanLayout`]s across
-//! deltas: retired ads are marked dead where they stand, added ads are
-//! appended to the unbounded tail, and every key gets one exact scan:
+//! deltas, and for every key the up to `SLACK` pairs past its cut: its
+//! kept list `L` — served postings, then slack — is its exact top-`|L|`,
+//! and at least `top_k` long unless it holds every ad of the shard.
+//! Retired ads are marked dead where they stand, added ads are appended to
+//! the unbounded tail, and every key gets one exact scan. `L`'s survivors
+//! `S` of the retire are the exact top-`|S|` over the ads that stay — any
+//! other survivor was past `L`'s cut — so:
 //!
-//! * **seeded** — a key whose previous list lost no retired entry, or was
-//!   shorter than `top_k` and so held every ad, still has the top prefix
-//!   over the survivors: its top-K starts from that list and scans only
-//!   the range this delta appended, which the seeded threshold mostly
-//!   prunes at pass 1;
-//! * **full** — a boundary-broken key (its list was at the cap and lost a
-//!   retired entry, so ads past its old cut may now enter) scans every
-//!   live member, tail included.
+//! * **seeded** — when `|S| ≥ top_k`, a top-`|S|` that starts from `S` and
+//!   scans only the range this delta appended, which the seeded threshold
+//!   mostly prunes at pass 1, is the exact top-`|S|` of the next corpus,
+//!   and its first `top_k` the rebuild's list. When `L` held every ad of
+//!   the shard, `S` is all the survivors and the same scan keeps the full
+//!   `top_k + SLACK`. That case is read off `|L|` against the shard's live
+//!   count before the delta, not off `|L| < top_k + SLACK`: a seeded scan
+//!   shortens a list to `|S|`, so a short list need not hold the shard;
+//! * **full** — any other key lost more than its slack held (or a list
+//!   without slack lost a served entry, after a warm load or an
+//!   approximate cold build), so ads past its old cut may now enter: it
+//!   scans every live member, tail included, for `top_k + SLACK`, which
+//!   refills its slack.
 //!
+//! Each result is cut at `top_k`: the served list and the new slack.
 //! Distances are deterministic functions of the stored points and the top
 //! K is ordered by `(distance, id)` with NaN as +inf, so either scan gives
 //! the rebuild's list bit for bit. This module's tests assert it for
@@ -54,9 +65,10 @@
 //! publishes cover the much more frequent corpus churn in between.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use amcad_mnn::{update_with_layout, InvertedIndex, MixedPointSet, ScanLayout};
+use amcad_mnn::{update_with_layout, IdHasher, InvertedIndex, MixedPointSet, Postings, ScanLayout};
 
 use crate::engine::RetrievalEngine;
 use crate::error::RetrievalError;
@@ -115,6 +127,11 @@ impl IndexDelta {
     }
 }
 
+/// A set of ad ids a shard holds, hashed like the keys of an
+/// [`amcad_mnn::IdHashMap`]: a delta's retired ads, once
+/// [`Slot::validate_delta`] has found each of them in the shard.
+type IdSet = HashSet<u32, BuildHasherDefault<IdHasher>>;
+
 /// The delta checks that do not depend on the current corpus: each added
 /// space is duplicate-free and both add the same id set.
 fn validate_added_sets(delta: &IndexDelta) -> Result<(), RetrievalError> {
@@ -132,13 +149,30 @@ fn validate_added_sets(delta: &IndexDelta) -> Result<(), RetrievalError> {
 
 /// A slot lays its live ads out again once the members retired or
 /// appended since its layout was laid out pass this share of it: dead
-/// members are still read at pass 1, and every boundary-broken key scans
-/// the appended tail without cluster bounds. Measured on a 2-vCPU x86-64
-/// box, c6k at seed 1, mean per delta over 40 deltas of 2 %: one shard on
-/// two threads 28 ms at 0.05, 26 at 0.1, 23–26 at 0.2, 25–26 at 0.35 and
-/// 51 never laying out again; four shards on one thread 179, 119, 115,
-/// 136 and 195 ms.
+/// members are still read at pass 1, and every full scan reads the
+/// appended tail without cluster bounds. Measured on a 2-vCPU x86-64 box,
+/// c6k at seed 1 with [`SLACK`] 5, mean per delta over 40 deltas of 2 %,
+/// three runs each: one shard on two threads 13–18 ms at 0.05, 11–13 at
+/// 0.1, 10–11 at 0.2, 8.5–10 at 0.35 and 12–14 never laying out again;
+/// four shards on one thread 47–56, 41–45, 33–44, 37–44 and 49–63 ms.
+/// Without the slack, when a third of the keys scanned in full every
+/// delta, the same runs took 26 ms at 0.1 to 51 never, and 119 to 195 ms.
 const RELAYOUT_SHARE: f64 = 0.2;
+
+/// Postings a slot keeps past the cut of every key's Q2A and I2A list,
+/// so that a delta retiring up to this many of a key's postings seeds its
+/// scan from the survivors instead of scanning the shard again. Seeded
+/// scans wear the slack down and a full scan refills it. Measured on a
+/// 2-vCPU x86-64 box, c6k at seed 1, four shards on one thread, 40 deltas
+/// of 2 %: of the 327 680 key scans, 33.1 % were full without slack,
+/// 9.4 % at 3, 6.2 % at 5, 4.1 % at 8 and 3.2 % at 10 (of the first three
+/// deltas' 24 576, 249 at 3, 4 at 5, none at 8 or 10); the mean delta took
+/// 106–131 ms, 42–61, 33–40, 29–31 and 31–35 ms over three runs each. The
+/// wider cold scan costs the deployment's build (median of six) 0.365 s
+/// without slack, 0.397 s at 5 (+9 %), 0.413 s at 8 (+13 %) and 0.432 s
+/// at 10 (+18 %). Up to 5 the build pays 0.3 % for each point of
+/// full-scan rate saved, from 5 to 8 about 2 %.
+const SLACK: usize = 5;
 
 /// A deployment's query / item side, held once by its
 /// [`ShardedDeltaBuilder`]: the six key point sets and the four key-side
@@ -178,6 +212,11 @@ pub(crate) struct Slot {
     /// Q-A and I-A, kept across deltas: [`ScanLayout::unlaid`] after a warm
     /// load, an approximate cold build or for an adless shard.
     pub(crate) layouts: (ScanLayout, ScanLayout),
+    /// Q-A and I-A: each key's at most [`SLACK`] postings past the cut of
+    /// its exact list, the ones the served Q2A / I2A would hold next if
+    /// `top_k` were larger. A key absent has none — every key after a warm
+    /// load or an approximate cold build.
+    slack: (InvertedIndex, InvertedIndex),
     /// `None` while the shard is adless: the hash left it empty, or a
     /// delta retired its last ad. A later delta can fill it again. The
     /// engine is the one holder of the shard's indices.
@@ -185,19 +224,25 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    /// The shard over these ad slices — moved into unlaid layouts unless
-    /// the cold build kept its own — its Q2A and I2A served over its
-    /// deployment's `keys`, without an engine when both are empty.
+    /// The shard over these ad slices — moved into unlaid layouts with no
+    /// slack unless the cold build kept its own — its Q2A and I2A served
+    /// over its deployment's `keys`, without an engine when both are empty.
     pub(crate) fn new(
         (ads_qa, ads_ia): (MixedPointSet, MixedPointSet),
-        ((q2a, i2a), layouts): AdSide,
+        ((q2a, i2a), kept): AdSide,
         keys: &KeySide,
         topology: &ShardedEngineBuilder,
     ) -> Result<Slot, RetrievalError> {
-        let unlaid = || (ScanLayout::unlaid(ads_qa), ScanLayout::unlaid(ads_ia));
         let engine = serving(keys, q2a, i2a, topology)?;
-        let layouts = layouts.unwrap_or_else(unlaid);
-        Ok(Slot { layouts, engine })
+        let (layouts, slack) = kept.unwrap_or_else(|| {
+            let unlaid = (ScanLayout::unlaid(ads_qa), ScanLayout::unlaid(ads_ia));
+            (unlaid, Default::default())
+        });
+        Ok(Slot {
+            layouts,
+            slack,
+            engine,
+        })
     }
 
     /// The shard's current six indices; `None` while it is adless.
@@ -237,10 +282,11 @@ impl Slot {
     /// Move this shard to its next generation: retire and append `delta`
     /// on its layouts, laid out again from the survivors past
     /// [`RELAYOUT_SHARE`] stale, and scan its Q2A and I2A over them for
-    /// the deployment's `keys`. `delta` must have passed
-    /// [`validate_added_sets`] and [`Slot::validate_delta`]; `topology` is
-    /// the one every generation is built under — a different `top_k`
-    /// would make the seeded scans' prefixes wrong.
+    /// the deployment's `keys`, each key seeded from its survivors where
+    /// they still hold its list (see the module docs). `delta` must have
+    /// passed [`validate_added_sets`] and [`Slot::validate_delta`];
+    /// `topology` is the one every generation is built under — a
+    /// different `top_k` would cut the served lists elsewhere.
     ///
     /// Retiring every ad of the shard is valid: its ad indices come out
     /// empty, exactly like a full rebuild over an adless corpus, and the
@@ -251,9 +297,11 @@ impl Slot {
         delta: &IndexDelta,
         topology: &ShardedEngineBuilder,
     ) -> Result<(), RetrievalError> {
-        let retired: HashSet<u32> = delta.retired_ads.iter().copied().collect();
+        let retired: IdSet = delta.retired_ads.iter().copied().collect();
         let threads = topology.index.threads;
         let (qa, ia) = &mut self.layouts;
+        // a key's list that is this long held every ad of the shard
+        let live = qa.live();
         qa.retire(|id| retired.contains(&id));
         ia.retire(|id| retired.contains(&id));
         if qa.stale() > RELAYOUT_SHARE {
@@ -263,28 +311,84 @@ impl Slot {
         }
         let from_qa = qa.append(&delta.added_ads_qa);
         let from_ia = ia.append(&delta.added_ads_ia);
-        // a seeded scan of the appended range for a key whose previous
-        // list is still the top prefix over the survivors, a full scan
-        // for a boundary-broken one — see the module docs
-        let k = topology.index.top_k;
+        let (k, kept) = (topology.index.top_k, topology.index.top_k + SLACK);
         let prev = self.engine.as_deref().map(RetrievalEngine::indexes);
-        let next = |prev: Option<&InvertedIndex>, keys, layout, from| {
-            update_with_layout(keys, layout, (k, threads), from, |key| {
-                let old = prev
-                    .and_then(|prev| prev.get(key))
-                    .map_or(&[][..], Vec::as_slice);
-                let lost = old.iter().any(|(ad, _)| retired.contains(ad));
-                (!lost || old.len() < k).then(|| {
-                    let survivors = old.iter().filter(|(ad, _)| !retired.contains(ad));
-                    survivors.copied().collect()
-                })
-            })
+        let next = |served: Option<&InvertedIndex>, slack: &InvertedIndex, keys, layout, from| {
+            #[cfg(test)]
+            let counts = [0, 0].map(std::sync::atomic::AtomicUsize::new);
+            let mut index = update_with_layout(keys, layout, (kept, threads), from, |key| {
+                let list = (served.and_then(|served| served.get(key)), slack.get(key));
+                let seed = seed(list, &retired, live, (k, kept));
+                // a count read once the scan has joined: Relaxed
+                #[cfg(test)]
+                counts[usize::from(seed.is_some())]
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                seed
+            });
+            #[cfg(test)]
+            SCANS.with(|scans| {
+                let [full, seeded] = counts.map(std::sync::atomic::AtomicUsize::into_inner);
+                let (was_full, was_seeded) = scans.get();
+                scans.set((was_full + full, was_seeded + seeded));
+            });
+            let past_the_cut = index.split_off(k);
+            (index, past_the_cut)
         };
-        let q2a = next(prev.map(|prev| &prev.q2a), &keys.queries_qa, qa, from_qa);
-        let i2a = next(prev.map(|prev| &prev.i2a), &keys.items_ia, ia, from_ia);
+        let (q2a, slack_qa) = next(
+            prev.map(|prev| &prev.q2a),
+            &self.slack.0,
+            &keys.queries_qa,
+            qa,
+            from_qa,
+        );
+        let (i2a, slack_ia) = next(
+            prev.map(|prev| &prev.i2a),
+            &self.slack.1,
+            &keys.items_ia,
+            ia,
+            from_ia,
+        );
+        self.slack = (slack_qa, slack_ia);
         self.engine = serving(keys, q2a, i2a, topology)?;
         Ok(())
     }
+}
+
+/// A key's seed for a delta's scan of one ad space, `(survivors,
+/// capacity)`, from its previous kept list `L` — `served` postings, then
+/// slack — over the `live` ads the shard held before `retired` left, or
+/// `None` for a full scan at `kept`. The survivors `S` are the exact
+/// top-`|S|` over the ads that stay, so a seeded scan of the appended
+/// range gives the exact top-`|S|` of the next corpus — capacity `|S|`,
+/// which holds the served `top_k` when `|S| ≥ top_k` — or, when `L` held
+/// all `live` ads, its exact top-`kept`.
+fn seed(
+    (served, slack): (Option<&Postings>, Option<&Postings>),
+    retired: &IdSet,
+    live: usize,
+    (top_k, kept): (usize, usize),
+) -> Option<(Postings, usize)> {
+    let held = served.map_or(0, Vec::len) + slack.map_or(0, Vec::len);
+    let survivors: Postings = served
+        .into_iter()
+        .chain(slack)
+        .flatten()
+        .filter(|(ad, _)| !retired.contains(ad))
+        .copied()
+        .collect();
+    let capacity = match survivors.len() {
+        _ if held == live => kept,
+        n if n >= top_k => n,
+        _ => return None,
+    };
+    Some((survivors, capacity))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Keys the deltas applied on this thread scanned in full and keys
+    /// they seeded ([`seed`]): the tests count a delta's scans with it.
+    static SCANS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// The serving engine over `keys`'s key-side indices (shared, not
@@ -356,7 +460,7 @@ impl ShardedDeltaBuilder {
         };
         let ads: Vec<_> = ads_qa.iter().zip(&ads_ia).collect();
         let (indexes, ad_side) =
-            IndexSet::build_sharing_key_side(inputs, &ads, topology.index, width);
+            IndexSet::build_sharing_key_side(inputs, &ads, topology.index, width, SLACK);
         let keys = KeySide {
             queries_qq: Arc::clone(&inputs.queries_qq),
             queries_qi: Arc::clone(&inputs.queries_qi),
@@ -1390,6 +1494,196 @@ mod tests {
     /// call.
     fn laid_out() -> usize {
         crate::index_set::LAID_OUT.with(|count| count.replace(0))
+    }
+
+    /// `(full, seeded)`: the keys the deltas applied on this thread
+    /// scanned in full and the keys they seeded since the last call.
+    fn scans() -> (usize, usize) {
+        SCANS.with(|scans| scans.replace((0, 0)))
+    }
+
+    /// The at most [`SLACK`] postings past the cut of `key`'s Q2A list in
+    /// shard `s`.
+    fn slack_of(builder: &ShardedDeltaBuilder, s: usize, key: u32) -> usize {
+        builder.slots[s].slack.0.get(key).map_or(0, Vec::len)
+    }
+
+    /// 200 ads and the tiny key side: every shard of four holds more ads
+    /// than a key keeps.
+    fn two_hundred_ads() -> IndexBuildInputs {
+        IndexBuildInputs {
+            ads_qa: random_points(1000..1200, 41),
+            ads_ia: random_points(1000..1200, 42),
+            ..tiny_inputs()
+        }
+    }
+
+    /// A delta that takes at most [`SLACK`] postings from every key's
+    /// kept list — served and past the cut — seeds every key and scans
+    /// none in full, at 1 and 4 shards, though it takes postings from
+    /// served lists; and the served indices are still a rebuild's.
+    #[test]
+    fn a_delta_within_every_keys_slack_scans_no_key_in_full() {
+        let inputs = two_hundred_ads();
+        for shards in [1usize, 4] {
+            let topology = ShardedEngine::builder()
+                .shards(shards)
+                .top_k(6)
+                .threads(1)
+                .build_threads(1);
+            let mut builder = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
+            let retired: Vec<u32> = (1000..1200).step_by(25).collect();
+            let lost =
+                |list: &[(u32, f64)]| list.iter().filter(|(ad, _)| retired.contains(ad)).count();
+            let mut lost_served = 0;
+            for slot in &builder.slots {
+                let indexes = slot.indexes().unwrap();
+                for (served, slack) in
+                    [(&indexes.q2a, &slot.slack.0), (&indexes.i2a, &slot.slack.1)]
+                {
+                    for (key, list) in served.iter() {
+                        let past = slack.get(*key).map_or(0, |past| lost(past));
+                        assert!(lost(list) + past <= SLACK, "{shards} shards: key {key}");
+                        lost_served += lost(list);
+                    }
+                }
+            }
+            assert!(
+                lost_served > 0,
+                "{shards} shards: the delta takes no served posting"
+            );
+            let delta = make_delta(1300..1308, 43, retired.clone());
+            scans();
+            builder.apply(&delta).unwrap();
+            let (full, seeded) = scans();
+            assert_eq!(full, 0, "{shards} shards: keys scanned in full");
+            assert_eq!(seeded, shards * (10 + 40), "{shards} shards: keys seeded");
+            let mut truth = inputs.clone();
+            delta.apply_to(&mut truth);
+            assert_matches_rebuild(&builder, &truth, &format!("{shards} shards"));
+        }
+    }
+
+    /// Retiring [`SLACK`] + 1 of one key's nearest ads over two deltas:
+    /// the first seeds it from its survivors, leaving it fewer postings
+    /// past the cut; the second leaves it fewer than `top_k` and scans it
+    /// in full, which refills them. Both match a rebuild, bit for bit.
+    #[test]
+    fn a_key_that_loses_more_than_its_slack_is_scanned_in_full() {
+        let inputs = tiny_inputs();
+        let config = IndexBuildConfig {
+            top_k: 6,
+            threads: 1,
+            ..Default::default()
+        };
+        let mut builder = one_shard(&inputs, config);
+        let mut truth = inputs.clone();
+        let key = 3;
+        assert_eq!(slack_of(&builder, 0, key), SLACK, "cold build");
+        for (take, past_the_cut, full_scan) in [(3, SLACK - 3, false), (SLACK + 1 - 3, SLACK, true)]
+        {
+            let nearest = served(&builder).q2a.get(key).unwrap();
+            let nearest = nearest.iter().take(take).map(|&(ad, _)| ad).collect();
+            let delta = IndexDelta::retire_only(&inputs, nearest);
+            scans();
+            builder.apply(&delta).unwrap();
+            let (full, _) = scans();
+            delta.apply_to(&mut truth);
+            // a seeded key keeps its survivors past the cut, a full scan
+            // keeps SLACK of them
+            assert_eq!(slack_of(&builder, 0, key), past_the_cut, "{take} retired");
+            assert_eq!(full > 0, full_scan, "{take} retired: {full} full scans");
+            assert_matches_rebuild(&builder, &truth, &format!("{take} retired"));
+        }
+    }
+
+    /// A list that holds every ad of its shard but one is not the whole
+    /// shard: a key of a shard of `top_k + SLACK + 1` ads that loses more
+    /// than its slack is scanned in full, which finds the ad its list left
+    /// out.
+    #[test]
+    fn a_list_one_short_of_its_shard_is_scanned_in_full_past_its_slack() {
+        let config = IndexBuildConfig {
+            top_k: 6,
+            threads: 1,
+            ..Default::default()
+        };
+        let mut inputs = tiny_inputs();
+        let last = 200 + (6 + SLACK) as u32;
+        inputs.ads_qa.retire(|id| id > last);
+        inputs.ads_ia.retire(|id| id > last);
+        let mut builder = one_shard(&inputs, config);
+        let key = 3;
+        assert_eq!(slack_of(&builder, 0, key), SLACK, "cold build");
+        let nearest = served(&builder).q2a.get(key).unwrap();
+        let nearest = nearest.iter().take(SLACK + 1).map(|&(ad, _)| ad).collect();
+        let delta = IndexDelta::retire_only(&inputs, nearest);
+        scans();
+        builder.apply(&delta).unwrap();
+        assert!(scans().0 > 0, "no key scanned in full");
+        delta.apply_to(&mut inputs);
+        assert_matches_rebuild(&builder, &inputs, "one ad past the kept list");
+    }
+
+    /// A warm-loaded builder has no slack, so its first delta scans in
+    /// full every key that loses a served posting, as a builder without
+    /// slack would; those scans refill the keys' slack, and a following
+    /// small delta that takes from them scans none in full.
+    #[test]
+    fn a_warm_loaded_builder_refills_its_slack_by_full_scans() {
+        let inputs = two_hundred_ads();
+        let topology = ShardedEngine::builder()
+            .top_k(6)
+            .threads(1)
+            .build_threads(1);
+        let cold = ShardedDeltaBuilder::new(&inputs, topology).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "amcad-delta-{}-warm-slack.snap",
+            std::process::id()
+        ));
+        crate::store::write_snapshot(&path, &cold, 1).unwrap();
+        let (_, mut builder) = crate::store::read_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let slot = &builder.slots[0];
+        assert!(slot.slack.0.is_empty() && slot.slack.1.is_empty());
+        let mut truth = inputs.clone();
+        let first = make_delta(1300..1320, 44, (1000..1200).step_by(10).collect());
+        scans();
+        builder.apply(&first).unwrap();
+        assert!(
+            scans().0 > 0,
+            "the first delta after the load scans in full"
+        );
+        first.apply_to(&mut truth);
+        assert_matches_rebuild(&builder, &truth, "first delta");
+        // an ad that some served list holds, and only lists whose key has
+        // postings past the cut again
+        let slot = &builder.slots[0];
+        let indexes = slot.indexes().unwrap();
+        let holders = |ad: u32| {
+            [(&indexes.q2a, &slot.slack.0), (&indexes.i2a, &slot.slack.1)]
+                .into_iter()
+                .flat_map(|(served, slack)| {
+                    served
+                        .iter()
+                        .filter(move |(_, list)| list.iter().any(|&(id, _)| id == ad))
+                        .map(move |(key, _)| slack.get(*key).is_some())
+                })
+                .collect::<Vec<_>>()
+        };
+        let ad = corpus_ids(&slot.layouts.0)
+            .into_iter()
+            .find(|&ad| {
+                let holders = holders(ad);
+                !holders.is_empty() && holders.iter().all(|&refilled| refilled)
+            })
+            .expect("an ad held only by refilled keys");
+        let second = make_delta(1400..1401, 45, vec![ad]);
+        scans();
+        builder.apply(&second).unwrap();
+        assert_eq!(scans().0, 0, "the second delta scans no key in full");
+        second.apply_to(&mut truth);
+        assert_matches_rebuild(&builder, &truth, "second delta");
     }
 
     /// A cold build lays out each ad space of each shard holding ads once

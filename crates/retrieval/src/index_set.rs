@@ -16,11 +16,12 @@ use amcad_mnn::{
 
 use crate::error::RetrievalError;
 
-/// One pair of ad slices' Q2A and I2A, and the Q2A / I2A candidates'
-/// scan layouts when they were kept.
+/// One pair of ad slices' Q2A and I2A and, when the cold build kept
+/// them, the Q2A / I2A candidates' scan layouts with each key's postings
+/// past the cut ([`IndexSet::build_sharing_key_side`]'s `slack`).
 pub(crate) type AdSide = (
     (InvertedIndex, InvertedIndex),
-    Option<(ScanLayout, ScanLayout)>,
+    Option<((ScanLayout, ScanLayout), (InvertedIndex, InvertedIndex))>,
 );
 
 /// `layout`, just laid out: a deployment's every ad layout, the cold
@@ -209,8 +210,8 @@ impl IndexSet {
     ) -> Result<IndexSet, RetrievalError> {
         inputs.validate()?;
         let ads = [(&inputs.ads_qa, &inputs.ads_ia)];
-        let (key_side, mut ad_side) = Self::build_sharing_key_side(inputs, &ads, config, 1);
-        let ((q2a, i2a), _layouts) = ad_side.pop().expect("one ad pair in, one index pair out");
+        let (key_side, mut ad_side) = Self::build_sharing_key_side(inputs, &ads, config, 1, 0);
+        let ((q2a, i2a), _kept) = ad_side.pop().expect("one ad pair in, one index pair out");
         Ok(key_side.with_ad_side(q2a, i2a))
     }
 
@@ -220,14 +221,17 @@ impl IndexSet {
     /// read), then the Q2A and I2A of each pair of ad slices. Returns the
     /// key-only set (empty Q2A and I2A) and each pair's `(Q2A, I2A)` with,
     /// when the exact scan built them over ads, the two [`ScanLayout`]s it
-    /// scanned. [`fork_join()`] returns the builds in task order, so at any
-    /// width the key-only set with a pair's ad side equals the full
+    /// scanned and the up to `slack` postings past each key's cut: such a
+    /// scan keeps `top_k + slack` and serves the first `top_k`.
+    /// [`fork_join()`] returns the builds in task order, so at any width
+    /// the key-only set with a pair's ad side equals the full
     /// [`IndexSet::build`] over that pair's ads.
     pub(crate) fn build_sharing_key_side(
         keys: &IndexBuildInputs,
         ads: &[(&MixedPointSet, &MixedPointSet)],
         config: IndexBuildConfig,
         width: usize,
+        slack: usize,
     ) -> (IndexSet, Vec<AdSide>) {
         // (keys, candidates, exclude the key itself)
         let mut tasks: Vec<(&MixedPointSet, &MixedPointSet, bool)> = vec![
@@ -250,8 +254,9 @@ impl IndexSet {
                 return (index, None);
             }
             let layout = counted(ScanLayout::new(candidates, threads));
-            let index = build_with_layout(keys, &layout, k, false, threads);
-            (index, Some(layout))
+            let mut index = build_with_layout(keys, &layout, k + slack, false, threads);
+            let past_the_cut = index.split_off(k);
+            (index, Some((layout, past_the_cut)))
         };
         let mut built = fork_join(width, tasks.len(), task).into_iter();
         let mut next = || built.next().expect("fork_join returns one index per task");
@@ -266,7 +271,9 @@ impl IndexSet {
         let ad_side = ads
             .iter()
             .map(|_| match (next(), next()) {
-                ((q2a, Some(qa)), (i2a, Some(ia))) => ((q2a, i2a), Some((qa, ia))),
+                ((q2a, Some((qa, slack_qa))), (i2a, Some((ia, slack_ia)))) => {
+                    ((q2a, i2a), Some(((qa, ia), (slack_qa, slack_ia))))
+                }
                 ((q2a, _), (i2a, _)) => ((q2a, i2a), None),
             })
             .collect();
